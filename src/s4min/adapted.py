@@ -78,16 +78,21 @@ def circle_mask(report: ShapeReport) -> np.ndarray:
     return (report.kappa - report.mu) < circle_threshold(report)
 
 
-def _cluster_count(mask: np.ndarray, periodic_u: bool, periodic_v: bool) -> int:
-    """Connected components (8-neighbourhood) of a boolean grid mask."""
-    labels = np.full(mask.shape, -1, dtype=int)
+def _clusters(mask: np.ndarray, periodic_u: bool, periodic_v: bool) -> list[list]:
+    """Connected components (8-neighbourhood) of a boolean grid mask.
+
+    Periodic axes wrap.  Each component lists its (i, j) cells in
+    discovery order; components come in row-major order of their first cell.
+    """
+    seen = np.zeros(mask.shape, dtype=bool)
     nu, nv = mask.shape
-    count = 0
+    out = []
     for start in zip(*np.nonzero(mask)):
-        if labels[start] >= 0:
+        if seen[start]:
             continue
         stack = [start]
-        labels[start] = count
+        seen[start] = True
+        members = [start]
         while stack:
             i, j = stack.pop()
             for di in (-1, 0, 1):
@@ -97,11 +102,12 @@ def _cluster_count(mask: np.ndarray, periodic_u: bool, periodic_v: bool) -> int:
                         ii %= nu
                     if periodic_v:
                         jj %= nv
-                    if 0 <= ii < nu and 0 <= jj < nv and mask[ii, jj] and labels[ii, jj] < 0:
-                        labels[ii, jj] = count
+                    if 0 <= ii < nu and 0 <= jj < nv and mask[ii, jj] and not seen[ii, jj]:
+                        seen[ii, jj] = True
                         stack.append((ii, jj))
-        count += 1
-    return count
+                        members.append((ii, jj))
+        out.append(members)
+    return out
 
 
 @dataclass
@@ -128,7 +134,7 @@ def superminimality_test(report: ShapeReport) -> SuperminimalityReport:
         return SuperminimalityReport("superminimal", max_q, max_b, n_pts,
                                      1 if n_pts else 0,
                                      "ellipse is a circle at every point")
-    clusters = _cluster_count(mask, report.patch.periodic_u, report.patch.periodic_v)
+    clusters = len(_clusters(mask, report.patch.periodic_u, report.patch.periodic_v))
     if n_pts:
         frac = n_pts / mask.size
         if frac < 0.05:
@@ -506,34 +512,9 @@ def find_zero_candidates(patch: GridPatch, values: np.ndarray,
     if scale == 0.0:
         return []
     small = mag < rel_threshold * scale
-    if not small.any():
-        return []
     # cluster small cells and keep each cluster's minimum
-    labels = np.full(patch.shape, -1, dtype=int)
-    nu, nv = patch.shape
-    out = []
-    for start in zip(*np.nonzero(small)):
-        if labels[start] >= 0:
-            continue
-        stack = [start]
-        labels[start] = 1
-        members = [start]
-        while stack:
-            i, j = stack.pop()
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    ii, jj = i + di, j + dj
-                    if patch.periodic_u:
-                        ii %= nu
-                    if patch.periodic_v:
-                        jj %= nv
-                    if 0 <= ii < nu and 0 <= jj < nv and small[ii, jj] and labels[ii, jj] < 0:
-                        labels[ii, jj] = 1
-                        stack.append((ii, jj))
-                        members.append((ii, jj))
-        best = min(members, key=lambda p: mag[p])
-        out.append(best)
-    return sorted(out)
+    clusters = _clusters(small, patch.periodic_u, patch.periodic_v)
+    return sorted(min(members, key=lambda p: mag[p]) for members in clusters)
 
 
 def _sample_bilinear(patch: GridPatch, values: np.ndarray,

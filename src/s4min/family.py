@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridPatch, MetricField, diff
-from .surface import ImmersionField, NormalFrameField, ShapeReport, fd_jets
+from .surface import ImmersionField, NormalFrameField, ShapeReport, fd_jets, shape_report
 
 
 class FamilyError(ValueError):
@@ -38,15 +38,6 @@ class IntegrabilityBroken(RuntimeError):
 # discrepancies are O(h^4): ~1e-8 on exact inputs at n = 64, versus
 # ~1e-2 for a 1e-3 normal perturbation (genuine curvature ~ amplitude).
 PATH_DEPENDENCE_TOL = 1e-4
-
-_EYE5 = np.eye(5)
-
-
-def frame_field(imm: ImmersionField, e1: np.ndarray, e2: np.ndarray,
-                nf: NormalFrameField) -> np.ndarray:
-    """Stack (f, e1, e2, e3, e4) as the rows of a 5x5 orthogonal field."""
-    return np.stack([imm.position, e1, e2, nf.e3, nf.e4], axis=-2)
-
 
 @dataclass
 class ConnectionData:
@@ -114,83 +105,28 @@ def _build_components(patch, w1, w2, om12, om34, h11_3, h12_3, h11_4, h12_4):
     return stack(C0), stack(C1), stack(C2)
 
 
-def _slow_normal_gauge(imm: ImmersionField, e1: np.ndarray, e2: np.ndarray,
-                       nf: NormalFrameField):
-    """Rebuild the normal pair so its rotation rate along v is minimal.
-
-    On charts whose normal bundle has nonzero Euler number every
-    periodic gauge necessarily winds; the seam-corrected propagated
-    gauge concentrates that winding into ramps whose mixed u/v rotation
-    rate finite differences cannot resolve.  Instead of measuring and
-    cancelling that fast rotation (differentiating a rough field), each
-    row is re-transported from its v=0 pair by projecting onto the next
-    normal space - discrete normal-bundle parallel transport, which has
-    no in-plane rotation by construction.  The per-row closure mismatch
-    (the holonomy angle, a clean end-to-end measurement) is unwrapped
-    across rows so the gauge stays continuous in u, reduced by a shared
-    whole number of turns, and spread uniformly along the row.  The
-    result rotates no faster than the curvature of the normal bundle
-    forces it to.  Any rotation yields a valid gauge - connection
-    entries are recomputed from the rotated frames - so this choice
-    affects resolution, not correctness.
-    """
-    from .surface import _gram_schmidt_pair, _normal_projector_apply
-
-    patch = imm.patch
-    f = imm.position
-    nv = patch.nv
-    p3 = np.empty_like(nf.e3)
-    p4 = np.empty_like(nf.e4)
-    p3[:, 0] = nf.e3[:, 0]
-    p4[:, 0] = nf.e4[:, 0]
-    for j in range(1, nv):
-        q3 = _normal_projector_apply(f[:, j], e1[:, j], e2[:, j], p3[:, j - 1])
-        q4 = _normal_projector_apply(f[:, j], e1[:, j], e2[:, j], p4[:, j - 1])
-        p3[:, j], p4[:, j] = _gram_schmidt_pair(q3, q4, "slow gauge")
-    if patch.periodic_v:
-        b3 = _normal_projector_apply(f[:, 0], e1[:, 0], e2[:, 0], p3[:, -1])
-        b4 = _normal_projector_apply(f[:, 0], e1[:, 0], e2[:, 0], p4[:, -1])
-        b3, _ = _gram_schmidt_pair(b3, b4, "slow gauge closure")
-        dot = lambda a, b: np.einsum("uk,uk->u", a, b)  # noqa: E731
-        delta = np.unwrap(np.arctan2(dot(b3, p4[:, 0]), dot(b3, p3[:, 0])))
-        turns = 2.0 * math.pi * np.round(np.median(delta) / (2.0 * math.pi))
-        ang = -(delta - turns)[:, None] * (np.arange(nv) / nv)[None, :]
-        ca, sa = np.cos(ang), np.sin(ang)
-        e3p = ca[..., None] * p3 + sa[..., None] * p4
-        e4p = -sa[..., None] * p3 + ca[..., None] * p4
-    else:
-        e3p, e4p = p3, p4
-    return e3p, e4p
-
-
 def connection_data(imm: ImmersionField, e1: np.ndarray, e2: np.ndarray,
                     nf: NormalFrameField, report: ShapeReport) -> ConnectionData:
-    """Connection decomposition in the smooth propagated gauge.
+    """Connection decomposition in the transported normal gauge.
 
-    This gauge is defined everywhere (circle points included), so the
-    whole grid integrates without masking; ellipse-aligned quantities are
-    diagnostics only and never enter here.  The normal pair is re-gauged
-    to its slowest periodic rotation first (see _slow_normal_gauge).
+    Uses nf.e3, nf.e4 and report.H3, report.H4 exactly as given, so the
+    report must have been built with nf.  That gauge is defined
+    everywhere (circle points included), so the whole grid integrates
+    without masking; ellipse-aligned quantities are diagnostics only and
+    never enter here.
     """
     patch = imm.patch
     fu = imm.jet1[:, :, 0, :]
     fv = imm.jet1[:, :, 1, :]
     dot = lambda a, b: np.einsum("uvk,uvk->uv", a, b)  # noqa: E731
-    e3, e4 = _slow_normal_gauge(imm, e1, e2, nf)
-    # H-components follow the gauge rotation; its angle is read off
-    # pointwise (both pairs span the same plane with the same
-    # orientation, so the dot products are exactly cos/sin of it).
-    cb = dot(e3, nf.e3)
-    sb = dot(e3, nf.e4)
-    H3 = cb * report.H3 + sb * report.H4
-    H4 = -sb * report.H3 + cb * report.H4
     w1 = (dot(fu, e1), dot(fv, e1))
     w2 = (dot(fu, e2), dot(fv, e2))
     om12 = tuple(dot(diff(patch, e1, axis), e2) for axis in (0, 1))
-    om34 = tuple(dot(diff(patch, e3, axis), e4) for axis in (0, 1))
+    om34 = tuple(dot(diff(patch, nf.e3, axis), nf.e4) for axis in (0, 1))
     C0, C1, C2 = _build_components(patch, w1, w2, om12, om34,
-                                   H3.real, H3.imag, H4.real, H4.imag)
-    frames = np.stack([imm.position, e1, e2, e3, e4], axis=-2)
+                                   report.H3.real, report.H3.imag,
+                                   report.H4.real, report.H4.imag)
+    frames = np.stack([imm.position, e1, e2, nf.e3, nf.e4], axis=-2)
     return ConnectionData(patch, frames, C0, C1, C2, "propagated")
 
 
@@ -423,16 +359,6 @@ def deformed_immersion(dp: DeformedPatch) -> ImmersionField:
     return ImmersionField(ext, pos / norms, jet1, jet2, "fd")
 
 
-def _replayed_invariants(patch, position):
-    from .surface import (normal_frame, second_fundamental_form,
-                          tangent_frame)
-    jet1, jet2 = fd_jets(patch, position)
-    imm = ImmersionField(patch, position, jet1, jet2, "fd")
-    e1, e2, metric = tangent_frame(imm)
-    nf = normal_frame(imm, e1, e2)
-    return metric, second_fundamental_form(imm, e1, e2, metric, nf)
-
-
 def deformation_invariant_deviation(imm: ImmersionField,
                                     dp: DeformedPatch) -> dict:
     """Max deviation of the induced metric and curvatures of f_theta
@@ -449,9 +375,8 @@ def deformation_invariant_deviation(imm: ImmersionField,
     src_u = np.arange(ext.nu) % imm.patch.nu
     src_v = np.arange(ext.nv) % imm.patch.nv
     replay = imm.position[np.ix_(src_u, src_v)]
-    g0, rep0 = _replayed_invariants(ext, replay)
-    dimm = deformed_immersion(dp)
-    g1, rep1 = _replayed_invariants(ext, dimm.position)
+    _, _, _, g0, _, rep0 = shape_report(ImmersionField(ext, replay))
+    _, _, _, g1, _, rep1 = shape_report(deformed_immersion(dp))
     return {
         "metric": float(max(np.abs(g1.E - g0.E).max(),
                             np.abs(g1.F - g0.F).max(),

@@ -8,13 +8,13 @@ nu is identified with index 0.
 Conventions used throughout the package:
 
 * derivatives: 4th-order central stencils on periodic axes; on open axes
-  2nd-order central in the interior and one-sided 2nd-order at the two
-  boundary rows,
+  4th-order central in the interior and 4th-order one-sided or offset
+  stencils at the two rows on each end,
 * Hodge star on 1-forms against an oriented orthonormal coframe
   (w1, w2):  *(a1 w1 + a2 w2) = -a2 w1 + a1 w2,
 * quadrature: rectangle rule on periodic axes (exact below Nyquist),
-  composite Simpson on open axes (3/8 tail when the interval count is
-  odd),
+  midpoint rule over the closed interval on capped axes, composite
+  Simpson on other open axes (3/8 tail when the interval count is odd),
 * reductions are plain ``np.sum`` in fixed array order, so repeated runs
   are bit-identical.
 """

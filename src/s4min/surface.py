@@ -129,10 +129,12 @@ def tangent_frame(imm: ImmersionField) -> tuple[np.ndarray, np.ndarray, MetricFi
 class NormalFrameField:
     """Smooth oriented orthonormal frame (e3, e4) of the normal bundle.
 
-    seam_u / seam_v record the largest gauge mismatch angle measured across
-    each periodic seam before the periodicity correction; a large value on
-    a non-torus chart signals genuine normal holonomy around that cycle
-    (expected whenever the normal Euler number is nonzero).
+    The frame is discrete normal-bundle parallel transport from grid index
+    (0, 0), made periodic by spreading each closure angle evenly over its
+    cycle (see normal_frame).  seam_u / seam_v record the largest
+    closure angle on each periodic axis before it was spread; a large
+    value on a non-torus chart signals genuine normal holonomy around that
+    cycle (expected whenever the normal Euler number is nonzero).
     """
 
     patch: GridPatch
@@ -151,15 +153,19 @@ def _normal_projector_apply(f, e1, e2, vec):
     return out
 
 
-def _gram_schmidt_pair(q3, q4, where_msg="normal frame"):
+def _transport_pair(f, e1, e2, p3, p4):
+    """One step of discrete normal transport: project the pair onto the
+    normal space at the new point and re-orthonormalize by Gram-Schmidt."""
+    q3 = _normal_projector_apply(f, e1, e2, p3)
     n3 = np.linalg.norm(q3, axis=-1)
     if np.any(n3 < 1e-8):
-        raise SurfaceError(f"{where_msg}: transported frame degenerated")
+        raise SurfaceError("normal frame: transported frame degenerated")
     q3 = q3 / n3[..., None]
+    q4 = _normal_projector_apply(f, e1, e2, p4)
     q4 = q4 - np.einsum("...k,...k->...", q4, q3)[..., None] * q3
     n4 = np.linalg.norm(q4, axis=-1)
     if np.any(n4 < 1e-8):
-        raise SurfaceError(f"{where_msg}: transported frame degenerated")
+        raise SurfaceError("normal frame: transported frame degenerated")
     return q3, q4 / n4[..., None]
 
 
@@ -184,8 +190,10 @@ def _seed_normal_basis(f, e1, e2):
     raise SurfaceError("could not seed a normal frame from ambient axes")
 
 
-def _frame_angle(t3, e3, e4):
-    """Angle of a transported e3 against the stored (e3, e4) basis."""
+def _closure_angle(f, e1, e2, last3, e3, e4):
+    """Angle of the frame vector last3, transported one step across a seam,
+    against the stored (e3, e4) basis on the far side."""
+    t3 = _normal_projector_apply(f, e1, e2, last3)
     return np.arctan2(np.einsum("...k,...k->...", t3, e4),
                       np.einsum("...k,...k->...", t3, e3))
 
@@ -197,14 +205,25 @@ def _rotate_pair(e3, e4, angle):
 
 
 def normal_frame(imm: ImmersionField, e1: np.ndarray, e2: np.ndarray) -> NormalFrameField:
-    """Smooth oriented completion of the tangent frame.
+    """Smooth oriented completion of the tangent frame by normal transport.
 
-    Seeded at grid index (0, 0) by projecting fixed ambient axes, propagated
-    along row 0 and then row by row (projection of the neighbour frame onto
-    the new normal space + Gram-Schmidt), which approximates parallel
-    transport in the normal bundle.  On periodic axes the gauge is then
-    rotated by a linearly distributed angle so the stored field is exactly
-    periodic; the pre-correction mismatch is reported.
+    Seeded at grid index (0, 0) by projecting fixed ambient axes, oriented
+    so that det[e1 e2 e3 e4 f] > 0, then transported along the u-spine at
+    v = 0 and up every column along v (vectorized over u).  Each step
+    projects the previous pair onto the new normal space and applies
+    Gram-Schmidt, which approximates parallel transport in the normal
+    bundle, so the gauge rotates no faster than the normal curvature
+    forces it to.
+
+    On a periodic axis the transport does not close: the closure angle is
+    the normal holonomy around that cycle.  It is removed by rotating the
+    pair at index k of n by -angle * k / n, so every step, the seam step
+    included, turns by the same share.  Along u this is the spine's single
+    closure angle.  Along v the per-column angles are unwrapped over u and
+    the whole turns they share are dropped (a full turn closes by itself),
+    so the gauge winds no more than the holonomy forces.  A closure angle
+    that winds around the periodic u-cycle admits no periodic gauge of
+    this form and raises SurfaceError.
     """
     patch = imm.patch
     f = imm.position
@@ -220,51 +239,32 @@ def normal_frame(imm: ImmersionField, e1: np.ndarray, e2: np.ndarray) -> NormalF
         s4 = -s4
     e3[0, 0], e4[0, 0] = s3, s4
 
-    for i in range(1, nu):  # row 0, sequential in u
-        q3 = _normal_projector_apply(f[i, 0], e1[i, 0], e2[i, 0], e3[i - 1, 0])
-        q4 = _normal_projector_apply(f[i, 0], e1[i, 0], e2[i, 0], e4[i - 1, 0])
-        e3[i, 0], e4[i, 0] = _gram_schmidt_pair(q3, q4)
-    for j in range(1, nv):  # remaining rows, vectorized across u
-        q3 = _normal_projector_apply(f[:, j], e1[:, j], e2[:, j], e3[:, j - 1])
-        q4 = _normal_projector_apply(f[:, j], e1[:, j], e2[:, j], e4[:, j - 1])
-        e3[:, j], e4[:, j] = _gram_schmidt_pair(q3, q4)
+    for i in range(1, nu):  # spine, sequential in u
+        e3[i, 0], e4[i, 0] = _transport_pair(f[i, 0], e1[i, 0], e2[i, 0],
+                                             e3[i - 1, 0], e4[i - 1, 0])
+    seam_u = 0.0
+    if patch.periodic_u:
+        delta = float(_closure_angle(f[0, 0], e1[0, 0], e2[0, 0],
+                                     e3[-1, 0], e3[0, 0], e4[0, 0]))
+        seam_u = abs(delta)
+        e3[:, 0], e4[:, 0] = _rotate_pair(e3[:, 0], e4[:, 0],
+                                          -delta * (np.arange(nu) / nu))
 
-    def seam_angle(axis):
-        """Unwrapped mismatch angle profile across the seam of one axis."""
-        if axis == 0:
-            fw, e1w, e2w, e3w, e4w, last3 = f[0], e1[0], e2[0], e3[0], e4[0], e3[-1]
-        else:
-            fw, e1w, e2w = f[:, 0], e1[:, 0], e2[:, 0]
-            e3w, e4w, last3 = e3[:, 0], e4[:, 0], e3[:, -1]
-        t3 = _normal_projector_apply(fw, e1w, e2w, last3)
-        t3 = t3 / np.linalg.norm(t3, axis=-1)[:, None]
-        zeta = np.unwrap(_frame_angle(t3, e3w, e4w))
-        cross_periodic = patch.periodic_v if axis == 0 else patch.periodic_u
-        if cross_periodic and abs(zeta[-1] - zeta[0]) > np.pi:
+    for j in range(1, nv):  # columns, vectorized across u
+        e3[:, j], e4[:, j] = _transport_pair(f[:, j], e1[:, j], e2[:, j],
+                                             e3[:, j - 1], e4[:, j - 1])
+    seam_v = 0.0
+    if patch.periodic_v:
+        delta = np.unwrap(_closure_angle(f[:, 0], e1[:, 0], e2[:, 0],
+                                         e3[:, -1], e3[:, 0], e4[:, 0]))
+        if patch.periodic_u and abs(delta[-1] - delta[0]) > np.pi:
             raise SurfaceError(
                 "seam mismatch angle winds around the transverse cycle; "
                 "no periodic normal gauge of this form exists"
             )
-        return zeta
-
-    seam_u = seam_v = 0.0
-    # make the gauge exactly periodic; iterated because one correction pass
-    # is only first order in the mismatch (transport does not commute with
-    # the gauge rotation at second order), and on doubly periodic patches
-    # the two axis corrections interact at O(h)
-    for sweep in range(3):
-        if patch.periodic_u:
-            zeta = seam_angle(0)  # (nv,)
-            if sweep == 0:
-                seam_u = float(np.abs(zeta).max())
-            ramp = np.arange(nu) / (nu - 1.0)
-            e3, e4 = _rotate_pair(e3, e4, -zeta[None, :] * ramp[:, None])
-        if patch.periodic_v:
-            zeta = seam_angle(1)  # (nu,)
-            if sweep == 0:
-                seam_v = float(np.abs(zeta).max())
-            ramp = np.arange(nv) / (nv - 1.0)
-            e3, e4 = _rotate_pair(e3, e4, -zeta[:, None] * ramp[None, :])
+        seam_v = float(np.abs(delta).max())
+        turns = 2.0 * np.pi * np.round(np.median(delta) / (2.0 * np.pi))
+        e3, e4 = _rotate_pair(e3, e4, -(delta - turns)[:, None] * (np.arange(nv) / nv)[None, :])
 
     return NormalFrameField(patch, e3, e4, orientation, seam_u, seam_v)
 

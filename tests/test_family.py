@@ -64,6 +64,14 @@ def area_weights(imm, metric):
 # assembly of the one-parameter connection
 
 
+@pytest.mark.parametrize("fix", ["clifford", "veronese"])
+def test_connection_frames_use_the_normal_frame(fix, request):
+    nf = request.getfixturevalue(fix)[4]
+    conn = request.getfixturevalue(fix + "_conn")
+    assert np.array_equal(conn.frames[..., 3, :], nf.e3)
+    assert np.array_equal(conn.frames[..., 4, :], nf.e4)
+
+
 def test_components_antisymmetric(clifford_conn):
     for C in (clifford_conn.C0, clifford_conn.C1, clifford_conn.C2):
         assert np.array_equal(C, -np.swapaxes(C, -1, -2))

@@ -84,16 +84,31 @@ def test_full_frame_orthonormality(fix, request):
     assert frame_orthonormality_residual(imm, e1, e2, nf) < 1e-12
 
 
-def test_normal_frame_periodic_after_correction(veronese):
-    # after the seam correction, transporting the last column across the
-    # seam must land on the stored first column
-    imm, e1, e2, _, nf, _ = veronese
-    from s4min.surface import _frame_angle, _normal_projector_apply
+def _step_angle(imm, e1, e2, nf, j_from, j_to):
+    """Per-row rotation of e3 over one v-step: project e3 at column j_from
+    onto the normal space at column j_to, read its angle in (e3, e4)."""
+    f, a, b = imm.position[:, j_to], e1[:, j_to], e2[:, j_to]
+    t = nf.e3[:, j_from]
+    for axis in (f, a, b):
+        t = t - np.einsum("uk,uk->u", t, axis)[:, None] * axis
+    return np.arctan2(np.einsum("uk,uk->u", t, nf.e4[:, j_to]),
+                      np.einsum("uk,uk->u", t, nf.e3[:, j_to]))
 
-    t3 = _normal_projector_apply(imm.position[:, 0], e1[:, 0], e2[:, 0], nf.e3[:, -1])
-    t3 = t3 / np.linalg.norm(t3, axis=-1)[:, None]
-    ang = _frame_angle(t3, nf.e3[:, 0], nf.e4[:, 0])
-    assert np.abs(ang).max() < 1e-10
+
+def test_normal_frame_periodic_after_correction(veronese):
+    # the closure angle is spread over every step, the seam step included:
+    # crossing the v-seam turns the gauge as much as the step before it
+    imm, e1, e2, _, nf, _ = veronese
+    seam = _step_angle(imm, e1, e2, nf, -1, 0)
+    interior = _step_angle(imm, e1, e2, nf, -2, -1)
+    assert np.abs(seam - interior).max() < 1e-5
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_normal_frame_has_no_seam_kink(n):
+    # a kink at the v-seam would make the second difference grow like 1/h
+    imm, _, _, _, nf, _ = shape_report(veronese_sphere(n).immersion)
+    assert np.abs(diff(imm.patch, nf.e3, 1, order=2)).max() <= 5.0
 
 
 def test_normal_frame_seam_diagnostic_sees_holonomy(veronese):
