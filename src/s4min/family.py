@@ -302,7 +302,13 @@ class DeformedPatch:
                          periodic_u=False, periodic_v=False)
 
 
-def _sweep(mc: MaurerCartanField, seed: np.ndarray, order: str) -> np.ndarray:
+def sweep_frames(mc: MaurerCartanField, seed: np.ndarray, order: str) -> np.ndarray:
+    """Frames over the unwrapped fundamental domain from one sweep.
+
+    order "uv" marches the u spine from the seed at the grid origin and
+    then every v column from it; "vu" marches the v spine and then every
+    u row.  Returns the (nu + pu, nv + pv, 5, 5) frame array.
+    """
     patch = mc.patch
     Wu = mc.omega[:, :, 0]
     Wv = mc.omega[:, :, 1]
@@ -335,8 +341,8 @@ def integrate_frame(mc: MaurerCartanField, seed_frame: np.ndarray,
     seed = np.asarray(seed_frame, dtype=float)
     if seed.shape != (5, 5):
         raise FamilyError(f"seed frame must be 5x5, got {seed.shape}")
-    F_rc = _sweep(mc, seed, "uv")
-    F_cr = _sweep(mc, seed, "vu")
+    F_rc = sweep_frames(mc, seed, "uv")
+    F_cr = sweep_frames(mc, seed, "vu")
     path_dep = float(np.linalg.norm(F_rc - F_cr, axis=(-2, -1)).max())
     flat = float(flatness_residual(mc).max())
     if path_dep > tol_path:

@@ -18,16 +18,14 @@ import numpy as np
 
 from .family import (
     ConnectionData,
-    FamilyError,
     IntegrabilityBroken,
     assemble_maurer_cartan,
     congruence_test,
-    deformed_immersion,
     flatness_residual,
-    integrate_frame,
     march_frames,
+    sweep_frames,
 )
-from .grid import GridPatch, LoopPath, u_generator, v_generator
+from .grid import GridPatch, LoopPath
 
 FLATNESS_CEILING = 1e-3
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -138,19 +136,31 @@ class MonodromyProfile:
     generators: tuple[int, ...] = field(default=())
 
 
-def _golden_min(fn, a: float, b: float, width: float) -> tuple[float, float]:
+def _golden_min(fn, a: np.ndarray, b: np.ndarray,
+                width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section minimisation on every bracket [a[i], b[i]] at once.
+
+    fn maps an array of angles to an array of values.  Each iteration
+    makes one fn call holding the new interior point of every bracket
+    still wider than ``width``; each bracket takes exactly the steps of
+    the scalar search.  Returns the final bracket midpoints and fn there.
+    """
+    a, b = a.copy(), b.copy()
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    while (b - a) > width:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = fn(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = fn(x2)
+    f1, f2 = np.split(fn(np.concatenate([x1, x2])), 2)
+    active = (b - a) > width
+    while active.any():
+        left = active & (f1 <= f2)
+        right = active & ~left
+        b[left], x2[left], f2[left] = x2[left], x1[left], f1[left]
+        x1[left] = b[left] - GOLDEN * (b[left] - a[left])
+        a[right], x1[right], f1[right] = x1[right], x2[right], f2[right]
+        x2[right] = a[right] + GOLDEN * (b[right] - a[right])
+        new = fn(np.where(left, x1, x2)[active])
+        f1[left] = new[left[active]]
+        f2[right] = new[right[active]]
+        active = (b - a) > width
     x = 0.5 * (a + b)
     return x, fn(x)
 
@@ -161,17 +171,28 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256,
                  congruence_samples: int = 8) -> MonodromyProfile:
     """Monodromy profile d(theta) over uniform angles with refined minima.
 
-    Evaluates the generator monodromies at ``n_theta`` uniform angles in
-    [0, 2pi) (batched), refines every local minimum of d below
-    10 * tol_close by golden-section search to width 1e-8, and classifies:
-    CIRCLE when d stays below tol_close at >= 90% of the samples, FINITE
-    otherwise, with the refined closing angles as roots.
+    The profile is reported at ``n_theta`` uniform angles in [0, 2pi).
+    Omega_theta depends on 2 theta only, so d is pi-periodic, and the
+    generator monodromies are marched (batched) once per distinct value
+    of theta mod pi: the first n_theta / 2 angles for even n_theta, every
+    angle (folded into [0, pi), where they interleave) for odd n_theta;
+    M1, M2 and d are tiled back onto the full circle.
 
-    tol_close defaults to 1e-6 but never below ten times the measured
-    flatness residual -- the identity cannot be resolved more finely than
-    the connection is flat.  A residual above FLATNESS_CEILING means the
-    input is not minimal to working accuracy; the scan refuses to
-    classify such data.
+    Every local minimum of that half-circle profile is a candidate.  All
+    candidates are refined together by golden-section search to width
+    1e-8 on the bracket of their two neighbouring samples, one batched
+    march per generator and iteration.  A refined minimum with
+    d < tol_close is a root; it is reported in [0, pi) and shifted by pi
+    (a root within 1e-7 of 0 is reported as exactly 0).  The verdict is
+    CIRCLE when d stays below tol_close at >= 90% of the samples, FINITE
+    otherwise, with the roots as the closing set.
+
+    tol_close defaults to max(1e-6, 10 * flatness, 10 * d(0)).  The
+    identity cannot be resolved more finely than the connection is flat,
+    and theta = 0 closes by construction, so d(0) is the measured error
+    floor of the identity test.  A flatness residual above
+    FLATNESS_CEILING means the input is not minimal to working accuracy;
+    the scan refuses to classify such data.
     """
     if n_theta < 64:
         raise MonodromyError(f"need at least 64 angle samples, got {n_theta}")
@@ -183,25 +204,32 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256,
             f"connection is not flat (residual {flat0:.3e} > "
             f"{FLATNESS_CEILING:.1e}); refusing to classify the monodromy "
             "of a non-minimal input")
-    if tol_close is None:
-        tol_close = max(1e-6, 10.0 * flat0)
 
     thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    # distinct angles mod pi: thetas[k] = half[fold[k]] (mod pi)
+    n_half = n_theta // 2 if n_theta % 2 == 0 else n_theta
+    half = np.linspace(0.0, math.pi, n_half, endpoint=False)
+    fold = (np.arange(n_theta) * (2 * n_half // n_theta)) % n_half
     i0, j0 = base
     F0 = conn.frames[i0 % patch.nu, j0 % patch.nv]
-    ends = [_generator_ends(conn, axis, base, thetas) for axis in gens]
-    Ms = [np.swapaxes(E, -1, -2) @ F0 for E in ends]
-    d = np.max([_identity_distance(M) for M in Ms], axis=0)
-    defect = None
-    if len(Ms) == 2:
-        defect = np.linalg.norm(Ms[0] @ Ms[1] - Ms[1] @ Ms[0], axis=(-2, -1))
 
-    def d_at(theta: float) -> float:
-        val = 0.0
-        for axis in gens:
-            E = _generator_ends(conn, axis, base, np.array([theta]))
-            val = max(val, float(_identity_distance(E[0].T @ F0)))
-        return val
+    def monodromies(angles: np.ndarray) -> list[np.ndarray]:
+        return [np.swapaxes(_generator_ends(conn, axis, base, angles), -1, -2) @ F0
+                for axis in gens]
+
+    def distance(Ms: list[np.ndarray]) -> np.ndarray:
+        return np.max([_identity_distance(M) for M in Ms], axis=0)
+
+    Ms_half = monodromies(half)
+    d_half = distance(Ms_half)
+    Ms = [M[fold] for M in Ms_half]
+    d = d_half[fold]
+    defect = None
+    if len(Ms_half) == 2:
+        A, B = Ms_half
+        defect = np.linalg.norm(A @ B - B @ A, axis=(-2, -1))[fold]
+    if tol_close is None:
+        tol_close = max(1e-6, 10.0 * flat0, 10.0 * float(d_half[0]))
 
     fraction_below = float(np.mean(d < tol_close))
     roots: list[float] = []
@@ -209,20 +237,21 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256,
         verdict = "CIRCLE"
     else:
         verdict = "FINITE"
-        step = 2.0 * math.pi / n_theta
-        for k in range(n_theta):
-            left, right = d[(k - 1) % n_theta], d[(k + 1) % n_theta]
-            if d[k] <= left and d[k] <= right and d[k] < 10.0 * tol_close:
-                theta_star, d_star = _golden_min(
-                    d_at, thetas[k] - step, thetas[k] + step, 1e-8)
-                if d_star < tol_close:
-                    theta_star %= 2.0 * math.pi
-                    # a root at 0 refined from the wrapped side lands just
-                    # below 2*pi; report it in canonical form
-                    if 2.0 * math.pi - theta_star < 1e-7:
-                        theta_star = 0.0
-                    roots.append(theta_star)
-        roots = sorted(roots)
+        # local minima of the pi-periodic half profile; the strict right
+        # comparison keeps one candidate of two equal neighbours, so a
+        # constant profile (a totally geodesic surface) has none
+        cand = np.flatnonzero((d_half <= np.roll(d_half, 1))
+                              & (d_half < np.roll(d_half, -1)))
+        if cand.size:
+            step = math.pi / n_half
+            theta_star, d_star = _golden_min(
+                lambda t: distance(monodromies(t)),
+                half[cand] - step, half[cand] + step, 1e-8)
+            for t in np.mod(theta_star[d_star < tol_close], math.pi):
+                # a root at 0 refined from below lands just under pi
+                t = 0.0 if min(t, math.pi - t) < 1e-7 else float(t)
+                roots += [t, t + math.pi]
+            roots = sorted(roots)
 
     ct = cr = None
     if verdict == "CIRCLE" and congruence_samples > 0:
@@ -234,12 +263,16 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256,
 
 
 def _congruence_residual(conn: ConnectionData, theta: float) -> float:
-    """Congruence of the integrated deformed surface with the input."""
+    """Congruence of the integrated deformed surface with the input.
+
+    One row-then-column sweep suffices: integrate_frame's second sweep
+    only serves its path-dependence check.
+    """
     patch = conn.patch
-    mc = assemble_maurer_cartan(conn, theta)
-    dp = integrate_frame(mc, conn.frames[0, 0], tol_path=math.inf)
-    dimm = deformed_immersion(dp)
-    core = dimm.position[:patch.nu, :patch.nv].reshape(-1, 5)
+    frame = sweep_frames(assemble_maurer_cartan(conn, theta),
+                         conn.frames[0, 0], "uv")
+    pos = frame[:patch.nu, :patch.nv, 0, :]
+    core = (pos / np.linalg.norm(pos, axis=-1, keepdims=True)).reshape(-1, 5)
     ref = conn.frames[..., 0, :].reshape(-1, 5)
     w1u, w1v = conn.C0[..., 0, 0, 1], conn.C0[..., 1, 0, 1]
     w2u, w2v = conn.C0[..., 0, 0, 2], conn.C0[..., 1, 0, 2]

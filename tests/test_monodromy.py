@@ -13,11 +13,23 @@ import math
 import numpy as np
 import pytest
 
-from s4min.catalog import clifford_torus, perturb_immersion, veronese_sphere
-from s4min.family import ConnectionData, IntegrabilityBroken, connection_data
+import s4min.monodromy
+from s4min.catalog import clifford_torus, geodesic_sphere, perturb_immersion, veronese_sphere
+from s4min.family import (
+    ConnectionData,
+    IntegrabilityBroken,
+    assemble_maurer_cartan,
+    congruence_test,
+    connection_data,
+    deformed_immersion,
+    integrate_frame,
+)
 from s4min.grid import GridPatch, concatenate_loops, rectangle_loop, u_generator, v_generator
 from s4min.monodromy import (
+    GOLDEN,
     MonodromyError,
+    _congruence_residual,
+    _golden_min,
     dichotomy_report,
     generator_monodromy,
     scan_profile,
@@ -79,6 +91,97 @@ def test_monodromies_orthogonal(clifford_profile):
 
 def test_deck_group_abelian(clifford_profile):
     assert clifford_profile.commutator_defect.max() < 1e-7
+
+
+def test_profile_is_pi_periodic_exactly(clifford_profile):
+    # the half circle is marched once and tiled onto the full circle
+    d = clifford_profile.d
+    half = len(d) // 2
+    assert np.array_equal(d[:half], d[half:])
+
+
+@pytest.mark.parametrize("n_theta", [722, 101])
+def test_roots_between_samples_are_found(clifford_conn, n_theta):
+    # with these grids pi/2 (and for 101 also pi) falls between samples,
+    # so the sampled d there is far above the closing tolerance
+    roots = scan_profile(clifford_conn[1], n_theta=n_theta).roots
+    assert len(roots) == 4
+    for expected in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2):
+        assert min(circular_distance(r, expected) for r in roots) < 1e-8
+
+
+def test_default_tolerance_closes_theta_zero_at_coarse_grid():
+    # at n=64 d(0) is ~7e-6, above 1e-6; the default tolerance follows it
+    imm, e1, e2, metric, nf, rep = shape_report(clifford_torus(64).immersion)
+    profile = scan_profile(connection_data(imm, e1, e2, nf, rep), n_theta=256)
+    assert profile.tol_close >= 10.0 * profile.d[0]
+    assert len(profile.roots) == 4
+    assert profile.roots[0] == 0.0
+
+
+def test_refinement_is_batched(clifford_conn, monkeypatch):
+    calls = []
+    march = s4min.monodromy.march_frames
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(s4min.monodromy, "march_frames", counted)
+    scan_profile(clifford_conn[1], n_theta=720)
+    assert len(calls) <= 80
+
+
+def test_constant_profile_has_no_candidates():
+    # the totally geodesic sphere has theta-independent monodromy; with a
+    # tolerance below its d(0) the profile is FINITE with no minimum
+    imm, e1, e2, metric, nf, rep = shape_report(geodesic_sphere(32).immersion)
+    conn = connection_data(imm, e1, e2, nf, rep)
+    profile = scan_profile(conn, n_theta=64, tol_close=1e-30)
+    assert profile.verdict == "FINITE"
+    assert profile.roots == []
+
+
+def _scalar_golden_min(fn, a, b, width):
+    x1 = b - GOLDEN * (b - a)
+    x2 = a + GOLDEN * (b - a)
+    f1, f2 = fn(x1), fn(x2)
+    while (b - a) > width:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - GOLDEN * (b - a)
+            f1 = fn(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + GOLDEN * (b - a)
+            f2 = fn(x2)
+    x = 0.5 * (a + b)
+    return x, fn(x)
+
+
+def test_batched_golden_matches_scalar_search():
+    fn = lambda x: np.abs(np.sin(3.0 * x - 0.4)) + 0.1 * x  # noqa: E731
+    a = np.array([-0.3, 0.0, 0.9, 2.0, 2.5])
+    b = np.array([0.4, 0.05, 1.3, 2.2, 3.5])
+    x, f = _golden_min(fn, a, b, 1e-8)
+    for k in range(len(a)):
+        xs, fs = _scalar_golden_min(fn, a[k], b[k], 1e-8)
+        assert x[k] == xs and f[k] == fs
+
+
+def test_congruence_residual_matches_integrated_patch():
+    # one sweep gives the same congruence as the full integrate_frame route
+    imm, e1, e2, metric, nf, rep = shape_report(veronese_sphere(64).immersion)
+    conn = connection_data(imm, e1, e2, nf, rep)
+    theta = 0.7
+    dp = integrate_frame(assemble_maurer_cartan(conn, theta), conn.frames[0, 0],
+                         tol_path=math.inf)
+    core = deformed_immersion(dp).position[:imm.patch.nu, :imm.patch.nv]
+    w1u, w1v = conn.C0[..., 0, 0, 1], conn.C0[..., 1, 0, 1]
+    w2u, w2v = conn.C0[..., 0, 0, 2], conn.C0[..., 1, 0, 2]
+    dA = np.abs(w1u * w2v - w1v * w2u)
+    fit = congruence_test(conn.frames[..., 0, :], core, dA)
+    assert _congruence_residual(conn, theta) == fit.residual
 
 
 def test_basepoint_invariance(clifford_conn):
