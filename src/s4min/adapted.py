@@ -451,53 +451,8 @@ def hopf_differential(report: ShapeReport, metric: MetricField) -> HopfField:
 
     raise AdaptedFrameError(
         "chart is not isothermal and the coefficient does not vanish; "
-        "use a conformal parametrization (catalog charts) or "
-        "construct_isothermal()"
+        "use a conformal parametrization (catalog charts)"
     )
-
-
-@dataclass
-class IsothermalChart:
-    z: np.ndarray  # complex coordinate field
-    closedness_residual: float  # max |d(xi)| of the two integrated 1-forms
-    conformal_factor: np.ndarray  # lambda^2 with ds^2 = lambda^2 |dz|^2
-
-
-def construct_isothermal(imm: ImmersionField, aff: AdaptedFrameField) -> IsothermalChart:
-    """Flat coordinate from the ellipse-aligned coframe.
-
-    The 1-forms xi_k = (kappa1^2 - mu1^2)^(1/4) w_k (w_k dual to the
-    adapted tangent frame) are closed when the structure equations hold;
-    integrating them over the grid yields z = x + i y with
-    ds^2 = |dz|^2 / sqrt(kappa1^2 - mu1^2).  The closedness residual is
-    reported so callers can judge the chart quality.
-    """
-    if aff.e1 is None:
-        raise AdaptedFrameError("adapted frame carries no frame vectors")
-    patch = aff.patch
-    fu = imm.jet1[:, :, 0, :]
-    fv = imm.jet1[:, :, 1, :]
-    den = np.maximum(aff.kappa1**2 - aff.mu1**2, FORM_DENOM_FLOOR)
-    rho = den**0.25
-
-    # coordinate components of xi = rho * (w1 + i w2)
-    xi_u = rho * (np.einsum("uvk,uvk->uv", fu, aff.e1)
-                  + 1j * np.einsum("uvk,uvk->uv", fu, aff.e2))
-    xi_v = rho * (np.einsum("uvk,uvk->uv", fv, aff.e1)
-                  + 1j * np.einsum("uvk,uvk->uv", fv, aff.e2))
-
-    curl = diff(patch, xi_v, 0) - diff(patch, xi_u, 1)
-    residual = float(np.abs(curl).max())
-
-    # integrate along row 0, then along v within each column (trapezoid)
-    hu, hv = patch.hu, patch.hv
-    z = np.empty(patch.shape, dtype=complex)
-    row0 = np.concatenate([[0.0 + 0.0j],
-                           np.cumsum(0.5 * (xi_u[:-1, 0] + xi_u[1:, 0]) * hu)])
-    z[:, 0] = row0
-    steps = 0.5 * (xi_v[:, :-1] + xi_v[:, 1:]) * hv
-    z[:, 1:] = row0[:, None] + np.cumsum(steps, axis=1)
-    return IsothermalChart(z, residual, 1.0 / np.sqrt(den))
 
 
 # ---------------------------------------------------------------------------

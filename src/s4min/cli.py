@@ -30,6 +30,7 @@ from .catalog import (
 )
 from .family import (
     PATH_DEPENDENCE_TOL,
+    FamilyError,
     IntegrabilityBroken,
     assemble_maurer_cartan,
     congruence_test,
@@ -40,7 +41,7 @@ from .family import (
     integrate_frame,
 )
 from .monodromy import MonodromyError, dichotomy_report, scan_profile
-from .surface import ImmersionField, shape_report
+from .surface import ImmersionField, SurfaceError, shape_report
 from .topology import TopologyError, laplace_identity_residual, topology_report
 from .grid import GridError
 
@@ -227,7 +228,7 @@ def cmd_deform(args) -> int:
         "command": "deform",
         "source": meta,
         "theta": args.theta,
-        "flatness_residual": dp.flatness_residual,
+        "flatness_residual": float(flatness_residual(mc).max()),
         "path_dependence": dp.path_dependence,
         "deformed_manifest": "deformed/manifest.json",
         "congruence": {
@@ -453,7 +454,8 @@ def main(argv=None) -> int:
         print(json.dumps({"error": {"code": exc.code, "message": str(exc)}},
                          sort_keys=True))
         return exc.exit_code
-    except (CatalogError, MonodromyError) as exc:
+    except (CatalogError, MonodromyError, GridError, SurfaceError, TopologyError,
+            FamilyError, AdaptedFrameError) as exc:
         print(json.dumps({"error": {"code": "E_SOURCE", "message": str(exc)}},
                          sort_keys=True))
         return EXIT_CONFIG

@@ -55,10 +55,6 @@ class ConnectionData:
     C0: np.ndarray
     C1: np.ndarray
     C2: np.ndarray
-    gauge: str
-
-    def assemble(self, theta: float) -> "MaurerCartanField":
-        return assemble_maurer_cartan(self, theta)
 
 
 @dataclass
@@ -79,32 +75,6 @@ def _entries_to_so5(shape, entries) -> np.ndarray:
     return out
 
 
-def _build_components(patch, w1, w2, om12, om34, h11_3, h12_3, h11_4, h12_4):
-    """C0/C1/C2 stacks from per-direction form components.
-
-    w1, w2, om12, om34 are pairs (du-component, dv-component); the h
-    entries are the theta = 0 second-fundamental-form components in the
-    chosen normal gauge.
-    """
-    C0, C1, C2 = [], [], []
-    for wx1, wx2, o12, o34 in zip(w1, w2, om12, om34):
-        C0.append(_entries_to_so5(patch.shape, {
-            (0, 1): wx1, (0, 2): wx2, (1, 2): o12, (3, 4): o34,
-        }))
-        sym3 = h11_3 * wx1 + h12_3 * wx2
-        alt3 = h12_3 * wx1 - h11_3 * wx2
-        sym4 = h11_4 * wx1 + h12_4 * wx2
-        alt4 = h12_4 * wx1 - h11_4 * wx2
-        C1.append(_entries_to_so5(patch.shape, {
-            (1, 3): sym3, (2, 3): alt3, (1, 4): sym4, (2, 4): alt4,
-        }))
-        C2.append(_entries_to_so5(patch.shape, {
-            (1, 3): alt3, (2, 3): -sym3, (1, 4): alt4, (2, 4): -sym4,
-        }))
-    stack = lambda comps: np.stack(comps, axis=2)  # noqa: E731
-    return stack(C0), stack(C1), stack(C2)
-
-
 def connection_data(imm: ImmersionField, e1: np.ndarray, e2: np.ndarray,
                     nf: NormalFrameField, report: ShapeReport) -> ConnectionData:
     """Connection decomposition in the transported normal gauge.
@@ -123,43 +93,25 @@ def connection_data(imm: ImmersionField, e1: np.ndarray, e2: np.ndarray,
     w2 = (dot(fu, e2), dot(fv, e2))
     om12 = tuple(dot(diff(patch, e1, axis), e2) for axis in (0, 1))
     om34 = tuple(dot(diff(patch, nf.e3, axis), nf.e4) for axis in (0, 1))
-    C0, C1, C2 = _build_components(patch, w1, w2, om12, om34,
-                                   report.H3.real, report.H3.imag,
-                                   report.H4.real, report.H4.imag)
+    h11_3, h12_3 = report.H3.real, report.H3.imag
+    h11_4, h12_4 = report.H4.real, report.H4.imag
+    C0, C1, C2 = [], [], []
+    for wx1, wx2, o12, o34 in zip(w1, w2, om12, om34):
+        C0.append(_entries_to_so5(patch.shape, {
+            (0, 1): wx1, (0, 2): wx2, (1, 2): o12, (3, 4): o34,
+        }))
+        sym3 = h11_3 * wx1 + h12_3 * wx2
+        alt3 = h12_3 * wx1 - h11_3 * wx2
+        sym4 = h11_4 * wx1 + h12_4 * wx2
+        alt4 = h12_4 * wx1 - h11_4 * wx2
+        C1.append(_entries_to_so5(patch.shape, {
+            (1, 3): sym3, (2, 3): alt3, (1, 4): sym4, (2, 4): alt4,
+        }))
+        C2.append(_entries_to_so5(patch.shape, {
+            (1, 3): alt3, (2, 3): -sym3, (1, 4): alt4, (2, 4): -sym4,
+        }))
     frames = np.stack([imm.position, e1, e2, nf.e3, nf.e4], axis=-2)
-    return ConnectionData(patch, frames, C0, C1, C2, "propagated")
-
-
-def connection_data_adapted(imm: ImmersionField, aff) -> ConnectionData:
-    """Connection decomposition in the ellipse-aligned gauge.
-
-    Valid only when no circle points fall inside the grid: the aligned
-    frame is undefined there.  Prefer connection_data (smooth gauge) for
-    integration; this variant exists to cross-check gauge independence.
-    """
-    if aff.circle_mask.any():
-        where = np.argwhere(aff.circle_mask)[:8]
-        pts = ", ".join(f"({i}, {j})" for i, j in where)
-        raise FamilyError(
-            f"ellipse-aligned gauge is undefined at {int(aff.circle_mask.sum())} "
-            f"circle point(s) inside the domain (first: {pts}); "
-            "use the smooth-gauge connection_data instead")
-    if aff.e1 is None or aff.e3 is None:
-        raise FamilyError("adapted frame carries no frame vectors")
-    patch = imm.patch
-    fu = imm.jet1[:, :, 0, :]
-    fv = imm.jet1[:, :, 1, :]
-    dot = lambda a, b: np.einsum("uvk,uvk->uv", a, b)  # noqa: E731
-    w1 = (dot(fu, aff.e1), dot(fv, aff.e1))
-    w2 = (dot(fu, aff.e2), dot(fv, aff.e2))
-    om12 = (aff.omega12_u, aff.omega12_v)
-    om34 = (aff.omega34_u, aff.omega34_v)
-    zero = np.zeros(patch.shape)
-    # aligned gauge: H3 = kappa1 (real), H4 = i mu1
-    C0, C1, C2 = _build_components(patch, w1, w2, om12, om34,
-                                   aff.kappa1, zero, zero, aff.mu1)
-    frames = np.stack([imm.position, aff.e1, aff.e2, aff.e3, aff.e4], axis=-2)
-    return ConnectionData(patch, frames, C0, C1, C2, "adapted")
+    return ConnectionData(patch, frames, *(np.stack(C, axis=2) for C in (C0, C1, C2)))
 
 
 def assemble_maurer_cartan(conn: ConnectionData, theta: float) -> MaurerCartanField:
@@ -288,7 +240,6 @@ class DeformedPatch:
     patch: GridPatch  # source patch (periodicity flags refer to this)
     frame: np.ndarray  # (nu + pu, nv + pv, 5, 5)
     position_theta: np.ndarray  # (nu + pu, nv + pv, 5)
-    flatness_residual: float
     path_dependence: float
 
     @property
@@ -344,15 +295,14 @@ def integrate_frame(mc: MaurerCartanField, seed_frame: np.ndarray,
     F_rc = sweep_frames(mc, seed, "uv")
     F_cr = sweep_frames(mc, seed, "vu")
     path_dep = float(np.linalg.norm(F_rc - F_cr, axis=(-2, -1)).max())
-    flat = float(flatness_residual(mc).max())
     if path_dep > tol_path:
+        flat = float(flatness_residual(mc).max())
         raise IntegrabilityBroken(
             f"frame transport is path dependent (discrepancy {path_dep:.3e} "
             f"> {tol_path:.1e}, flatness residual {flat:.3e}): "
             "the input is not minimal to working accuracy or the grid is "
             "too coarse")
-    return DeformedPatch(mc.theta, mc.patch, F_rc, F_rc[..., 0, :],
-                         flat, path_dep)
+    return DeformedPatch(mc.theta, mc.patch, F_rc, F_rc[..., 0, :], path_dep)
 
 
 def deformed_immersion(dp: DeformedPatch) -> ImmersionField:

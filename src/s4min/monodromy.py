@@ -7,6 +7,12 @@ the closing set.  Its structure is a dichotomy: either finitely many
 angles or the whole circle.  The identity distance used throughout is
 the Frobenius norm of M - I, which is invariant under orthogonal
 conjugation, so it does not depend on the basepoint of the loops.
+
+Every monodromy comes from one loop transport, generator_monodromy: it
+assembles Omega_theta at the loop's nodes only and marches each straight
+leg once, batched over the angles, with the periodic stencil on legs
+once around a periodic axis.  scan_profile calls it on the deck-generator
+loops through the chosen basepoint.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .family import (
     march_frames,
     sweep_frames,
 )
-from .grid import GridPatch, LoopPath
+from .grid import GridPatch, LoopPath, u_generator, v_generator
 
 FLATNESS_CEILING = 1e-3
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -36,70 +42,64 @@ class MonodromyError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# single-loop monodromy
+# loop transport
 
 
-def _leg_runs(path: LoopPath):
-    """Decompose a node path into straight legs (axis, sign, node slice)."""
+def _legs(path: LoopPath):
+    """Straight pieces of a node path as (axis, sign, nodes, periodic).
+
+    A straight run of a whole number of periods along a periodic axis
+    yields one piece per period holding that period's first nodes, to be
+    marched with the wrap stencil; any other run is one open piece
+    holding all of its nodes.
+    """
+    patch = path.patch
     steps = np.diff(path.points, axis=0)
     axes = (steps[:, 1] != 0).astype(int)
     signs = steps[np.arange(len(steps)), axes]
-    runs = []
-    start = 0
-    for k in range(1, len(steps) + 1):
-        if k == len(steps) or axes[k] != axes[start] or signs[k] != signs[start]:
-            runs.append((int(axes[start]), int(signs[start]), start, k))
-            start = k
-    return runs
+    cuts = np.flatnonzero((np.diff(axes) != 0) | (np.diff(signs) != 0)) + 1
+    for a, b in zip([0, *cuts], [*cuts, len(steps)]):
+        axis, sign = int(axes[a]), int(signs[a])
+        period = (patch.nu, patch.nv)[axis]
+        if (patch.periodic_u, patch.periodic_v)[axis] and (b - a) % period == 0:
+            for k in range(a, b, period):
+                yield axis, sign, path.points[k:k + period], True
+        else:
+            yield axis, sign, path.points[a:b + 1], False
 
 
 def generator_monodromy(conn: ConnectionData, path: LoopPath,
-                        theta: float) -> np.ndarray:
-    """Ambient isometry picked up by the frame around one closed loop.
+                        theta: float | np.ndarray) -> np.ndarray:
+    """Ambient isometries picked up by the frame around one closed loop.
 
-    Integrates the deformed frame along the loop from the stored frame at
-    the loop's start node and returns the orthogonal matrix carrying the
-    start configuration to the end configuration (identity exactly when
-    the deformed surface closes around this loop).  Composition follows
-    transport order: M(a then b) = M(a) @ M(b).
+    theta is a scalar or a 1-D array of angles; the result is one 5x5
+    orthogonal matrix per angle, shaped theta.shape + (5, 5).  The frame
+    is integrated along the loop from the stored frame at the loop's
+    start node, and M carries the start configuration to the end one
+    (identity exactly when the deformed surface closes around this loop).
+    Composition follows transport order: M(a then b) = M(a) @ M(b).
+
+    Omega_theta = C0 + cos(2 theta) C1 + sin(2 theta) C2 is assembled at
+    the path's nodes only.  Each straight leg is one march batched over
+    the angles; a leg once around a periodic axis is marched with the
+    periodic (wrap) stencil, and a straight leg of several whole periods
+    is marched one period at a time.
     """
     patch = conn.patch
-    mc = assemble_maurer_cartan(conn, theta)
+    theta = np.asarray(theta, dtype=float)
+    c = np.cos(2.0 * theta)[..., None, None]
+    s = np.sin(2.0 * theta)[..., None, None]
     i0, j0 = path.points[0] % (patch.nu, patch.nv)
     F0 = conn.frames[i0, j0]
-    F = F0
-    for axis, sign, a, b in _leg_runs(path):
-        nodes = path.points[a:b + 1]
-        uu = nodes[:, 0] % patch.nu
-        vv = nodes[:, 1] % patch.nv
-        samples = sign * mc.omega[uu, vv, axis]
+    F = np.broadcast_to(F0, theta.shape + (5, 5))
+    per_node = (-1,) + (1,) * theta.ndim + (5, 5)
+    for axis, sign, nodes, periodic in _legs(path):
+        uu, vv = (nodes % (patch.nu, patch.nv)).T
+        at = lambda C: C[uu, vv, axis].reshape(per_node)  # noqa: E731
+        line = at(conn.C0) + c * at(conn.C1) + s * at(conn.C2)
         h = patch.hu if axis == 0 else patch.hv
-        F = march_frames(samples, h, F, periodic=False)[-1]
-    return F.T @ F0
-
-
-# ---------------------------------------------------------------------------
-# batched generator scan
-
-
-def _generator_ends(conn: ConnectionData, axis: int, base: tuple[int, int],
-                    thetas: np.ndarray) -> np.ndarray:
-    """End frames of the axis generator loop for a batch of angles."""
-    patch = conn.patch
-    i0, j0 = base[0] % patch.nu, base[1] % patch.nv
-    if axis == 0:
-        order = (i0 + np.arange(patch.nu)) % patch.nu
-        pick = lambda C: C[order, j0, 0]  # noqa: E731
-        h = patch.hu
-    else:
-        order = (j0 + np.arange(patch.nv)) % patch.nv
-        pick = lambda C: C[i0, order, 1]  # noqa: E731
-        h = patch.hv
-    c = np.cos(2.0 * thetas)[None, :, None, None]
-    s = np.sin(2.0 * thetas)[None, :, None, None]
-    line = pick(conn.C0)[:, None] + c * pick(conn.C1)[:, None] + s * pick(conn.C2)[:, None]
-    seeds = np.broadcast_to(conn.frames[i0, j0], (len(thetas), 5, 5))
-    return march_frames(line, h, seeds, periodic=True)[-1]
+        F = march_frames(sign * line, h, F, periodic)[-1]
+    return np.swapaxes(F, -1, -2) @ F0
 
 
 def _identity_distance(M: np.ndarray) -> np.ndarray:
@@ -211,11 +211,11 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256,
     half = np.linspace(0.0, math.pi, n_half, endpoint=False)
     fold = (np.arange(n_theta) * (2 * n_half // n_theta)) % n_half
     i0, j0 = base
-    F0 = conn.frames[i0 % patch.nu, j0 % patch.nv]
+    loops = [u_generator(patch, j0, i0) if axis == 0 else v_generator(patch, i0, j0)
+             for axis in gens]
 
     def monodromies(angles: np.ndarray) -> list[np.ndarray]:
-        return [np.swapaxes(_generator_ends(conn, axis, base, angles), -1, -2) @ F0
-                for axis in gens]
+        return [generator_monodromy(conn, loop, angles) for loop in loops]
 
     def distance(Ms: list[np.ndarray]) -> np.ndarray:
         return np.max([_identity_distance(M) for M in Ms], axis=0)

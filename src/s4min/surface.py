@@ -382,20 +382,6 @@ def shape_report(imm: ImmersionField):
     return imm, e1, e2, metric, nf, rep
 
 
-_INVARIANT_FIELDS = ("norm_B2", "K", "K_N", "kappa", "mu", "a_plus", "a_minus")
-
-
-def gauge_invariance_check(imm: ImmersionField, e1, e2, metric: MetricField,
-                           nf_a: NormalFrameField, nf_b: NormalFrameField) -> dict:
-    """Per-field max discrepancy of the invariants between two normal gauges."""
-    rep_a = second_fundamental_form(imm, e1, e2, metric, nf_a)
-    rep_b = second_fundamental_form(imm, e1, e2, metric, nf_b)
-    return {
-        name: float(np.abs(getattr(rep_a, name) - getattr(rep_b, name)).max())
-        for name in _INVARIANT_FIELDS
-    }
-
-
 # ---------------------------------------------------------------------------
 # intrinsic curvature (for the Gauss-equation cross check)
 

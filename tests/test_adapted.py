@@ -16,7 +16,6 @@ from s4min.adapted import (
     build_adapted_frame,
     circle_mask,
     connection_form_agreement,
-    construct_isothermal,
     find_zero_candidates,
     frame_derivative_identity_residual,
     hopf_differential,
@@ -230,17 +229,6 @@ def test_hopf_rejects_non_isothermal_nonzero():
                     rep.minimality, rep.jet_source)
     with pytest.raises(AdaptedFrameError, match="isothermal"):
         hopf_differential(rep, metric)
-
-
-def test_construct_isothermal_clifford(clifford, clifford_adapted):
-    imm = clifford[0]
-    chart = construct_isothermal(imm, clifford_adapted)
-    assert chart.closedness_residual < 1e-12
-    assert np.abs(chart.conformal_factor - 1.0).max() < 1e-12
-    # z must be an isometry of the flat chart up to a rigid motion: check
-    # the gradient has unit modulus and is anti/holomorphic-constant
-    zu = np.diff(chart.z[:, 0]) / imm.patch.hu
-    assert np.abs(np.abs(zu) - 1.0).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------

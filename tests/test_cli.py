@@ -14,6 +14,8 @@ import pytest
 
 from s4min.catalog import load_catalog, write_manifest
 from s4min.cli import main
+from s4min.grid import GridPatch
+from s4min.surface import ImmersionField
 
 
 @pytest.fixture
@@ -107,6 +109,23 @@ def test_analytic_jets_unavailable_is_config_error(cli, tmp_path):
                     "--out", tmp_path / "out")
     assert code == 2
     assert error_code(out) == "E_CONFIG"
+
+
+@pytest.mark.parametrize("command", ["analyze", "deform", "monodromy", "verify"])
+def test_degenerate_manifest_is_source_error(cli, tmp_path, command):
+    # a curve: the position depends on u only, so the metric is degenerate
+    patch = GridPatch(64, 64, (0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi), True, True)
+    u = patch.u_coords()
+    curve = np.zeros((64, 64, 5))
+    curve[..., 0] = np.cos(u)[:, None]
+    curve[..., 1] = np.sin(u)[:, None]
+    manifest = write_manifest(ImmersionField(patch, curve), tmp_path / "src",
+                              include_jets=False)
+    extra = ("--theta", 0.5) if command == "deform" else ()
+    code, out = cli(command, "--manifest", manifest, *extra, "--out", tmp_path / "out")
+    assert code == 2
+    assert len(out.strip().splitlines()) == 1
+    assert error_code(out) == "E_SOURCE"
 
 
 def test_scan_too_coarse(cli, tmp_path):

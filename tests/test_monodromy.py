@@ -219,6 +219,37 @@ def test_s3_surface_monodromy_fixes_fifth_axis(clifford_conn):
             assert np.linalg.norm(M @ n5 - n5) < 1e-10
 
 
+def test_batched_angles_match_single_angles(clifford_conn):
+    imm, conn = clifford_conn
+    thetas = np.array([0.0, 0.3, 0.9, 2.0, 4.1])
+    for path in (u_generator(imm.patch), rectangle_loop(imm.patch, 3, 5, 20, 14)):
+        Ms = generator_monodromy(conn, path, thetas)
+        assert Ms.shape == (len(thetas), 5, 5)
+        for M, theta in zip(Ms, thetas):
+            assert np.abs(M - generator_monodromy(conn, path, theta)).max() <= 1e-14
+
+
+def test_scan_monodromies_are_the_generator_loops(clifford_conn):
+    # the scan's M1 and M2 come from the one loop transport, batched over
+    # the half-circle angles the scan marches
+    imm, conn = clifford_conn
+    profile = scan_profile(conn, n_theta=64, base=(37, 19))
+    half = profile.thetas[:32]
+    Mu = generator_monodromy(conn, u_generator(imm.patch, 19, 37), half)
+    Mv = generator_monodromy(conn, v_generator(imm.patch, 37, 19), half)
+    assert np.array_equal(profile.M1[:32], Mu)
+    assert np.array_equal(profile.M2[:32], Mv)
+
+
+def test_winding_two_loop_is_the_square(clifford_conn):
+    # one straight leg of two u periods is marched one period at a time
+    imm, conn = clifford_conn
+    a = u_generator(imm.patch)
+    Ma = generator_monodromy(conn, a, 0.9)
+    Maa = generator_monodromy(conn, concatenate_loops(a, a), 0.9)
+    assert np.linalg.norm(Maa - Ma @ Ma) < 1e-10
+
+
 def test_theta_zero_monodromy_identity(clifford_conn):
     imm, conn = clifford_conn
     M = generator_monodromy(conn, u_generator(imm.patch), 0.0)
@@ -279,8 +310,7 @@ def test_no_periodic_axis_rejected(clifford_conn):
     p = imm.patch
     open_patch = GridPatch(p.nu, p.nv, p.u_range, p.v_range,
                            periodic_u=False, periodic_v=False)
-    open_conn = ConnectionData(open_patch, conn.frames, conn.C0, conn.C1,
-                               conn.C2, conn.gauge)
+    open_conn = ConnectionData(open_patch, conn.frames, conn.C0, conn.C1, conn.C2)
     with pytest.raises(MonodromyError, match="periodic"):
         scan_profile(open_conn)
 
