@@ -157,21 +157,27 @@ def polar_reorthonormalize(F: np.ndarray) -> np.ndarray:
     The iteration X <- X (3I - X^T X)/2 converges cubically for drift
     below ~1; integration steps leave O(h^5) drift, so a couple of
     sweeps reach machine precision.  Far-from-orthogonal input (never
-    produced by the integrator, but guarded) goes through an SVD.
+    produced by the integrator, but guarded) goes through an SVD.  Every
+    decision is taken per frame, so a frame's result does not depend on
+    the other frames of its batch.
     """
     n = F.shape[-1]
     eye = np.eye(n)
     G = np.swapaxes(F, -1, -2) @ F
-    if np.abs(G - eye).max() > 0.2:
-        U, _, Vt = np.linalg.svd(F)
-        return U @ Vt
+    err = np.abs(G - eye).max(axis=(-2, -1))
+    far = err > 0.2
     X = F
     for _ in range(4):
-        err = np.abs(G - eye).max()
-        if err < 5e-16 * n:
+        todo = ~far & (err >= 5e-16 * n)
+        if not todo.any():
             break
-        X = X @ (1.5 * eye - 0.5 * G)
+        X = np.where(todo[..., None, None], X @ (1.5 * eye - 0.5 * G), X)
         G = np.swapaxes(X, -1, -2) @ X
+        err = np.abs(G - eye).max(axis=(-2, -1))
+    if far.any():
+        U, _, Vt = np.linalg.svd(F[far])
+        X = X.copy()
+        X[far] = U @ Vt
     return X
 
 

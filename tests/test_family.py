@@ -26,6 +26,7 @@ from s4min.family import (
     flatness_residual,
     frame_reconstruction_residual,
     integrate_frame,
+    polar_reorthonormalize,
 )
 from s4min.grid import quadrature_weights
 from s4min.surface import rotate_normal_frame, second_fundamental_form, shape_report
@@ -174,6 +175,18 @@ def test_deformed_positions_on_sphere(veronese_conn):
     dp = integrate_frame(mc, veronese_conn.frames[0, 0])
     norms = np.linalg.norm(deformed_immersion(dp).position, axis=-1)
     assert np.abs(norms - 1.0).max() < 1e-12
+
+
+def test_reorthonormalization_does_not_depend_on_the_batch():
+    rng = np.random.default_rng(5)
+    Q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+    near = Q + 1e-12 * rng.standard_normal((5, 5))
+    alone = polar_reorthonormalize(near[None])[0]
+    for drift in (0.1, 0.5):  # Newton-Schulz and SVD neighbours
+        stretched = Q @ np.diag([math.sqrt(1.0 + drift), 1.0, 1.0, 1.0, 1.0])
+        batch = polar_reorthonormalize(np.stack([near, stretched]))
+        assert np.array_equal(batch[0], alone)
+        assert np.abs(batch[1].T @ batch[1] - np.eye(5)).max() < 1e-14
 
 
 def test_bad_seed_shape_rejected(clifford_conn):
