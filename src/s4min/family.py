@@ -8,6 +8,15 @@ the frame system dF = Omega_theta F over the unwrapped fundamental
 domain produces the deformed immersion f_theta as the first frame row;
 the seam mismatch of the result is exactly the monodromy and is never
 averaged away.
+
+The connection is stored as packed 1-form entries, (nu, nv, 2, 4) per
+component, at fixed upper-triangle slots of the 5x5 block:
+
+    C0       (0, 1) w1   (0, 2) w2   (1, 2) omega12   (3, 4) omega34
+    C1, C2   (1, 3)      (2, 3)      (1, 4)           (2, 4)
+
+_so5 scatters packed entries into antisymmetric 5x5 blocks, for the
+whole grid (assemble_maurer_cartan) and for loop nodes alike.
 """
 
 from __future__ import annotations
@@ -43,11 +52,14 @@ PATH_DEPENDENCE_TOL = 1e-4
 class ConnectionData:
     """theta-independent decomposition Omega_theta = C0 + cos(2 theta) C1 + sin(2 theta) C2.
 
-    Component arrays have shape (nu, nv, 2, 5, 5); index 0/1 of the third
-    axis is the du/dv component.  Each C is antisymmetric in the last two
-    axes by construction, so every assembled Omega is exactly so(5)-valued.
-    frames carries the rows (f, e1, e2, e3, e4) used to build the data:
-    it seeds the integration and anchors the theta = 0 reconstruction.
+    Components are packed upper-triangle entries of shape (nu, nv, 2, 4);
+    index 0/1 of the third axis is the du/dv component.  C0[..., k] holds
+    w1, w2, omega12, omega34 for k = 0..3 (slots (0, 1), (0, 2), (1, 2),
+    (3, 4)); C1 and C2 hold the second-fundamental-form entries at slots
+    (1, 3), (2, 3), (1, 4), (2, 4).  Every assembled Omega is exactly
+    so(5)-valued.  frames carries the rows (f, e1, e2, e3, e4) used to
+    build the data: it seeds the integration and anchors the theta = 0
+    reconstruction.
     """
 
     patch: GridPatch
@@ -66,10 +78,14 @@ class MaurerCartanField:
     omega: np.ndarray  # (nu, nv, 2, 5, 5), antisymmetric in the last two axes
 
 
-def _entries_to_so5(shape, entries) -> np.ndarray:
-    """Antisymmetric (..., 5, 5) field from upper-triangle entries {(i, j): field}."""
-    out = np.zeros(shape + (5, 5))
-    for (i, j), val in entries.items():
+_FIXED = np.array([(0, 1), (0, 2), (1, 2), (3, 4)]).T
+_ROTATING = np.array([(1, 3), (2, 3), (1, 4), (2, 4)]).T
+
+
+def _so5(fixed: np.ndarray, rotating: np.ndarray) -> np.ndarray:
+    """Antisymmetric (..., 5, 5) blocks from packed C0 and C1/C2 slot entries."""
+    out = np.zeros(np.broadcast_shapes(fixed.shape, rotating.shape)[:-1] + (5, 5))
+    for (i, j), val in ((_FIXED, fixed), (_ROTATING, rotating)):
         out[..., i, j] = val
         out[..., j, i] = -val
     return out
@@ -86,38 +102,32 @@ def connection_data(imm: ImmersionField, e1: np.ndarray, e2: np.ndarray,
     never enter here.
     """
     patch = imm.patch
-    fu = imm.jet1[:, :, 0, :]
-    fv = imm.jet1[:, :, 1, :]
-    dot = lambda a, b: np.einsum("uvk,uvk->uv", a, b)  # noqa: E731
-    w1 = (dot(fu, e1), dot(fv, e1))
-    w2 = (dot(fu, e2), dot(fv, e2))
-    om12 = tuple(dot(diff(patch, e1, axis), e2) for axis in (0, 1))
-    om34 = tuple(dot(diff(patch, nf.e3, axis), nf.e4) for axis in (0, 1))
-    h11_3, h12_3 = report.H3.real, report.H3.imag
-    h11_4, h12_4 = report.H4.real, report.H4.imag
-    C0, C1, C2 = [], [], []
-    for wx1, wx2, o12, o34 in zip(w1, w2, om12, om34):
-        C0.append(_entries_to_so5(patch.shape, {
-            (0, 1): wx1, (0, 2): wx2, (1, 2): o12, (3, 4): o34,
-        }))
-        sym3 = h11_3 * wx1 + h12_3 * wx2
-        alt3 = h12_3 * wx1 - h11_3 * wx2
-        sym4 = h11_4 * wx1 + h12_4 * wx2
-        alt4 = h12_4 * wx1 - h11_4 * wx2
-        C1.append(_entries_to_so5(patch.shape, {
-            (1, 3): sym3, (2, 3): alt3, (1, 4): sym4, (2, 4): alt4,
-        }))
-        C2.append(_entries_to_so5(patch.shape, {
-            (1, 3): alt3, (2, 3): -sym3, (1, 4): alt4, (2, 4): -sym4,
-        }))
+
+    def form(pair):  # (nu, nv, 2): du and dv components of <a, b>
+        return np.stack([np.einsum("uvk,uvk->uv", *pair(axis)) for axis in (0, 1)],
+                        axis=-1)
+
+    w1 = form(lambda axis: (imm.jet1[:, :, axis], e1))
+    w2 = form(lambda axis: (imm.jet1[:, :, axis], e2))
+    om12 = form(lambda axis: (diff(patch, e1, axis), e2))
+    om34 = form(lambda axis: (diff(patch, nf.e3, axis), nf.e4))
+    h11_3, h12_3 = report.H3.real[..., None], report.H3.imag[..., None]
+    h11_4, h12_4 = report.H4.real[..., None], report.H4.imag[..., None]
+    sym3 = h11_3 * w1 + h12_3 * w2
+    alt3 = h12_3 * w1 - h11_3 * w2
+    sym4 = h11_4 * w1 + h12_4 * w2
+    alt4 = h12_4 * w1 - h11_4 * w2
     frames = np.stack([imm.position, e1, e2, nf.e3, nf.e4], axis=-2)
-    return ConnectionData(patch, frames, *(np.stack(C, axis=2) for C in (C0, C1, C2)))
+    return ConnectionData(patch, frames,
+                          np.stack([w1, w2, om12, om34], axis=-1),
+                          np.stack([sym3, alt3, sym4, alt4], axis=-1),
+                          np.stack([alt3, -sym3, alt4, -sym4], axis=-1))
 
 
 def assemble_maurer_cartan(conn: ConnectionData, theta: float) -> MaurerCartanField:
     """Omega_theta = C0 + cos(2 theta) C1 + sin(2 theta) C2 (exactly antisymmetric)."""
     th = float(theta)
-    omega = conn.C0 + math.cos(2.0 * th) * conn.C1 + math.sin(2.0 * th) * conn.C2
+    omega = _so5(conn.C0, math.cos(2.0 * th) * conn.C1 + math.sin(2.0 * th) * conn.C2)
     return MaurerCartanField(conn.patch, th, omega)
 
 
@@ -185,7 +195,8 @@ def cubic_line_midpoints(samples: np.ndarray, periodic: bool) -> np.ndarray:
     """Midpoint values between consecutive samples along axis 0 (cubic order).
 
     Periodic lines interpolate across the wrap; open lines use one-sided
-    cubics at the two end intervals.  Returns one value per step:
+    cubics at the two end intervals, and open lines of 2 or 3 samples the
+    linear or quadratic interpolant.  Returns one value per step:
     n steps when periodic (the last wraps), n - 1 when open.
     """
     A = samples
@@ -194,8 +205,11 @@ def cubic_line_midpoints(samples: np.ndarray, periodic: bool) -> np.ndarray:
         Ap1 = np.roll(A, -1, axis=0)
         Ap2 = np.roll(A, -2, axis=0)
         return (-Am1 + 9.0 * A + 9.0 * Ap1 - Ap2) / 16.0
-    if A.shape[0] < 4:
-        raise FamilyError("need at least 4 samples for cubic midpoints")
+    if A.shape[0] <= 2:
+        return 0.5 * (A[:-1] + A[1:])
+    if A.shape[0] == 3:
+        return np.stack([3.0 * A[0] + 6.0 * A[1] - A[2],
+                         -A[0] + 6.0 * A[1] + 3.0 * A[2]]) / 8.0
     inner = (-A[:-3] + 9.0 * A[1:-2] + 9.0 * A[2:-1] - A[3:]) / 16.0
     first = (5.0 * A[0] + 15.0 * A[1] - 5.0 * A[2] + A[3]) / 16.0
     last = (A[-4] - 5.0 * A[-3] + 15.0 * A[-2] + 5.0 * A[-1]) / 16.0

@@ -215,18 +215,6 @@ def diff(patch: GridPatch, values: np.ndarray, axis: int, order: int = 1,
     raise GridError(f"order must be 1 or 2, got {order}")
 
 
-def partial_derivatives(patch: GridPatch, values: np.ndarray, order: int = 1):
-    """Jet of a field: (f_u, f_v) for order 1, (f_uu, f_uv, f_vv) for order 2."""
-    if order == 1:
-        return diff(patch, values, 0), diff(patch, values, 1)
-    if order == 2:
-        fuu = diff(patch, values, 0, order=2)
-        fvv = diff(patch, values, 1, order=2)
-        fuv = diff(patch, diff(patch, values, 0), 1)
-        return fuu, fuv, fvv
-    raise GridError(f"order must be 1 or 2, got {order}")
-
-
 def hodge_star_oneform(a1: np.ndarray, a2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hodge star of a1*w1 + a2*w2 in an oriented orthonormal coframe: (-a2, a1)."""
     return -np.asarray(a2), np.asarray(a1)

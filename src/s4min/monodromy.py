@@ -25,6 +25,7 @@ import numpy as np
 from .family import (
     ConnectionData,
     IntegrabilityBroken,
+    _so5,
     assemble_maurer_cartan,
     congruence_test,
     flatness_residual,
@@ -87,16 +88,16 @@ def generator_monodromy(conn: ConnectionData, path: LoopPath,
     """
     patch = conn.patch
     theta = np.asarray(theta, dtype=float)
-    c = np.cos(2.0 * theta)[..., None, None]
-    s = np.sin(2.0 * theta)[..., None, None]
+    c = np.cos(2.0 * theta)[..., None]
+    s = np.sin(2.0 * theta)[..., None]
     i0, j0 = path.points[0] % (patch.nu, patch.nv)
     F0 = conn.frames[i0, j0]
     F = np.broadcast_to(F0, theta.shape + (5, 5))
-    per_node = (-1,) + (1,) * theta.ndim + (5, 5)
+    per_node = (-1,) + (1,) * theta.ndim + (4,)
     for axis, sign, nodes, periodic in _legs(path):
         uu, vv = (nodes % (patch.nu, patch.nv)).T
         at = lambda C: C[uu, vv, axis].reshape(per_node)  # noqa: E731
-        line = at(conn.C0) + c * at(conn.C1) + s * at(conn.C2)
+        line = _so5(at(conn.C0), c * at(conn.C1) + s * at(conn.C2))
         h = patch.hu if axis == 0 else patch.hv
         F = march_frames(sign * line, h, F, periodic)[-1]
     return np.swapaxes(F, -1, -2) @ F0
@@ -274,8 +275,8 @@ def _congruence_residual(conn: ConnectionData, theta: float) -> float:
     pos = frame[:patch.nu, :patch.nv, 0, :]
     core = (pos / np.linalg.norm(pos, axis=-1, keepdims=True)).reshape(-1, 5)
     ref = conn.frames[..., 0, :].reshape(-1, 5)
-    w1u, w1v = conn.C0[..., 0, 0, 1], conn.C0[..., 1, 0, 1]
-    w2u, w2v = conn.C0[..., 0, 0, 2], conn.C0[..., 1, 0, 2]
+    w1u, w1v = conn.C0[..., 0, 0], conn.C0[..., 1, 0]
+    w2u, w2v = conn.C0[..., 0, 1], conn.C0[..., 1, 1]
     dA = np.abs(w1u * w2v - w1v * w2u).reshape(-1)
     fit = congruence_test(ref, core, dA)
     return fit.residual

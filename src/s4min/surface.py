@@ -94,17 +94,6 @@ def fd_jets(patch: GridPatch, position: np.ndarray) -> tuple[np.ndarray, np.ndar
     return jet1, jet2
 
 
-def verify_jets(imm: ImmersionField) -> float:
-    """Max abs deviation between stored jets and a finite-difference pass."""
-    if imm.jet1 is None:
-        return 0.0
-    jet1, jet2 = fd_jets(imm.patch, imm.position)
-    return max(
-        float(np.abs(jet1 - imm.jet1).max()),
-        float(np.abs(jet2 - imm.jet2).max()),
-    )
-
-
 # ---------------------------------------------------------------------------
 # frames
 
@@ -367,10 +356,6 @@ def second_fundamental_form(imm: ImmersionField, e1, e2, metric: MetricField,
 
     return ShapeReport(imm.patch, H3, H4, norm_B2, K, K_N, kappa, mu,
                        a_plus, a_minus, minimality, imm.jet_source)
-
-
-def minimality_residual(report: ShapeReport) -> float:
-    return float(report.minimality.max())
 
 
 def shape_report(imm: ImmersionField):

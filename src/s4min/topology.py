@@ -39,7 +39,6 @@ __all__ = [
     "euler_numbers",
     "zero_count_excised",
     "balance_residuals",
-    "euler_zero_balance",
     "laplace_identity_residual",
     "ricci_condition_residual",
     "synthetic_zero_field",
@@ -167,9 +166,7 @@ class TopologyReport:
 
 
 def _require_closed(patch: GridPatch, what: str) -> None:
-    closed_u = patch.periodic_u or patch.cap_u
-    closed_v = patch.periodic_v or patch.cap_v
-    if not (closed_u and closed_v):
+    if not patch.closed:
         raise TopologyError(
             f"{what} needs a closed chart (each axis periodic or capped); "
             f"got periodic=({patch.periodic_u}, {patch.periodic_v}), "
@@ -359,23 +356,6 @@ def _balance(
         )
     rp, rm = balance_residuals(chi_m.value, chi_n.value, count_plus.value, count_minus.value)
     return BalanceCheck(False, "", rp, rm)
-
-
-def euler_zero_balance(topo: TopologyReport) -> BalanceCheck:
-    """Check ``2 chi_M -+ chi_Nf = -N(a+-)`` on an assembled report.
-
-    The identity holds for closed surfaces whose curvature ellipse is not a
-    circle everywhere; superminimal input is skipped with the reason
-    recorded rather than scored.
-    """
-    return _balance(
-        topo.chi_M,
-        topo.chi_Nf,
-        topo.count_plus,
-        topo.count_minus,
-        topo.superminimal,
-        topo.superminimality,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -71,14 +71,25 @@ def test_connection_frames_use_the_normal_frame(fix, request):
     assert np.array_equal(conn.frames[..., 4, :], nf.e4)
 
 
-def test_components_antisymmetric(clifford_conn):
+def test_components_are_packed_forms(clifford_conn):
+    nu, nv = clifford_conn.patch.shape
     for C in (clifford_conn.C0, clifford_conn.C1, clifford_conn.C2):
-        assert np.array_equal(C, -np.swapaxes(C, -1, -2))
+        assert C.shape == (nu, nv, 2, 4)
+
+
+def test_components_antisymmetric(clifford_conn):
+    for theta in (0.0, 0.3, 1.2):
+        omega = assemble_maurer_cartan(clifford_conn, theta).omega
+        assert np.array_equal(omega, -np.swapaxes(omega, -1, -2))
 
 
 def test_theta_zero_is_component_sum(clifford_conn):
-    mc = assemble_maurer_cartan(clifford_conn, 0.0)
-    assert np.array_equal(mc.omega, clifford_conn.C0 + clifford_conn.C1)
+    omega = assemble_maurer_cartan(clifford_conn, 0.0).omega
+    C0, C1 = clifford_conn.C0, clifford_conn.C1
+    for k, (i, j) in enumerate([(0, 1), (0, 2), (1, 2), (3, 4)]):
+        assert np.array_equal(omega[..., i, j], C0[..., k])
+    for k, (i, j) in enumerate([(1, 3), (2, 3), (1, 4), (2, 4)]):
+        assert np.array_equal(omega[..., i, j], C1[..., k])
 
 
 def test_theta_pi_equals_theta_zero(veronese_conn):
@@ -329,8 +340,7 @@ def test_doubled_rotation_component_breaks_flatness(clifford_conn):
 
 def test_shifted_normal_connection_breaks_flatness(clifford_conn):
     C0 = clifford_conn.C0.copy()
-    C0[..., 3, 4] += 0.05
-    C0[..., 4, 3] -= 0.05
+    C0[..., 3] += 0.05  # omega34
     bad = ConnectionData(clifford_conn.patch, clifford_conn.frames,
                          C0, clifford_conn.C1, clifford_conn.C2)
     assert flatness_residual(assemble_maurer_cartan(bad, 0.0)).max() > 1e-2

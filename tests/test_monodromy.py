@@ -23,6 +23,7 @@ from s4min.family import (
     connection_data,
     deformed_immersion,
     integrate_frame,
+    march_frames,
 )
 from s4min.grid import GridPatch, concatenate_loops, rectangle_loop, u_generator, v_generator
 from s4min.monodromy import (
@@ -49,9 +50,14 @@ def clifford_profile(clifford_conn):
 
 
 @pytest.fixture(scope="module")
-def veronese_profile():
+def veronese_conn():
     imm, e1, e2, metric, nf, rep = shape_report(veronese_sphere(128).immersion)
-    return scan_profile(connection_data(imm, e1, e2, nf, rep), n_theta=128)
+    return imm, connection_data(imm, e1, e2, nf, rep)
+
+
+@pytest.fixture(scope="module")
+def veronese_profile(veronese_conn):
+    return scan_profile(veronese_conn[1], n_theta=128)
 
 
 def circular_distance(a, b):
@@ -177,8 +183,8 @@ def test_congruence_residual_matches_integrated_patch():
     dp = integrate_frame(assemble_maurer_cartan(conn, theta), conn.frames[0, 0],
                          tol_path=math.inf)
     core = deformed_immersion(dp).position[:imm.patch.nu, :imm.patch.nv]
-    w1u, w1v = conn.C0[..., 0, 0, 1], conn.C0[..., 1, 0, 1]
-    w2u, w2v = conn.C0[..., 0, 0, 2], conn.C0[..., 1, 0, 2]
+    w1u, w1v = conn.C0[..., 0, 0], conn.C0[..., 1, 0]
+    w2u, w2v = conn.C0[..., 0, 1], conn.C0[..., 1, 1]
     dA = np.abs(w1u * w2v - w1v * w2u)
     fit = congruence_test(conn.frames[..., 0, :], core, dA)
     assert _congruence_residual(conn, theta) == fit.residual
@@ -248,6 +254,27 @@ def test_winding_two_loop_is_the_square(clifford_conn):
     Ma = generator_monodromy(conn, a, 0.9)
     Maa = generator_monodromy(conn, concatenate_loops(a, a), 0.9)
     assert np.linalg.norm(Maa - Ma @ Ma) < 1e-10
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("fix", ["clifford", "veronese"])
+def test_short_loop_legs_are_transported(fix, d, request):
+    # legs of one or two steps get the linear or quadratic midpoint rule
+    imm, conn = request.getfixturevalue(fix + "_conn")
+    thetas = np.array([0.0, 0.4, 1.1, 2.5])
+    M = generator_monodromy(conn, rectangle_loop(imm.patch, 3, 5, d, d), thetas)
+    assert np.linalg.norm(M - np.eye(5), axis=(-2, -1)).max() < 1e-6
+
+
+def test_loop_transport_matches_whole_grid_assembly(clifford_conn):
+    # assembling Omega at the loop's nodes gives the whole-grid march
+    imm, conn = clifford_conn
+    j0, theta = 17, 0.9
+    omega = assemble_maurer_cartan(conn, theta).omega[:, j0, 0]
+    F0 = conn.frames[0, j0]
+    F = march_frames(omega, imm.patch.hu, F0, periodic=True)[-1]
+    M = generator_monodromy(conn, u_generator(imm.patch, j0), theta)
+    assert np.abs(M - F.T @ F0).max() <= 1e-13
 
 
 def test_theta_zero_monodromy_identity(clifford_conn):

@@ -15,16 +15,15 @@ from s4min.grid import GridError, GridPatch, diff, integrate
 from s4min.surface import (
     ImmersionField,
     SurfaceError,
+    fd_jets,
     flip_normal_orientation,
     frame_orthonormality_residual,
     gauss_equation_residual,
-    minimality_residual,
     normal_frame,
     rotate_normal_frame,
     second_fundamental_form,
     shape_report,
     tangent_frame,
-    verify_jets,
 )
 
 SQ3 = math.sqrt(3.0)
@@ -171,14 +170,14 @@ def test_ellipse_identities(veronese, clifford):
 
 def test_minimality_residual_small_on_catalog(clifford, veronese, geodesic):
     for pack in (clifford, veronese, geodesic):
-        assert minimality_residual(pack[5]) < 1e-12
+        assert pack[5].minimality.max() < 1e-12
 
 
 def test_minimality_detects_normal_perturbation():
     ent = clifford_torus(64)
-    base = minimality_residual(shape_report(ent.immersion)[5])
+    base = shape_report(ent.immersion)[5].minimality.max()
     bent = perturb_immersion(ent.immersion, 1e-3, seed=7)
-    res = minimality_residual(shape_report(bent)[5])
+    res = shape_report(bent)[5].minimality.max()
     assert res > 1e-4
     assert res > 100.0 * max(base, 1e-12)
 
@@ -229,8 +228,11 @@ def test_gauss_equation_cross_check(clifford, veronese):
 
 
 def test_fd_jets_consistent_with_analytic():
-    assert verify_jets(clifford_torus(64).immersion) < 5e-6
-    assert verify_jets(veronese_sphere(64).immersion) < 0.05
+    for entry, bound in ((clifford_torus(64), 5e-6), (veronese_sphere(64), 0.05)):
+        imm = entry.immersion
+        jet1, jet2 = fd_jets(imm.patch, imm.position)
+        assert np.abs(jet1 - imm.jet1).max() < bound
+        assert np.abs(jet2 - imm.jet2).max() < bound
 
 
 def test_area_from_metric(clifford, veronese, geodesic):
