@@ -173,7 +173,7 @@ def polar_reorthonormalize(F: np.ndarray) -> np.ndarray:
     """
     n = F.shape[-1]
     eye = np.eye(n)
-    G = np.swapaxes(F, -1, -2) @ F
+    G = np.ascontiguousarray(np.swapaxes(F, -1, -2)) @ F
     err = np.abs(G - eye).max(axis=(-2, -1))
     far = err > 0.2
     X = F
@@ -182,7 +182,7 @@ def polar_reorthonormalize(F: np.ndarray) -> np.ndarray:
         if not todo.any():
             break
         X = np.where(todo[..., None, None], X @ (1.5 * eye - 0.5 * G), X)
-        G = np.swapaxes(X, -1, -2) @ X
+        G = np.ascontiguousarray(np.swapaxes(X, -1, -2)) @ X
         err = np.abs(G - eye).max(axis=(-2, -1))
     if far.any():
         U, _, Vt = np.linalg.svd(F[far])
