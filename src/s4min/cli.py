@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -85,11 +86,48 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(_clean(doc), indent=2, sort_keys=True) + "\n")
 
 
-def _write_field_csv(path: Path, patch, values: np.ndarray) -> None:
-    uu = np.repeat(patch.u_coords(), patch.nv)
-    vv = np.tile(patch.v_coords(), patch.nu)
-    table = np.column_stack([uu, vv, np.asarray(values, dtype=float).ravel()])
-    np.savetxt(path, table, fmt="%.17g", delimiter=",", header="u,v,value", comments="")
+# CSV output: a header line, then comma-separated %.17g cells, one row per
+# line.  Rows are formatted by one ``%`` over a multi-row template: one
+# formatting call per row cost more than the whole geometry of ``analyze``.
+_NUM = "%.17g"
+# u-rows formatted per block: the whole-grid template of an n=512 chart
+# would raise the peak RSS of ``analyze`` by about 30 MB
+_FIELD_BLOCK_ROWS = 32
+
+
+def _csv_template(prefixes, ncols: int) -> str:
+    """One CSV row per prefix, each ending in ``ncols`` ``%.17g`` cells."""
+    cells = ",".join([_NUM] * ncols) + "\n"
+    return "".join(prefix + cells for prefix in prefixes)
+
+
+def _csv_open(path: Path, header: str):
+    f = open(path, "w", encoding="ascii", newline="")
+    f.write(header + "\n")
+    return f
+
+
+def _write_field_csvs(out: Path, patch, fields: dict) -> None:
+    """Write ``<name>.csv`` per field: ``u,v,value`` rows, u-major, v fastest."""
+    us = [_NUM % u + "," for u in patch.u_coords().tolist()]
+    vs = [_NUM % v + "," for v in patch.v_coords().tolist()]
+    with ExitStack() as stack:
+        files = [(stack.enter_context(_csv_open(out / f"{name}.csv", "u,v,value")),
+                  np.asarray(values, dtype=float).reshape(patch.nu, patch.nv))
+                 for name, values in fields.items()]
+        for start in range(0, patch.nu, _FIELD_BLOCK_ROWS):
+            stop = start + _FIELD_BLOCK_ROWS
+            template = _csv_template((u + v for u in us[start:stop] for v in vs), 1)
+            for f, values in files:
+                f.write(template % tuple(values[start:stop].ravel().tolist()))
+
+
+def _write_table_csv(path: Path, header: str, columns) -> None:
+    """Write equal-length columns as one CSV row per index."""
+    table = np.column_stack(columns)
+    with _csv_open(path, header) as f:
+        f.write(_csv_template([""] * table.shape[0], table.shape[1])
+                % tuple(table.ravel().tolist()))
 
 
 def _span(values: np.ndarray) -> dict:
@@ -142,8 +180,10 @@ def _load_surface(args) -> tuple[ImmersionField, dict]:
             "analytic jets requested but the source provides none",
         )
     if args.perturb is not None:
-        if args.perturb <= 0:
-            raise CliError(EXIT_CONFIG, "E_CONFIG", "perturbation amplitude must be positive")
+        if not (math.isfinite(args.perturb) and args.perturb > 0):
+            raise CliError(EXIT_CONFIG, "E_CONFIG",
+                           f"perturbation amplitude must be positive and finite, "
+                           f"got {args.perturb}")
         imm = perturb_immersion(imm, args.perturb, args.seed)
         meta["perturbation"] = {"amplitude": args.perturb, "seed": args.seed}
     meta["jet_source"] = imm.jet_source
@@ -180,8 +220,7 @@ def cmd_analyze(args) -> int:
         "a_minus": rep.a_minus,
         "hopf_abs": hopf_abs,
     }
-    for name, values in fields.items():
-        _write_field_csv(out / f"{name}.csv", rep.patch, values)
+    _write_field_csvs(out, rep.patch, fields)
 
     report = {
         "command": "analyze",
@@ -211,6 +250,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_deform(args) -> int:
+    if not math.isfinite(args.theta):
+        raise CliError(EXIT_CONFIG, "E_CONFIG",
+                       f"deformation angle must be finite, got {args.theta}")
     out = _out_dir(args)
     imm, meta = _load_surface(args)
     imm, e1, e2, metric, nf, rep = shape_report(imm)
@@ -256,6 +298,12 @@ def cmd_monodromy(args) -> int:
             EXIT_CONFIG, "E_SCAN_TOO_COARSE",
             f"scan needs at least 64 angle samples, got {args.scan}",
         )
+    if args.tol_close is not None and not (math.isfinite(args.tol_close)
+                                           and args.tol_close > 0):
+        raise CliError(
+            EXIT_CONFIG, "E_CONFIG",
+            f"closing tolerance must be positive and finite, got {args.tol_close}",
+        )
     imm, meta = _load_surface(args)
     imm, e1, e2, metric, nf, rep = shape_report(imm)
     conn = connection_data(imm, e1, e2, nf, rep)
@@ -264,9 +312,8 @@ def cmd_monodromy(args) -> int:
     comm = profile.commutator_defect
     if comm is None:
         comm = np.full(profile.thetas.shape, np.nan)
-    table = np.column_stack([profile.thetas, profile.d, comm])
-    np.savetxt(out / "profile.csv", table, fmt="%.17g", delimiter=",",
-               header="theta,d,comm_defect", comments="")
+    _write_table_csv(out / "profile.csv", "theta,d,comm_defect",
+                     [profile.thetas, profile.d, comm])
 
     doc = dichotomy_report(profile)
     doc["command"] = "monodromy"

@@ -12,7 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from s4min.catalog import load_catalog, write_manifest
+from s4min import cli as cli_module
+from s4min.catalog import load_catalog, read_manifest, write_manifest
 from s4min.cli import main
 from s4min.grid import GridPatch
 from s4min.surface import ImmersionField
@@ -31,6 +32,18 @@ def cli(capsys):
 
 def error_code(out: str) -> str:
     return json.loads(out.strip().splitlines()[-1])["error"]["code"]
+
+
+def savetxt_bytes(path, table, header: str) -> bytes:
+    """The documented CSV format, written by ``np.savetxt`` as the oracle."""
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
+    return path.read_bytes()
+
+
+def field_csv_oracle(path, patch, values) -> bytes:
+    uu = np.repeat(patch.u_coords(), patch.nv)
+    vv = np.tile(patch.v_coords(), patch.nu)
+    return savetxt_bytes(path, np.column_stack([uu, vv, np.ravel(values)]), "u,v,value")
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +84,44 @@ def test_analyze_fd_jets_override(cli, tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["source"]["jet_source"] == "fd"
     assert report["minimality_max"] < 1e-4
+
+
+def test_csv_writers_match_savetxt_oracle(tmp_path):
+    special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -1e-300, 1.0 / 3.0]
+    rng = np.random.default_rng(5)
+    # nu = 37 is not a multiple of the block of u-rows, and nu != nv
+    patch = GridPatch(37, 9, (-1.0, 2.0), (0.0, 2.0 * math.pi), False, True)
+    fields = {"f": rng.standard_normal((37, 9)), "g": np.zeros((37, 9))}
+    fields["f"].flat[:len(special)] = special
+    fields["g"].flat[-len(special):] = special
+    cli_module._write_field_csvs(tmp_path, patch, fields)
+    for name, values in fields.items():
+        expected = field_csv_oracle(tmp_path / "oracle.csv", patch, values)
+        assert (tmp_path / f"{name}.csv").read_bytes() == expected
+
+    columns = [np.array(special), rng.standard_normal(len(special)),
+               np.full(len(special), np.nan)]
+    cli_module._write_table_csv(tmp_path / "table.csv", "theta,d,comm_defect", columns)
+    expected = savetxt_bytes(tmp_path / "oracle.csv", np.column_stack(columns),
+                             "theta,d,comm_defect")
+    assert (tmp_path / "table.csv").read_bytes() == expected
+
+
+def test_analyze_deformed_manifest_fields_match_savetxt_oracle(cli, tmp_path):
+    code, _ = cli("deform", "--catalog", "clifford", "--n", 256,
+                  "--theta", math.pi / 2, "--out", tmp_path / "a")
+    assert code == 0
+    manifest = tmp_path / "a" / "deformed" / "manifest.json"
+    code, _ = cli("analyze", "--manifest", manifest, "--out", tmp_path / "b")
+    assert code == 0
+    patch = read_manifest(manifest).immersion.patch
+    assert (patch.nu, patch.nv) == (257, 257)
+    report = json.loads((tmp_path / "b" / "report.json").read_text())
+    for name in report["field_files"]:
+        path = tmp_path / "b" / name
+        # %.17g round-trips every float64, so the values read back exactly
+        values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=2)
+        assert field_csv_oracle(tmp_path / "oracle.csv", patch, values) == path.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +177,26 @@ def test_degenerate_manifest_is_source_error(cli, tmp_path, command):
     assert code == 2
     assert len(out.strip().splitlines()) == 1
     assert error_code(out) == "E_SOURCE"
+
+
+@pytest.mark.parametrize("argv", [
+    ("deform", "--theta", "inf"),
+    ("deform", "--theta=-inf"),
+    ("deform", "--theta", "nan"),
+    ("deform", "--theta", 0.5, "--perturb", "nan"),
+    ("deform", "--theta", 0.5, "--perturb", "inf"),
+    ("analyze", "--perturb", "nan"),
+    ("monodromy", "--scan", 64, "--tol-close", -1),
+    ("monodromy", "--scan", 64, "--tol-close", 0),
+    ("monodromy", "--scan", 64, "--tol-close", "nan"),
+    ("monodromy", "--scan", 64, "--tol-close", "inf"),
+], ids=lambda argv: " ".join(map(str, argv)))
+def test_nonfinite_or_nonpositive_value_is_config_error(cli, tmp_path, argv):
+    command, *rest = argv
+    code, out = cli(command, "--catalog", "clifford", "--n", 32, *rest, "--out", tmp_path)
+    assert code == 2
+    assert len(out.strip().splitlines()) == 1
+    assert error_code(out) == "E_CONFIG"
 
 
 def test_scan_too_coarse(cli, tmp_path):
@@ -220,6 +291,13 @@ def test_monodromy_geodesic_sphere_circle(cli, tmp_path):
     doc = json.loads((tmp_path / "roots.json").read_text())
     assert doc["verdict"] == "CIRCLE"
     assert doc["roots"] == []
+    profile = tmp_path / "profile.csv"
+    table = np.loadtxt(profile, delimiter=",", skiprows=1)
+    # one generator: the commutator column is written as nan
+    assert table.shape == (64, 3) and np.isnan(table[:, 2]).all()
+    # %.17g round-trips every float64, so the oracle re-writes the same bytes
+    expected = savetxt_bytes(tmp_path / "oracle.csv", table, "theta,d,comm_defect")
+    assert profile.read_bytes() == expected
 
 
 # ---------------------------------------------------------------------------
