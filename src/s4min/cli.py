@@ -184,6 +184,9 @@ def _load_surface(args) -> tuple[ImmersionField, dict]:
             raise CliError(EXIT_CONFIG, "E_CONFIG",
                            f"perturbation amplitude must be positive and finite, "
                            f"got {args.perturb}")
+        if args.seed < 0:
+            raise CliError(EXIT_CONFIG, "E_CONFIG",
+                           f"perturbation seed must be non-negative, got {args.seed}")
         imm = perturb_immersion(imm, args.perturb, args.seed)
         meta["perturbation"] = {"amplitude": args.perturb, "seed": args.seed}
     meta["jet_source"] = imm.jet_source

@@ -15,8 +15,13 @@ component, at fixed upper-triangle slots of the 5x5 block:
     C0       (0, 1) w1   (0, 2) w2   (1, 2) omega12   (3, 4) omega34
     C1, C2   (1, 3)      (2, 3)      (1, 4)           (2, 4)
 
-_so5 scatters packed entries into antisymmetric 5x5 blocks, for the
-whole grid (assemble_maurer_cartan) and for loop nodes alike.
+Omega_theta stays packed too: its (nu, nv, 2, 8) entries are C0's four
+slots followed by cos(2 theta) C1 + sin(2 theta) C2.  Only this module
+knows the slot table.  _so5 scatters packed entries into antisymmetric
+5x5 blocks, and only where a matrix product needs them: once per line
+before march_frames steps along it, per axis for the commutator of
+flatness_residual and for frame_reconstruction_residual.  No whole-grid
+(nu, nv, 2, 5, 5) array is ever built.
 """
 
 from __future__ import annotations
@@ -71,23 +76,29 @@ class ConnectionData:
 
 @dataclass
 class MaurerCartanField:
-    """Connection matrices Omega(du), Omega(dv) of the deformed frame system."""
+    """Connection 1-form Omega_theta of the deformed frame system, packed.
+
+    forms has shape (nu, nv, 2, 8); index 0/1 of the third axis is the
+    du/dv component.  forms[..., :4] is C0 and forms[..., 4:] is
+    cos(2 theta) C1 + sin(2 theta) C2, at the slots of _SLOTS.
+    """
 
     patch: GridPatch
     theta: float
-    omega: np.ndarray  # (nu, nv, 2, 5, 5), antisymmetric in the last two axes
+    forms: np.ndarray
 
 
-_FIXED = np.array([(0, 1), (0, 2), (1, 2), (3, 4)]).T
-_ROTATING = np.array([(1, 3), (2, 3), (1, 4), (2, 4)]).T
+# upper-triangle (row, column) of each packed entry: C0's slots, then C1/C2's
+_SLOTS = np.array([(0, 1), (0, 2), (1, 2), (3, 4),
+                   (1, 3), (2, 3), (1, 4), (2, 4)]).T
 
 
-def _so5(fixed: np.ndarray, rotating: np.ndarray) -> np.ndarray:
-    """Antisymmetric (..., 5, 5) blocks from packed C0 and C1/C2 slot entries."""
-    out = np.zeros(np.broadcast_shapes(fixed.shape, rotating.shape)[:-1] + (5, 5))
-    for (i, j), val in ((_FIXED, fixed), (_ROTATING, rotating)):
-        out[..., i, j] = val
-        out[..., j, i] = -val
+def _so5(entries: np.ndarray) -> np.ndarray:
+    """Antisymmetric (..., 5, 5) blocks from (..., 8) packed entries."""
+    out = np.zeros(entries.shape[:-1] + (5, 5))
+    i, j = _SLOTS
+    out[..., i, j] = entries
+    out[..., j, i] = -entries
     return out
 
 
@@ -125,10 +136,10 @@ def connection_data(imm: ImmersionField, e1: np.ndarray, e2: np.ndarray,
 
 
 def assemble_maurer_cartan(conn: ConnectionData, theta: float) -> MaurerCartanField:
-    """Omega_theta = C0 + cos(2 theta) C1 + sin(2 theta) C2 (exactly antisymmetric)."""
+    """Packed Omega_theta = C0 + cos(2 theta) C1 + sin(2 theta) C2."""
     th = float(theta)
-    omega = _so5(conn.C0, math.cos(2.0 * th) * conn.C1 + math.sin(2.0 * th) * conn.C2)
-    return MaurerCartanField(conn.patch, th, omega)
+    rotating = math.cos(2.0 * th) * conn.C1 + math.sin(2.0 * th) * conn.C2
+    return MaurerCartanField(conn.patch, th, np.concatenate([conn.C0, rotating], axis=-1))
 
 
 def flatness_residual(mc: MaurerCartanField) -> np.ndarray:
@@ -137,22 +148,27 @@ def flatness_residual(mc: MaurerCartanField) -> np.ndarray:
     Computes || d_u Omega_v - d_v Omega_u - [Omega_u, Omega_v] ||_F, which
     vanishes identically for the connection of a minimal immersion; the
     discrete value measures stencil truncation plus any violation of the
-    Gauss-Codazzi-Ricci system.
+    Gauss-Codazzi-Ricci system.  The exterior derivative is taken on the
+    packed entries; only the commutator needs 5x5 blocks.
     """
-    Wu = mc.omega[:, :, 0]
-    Wv = mc.omega[:, :, 1]
-    R = (diff(mc.patch, Wv, 0) - diff(mc.patch, Wu, 1)
-         - (Wu @ Wv - Wv @ Wu))
+    d_omega = diff(mc.patch, mc.forms[:, :, 1], 0) - diff(mc.patch, mc.forms[:, :, 0], 1)
+    Wu = _so5(mc.forms[:, :, 0])
+    Wv = _so5(mc.forms[:, :, 1])
+    bracket = Wu @ Wv
+    bracket -= Wv @ Wu
+    del Wu, Wv  # so that R and the norm's temporary do not raise the peak
+    R = _so5(d_omega)
+    R -= bracket
     return np.linalg.norm(R, axis=(-2, -1))
 
 
 def frame_reconstruction_residual(conn: ConnectionData) -> float:
     """max |d_X F - Omega_0(X) F| over the grid: Omega at theta = 0 must
     reproduce the finite-difference derivatives of the original frame."""
-    mc0 = assemble_maurer_cartan(conn, 0.0)
+    forms = assemble_maurer_cartan(conn, 0.0).forms
     worst = 0.0
     for axis in (0, 1):
-        d = diff(conn.patch, conn.frames, axis) - mc0.omega[:, :, axis] @ conn.frames
+        d = diff(conn.patch, conn.frames, axis) - _so5(forms[:, :, axis]) @ conn.frames
         worst = max(worst, float(np.linalg.norm(d, axis=(-2, -1)).max()))
     return worst
 
@@ -220,23 +236,27 @@ def march_frames(omega_line: np.ndarray, h: float, seeds: np.ndarray,
                  periodic: bool) -> np.ndarray:
     """Path-ordered integration of F' = Omega(t) F along one grid line.
 
-    omega_line: (n, ..., 5, 5) connection samples at the grid points of
-    the line; seeds: (..., 5, 5) start frames (rows are frame vectors).
-    RK4 with cubic-interpolated midpoints, orthogonality restored every
-    step.  Returns (steps + 1, ..., 5, 5) frames at the sample points;
-    when periodic the final entry is the transport over the full period
-    (seam mismatch = holonomy, kept explicit).
+    omega_line: (n, ..., 8) packed connection entries (the layout of
+    MaurerCartanField.forms) at the grid points of the line; seeds:
+    (..., 5, 5) start frames (rows are frame vectors).  RK4 with
+    cubic-interpolated midpoints, orthogonality restored every step; the
+    midpoints are interpolated on the packed entries, and samples and
+    midpoints are assembled into 5x5 blocks once, before the first step.
+    Returns (steps + 1, ..., 5, 5) frames at the sample points; when
+    periodic the final entry is the transport over the full period (seam
+    mismatch = holonomy, kept explicit).
     """
     n = omega_line.shape[0]
-    mids = cubic_line_midpoints(omega_line, periodic)
+    mids = _so5(cubic_line_midpoints(omega_line, periodic))
+    line = _so5(omega_line)
     steps = n if periodic else n - 1
     out = np.empty((steps + 1,) + seeds.shape)
     F = seeds
     out[0] = F
     for k in range(steps):
-        A0 = omega_line[k]
+        A0 = line[k]
         Am = mids[k]
-        A1 = omega_line[(k + 1) % n]
+        A1 = line[(k + 1) % n]
         k1 = A0 @ F
         k2 = Am @ (F + (0.5 * h) * k1)
         k3 = Am @ (F + (0.5 * h) * k2)
@@ -278,24 +298,25 @@ def sweep_frames(mc: MaurerCartanField, seed: np.ndarray, order: str) -> np.ndar
 
     order "uv" marches the u spine from the seed at the grid origin and
     then every v column from it; "vu" marches the v spine and then every
-    u row.  Returns the (nu + pu, nv + pv, 5, 5) frame array.
+    u row.  Each march gets its lines as slices of the packed forms.
+    Returns the (nu + pu, nv + pv, 5, 5) frame array.
     """
     patch = mc.patch
-    Wu = mc.omega[:, :, 0]
-    Wv = mc.omega[:, :, 1]
+    Wu = mc.forms[:, :, 0]
+    Wv = mc.forms[:, :, 1]
     if order == "uv":
         spine = march_frames(Wu[:, 0][:, None], patch.hu, seed[None],
                              patch.periodic_u)
         starts = spine[:, 0]  # (NU, 5, 5)
         src = np.arange(starts.shape[0]) % patch.nu
-        lines = np.moveaxis(Wv[src], 1, 0)  # (nv, NU, 5, 5)
+        lines = np.moveaxis(Wv[src], 1, 0)  # (nv, NU, 8)
         sheet = march_frames(lines, patch.hv, starts, patch.periodic_v)
         return np.moveaxis(sheet, 1, 0)  # (NU, NV, 5, 5)
     spine = march_frames(Wv[0][:, None], patch.hv, seed[None],
                          patch.periodic_v)
     starts = spine[:, 0]  # (NV, 5, 5)
     src = np.arange(starts.shape[0]) % patch.nv
-    lines = Wu[:, src]  # (nu, NV, 5, 5)
+    lines = Wu[:, src]  # (nu, NV, 8)
     return march_frames(lines, patch.hu, starts, patch.periodic_u)
 
 

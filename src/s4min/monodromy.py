@@ -9,7 +9,7 @@ the Frobenius norm of M - I, which is invariant under orthogonal
 conjugation, so it does not depend on the basepoint of the loops.
 
 Every monodromy comes from one loop transport, generator_monodromy: it
-assembles Omega_theta at the loop's nodes only and marches each straight
+packs Omega_theta at the loop's nodes only and marches each straight
 leg once, batched over the angles, with the periodic stencil on legs
 once around a periodic axis.  scan_profile calls it on the deck-generator
 loops through the chosen basepoint.
@@ -25,7 +25,6 @@ import numpy as np
 from .family import (
     ConnectionData,
     IntegrabilityBroken,
-    _so5,
     assemble_maurer_cartan,
     congruence_test,
     flatness_residual,
@@ -80,7 +79,7 @@ def generator_monodromy(conn: ConnectionData, path: LoopPath,
     (identity exactly when the deformed surface closes around this loop).
     Composition follows transport order: M(a then b) = M(a) @ M(b).
 
-    Omega_theta = C0 + cos(2 theta) C1 + sin(2 theta) C2 is assembled at
+    Omega_theta = C0 + cos(2 theta) C1 + sin(2 theta) C2 is packed at
     the path's nodes only.  Each straight leg is one march batched over
     the angles; a leg once around a periodic axis is marched with the
     periodic (wrap) stencil, and a straight leg of several whole periods
@@ -97,7 +96,9 @@ def generator_monodromy(conn: ConnectionData, path: LoopPath,
     for axis, sign, nodes, periodic in _legs(path):
         uu, vv = (nodes % (patch.nu, patch.nv)).T
         at = lambda C: C[uu, vv, axis].reshape(per_node)  # noqa: E731
-        line = _so5(at(conn.C0), c * at(conn.C1) + s * at(conn.C2))
+        rotating = c * at(conn.C1) + s * at(conn.C2)
+        fixed = np.broadcast_to(at(conn.C0), rotating.shape)
+        line = np.concatenate([fixed, rotating], axis=-1)
         h = patch.hu if axis == 0 else patch.hv
         F = march_frames(sign * line, h, F, periodic)[-1]
     return np.swapaxes(F, -1, -2) @ F0

@@ -365,35 +365,3 @@ def shape_report(imm: ImmersionField):
     nf = normal_frame(imm, e1, e2)
     rep = second_fundamental_form(imm, e1, e2, metric, nf)
     return imm, e1, e2, metric, nf, rep
-
-
-# ---------------------------------------------------------------------------
-# intrinsic curvature (for the Gauss-equation cross check)
-
-
-def intrinsic_gauss_curvature(patch: GridPatch, metric: MetricField,
-                              e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    """Gauss curvature from the Levi-Civita connection form of (e1, e2).
-
-    omega_12(X) = <D_X e1, e2>; K = -d(omega_12) / (w1 ^ w2).  Independent
-    of the second fundamental form, so comparing against the Gauss-equation
-    value 1 - |B|^2/2 is a nontrivial consistency check.
-    """
-    w_u = np.einsum("uvk,uvk->uv", diff(patch, e1, 0), e2)
-    w_v = np.einsum("uvk,uvk->uv", diff(patch, e1, 1), e2)
-    d = diff(patch, w_v, 0) - diff(patch, w_u, 1)
-    return -d / metric.dA
-
-
-def gauss_equation_residual(report: ShapeReport, patch: GridPatch,
-                            metric: MetricField, e1, e2,
-                            mask_floor: float = 0.1) -> float:
-    """Max |K_intrinsic - K| where the chart is not close to degenerate.
-
-    Rows where the area element is below mask_floor * max(dA) (lat-long
-    pole neighbourhoods) are excluded: chart degeneracy amplifies stencil
-    error there without saying anything about the surface.
-    """
-    K_int = intrinsic_gauss_curvature(patch, metric, e1, e2)
-    mask = metric.dA > mask_floor * metric.dA.max()
-    return float(np.abs((K_int - report.K))[mask].max())

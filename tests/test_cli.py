@@ -186,6 +186,7 @@ def test_degenerate_manifest_is_source_error(cli, tmp_path, command):
     ("deform", "--theta", 0.5, "--perturb", "nan"),
     ("deform", "--theta", 0.5, "--perturb", "inf"),
     ("analyze", "--perturb", "nan"),
+    ("analyze", "--perturb", 1e-3, "--seed", -1),
     ("monodromy", "--scan", 64, "--tol-close", -1),
     ("monodromy", "--scan", 64, "--tol-close", 0),
     ("monodromy", "--scan", 64, "--tol-close", "nan"),

@@ -18,6 +18,7 @@ from s4min.family import (
     ConnectionData,
     FamilyError,
     IntegrabilityBroken,
+    _so5,
     assemble_maurer_cartan,
     congruence_test,
     connection_data,
@@ -28,7 +29,7 @@ from s4min.family import (
     integrate_frame,
     polar_reorthonormalize,
 )
-from s4min.grid import quadrature_weights
+from s4min.grid import diff, quadrature_weights
 from s4min.surface import rotate_normal_frame, second_fundamental_form, shape_report
 
 
@@ -79,12 +80,12 @@ def test_components_are_packed_forms(clifford_conn):
 
 def test_components_antisymmetric(clifford_conn):
     for theta in (0.0, 0.3, 1.2):
-        omega = assemble_maurer_cartan(clifford_conn, theta).omega
+        omega = _so5(assemble_maurer_cartan(clifford_conn, theta).forms)
         assert np.array_equal(omega, -np.swapaxes(omega, -1, -2))
 
 
 def test_theta_zero_is_component_sum(clifford_conn):
-    omega = assemble_maurer_cartan(clifford_conn, 0.0).omega
+    omega = _so5(assemble_maurer_cartan(clifford_conn, 0.0).forms)
     C0, C1 = clifford_conn.C0, clifford_conn.C1
     for k, (i, j) in enumerate([(0, 1), (0, 2), (1, 2), (3, 4)]):
         assert np.array_equal(omega[..., i, j], C0[..., k])
@@ -96,15 +97,15 @@ def test_theta_pi_equals_theta_zero(veronese_conn):
     # the family is pi-periodic in theta: the rotation acts through 2*theta
     m0 = assemble_maurer_cartan(veronese_conn, 0.0)
     m1 = assemble_maurer_cartan(veronese_conn, math.pi)
-    assert np.allclose(m0.omega, m1.omega, atol=1e-12)
+    assert np.allclose(m0.forms, m1.forms, atol=1e-12)
 
 
 def test_tangent_block_theta_independent(veronese_conn):
     # w1, w2, omega12 live in C0 only: the deformation is isometric
-    m0 = assemble_maurer_cartan(veronese_conn, 0.0)
-    m1 = assemble_maurer_cartan(veronese_conn, 0.77)
-    assert np.array_equal(m0.omega[..., :3, :3], m1.omega[..., :3, :3])
-    assert np.array_equal(m0.omega[..., 0, :], m1.omega[..., 0, :])
+    m0 = _so5(assemble_maurer_cartan(veronese_conn, 0.0).forms)
+    m1 = _so5(assemble_maurer_cartan(veronese_conn, 0.77).forms)
+    assert np.array_equal(m0[..., :3, :3], m1[..., :3, :3])
+    assert np.array_equal(m0[..., 0, :], m1[..., 0, :])
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +116,19 @@ def test_clifford_flatness_roundoff(clifford_conn):
     for theta in (0.0, 0.3, math.pi / 4, 1.2, math.pi):
         mc = assemble_maurer_cartan(clifford_conn, theta)
         assert flatness_residual(mc).max() < 1e-12
+
+
+@pytest.mark.parametrize("fix", ["clifford_conn", "veronese_conn"])
+def test_flatness_matches_dense_oracle(fix, request):
+    # the stated oracle: the curvature of the assembled 5x5 blocks, with the
+    # exterior derivative taken on dense whole-grid matrices
+    conn = request.getfixturevalue(fix)
+    for theta in (0.0, 0.3, 1.2):
+        mc = assemble_maurer_cartan(conn, theta)
+        Wu, Wv = _so5(mc.forms[:, :, 0]), _so5(mc.forms[:, :, 1])
+        dense = np.linalg.norm(diff(mc.patch, Wv, 0) - diff(mc.patch, Wu, 1)
+                               - (Wu @ Wv - Wv @ Wu), axis=(-2, -1))
+        assert np.array_equal(flatness_residual(mc), dense)
 
 
 def test_clifford_frame_reconstruction(clifford_conn):

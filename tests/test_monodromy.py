@@ -270,7 +270,7 @@ def test_loop_transport_matches_whole_grid_assembly(clifford_conn):
     # assembling Omega at the loop's nodes gives the whole-grid march
     imm, conn = clifford_conn
     j0, theta = 17, 0.9
-    omega = assemble_maurer_cartan(conn, theta).omega[:, j0, 0]
+    omega = assemble_maurer_cartan(conn, theta).forms[:, j0, 0]
     F0 = conn.frames[0, j0]
     F = march_frames(omega, imm.patch.hu, F0, periodic=True)[-1]
     M = generator_monodromy(conn, u_generator(imm.patch, j0), theta)

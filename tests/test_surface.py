@@ -18,7 +18,6 @@ from s4min.surface import (
     fd_jets,
     flip_normal_orientation,
     frame_orthonormality_residual,
-    gauss_equation_residual,
     normal_frame,
     rotate_normal_frame,
     second_fundamental_form,
@@ -218,13 +217,6 @@ def test_orientation_flip_negates_normal_curvature(veronese):
 
 # ---------------------------------------------------------------------------
 # consistency checks
-
-
-def test_gauss_equation_cross_check(clifford, veronese):
-    imm, e1, e2, metric, _, rep = clifford
-    assert gauss_equation_residual(rep, imm.patch, metric, e1, e2) < 1e-10
-    imm, e1, e2, metric, _, rep = veronese
-    assert gauss_equation_residual(rep, imm.patch, metric, e1, e2) < 1e-3
 
 
 def test_fd_jets_consistent_with_analytic():
