@@ -6,6 +6,8 @@ isometric deformation family by moving-frame integration -> deck-group
 monodromy, closing set and integral identity checks.
 """
 
+from types import ModuleType as _ModuleType
+
 from .grid import (
     GridError,
     GridPatch,
@@ -108,91 +110,6 @@ from .topology import (
     zero_count_excised,
 )
 
-__all__ = [
-    "GridError",
-    "GridPatch",
-    "LoopPath",
-    "MetricField",
-    "diff",
-    "hodge_star_oneform",
-    "integrate",
-    "laplace_beltrami",
-    "quadrature_weights",
-    "rectangle_loop",
-    "u_generator",
-    "v_generator",
-    "ImmersionField",
-    "NormalFrameField",
-    "ShapeReport",
-    "SurfaceError",
-    "fd_jets",
-    "flip_normal_orientation",
-    "frame_orthonormality_residual",
-    "normal_frame",
-    "rotate_normal_frame",
-    "second_fundamental_form",
-    "shape_report",
-    "tangent_frame",
-    "CatalogEntry",
-    "CatalogError",
-    "IngestReport",
-    "catalog_names",
-    "clifford_torus",
-    "geodesic_sphere",
-    "load_catalog",
-    "perturb_immersion",
-    "read_manifest",
-    "veronese_sphere",
-    "write_manifest",
-    "AdaptedFrameError",
-    "AdaptedFrameField",
-    "HopfField",
-    "SuperminimalPatch",
-    "SuperminimalityReport",
-    "ZeroOrder",
-    "build_adapted_frame",
-    "circle_mask",
-    "circle_threshold",
-    "connection_form_agreement",
-    "connection_forms",
-    "find_zero_candidates",
-    "frame_derivative_identity_residual",
-    "hopf_differential",
-    "superminimality_test",
-    "synthetic_adapted_frame",
-    "winding_number",
-    "zero_orders",
-    "ConnectionData",
-    "CongruenceFit",
-    "DeformedPatch",
-    "FamilyError",
-    "IntegrabilityBroken",
-    "MaurerCartanField",
-    "assemble_maurer_cartan",
-    "congruence_test",
-    "connection_data",
-    "deformation_invariant_deviation",
-    "deformed_immersion",
-    "flatness_residual",
-    "frame_reconstruction_residual",
-    "integrate_frame",
-    "MonodromyError",
-    "MonodromyProfile",
-    "dichotomy_report",
-    "generator_monodromy",
-    "scan_profile",
-    "BalanceCheck",
-    "IntegerVerdict",
-    "LaplaceIdentityCheck",
-    "RicciCheck",
-    "TopologyError",
-    "TopologyReport",
-    "ZeroCount",
-    "balance_residuals",
-    "euler_numbers",
-    "laplace_identity_residual",
-    "ricci_condition_residual",
-    "synthetic_zero_field",
-    "topology_report",
-    "zero_count_excised",
-]
+# the public API is exactly the names imported above
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

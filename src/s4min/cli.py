@@ -7,7 +7,8 @@ produce byte-identical files, so runs can be diffed.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input or
 configuration, 3 numerical integrity failure (non-flat connection,
-path-dependent transport).
+path-dependent transport, a CIRCLE verdict without the congruence the
+paper's compact-surface theorem demands).
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ from .family import (
 )
 from .monodromy import MonodromyError, dichotomy_report, scan_profile
 from .surface import ImmersionField, SurfaceError, shape_report
-from .topology import TopologyError, laplace_identity_residual, topology_report
+from .topology import TopologyError, euler_numbers, laplace_identity_residual, topology_report
 from .grid import GridError
 
 EXIT_OK = 0
@@ -311,6 +312,18 @@ def cmd_monodromy(args) -> int:
     imm, e1, e2, metric, nf, rep = shape_report(imm)
     conn = connection_data(imm, e1, e2, nf, rep)
     profile = scan_profile(conn, n_theta=args.scan, tol_close=args.tol_close)
+    # a compact surface with nontrivial normal bundle has only finitely
+    # many noncongruent members, so a CIRCLE verdict needs congruent ones
+    chi_n = euler_numbers(rep, metric)[1] if rep.patch.closed else None
+    if profile.verdict == "CIRCLE" and chi_n is not None and abs(chi_n.rounded) >= 1:
+        cmax = float(profile.congruence_residuals.max())
+        if cmax >= CONGRUENCE_TOL:
+            raise CliError(
+                EXIT_INTEGRITY, "E_CONTRADICTION",
+                f"CIRCLE verdict with normal Euler number chi_N = {chi_n.value:.6g} "
+                f"but congruence_max {cmax:.3e} >= {CONGRUENCE_TOL:.1e}: a compact "
+                "surface with nontrivial normal bundle has only finitely many "
+                "noncongruent members; no verdict issued")
 
     comm = profile.commutator_defect
     if comm is None:
@@ -322,6 +335,7 @@ def cmd_monodromy(args) -> int:
     doc["command"] = "monodromy"
     doc["source"] = meta
     doc["profile_file"] = "profile.csv"
+    doc["chi_normal"] = None if chi_n is None else chi_n.value
     _write_json(out / "roots.json", doc)
     roots = ", ".join(f"{r:.8f}" for r in doc["roots"]) if doc["roots"] else "none"
     print(f"monodromy: verdict {doc['verdict']}, roots: {roots}")

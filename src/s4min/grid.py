@@ -110,22 +110,32 @@ def check_field(patch: GridPatch, values: np.ndarray, name: str = "field") -> np
 # finite differences
 
 
-def _diff1_periodic(f: np.ndarray, h: float, axis: int) -> np.ndarray:
-    # 4th order: (-f_{+2} + 8 f_{+1} - 8 f_{-1} + f_{-2}) / (12 h)
-    fp1 = np.roll(f, -1, axis=axis)
-    fm1 = np.roll(f, 1, axis=axis)
-    fp2 = np.roll(f, -2, axis=axis)
-    fm2 = np.roll(f, 2, axis=axis)
-    return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
+# 4th-order periodic stencils as ((offset k, weight w), ...): the sum of
+# w f[i + k] in this order, over 12 h (first) or 12 h^2 (second derivative)
+_PERIODIC_D1 = ((2, -1.0), (1, 8.0), (-1, -8.0), (-2, 1.0))
+_PERIODIC_D2 = ((2, -1.0), (1, 16.0), (0, -30.0), (-1, 16.0), (-2, -1.0))
 
 
-def _diff2_periodic(f: np.ndarray, h: float, axis: int) -> np.ndarray:
-    # 4th order: (-f_{+2} + 16 f_{+1} - 30 f + 16 f_{-1} - f_{-2}) / (12 h^2)
-    fp1 = np.roll(f, -1, axis=axis)
-    fm1 = np.roll(f, 1, axis=axis)
-    fp2 = np.roll(f, -2, axis=axis)
-    fm2 = np.roll(f, 2, axis=axis)
-    return (-fp2 + 16.0 * fp1 - 30.0 * f + 16.0 * fm1 - fm2) / (12.0 * h * h)
+def _periodic_stencil(f: np.ndarray, axis: int, terms, scale: float) -> np.ndarray:
+    """One periodic stencil (first weight -1), summed in place in ``out``.
+
+    The shifted fields are slices of one copy of f wrapped by two planes
+    on each side, so the result equals the sum written out with np.roll
+    bit for bit, at a third of its memory.
+    """
+    n = f.shape[axis]
+    wrapped = np.take(f, np.arange(-2, n + 2) % n, axis=axis)
+    shifted = lambda k: _take(wrapped, slice(2 + k, 2 + k + n), axis)  # noqa: E731
+    out = np.negative(shifted(terms[0][0]))
+    tmp = np.empty_like(out)
+    for k, w in terms[1:]:
+        term = shifted(k) if abs(w) == 1.0 else np.multiply(shifted(k), abs(w), out=tmp)
+        if w > 0:
+            out += term
+        else:
+            out -= term
+    out /= scale
+    return out
 
 
 def _take(f: np.ndarray, idx, axis: int) -> np.ndarray:
@@ -209,9 +219,11 @@ def diff(patch: GridPatch, values: np.ndarray, axis: int, order: int = 1,
     if not np.issubdtype(values.dtype, np.inexact):
         values = values.astype(float)
     if order == 1:
-        return _diff1_periodic(values, h, axis) if periodic else _diff1_open(values, h, axis)
+        return (_periodic_stencil(values, axis, _PERIODIC_D1, 12.0 * h) if periodic
+                else _diff1_open(values, h, axis))
     if order == 2:
-        return _diff2_periodic(values, h, axis) if periodic else _diff2_open(values, h, axis)
+        return (_periodic_stencil(values, axis, _PERIODIC_D2, 12.0 * h * h) if periodic
+                else _diff2_open(values, h, axis))
     raise GridError(f"order must be 1 or 2, got {order}")
 
 

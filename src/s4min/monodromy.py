@@ -12,7 +12,11 @@ Every monodromy comes from one loop transport, generator_monodromy: it
 packs Omega_theta at the loop's nodes only and marches each straight
 leg once, batched over the angles, with the periodic stencil on legs
 once around a periodic axis.  scan_profile calls it on the deck-generator
-loops through the chosen basepoint.
+loops through the chosen basepoint, at a few dozen angles of the quarter
+circle only: members a quarter turn apart are congruent, and M(theta) is
+analytic in exp(2i theta), so a trigonometric interpolant of those
+samples gives the profile, the closing classes and the CIRCLE
+certificate to roundoff.
 """
 
 from __future__ import annotations
@@ -31,10 +35,11 @@ from .family import (
     march_frames,
     sweep_frames,
 )
-from .grid import GridPatch, LoopPath, u_generator, v_generator
+from .grid import LoopPath, u_generator, v_generator
 
 FLATNESS_CEILING = 1e-3
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+QUARTER = 0.5 * math.pi
 
 
 class MonodromyError(ValueError):
@@ -104,22 +109,6 @@ def generator_monodromy(conn: ConnectionData, path: LoopPath,
     return np.swapaxes(F, -1, -2) @ F0
 
 
-def _identity_distance(M: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(M - np.eye(5), axis=(-2, -1))
-
-
-def _available_generators(patch: GridPatch) -> list[int]:
-    gens = []
-    if patch.periodic_u:
-        gens.append(0)
-    if patch.periodic_v:
-        gens.append(1)
-    if not gens:
-        raise MonodromyError("domain has no periodic axis, hence no deck "
-                             "generators to scan")
-    return gens
-
-
 @dataclass
 class MonodromyProfile:
     """Identity-distance profile of the deck monodromy over the angle circle."""
@@ -130,9 +119,12 @@ class MonodromyProfile:
     d: np.ndarray
     commutator_defect: np.ndarray | None
     roots: list[float]
+    classes: list[float]
     verdict: str
     tol_close: float
     flatness: float
+    circle_coefficient_max: float
+    spectral_tail: float
     congruence_thetas: np.ndarray | None = None
     congruence_residuals: np.ndarray | None = None
     generators: tuple[int, ...] = field(default=())
@@ -167,39 +159,53 @@ def _golden_min(fn, a: np.ndarray, b: np.ndarray,
     return x, fn(x)
 
 
+def _interpolate(coef: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The trigonometric interpolant sum_k coef[k] exp(2ik theta), theta mod pi/2."""
+    k = np.fft.fftfreq(len(coef), 1.0 / len(coef))
+    wave = np.exp(2j * np.multiply.outer(np.mod(theta, QUARTER), k))
+    return (wave @ coef.reshape(len(coef), -1)).real.reshape(theta.shape + (5, 5))
+
+
 def scan_profile(conn: ConnectionData, n_theta: int = 256,
                  tol_close: float | None = None,
                  base: tuple[int, int] = (0, 0),
-                 congruence_samples: int = 8) -> MonodromyProfile:
-    """Monodromy profile d(theta) over uniform angles with refined minima.
+                 congruence_samples: int = 4) -> MonodromyProfile:
+    """Monodromy profile d(theta) from a spectral solve on the quarter circle.
 
-    The profile is reported at ``n_theta`` uniform angles in [0, 2pi).
-    Omega_theta depends on 2 theta only, so d is pi-periodic, and the
-    generator monodromies are marched (batched) once per distinct value
-    of theta mod pi: the first n_theta / 2 angles for even n_theta, every
-    angle (folded into [0, pi), where they interleave) for odd n_theta;
-    M1, M2 and d are tiled back onto the full circle.
+    Omega_(theta + pi/2) = D Omega_theta D with D = diag(1, 1, 1, -1, -1),
+    so M(theta + pi/2) = P M(theta) P with P = F0^T D F0 (F0 the frame
+    at the basepoint): members a quarter turn apart are congruent.  Each
+    generator is marched at N angles k pi / (2N), N = 16 first; with P M P
+    they give M on [0, pi), where it is analytic in exp(2i theta), and an
+    FFT gives its Fourier coefficients.  N doubles, reusing the samples,
+    until ``spectral_tail`` (the largest coefficient Frobenius norm with
+    N/2 <= |k| <= N) is below max(1e-3 d(0), 1e-14), or until one more
+    doubling would march more than n_theta / 2 angles.
 
-    Every local minimum of that half-circle profile is a candidate.  All
-    candidates are refined together by golden-section search to width
-    1e-8 on the bracket of their two neighbouring samples, one batched
-    march per generator and iteration.  A refined minimum with
-    d < tol_close is a root; it is reported in [0, pi) and shifted by pi
-    (a root within 1e-7 of 0 is reported as exactly 0).  The verdict is
-    CIRCLE when d stays below tol_close at >= 90% of the samples, FINITE
-    otherwise, with the roots as the closing set.
+    M1, M2, d and the commutator defect are the interpolant at n_theta
+    uniform angles of [0, 2pi), taken at theta mod pi/2 (and conjugated
+    by P on odd quarters), so d is exactly pi/2-periodic.  The verdict
+    is CIRCLE when ``circle_coefficient_max``, the largest coefficient
+    with k != 0, is below tol_close; else FINITE, and every local
+    minimum of d at the profile angles mod pi/2 is refined together by
+    golden-section search on the interpolant to width 1e-8.  A refined
+    d < tol_close is a closing class in [0, pi/2) (within 1e-7 of 0 or
+    pi/2 it is exactly 0); ``roots`` holds the classes and their three
+    quarter-turn images.  CIRCLE gets congruence residuals at
+    ``congruence_samples`` angles of [0, pi/2).
 
-    tol_close defaults to max(1e-6, 10 * flatness, 10 * d(0)).  The
-    identity cannot be resolved more finely than the connection is flat,
-    and theta = 0 closes by construction, so d(0) is the measured error
-    floor of the identity test.  A flatness residual above
-    FLATNESS_CEILING means the input is not minimal to working accuracy;
-    the scan refuses to classify such data.
+    tol_close defaults to max(1e-6, 10 * flatness, 10 * d(0)): theta = 0
+    closes by construction, so d(0) is the error floor of the identity
+    test.  A flatness residual above FLATNESS_CEILING means the input is
+    not minimal to working accuracy, and the scan refuses to classify it.
     """
     if n_theta < 64:
         raise MonodromyError(f"need at least 64 angle samples, got {n_theta}")
     patch = conn.patch
-    gens = _available_generators(patch)
+    gens = [axis for axis in (0, 1) if (patch.periodic_u, patch.periodic_v)[axis]]
+    if not gens:
+        raise MonodromyError("domain has no periodic axis, hence no deck "
+                             "generators to scan")
     flat0 = float(flatness_residual(assemble_maurer_cartan(conn, 0.0)).max())
     if flat0 > FLATNESS_CEILING:
         raise IntegrabilityBroken(
@@ -207,61 +213,69 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256,
             f"{FLATNESS_CEILING:.1e}); refusing to classify the monodromy "
             "of a non-minimal input")
 
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    # distinct angles mod pi: thetas[k] = half[fold[k]] (mod pi)
-    n_half = n_theta // 2 if n_theta % 2 == 0 else n_theta
-    half = np.linspace(0.0, math.pi, n_half, endpoint=False)
-    fold = (np.arange(n_theta) * (2 * n_half // n_theta)) % n_half
     i0, j0 = base
     loops = [u_generator(patch, j0, i0) if axis == 0 else v_generator(patch, i0, j0)
              for axis in gens]
-
-    def monodromies(angles: np.ndarray) -> list[np.ndarray]:
-        return [generator_monodromy(conn, loop, angles) for loop in loops]
+    F0 = conn.frames[i0 % patch.nu, j0 % patch.nv]
+    P = F0.T @ np.diag([1.0, 1.0, 1.0, -1.0, -1.0]) @ F0
 
     def distance(Ms: list[np.ndarray]) -> np.ndarray:
-        return np.max([_identity_distance(M) for M in Ms], axis=0)
+        return np.max([np.linalg.norm(M - np.eye(5), axis=(-2, -1)) for M in Ms], axis=0)
 
-    Ms_half = monodromies(half)
-    d_half = distance(Ms_half)
-    Ms = [M[fold] for M in Ms_half]
-    d = d_half[fold]
+    n = 16
+    samples = [generator_monodromy(conn, loop, QUARTER * np.arange(n) / n) for loop in loops]
+    floor = max(1e-3 * float(distance([S[0] for S in samples])), 1e-14)
+    while True:
+        coefs = [np.fft.fft(np.concatenate([S, P @ S @ P]), axis=0) / (2 * n) for S in samples]
+        k = np.abs(np.fft.fftfreq(2 * n, 1.0 / (2 * n)))
+        sizes = np.max([np.linalg.norm(c, axis=(-2, -1)) for c in coefs], axis=0)
+        tail = float(sizes[k >= n / 2].max())
+        if tail <= floor or 4 * n > n_theta:
+            break
+        odd = QUARTER * (np.arange(n) + 0.5) / n
+        samples = [np.stack([S, generator_monodromy(conn, loop, odd)], axis=1).reshape(-1, 5, 5)
+                   for S, loop in zip(samples, loops)]
+        n *= 2
+
+    thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    # theta_j mod pi/2 = (pi/2) ((4 j) mod n_theta) / n_theta, taken on
+    # integers so that angles a quarter turn apart share one float
+    steps, fold = np.unique(4 * np.arange(n_theta) % n_theta, return_inverse=True)
+    grid = QUARTER * steps / n_theta
+    Mq = [_interpolate(c, grid) for c in coefs]
+    dq = distance(Mq)
+    odd_quarter = ((4 * np.arange(n_theta) // n_theta) % 2 == 1)[:, None, None]
+    Ms = [np.where(odd_quarter, P @ M[fold] @ P, M[fold]) for M in Mq]
     defect = None
-    if len(Ms_half) == 2:
-        A, B = Ms_half
+    if len(Mq) == 2:
+        A, B = Mq
         defect = np.linalg.norm(A @ B - B @ A, axis=(-2, -1))[fold]
     if tol_close is None:
-        tol_close = max(1e-6, 10.0 * flat0, 10.0 * float(d_half[0]))
+        tol_close = max(1e-6, 10.0 * flat0, 10.0 * float(dq[0]))
 
-    fraction_below = float(np.mean(d < tol_close))
-    roots: list[float] = []
-    if fraction_below >= 0.9:
-        verdict = "CIRCLE"
-    else:
-        verdict = "FINITE"
-        # local minima of the pi-periodic half profile; the strict right
-        # comparison keeps one candidate of two equal neighbours, so a
-        # constant profile (a totally geodesic surface) has none
-        cand = np.flatnonzero((d_half <= np.roll(d_half, 1))
-                              & (d_half < np.roll(d_half, -1)))
-        if cand.size:
-            step = math.pi / n_half
-            theta_star, d_star = _golden_min(
-                lambda t: distance(monodromies(t)),
-                half[cand] - step, half[cand] + step, 1e-8)
-            for t in np.mod(theta_star[d_star < tol_close], math.pi):
-                # a root at 0 refined from below lands just under pi
-                t = 0.0 if min(t, math.pi - t) < 1e-7 else float(t)
-                roots += [t, t + math.pi]
-            roots = sorted(roots)
+    circle_max = float(sizes[k > 0].max())
+    verdict = "CIRCLE" if circle_max < tol_close else "FINITE"
+    classes: list[float] = []
+    # local minima of the pi/2-periodic profile; the strict right
+    # comparison keeps one candidate of two equal neighbours
+    cand = np.flatnonzero((dq <= np.roll(dq, 1)) & (dq < np.roll(dq, -1)))
+    if verdict == "FINITE" and cand.size:
+        step = QUARTER / len(grid)
+        theta_star, d_star = _golden_min(
+            lambda t: distance([_interpolate(c, t) for c in coefs]),
+            grid[cand] - step, grid[cand] + step, 1e-8)
+        # a root at 0 refined from below lands just under pi/2
+        classes = sorted(0.0 if min(t, QUARTER - t) < 1e-7 else float(t)
+                         for t in np.mod(theta_star[d_star < tol_close], QUARTER))
+    roots = sorted(t + q * QUARTER for t in classes for q in range(4))
 
     ct = cr = None
     if verdict == "CIRCLE" and congruence_samples > 0:
-        ct = np.linspace(0.0, math.pi, congruence_samples, endpoint=False)
+        ct = np.linspace(0.0, QUARTER, congruence_samples, endpoint=False)
         cr = np.array([_congruence_residual(conn, float(t)) for t in ct])
     return MonodromyProfile(thetas, Ms[0], Ms[1] if len(Ms) == 2 else None,
-                            d, defect, roots, verdict, tol_close, flat0,
-                            ct, cr, tuple(gens))
+                            dq[fold], defect, roots, classes, verdict, tol_close,
+                            flat0, circle_max, tail, ct, cr, tuple(gens))
 
 
 def _congruence_residual(conn: ConnectionData, theta: float) -> float:
@@ -294,7 +308,9 @@ def dichotomy_report(profile: MonodromyProfile) -> dict:
         "d_min": float(profile.d.min()),
         "d_max": float(profile.d.max()),
         "d_at_zero": float(profile.d[0]),
-        "fraction_below_tol": float(np.mean(profile.d < profile.tol_close)),
+        "classes": [float(t) for t in profile.classes],
+        "circle_coefficient_max": float(profile.circle_coefficient_max),
+        "spectral_tail": float(profile.spectral_tail),
         "generators": list(profile.generators),
         "basepoint_invariance": (
             "d is basepoint independent: moving the loop basepoint "

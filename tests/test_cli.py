@@ -299,6 +299,33 @@ def test_monodromy_geodesic_sphere_circle(cli, tmp_path):
     # %.17g round-trips every float64, so the oracle re-writes the same bytes
     expected = savetxt_bytes(tmp_path / "oracle.csv", table, "theta,d,comm_defect")
     assert profile.read_bytes() == expected
+    assert abs(doc["chi_normal"]) < 1e-9
+
+
+def test_monodromy_veronese_circle_with_nontrivial_normal_bundle(cli, tmp_path):
+    # chi_N = 4 and a CIRCLE verdict: the members must be congruent
+    code, out = cli("monodromy", "--catalog", "veronese", "--n", 64,
+                    "--scan", 64, "--out", tmp_path)
+    assert code == 0
+    assert "verdict CIRCLE" in out
+    doc = json.loads((tmp_path / "roots.json").read_text())
+    assert abs(doc["chi_normal"] - 4.0) < 0.02
+    assert doc["congruence_max"] < cli_module.CONGRUENCE_TOL
+    assert doc["classes"] == [] and doc["circle_coefficient_max"] < doc["tol_close"]
+
+
+def test_monodromy_circle_without_congruence_is_contradiction(cli, tmp_path, monkeypatch):
+    # the paper's compact-surface theorem: chi_N != 0 allows only finitely
+    # many noncongruent members, so CIRCLE with noncongruent members is refused
+    monkeypatch.setattr("s4min.monodromy._congruence_residual", lambda conn, theta: 1e-2)
+    code, out = cli("monodromy", "--catalog", "veronese", "--n", 64,
+                    "--scan", 64, "--out", tmp_path)
+    assert code == 3
+    assert len(out.strip().splitlines()) == 1
+    assert error_code(out) == "E_CONTRADICTION"
+    message = json.loads(out)["error"]["message"]
+    assert "chi_N = 4" in message and "congruence_max 1.000e-02" in message
+    assert not (tmp_path / "roots.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,23 @@ def test_derivative_linearity_random():
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(33, 64), (64, 33, 5, 5)])
+def test_periodic_stencils_match_rolled_expression(shape):
+    # oracle: the stencils written out with np.roll; the wrap-padded
+    # in-place accumulation must reproduce them bit for bit
+    rng = np.random.default_rng(5)
+    f = rng.standard_normal(shape)
+    for axis in (0, 1):
+        n = shape[axis]
+        patch = GridPatch(shape[0], shape[1], (0.0, TWO_PI), (0.0, TWO_PI), True, True)
+        h = TWO_PI / n
+        r = {k: np.roll(f, -k, axis=axis) for k in (-2, -1, 1, 2)}
+        d1 = (-r[2] + 8.0 * r[1] - 8.0 * r[-1] + r[-2]) / (12.0 * h)
+        d2 = (-r[2] + 16.0 * r[1] - 30.0 * f + 16.0 * r[-1] - r[-2]) / (12.0 * h * h)
+        assert diff(patch, f, axis).tobytes() == d1.tobytes()
+        assert diff(patch, f, axis, order=2).tobytes() == d2.tobytes()
+
+
 def test_vector_field_derivative_shape():
     patch = periodic_patch(16)
     u, v = patch.mesh()

@@ -100,10 +100,11 @@ def test_deck_group_abelian(clifford_profile):
 
 
 def test_profile_is_pi_periodic_exactly(clifford_profile):
-    # the half circle is marched once and tiled onto the full circle
+    # d is evaluated at theta mod pi/2, so it is exactly pi/2-periodic
     d = clifford_profile.d
-    half = len(d) // 2
-    assert np.array_equal(d[:half], d[half:])
+    assert len(d) == 720
+    for q in (1, 2, 3):
+        assert np.array_equal(d[:180], d[180 * q:180 * (q + 1)])
 
 
 @pytest.mark.parametrize("n_theta", [722, 101])
@@ -135,7 +136,23 @@ def test_refinement_is_batched(clifford_conn, monkeypatch):
 
     monkeypatch.setattr(s4min.monodromy, "march_frames", counted)
     scan_profile(clifford_conn[1], n_theta=720)
-    assert len(calls) <= 80
+    assert len(calls) <= 10
+
+
+def test_solve_marches_at_most_half_the_scan_angles(clifford_conn, monkeypatch):
+    # the sample doubling stops before it would march more angles per
+    # generator than the n_theta / 2 of a half-circle scan
+    marched = []
+    transport = s4min.monodromy.generator_monodromy
+
+    def counted(conn, path, theta):
+        marched.append(np.size(theta))
+        return transport(conn, path, theta)
+
+    monkeypatch.setattr(s4min.monodromy, "generator_monodromy", counted)
+    profile = scan_profile(clifford_conn[1], n_theta=64)
+    assert sum(marched) <= 2 * 32
+    assert profile.spectral_tail < 1e-14
 
 
 def test_constant_profile_has_no_candidates():
@@ -236,15 +253,15 @@ def test_batched_angles_match_single_angles(clifford_conn):
 
 
 def test_scan_monodromies_are_the_generator_loops(clifford_conn):
-    # the scan's M1 and M2 come from the one loop transport, batched over
-    # the half-circle angles the scan marches
+    # oracle: the one loop transport marched at every profile angle; with
+    # 90 angles all but theta = 0 and pi fall between the solve's samples,
+    # and half of them lie in the quarters reached through M -> P M P
     imm, conn = clifford_conn
-    profile = scan_profile(conn, n_theta=64, base=(37, 19))
-    half = profile.thetas[:32]
-    Mu = generator_monodromy(conn, u_generator(imm.patch, 19, 37), half)
-    Mv = generator_monodromy(conn, v_generator(imm.patch, 37, 19), half)
-    assert np.array_equal(profile.M1[:32], Mu)
-    assert np.array_equal(profile.M2[:32], Mv)
+    profile = scan_profile(conn, n_theta=90, base=(37, 19))
+    Mu = generator_monodromy(conn, u_generator(imm.patch, 19, 37), profile.thetas)
+    Mv = generator_monodromy(conn, v_generator(imm.patch, 37, 19), profile.thetas)
+    assert np.abs(profile.M1 - Mu).max() <= 1e-12
+    assert np.abs(profile.M2 - Mv).max() <= 1e-12
 
 
 def test_winding_two_loop_is_the_square(clifford_conn):
@@ -300,6 +317,22 @@ def test_sphere_distance_stays_below_tol(veronese_profile):
 def test_sphere_congruence_evidence(veronese_profile):
     assert veronese_profile.congruence_residuals is not None
     assert veronese_profile.congruence_residuals.max() < 1e-4
+    # members a quarter turn apart are congruent: four angles of [0, pi/2)
+    assert np.allclose(veronese_profile.congruence_thetas,
+                       [0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8])
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("surface", [veronese_sphere, geodesic_sphere])
+def test_circle_certificate(surface, n):
+    # CIRCLE: every non-constant Fourier coefficient of M - I is below
+    # the closing tolerance, and the samples resolve M to roundoff
+    imm, e1, e2, metric, nf, rep = shape_report(surface(n).immersion)
+    profile = scan_profile(connection_data(imm, e1, e2, nf, rep), n_theta=64)
+    assert profile.verdict == "CIRCLE"
+    assert profile.circle_coefficient_max < profile.tol_close
+    assert profile.spectral_tail < 1e-14
+    assert profile.roots == [] and profile.classes == []
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +351,8 @@ def test_report_fields(clifford_profile):
     rep = dichotomy_report(clifford_profile)
     assert rep["verdict"] == "FINITE"
     assert len(rep["roots"]) == 4
-    assert rep["fraction_below_tol"] < 0.9
+    assert rep["classes"] == [0.0]
+    assert rep["circle_coefficient_max"] > rep["tol_close"]
     assert rep["commutator_defect_max"] < 1e-7
     assert "basepoint_invariance" in rep
 
