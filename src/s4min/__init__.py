@@ -14,7 +14,6 @@ from .grid import (
     LoopPath,
     MetricField,
     diff,
-    hodge_star_oneform,
     integrate,
     laplace_beltrami,
     quadrature_weights,
@@ -51,21 +50,14 @@ from .catalog import (
 )
 from .adapted import (
     AdaptedFrameError,
-    AdaptedFrameField,
     HopfField,
-    SuperminimalPatch,
     SuperminimalityReport,
     ZeroOrder,
-    build_adapted_frame,
     circle_mask,
     circle_threshold,
-    connection_form_agreement,
-    connection_forms,
     find_zero_candidates,
-    frame_derivative_identity_residual,
     hopf_differential,
     superminimality_test,
-    synthetic_adapted_frame,
     winding_number,
     zero_orders,
 )

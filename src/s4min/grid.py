@@ -10,8 +10,6 @@ Conventions used throughout the package:
 * derivatives: 4th-order central stencils on periodic axes; on open axes
   4th-order central in the interior and 4th-order one-sided or offset
   stencils at the two rows on each end,
-* Hodge star on 1-forms against an oriented orthonormal coframe
-  (w1, w2):  *(a1 w1 + a2 w2) = -a2 w1 + a1 w2,
 * quadrature: rectangle rule on periodic axes (exact below Nyquist),
   midpoint rule over the closed interval on capped axes, composite
   Simpson on other open axes (3/8 tail when the interval count is odd),
@@ -227,11 +225,6 @@ def diff(patch: GridPatch, values: np.ndarray, axis: int, order: int = 1,
     raise GridError(f"order must be 1 or 2, got {order}")
 
 
-def hodge_star_oneform(a1: np.ndarray, a2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hodge star of a1*w1 + a2*w2 in an oriented orthonormal coframe: (-a2, a1)."""
-    return -np.asarray(a2), np.asarray(a1)
-
-
 # ---------------------------------------------------------------------------
 # metric
 
@@ -278,13 +271,6 @@ def frame_coefficients(metric: MetricField) -> tuple[np.ndarray, np.ndarray, np.
     c = np.sqrt(E / det)
     b = -F / np.sqrt(E * det)
     return a, b, c
-
-
-def oneform_frame_components(metric: MetricField, alpha_u: np.ndarray,
-                             alpha_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Components of a 1-form against the orthonormal coframe: (alpha(e1), alpha(e2))."""
-    a, b, c = frame_coefficients(metric)
-    return a * alpha_u, b * alpha_u + c * alpha_v
 
 
 def laplace_beltrami(patch: GridPatch, values: np.ndarray, metric: MetricField) -> np.ndarray:

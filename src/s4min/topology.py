@@ -28,23 +28,6 @@ from .adapted import find_zero_candidates, superminimality_test
 from .grid import GridPatch, MetricField, integrate, laplace_beltrami, diff
 from .surface import ShapeReport
 
-__all__ = [
-    "TopologyError",
-    "IntegerVerdict",
-    "ZeroCount",
-    "BalanceCheck",
-    "LaplaceIdentityCheck",
-    "RicciCheck",
-    "TopologyReport",
-    "euler_numbers",
-    "zero_count_excised",
-    "balance_residuals",
-    "laplace_identity_residual",
-    "ricci_condition_residual",
-    "synthetic_zero_field",
-    "topology_report",
-]
-
 # Excision radius for zero counting, in units of the larger grid spacing.
 # The integrand is log-singular at a zero; the flux contour must clear the
 # derivative stencil reach (5 nodes) around the singular node.
@@ -52,7 +35,7 @@ EXCISION_FACTOR = 6.0
 # A radius field whose maximum falls below this is treated as identically
 # zero: its zero set is not isolated points and no count is defined.
 IDENTICALLY_ZERO_FLOOR = 1e-10
-# Default relative cutoff 1 - K > floor for the 3-sphere curvature test.
+# The 3-sphere curvature test is evaluated where 1 - K exceeds this floor.
 RICCI_FLOOR = 1e-6
 
 
@@ -366,14 +349,12 @@ def laplace_identity_residual(
     report: ShapeReport,
     metric: MetricField,
     branch: str = "+",
-    floor: float | None = None,
 ) -> LaplaceIdentityCheck:
     """Residual of ``laplace(log a+) = 2K - K_N`` or ``laplace(log a-) = 2K + K_N``.
 
-    Evaluated only where the chosen radius exceeds ``floor`` (default one
-    tenth of its maximum); the identity holds off the zero set and the log
-    is singular on it.  Entries outside the floor are NaN in the returned
-    field.
+    Evaluated only where the chosen radius exceeds one tenth of its maximum;
+    the identity holds off the zero set and the log is singular on it.
+    Entries below that floor are NaN in the returned field.
     """
     if branch not in ("+", "-"):
         raise TopologyError(f"branch must be '+' or '-', got {branch!r}")
@@ -383,9 +364,8 @@ def laplace_identity_residual(
         residual = np.full(report.patch.shape, np.nan)
         empty = np.zeros(report.patch.shape, dtype=bool)
         return LaplaceIdentityCheck(branch, residual, empty, 0, None, float(a.max()))
-    if floor is None:
-        floor = 0.1 * float(a.max())
-    valid = a > max(floor, 0.0)
+    floor = 0.1 * float(a.max())
+    valid = a > floor
     n_valid = int(valid.sum())
     target = 2.0 * report.K - report.K_N if branch == "+" else 2.0 * report.K + report.K_N
     if n_valid == 0:
@@ -399,17 +379,15 @@ def laplace_identity_residual(
     return LaplaceIdentityCheck(branch, residual, valid, n_valid, max_res, float(floor))
 
 
-def ricci_condition_residual(
-    report: ShapeReport, metric: MetricField, floor: float = RICCI_FLOOR
-) -> RicciCheck:
-    """Max residual of ``laplace(log(1-K)) = 4K`` where ``1 - K > floor``.
+def ricci_condition_residual(report: ShapeReport, metric: MetricField) -> RicciCheck:
+    """Max residual of ``laplace(log(1-K)) = 4K`` where ``1 - K > RICCI_FLOOR``.
 
     The identity characterizes surfaces locally congruent to minimal
     surfaces of a totally geodesic 3-sphere.  ``1 - K`` identically zero
     (a totally geodesic 2-sphere) leaves nothing to evaluate.
     """
     w = 1.0 - report.K
-    valid = w > floor
+    valid = w > RICCI_FLOOR
     n_valid = int(valid.sum())
     if n_valid == 0:
         return RicciCheck(None, 0, True, "1 - K vanishes on the whole chart")
@@ -459,19 +437,13 @@ def synthetic_zero_field(patch: GridPatch, zeros, smooth=None):
 # assembled report
 
 
-def topology_report(
-    report: ShapeReport,
-    metric: MetricField,
-    zeros_plus=None,
-    zeros_minus=None,
-    radius: float | None = None,
-) -> TopologyReport:
+def topology_report(report: ShapeReport, metric: MetricField) -> TopologyReport:
     """Assemble Euler numbers, zero counts, and identity residuals.
 
-    Zero lists default to grid search with ``find_zero_candidates``; pass
-    explicit lists to override.  A radius field whose maximum is below
-    ``IDENTICALLY_ZERO_FLOOR`` has no isolated-zero count and its branch
-    entries are None; a superminimal surface skips the Euler/zero balance.
+    Zeros are located by grid search with ``find_zero_candidates``.  A
+    radius field whose maximum is below ``IDENTICALLY_ZERO_FLOOR`` has no
+    isolated-zero count and its branch entries are None; a superminimal
+    surface skips the Euler/zero balance.
     """
     patch = report.patch
     chi_m, chi_n = euler_numbers(report, metric)
@@ -480,16 +452,12 @@ def topology_report(
 
     counts: list[ZeroCount | None] = []
     checks: list[LaplaceIdentityCheck | None] = []
-    for a, given, branch in (
-        (report.a_plus, zeros_plus, "+"),
-        (report.a_minus, zeros_minus, "-"),
-    ):
+    for a, branch in ((report.a_plus, "+"), (report.a_minus, "-")):
         if float(a.max()) < IDENTICALLY_ZERO_FLOOR:
             counts.append(None)
             checks.append(None)
             continue
-        zero_list = find_zero_candidates(patch, a) if given is None else given
-        counts.append(zero_count_excised(patch, a, metric, zero_list, radius))
+        counts.append(zero_count_excised(patch, a, metric, find_zero_candidates(patch, a)))
         checks.append(laplace_identity_residual(report, metric, branch))
 
     balance = _balance(chi_m, chi_n, counts[0], counts[1], superminimal, sup.reason)

@@ -13,13 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from s4min.adapted import (
-    build_adapted_frame,
-    connection_form_agreement,
-    hopf_differential,
-    superminimality_test,
-    winding_number,
-)
+from s4min.adapted import hopf_differential, superminimality_test, winding_number
 from s4min.catalog import load_catalog
 from s4min.cli import main as cli_main
 from s4min.family import (
@@ -145,36 +139,7 @@ def test_radius_laplace_identity_and_falsification(clifford):
     assert laplace_identity_residual(flipped, metric_v, "+").max_residual > 1.0
 
 
-# 4. connection forms: curvature-ellipse formula vs independent values
-
-
-def test_connection_form_cross_check(clifford):
-    imm, e1, e2, metric, nf, rep = clifford
-    tol = 5.0 * max(imm.patch.hu, imm.patch.hv) ** 2
-    aff = build_adapted_frame(imm, e1, e2, metric, nf, rep)
-    agree = connection_form_agreement(aff)
-    assert agree["omega12"] < tol
-    assert agree["omega34"] < tol
-
-    # synthetic radii with hand-integrated closed forms on a flat chart:
-    # kappa1 = 2 + cos u, mu1 = 1/2 gives
-    #   omega34 = (sin u / 2) / (kappa1^2 - 1/4) dv
-    #   omega12 = kappa1 sin u / (2 (kappa1^2 - 1/4)) dv
-    from s4min.adapted import synthetic_adapted_frame
-
-    patch, flat = _flat_chart(N)
-    U, _ = patch.mesh()
-    kappa1 = 2.0 + np.cos(U)
-    mu1 = np.full(patch.shape, 0.5)
-    aff = synthetic_adapted_frame(patch, flat, kappa1, mu1)
-    den = kappa1**2 - 0.25
-    assert np.abs(aff.omega34_u).max() < tol
-    assert np.abs(aff.omega34_v - 0.5 * np.sin(U) / den).max() < tol
-    assert np.abs(aff.omega12_u).max() < tol
-    assert np.abs(aff.omega12_v - kappa1 * np.sin(U) / (2.0 * den)).max() < tol
-
-
-# 5. deformation family: flat connection, faithful reconstruction, isometry
+# 4. deformation family: flat connection, faithful reconstruction, isometry
 
 
 def test_family_flatness_reconstruction_isometry(clifford, clifford_conn):
@@ -197,7 +162,7 @@ def test_family_flatness_reconstruction_isometry(clifford, clifford_conn):
             assert math.sqrt(np.mean(gap**2)) < 1e-6
 
 
-# 6. closing-set dichotomy: four quarter-turn angles vs the full circle
+# 5. closing-set dichotomy: four quarter-turn angles vs the full circle
 
 
 def test_closing_set_dichotomy(clifford_conn, veronese_conn):
@@ -219,7 +184,7 @@ def test_closing_set_dichotomy(clifford_conn, veronese_conn):
     assert vp.congruence_residuals.max() < 1e-4
 
 
-# 7. global invariants: Euler numbers, curvature balance, zero counts
+# 6. global invariants: Euler numbers, curvature balance, zero counts
 
 
 def test_global_invariants_and_zero_counts(clifford, veronese):
@@ -256,7 +221,7 @@ def test_global_invariants_and_zero_counts(clifford, veronese):
         assert round(count.excised_integral) == total
 
 
-# 8. a seeded normal perturbation must fail verification, loudly
+# 7. a seeded normal perturbation must fail verification, loudly
 
 
 def test_perturbation_fails_verification(verify_runs, tmp_path):
@@ -274,7 +239,7 @@ def test_perturbation_fails_verification(verify_runs, tmp_path):
     assert items["flatness_theta0"]["value"] > 10.0 * base_flat["value"]
 
 
-# 9. identical configurations produce byte-identical reports
+# 8. identical configurations produce byte-identical reports
 
 
 def test_identical_runs_are_byte_identical(verify_runs):

@@ -191,6 +191,7 @@ def test_degenerate_manifest_is_source_error(cli, tmp_path, command):
     ("monodromy", "--scan", 64, "--tol-close", 0),
     ("monodromy", "--scan", 64, "--tol-close", "nan"),
     ("monodromy", "--scan", 64, "--tol-close", "inf"),
+    ("monodromy", "--scan", 65537),
 ], ids=lambda argv: " ".join(map(str, argv)))
 def test_nonfinite_or_nonpositive_value_is_config_error(cli, tmp_path, argv):
     command, *rest = argv
@@ -198,6 +199,20 @@ def test_nonfinite_or_nonpositive_value_is_config_error(cli, tmp_path, argv):
     assert code == 2
     assert len(out.strip().splitlines()) == 1
     assert error_code(out) == "E_CONFIG"
+
+
+@pytest.mark.parametrize("target", ["afile", "afile/sub"])
+@pytest.mark.parametrize("command", ["analyze", "deform", "monodromy", "verify"])
+def test_unwritable_out_is_config_error(cli, tmp_path, command, target):
+    # a plain file where the output directory (or one of its parents) goes
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / target
+    extra = ("--theta", 0.5) if command == "deform" else ()
+    code, text = cli(command, "--catalog", "clifford", "--n", 32, *extra, "--out", out)
+    assert code == 2
+    assert len(text.strip().splitlines()) == 1
+    assert error_code(text) == "E_CONFIG"
+    assert str(out) in text
 
 
 def test_scan_too_coarse(cli, tmp_path):

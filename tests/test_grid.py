@@ -1,4 +1,4 @@
-"""Grid calculus: stencils, Hodge star, Laplace-Beltrami, quadrature, paths."""
+"""Grid calculus: stencils, Laplace-Beltrami, quadrature, paths."""
 
 import math
 import numpy as np
@@ -11,7 +11,6 @@ from s4min.grid import (
     MetricField,
     concatenate_loops,
     diff,
-    hodge_star_oneform,
     integrate,
     laplace_beltrami,
     rectangle_loop,
@@ -109,24 +108,6 @@ def test_vector_field_derivative_shape():
     f = np.stack([np.sin(u), np.cos(v), u * 0.0], axis=-1)
     df = diff(patch, f, 0)
     assert df.shape == f.shape
-
-
-# ---------------------------------------------------------------------------
-# hodge star
-
-
-def test_hodge_star_squares_to_minus_identity():
-    rng = np.random.default_rng(5)
-    a1, a2 = rng.standard_normal((2, 9, 7))
-    b1, b2 = hodge_star_oneform(a1, a2)
-    c1, c2 = hodge_star_oneform(b1, b2)
-    assert np.array_equal(c1, -a1) and np.array_equal(c2, -a2)
-
-
-def test_hodge_star_orientation():
-    # *w1 = w2 in the stated convention
-    b1, b2 = hodge_star_oneform(np.ones(3), np.zeros(3))
-    assert np.all(b1 == 0) and np.all(b2 == 1)
 
 
 # ---------------------------------------------------------------------------
