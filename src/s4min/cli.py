@@ -209,8 +209,8 @@ def _out_dir(args) -> Path:
 
 
 def cmd_analyze(args) -> int:
-    out = _out_dir(args)
     imm, meta = _load_surface(args)
+    out = _out_dir(args)
     imm, e1, e2, metric, nf, rep = shape_report(imm)
     sup = superminimality_test(rep)
     hopf_abs = 0.25 * np.abs(np.conj(rep.H3) ** 2 + np.conj(rep.H4) ** 2)
@@ -261,8 +261,8 @@ def cmd_deform(args) -> int:
     if not math.isfinite(args.theta):
         raise CliError(EXIT_CONFIG, "E_CONFIG",
                        f"deformation angle must be finite, got {args.theta}")
-    out = _out_dir(args)
     imm, meta = _load_surface(args)
+    out = _out_dir(args)
     imm, e1, e2, metric, nf, rep = shape_report(imm)
     conn = connection_data(imm, e1, e2, nf, rep)
     mc = assemble_maurer_cartan(conn, args.theta)
@@ -300,7 +300,6 @@ def cmd_deform(args) -> int:
 
 
 def cmd_monodromy(args) -> int:
-    out = _out_dir(args)
     if args.scan < 64:
         raise CliError(
             EXIT_CONFIG, "E_SCAN_TOO_COARSE",
@@ -320,6 +319,7 @@ def cmd_monodromy(args) -> int:
             f"closing tolerance must be positive and finite, got {args.tol_close}",
         )
     imm, meta = _load_surface(args)
+    out = _out_dir(args)
     imm, e1, e2, metric, nf, rep = shape_report(imm)
     conn = connection_data(imm, e1, e2, nf, rep)
     profile = scan_profile(conn, n_theta=args.scan, tol_close=args.tol_close)
@@ -373,8 +373,8 @@ def _item(tag, value, tolerance, skipped=False, reason="", diagnostic=False):
 
 
 def cmd_verify(args) -> int:
-    out = _out_dir(args)
     imm, meta = _load_surface(args)
+    out = _out_dir(args)
     imm, e1, e2, metric, nf, rep = shape_report(imm)
     patch = rep.patch
     h = max(patch.hu, patch.hv)

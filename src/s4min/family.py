@@ -17,11 +17,13 @@ component, at fixed upper-triangle slots of the 5x5 block:
 
 Omega_theta stays packed too: its (nu, nv, 2, 8) entries are C0's four
 slots followed by cos(2 theta) C1 + sin(2 theta) C2.  Only this module
-knows the slot table.  _so5 scatters packed entries into antisymmetric
-5x5 blocks, and only where a matrix product needs them: once per line
-before march_frames steps along it, per axis for the commutator of
-flatness_residual and for frame_reconstruction_residual.  No whole-grid
-(nu, nv, 2, 5, 5) array is ever built.
+knows the slot table.  The structure equations are evaluated on the
+packed entries, one (nu, nv) plane per slot: flatness_residual takes
+the commutator from a product table derived from the slots, and
+frame_reconstruction_residual applies Omega to one frame row at a time.
+_so5 scatters packed entries into antisymmetric 5x5 blocks only for the
+matrix products of one march_frames step, so no whole-grid 5x5
+connection block is ever built.
 """
 
 from __future__ import annotations
@@ -93,6 +95,43 @@ _SLOTS = np.array([(0, 1), (0, 2), (1, 2), (3, 4),
                    (1, 3), (2, 3), (1, 4), (2, 4)]).T
 
 
+# packed index of each slot, and the ten upper-triangle entries of a 5x5 block
+_SLOT = {(int(i), int(j)): k for k, (i, j) in enumerate(_SLOTS.T)}
+_UPPER = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+
+
+def _bracket_table() -> list:
+    """Product terms of the commutator of two packed so(5) fields.
+
+    For each entry (i, j) of _UPPER, the pairs (p, q) of packed indices
+    with [A, B]_ij = sum over the pairs of a_p b_q - b_p a_q: one pair
+    per m for which (i, m) and (m, j) are both slots, its order chosen
+    to carry the sign of A_im B_mj.  19 pairs, 38 products in all.
+    """
+    def signed(i, j):  # A_ij = sign * a[index]; index None off the slots
+        return (1, _SLOT[i, j]) if (i, j) in _SLOT else (-1, _SLOT.get((j, i)))
+
+    table = []
+    for i, j in _UPPER:
+        terms = []
+        for m in range(5):
+            (s, p), (t, q) = signed(i, m), signed(m, j)
+            if p is not None and q is not None:
+                terms.append((p, q) if s * t > 0 else (q, p))
+        table.append(terms)
+    return table
+
+
+_BRACKET = _bracket_table()
+
+
+def _bracket(a: np.ndarray, b: np.ndarray):
+    """Upper-triangle entries of [A, B] for packed fields a, b of shape
+    (..., 8): one (...) array per entry of _UPPER, in that order."""
+    for terms in _BRACKET:
+        yield sum(a[..., p] * b[..., q] - b[..., p] * a[..., q] for p, q in terms)
+
+
 def _so5(entries: np.ndarray) -> np.ndarray:
     """Antisymmetric (..., 5, 5) blocks from (..., 8) packed entries."""
     out = np.zeros(entries.shape[:-1] + (5, 5))
@@ -148,28 +187,44 @@ def flatness_residual(mc: MaurerCartanField) -> np.ndarray:
     Computes || d_u Omega_v - d_v Omega_u - [Omega_u, Omega_v] ||_F, which
     vanishes identically for the connection of a minimal immersion; the
     discrete value measures stencil truncation plus any violation of the
-    Gauss-Codazzi-Ricci system.  The exterior derivative is taken on the
-    packed entries; only the commutator needs 5x5 blocks.
+    Gauss-Codazzi-Ricci system.  Everything stays packed: the exterior
+    derivative is taken on the packed entries and the commutator one
+    upper-triangle entry at a time, so the antisymmetric defect's norm is
+    sqrt(2 sum of its ten upper entries squared).
     """
     d_omega = diff(mc.patch, mc.forms[:, :, 1], 0) - diff(mc.patch, mc.forms[:, :, 0], 1)
-    Wu = _so5(mc.forms[:, :, 0])
-    Wv = _so5(mc.forms[:, :, 1])
-    bracket = Wu @ Wv
-    bracket -= Wv @ Wu
-    del Wu, Wv  # so that R and the norm's temporary do not raise the peak
-    R = _so5(d_omega)
-    R -= bracket
-    return np.linalg.norm(R, axis=(-2, -1))
+    total = np.zeros(d_omega.shape[:-1])
+    for (i, j), defect in zip(_UPPER, _bracket(mc.forms[:, :, 0], mc.forms[:, :, 1])):
+        if (i, j) in _SLOT:
+            defect -= d_omega[..., _SLOT[i, j]]
+        total += defect * defect
+    total *= 2.0
+    return np.sqrt(total)
 
 
 def frame_reconstruction_residual(conn: ConnectionData) -> float:
     """max |d_X F - Omega_0(X) F| over the grid: Omega at theta = 0 must
-    reproduce the finite-difference derivatives of the original frame."""
+    reproduce the finite-difference derivatives of the original frame.
+
+    Works one axis and one frame row at a time, on contiguous (nu, nv)
+    planes: row r of Omega F gains omega F_j for each slot (r, j) and
+    loses omega F_i for each slot (i, r).
+    """
     forms = assemble_maurer_cartan(conn, 0.0).forms
+    rows = np.moveaxis(conn.frames, (2, 3), (0, 1)).copy()  # rows[r, c]: one plane
     worst = 0.0
     for axis in (0, 1):
-        d = diff(conn.patch, conn.frames, axis) - _so5(forms[:, :, axis]) @ conn.frames
-        worst = max(worst, float(np.linalg.norm(d, axis=(-2, -1)).max()))
+        omega = np.moveaxis(forms[:, :, axis], -1, 0).copy()  # (8, nu, nv)
+        total = np.zeros(conn.frames.shape[:2])
+        for r, row in enumerate(rows):
+            d = np.stack([diff(conn.patch, plane, axis) for plane in row])
+            for (i, j), k in _SLOT.items():
+                if i == r:
+                    d -= omega[k] * rows[j]
+                elif j == r:
+                    d += omega[k] * rows[i]
+            total += np.einsum("cuv,cuv->uv", d, d)
+        worst = max(worst, float(np.sqrt(total.max())))
     return worst
 
 
@@ -240,23 +295,21 @@ def march_frames(omega_line: np.ndarray, h: float, seeds: np.ndarray,
     MaurerCartanField.forms) at the grid points of the line; seeds:
     (..., 5, 5) start frames (rows are frame vectors).  RK4 with
     cubic-interpolated midpoints, orthogonality restored every step; the
-    midpoints are interpolated on the packed entries, and samples and
-    midpoints are assembled into 5x5 blocks once, before the first step.
-    Returns (steps + 1, ..., 5, 5) frames at the sample points; when
-    periodic the final entry is the transport over the full period (seam
-    mismatch = holonomy, kept explicit).
+    midpoints are interpolated on the packed entries, and each step
+    assembles only its own three 5x5 blocks.  Returns (steps + 1, ...,
+    5, 5) frames at the sample points; when periodic the final entry is
+    the transport over the full period (seam mismatch = holonomy, kept
+    explicit).
     """
     n = omega_line.shape[0]
-    mids = _so5(cubic_line_midpoints(omega_line, periodic))
-    line = _so5(omega_line)
+    mids = cubic_line_midpoints(omega_line, periodic)
     steps = n if periodic else n - 1
     out = np.empty((steps + 1,) + seeds.shape)
     F = seeds
     out[0] = F
+    A1 = _so5(omega_line[0])
     for k in range(steps):
-        A0 = line[k]
-        Am = mids[k]
-        A1 = line[(k + 1) % n]
+        A0, Am, A1 = A1, _so5(mids[k]), _so5(omega_line[(k + 1) % n])
         k1 = A0 @ F
         k2 = Am @ (F + (0.5 * h) * k1)
         k3 = Am @ (F + (0.5 * h) * k2)
@@ -334,8 +387,11 @@ def integrate_frame(mc: MaurerCartanField, seed_frame: np.ndarray,
     if seed.shape != (5, 5):
         raise FamilyError(f"seed frame must be 5x5, got {seed.shape}")
     F_rc = sweep_frames(mc, seed, "uv")
-    F_cr = sweep_frames(mc, seed, "vu")
-    path_dep = float(np.linalg.norm(F_rc - F_cr, axis=(-2, -1)).max())
+    D = sweep_frames(mc, seed, "vu")  # becomes the squared discrepancy in place
+    D -= F_rc
+    D *= D
+    path_dep = float(np.sqrt(np.add.reduce(D, axis=(-2, -1))).max())
+    del D
     if path_dep > tol_path:
         flat = float(flatness_residual(mc).max())
         raise IntegrabilityBroken(

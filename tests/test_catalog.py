@@ -8,6 +8,9 @@ import pytest
 
 from s4min.catalog import (
     CatalogError,
+    _sphere_chart,
+    _unit_sphere_jets,
+    _veronese_maps,
     catalog_names,
     clifford_torus,
     geodesic_sphere,
@@ -45,6 +48,24 @@ def test_veronese_lies_on_unit_sphere_exactly():
     ent = veronese_sphere(64)
     norms = np.linalg.norm(ent.immersion.position, axis=2)
     assert np.abs(norms - 1.0).max() < 1e-14
+
+
+@pytest.mark.parametrize("n", [32, 256])
+def test_veronese_jets_match_einsum_oracle(n):
+    # the quadric and its jets, x . A_k y, as a 3-operand einsum
+    patch = _sphere_chart(n)
+    w, wt, wp, wtt, wtp, wpp = _unit_sphere_jets(*patch.mesh())
+    A = _veronese_maps()
+
+    def quad(x, y):
+        return np.einsum("uvp,kpq,uvq->uvk", x, A, y)
+
+    imm = veronese_sphere(n).immersion
+    assert np.array_equal(imm.position, quad(w, w))
+    assert np.array_equal(imm.jet1, np.stack([2.0 * quad(wt, w), 2.0 * quad(wp, w)], axis=2))
+    assert np.array_equal(imm.jet2, np.stack([2.0 * (quad(wt, wt) + quad(wtt, w)),
+                                              2.0 * (quad(wt, wp) + quad(wtp, w)),
+                                              2.0 * (quad(wp, wp) + quad(wpp, w))], axis=2))
 
 
 def test_veronese_area_converges_at_second_order():

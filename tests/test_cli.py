@@ -215,6 +215,22 @@ def test_unwritable_out_is_config_error(cli, tmp_path, command, target):
     assert str(out) in text
 
 
+@pytest.mark.parametrize("argv", [
+    ("monodromy", "--catalog", "clifford", "--n", 32, "--scan", 32),
+    ("monodromy", "--catalog", "clifford", "--n", 32, "--scan", 65537),
+    ("verify", "--catalog", "nosuch"),
+    ("analyze", "--catalog", "clifford", "--n", 48),
+    ("deform", "--catalog", "clifford", "--n", 32, "--theta", "nan"),
+    ("verify", "--catalog", "clifford", "--n", 32, "--perturb", 1e-3, "--seed", -1),
+], ids=lambda argv: " ".join(map(str, argv)))
+def test_refused_run_leaves_no_output_directory(cli, tmp_path, argv):
+    out = tmp_path / "ok"
+    code, text = cli(*argv, "--out", out)
+    assert code == 2
+    assert len(text.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_scan_too_coarse(cli, tmp_path):
     code, out = cli("monodromy", "--catalog", "clifford", "--n", 64,
                     "--scan", 8, "--out", tmp_path)
