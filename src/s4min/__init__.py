@@ -38,7 +38,6 @@ from .surface import (
 from .catalog import (
     CatalogEntry,
     CatalogError,
-    IngestReport,
     catalog_names,
     clifford_torus,
     geodesic_sphere,
@@ -50,12 +49,12 @@ from .catalog import (
 )
 from .adapted import (
     AdaptedFrameError,
-    HopfField,
     SuperminimalityReport,
     ZeroOrder,
     circle_mask,
     circle_threshold,
     find_zero_candidates,
+    hopf_coefficient,
     hopf_differential,
     superminimality_test,
     winding_number,
@@ -88,7 +87,6 @@ from .monodromy import (
 from .topology import (
     BalanceCheck,
     IntegerVerdict,
-    LaplaceIdentityCheck,
     RicciCheck,
     TopologyError,
     TopologyReport,

@@ -81,10 +81,7 @@ def _clusters(mask: np.ndarray, periodic_u: bool, periodic_v: bool) -> list[list
 @dataclass
 class SuperminimalityReport:
     verdict: str  # "superminimal" | "isolated-circle-points" | "generic"
-    max_quarter_product: float  # max of a_plus * a_minus / 4 (= |Hopf coefficient|)
-    max_norm_B2: float
     circle_point_count: int
-    cluster_count: int
     reason: str
 
 
@@ -96,44 +93,20 @@ def superminimality_test(report: ShapeReport) -> SuperminimalityReport:
     mask = circle_mask(report)
     n_pts = int(mask.sum())
     if max_b < 1e-12:
-        return SuperminimalityReport("superminimal", max_q, max_b, n_pts,
-                                     1 if n_pts else 0, "second fundamental form vanishes")
+        return SuperminimalityReport("superminimal", n_pts, "second fundamental form vanishes")
     if max_q < EPS_SUPERMINIMAL * max_b:
-        return SuperminimalityReport("superminimal", max_q, max_b, n_pts,
-                                     1 if n_pts else 0,
-                                     "ellipse is a circle at every point")
-    clusters = len(_clusters(mask, report.patch.periodic_u, report.patch.periodic_v))
+        return SuperminimalityReport("superminimal", n_pts, "ellipse is a circle at every point")
     if n_pts:
-        frac = n_pts / mask.size
-        if frac < 0.05:
-            return SuperminimalityReport("isolated-circle-points", max_q, max_b,
-                                         n_pts, clusters,
+        if n_pts / mask.size < 0.05:
+            clusters = len(_clusters(mask, report.patch.periodic_u, report.patch.periodic_v))
+            return SuperminimalityReport("isolated-circle-points", n_pts,
                                          f"{clusters} isolated circle cluster(s)")
-        return SuperminimalityReport("generic", max_q, max_b, n_pts, clusters,
-                                     "large circle locus; treating as generic")
-    return SuperminimalityReport("generic", max_q, max_b, 0, 0, "no circle points")
+        return SuperminimalityReport("generic", n_pts, "large circle locus; treating as generic")
+    return SuperminimalityReport("generic", 0, "no circle points")
 
 
 # ---------------------------------------------------------------------------
 # Hopf field
-
-
-@dataclass
-class HopfField:
-    """Quartic-differential coefficient and its holomorphy residual.
-
-    phi_coeff = (conj(H3)^2 + conj(H4)^2)/4 against the orthonormal
-    coframe; |phi_coeff| = a_plus * a_minus / 4 in any gauge.  On an
-    isothermal chart holo_residual is the Cauchy-Riemann residual
-    |d(coefficient)/d z-bar| of the chart coefficient; identically-zero
-    coefficients (circle everywhere) are certified by a gradient bound
-    instead.
-    """
-
-    patch: GridPatch
-    phi_coeff: np.ndarray
-    holo_residual: np.ndarray
-    chart: str  # "isothermal" | "degenerate-zero"
 
 
 ISOTHERMAL_RTOL = 1e-8
@@ -145,25 +118,36 @@ def _is_isothermal(metric: MetricField) -> bool:
             and np.abs(metric.F).max() < ISOTHERMAL_RTOL * scale)
 
 
-def hopf_differential(report: ShapeReport, metric: MetricField) -> HopfField:
-    """Coefficient of the quartic differential and its holomorphy check."""
+def hopf_coefficient(report: ShapeReport) -> np.ndarray:
+    """Quartic-differential coefficient (conj(H3)^2 + conj(H4)^2)/4 against
+    the orthonormal coframe; its modulus a_plus * a_minus / 4 is gauge
+    invariant."""
+    return 0.25 * (np.conj(report.H3) ** 2 + np.conj(report.H4) ** 2)
+
+
+def hopf_differential(report: ShapeReport, metric: MetricField) -> np.ndarray:
+    """Holomorphy residual of the quartic differential's coefficient.
+
+    On an isothermal chart this is the Cauchy-Riemann residual
+    |d(coefficient)/d z-bar| of the chart coefficient; an identically-zero
+    coefficient (circle everywhere) is certified by a gradient bound
+    instead, in any chart.
+    """
     patch = report.patch
-    phi = 0.25 * (np.conj(report.H3) ** 2 + np.conj(report.H4) ** 2)
+    phi = hopf_coefficient(report)
 
     if _is_isothermal(metric):
         lam4 = metric.E**2  # conformal factor^2 squared: |dz|^2 coefficient
         c = lam4 * phi
         cu = diff(patch, c, 0)
         cv = diff(patch, c, 1)
-        holo = 0.5 * np.abs(cu + 1j * cv)
-        return HopfField(patch, phi, holo, "isothermal")
+        return 0.5 * np.abs(cu + 1j * cv)
 
     scale = float(np.abs(phi).max())
     if scale < 1e-10 * max(float(report.norm_B2.max()), 1e-30) or scale < 1e-14:
         # coefficient vanishes identically: holomorphic in any chart; certify
         # flatness of the zero field directly
-        holo = np.abs(diff(patch, phi, 0)) + np.abs(diff(patch, phi, 1))
-        return HopfField(patch, phi, holo, "degenerate-zero")
+        return np.abs(diff(patch, phi, 0)) + np.abs(diff(patch, phi, 1))
 
     raise AdaptedFrameError(
         "chart is not isothermal and the coefficient does not vanish; "

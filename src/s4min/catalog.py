@@ -18,8 +18,9 @@ Manifest format for externally sampled surfaces: a JSON file
 
 with raw little-endian float64 arrays of shape (nu, nv, 5), (nu, nv, 2, 5)
 and (nu, nv, 3, 5) in C order, paths relative to the manifest.  On ingest
-the position is renormalized onto the sphere: drift up to 1e-9 is silent,
-drift in (1e-9, 1e-6] is flagged, larger drift is rejected.
+the position is renormalized onto the sphere when |position| drifts from 1
+by more than 1e-12, and rejected above 1e-6; the drift before
+renormalization is returned, and reported by the CLI, as ``norm_drift``.
 """
 
 from __future__ import annotations
@@ -279,7 +280,6 @@ def perturb_immersion(imm: ImmersionField, amplitude: float, seed: int) -> Immer
 # ---------------------------------------------------------------------------
 # sampled-immersion manifests
 
-DRIFT_SILENT = 1e-9
 DRIFT_REJECT = 1e-6
 
 
@@ -315,14 +315,6 @@ def write_manifest(imm: ImmersionField, directory, include_jets: bool = True) ->
     return path
 
 
-@dataclass
-class IngestReport:
-    immersion: ImmersionField
-    norm_drift: float
-    renormalized: bool
-    jets_provided: bool
-
-
 def _read_array(base: Path, rel: str, shape: tuple, what: str) -> np.ndarray:
     path = (base / rel).resolve()
     if not path.is_file():
@@ -337,8 +329,12 @@ def _read_array(base: Path, rel: str, shape: tuple, what: str) -> np.ndarray:
     return data.reshape(shape).astype(float)
 
 
-def read_manifest(path) -> IngestReport:
-    """Load and validate a sampled immersion; fill missing jets by stencils."""
+def read_manifest(path) -> tuple[ImmersionField, float]:
+    """Load and validate a sampled immersion; fill missing jets by stencils.
+
+    Returns the immersion and the drift of its position norms from 1
+    before renormalization.
+    """
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -381,4 +377,4 @@ def read_manifest(path) -> IngestReport:
     else:
         imm = ImmersionField(patch, pos).with_jets()
 
-    return IngestReport(imm, drift, drift > DRIFT_SILENT, jets is not None)
+    return imm, drift

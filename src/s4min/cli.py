@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapted import AdaptedFrameError, hopf_differential, superminimality_test
+from .adapted import AdaptedFrameError, hopf_coefficient, hopf_differential, superminimality_test
 from .catalog import (
     CatalogError,
     catalog_names,
@@ -164,14 +164,13 @@ def _load_surface(args) -> tuple[ImmersionField, dict]:
         if not path.is_file():
             raise CliError(EXIT_CONFIG, "E_SOURCE", f"manifest not found: {path}")
         try:
-            ingest = read_manifest(path)
+            imm, drift = read_manifest(path)
         except CatalogError as exc:
             raise CliError(EXIT_CONFIG, "E_SOURCE", str(exc)) from exc
-        imm = ingest.immersion
         meta = {
             "source": f"manifest:{path.name}",
             "n": [imm.patch.nu, imm.patch.nv],
-            "norm_drift": ingest.norm_drift,
+            "norm_drift": drift,
         }
     if args.jets == "fd" and imm.jet_source != "fd":
         imm = ImmersionField(imm.patch, imm.position).with_jets()
@@ -213,9 +212,9 @@ def cmd_analyze(args) -> int:
     out = _out_dir(args)
     imm, e1, e2, metric, nf, rep = shape_report(imm)
     sup = superminimality_test(rep)
-    hopf_abs = 0.25 * np.abs(np.conj(rep.H3) ** 2 + np.conj(rep.H4) ** 2)
+    hopf_abs = np.abs(hopf_coefficient(rep))
     try:
-        holo_max = float(hopf_differential(rep, metric).holo_residual.max())
+        holo_max = float(hopf_differential(rep, metric).max())
     except AdaptedFrameError:
         holo_max = None
 
@@ -385,30 +384,30 @@ def cmd_verify(args) -> int:
     items.append(_item("unit_norm_drift", drift, 1e-9))
     items.append(_item("minimality_max", float(rep.minimality.max()), 1e-5))
 
-    hopf_abs = 0.25 * np.abs(np.conj(rep.H3) ** 2 + np.conj(rep.H4) ** 2)
+    hopf_abs = np.abs(hopf_coefficient(rep))
     product_gap = float(np.abs(4.0 * hopf_abs - rep.a_plus * rep.a_minus).max())
     items.append(_item("ellipse_radius_product", product_gap, 1e-9))
 
     try:
-        holo = float(hopf_differential(rep, metric).holo_residual.max())
+        holo = float(hopf_differential(rep, metric).max())
         items.append(_item("hopf_holomorphy", holo, tol_h2))
     except AdaptedFrameError as exc:
         items.append(_item("hopf_holomorphy", None, None, skipped=True, reason=str(exc)))
 
     for branch, tag in (("+", "laplace_log_plus"), ("-", "laplace_log_minus")):
-        check = laplace_identity_residual(rep, metric, branch)
-        if check.max_residual is None:
+        residual = laplace_identity_residual(rep, metric, branch)
+        if residual is None:
             items.append(_item(tag, None, None, skipped=True,
                                reason="radius field vanishes identically"))
         else:
-            items.append(_item(tag, check.max_residual, tol_h2))
+            items.append(_item(tag, residual, tol_h2))
 
     conn = connection_data(imm, e1, e2, nf, rep)
     mc0 = assemble_maurer_cartan(conn, 0.0)
     flat0 = float(flatness_residual(mc0).max())
     items.append(_item("flatness_theta0", flat0, max(1e-9, tol_h2)))
     items.append(_item("reconstruction_theta0",
-                       frame_reconstruction_residual(conn), max(1e-9, tol_h2)))
+                       frame_reconstruction_residual(conn, mc0), max(1e-9, tol_h2)))
     dp = integrate_frame(mc0, conn.frames[0, 0], tol_path=math.inf)
     items.append(_item("frame_path_dependence", dp.path_dependence, PATH_DEPENDENCE_TOL))
 

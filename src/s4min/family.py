@@ -20,7 +20,8 @@ slots followed by cos(2 theta) C1 + sin(2 theta) C2.  Only this module
 knows the slot table.  The structure equations are evaluated on the
 packed entries, one (nu, nv) plane per slot: flatness_residual takes
 the commutator from a product table derived from the slots, and
-frame_reconstruction_residual applies Omega to one frame row at a time.
+frame_reconstruction_residual applies the Omega_0 its caller already
+assembled to one frame row at a time.
 _so5 scatters packed entries into antisymmetric 5x5 blocks only for the
 matrix products of one march_frames step, so no whole-grid 5x5
 connection block is ever built.
@@ -86,7 +87,6 @@ class MaurerCartanField:
     """
 
     patch: GridPatch
-    theta: float
     forms: np.ndarray
 
 
@@ -176,9 +176,8 @@ def connection_data(imm: ImmersionField, e1: np.ndarray, e2: np.ndarray,
 
 def assemble_maurer_cartan(conn: ConnectionData, theta: float) -> MaurerCartanField:
     """Packed Omega_theta = C0 + cos(2 theta) C1 + sin(2 theta) C2."""
-    th = float(theta)
-    rotating = math.cos(2.0 * th) * conn.C1 + math.sin(2.0 * th) * conn.C2
-    return MaurerCartanField(conn.patch, th, np.concatenate([conn.C0, rotating], axis=-1))
+    rotating = math.cos(2.0 * theta) * conn.C1 + math.sin(2.0 * theta) * conn.C2
+    return MaurerCartanField(conn.patch, np.concatenate([conn.C0, rotating], axis=-1))
 
 
 def flatness_residual(mc: MaurerCartanField) -> np.ndarray:
@@ -202,19 +201,19 @@ def flatness_residual(mc: MaurerCartanField) -> np.ndarray:
     return np.sqrt(total)
 
 
-def frame_reconstruction_residual(conn: ConnectionData) -> float:
-    """max |d_X F - Omega_0(X) F| over the grid: Omega at theta = 0 must
-    reproduce the finite-difference derivatives of the original frame.
+def frame_reconstruction_residual(conn: ConnectionData, mc0: MaurerCartanField) -> float:
+    """max |d_X F - Omega_0(X) F| over the grid: mc0, Omega at theta = 0
+    as assembled from conn, must reproduce the finite-difference
+    derivatives of the original frame.
 
     Works one axis and one frame row at a time, on contiguous (nu, nv)
     planes: row r of Omega F gains omega F_j for each slot (r, j) and
     loses omega F_i for each slot (i, r).
     """
-    forms = assemble_maurer_cartan(conn, 0.0).forms
     rows = np.moveaxis(conn.frames, (2, 3), (0, 1)).copy()  # rows[r, c]: one plane
     worst = 0.0
     for axis in (0, 1):
-        omega = np.moveaxis(forms[:, :, axis], -1, 0).copy()  # (8, nu, nv)
+        omega = np.moveaxis(mc0.forms[:, :, axis], -1, 0).copy()  # (8, nu, nv)
         total = np.zeros(conn.frames.shape[:2])
         for r, row in enumerate(rows):
             d = np.stack([diff(conn.patch, plane, axis) for plane in row])
@@ -329,7 +328,6 @@ class DeformedPatch:
     than hiding it.  position_theta is the first frame row.
     """
 
-    theta: float
     patch: GridPatch  # source patch (periodicity flags refer to this)
     frame: np.ndarray  # (nu + pu, nv + pv, 5, 5)
     position_theta: np.ndarray  # (nu + pu, nv + pv, 5)
@@ -399,7 +397,7 @@ def integrate_frame(mc: MaurerCartanField, seed_frame: np.ndarray,
             f"> {tol_path:.1e}, flatness residual {flat:.3e}): "
             "the input is not minimal to working accuracy or the grid is "
             "too coarse")
-    return DeformedPatch(mc.theta, mc.patch, F_rc, F_rc[..., 0, :], path_dep)
+    return DeformedPatch(mc.patch, F_rc, F_rc[..., 0, :], path_dep)
 
 
 def deformed_immersion(dp: DeformedPatch) -> ImmersionField:

@@ -200,19 +200,12 @@ def _diff2_open(f: np.ndarray, h: float, axis: int) -> np.ndarray:
     return out
 
 
-def diff(patch: GridPatch, values: np.ndarray, axis: int, order: int = 1,
-         periodic: bool | None = None) -> np.ndarray:
-    """Partial derivative along a grid axis (0 = u, 1 = v).
-
-    ``periodic`` overrides the patch flag; pass False to difference a
-    field that is not continuous across the seam (e.g. a frame gauge
-    with holonomy), which falls back to one-sided stencils there.
-    """
+def diff(patch: GridPatch, values: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
+    """Partial derivative along a grid axis (0 = u, 1 = v)."""
     if axis not in (0, 1):
         raise GridError(f"axis must be 0 or 1, got {axis}")
     h = patch.hu if axis == 0 else patch.hv
-    if periodic is None:
-        periodic = patch.periodic_u if axis == 0 else patch.periodic_v
+    periodic = patch.periodic_u if axis == 0 else patch.periodic_v
     values = np.asarray(values)
     if not np.issubdtype(values.dtype, np.inexact):
         values = values.astype(float)
@@ -284,12 +277,11 @@ def laplace_beltrami(patch: GridPatch, values: np.ndarray, metric: MetricField) 
 
 
 def _simpson_weights(n: int, h: float) -> np.ndarray:
-    """Composite Simpson weights for n points spaced h (3/8 tail if needed)."""
-    if n < 4:
-        # trapezoid fallback, only ever hit by tiny test grids
-        w = np.full(n, h)
-        w[0] = w[-1] = h / 2.0
-        return w
+    """Composite Simpson weights for n >= 5 points spaced h (3/8 tail if needed).
+
+    GridPatch holds at least 8 points per axis, and the 3/8 split
+    recurses on n - 3 >= 5 points.
+    """
     w = np.zeros(n)
     intervals = n - 1
     if intervals % 2 == 0:

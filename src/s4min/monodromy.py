@@ -40,6 +40,8 @@ from .grid import LoopPath, u_generator, v_generator
 FLATNESS_CEILING = 1e-3
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 QUARTER = 0.5 * math.pi
+# angles of [0, pi/2) at which a CIRCLE verdict is checked for congruence
+CONGRUENCE_SAMPLES = 4
 
 
 class MonodromyError(ValueError):
@@ -114,8 +116,6 @@ class MonodromyProfile:
     """Identity-distance profile of the deck monodromy over the angle circle."""
 
     thetas: np.ndarray
-    M1: np.ndarray
-    M2: np.ndarray | None
     d: np.ndarray
     commutator_defect: np.ndarray | None
     roots: list[float]
@@ -168,8 +168,7 @@ def _interpolate(coef: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 def scan_profile(conn: ConnectionData, n_theta: int = 256,
                  tol_close: float | None = None,
-                 base: tuple[int, int] = (0, 0),
-                 congruence_samples: int = 4) -> MonodromyProfile:
+                 base: tuple[int, int] = (0, 0)) -> MonodromyProfile:
     """Monodromy profile d(theta) from a spectral solve on the quarter circle.
 
     Omega_(theta + pi/2) = D Omega_theta D with D = diag(1, 1, 1, -1, -1),
@@ -182,17 +181,17 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256,
     N/2 <= |k| <= N) is below max(1e-3 d(0), 1e-14), or until one more
     doubling would march more than n_theta / 2 angles.
 
-    M1, M2, d and the commutator defect are the interpolant at n_theta
-    uniform angles of [0, 2pi), taken at theta mod pi/2 (and conjugated
-    by P on odd quarters), so d is exactly pi/2-periodic.  The verdict
-    is CIRCLE when ``circle_coefficient_max``, the largest coefficient
-    with k != 0, is below tol_close; else FINITE, and every local
-    minimum of d at the profile angles mod pi/2 is refined together by
+    d and the commutator defect come from the interpolant at n_theta
+    uniform angles of [0, 2pi), taken at theta mod pi/2: both are
+    invariant under conjugation by P, so d is exactly pi/2-periodic.
+    The verdict is CIRCLE when ``circle_coefficient_max``, the largest
+    coefficient with k != 0, is below tol_close; else FINITE, and every
+    local minimum of d at the profile angles mod pi/2 is refined together by
     golden-section search on the interpolant to width 1e-8.  A refined
     d < tol_close is a closing class in [0, pi/2) (within 1e-7 of 0 or
     pi/2 it is exactly 0); ``roots`` holds the classes and their three
     quarter-turn images.  CIRCLE gets congruence residuals at
-    ``congruence_samples`` angles of [0, pi/2).
+    CONGRUENCE_SAMPLES angles of [0, pi/2).
 
     tol_close defaults to max(1e-6, 10 * flatness, 10 * d(0)): theta = 0
     closes by construction, so d(0) is the error floor of the identity
@@ -244,8 +243,6 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256,
     grid = QUARTER * steps / n_theta
     Mq = [_interpolate(c, grid) for c in coefs]
     dq = distance(Mq)
-    odd_quarter = ((4 * np.arange(n_theta) // n_theta) % 2 == 1)[:, None, None]
-    Ms = [np.where(odd_quarter, P @ M[fold] @ P, M[fold]) for M in Mq]
     defect = None
     if len(Mq) == 2:
         A, B = Mq
@@ -270,12 +267,11 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256,
     roots = sorted(t + q * QUARTER for t in classes for q in range(4))
 
     ct = cr = None
-    if verdict == "CIRCLE" and congruence_samples > 0:
-        ct = np.linspace(0.0, QUARTER, congruence_samples, endpoint=False)
+    if verdict == "CIRCLE":
+        ct = np.linspace(0.0, QUARTER, CONGRUENCE_SAMPLES, endpoint=False)
         cr = np.array([_congruence_residual(conn, float(t)) for t in ct])
-    return MonodromyProfile(thetas, Ms[0], Ms[1] if len(Ms) == 2 else None,
-                            dq[fold], defect, roots, classes, verdict, tol_close,
-                            flat0, circle_max, tail, ct, cr, tuple(gens))
+    return MonodromyProfile(thetas, dq[fold], defect, roots, classes, verdict,
+                            tol_close, flat0, circle_max, tail, ct, cr, tuple(gens))
 
 
 def _congruence_residual(conn: ConnectionData, theta: float) -> float:

@@ -129,7 +129,6 @@ class NormalFrameField:
     patch: GridPatch
     e3: np.ndarray
     e4: np.ndarray
-    orientation: int = 1
     seam_u: float = 0.0
     seam_v: float = 0.0
 
@@ -223,7 +222,6 @@ def normal_frame(imm: ImmersionField, e1: np.ndarray, e2: np.ndarray) -> NormalF
     s3, s4 = _seed_normal_basis(f[0, 0], e1[0, 0], e2[0, 0])
     # ambient orientation convention: det[e1 e2 e3 e4 f] > 0
     M = np.stack([e1[0, 0], e2[0, 0], s3, s4, f[0, 0]], axis=1)
-    orientation = 1
     if np.linalg.det(M) < 0:
         s4 = -s4
     e3[0, 0], e4[0, 0] = s3, s4
@@ -255,19 +253,18 @@ def normal_frame(imm: ImmersionField, e1: np.ndarray, e2: np.ndarray) -> NormalF
         turns = 2.0 * np.pi * np.round(np.median(delta) / (2.0 * np.pi))
         e3, e4 = _rotate_pair(e3, e4, -(delta - turns)[:, None] * (np.arange(nv) / nv)[None, :])
 
-    return NormalFrameField(patch, e3, e4, orientation, seam_u, seam_v)
+    return NormalFrameField(patch, e3, e4, seam_u, seam_v)
 
 
 def rotate_normal_frame(nf: NormalFrameField, angle) -> NormalFrameField:
     """Rotate (e3, e4) by a constant or per-point angle; orientation kept."""
     ang = np.broadcast_to(np.asarray(angle, dtype=float), nf.patch.shape)
     e3, e4 = _rotate_pair(nf.e3, nf.e4, ang)
-    return NormalFrameField(nf.patch, e3, e4, nf.orientation, nf.seam_u, nf.seam_v)
+    return NormalFrameField(nf.patch, e3, e4, nf.seam_u, nf.seam_v)
 
 
 def flip_normal_orientation(nf: NormalFrameField) -> NormalFrameField:
-    return NormalFrameField(nf.patch, nf.e3.copy(), -nf.e4, -nf.orientation,
-                            nf.seam_u, nf.seam_v)
+    return NormalFrameField(nf.patch, nf.e3.copy(), -nf.e4, nf.seam_u, nf.seam_v)
 
 
 def frame_orthonormality_residual(imm: ImmersionField, e1, e2, nf: NormalFrameField) -> float:
@@ -302,7 +299,6 @@ class ShapeReport:
     a_plus: np.ndarray
     a_minus: np.ndarray
     minimality: np.ndarray
-    jet_source: str
 
 
 RADICAND_TOL = -1e-8
@@ -355,7 +351,7 @@ def second_fundamental_form(imm: ImmersionField, e1, e2, metric: MetricField,
     mu = 0.5 * np.abs(a_plus - a_minus)
 
     return ShapeReport(imm.patch, H3, H4, norm_B2, K, K_N, kappa, mu,
-                       a_plus, a_minus, minimality, imm.jet_source)
+                       a_plus, a_minus, minimality)
 
 
 def shape_report(imm: ImmersionField):

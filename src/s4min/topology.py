@@ -79,7 +79,6 @@ class ZeroCount:
     gap: float
     per_zero: tuple[IntegerVerdict, ...]
     locations: tuple[tuple[int, int], ...]
-    radius: float
     excised_integral: float
 
 
@@ -100,18 +99,6 @@ class BalanceCheck:
 
 
 @dataclass(frozen=True)
-class LaplaceIdentityCheck:
-    """Pointwise residual of ``laplace(log a) = 2K -+ K_N`` on one branch."""
-
-    branch: str
-    residual: np.ndarray  # NaN where the branch is below the floor
-    valid: np.ndarray
-    n_valid: int
-    max_residual: float | None  # None when no point clears the floor
-    floor: float
-
-
-@dataclass(frozen=True)
 class RicciCheck:
     """Max residual of ``laplace(log(1-K)) = 4K`` where ``1-K`` is positive.
 
@@ -122,7 +109,6 @@ class RicciCheck:
     """
 
     residual: float | None
-    n_valid: int
     skipped: bool
     reason: str
 
@@ -131,16 +117,12 @@ class RicciCheck:
 class TopologyReport:
     """Global invariants and identity residuals of one closed surface."""
 
-    patch: GridPatch
     chi_M: IntegerVerdict
     chi_Nf: IntegerVerdict
     count_plus: ZeroCount | None  # None when a+ is identically zero
     count_minus: ZeroCount | None
-    superminimal: bool
     superminimality: str  # verdict string from the ellipse classification
     balance: BalanceCheck
-    laplace_plus: LaplaceIdentityCheck | None
-    laplace_minus: LaplaceIdentityCheck | None
     ricci: RicciCheck
 
 
@@ -303,7 +285,6 @@ def zero_count_excised(
         gap=total.gap,
         per_zero=tuple(per_zero),
         locations=tuple(locations),
-        radius=float(radius),
         excised_integral=float(excised),
     )
 
@@ -349,34 +330,24 @@ def laplace_identity_residual(
     report: ShapeReport,
     metric: MetricField,
     branch: str = "+",
-) -> LaplaceIdentityCheck:
-    """Residual of ``laplace(log a+) = 2K - K_N`` or ``laplace(log a-) = 2K + K_N``.
+) -> float | None:
+    """Max residual of ``laplace(log a+) = 2K - K_N`` or ``laplace(log a-) = 2K + K_N``.
 
     Evaluated only where the chosen radius exceeds one tenth of its maximum;
     the identity holds off the zero set and the log is singular on it.
-    Entries below that floor are NaN in the returned field.
+    None when the radius vanishes identically.
     """
     if branch not in ("+", "-"):
         raise TopologyError(f"branch must be '+' or '-', got {branch!r}")
     a = report.a_plus if branch == "+" else report.a_minus
     if float(a.max()) < IDENTICALLY_ZERO_FLOOR:
-        # identically zero branch: the identity has no domain
-        residual = np.full(report.patch.shape, np.nan)
-        empty = np.zeros(report.patch.shape, dtype=bool)
-        return LaplaceIdentityCheck(branch, residual, empty, 0, None, float(a.max()))
-    floor = 0.1 * float(a.max())
-    valid = a > floor
-    n_valid = int(valid.sum())
+        return None  # identically zero branch: the identity has no domain
+    valid = a > 0.1 * float(a.max())  # holds at the maximum, so never empty
     target = 2.0 * report.K - report.K_N if branch == "+" else 2.0 * report.K + report.K_N
-    if n_valid == 0:
-        residual = np.full(report.patch.shape, np.nan)
-        return LaplaceIdentityCheck(branch, residual, valid, 0, None, float(floor))
     with np.errstate(divide="ignore"):
         log_a = np.log(np.maximum(a, 1e-300))
     lap = laplace_beltrami(report.patch, log_a, metric)
-    residual = np.where(valid, np.abs(lap - target), np.nan)
-    max_res = float(np.nanmax(residual))
-    return LaplaceIdentityCheck(branch, residual, valid, n_valid, max_res, float(floor))
+    return float(np.abs(lap - target)[valid].max())
 
 
 def ricci_condition_residual(report: ShapeReport, metric: MetricField) -> RicciCheck:
@@ -388,14 +359,13 @@ def ricci_condition_residual(report: ShapeReport, metric: MetricField) -> RicciC
     """
     w = 1.0 - report.K
     valid = w > RICCI_FLOOR
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        return RicciCheck(None, 0, True, "1 - K vanishes on the whole chart")
+    if not valid.any():
+        return RicciCheck(None, True, "1 - K vanishes on the whole chart")
     with np.errstate(divide="ignore"):
         log_w = np.log(np.maximum(w, 1e-300))
     lap = laplace_beltrami(report.patch, log_w, metric)
     residual = float(np.max(np.abs(lap - 4.0 * report.K)[valid]))
-    return RicciCheck(residual, n_valid, False, "")
+    return RicciCheck(residual, False, "")
 
 
 # ---------------------------------------------------------------------------
@@ -438,40 +408,35 @@ def synthetic_zero_field(patch: GridPatch, zeros, smooth=None):
 
 
 def topology_report(report: ShapeReport, metric: MetricField) -> TopologyReport:
-    """Assemble Euler numbers, zero counts, and identity residuals.
+    """Assemble Euler numbers, zero counts, and the 3-sphere test.
 
     Zeros are located by grid search with ``find_zero_candidates``.  A
     radius field whose maximum is below ``IDENTICALLY_ZERO_FLOOR`` has no
-    isolated-zero count and its branch entries are None; a superminimal
-    surface skips the Euler/zero balance.
+    isolated-zero count and its count is None; a superminimal surface
+    skips the Euler/zero balance.  The Laplace identities of the radii
+    are not part of the report: ``laplace_identity_residual`` evaluates
+    them on any chart, closed or not.
     """
     patch = report.patch
     chi_m, chi_n = euler_numbers(report, metric)
     sup = superminimality_test(report)
-    superminimal = sup.verdict == "superminimal"
 
     counts: list[ZeroCount | None] = []
-    checks: list[LaplaceIdentityCheck | None] = []
-    for a, branch in ((report.a_plus, "+"), (report.a_minus, "-")):
+    for a in (report.a_plus, report.a_minus):
         if float(a.max()) < IDENTICALLY_ZERO_FLOOR:
             counts.append(None)
-            checks.append(None)
-            continue
-        counts.append(zero_count_excised(patch, a, metric, find_zero_candidates(patch, a)))
-        checks.append(laplace_identity_residual(report, metric, branch))
+        else:
+            counts.append(zero_count_excised(patch, a, metric, find_zero_candidates(patch, a)))
 
-    balance = _balance(chi_m, chi_n, counts[0], counts[1], superminimal, sup.reason)
+    balance = _balance(chi_m, chi_n, counts[0], counts[1],
+                       sup.verdict == "superminimal", sup.reason)
     ricci = ricci_condition_residual(report, metric)
     return TopologyReport(
-        patch=patch,
         chi_M=chi_m,
         chi_Nf=chi_n,
         count_plus=counts[0],
         count_minus=counts[1],
-        superminimal=superminimal,
         superminimality=sup.verdict,
         balance=balance,
-        laplace_plus=checks[0],
-        laplace_minus=checks[1],
         ricci=ricci,
     )

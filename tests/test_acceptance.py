@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from s4min.adapted import hopf_differential, superminimality_test, winding_number
+from s4min.adapted import hopf_coefficient, superminimality_test, winding_number
 from s4min.catalog import load_catalog
 from s4min.cli import main as cli_main
 from s4min.family import (
@@ -109,7 +109,7 @@ def test_superminimal_sphere_invariants(veronese):
     assert np.abs(rep.K - 1.0 / 3.0).max() < 1e-9
     assert np.abs(np.abs(rep.K_N) - 2.0 / 3.0).max() < 1e-9
     assert superminimality_test(rep).verdict == "superminimal"
-    assert np.abs(hopf_differential(rep, metric).phi_coeff).max() < 1e-8
+    assert np.abs(hopf_coefficient(rep)).max() < 1e-8
     assert rep.a_minus.max() < 1e-8
 
 
@@ -118,9 +118,9 @@ def test_superminimal_sphere_invariants(veronese):
 
 def test_radius_laplace_identity_and_falsification(clifford):
     for branch in ("+", "-"):
-        check = laplace_identity_residual(clifford[5], clifford[3], branch)
-        assert check.max_residual is not None
-        assert check.max_residual < 1e-8
+        residual = laplace_identity_residual(clifford[5], clifford[3], branch)
+        assert residual is not None
+        assert residual < 1e-8
     # The sphere chart keeps its first and last rows half a step from the
     # poles, where the inverse metric scales like 4/h^2; the discrete
     # Laplacian of the (constant) log radius amplifies machine noise by
@@ -129,14 +129,14 @@ def test_radius_laplace_identity_and_falsification(clifford):
     # floor is well below the bound.
     imm, e1, e2, metric_v, nf, rep_v = shape_report(
         load_catalog("veronese", 128).immersion)
-    check = laplace_identity_residual(rep_v, metric_v, "+")
-    assert check.max_residual is not None
-    assert check.max_residual < 1e-8
+    residual = laplace_identity_residual(rep_v, metric_v, "+")
+    assert residual is not None
+    assert residual < 1e-8
     # the minus radius vanishes identically: nothing to test on that branch
-    assert laplace_identity_residual(rep_v, metric_v, "-").max_residual is None
+    assert laplace_identity_residual(rep_v, metric_v, "-") is None
     # flipping the sign of the normal curvature must blow the identity up
     flipped = dataclasses.replace(rep_v, K_N=-rep_v.K_N)
-    assert laplace_identity_residual(flipped, metric_v, "+").max_residual > 1.0
+    assert laplace_identity_residual(flipped, metric_v, "+") > 1.0
 
 
 # 4. deformation family: flat connection, faithful reconstruction, isometry

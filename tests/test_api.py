@@ -87,3 +87,53 @@ def unreachable_names():
 
 def test_no_test_only_library_code():
     assert unreachable_names() == []
+
+
+# dataclass fields that no library code reads, kept on purpose, with the reason
+STATED_FIELDS = {
+    "ZeroCount.per_zero": "answers block: N(a+-) per zero (ROADMAP item 3)",
+    "ZeroCount.locations": "answers block: where each zero of a+- lies (ROADMAP item 3)",
+    "ZeroCount.excised_integral": "flux-count oracle: the excised Laplacian quadrature",
+    "TopologyReport.count_plus": "answers block: N(a+) (ROADMAP item 3)",
+    "TopologyReport.count_minus": "answers block: N(a-) (ROADMAP item 3)",
+    "ZeroOrder.order": "output of the zero_orders oracle",
+    "ZeroOrder.flagged": "output of the zero_orders oracle",
+    "CatalogEntry.truth": "ground truth of the catalog surfaces",
+    "CongruenceFit.isometry": "the fitted isometry that test_family compares",
+}
+
+
+def _is_dataclass(node):
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def unread_fields():
+    """Dataclass fields of the package never read as an attribute in it.
+
+    A read is any ``x.name`` load, or ``getattr(x, "name", ...)``; the
+    scan goes by name, so a field counts as read when any object's
+    attribute of that name is read.
+    """
+    fields, reads = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields += [f"{node.name}.{item.target.id}" for item in node.body
+                           if isinstance(item, ast.AnnAssign)
+                           and isinstance(item.target, ast.Name)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and len(node.args) >= 2
+                  and isinstance(node.args[1], ast.Constant)):
+                reads.add(node.args[1].value)
+    return sorted(f for f in fields if f.split(".")[1] not in reads)
+
+
+def test_no_unread_report_fields():
+    assert unread_fields() == sorted(STATED_FIELDS)

@@ -120,22 +120,20 @@ def test_perturbation_reproducible_and_seed_sensitive():
 def test_manifest_roundtrip_bitwise(tmp_path):
     ent = clifford_torus(32)
     path = write_manifest(ent.immersion, tmp_path)
-    rep = read_manifest(path)
-    assert rep.jets_provided and not rep.renormalized
-    assert rep.norm_drift < 1e-15
-    assert np.array_equal(rep.immersion.position, ent.immersion.position)
-    assert np.array_equal(rep.immersion.jet1, ent.immersion.jet1)
-    assert np.array_equal(rep.immersion.jet2, ent.immersion.jet2)
-    assert rep.immersion.jet_source == "analytic"
+    imm, drift = read_manifest(path)
+    assert drift < 1e-15
+    assert np.array_equal(imm.position, ent.immersion.position)
+    assert np.array_equal(imm.jet1, ent.immersion.jet1)
+    assert np.array_equal(imm.jet2, ent.immersion.jet2)
+    assert imm.jet_source == "analytic"
 
 
 def test_manifest_without_jets_uses_stencils(tmp_path):
     ent = clifford_torus(32)
     path = write_manifest(ent.immersion, tmp_path, include_jets=False)
-    rep = read_manifest(path)
-    assert not rep.jets_provided
-    assert rep.immersion.jet_source == "fd"
-    assert np.abs(rep.immersion.jet1 - ent.immersion.jet1).max() < 1e-4
+    imm, _ = read_manifest(path)
+    assert imm.jet_source == "fd"
+    assert np.abs(imm.jet1 - ent.immersion.jet1).max() < 1e-4
 
 
 def test_manifest_norm_tiers(tmp_path):
@@ -149,11 +147,11 @@ def test_manifest_norm_tiers(tmp_path):
         (raw * s).astype("<f8").tofile(d / "position.f64")
         return path
 
-    rep = read_manifest(with_scale(1.0 + 5e-11, "tiny"))
-    assert not rep.renormalized
-    rep = read_manifest(with_scale(1.0 + 5e-8, "mid"))
-    assert rep.renormalized
-    assert np.abs(np.linalg.norm(rep.immersion.position, axis=2) - 1.0).max() < 1e-14
+    # drift above 1e-12 is renormalized and reported as it was read
+    for scale, sub in ((5e-11, "tiny"), (5e-8, "mid")):
+        imm, drift = read_manifest(with_scale(1.0 + scale, sub))
+        assert 0.8 * scale < drift < 1.2 * scale
+        assert np.abs(np.linalg.norm(imm.position, axis=2) - 1.0).max() < 1e-14
     with pytest.raises(CatalogError, match="refusing"):
         read_manifest(with_scale(1.0 + 5e-6, "bad"))
 

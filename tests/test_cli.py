@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from s4min import cli as cli_module
+from s4min import family as family_module
+from s4min import topology as topology_module
 from s4min.catalog import load_catalog, read_manifest, write_manifest
 from s4min.cli import main
 from s4min.grid import GridPatch
@@ -114,7 +116,7 @@ def test_analyze_deformed_manifest_fields_match_savetxt_oracle(cli, tmp_path):
     manifest = tmp_path / "a" / "deformed" / "manifest.json"
     code, _ = cli("analyze", "--manifest", manifest, "--out", tmp_path / "b")
     assert code == 0
-    patch = read_manifest(manifest).immersion.patch
+    patch = read_manifest(manifest)[0].patch
     assert (patch.nu, patch.nv) == (257, 257)
     report = json.loads((tmp_path / "b" / "report.json").read_text())
     for name in report["field_files"]:
@@ -410,6 +412,26 @@ def test_verify_perturbed_surface_fails(cli, tmp_path):
     # the perturbed chart is no longer isothermal, so the quadratic
     # differential has no single coefficient to test
     assert items["hopf_holomorphy"]["skipped"] is True
+
+
+def test_verify_computes_each_quantity_once(cli, tmp_path, monkeypatch):
+    # verify's own Laplace checks are its only ones, one per branch, and
+    # the reconstruction check reuses the Omega_0 of the flatness check
+    calls = {"laplace_identity_residual": 0, "assemble_maurer_cartan": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (cli_module, topology_module, family_module):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    code, _ = cli("verify", "--catalog", "clifford", "--n", 64, "--out", tmp_path)
+    assert code == 0
+    assert calls == {"laplace_identity_residual": 2, "assemble_maurer_cartan": 1}
 
 
 def test_verify_reports_are_byte_identical(cli, tmp_path):

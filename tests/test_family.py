@@ -153,7 +153,8 @@ def test_flatness_matches_dense_oracle(fix, request):
 
 
 def test_clifford_frame_reconstruction(clifford_conn):
-    assert frame_reconstruction_residual(clifford_conn) < 2e-5
+    mc0 = assemble_maurer_cartan(clifford_conn, 0.0)
+    assert frame_reconstruction_residual(clifford_conn, mc0) < 2e-5
 
 
 def test_veronese_flatness(veronese_conn):
@@ -164,7 +165,8 @@ def test_veronese_flatness(veronese_conn):
 
 
 def test_veronese_frame_reconstruction(veronese_conn):
-    assert frame_reconstruction_residual(veronese_conn) < 5e-5
+    mc0 = assemble_maurer_cartan(veronese_conn, 0.0)
+    assert frame_reconstruction_residual(veronese_conn, mc0) < 5e-5
 
 
 @pytest.mark.parametrize("fix", ["clifford128_conn", "veronese_conn"])
@@ -175,9 +177,10 @@ def test_family_checks_hold_no_whole_grid_blocks(fix, request):
     nu, nv = conn.patch.shape
     block = nu * nv * 25 * 8  # bytes of one (nu, nv, 5, 5) float64 array
     mc = assemble_maurer_cartan(conn, 0.3)
+    mc0 = assemble_maurer_cartan(conn, 0.0)
     checks = {
         "flatness_residual": lambda: flatness_residual(mc),
-        "frame_reconstruction_residual": lambda: frame_reconstruction_residual(conn),
+        "frame_reconstruction_residual": lambda: frame_reconstruction_residual(conn, mc0),
         "integrate_frame": lambda: integrate_frame(mc, conn.frames[0, 0]),
     }
     for name, check in checks.items():
@@ -194,7 +197,8 @@ def test_veronese_reconstruction_fourth_order():
     res = []
     for n in (64, 128):
         imm, e1, e2, metric, nf, rep = shape_report(veronese_sphere(n).immersion)
-        res.append(frame_reconstruction_residual(connection_data(imm, e1, e2, nf, rep)))
+        conn = connection_data(imm, e1, e2, nf, rep)
+        res.append(frame_reconstruction_residual(conn, assemble_maurer_cartan(conn, 0.0)))
     assert res[0] / res[1] > 8.0
 
 

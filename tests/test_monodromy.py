@@ -89,8 +89,10 @@ def test_torus_open_at_eighth_turn(clifford_profile):
     assert clifford_profile.d[k] > 0.1
 
 
-def test_monodromies_orthogonal(clifford_profile):
-    for M in (clifford_profile.M1, clifford_profile.M2):
+def test_monodromies_orthogonal(clifford_conn, clifford_profile):
+    imm, conn = clifford_conn
+    for loop in (u_generator(imm.patch), v_generator(imm.patch)):
+        M = generator_monodromy(conn, loop, clifford_profile.thetas)
         gram = np.swapaxes(M, -1, -2) @ M - np.eye(5)
         assert np.abs(gram).max() < 1e-8
 
@@ -260,8 +262,11 @@ def test_scan_monodromies_are_the_generator_loops(clifford_conn):
     profile = scan_profile(conn, n_theta=90, base=(37, 19))
     Mu = generator_monodromy(conn, u_generator(imm.patch, 19, 37), profile.thetas)
     Mv = generator_monodromy(conn, v_generator(imm.patch, 37, 19), profile.thetas)
-    assert np.abs(profile.M1 - Mu).max() <= 1e-12
-    assert np.abs(profile.M2 - Mv).max() <= 1e-12
+    d = np.maximum(np.linalg.norm(Mu - np.eye(5), axis=(-2, -1)),
+                   np.linalg.norm(Mv - np.eye(5), axis=(-2, -1)))
+    assert np.abs(profile.d - d).max() <= 1e-12
+    defect = np.linalg.norm(Mu @ Mv - Mv @ Mu, axis=(-2, -1))
+    assert np.abs(profile.commutator_defect - defect).max() <= 1e-12
 
 
 def test_winding_two_loop_is_the_square(clifford_conn):
