@@ -264,20 +264,24 @@ def cmd_deform(args) -> int:
     out = _out_dir(args)
     imm, e1, e2, metric, nf, rep = shape_report(imm)
     conn = connection_data(imm, e1, e2, nf, rep)
+    del imm, e1, e2, metric, nf, rep  # conn.frames[..., 0, :] is the position
     mc = assemble_maurer_cartan(conn, args.theta)
+    # the flatness temporaries and the integrated frames are never held together
+    flatness = float(flatness_residual(mc).max())
     dp = integrate_frame(mc, conn.frames[0, 0])
+    ext = dp.extended_patch
+    replay = conn.frames[..., 0, :][np.ix_(np.arange(ext.nu) % conn.patch.nu,
+                                          np.arange(ext.nv) % conn.patch.nv)]
+    del conn, mc
     deformed = deformed_immersion(dp)
     write_manifest(deformed, out / "deformed")
 
-    ext = dp.extended_patch
-    replay = imm.position[np.ix_(np.arange(ext.nu) % imm.patch.nu,
-                                 np.arange(ext.nv) % imm.patch.nv)]
     fit = congruence_test(replay, deformed.position)
     report = {
         "command": "deform",
         "source": meta,
         "theta": args.theta,
-        "flatness_residual": float(flatness_residual(mc).max()),
+        "flatness_residual": flatness,
         "path_dependence": dp.path_dependence,
         "deformed_manifest": "deformed/manifest.json",
         "congruence": {
@@ -321,6 +325,7 @@ def cmd_monodromy(args) -> int:
     out = _out_dir(args)
     imm, e1, e2, metric, nf, rep = shape_report(imm)
     conn = connection_data(imm, e1, e2, nf, rep)
+    del imm, e1, e2, nf  # conn.frames holds their only further use
     profile = scan_profile(conn, n_theta=args.scan, tol_close=args.tol_close)
     # a compact surface with nontrivial normal bundle has only finitely
     # many noncongruent members, so a CIRCLE verdict needs congruent ones
@@ -403,6 +408,7 @@ def cmd_verify(args) -> int:
             items.append(_item(tag, residual, tol_h2))
 
     conn = connection_data(imm, e1, e2, nf, rep)
+    del imm, e1, e2, nf  # conn.frames holds their only further use
     mc0 = assemble_maurer_cartan(conn, 0.0)
     flat0 = float(flatness_residual(mc0).max())
     items.append(_item("flatness_theta0", flat0, max(1e-9, tol_h2)))

@@ -25,10 +25,17 @@ assembled to one frame row at a time.
 _so5 scatters packed entries into antisymmetric 5x5 blocks only for the
 matrix products of one march_frames step, so no whole-grid 5x5
 connection block is ever built.
+
+Each whole-grid frame array is held once.  ConnectionData keeps the
+input frames component-major, as (5, 5, nu, nv) planes behind its
+(nu, nv, 5, 5) frames view; march_frames interpolates each step's
+midpoint from the four samples around it; and integrate_frame compares
+its second sweep with the stored first one row by row as it marches.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -67,7 +74,10 @@ class ConnectionData:
     (1, 3), (2, 3), (1, 4), (2, 4).  Every assembled Omega is exactly
     so(5)-valued.  frames carries the rows (f, e1, e2, e3, e4) used to
     build the data: it seeds the integration and anchors the theta = 0
-    reconstruction.
+    reconstruction.  connection_data stores them component-major, so
+    frames is a (nu, nv, 5, 5) view of contiguous (5, 5, nu, nv) planes
+    (np.moveaxis(frames, (2, 3), (0, 1)) gives the planes without a copy),
+    and the fields they came from need not be kept.
     """
 
     patch: GridPatch
@@ -167,8 +177,10 @@ def connection_data(imm: ImmersionField, e1: np.ndarray, e2: np.ndarray,
     alt3 = h12_3 * w1 - h11_3 * w2
     sym4 = h11_4 * w1 + h12_4 * w2
     alt4 = h12_4 * w1 - h11_4 * w2
-    frames = np.stack([imm.position, e1, e2, nf.e3, nf.e4], axis=-2)
-    return ConnectionData(patch, frames,
+    planes = np.empty((5, 5) + patch.shape)  # planes[r, c]: component c of row r
+    for r, row in enumerate((imm.position, e1, e2, nf.e3, nf.e4)):
+        planes[r] = np.moveaxis(row, -1, 0)
+    return ConnectionData(patch, np.moveaxis(planes, (0, 1), (2, 3)),
                           np.stack([w1, w2, om12, om34], axis=-1),
                           np.stack([sym3, alt3, sym4, alt4], axis=-1),
                           np.stack([alt3, -sym3, alt4, -sym4], axis=-1))
@@ -210,7 +222,7 @@ def frame_reconstruction_residual(conn: ConnectionData, mc0: MaurerCartanField) 
     planes: row r of Omega F gains omega F_j for each slot (r, j) and
     loses omega F_i for each slot (i, r).
     """
-    rows = np.moveaxis(conn.frames, (2, 3), (0, 1)).copy()  # rows[r, c]: one plane
+    rows = np.moveaxis(conn.frames, (2, 3), (0, 1))  # rows[r, c]: one plane
     worst = 0.0
     for axis in (0, 1):
         omega = np.moveaxis(mc0.forms[:, :, axis], -1, 0).copy()  # (8, nu, nv)
@@ -261,29 +273,44 @@ def polar_reorthonormalize(F: np.ndarray) -> np.ndarray:
     return X
 
 
-def cubic_line_midpoints(samples: np.ndarray, periodic: bool) -> np.ndarray:
-    """Midpoint values between consecutive samples along axis 0 (cubic order).
+def _step_midpoint(line: np.ndarray, k: int, periodic: bool) -> np.ndarray:
+    """Cubic-order value midway between samples k and k + 1 of a line
+    (axis 0), from the four samples around that step.
 
     Periodic lines interpolate across the wrap; open lines use one-sided
-    cubics at the two end intervals, and open lines of 2 or 3 samples the
-    linear or quadratic interpolant.  Returns one value per step:
-    n steps when periodic (the last wraps), n - 1 when open.
+    cubics at the two end steps, and open lines of 2 or 3 samples the
+    linear or quadratic interpolant.
     """
-    A = samples
-    if periodic:
-        Am1 = np.roll(A, 1, axis=0)
-        Ap1 = np.roll(A, -1, axis=0)
-        Ap2 = np.roll(A, -2, axis=0)
-        return (-Am1 + 9.0 * A + 9.0 * Ap1 - Ap2) / 16.0
-    if A.shape[0] <= 2:
-        return 0.5 * (A[:-1] + A[1:])
-    if A.shape[0] == 3:
-        return np.stack([3.0 * A[0] + 6.0 * A[1] - A[2],
-                         -A[0] + 6.0 * A[1] + 3.0 * A[2]]) / 8.0
-    inner = (-A[:-3] + 9.0 * A[1:-2] + 9.0 * A[2:-1] - A[3:]) / 16.0
-    first = (5.0 * A[0] + 15.0 * A[1] - 5.0 * A[2] + A[3]) / 16.0
-    last = (A[-4] - 5.0 * A[-3] + 15.0 * A[-2] + 5.0 * A[-1]) / 16.0
-    return np.concatenate([first[None], inner, last[None]], axis=0)
+    n = line.shape[0]
+    if periodic or 0 < k < n - 2:
+        return (-line[k - 1] + 9.0 * line[k] + 9.0 * line[(k + 1) % n]
+                - line[(k + 2) % n]) / 16.0
+    if n == 2:
+        return 0.5 * (line[0] + line[1])
+    if n == 3:
+        if k == 0:
+            return (3.0 * line[0] + 6.0 * line[1] - line[2]) / 8.0
+        return (-line[0] + 6.0 * line[1] + 3.0 * line[2]) / 8.0
+    if k == 0:
+        return (5.0 * line[0] + 15.0 * line[1] - 5.0 * line[2] + line[3]) / 16.0
+    return (line[-4] - 5.0 * line[-3] + 15.0 * line[-2] + 5.0 * line[-1]) / 16.0
+
+
+def _march(omega_line: np.ndarray, h: float, seeds: np.ndarray, periodic: bool):
+    """The steps of march_frames: yields the frames after each step."""
+    n = omega_line.shape[0]
+    F = seeds
+    A1 = _so5(omega_line[0])
+    for k in range(n if periodic else n - 1):
+        A0, Am = A1, _so5(_step_midpoint(omega_line, k, periodic))
+        A1 = _so5(omega_line[(k + 1) % n])
+        k1 = A0 @ F
+        k2 = Am @ (F + (0.5 * h) * k1)
+        k3 = Am @ (F + (0.5 * h) * k2)
+        k4 = A1 @ (F + h * k3)
+        F = F + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        F = polar_reorthonormalize(F)
+        yield F
 
 
 def march_frames(omega_line: np.ndarray, h: float, seeds: np.ndarray,
@@ -293,29 +320,18 @@ def march_frames(omega_line: np.ndarray, h: float, seeds: np.ndarray,
     omega_line: (n, ..., 8) packed connection entries (the layout of
     MaurerCartanField.forms) at the grid points of the line; seeds:
     (..., 5, 5) start frames (rows are frame vectors).  RK4 with
-    cubic-interpolated midpoints, orthogonality restored every step; the
-    midpoints are interpolated on the packed entries, and each step
-    assembles only its own three 5x5 blocks.  Returns (steps + 1, ...,
-    5, 5) frames at the sample points; when periodic the final entry is
-    the transport over the full period (seam mismatch = holonomy, kept
-    explicit).
+    cubic-interpolated midpoints, orthogonality restored every step;
+    each step interpolates its midpoint on the packed entries of the
+    four samples around it and assembles only its own three 5x5 blocks.
+    Returns (steps + 1, ..., 5, 5) frames at the sample points; when
+    periodic the final entry is the transport over the full period
+    (seam mismatch = holonomy, kept explicit).
     """
-    n = omega_line.shape[0]
-    mids = cubic_line_midpoints(omega_line, periodic)
-    steps = n if periodic else n - 1
+    steps = omega_line.shape[0] - (0 if periodic else 1)
     out = np.empty((steps + 1,) + seeds.shape)
-    F = seeds
-    out[0] = F
-    A1 = _so5(omega_line[0])
-    for k in range(steps):
-        A0, Am, A1 = A1, _so5(mids[k]), _so5(omega_line[(k + 1) % n])
-        k1 = A0 @ F
-        k2 = Am @ (F + (0.5 * h) * k1)
-        k3 = Am @ (F + (0.5 * h) * k2)
-        k4 = A1 @ (F + h * k3)
-        F = F + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        F = polar_reorthonormalize(F)
-        out[k + 1] = F
+    out[0] = seeds
+    for k, F in enumerate(_march(omega_line, h, seeds, periodic), 1):
+        out[k] = F
     return out
 
 
@@ -344,52 +360,56 @@ class DeformedPatch:
                          periodic_u=False, periodic_v=False)
 
 
-def sweep_frames(mc: MaurerCartanField, seed: np.ndarray, order: str) -> np.ndarray:
-    """Frames over the unwrapped fundamental domain from one sweep.
+def _spine(mc: MaurerCartanField, seed: np.ndarray, axis: int):
+    """Frames on the unwrapped spine along ``axis`` through the grid
+    origin, marched from the seed, and the packed forms of the lines of
+    the other axis through them.
 
-    order "uv" marches the u spine from the seed at the grid origin and
-    then every v column from it; "vu" marches the v spine and then every
-    u row.  Each march gets its lines as slices of the packed forms.
-    Returns the (nu + pu, nv + pv, 5, 5) frame array.
+    Returns the (N, 5, 5) start frames, N the unwrapped length of the
+    spine, and the (n_other, N, 8) lines in march_frames' layout.
     """
     patch = mc.patch
-    Wu = mc.forms[:, :, 0]
-    Wv = mc.forms[:, :, 1]
-    if order == "uv":
-        spine = march_frames(Wu[:, 0][:, None], patch.hu, seed[None],
-                             patch.periodic_u)
-        starts = spine[:, 0]  # (NU, 5, 5)
-        src = np.arange(starts.shape[0]) % patch.nu
-        lines = np.moveaxis(Wv[src], 1, 0)  # (nv, NU, 8)
-        sheet = march_frames(lines, patch.hv, starts, patch.periodic_v)
-        return np.moveaxis(sheet, 1, 0)  # (NU, NV, 5, 5)
-    spine = march_frames(Wv[0][:, None], patch.hv, seed[None],
-                         patch.periodic_v)
-    starts = spine[:, 0]  # (NV, 5, 5)
-    src = np.arange(starts.shape[0]) % patch.nv
-    lines = Wu[:, src]  # (nu, NV, 8)
-    return march_frames(lines, patch.hu, starts, patch.periodic_u)
+    h, periodic = ((patch.hu, patch.periodic_u), (patch.hv, patch.periodic_v))[axis]
+    forms = np.moveaxis(mc.forms, axis, 0)  # spine axis first
+    spine = march_frames(forms[:, 0, axis][:, None], h, seed[None], periodic)
+    src = np.arange(spine.shape[0]) % forms.shape[0]
+    return spine[:, 0], np.moveaxis(forms[src, :, 1 - axis], 1, 0)
+
+
+def sweep_frames(mc: MaurerCartanField, seed: np.ndarray) -> np.ndarray:
+    """Frames over the unwrapped fundamental domain from the "uv" sweep:
+    the u spine from the seed at the grid origin, then every v column
+    from it.  Returns the (nu + pu, nv + pv, 5, 5) frame array.
+    """
+    starts, lines = _spine(mc, seed, 0)
+    sheet = march_frames(lines, mc.patch.hv, starts, mc.patch.periodic_v)
+    return np.moveaxis(sheet, 1, 0)  # (NU, NV, 5, 5)
 
 
 def integrate_frame(mc: MaurerCartanField, seed_frame: np.ndarray,
                     tol_path: float = PATH_DEPENDENCE_TOL) -> DeformedPatch:
     """Integrate the frame system over the unwrapped fundamental domain.
 
-    Marches row-then-column and column-then-row from the seed at the grid
-    origin; the worst discrepancy between the two sweeps is the path-
-    dependence diagnostic (zero-curvature transport is path independent
-    on the simply connected unwrapped domain).  Raises IntegrabilityBroken
-    when it exceeds tol_path.
+    Marches row-then-column ("uv", kept as the result) and column-then-
+    row ("vu") from the seed at the grid origin; the worst discrepancy
+    between the two sweeps is the path-dependence diagnostic (zero-
+    curvature transport is path independent on the simply connected
+    unwrapped domain).  The "vu" sweep is compared with the stored
+    frames one u row at a time as it marches, so only one whole-grid
+    frame array is ever held.  Raises IntegrabilityBroken when the
+    discrepancy exceeds tol_path.
     """
     seed = np.asarray(seed_frame, dtype=float)
     if seed.shape != (5, 5):
         raise FamilyError(f"seed frame must be 5x5, got {seed.shape}")
-    F_rc = sweep_frames(mc, seed, "uv")
-    D = sweep_frames(mc, seed, "vu")  # becomes the squared discrepancy in place
-    D -= F_rc
-    D *= D
-    path_dep = float(np.sqrt(np.add.reduce(D, axis=(-2, -1))).max())
-    del D
+    F_rc = sweep_frames(mc, seed)
+    starts, lines = _spine(mc, seed, 1)
+    path_dep = 0.0
+    rows = _march(lines, mc.patch.hu, starts, mc.patch.periodic_u)
+    for stored, row in zip(F_rc, itertools.chain([starts], rows)):
+        D = row - stored  # becomes the squared discrepancy in place
+        D *= D
+        path_dep = max(path_dep, float(np.sqrt(np.add.reduce(D, axis=(-2, -1))).max()))
     if path_dep > tol_path:
         flat = float(flatness_residual(mc).max())
         raise IntegrabilityBroken(

@@ -281,8 +281,7 @@ def _congruence_residual(conn: ConnectionData, theta: float) -> float:
     only serves its path-dependence check.
     """
     patch = conn.patch
-    frame = sweep_frames(assemble_maurer_cartan(conn, theta),
-                         conn.frames[0, 0], "uv")
+    frame = sweep_frames(assemble_maurer_cartan(conn, theta), conn.frames[0, 0])
     pos = frame[:patch.nu, :patch.nv, 0, :]
     core = (pos / np.linalg.norm(pos, axis=-1, keepdims=True)).reshape(-1, 5)
     ref = conn.frames[..., 0, :].reshape(-1, 5)

@@ -19,9 +19,11 @@ from s4min.family import (
     ConnectionData,
     FamilyError,
     IntegrabilityBroken,
+    MaurerCartanField,
     _UPPER,
     _bracket,
     _so5,
+    _step_midpoint,
     assemble_maurer_cartan,
     congruence_test,
     connection_data,
@@ -31,8 +33,9 @@ from s4min.family import (
     frame_reconstruction_residual,
     integrate_frame,
     polar_reorthonormalize,
+    sweep_frames,
 )
-from s4min.grid import diff, quadrature_weights
+from s4min.grid import GridPatch, diff, quadrature_weights
 from s4min.surface import rotate_normal_frame, second_fundamental_form, shape_report
 
 
@@ -50,6 +53,14 @@ def clifford_conn(clifford):
 @pytest.fixture(scope="module")
 def clifford128_conn():
     imm, e1, e2, metric, nf, rep = shape_report(clifford_torus(128).immersion)
+    return connection_data(imm, e1, e2, nf, rep)
+
+
+@pytest.fixture(scope="module")
+def perturbed_clifford_conn():
+    # not flat, and its (0, 1) bracket products do not vanish
+    imm, e1, e2, metric, nf, rep = shape_report(
+        perturb_immersion(clifford_torus(64).immersion, 1e-3, 0))
     return connection_data(imm, e1, e2, nf, rep)
 
 
@@ -138,11 +149,14 @@ def test_bracket_matches_dense_commutator_exactly():
     assert np.array_equal(np.stack(list(_bracket(a, b)), axis=-1), dense[..., rows, cols])
 
 
-@pytest.mark.parametrize("fix", ["clifford_conn", "veronese_conn"])
+@pytest.mark.parametrize("fix", ["clifford_conn", "veronese_conn",
+                                 "perturbed_clifford_conn"])
 def test_flatness_matches_dense_oracle(fix, request):
     # the stated oracle: the curvature of the assembled 5x5 blocks, with the
     # exterior derivative taken on dense whole-grid matrices; the slot-wise
-    # sums run in another order than the matrix products, hence roundoff
+    # sums run in another order than the matrix products, hence roundoff.
+    # The (0, 1) bracket products vanish on both catalog charts; only the
+    # perturbed torus sees a sign error there (gap 1.0e-2 against 3.1e-16).
     conn = request.getfixturevalue(fix)
     for theta in (0.0, 0.3, 1.2):
         mc = assemble_maurer_cartan(conn, theta)
@@ -172,25 +186,36 @@ def test_veronese_frame_reconstruction(veronese_conn):
 @pytest.mark.parametrize("fix", ["clifford128_conn", "veronese_conn"])
 def test_family_checks_hold_no_whole_grid_blocks(fix, request):
     # flatness, reconstruction and frame transport work on packed forms
-    # and (nu, nv) planes; whole-grid 5x5 products took 4.3 to 4.7 blocks
+    # and (nu, nv) planes, and hold one whole-grid frame array at most:
+    # measured peaks 1.31, 0.96 and 1.46 blocks.  Whole-grid 5x5 products
+    # took 4.3 to 4.7 blocks; a frame copy for the reconstruction planes
+    # took 1.96, and a second sweep held whole took 2.96.
     conn = request.getfixturevalue(fix)
     nu, nv = conn.patch.shape
     block = nu * nv * 25 * 8  # bytes of one (nu, nv, 5, 5) float64 array
     mc = assemble_maurer_cartan(conn, 0.3)
     mc0 = assemble_maurer_cartan(conn, 0.0)
     checks = {
-        "flatness_residual": lambda: flatness_residual(mc),
-        "frame_reconstruction_residual": lambda: frame_reconstruction_residual(conn, mc0),
-        "integrate_frame": lambda: integrate_frame(mc, conn.frames[0, 0]),
+        "flatness_residual": (lambda: flatness_residual(mc), 1.45),
+        "frame_reconstruction_residual":
+            (lambda: frame_reconstruction_residual(conn, mc0), 1.05),
+        "integrate_frame": (lambda: integrate_frame(mc, conn.frames[0, 0]), 1.6),
     }
-    for name, check in checks.items():
+    for name, (check, bound) in checks.items():
         tracemalloc.start()
         try:
             check()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * block, f"{name} peaked at {peak / block:.2f} blocks"
+        assert peak < bound * block, f"{name} peaked at {peak / block:.2f} blocks"
+
+
+def test_connection_frames_are_component_major(clifford_conn):
+    # frame_reconstruction_residual differentiates contiguous (nu, nv)
+    # planes of the stored frames without copying them
+    planes = np.moveaxis(clifford_conn.frames, (2, 3), (0, 1))
+    assert planes.flags.c_contiguous
 
 
 def test_veronese_reconstruction_fourth_order():
@@ -204,6 +229,69 @@ def test_veronese_reconstruction_fourth_order():
 
 # ---------------------------------------------------------------------------
 # marching
+
+
+def whole_line_midpoints(A, periodic):
+    """The former whole-line midpoint rule, kept as the oracle of the
+    per-step midpoints."""
+    if periodic:
+        Am1 = np.roll(A, 1, axis=0)
+        Ap1 = np.roll(A, -1, axis=0)
+        Ap2 = np.roll(A, -2, axis=0)
+        return (-Am1 + 9.0 * A + 9.0 * Ap1 - Ap2) / 16.0
+    if A.shape[0] <= 2:
+        return 0.5 * (A[:-1] + A[1:])
+    if A.shape[0] == 3:
+        return np.stack([3.0 * A[0] + 6.0 * A[1] - A[2],
+                         -A[0] + 6.0 * A[1] + 3.0 * A[2]]) / 8.0
+    inner = (-A[:-3] + 9.0 * A[1:-2] + 9.0 * A[2:-1] - A[3:]) / 16.0
+    first = (5.0 * A[0] + 15.0 * A[1] - 5.0 * A[2] + A[3]) / 16.0
+    last = (A[-4] - 5.0 * A[-3] + 15.0 * A[-2] + 5.0 * A[-1]) / 16.0
+    return np.concatenate([first[None], inner, last[None]], axis=0)
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+def test_step_midpoints_match_whole_line_rule(n, periodic):
+    line = np.random.default_rng(n).standard_normal((n, 3, 8))
+    steps = n if periodic else n - 1
+    per_step = np.stack([_step_midpoint(line, k, periodic) for k in range(steps)])
+    assert np.array_equal(per_step, whole_line_midpoints(line, periodic))
+
+
+def two_sweep_path_dependence(mc, seed):
+    """Path dependence from both sweeps held whole: the "vu" sweep is the
+    "uv" sweep of the transposed chart."""
+    p = mc.patch
+    transposed = MaurerCartanField(
+        GridPatch(p.nv, p.nu, p.v_range, p.u_range, p.periodic_v, p.periodic_u,
+                  p.cap_v, p.cap_u),
+        mc.forms.transpose(1, 0, 2, 3)[:, :, ::-1])
+    D = np.ascontiguousarray(np.swapaxes(sweep_frames(transposed, seed), 0, 1))
+    D -= sweep_frames(mc, seed)
+    D *= D
+    return float(np.sqrt(np.add.reduce(D, axis=(-2, -1))).max())
+
+
+@pytest.fixture(scope="module")
+def deformed_manifest_conn():
+    # the open 257 x 257 chart that deform writes for the Clifford torus
+    imm, e1, e2, metric, nf, rep = shape_report(clifford_torus(256).immersion)
+    conn = connection_data(imm, e1, e2, nf, rep)
+    dp = integrate_frame(assemble_maurer_cartan(conn, 0.5 * math.pi), conn.frames[0, 0])
+    imm, e1, e2, metric, nf, rep = shape_report(deformed_immersion(dp))
+    return connection_data(imm, e1, e2, nf, rep)
+
+
+@pytest.mark.parametrize("fix", ["clifford_conn", "veronese_conn",
+                                 "deformed_manifest_conn"])
+def test_streamed_path_dependence_equals_two_sweeps(fix, request):
+    conn = request.getfixturevalue(fix)
+    mc = assemble_maurer_cartan(conn, 0.3)
+    seed = conn.frames[0, 0]
+    dp = integrate_frame(mc, seed, tol_path=math.inf)
+    assert dp.path_dependence == two_sweep_path_dependence(mc, seed)
+    assert np.array_equal(dp.frame, sweep_frames(mc, seed))
 
 
 def test_clifford_path_independence(clifford_conn):
