@@ -11,16 +11,18 @@ Manifest format for externally sampled surfaces: a JSON file
       "grid": {"nu": .., "nv": .., "u_range": [a, b], "v_range": [a, b],
                "periodic_u": true, "periodic_v": true},
       "position": "position.f64",
-      "jets": {"first": "jet1.f64", "second": "jet2.f64"},   # optional
+      "jets": {"first": "jet1.f64", "second": "jet2.f64"},   # optional, analytic
       "endianness": "little",
       "layout": "row-major, v fastest"
     }
 
 with raw little-endian float64 arrays of shape (nu, nv, 5), (nu, nv, 2, 5)
-and (nu, nv, 3, 5) in C order, paths relative to the manifest.  On ingest
-the position is renormalized onto the sphere when |position| drifts from 1
-by more than 1e-12, and rejected above 1e-6; the drift before
-renormalization is returned, and reported by the CLI, as ``norm_drift``.
+and (nu, nv, 3, 5) in C order, paths relative to the manifest.  Stored jets
+are read as analytic, so only analytic jets are written; missing jets are
+filled by finite differences.  On ingest the position is renormalized onto
+the sphere when |position| drifts from 1 by more than 1e-12, and rejected
+above 1e-6; the drift before renormalization is returned, and reported by
+the CLI, as ``norm_drift``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grid import GridPatch
-from .surface import UNIT_NORM_TOL, ImmersionField, SurfaceError, fd_jets
+from .surface import (UNIT_NORM_TOL, ImmersionField, SurfaceError, fd_jets, normal_frame,
+                      tangent_frame)
 
 
 class CatalogError(ValueError):
@@ -250,8 +253,6 @@ def perturb_immersion(imm: ImmersionField, amplitude: float, seed: int) -> Immer
     finite differences.  The result is a valid immersion into S^4 that is
     (deliberately) no longer minimal.
     """
-    from .surface import normal_frame, tangent_frame  # cycle-free: runtime import
-
     imm = imm.with_jets()
     e1, e2, _ = tangent_frame(imm)
     nf = normal_frame(imm, e1, e2)
@@ -283,8 +284,8 @@ def perturb_immersion(imm: ImmersionField, amplitude: float, seed: int) -> Immer
 DRIFT_REJECT = 1e-6
 
 
-def write_manifest(imm: ImmersionField, directory, include_jets: bool = True) -> Path:
-    """Write an immersion as manifest.json + raw float64 arrays."""
+def write_manifest(imm: ImmersionField, directory) -> Path:
+    """Write an immersion as manifest.json + raw float64 arrays (jets if analytic)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     patch = imm.patch
@@ -305,7 +306,7 @@ def write_manifest(imm: ImmersionField, directory, include_jets: bool = True) ->
         "endianness": "little",
         "layout": "row-major, v fastest",
     }
-    if include_jets and imm.jet1 is not None:
+    if imm.jet1 is not None and imm.jet_source == "analytic":
         doc["jets"] = {
             "first": dump("jet1.f64", imm.jet1),
             "second": dump("jet2.f64", imm.jet2),

@@ -69,22 +69,8 @@ class CliError(Exception):
 # serialization helpers
 
 
-def _clean(x):
-    if isinstance(x, dict):
-        return {k: _clean(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_clean(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return [_clean(v) for v in x.tolist()]
-    if isinstance(x, (np.floating, np.integer, np.bool_)):
-        return x.item()
-    if isinstance(x, Path):
-        return str(x)
-    return x
-
-
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(_clean(doc), indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 # CSV output: a header line, then comma-separated %.17g cells, one row per

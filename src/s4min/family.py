@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridPatch, MetricField, diff
-from .surface import ImmersionField, NormalFrameField, ShapeReport, fd_jets, shape_report
+from .surface import ImmersionField, NormalFrameField, ShapeReport, shape_report
 
 
 class FamilyError(ValueError):
@@ -422,12 +422,10 @@ def integrate_frame(mc: MaurerCartanField, seed_frame: np.ndarray,
 
 def deformed_immersion(dp: DeformedPatch) -> ImmersionField:
     """Deformed position as an immersion over the open unwrapped domain,
-    with finite-difference jets (for recomputing invariants of f_theta)."""
-    ext = dp.extended_patch
+    without jets: ``with_jets`` fills them by finite differences."""
     pos = dp.position_theta
-    norms = np.linalg.norm(pos, axis=-1, keepdims=True)
-    jet1, jet2 = fd_jets(ext, pos / norms)
-    return ImmersionField(ext, pos / norms, jet1, jet2, "fd")
+    return ImmersionField(dp.extended_patch, pos / np.linalg.norm(pos, axis=-1, keepdims=True),
+                          jet_source="fd")
 
 
 def deformation_invariant_deviation(imm: ImmersionField,

@@ -7,9 +7,9 @@ nu is identified with index 0.
 
 Conventions used throughout the package:
 
-* derivatives: 4th-order central stencils on periodic axes; on open axes
-  4th-order central in the interior and 4th-order one-sided or offset
-  stencils at the two rows on each end,
+* derivatives: one 4th-order rule, the central stencil on periodic axes
+  (indices wrapped) and in the interior of open axes, one-sided or offset
+  stencils at the two rows on each end of an open axis,
 * quadrature: rectangle rule on periodic axes (exact below Nyquist),
   midpoint rule over the closed interval on capped axes, composite
   Simpson on other open axes (3/8 tail when the interval count is odd),
@@ -108,32 +108,20 @@ def check_field(patch: GridPatch, values: np.ndarray, name: str = "field") -> np
 # finite differences
 
 
-# 4th-order periodic stencils as ((offset k, weight w), ...): the sum of
-# w f[i + k] in this order, over 12 h (first) or 12 h^2 (second derivative)
-_PERIODIC_D1 = ((2, -1.0), (1, 8.0), (-1, -8.0), (-2, 1.0))
-_PERIODIC_D2 = ((2, -1.0), (1, 16.0), (0, -30.0), (-1, 16.0), (-2, -1.0))
-
-
-def _periodic_stencil(f: np.ndarray, axis: int, terms, scale: float) -> np.ndarray:
-    """One periodic stencil (first weight -1), summed in place in ``out``.
-
-    The shifted fields are slices of one copy of f wrapped by two planes
-    on each side, so the result equals the sum written out with np.roll
-    bit for bit, at a third of its memory.
-    """
-    n = f.shape[axis]
-    wrapped = np.take(f, np.arange(-2, n + 2) % n, axis=axis)
-    shifted = lambda k: _take(wrapped, slice(2 + k, 2 + k + n), axis)  # noqa: E731
-    out = np.negative(shifted(terms[0][0]))
-    tmp = np.empty_like(out)
-    for k, w in terms[1:]:
-        term = shifted(k) if abs(w) == 1.0 else np.multiply(shifted(k), abs(w), out=tmp)
-        if w > 0:
-            out += term
-        else:
-            out -= term
-    out /= scale
-    return out
+# The one 4th-order rule, as weights of f over 12 h (first derivative) or
+# 12 h^2 (second).  _CENTRAL[order][k] weighs f[i + k - 2].  _EDGE[order][r]
+# gives row r = 0, 1 of an open axis as weights of f[0], f[1], ...; the
+# far end mirrors it, with the weights negated for the first derivative.
+# A row sums its nonzero terms in the order listed (central terms in
+# reverse on periodic axes).
+_CENTRAL = {
+    1: (1.0, -8.0, 0.0, 8.0, -1.0),
+    2: (-1.0, 16.0, -30.0, 16.0, -1.0),
+}
+_EDGE = {
+    1: ((-25.0, 48.0, -36.0, 16.0, -3.0), (-3.0, -10.0, 18.0, -6.0, 1.0)),
+    2: ((45.0, -154.0, 214.0, -156.0, 61.0, -10.0), (10.0, -15.0, -4.0, 14.0, -6.0, 1.0)),
+}
 
 
 def _take(f: np.ndarray, idx, axis: int) -> np.ndarray:
@@ -142,61 +130,52 @@ def _take(f: np.ndarray, idx, axis: int) -> np.ndarray:
     return f[tuple(sl)]
 
 
-def _diff1_open(f: np.ndarray, h: float, axis: int) -> np.ndarray:
-    out = np.empty_like(f)
-    n = f.shape[axis]
-    g = lambda i: _take(f, i, axis)  # noqa: E731
-    # interior, 4th-order central (matches the periodic stencil order)
-    _take(out, slice(2, n - 2), axis)[...] = (
-        _take(f, slice(0, n - 4), axis)
-        - 8.0 * _take(f, slice(1, n - 3), axis)
-        + 8.0 * _take(f, slice(3, n - 1), axis)
-        - _take(f, slice(4, n), axis)
-    ) / (12.0 * h)
-    # 4th-order one-sided / offset stencils at the two rows on each end
-    _take(out, 0, axis)[...] = (
-        -25.0 * g(0) + 48.0 * g(1) - 36.0 * g(2) + 16.0 * g(3) - 3.0 * g(4)
-    ) / (12.0 * h)
-    _take(out, 1, axis)[...] = (
-        -3.0 * g(0) - 10.0 * g(1) + 18.0 * g(2) - 6.0 * g(3) + g(4)
-    ) / (12.0 * h)
-    _take(out, n - 2, axis)[...] = (
-        3.0 * g(n - 1) + 10.0 * g(n - 2) - 18.0 * g(n - 3) + 6.0 * g(n - 4) - g(n - 5)
-    ) / (12.0 * h)
-    _take(out, n - 1, axis)[...] = (
-        25.0 * g(n - 1) - 48.0 * g(n - 2) + 36.0 * g(n - 3) - 16.0 * g(n - 4) + 3.0 * g(n - 5)
-    ) / (12.0 * h)
-    return out
+def _weighted_sum(out: np.ndarray, terms) -> None:
+    """out = the sum of w * x over the (x, w) terms, in order, in place.
+
+    Weights of +-1 are applied without a multiplication, and later terms
+    add or subtract |w| * x, so each entry rounds as the sum written out
+    left to right does, signed zeros of complex fields included.
+    """
+    (x, w), tmp = terms[0], np.empty_like(out)
+    if abs(w) == 1.0:
+        (np.positive if w > 0 else np.negative)(x, out=out)
+    else:
+        np.multiply(x, w, out=out)
+    for x, w in terms[1:]:
+        if abs(w) != 1.0:
+            x = np.multiply(x, abs(w), out=tmp)
+        if w > 0:
+            out += x
+        else:
+            out -= x
 
 
-def _diff2_open(f: np.ndarray, h: float, axis: int) -> np.ndarray:
-    out = np.empty_like(f)
+def _stencil(f: np.ndarray, axis: int, order: int, periodic: bool) -> np.ndarray:
+    """The stencil sums of f along axis, 12 h^order times its derivative.
+
+    Every row is a weighted sum of rows of f itself (wrapped indices at the
+    ends of a periodic axis), so only the result and one scratch array of
+    the interior's size are allocated.
+    """
     n = f.shape[axis]
-    g = lambda i: _take(f, i, axis)  # noqa: E731
-    # interior, 4th-order central (matches the periodic stencil order)
-    _take(out, slice(2, n - 2), axis)[...] = (
-        -_take(f, slice(0, n - 4), axis)
-        + 16.0 * _take(f, slice(1, n - 3), axis)
-        - 30.0 * _take(f, slice(2, n - 2), axis)
-        + 16.0 * _take(f, slice(3, n - 1), axis)
-        - _take(f, slice(4, n), axis)
-    ) / (12.0 * h * h)
-    # 4th-order one-sided / offset stencils at the two rows on each end
-    _take(out, 0, axis)[...] = (
-        45.0 * g(0) - 154.0 * g(1) + 214.0 * g(2)
-        - 156.0 * g(3) + 61.0 * g(4) - 10.0 * g(5)
-    ) / (12.0 * h * h)
-    _take(out, 1, axis)[...] = (
-        10.0 * g(0) - 15.0 * g(1) - 4.0 * g(2) + 14.0 * g(3) - 6.0 * g(4) + g(5)
-    ) / (12.0 * h * h)
-    _take(out, n - 2, axis)[...] = (
-        10.0 * g(n - 1) - 15.0 * g(n - 2) - 4.0 * g(n - 3)
-        + 14.0 * g(n - 4) - 6.0 * g(n - 5) + g(n - 6)
-    ) / (12.0 * h * h)
-    _take(out, n - 1, axis)[...] = (
-        45.0 * g(n - 1) - 154.0 * g(n - 2) + 214.0 * g(n - 3)
-        - 156.0 * g(n - 4) + 61.0 * g(n - 5) - 10.0 * g(n - 6)
-    ) / (12.0 * h * h)
+    out = np.empty_like(f)
+    row = lambda a, i: _take(a, i, axis)  # noqa: E731
+    central = [(k - 2, w) for k, w in enumerate(_CENTRAL[order]) if w]
+    if periodic:
+        central.reverse()
+        rows = [(i, [(row(f, (i + k) % n), w) for k, w in central])
+                for i in (0, 1, n - 2, n - 1)]
+    else:
+        sign = -1.0 if order == 1 else 1.0
+        rows = []
+        for r, weights in enumerate(_EDGE[order]):
+            rows.append((r, [(row(f, k), w) for k, w in enumerate(weights)]))
+            rows.append((n - 1 - r, [(row(f, n - 1 - k), sign * w)
+                                     for k, w in enumerate(weights)]))
+    rows.append((slice(2, n - 2), [(row(f, slice(2 + k, n - 2 + k)), w) for k, w in central]))
+    for i, terms in rows:
+        _weighted_sum(row(out, i), terms)
     return out
 
 
@@ -209,13 +188,11 @@ def diff(patch: GridPatch, values: np.ndarray, axis: int, order: int = 1) -> np.
     values = np.asarray(values)
     if not np.issubdtype(values.dtype, np.inexact):
         values = values.astype(float)
-    if order == 1:
-        return (_periodic_stencil(values, axis, _PERIODIC_D1, 12.0 * h) if periodic
-                else _diff1_open(values, h, axis))
-    if order == 2:
-        return (_periodic_stencil(values, axis, _PERIODIC_D2, 12.0 * h * h) if periodic
-                else _diff2_open(values, h, axis))
-    raise GridError(f"order must be 1 or 2, got {order}")
+    if order not in (1, 2):
+        raise GridError(f"order must be 1 or 2, got {order}")
+    out = _stencil(values, axis, order, periodic)
+    out /= 12.0 * h if order == 1 else 12.0 * h * h
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +289,13 @@ def quadrature_weights(patch: GridPatch) -> tuple[np.ndarray, np.ndarray]:
     return wu, wv
 
 
-def integrate(patch: GridPatch, values: np.ndarray, metric: MetricField | None = None) -> float:
-    """Integral of a scalar field; weighted by the metric area element if given."""
+def integrate(patch: GridPatch, values: np.ndarray, metric: MetricField) -> float:
+    """Integral of a scalar field against the metric area element."""
     values = check_field(patch, np.asarray(values, dtype=float), "integrand")
     if values.ndim != 2:
         raise GridError("integrate expects a scalar field")
     wu, wv = quadrature_weights(patch)
-    density = values if metric is None else values * metric.dA
-    return float(np.sum(density * wu[:, None] * wv[None, :]))
+    return float(np.sum(values * metric.dA * wu[:, None] * wv[None, :]))
 
 
 # ---------------------------------------------------------------------------

@@ -193,16 +193,15 @@ def zero_count_excised(
     a_field: np.ndarray,
     metric: MetricField,
     zeros,
-    radius: float | None = None,
 ) -> ZeroCount:
     """Count zeros of a nonnegative field, with orders, by boundary fluxes.
 
-    Each entry of ``zeros`` is a grid index pair ``(i, j)`` (objects with a
-    ``location`` attribute are accepted too).  Around each zero an excision
-    rectangle of half-width ``radius`` is placed on-grid, and the outward
-    flux of ``grad(log a_field)`` through its boundary is accumulated; an
-    isolated zero of order ``m`` contributes ``2pi m``.  The total divided by
-    ``2pi`` is the count.  ``laplace(log a_field)`` is log-singular at the
+    Each entry of ``zeros`` is a grid index pair ``(i, j)``.  Around each
+    zero an excision rectangle of half-width ``EXCISION_FACTOR`` times the
+    larger grid spacing is placed on-grid, and the outward flux of
+    ``grad(log a_field)`` through its boundary is accumulated; an isolated
+    zero of order ``m`` contributes ``2pi m``.  The total divided by ``2pi``
+    is the count.  ``laplace(log a_field)`` is log-singular at the
     zeros, so this flux form replaces naive quadrature across them.
 
     Rectangles must not overlap and must clear open chart boundaries.
@@ -212,12 +211,8 @@ def zero_count_excised(
         raise TopologyError(f"field shape {a.shape} does not match the {patch.shape} grid")
     if np.any(a < 0):
         raise TopologyError("zero counting expects a nonnegative field")
-    if radius is None:
-        radius = EXCISION_FACTOR * max(patch.hu, patch.hv)
-    locations = []
-    for z in zeros:
-        loc = getattr(z, "location", z)
-        locations.append((int(loc[0]), int(loc[1])))
+    radius = EXCISION_FACTOR * max(patch.hu, patch.hv)
+    locations = [(int(i), int(j)) for i, j in zeros]
     ki = max(1, int(round(radius / patch.hu)))
     kj = max(1, int(round(radius / patch.hv)))
 
@@ -326,6 +321,13 @@ def _balance(
 # pointwise identities
 
 
+def _log_laplace_residual(patch: GridPatch, w: np.ndarray, metric: MetricField,
+                          target: np.ndarray, valid: np.ndarray) -> float:
+    """Max of |laplace(log w) - target| over the valid points."""
+    lap = laplace_beltrami(patch, np.log(np.maximum(w, 1e-300)), metric)
+    return float(np.abs(lap - target)[valid].max())
+
+
 def laplace_identity_residual(
     report: ShapeReport,
     metric: MetricField,
@@ -344,10 +346,7 @@ def laplace_identity_residual(
         return None  # identically zero branch: the identity has no domain
     valid = a > 0.1 * float(a.max())  # holds at the maximum, so never empty
     target = 2.0 * report.K - report.K_N if branch == "+" else 2.0 * report.K + report.K_N
-    with np.errstate(divide="ignore"):
-        log_a = np.log(np.maximum(a, 1e-300))
-    lap = laplace_beltrami(report.patch, log_a, metric)
-    return float(np.abs(lap - target)[valid].max())
+    return _log_laplace_residual(report.patch, a, metric, target, valid)
 
 
 def ricci_condition_residual(report: ShapeReport, metric: MetricField) -> RicciCheck:
@@ -361,10 +360,7 @@ def ricci_condition_residual(report: ShapeReport, metric: MetricField) -> RicciC
     valid = w > RICCI_FLOOR
     if not valid.any():
         return RicciCheck(None, True, "1 - K vanishes on the whole chart")
-    with np.errstate(divide="ignore"):
-        log_w = np.log(np.maximum(w, 1e-300))
-    lap = laplace_beltrami(report.patch, log_w, metric)
-    residual = float(np.max(np.abs(lap - 4.0 * report.K)[valid]))
+    residual = _log_laplace_residual(report.patch, w, metric, 4.0 * report.K, valid)
     return RicciCheck(residual, False, "")
 
 

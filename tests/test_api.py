@@ -96,6 +96,7 @@ STATED_FIELDS = {
     "ZeroCount.excised_integral": "flux-count oracle: the excised Laplacian quadrature",
     "TopologyReport.count_plus": "answers block: N(a+) (ROADMAP item 3)",
     "TopologyReport.count_minus": "answers block: N(a-) (ROADMAP item 3)",
+    "ZeroOrder.location": "output of the zero_orders oracle",
     "ZeroOrder.order": "output of the zero_orders oracle",
     "ZeroOrder.flagged": "output of the zero_orders oracle",
     "CatalogEntry.truth": "ground truth of the catalog surfaces",

@@ -21,7 +21,7 @@ from s4min.catalog import (
     write_manifest,
 )
 from s4min.grid import integrate
-from s4min.surface import tangent_frame
+from s4min.surface import ImmersionField, tangent_frame
 
 
 def test_registry_names_and_lookup():
@@ -130,9 +130,13 @@ def test_manifest_roundtrip_bitwise(tmp_path):
 
 def test_manifest_without_jets_uses_stencils(tmp_path):
     ent = clifford_torus(32)
-    path = write_manifest(ent.immersion, tmp_path, include_jets=False)
+    fd = ImmersionField(ent.immersion.patch, ent.immersion.position).with_jets()
+    # finite-difference jets are not stored: stored jets read back as analytic
+    path = write_manifest(fd, tmp_path)
+    assert "jets" not in json.loads(path.read_text())
     imm, _ = read_manifest(path)
     assert imm.jet_source == "fd"
+    assert np.array_equal(imm.jet1, fd.jet1) and np.array_equal(imm.jet2, fd.jet2)
     assert np.abs(imm.jet1 - ent.immersion.jet1).max() < 1e-4
 
 
@@ -142,7 +146,7 @@ def test_manifest_norm_tiers(tmp_path):
     def with_scale(s, sub):
         imm = ent.immersion
         d = tmp_path / sub
-        path = write_manifest(imm, d, include_jets=False)
+        path = write_manifest(ImmersionField(imm.patch, imm.position), d)
         raw = np.fromfile(d / "position.f64", dtype="<f8")
         (raw * s).astype("<f8").tofile(d / "position.f64")
         return path

@@ -158,7 +158,7 @@ def test_nonpositive_perturbation_is_config_error(cli, tmp_path):
 
 def test_analytic_jets_unavailable_is_config_error(cli, tmp_path):
     imm = load_catalog("clifford", 32).immersion
-    manifest = write_manifest(imm, tmp_path / "src", include_jets=False)
+    manifest = write_manifest(ImmersionField(imm.patch, imm.position), tmp_path / "src")
     code, out = cli("analyze", "--manifest", manifest, "--jets", "analytic",
                     "--out", tmp_path / "out")
     assert code == 2
@@ -173,8 +173,7 @@ def test_degenerate_manifest_is_source_error(cli, tmp_path, command):
     curve = np.zeros((64, 64, 5))
     curve[..., 0] = np.cos(u)[:, None]
     curve[..., 1] = np.sin(u)[:, None]
-    manifest = write_manifest(ImmersionField(patch, curve), tmp_path / "src",
-                              include_jets=False)
+    manifest = write_manifest(ImmersionField(patch, curve), tmp_path / "src")
     extra = ("--theta", 0.5) if command == "deform" else ()
     code, out = cli(command, "--manifest", manifest, *extra, "--out", tmp_path / "out")
     assert code == 2
@@ -279,11 +278,20 @@ def test_deform_output_feeds_back_into_analyze(cli, tmp_path):
     code, _ = cli("deform", "--catalog", "clifford", "--n", 64,
                   "--theta", 0.7, "--out", tmp_path / "a")
     assert code == 0
-    code, _ = cli("analyze", "--manifest", tmp_path / "a" / "deformed" / "manifest.json",
-                  "--out", tmp_path / "b")
+    manifest = tmp_path / "a" / "deformed" / "manifest.json"
+    # only the position is stored: the deformed jets are finite differences,
+    # and stored jets would be read back as analytic
+    assert sorted(p.name for p in manifest.parent.iterdir()) == ["manifest.json",
+                                                                 "position.f64"]
+    code, out = cli("analyze", "--manifest", manifest, "--jets", "analytic",
+                    "--out", tmp_path / "c")
+    assert code == 2
+    assert error_code(out) == "E_CONFIG"
+    code, _ = cli("analyze", "--manifest", manifest, "--out", tmp_path / "b")
     assert code == 0
     report = json.loads((tmp_path / "b" / "report.json").read_text())
     assert report["source"]["source"] == "manifest:manifest.json"
+    assert report["source"]["jet_source"] == "fd"
     assert report["source"]["norm_drift"] < 1e-12
     # members of the family are isometric, so the deformed surface is
     # still intrinsically flat

@@ -1,6 +1,8 @@
 """Grid calculus: stencils, Laplace-Beltrami, quadrature, paths."""
 
 import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,98 @@ def test_periodic_stencils_match_rolled_expression(shape):
         assert diff(patch, f, axis, order=2).tobytes() == d2.tobytes()
 
 
+def _open_oracle(f, h, axis, order):
+    """The open-axis stencils written out term by term, as sums of slices."""
+    n = f.shape[axis]
+
+    def g(i):
+        return np.take(f, i, axis=axis)
+
+    def s(a, b):
+        return np.take(f, np.arange(a, b), axis=axis)
+
+    if order == 1:
+        rows = [
+            (-25.0 * g(0) + 48.0 * g(1) - 36.0 * g(2) + 16.0 * g(3) - 3.0 * g(4)) / (12.0 * h),
+            (-3.0 * g(0) - 10.0 * g(1) + 18.0 * g(2) - 6.0 * g(3) + g(4)) / (12.0 * h),
+            (s(0, n - 4) - 8.0 * s(1, n - 3) + 8.0 * s(3, n - 1) - s(4, n)) / (12.0 * h),
+            (3.0 * g(n - 1) + 10.0 * g(n - 2) - 18.0 * g(n - 3) + 6.0 * g(n - 4)
+             - g(n - 5)) / (12.0 * h),
+            (25.0 * g(n - 1) - 48.0 * g(n - 2) + 36.0 * g(n - 3) - 16.0 * g(n - 4)
+             + 3.0 * g(n - 5)) / (12.0 * h),
+        ]
+    else:
+        rows = [
+            (45.0 * g(0) - 154.0 * g(1) + 214.0 * g(2) - 156.0 * g(3) + 61.0 * g(4)
+             - 10.0 * g(5)) / (12.0 * h * h),
+            (10.0 * g(0) - 15.0 * g(1) - 4.0 * g(2) + 14.0 * g(3) - 6.0 * g(4)
+             + g(5)) / (12.0 * h * h),
+            (-s(0, n - 4) + 16.0 * s(1, n - 3) - 30.0 * s(2, n - 2) + 16.0 * s(3, n - 1)
+             - s(4, n)) / (12.0 * h * h),
+            (10.0 * g(n - 1) - 15.0 * g(n - 2) - 4.0 * g(n - 3) + 14.0 * g(n - 4)
+             - 6.0 * g(n - 5) + g(n - 6)) / (12.0 * h * h),
+            (45.0 * g(n - 1) - 154.0 * g(n - 2) + 214.0 * g(n - 3) - 156.0 * g(n - 4)
+             + 61.0 * g(n - 5) - 10.0 * g(n - 6)) / (12.0 * h * h),
+        ]
+    rows = [r if r.ndim == f.ndim else np.expand_dims(r, axis) for r in rows]
+    return np.concatenate(rows, axis=axis)
+
+
+def _stencil_fields(rng, n):
+    """Float, complex with signed zeros, float32 and int fields of n x 11."""
+    z = rng.standard_normal((n, 11, 3)) + 1j * rng.standard_normal((n, 11, 3))
+    z.real[rng.random(z.shape) < 0.3] = -0.0
+    z.imag[rng.random(z.shape) < 0.3] = 0.0
+    z.imag[rng.random(z.shape) < 0.3] = -0.0
+    return [rng.standard_normal((n, 11)), z,
+            rng.standard_normal((n, 11)).astype(np.float32),
+            rng.integers(-9, 10, (n, 11))]
+
+
+@pytest.mark.parametrize("n", [8, 9, 33])
+def test_open_stencils_match_written_out_expression(n):
+    rng = np.random.default_rng(n)
+    for f in _stencil_fields(rng, n):
+        for g in (f, np.swapaxes(f, 0, 1).copy()):
+            patch = GridPatch(g.shape[0], g.shape[1], (0.0, 1.5), (0.0, 2.5), False, False)
+            oracle = g.astype(float) if g.dtype.kind == "i" else g
+            for axis, order in ((0, 1), (1, 1), (0, 2), (1, 2)):
+                h = patch.hu if axis == 0 else patch.hv
+                got = diff(patch, g, axis, order)
+                want = _open_oracle(oracle, h, axis, order)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (g.dtype, axis, order)
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_diff_peaks_at_two_field_copies(periodic):
+    # the result plus one interior-sized scratch array: no padded or
+    # shifted copy of the field
+    f = np.random.default_rng(2).standard_normal((256, 256, 5))
+    patch = GridPatch(256, 256, (0.0, TWO_PI), (0.0, TWO_PI), periodic, periodic)
+    for axis in (0, 1):
+        tracemalloc.start()
+        try:
+            out = diff(patch, f, axis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del out
+        assert peak <= 2.1 * f.nbytes, f"axis {axis}: {peak / f.nbytes:.2f} field copies"
+
+
+def test_periodic_diff_commutes_with_roll():
+    rng = np.random.default_rng(7)
+    for f in _stencil_fields(rng, 32):
+        patch = GridPatch(32, 11, (0.0, TWO_PI), (0.0, 1.0), True, True)
+        for axis, n in ((0, 32), (1, 11)):
+            for order in (1, 2):
+                shift = int(rng.integers(1, n))
+                rolled = diff(patch, np.roll(f, shift, axis=axis), axis, order)
+                assert rolled.tobytes() == np.roll(diff(patch, f, axis, order), shift,
+                                                   axis=axis).tobytes()
+
+
 def test_vector_field_derivative_shape():
     patch = periodic_patch(16)
     u, v = patch.mesh()
@@ -162,7 +256,7 @@ def test_quadrature_trig_polynomial_exact_below_nyquist():
     u, v = patch.mesh()
     f = 1.0 + np.cos(5 * u) + np.sin(13 * v) + np.cos(3 * u) * np.sin(7 * v)
     # every oscillatory term sums to zero exactly; the constant gives (2 pi)^2
-    assert abs(integrate(patch, f) - TWO_PI**2) < 1e-12 * TWO_PI**2
+    assert abs(integrate(patch, f, flat_metric(patch)) - TWO_PI**2) < 1e-12 * TWO_PI**2
 
 
 def test_quadrature_simpson_open_axis():
@@ -170,7 +264,7 @@ def test_quadrature_simpson_open_axis():
     u, v = patch.mesh()
     # Simpson (and the 3/8 tail on the odd-interval axis) is exact on cubics
     f = u**3 + v**3
-    assert abs(integrate(patch, f) - 0.5) < 1e-14
+    assert abs(integrate(patch, f, flat_metric(patch)) - 0.5) < 1e-14
 
 
 def test_metric_weighted_area():
@@ -241,7 +335,7 @@ def test_capped_axis_midpoint_quadrature():
     patch = GridPatch(n, 8, (h / 2, math.pi - h / 2), (0.0, 1.0),
                       periodic_u=False, periodic_v=False, cap_u=True)
     vals = np.sin(patch.u_coords())[:, None] * np.ones((1, 8))
-    got = integrate(patch, vals)
+    got = integrate(patch, vals, flat_metric(patch))
     want = 2.0  # integral of sin over [0, pi]
     exact_err = h / math.sin(h / 2.0) - 2.0  # closed-form midpoint-rule error
     assert abs((got - want) - exact_err) < 1e-12

@@ -205,11 +205,15 @@ def test_rectangle_must_clear_open_boundary():
         zero_count_excised(patch, a, metric, [(2, 31)])
 
 
-def test_rectangle_cannot_span_periodic_axis(flat_chart):
-    patch, metric = flat_chart
-    a, _ = synthetic_zero_field(patch, [(3.0, 3.0, 1)])
-    with pytest.raises(TopologyError, match="spans the whole periodic"):
-        zero_count_excised(patch, a, metric, [(61, 61)], radius=1.1 * math.pi)
+def test_rectangle_cannot_span_periodic_axis():
+    # 8 samples along v make the production radius (6 of the larger
+    # spacing, 2 pi / 8) reach 48 of the 64 u-samples on each side
+    patch = GridPatch(64, 8, (0.0, 2 * math.pi), (0.0, 2 * math.pi), True, True)
+    metric = MetricField(patch, np.ones(patch.shape), np.zeros(patch.shape),
+                         np.ones(patch.shape))
+    a, _ = synthetic_zero_field(patch, [(patch.u_coords()[31], patch.v_coords()[4], 1)])
+    with pytest.raises(TopologyError, match="spans the whole periodic u-axis"):
+        zero_count_excised(patch, a, metric, [(31, 4)])
 
 
 def test_incomplete_zero_list_detected(flat_chart):
