@@ -9,8 +9,8 @@ monodromy, closing set and integral identity checks.
 from types import ModuleType as _ModuleType
 
 from .grid import (
-    GridError,
     GridPatch,
+    InputError,
     LoopPath,
     MetricField,
     diff,
@@ -25,7 +25,6 @@ from .surface import (
     ImmersionField,
     NormalFrameField,
     ShapeReport,
-    SurfaceError,
     fd_jets,
     flip_normal_orientation,
     frame_orthonormality_residual,
@@ -37,7 +36,6 @@ from .surface import (
 )
 from .catalog import (
     CatalogEntry,
-    CatalogError,
     catalog_names,
     clifford_torus,
     geodesic_sphere,
@@ -48,11 +46,8 @@ from .catalog import (
     write_manifest,
 )
 from .adapted import (
-    AdaptedFrameError,
     SuperminimalityReport,
     ZeroOrder,
-    circle_mask,
-    circle_threshold,
     find_zero_candidates,
     hopf_coefficient,
     hopf_differential,
@@ -64,7 +59,6 @@ from .family import (
     ConnectionData,
     CongruenceFit,
     DeformedPatch,
-    FamilyError,
     IntegrabilityBroken,
     MaurerCartanField,
     assemble_maurer_cartan,
@@ -78,7 +72,6 @@ from .family import (
 )
 
 from .monodromy import (
-    MonodromyError,
     MonodromyProfile,
     dichotomy_report,
     generator_monodromy,
@@ -87,8 +80,6 @@ from .monodromy import (
 from .topology import (
     BalanceCheck,
     IntegerVerdict,
-    RicciCheck,
-    TopologyError,
     TopologyReport,
     ZeroCount,
     balance_residuals,

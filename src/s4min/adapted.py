@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridPatch, MetricField, diff
+from .grid import GridPatch, InputError, MetricField, diff
 from .surface import ShapeReport
 
 EPS_SUPERMINIMAL = 1e-6
@@ -29,21 +29,8 @@ CIRCLE_FLOOR = 1e-14
 WINDING_SAMPLES = 64
 
 
-class AdaptedFrameError(ValueError):
-    """Raised when the Hopf field or a winding order cannot be evaluated on the chart."""
-
-
 # ---------------------------------------------------------------------------
 # circle locus and superminimality
-
-
-def circle_threshold(report: ShapeReport) -> float:
-    """Threshold on kappa - mu below which a point counts as a circle point."""
-    return 1e-4 * float(report.kappa.max()) + CIRCLE_FLOOR
-
-
-def circle_mask(report: ShapeReport) -> np.ndarray:
-    return (report.kappa - report.mu) < circle_threshold(report)
 
 
 def _clusters(mask: np.ndarray, periodic_u: bool, periodic_v: bool) -> list[list]:
@@ -90,7 +77,8 @@ def superminimality_test(report: ShapeReport) -> SuperminimalityReport:
     quarter = 0.25 * report.a_plus * report.a_minus
     max_q = float(quarter.max())
     max_b = float(report.norm_B2.max())
-    mask = circle_mask(report)
+    # circle points: kappa - mu below 1e-4 of the largest semi-axis
+    mask = (report.kappa - report.mu) < 1e-4 * float(report.kappa.max()) + CIRCLE_FLOOR
     n_pts = int(mask.sum())
     if max_b < 1e-12:
         return SuperminimalityReport("superminimal", n_pts, "second fundamental form vanishes")
@@ -149,7 +137,7 @@ def hopf_differential(report: ShapeReport, metric: MetricField) -> np.ndarray:
         # flatness of the zero field directly
         return np.abs(diff(patch, phi, 0)) + np.abs(diff(patch, phi, 1))
 
-    raise AdaptedFrameError(
+    raise InputError(
         "chart is not isothermal and the coefficient does not vanish; "
         "use a conformal parametrization (catalog charts)"
     )
@@ -194,14 +182,14 @@ def _sample_bilinear(patch: GridPatch, values: np.ndarray,
         i1 = (i0 + 1) % nu
     else:
         if (i0 < 0).any() or (i0 > nu - 2).any():
-            raise AdaptedFrameError("sample circle leaves the open u-axis")
+            raise InputError("sample circle leaves the open u-axis")
         i1 = i0 + 1
     if patch.periodic_v:
         j0 %= nv
         j1 = (j0 + 1) % nv
     else:
         if (j0 < 0).any() or (j0 > nv - 2).any():
-            raise AdaptedFrameError("sample circle leaves the open v-axis")
+            raise InputError("sample circle leaves the open v-axis")
         j1 = j0 + 1
     return (values[i0, j0] * (1 - fu) * (1 - fv) + values[i1, j0] * fu * (1 - fv)
             + values[i0, j1] * (1 - fu) * fv + values[i1, j1] * fu * fv)
@@ -215,7 +203,7 @@ def winding_number(patch: GridPatch, values: np.ndarray, center_uv,
     v = center_uv[1] + radius * np.sin(ang)
     c = _sample_bilinear(patch, values.astype(complex), u, v)
     if np.any(np.abs(c) == 0.0):
-        raise AdaptedFrameError("winding circle passes through a zero")
+        raise InputError("winding circle passes through a zero")
     inc = np.angle(c[1:] * np.conj(c[:-1]))
     return float(np.sum(inc) / (2.0 * math.pi))
 

@@ -31,17 +31,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .grid import GridPatch
-from .surface import (UNIT_NORM_TOL, ImmersionField, SurfaceError, fd_jets, normal_frame,
-                      tangent_frame)
-
-
-class CatalogError(ValueError):
-    """Raised for unknown catalog names or malformed manifests."""
+from .grid import GridPatch, InputError
+from .surface import UNIT_NORM_TOL, ImmersionField, fd_jets, normal_frame, tangent_frame
 
 
 @dataclass
@@ -235,7 +230,7 @@ def load_catalog(name: str, n: int = 256) -> CatalogEntry:
     try:
         gen = _GENERATORS[name]
     except KeyError:
-        raise CatalogError(
+        raise InputError(
             f"unknown catalog surface {name!r}; available: {', '.join(catalog_names())}"
         ) from None
     return gen(n)
@@ -319,11 +314,11 @@ def write_manifest(imm: ImmersionField, directory) -> Path:
 def _read_array(base: Path, rel: str, shape: tuple, what: str) -> np.ndarray:
     path = (base / rel).resolve()
     if not path.is_file():
-        raise CatalogError(f"manifest {what} file not found: {path}")
+        raise InputError(f"manifest {what} file not found: {path}")
     expected = int(np.prod(shape))
     data = np.fromfile(path, dtype="<f8")
     if data.size != expected:
-        raise CatalogError(
+        raise InputError(
             f"manifest {what}: expected {expected} float64 values for shape "
             f"{shape}, file holds {data.size}"
         )
@@ -340,11 +335,11 @@ def read_manifest(path) -> tuple[ImmersionField, float]:
     try:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise CatalogError(f"cannot read manifest {path}: {exc}") from exc
+        raise InputError(f"cannot read manifest {path}: {exc}") from exc
     if doc.get("kind") != "sampled":
-        raise CatalogError(f"manifest kind must be 'sampled', got {doc.get('kind')!r}")
+        raise InputError(f"manifest kind must be 'sampled', got {doc.get('kind')!r}")
     if doc.get("endianness", "little") != "little":
-        raise CatalogError("only little-endian payloads are supported")
+        raise InputError("only little-endian payloads are supported")
     try:
         g = doc["grid"]
         patch = GridPatch(int(g["nu"]), int(g["nv"]),
@@ -354,16 +349,16 @@ def read_manifest(path) -> tuple[ImmersionField, float]:
                           bool(g.get("cap_u", False)), bool(g.get("cap_v", False)))
         position_rel = doc["position"]
     except (KeyError, TypeError, ValueError) as exc:
-        raise CatalogError(f"malformed manifest {path}: {exc}") from exc
+        raise InputError(f"malformed manifest {path}: {exc}") from exc
 
     base = path.parent
     pos = _read_array(base, position_rel, (patch.nu, patch.nv, 5), "position")
     norms = np.linalg.norm(pos, axis=2)
     if np.any(norms < 0.5):
-        raise CatalogError("position contains near-zero vectors; not a sphere map")
+        raise InputError("position contains near-zero vectors; not a sphere map")
     drift = float(np.abs(norms - 1.0).max())
     if drift > DRIFT_REJECT:
-        raise CatalogError(
+        raise InputError(
             f"position is off the unit sphere by {drift:.3e} "
             f"(> {DRIFT_REJECT:.0e}); refusing to renormalize"
         )

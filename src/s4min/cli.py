@@ -21,18 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapted import AdaptedFrameError, hopf_coefficient, hopf_differential, superminimality_test
-from .catalog import (
-    CatalogError,
-    catalog_names,
-    load_catalog,
-    perturb_immersion,
-    read_manifest,
-    write_manifest,
-)
+from .adapted import hopf_coefficient, hopf_differential, superminimality_test
+from .catalog import catalog_names, load_catalog, perturb_immersion, read_manifest, write_manifest
 from .family import (
     PATH_DEPENDENCE_TOL,
-    FamilyError,
     IntegrabilityBroken,
     assemble_maurer_cartan,
     congruence_test,
@@ -42,10 +34,10 @@ from .family import (
     frame_reconstruction_residual,
     integrate_frame,
 )
-from .monodromy import MonodromyError, dichotomy_report, scan_profile
-from .surface import ImmersionField, SurfaceError, shape_report
-from .topology import TopologyError, euler_numbers, laplace_identity_residual, topology_report
-from .grid import GridError
+from .grid import InputError
+from .monodromy import dichotomy_report, scan_profile
+from .surface import ImmersionField, shape_report
+from .topology import euler_numbers, laplace_identity_residual, topology_report
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -149,10 +141,7 @@ def _load_surface(args) -> tuple[ImmersionField, dict]:
         path = Path(args.manifest)
         if not path.is_file():
             raise CliError(EXIT_CONFIG, "E_SOURCE", f"manifest not found: {path}")
-        try:
-            imm, drift = read_manifest(path)
-        except CatalogError as exc:
-            raise CliError(EXIT_CONFIG, "E_SOURCE", str(exc)) from exc
+        imm, drift = read_manifest(path)
         meta = {
             "source": f"manifest:{path.name}",
             "n": [imm.patch.nu, imm.patch.nv],
@@ -201,7 +190,7 @@ def cmd_analyze(args) -> int:
     hopf_abs = np.abs(hopf_coefficient(rep))
     try:
         holo_max = float(hopf_differential(rep, metric).max())
-    except AdaptedFrameError:
+    except InputError:
         holo_max = None
 
     fields = {
@@ -347,17 +336,17 @@ def cmd_monodromy(args) -> int:
 # verify
 
 
-def _item(tag, value, tolerance, skipped=False, reason="", diagnostic=False):
-    ok = True
-    if not skipped and not diagnostic:
-        ok = bool(value <= tolerance)
+def _item(tag, value, tolerance, reason="", diagnostic=False):
+    """One verify check.  A check that did not run has value None: it is
+    skipped, carries no tolerance and does not fail."""
+    skipped = value is None
     return {
         "tag": tag,
-        "value": None if value is None else float(value),
-        "tolerance": None if tolerance is None else float(tolerance),
-        "passed": ok,
-        "skipped": bool(skipped),
-        "diagnostic": bool(diagnostic),
+        "value": None if skipped else float(value),
+        "tolerance": None if skipped or tolerance is None else float(tolerance),
+        "passed": skipped or diagnostic or bool(value <= tolerance),
+        "skipped": skipped,
+        "diagnostic": diagnostic,
         "reason": reason,
     }
 
@@ -380,18 +369,15 @@ def cmd_verify(args) -> int:
     items.append(_item("ellipse_radius_product", product_gap, 1e-9))
 
     try:
-        holo = float(hopf_differential(rep, metric).max())
-        items.append(_item("hopf_holomorphy", holo, tol_h2))
-    except AdaptedFrameError as exc:
-        items.append(_item("hopf_holomorphy", None, None, skipped=True, reason=str(exc)))
+        holo, reason = float(hopf_differential(rep, metric).max()), ""
+    except InputError as exc:
+        holo, reason = None, str(exc)
+    items.append(_item("hopf_holomorphy", holo, tol_h2, reason))
 
     for branch, tag in (("+", "laplace_log_plus"), ("-", "laplace_log_minus")):
         residual = laplace_identity_residual(rep, metric, branch)
-        if residual is None:
-            items.append(_item(tag, None, None, skipped=True,
-                               reason="radius field vanishes identically"))
-        else:
-            items.append(_item(tag, residual, tol_h2))
+        items.append(_item(tag, residual, tol_h2,
+                           "radius field vanishes identically" if residual is None else ""))
 
     conn = connection_data(imm, e1, e2, nf, rep)
     del imm, e1, e2, nf  # conn.frames holds their only further use
@@ -405,37 +391,25 @@ def cmd_verify(args) -> int:
 
     try:
         topo = topology_report(rep, metric)
-    except (TopologyError, GridError, AdaptedFrameError) as exc:
+    except InputError as exc:
         reason = f"global invariants unavailable: {exc}"
         for tag in ("euler_chi_surface", "euler_chi_normal",
                     "zero_balance_plus", "zero_balance_minus"):
-            items.append(_item(tag, None, None, skipped=True, reason=reason))
-        ricci_entry = _item("ricci_3sphere_residual", None, None,
-                            skipped=True, reason=reason, diagnostic=True)
-        superminimality = None
+            items.append(_item(tag, None, None, reason))
+        ricci, superminimality = None, None
     else:
         items.append(_item("euler_chi_surface", topo.chi_M.gap, 0.02))
         items.append(_item("euler_chi_normal", topo.chi_Nf.gap, 0.02))
-        if topo.balance.skipped:
-            for tag in ("zero_balance_plus", "zero_balance_minus"):
-                items.append(_item(tag, None, None, skipped=True,
-                                   reason=f"skipped: {topo.balance.reason}"))
-        else:
-            items.append(_item("zero_balance_plus", topo.balance.residual_plus, 0.05))
-            items.append(_item("zero_balance_minus", topo.balance.residual_minus, 0.05))
-        if topo.ricci.skipped:
-            ricci_entry = _item("ricci_3sphere_residual", None, None, skipped=True,
-                                reason=topo.ricci.reason, diagnostic=True)
-        else:
-            ricci_entry = _item(
-                "ricci_3sphere_residual", topo.ricci.residual, None, diagnostic=True,
-                reason="diagnostic: vanishes only for surfaces of a great 3-sphere",
-            )
-        superminimality = topo.superminimality
-    items.append(ricci_entry)
+        balance = topo.balance
+        reason = "" if balance.residual_plus is not None else f"skipped: {balance.reason}"
+        items.append(_item("zero_balance_plus", balance.residual_plus, 0.05, reason))
+        items.append(_item("zero_balance_minus", balance.residual_minus, 0.05, reason))
+        ricci, superminimality = topo.ricci, topo.superminimality
+        reason = ("diagnostic: vanishes only for surfaces of a great 3-sphere"
+                  if ricci is not None else "1 - K vanishes on the whole chart")
+    items.append(_item("ricci_3sphere_residual", ricci, None, reason, diagnostic=True))
 
-    failures = [it["tag"] for it in items
-                if not it["passed"] and not it["skipped"] and not it["diagnostic"]]
+    failures = [it["tag"] for it in items if not it["passed"]]
     report = {
         "command": "verify",
         "source": meta,
@@ -520,8 +494,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": {"code": exc.code, "message": str(exc)}},
                          sort_keys=True))
         return exc.exit_code
-    except (CatalogError, MonodromyError, GridError, SurfaceError, TopologyError,
-            FamilyError, AdaptedFrameError) as exc:
+    except InputError as exc:
         print(json.dumps({"error": {"code": "E_SOURCE", "message": str(exc)}},
                          sort_keys=True))
         return EXIT_CONFIG

@@ -41,12 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridPatch, MetricField, diff
+from .grid import GridPatch, InputError, diff
 from .surface import ImmersionField, NormalFrameField, ShapeReport, shape_report
-
-
-class FamilyError(ValueError):
-    """Invalid input to the deformation-family machinery."""
 
 
 class IntegrabilityBroken(RuntimeError):
@@ -341,12 +337,12 @@ class DeformedPatch:
 
     The grid extends each periodic axis by one duplicated seam line, so
     frame[-1] vs frame[0] along that axis exhibits the monodromy rather
-    than hiding it.  position_theta is the first frame row.
+    than hiding it.  The deformed position f_theta is the first frame row,
+    frame[..., 0, :].
     """
 
     patch: GridPatch  # source patch (periodicity flags refer to this)
     frame: np.ndarray  # (nu + pu, nv + pv, 5, 5)
-    position_theta: np.ndarray  # (nu + pu, nv + pv, 5)
     path_dependence: float
 
     @property
@@ -401,7 +397,7 @@ def integrate_frame(mc: MaurerCartanField, seed_frame: np.ndarray,
     """
     seed = np.asarray(seed_frame, dtype=float)
     if seed.shape != (5, 5):
-        raise FamilyError(f"seed frame must be 5x5, got {seed.shape}")
+        raise InputError(f"seed frame must be 5x5, got {seed.shape}")
     F_rc = sweep_frames(mc, seed)
     starts, lines = _spine(mc, seed, 1)
     path_dep = 0.0
@@ -417,13 +413,13 @@ def integrate_frame(mc: MaurerCartanField, seed_frame: np.ndarray,
             f"> {tol_path:.1e}, flatness residual {flat:.3e}): "
             "the input is not minimal to working accuracy or the grid is "
             "too coarse")
-    return DeformedPatch(mc.patch, F_rc, F_rc[..., 0, :], path_dep)
+    return DeformedPatch(mc.patch, F_rc, path_dep)
 
 
 def deformed_immersion(dp: DeformedPatch) -> ImmersionField:
     """Deformed position as an immersion over the open unwrapped domain,
     without jets: ``with_jets`` fills them by finite differences."""
-    pos = dp.position_theta
+    pos = dp.frame[..., 0, :]
     return ImmersionField(dp.extended_patch, pos / np.linalg.norm(pos, axis=-1, keepdims=True),
                           jet_source="fd")
 
@@ -481,13 +477,13 @@ def congruence_test(pos_a: np.ndarray, pos_b: np.ndarray,
     a = np.asarray(pos_a, dtype=float).reshape(-1, 5)
     b = np.asarray(pos_b, dtype=float).reshape(-1, 5)
     if a.shape != b.shape:
-        raise FamilyError(f"position fields differ in shape: {a.shape} vs {b.shape}")
+        raise InputError(f"position fields differ in shape: {a.shape} vs {b.shape}")
     if weights is None:
         w = np.ones(a.shape[0])
     else:
         w = np.asarray(weights, dtype=float).reshape(-1)
         if w.shape[0] != a.shape[0]:
-            raise FamilyError("weights do not match the number of samples")
+            raise InputError("weights do not match the number of samples")
     M = np.einsum("n,ni,nj->ij", w, b, a)
     U, S, Vt = np.linalg.svd(M)
     A = U @ Vt

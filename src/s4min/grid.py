@@ -20,13 +20,14 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 
-class GridError(ValueError):
-    """Raised for malformed grids, fields or paths."""
+class InputError(ValueError):
+    """Raised for any input the package cannot process: an unknown catalog
+    name, a malformed manifest, a grid, field, immersion, loop or chart
+    that the requested computation does not accept."""
 
 
 @dataclass(frozen=True)
@@ -56,11 +57,11 @@ class GridPatch:
 
     def __post_init__(self) -> None:
         if self.nu < 8 or self.nv < 8:
-            raise GridError(f"grid needs at least 8 points per axis, got {self.nu}x{self.nv}")
+            raise InputError(f"grid needs at least 8 points per axis, got {self.nu}x{self.nv}")
         if not (self.u_range[1] > self.u_range[0]) or not (self.v_range[1] > self.v_range[0]):
-            raise GridError("parameter ranges must be increasing")
+            raise InputError("parameter ranges must be increasing")
         if (self.cap_u and self.periodic_u) or (self.cap_v and self.periodic_v):
-            raise GridError("a capped axis must be open, not periodic")
+            raise InputError("a capped axis must be open, not periodic")
 
     @property
     def hu(self) -> float:
@@ -96,11 +97,11 @@ def check_field(patch: GridPatch, values: np.ndarray, name: str = "field") -> np
     """Validate leading shape and finiteness; returns the array unchanged."""
     values = np.asarray(values)
     if values.shape[:2] != patch.shape:
-        raise GridError(f"{name}: leading shape {values.shape[:2]} != grid {patch.shape}")
+        raise InputError(f"{name}: leading shape {values.shape[:2]} != grid {patch.shape}")
     bad = ~np.isfinite(values)
     if bad.any():
         iu, iv = np.argwhere(bad.reshape(patch.nu, patch.nv, -1).any(axis=2))[0]
-        raise GridError(f"{name}: non-finite entry at grid index ({iu}, {iv})")
+        raise InputError(f"{name}: non-finite entry at grid index ({iu}, {iv})")
     return values
 
 
@@ -182,14 +183,14 @@ def _stencil(f: np.ndarray, axis: int, order: int, periodic: bool) -> np.ndarray
 def diff(patch: GridPatch, values: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
     """Partial derivative along a grid axis (0 = u, 1 = v)."""
     if axis not in (0, 1):
-        raise GridError(f"axis must be 0 or 1, got {axis}")
+        raise InputError(f"axis must be 0 or 1, got {axis}")
     h = patch.hu if axis == 0 else patch.hv
     periodic = patch.periodic_u if axis == 0 else patch.periodic_v
     values = np.asarray(values)
     if not np.issubdtype(values.dtype, np.inexact):
         values = values.astype(float)
     if order not in (1, 2):
-        raise GridError(f"order must be 1 or 2, got {order}")
+        raise InputError(f"order must be 1 or 2, got {order}")
     out = _stencil(values, axis, order, periodic)
     out /= 12.0 * h if order == 1 else 12.0 * h * h
     return out
@@ -201,10 +202,10 @@ def diff(patch: GridPatch, values: np.ndarray, axis: int, order: int = 1) -> np.
 
 @dataclass
 class MetricField:
-    """First fundamental form in coordinates plus cached derived fields.
+    """First fundamental form in coordinates and its area element.
 
-    E = <f_u, f_u>, F = <f_u, f_v>, G = <f_v, f_v>; dA = sqrt(EG - F^2);
-    inv_uu/inv_uv/inv_vv are the entries of the inverse metric.
+    E = <f_u, f_u>, F = <f_u, f_v>, G = <f_v, f_v>; dA = sqrt(EG - F^2).
+    gradient_flux forms the inverse metric where it needs it.
     """
 
     patch: GridPatch
@@ -212,9 +213,6 @@ class MetricField:
     F: np.ndarray
     G: np.ndarray
     dA: np.ndarray = field(init=False)
-    inv_uu: np.ndarray = field(init=False)
-    inv_uv: np.ndarray = field(init=False)
-    inv_vv: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         for name in ("E", "F", "G"):
@@ -223,14 +221,11 @@ class MetricField:
         bad = (self.E <= 0) | (det <= 0)
         if bad.any():
             iu, iv = np.argwhere(bad)[0]
-            raise GridError(
+            raise InputError(
                 f"metric degenerate at grid index ({iu}, {iv}): "
                 f"E={self.E[iu, iv]:.3e}, det={det[iu, iv]:.3e}"
             )
         self.dA = np.sqrt(det)
-        self.inv_uu = self.G / det
-        self.inv_uv = -self.F / det
-        self.inv_vv = self.E / det
 
 
 def frame_coefficients(metric: MetricField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -243,13 +238,21 @@ def frame_coefficients(metric: MetricField) -> tuple[np.ndarray, np.ndarray, np.
     return a, b, c
 
 
+def gradient_flux(patch: GridPatch, values: np.ndarray,
+                  metric: MetricField) -> tuple[np.ndarray, np.ndarray]:
+    """Flux densities sqrt g g^{ij} d_j f of the metric gradient, (u, v)."""
+    fu = diff(patch, values, 0)
+    fv = diff(patch, values, 1)
+    det = metric.E * metric.G - metric.F**2
+    inv_uu, inv_uv, inv_vv = metric.G / det, -metric.F / det, metric.E / det
+    return (metric.dA * (inv_uu * fu + inv_uv * fv),
+            metric.dA * (inv_uv * fu + inv_vv * fv))
+
+
 def laplace_beltrami(patch: GridPatch, values: np.ndarray, metric: MetricField) -> np.ndarray:
     """Laplace-Beltrami in divergence form, (1/sqrt g) d_i(sqrt g g^{ij} d_j f)."""
     check_field(patch, values, "laplace operand")
-    fu = diff(patch, values, 0)
-    fv = diff(patch, values, 1)
-    flux_u = metric.dA * (metric.inv_uu * fu + metric.inv_uv * fv)
-    flux_v = metric.dA * (metric.inv_uv * fu + metric.inv_vv * fv)
+    flux_u, flux_v = gradient_flux(patch, values, metric)
     return (diff(patch, flux_u, 0) + diff(patch, flux_v, 1)) / metric.dA
 
 
@@ -293,7 +296,7 @@ def integrate(patch: GridPatch, values: np.ndarray, metric: MetricField) -> floa
     """Integral of a scalar field against the metric area element."""
     values = check_field(patch, np.asarray(values, dtype=float), "integrand")
     if values.ndim != 2:
-        raise GridError("integrate expects a scalar field")
+        raise InputError("integrate expects a scalar field")
     wu, wv = quadrature_weights(patch)
     return float(np.sum(values * metric.dA * wu[:, None] * wv[None, :]))
 
@@ -320,24 +323,24 @@ class LoopPath:
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=int)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-            raise GridError("path needs an (k, 2) index array with k >= 2")
+            raise InputError("path needs an (k, 2) index array with k >= 2")
         steps = np.diff(pts, axis=0)
         if not np.all(np.abs(steps).sum(axis=1) == 1):
-            raise GridError("path steps must move one node along one axis")
+            raise InputError("path steps must move one node along one axis")
         du = pts[-1, 0] - pts[0, 0]
         dv = pts[-1, 1] - pts[0, 1]
         wu, wv = self.winding
         if (wu and not self.patch.periodic_u) or (wv and not self.patch.periodic_v):
-            raise GridError("nonzero winding requires a periodic axis")
+            raise InputError("nonzero winding requires a periodic axis")
         if du != wu * self.patch.nu or dv != wv * self.patch.nv:
-            raise GridError("path endpoints do not close up modulo the stated winding")
+            raise InputError("path endpoints do not close up modulo the stated winding")
         object.__setattr__(self, "points", pts)
 
 
 def u_generator(patch: GridPatch, j0: int = 0, i0: int = 0) -> LoopPath:
     """Deck-generator loop once around the u period, along row v = v_j0."""
     if not patch.periodic_u:
-        raise GridError("u axis is not periodic")
+        raise InputError("u axis is not periodic")
     idx = i0 + np.arange(patch.nu + 1)
     pts = np.stack([idx, np.full(patch.nu + 1, j0)], axis=1)
     return LoopPath(patch, pts, (1, 0))
@@ -346,7 +349,7 @@ def u_generator(patch: GridPatch, j0: int = 0, i0: int = 0) -> LoopPath:
 def v_generator(patch: GridPatch, i0: int = 0, j0: int = 0) -> LoopPath:
     """Deck-generator loop once around the v period, along column u = u_i0."""
     if not patch.periodic_v:
-        raise GridError("v axis is not periodic")
+        raise InputError("v axis is not periodic")
     idx = j0 + np.arange(patch.nv + 1)
     pts = np.stack([np.full(patch.nv + 1, i0), idx], axis=1)
     return LoopPath(patch, pts, (0, 1))
@@ -367,7 +370,7 @@ def concatenate_loops(a: LoopPath, b: LoopPath) -> LoopPath:
     ea = a.points[-1] % [a.patch.nu, a.patch.nv]
     sb = b.points[0] % [b.patch.nu, b.patch.nv]
     if a.patch is not b.patch or not np.array_equal(ea, sb):
-        raise GridError("loops must share the basepoint (modulo periods)")
+        raise InputError("loops must share the basepoint (modulo periods)")
     shift = a.points[-1] - b.points[0]
     pts = np.concatenate([a.points, b.points[1:] + shift], axis=0)
     return LoopPath(a.patch, pts, (a.winding[0] + b.winding[0], a.winding[1] + b.winding[1]))

@@ -12,7 +12,7 @@ Every monodromy comes from one loop transport, generator_monodromy: it
 packs Omega_theta at the loop's nodes only and marches each straight
 leg once, batched over the angles, with the periodic stencil on legs
 once around a periodic axis.  scan_profile calls it on the deck-generator
-loops through the chosen basepoint, at a few dozen angles of the quarter
+loops through the grid origin, at a few dozen angles of the quarter
 circle only: members a quarter turn apart are congruent, and M(theta) is
 analytic in exp(2i theta), so a trigonometric interpolant of those
 samples gives the profile, the closing classes and the CIRCLE
@@ -35,17 +35,13 @@ from .family import (
     march_frames,
     sweep_frames,
 )
-from .grid import LoopPath, u_generator, v_generator
+from .grid import InputError, LoopPath, u_generator, v_generator
 
 FLATNESS_CEILING = 1e-3
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 QUARTER = 0.5 * math.pi
 # angles of [0, pi/2) at which a CIRCLE verdict is checked for congruence
 CONGRUENCE_SAMPLES = 4
-
-
-class MonodromyError(ValueError):
-    """Raised for loops or domains the monodromy scan cannot handle."""
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +163,12 @@ def _interpolate(coef: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 
 def scan_profile(conn: ConnectionData, n_theta: int = 256,
-                 tol_close: float | None = None,
-                 base: tuple[int, int] = (0, 0)) -> MonodromyProfile:
+                 tol_close: float | None = None) -> MonodromyProfile:
     """Monodromy profile d(theta) from a spectral solve on the quarter circle.
 
     Omega_(theta + pi/2) = D Omega_theta D with D = diag(1, 1, 1, -1, -1),
     so M(theta + pi/2) = P M(theta) P with P = F0^T D F0 (F0 the frame
-    at the basepoint): members a quarter turn apart are congruent.  Each
+    at the grid origin): members a quarter turn apart are congruent.  Each
     generator is marched at N angles k pi / (2N), N = 16 first; with P M P
     they give M on [0, pi), where it is analytic in exp(2i theta), and an
     FFT gives its Fourier coefficients.  N doubles, reusing the samples,
@@ -199,11 +194,11 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256,
     not minimal to working accuracy, and the scan refuses to classify it.
     """
     if n_theta < 64:
-        raise MonodromyError(f"need at least 64 angle samples, got {n_theta}")
+        raise InputError(f"need at least 64 angle samples, got {n_theta}")
     patch = conn.patch
     gens = [axis for axis in (0, 1) if (patch.periodic_u, patch.periodic_v)[axis]]
     if not gens:
-        raise MonodromyError("domain has no periodic axis, hence no deck "
+        raise InputError("domain has no periodic axis, hence no deck "
                              "generators to scan")
     flat0 = float(flatness_residual(assemble_maurer_cartan(conn, 0.0)).max())
     if flat0 > FLATNESS_CEILING:
@@ -212,10 +207,8 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256,
             f"{FLATNESS_CEILING:.1e}); refusing to classify the monodromy "
             "of a non-minimal input")
 
-    i0, j0 = base
-    loops = [u_generator(patch, j0, i0) if axis == 0 else v_generator(patch, i0, j0)
-             for axis in gens]
-    F0 = conn.frames[i0 % patch.nu, j0 % patch.nv]
+    loops = [u_generator(patch) if axis == 0 else v_generator(patch) for axis in gens]
+    F0 = conn.frames[0, 0]
     P = F0.T @ np.diag([1.0, 1.0, 1.0, -1.0, -1.0]) @ F0
 
     def distance(Ms: list[np.ndarray]) -> np.ndarray:

@@ -22,17 +22,12 @@ tangent or the normal frame; all other invariants are gauge independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .grid import GridPatch, MetricField, check_field, diff, frame_coefficients
-
-
-class SurfaceError(ValueError):
-    """Raised for inputs that are not usable immersions into S^4."""
-
+from .grid import GridPatch, InputError, MetricField, check_field, diff, frame_coefficients
 
 UNIT_NORM_TOL = 1e-12
 
@@ -57,22 +52,22 @@ class ImmersionField:
         self.position = np.asarray(self.position, dtype=float)
         check_field(self.patch, self.position, "position")
         if self.position.shape[2:] != (5,):
-            raise SurfaceError(f"position must be (nu, nv, 5), got {self.position.shape}")
+            raise InputError(f"position must be (nu, nv, 5), got {self.position.shape}")
         drift = np.abs(np.linalg.norm(self.position, axis=2) - 1.0).max()
         if drift > UNIT_NORM_TOL:
-            raise SurfaceError(
+            raise InputError(
                 f"position not on the unit sphere: max | |f|-1 | = {drift:.3e} "
                 f"(renormalize before constructing the field)"
             )
         if (self.jet1 is None) != (self.jet2 is None):
-            raise SurfaceError("provide both jet orders or neither")
+            raise InputError("provide both jet orders or neither")
         if self.jet1 is not None:
             check_field(self.patch, self.jet1, "jet1")
             check_field(self.patch, self.jet2, "jet2")
             if self.jet1.shape[2:] != (2, 5) or self.jet2.shape[2:] != (3, 5):
-                raise SurfaceError("jet shapes must be (nu, nv, 2, 5) and (nu, nv, 3, 5)")
+                raise InputError("jet shapes must be (nu, nv, 2, 5) and (nu, nv, 3, 5)")
         if self.jet_source not in ("analytic", "fd"):
-            raise SurfaceError(f"unknown jet source {self.jet_source!r}")
+            raise InputError(f"unknown jet source {self.jet_source!r}")
 
     def with_jets(self) -> "ImmersionField":
         """Return self if jets are present, else fill them by finite differences."""
@@ -101,7 +96,7 @@ def fd_jets(patch: GridPatch, position: np.ndarray) -> tuple[np.ndarray, np.ndar
 def tangent_frame(imm: ImmersionField) -> tuple[np.ndarray, np.ndarray, MetricField]:
     """Oriented orthonormal tangent frame by Gram-Schmidt on (f_u, f_v)."""
     if imm.jet1 is None:
-        raise SurfaceError("immersion has no jets; call with_jets() first")
+        raise InputError("immersion has no jets; call with_jets() first")
     fu = imm.jet1[:, :, 0, :]
     fv = imm.jet1[:, :, 1, :]
     E = np.einsum("uvk,uvk->uv", fu, fu)
@@ -147,13 +142,13 @@ def _transport_pair(f, e1, e2, p3, p4):
     q3 = _normal_projector_apply(f, e1, e2, p3)
     n3 = np.linalg.norm(q3, axis=-1)
     if np.any(n3 < 1e-8):
-        raise SurfaceError("normal frame: transported frame degenerated")
+        raise InputError("normal frame: transported frame degenerated")
     q3 = q3 / n3[..., None]
     q4 = _normal_projector_apply(f, e1, e2, p4)
     q4 = q4 - np.einsum("...k,...k->...", q4, q3)[..., None] * q3
     n4 = np.linalg.norm(q4, axis=-1)
     if np.any(n4 < 1e-8):
-        raise SurfaceError("normal frame: transported frame degenerated")
+        raise InputError("normal frame: transported frame degenerated")
     return q3, q4 / n4[..., None]
 
 
@@ -175,7 +170,7 @@ def _seed_normal_basis(f, e1, e2):
             best.append(t)
             if len(best) == 2:
                 return best[0], best[1]
-    raise SurfaceError("could not seed a normal frame from ambient axes")
+    raise InputError("could not seed a normal frame from ambient axes")
 
 
 def _closure_angle(f, e1, e2, last3, e3, e4):
@@ -211,7 +206,7 @@ def normal_frame(imm: ImmersionField, e1: np.ndarray, e2: np.ndarray) -> NormalF
     the whole turns they share are dropped (a full turn closes by itself),
     so the gauge winds no more than the holonomy forces.  A closure angle
     that winds around the periodic u-cycle admits no periodic gauge of
-    this form and raises SurfaceError.
+    this form and raises InputError.
     """
     patch = imm.patch
     f = imm.position
@@ -245,7 +240,7 @@ def normal_frame(imm: ImmersionField, e1: np.ndarray, e2: np.ndarray) -> NormalF
         delta = np.unwrap(_closure_angle(f[:, 0], e1[:, 0], e2[:, 0],
                                          e3[:, -1], e3[:, 0], e4[:, 0]))
         if patch.periodic_u and abs(delta[-1] - delta[0]) > np.pi:
-            raise SurfaceError(
+            raise InputError(
                 "seam mismatch angle winds around the transverse cycle; "
                 "no periodic normal gauge of this form exists"
             )
@@ -304,11 +299,15 @@ class ShapeReport:
 RADICAND_TOL = -1e-8
 
 
-def second_fundamental_form(imm: ImmersionField, e1, e2, metric: MetricField,
+def second_fundamental_form(imm: ImmersionField, metric: MetricField,
                             nf: NormalFrameField) -> ShapeReport:
-    """Second fundamental form in the orthonormal frames and its invariants."""
+    """Second fundamental form in the orthonormal frames and its invariants.
+
+    The tangent frame enters only through the metric's Gram-Schmidt
+    coefficients (grid.frame_coefficients), so it is not an argument.
+    """
     if imm.jet2 is None:
-        raise SurfaceError("immersion has no jets; call with_jets() first")
+        raise InputError("immersion has no jets; call with_jets() first")
     fuu = imm.jet2[:, :, 0, :]
     fuv = imm.jet2[:, :, 1, :]
     fvv = imm.jet2[:, :, 2, :]
@@ -339,7 +338,7 @@ def second_fundamental_form(imm: ImmersionField, e1, e2, metric: MetricField,
         worst = rad.min()
         if worst < RADICAND_TOL:
             iu, iv = np.unravel_index(np.argmin(rad), rad.shape)
-            raise SurfaceError(
+            raise InputError(
                 f"{name}^2 = {worst:.3e} < 0 at grid index ({iu}, {iv}); "
                 "input is not consistent with a minimal isometric immersion"
             )
@@ -359,5 +358,5 @@ def shape_report(imm: ImmersionField):
     imm = imm.with_jets()
     e1, e2, metric = tangent_frame(imm)
     nf = normal_frame(imm, e1, e2)
-    rep = second_fundamental_form(imm, e1, e2, metric, nf)
+    rep = second_fundamental_form(imm, metric, nf)
     return imm, e1, e2, metric, nf, rep

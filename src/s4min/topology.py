@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapted import find_zero_candidates, superminimality_test
-from .grid import GridPatch, MetricField, integrate, laplace_beltrami, diff
+from .grid import (GridPatch, InputError, MetricField, check_field, diff, gradient_flux,
+                   integrate, laplace_beltrami)
 from .surface import ShapeReport
 
 # Excision radius for zero counting, in units of the larger grid spacing.
@@ -37,10 +38,6 @@ EXCISION_FACTOR = 6.0
 IDENTICALLY_ZERO_FLOOR = 1e-10
 # The 3-sphere curvature test is evaluated where 1 - K exceeds this floor.
 RICCI_FLOOR = 1e-6
-
-
-class TopologyError(ValueError):
-    """Raised when a global integral is requested on unsuitable data."""
 
 
 # ---------------------------------------------------------------------------
@@ -88,29 +85,14 @@ class BalanceCheck:
 
     ``residual_plus`` is ``|2 chi_M - chi_Nf + N(a+)|`` and
     ``residual_minus`` is ``|2 chi_M + chi_Nf + N(a-)|``.  The balance
-    assumes the curvature ellipse is not a circle everywhere; superminimal
-    input is skipped with the reason recorded.
+    assumes the curvature ellipse is not a circle everywhere and needs
+    both zero counts; otherwise it does not run, both residuals are None
+    and ``reason`` says why.
     """
 
-    skipped: bool
     reason: str
     residual_plus: float | None
     residual_minus: float | None
-
-
-@dataclass(frozen=True)
-class RicciCheck:
-    """Max residual of ``laplace(log(1-K)) = 4K`` where ``1-K`` is positive.
-
-    A closed surface satisfies the identity exactly when it is locally a
-    minimal surface of a totally geodesic 3-sphere; the residual is the
-    numerical detector.  When ``1 - K`` vanishes on the whole chart (totally
-    geodesic 2-sphere) there is nothing to evaluate and the check is skipped.
-    """
-
-    residual: float | None
-    skipped: bool
-    reason: str
 
 
 @dataclass(frozen=True)
@@ -123,7 +105,7 @@ class TopologyReport:
     count_minus: ZeroCount | None
     superminimality: str  # verdict string from the ellipse classification
     balance: BalanceCheck
-    ricci: RicciCheck
+    ricci: float | None  # ricci_condition_residual; None when 1 - K vanishes
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +114,7 @@ class TopologyReport:
 
 def _require_closed(patch: GridPatch, what: str) -> None:
     if not patch.closed:
-        raise TopologyError(
+        raise InputError(
             f"{what} needs a closed chart (each axis periodic or capped); "
             f"got periodic=({patch.periodic_u}, {patch.periodic_v}), "
             f"cap=({patch.cap_u}, {patch.cap_v})"
@@ -158,22 +140,23 @@ def euler_numbers(report: ShapeReport, metric: MetricField) -> tuple[IntegerVerd
 # zero counting
 
 
-def _index_gap(a: int, b: int, n: int, periodic: bool) -> int:
-    d = abs(a - b)
-    return min(d, n - d) if periodic else d
+def _index_gap(a, b, n: int, periodic: bool):
+    """Index distance along one axis, the shorter way round a periodic one."""
+    d = np.abs(a - b)
+    return np.minimum(d, n - d) if periodic else d
 
 
 def _contour_indices(center: int, half: int, n: int, periodic: bool, axis: str) -> np.ndarray:
     lo, hi = center - half, center + half
     if periodic:
         if 2 * half + 1 > n:
-            raise TopologyError(
+            raise InputError(
                 f"excision rectangle spans the whole periodic {axis}-axis "
                 f"(half-width {half}, {n} samples)"
             )
         return np.arange(lo, hi + 1) % n
     if lo < 0 or hi > n - 1:
-        raise TopologyError(
+        raise InputError(
             f"excision rectangle crosses the open {axis}-axis boundary "
             f"(center {center}, half-width {half}, {n} samples)"
         )
@@ -208,9 +191,10 @@ def zero_count_excised(
     """
     a = np.asarray(a_field, dtype=float)
     if a.shape != patch.shape:
-        raise TopologyError(f"field shape {a.shape} does not match the {patch.shape} grid")
+        raise InputError(f"field shape {a.shape} does not match the {patch.shape} grid")
+    check_field(patch, a, "zero-count field")
     if np.any(a < 0):
-        raise TopologyError("zero counting expects a nonnegative field")
+        raise InputError("zero counting expects a nonnegative field")
     radius = EXCISION_FACTOR * max(patch.hu, patch.hv)
     locations = [(int(i), int(j)) for i, j in zeros]
     ki = max(1, int(round(radius / patch.hu)))
@@ -218,12 +202,12 @@ def zero_count_excised(
 
     for r, (ia, ja) in enumerate(locations):
         if not (0 <= ia < patch.nu and 0 <= ja < patch.nv):
-            raise TopologyError(f"zero location ({ia}, {ja}) is off the grid")
+            raise InputError(f"zero location ({ia}, {ja}) is off the grid")
         for ib, jb in locations[r + 1:]:
             close_u = _index_gap(ia, ib, patch.nu, patch.periodic_u) <= 2 * ki
             close_v = _index_gap(ja, jb, patch.nv, patch.periodic_v) <= 2 * kj
             if close_u and close_v:
-                raise TopologyError(
+                raise InputError(
                     f"overlapping excision rectangles around ({ia}, {ja}) and ({ib}, {jb})"
                 )
 
@@ -231,12 +215,9 @@ def zero_count_excised(
     # every node within stencil reach of a zero lies inside its excision
     # rectangle, so the clamped values never touch the reported fluxes.
     log_a = np.log(np.maximum(a, 1e-300))
-    p = diff(patch, log_a, 0)
-    q = diff(patch, log_a, 1)
     # flux densities of the metric gradient, in divergence-theorem form:
     # outward flux of a counterclockwise contour is sum(Fu dv - Fv du)
-    flux_u = metric.dA * (metric.inv_uu * p + metric.inv_uv * q)
-    flux_v = metric.dA * (metric.inv_uv * p + metric.inv_vv * q)
+    flux_u, flux_v = gradient_flux(patch, log_a, metric)
 
     per_zero = []
     for ia, ja in locations:
@@ -258,19 +239,15 @@ def zero_count_excised(
     iu = np.arange(patch.nu)
     iv = np.arange(patch.nv)
     for ia, ja in locations:
-        du = np.abs(iu - ia)
-        dv = np.abs(iv - ja)
-        if patch.periodic_u:
-            du = np.minimum(du, patch.nu - du)
-        if patch.periodic_v:
-            dv = np.minimum(dv, patch.nv - dv)
+        du = _index_gap(iu, ia, patch.nu, patch.periodic_u)
+        dv = _index_gap(iv, ja, patch.nv, patch.periodic_v)
         outside &= (du[:, None] > ki) | (dv[None, :] > kj)
     if bool(((a < 1e-13 * a.max()) & outside).any()):
-        raise TopologyError(
+        raise InputError(
             "the field vanishes outside the excision rectangles; "
             "the zero list is incomplete"
         )
-    lap = laplace_beltrami(patch, log_a, metric)
+    lap = (diff(patch, flux_u, 0) + diff(patch, flux_v, 1)) / metric.dA
     excised = -integrate(patch, np.where(outside, lap, 0.0), metric) / (2.0 * math.pi)
 
     total = IntegerVerdict.of(float(sum(v.value for v in per_zero)))
@@ -307,14 +284,12 @@ def _balance(
     reason: str,
 ) -> BalanceCheck:
     if superminimal:
-        return BalanceCheck(True, f"superminimal surface: {reason}", None, None)
+        return BalanceCheck(f"superminimal surface: {reason}", None, None)
     if count_plus is None or count_minus is None:
         return BalanceCheck(
-            True, "a zero count is unavailable (a radius field vanishes identically)",
-            None, None,
-        )
+            "a zero count is unavailable (a radius field vanishes identically)", None, None)
     rp, rm = balance_residuals(chi_m.value, chi_n.value, count_plus.value, count_minus.value)
-    return BalanceCheck(False, "", rp, rm)
+    return BalanceCheck("", rp, rm)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +315,7 @@ def laplace_identity_residual(
     None when the radius vanishes identically.
     """
     if branch not in ("+", "-"):
-        raise TopologyError(f"branch must be '+' or '-', got {branch!r}")
+        raise InputError(f"branch must be '+' or '-', got {branch!r}")
     a = report.a_plus if branch == "+" else report.a_minus
     if float(a.max()) < IDENTICALLY_ZERO_FLOOR:
         return None  # identically zero branch: the identity has no domain
@@ -349,19 +324,19 @@ def laplace_identity_residual(
     return _log_laplace_residual(report.patch, a, metric, target, valid)
 
 
-def ricci_condition_residual(report: ShapeReport, metric: MetricField) -> RicciCheck:
+def ricci_condition_residual(report: ShapeReport, metric: MetricField) -> float | None:
     """Max residual of ``laplace(log(1-K)) = 4K`` where ``1 - K > RICCI_FLOOR``.
 
     The identity characterizes surfaces locally congruent to minimal
-    surfaces of a totally geodesic 3-sphere.  ``1 - K`` identically zero
-    (a totally geodesic 2-sphere) leaves nothing to evaluate.
+    surfaces of a totally geodesic 3-sphere; the residual is the
+    numerical detector.  None when ``1 - K`` vanishes on the whole chart
+    (a totally geodesic 2-sphere): there is nothing to evaluate.
     """
     w = 1.0 - report.K
     valid = w > RICCI_FLOOR
     if not valid.any():
-        return RicciCheck(None, True, "1 - K vanishes on the whole chart")
-    residual = _log_laplace_residual(report.patch, w, metric, 4.0 * report.K, valid)
-    return RicciCheck(residual, False, "")
+        return None
+    return _log_laplace_residual(report.patch, w, metric, 4.0 * report.K, valid)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +368,7 @@ def synthetic_zero_field(patch: GridPatch, zeros, smooth=None):
     if smooth is not None:
         s = np.asarray(smooth(uu, vv), dtype=float)
         if np.any(s <= 0):
-            raise TopologyError("smooth factor must be strictly positive")
+            raise InputError("smooth factor must be strictly positive")
         a *= s
         w *= s
     return a, w
@@ -426,7 +401,6 @@ def topology_report(report: ShapeReport, metric: MetricField) -> TopologyReport:
 
     balance = _balance(chi_m, chi_n, counts[0], counts[1],
                        sup.verdict == "superminimal", sup.reason)
-    ricci = ricci_condition_residual(report, metric)
     return TopologyReport(
         chi_M=chi_m,
         chi_Nf=chi_n,
@@ -434,5 +408,5 @@ def topology_report(report: ShapeReport, metric: MetricField) -> TopologyReport:
         count_minus=counts[1],
         superminimality=sup.verdict,
         balance=balance,
-        ricci=ricci,
+        ricci=ricci_condition_residual(report, metric),
     )

@@ -24,8 +24,8 @@ from s4min.family import (
     flatness_residual,
     integrate_frame,
 )
-from s4min.grid import GridPatch, MetricField
-from s4min.monodromy import scan_profile
+from s4min.grid import GridPatch, MetricField, u_generator, v_generator
+from s4min.monodromy import generator_monodromy, scan_profile
 from s4min.surface import ImmersionField, shape_report
 from s4min.topology import (
     laplace_identity_residual,
@@ -175,9 +175,14 @@ def test_closing_set_dichotomy(clifford_conn, veronese_conn):
     assert math.isclose(profile.thetas[quarter], math.pi / 4)
     assert profile.d[quarter] > 0.1
     assert profile.commutator_defect.max() < 1e-7
-    shifted = scan_profile(clifford_conn, n_theta=720, tol_close=1e-6,
-                           base=(37, 61))
-    assert np.abs(profile.d - shifted.d).max() < 1e-8
+    # the profile's loops run through the grid origin; loops through
+    # another node give the same distance to the identity
+    patch = clifford_conn.patch
+    Mu = generator_monodromy(clifford_conn, u_generator(patch, 61, 37), profile.thetas)
+    Mv = generator_monodromy(clifford_conn, v_generator(patch, 37, 61), profile.thetas)
+    shifted = np.maximum(np.linalg.norm(Mu - np.eye(5), axis=(-2, -1)),
+                         np.linalg.norm(Mv - np.eye(5), axis=(-2, -1)))
+    assert np.abs(profile.d - shifted).max() < 1e-8
 
     vp = scan_profile(veronese_conn, n_theta=720)
     assert vp.verdict == "CIRCLE"
@@ -191,14 +196,15 @@ def test_global_invariants_and_zero_counts(clifford, veronese):
     topo = topology_report(clifford[5], clifford[3])
     assert topo.chi_M.rounded == 0 and topo.chi_M.gap < 1e-6
     assert topo.chi_Nf.rounded == 0 and topo.chi_Nf.gap < 1e-6
-    assert not topo.balance.skipped
+    assert topo.balance.reason == ""
     assert topo.balance.residual_plus < 0.05
     assert topo.balance.residual_minus < 0.05
 
     topo_v = topology_report(veronese[5], veronese[3])
     assert topo_v.chi_M.rounded == 2
     assert abs(topo_v.chi_M.value - 2.0) < 0.02
-    assert topo_v.balance.skipped  # circle ellipse: the balance does not apply
+    # circle ellipse: the balance does not apply
+    assert topo_v.balance.residual_plus is None
 
     # synthetic radius fields with prescribed zeros of total order 1, 2, 3
     patch, flat = _flat_chart(N)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from s4min.adapted import (
-    AdaptedFrameError,
     find_zero_candidates,
     hopf_coefficient,
     hopf_differential,
@@ -15,7 +14,7 @@ from s4min.adapted import (
     zero_orders,
 )
 from s4min.catalog import clifford_torus, geodesic_sphere, veronese_sphere
-from s4min.grid import GridPatch, MetricField, u_generator, v_generator
+from s4min.grid import GridPatch, InputError, MetricField, u_generator, v_generator
 from s4min.surface import shape_report
 
 
@@ -85,7 +84,7 @@ def test_hopf_rejects_non_isothermal_nonzero():
     rep = type(rep)(patch, rep.H3, rep.H4, rep.norm_B2, rep.K, rep.K_N,
                     rep.kappa, rep.mu, rep.a_plus, rep.a_minus,
                     rep.minimality)
-    with pytest.raises(AdaptedFrameError, match="isothermal"):
+    with pytest.raises(InputError, match="isothermal"):
         hopf_differential(rep, metric)
 
 

@@ -1,4 +1,5 @@
-"""Every top-level library name serves the command line or is a stated oracle.
+"""Every top-level library name serves the command line or is a stated oracle;
+every import is used.
 
 The command line is the program; library code that only tests call is kept
 only when it is an oracle that tests compare the program against.  This
@@ -138,3 +139,30 @@ def unread_fields():
 
 def test_no_unread_report_fields():
     assert unread_fields() == sorted(STATED_FIELDS)
+
+
+def unused_imports():
+    """Names a module imports at top level but never loads.
+
+    ``__init__`` is left out: its imports are the public API.  No linter
+    runs on the package, so this is the check that keeps dead imports out.
+    """
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.stem}.{name}" for name in
+                           ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+                           if name not in loaded]
+    return sorted(unused)
+
+
+def test_no_unused_imports():
+    assert unused_imports() == []

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from s4min.catalog import (
-    CatalogError,
     _sphere_chart,
     _unit_sphere_jets,
     _veronese_maps,
@@ -20,7 +19,7 @@ from s4min.catalog import (
     veronese_sphere,
     write_manifest,
 )
-from s4min.grid import integrate
+from s4min.grid import InputError, integrate
 from s4min.surface import ImmersionField, tangent_frame
 
 
@@ -28,7 +27,7 @@ def test_registry_names_and_lookup():
     assert catalog_names() == ["clifford", "geodesic-sphere", "veronese"]
     ent = load_catalog("clifford", 32)
     assert ent.immersion.patch.nu == 32
-    with pytest.raises(CatalogError, match="veronese"):
+    with pytest.raises(InputError, match="veronese"):
         load_catalog("does-not-exist")
 
 
@@ -156,7 +155,7 @@ def test_manifest_norm_tiers(tmp_path):
         imm, drift = read_manifest(with_scale(1.0 + scale, sub))
         assert 0.8 * scale < drift < 1.2 * scale
         assert np.abs(np.linalg.norm(imm.position, axis=2) - 1.0).max() < 1e-14
-    with pytest.raises(CatalogError, match="refusing"):
+    with pytest.raises(InputError, match="refusing"):
         read_manifest(with_scale(1.0 + 5e-6, "bad"))
 
 
@@ -168,24 +167,24 @@ def test_manifest_malformed_inputs(tmp_path):
     doc["kind"] = "other"
     bad = tmp_path / "bad_kind.json"
     bad.write_text(json.dumps(doc))
-    with pytest.raises(CatalogError, match="kind"):
+    with pytest.raises(InputError, match="kind"):
         read_manifest(bad)
 
     doc = json.loads(path.read_text())
     del doc["grid"]["nu"]
     bad = tmp_path / "bad_grid.json"
     bad.write_text(json.dumps(doc))
-    with pytest.raises(CatalogError, match="malformed"):
+    with pytest.raises(InputError, match="malformed"):
         read_manifest(bad)
 
     doc = json.loads(path.read_text())
     doc["position"] = "missing.f64"
     bad = tmp_path / "bad_pos.json"
     bad.write_text(json.dumps(doc))
-    with pytest.raises(CatalogError, match="not found"):
+    with pytest.raises(InputError, match="not found"):
         read_manifest(bad)
 
     # truncated payload: expected element count must appear in the message
     (tmp_path / "position.f64").write_bytes(b"\x00" * 64)
-    with pytest.raises(CatalogError, match="1280"):
+    with pytest.raises(InputError, match="1280"):
         read_manifest(path)

@@ -240,6 +240,46 @@ def test_scan_too_coarse(cli, tmp_path):
     assert error_code(out) == "E_SCAN_TOO_COARSE"
 
 
+def _malformed_json(manifest):
+    manifest.write_text("{not json")
+    return ("analyze",), (f"cannot read manifest {manifest}: Expecting property name "
+                       "enclosed in double quotes: line 1 column 2 (char 1)")
+
+
+def _short_payload(manifest):
+    payload = manifest.parent / "position.f64"
+    np.fromfile(payload, dtype="<f8")[:-7].tofile(payload)
+    return ("analyze",), ("manifest position: expected 5120 float64 values for shape "
+                       "(32, 32, 5), file holds 5113")
+
+
+def _off_sphere(manifest):
+    payload = manifest.parent / "position.f64"
+    (np.fromfile(payload, dtype="<f8") * (1.0 + 1e-4)).tofile(payload)
+    return ("verify",), ("position is off the unit sphere by 1.000e-04 (> 1e-06); "
+                      "refusing to renormalize")
+
+
+def _open_chart(manifest):
+    imm, _ = read_manifest(manifest)
+    p = imm.patch
+    write_manifest(ImmersionField(GridPatch(p.nu, p.nv, p.u_range, p.v_range, False, False),
+                                  imm.position), manifest.parent)
+    return ("monodromy", "--scan", 64), "domain has no periodic axis, hence no deck generators to scan"
+
+
+@pytest.mark.parametrize("spoil", [_malformed_json, _short_payload, _off_sphere, _open_chart],
+                         ids=lambda spoil: spoil.__name__.strip("_"))
+def test_unusable_manifest_is_one_source_error_line(cli, tmp_path, spoil):
+    imm = load_catalog("clifford", 32).immersion
+    manifest = write_manifest(ImmersionField(imm.patch, imm.position), tmp_path / "src")
+    (command, *extra), message = spoil(manifest)
+    code, out = cli(command, "--manifest", manifest, *extra, "--out", tmp_path / "out")
+    assert code == 2
+    assert out == json.dumps({"error": {"code": "E_SOURCE", "message": message}},
+                             sort_keys=True) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # deform
 
@@ -405,6 +445,24 @@ def test_verify_veronese_skips_minus_branch_and_balance(cli, tmp_path):
     assert "superminimal" in items["zero_balance_plus"]["reason"]
     assert report["superminimality"] == "superminimal"
     assert abs(items["ricci_3sphere_residual"]["value"] - 4.0 / 3.0) < 1e-6
+
+
+def test_verify_skipped_checks_carry_no_value(cli, tmp_path):
+    # 1 - K vanishes on the totally geodesic sphere: nothing to evaluate,
+    # so the item has neither a value nor a tolerance
+    code, _ = cli("verify", "--catalog", "geodesic-sphere", "--n", 64, "--out", tmp_path)
+    assert code == 0
+    items = json.loads((tmp_path / "report.json").read_text())["items"]
+    assert items[-1] == {"tag": "ricci_3sphere_residual", "value": None, "tolerance": None,
+                         "passed": True, "skipped": True, "diagnostic": True,
+                         "reason": "1 - K vanishes on the whole chart"}
+    # both radii vanish too: every check that did not run has no tolerance
+    skipped = [it for it in items if it["skipped"]]
+    assert [it["tag"] for it in skipped] == [
+        "laplace_log_plus", "laplace_log_minus",
+        "zero_balance_plus", "zero_balance_minus", "ricci_3sphere_residual"]
+    assert all(it["value"] is None and it["tolerance"] is None and it["passed"]
+               for it in skipped)
 
 
 def test_verify_perturbed_surface_fails(cli, tmp_path):

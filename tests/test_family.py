@@ -17,7 +17,6 @@ import pytest
 from s4min.catalog import clifford_torus, perturb_immersion, veronese_sphere
 from s4min.family import (
     ConnectionData,
-    FamilyError,
     IntegrabilityBroken,
     MaurerCartanField,
     _UPPER,
@@ -35,7 +34,7 @@ from s4min.family import (
     polar_reorthonormalize,
     sweep_frames,
 )
-from s4min.grid import GridPatch, diff, quadrature_weights
+from s4min.grid import GridPatch, InputError, diff, quadrature_weights
 from s4min.surface import rotate_normal_frame, second_fundamental_form, shape_report
 
 
@@ -352,7 +351,7 @@ def test_reorthonormalization_does_not_depend_on_the_batch():
 
 def test_bad_seed_shape_rejected(clifford_conn):
     mc = assemble_maurer_cartan(clifford_conn, 0.0)
-    with pytest.raises(FamilyError):
+    with pytest.raises(InputError, match=r"seed frame must be 5x5, got \(4, 4\)"):
         integrate_frame(mc, np.eye(4))
 
 
@@ -457,7 +456,7 @@ def test_adapted_gauge_gives_congruent_deformation(clifford, clifford_conn):
     ref = deformed_immersion(dp).position.reshape(-1, 5)
     for amplitude, tol in ((1e-6, 1e-10), (0.3, 1e-5)):
         nf_rot = rotate_normal_frame(nf, 0.37 + amplitude * wave)
-        rep_rot = second_fundamental_form(imm, e1, e2, metric, nf_rot)
+        rep_rot = second_fundamental_form(imm, metric, nf_rot)
         conn = connection_data(imm, e1, e2, nf_rot, rep_rot)
         dp_rot = integrate_frame(assemble_maurer_cartan(conn, 0.3), conn.frames[0, 0])
         pos = deformed_immersion(dp_rot).position.reshape(-1, 5)

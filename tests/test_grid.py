@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from s4min.grid import (
-    GridError,
     GridPatch,
+    InputError,
     LoopPath,
     MetricField,
     concatenate_loops,
@@ -287,12 +287,12 @@ def test_metric_rejects_degenerate_with_location():
     G = np.ones(patch.shape)
     F = np.zeros(patch.shape)
     F[3, 4] = 2.0  # det < 0 there
-    with pytest.raises(GridError, match=r"\(3, 4\)"):
+    with pytest.raises(InputError, match=r"\(3, 4\)"):
         MetricField(patch, E, F, G)
 
 
 def test_grid_rejects_tiny_axes():
-    with pytest.raises(GridError):
+    with pytest.raises(InputError, match="at least 8 points"):
         GridPatch(4, 64, (0.0, 1.0), (0.0, 1.0), False, False)
 
 
@@ -306,11 +306,11 @@ def test_loop_generators_close_with_winding():
 
 def test_loop_rejects_open_winding_and_jumps():
     patch = open_patch(16)
-    with pytest.raises(GridError):
+    with pytest.raises(InputError, match="u axis is not periodic"):
         u_generator(patch)
     pp = periodic_patch(16)
     pts = np.array([[0, 0], [2, 0], [2, 1]])  # step of length 2
-    with pytest.raises(GridError):
+    with pytest.raises(InputError, match="one node along one axis"):
         LoopPath(pp, pts, (0, 0))
 
 
@@ -343,5 +343,5 @@ def test_capped_axis_midpoint_quadrature():
 
 
 def test_capped_axis_must_be_open():
-    with pytest.raises(GridError, match="capped"):
+    with pytest.raises(InputError, match="capped"):
         GridPatch(8, 8, (0.0, 1.0), (0.0, 1.0), True, False, cap_u=True)

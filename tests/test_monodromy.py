@@ -25,10 +25,10 @@ from s4min.family import (
     integrate_frame,
     march_frames,
 )
-from s4min.grid import GridPatch, concatenate_loops, rectangle_loop, u_generator, v_generator
+from s4min.grid import (GridPatch, InputError, concatenate_loops, rectangle_loop, u_generator,
+                        v_generator)
 from s4min.monodromy import (
     GOLDEN,
-    MonodromyError,
     _congruence_residual,
     _golden_min,
     dichotomy_report,
@@ -209,11 +209,23 @@ def test_congruence_residual_matches_integrated_patch():
     assert _congruence_residual(conn, theta) == fit.residual
 
 
+def generator_loops(conn, i0, j0, thetas):
+    """The two deck-generator monodromies based at node (i0, j0), and
+    their distance to the identity (the larger of the two)."""
+    Mu = generator_monodromy(conn, u_generator(conn.patch, j0, i0), thetas)
+    Mv = generator_monodromy(conn, v_generator(conn.patch, i0, j0), thetas)
+    d = np.maximum(np.linalg.norm(Mu - np.eye(5), axis=(-2, -1)),
+                   np.linalg.norm(Mv - np.eye(5), axis=(-2, -1)))
+    return Mu, Mv, d
+
+
 def test_basepoint_invariance(clifford_conn):
+    # the profile's loops run through the grid origin; loops through
+    # another node see conjugate monodromies at the same distance
     _, conn = clifford_conn
-    d_a = scan_profile(conn, n_theta=64).d
-    d_b = scan_profile(conn, n_theta=64, base=(37, 19)).d
-    assert np.abs(d_a - d_b).max() < 1e-8
+    profile = scan_profile(conn, n_theta=64)
+    _, _, d = generator_loops(conn, 37, 19, profile.thetas)
+    assert np.abs(profile.d - d).max() < 1e-8
 
 
 def test_contractible_loop_is_trivial(clifford_conn):
@@ -258,12 +270,9 @@ def test_scan_monodromies_are_the_generator_loops(clifford_conn):
     # oracle: the one loop transport marched at every profile angle; with
     # 90 angles all but theta = 0 and pi fall between the solve's samples,
     # and half of them lie in the quarters reached through M -> P M P
-    imm, conn = clifford_conn
-    profile = scan_profile(conn, n_theta=90, base=(37, 19))
-    Mu = generator_monodromy(conn, u_generator(imm.patch, 19, 37), profile.thetas)
-    Mv = generator_monodromy(conn, v_generator(imm.patch, 37, 19), profile.thetas)
-    d = np.maximum(np.linalg.norm(Mu - np.eye(5), axis=(-2, -1)),
-                   np.linalg.norm(Mv - np.eye(5), axis=(-2, -1)))
+    _, conn = clifford_conn
+    profile = scan_profile(conn, n_theta=90)
+    Mu, Mv, d = generator_loops(conn, 0, 0, profile.thetas)
     assert np.abs(profile.d - d).max() <= 1e-12
     defect = np.linalg.norm(Mu @ Mv - Mv @ Mu, axis=(-2, -1))
     assert np.abs(profile.commutator_defect - defect).max() <= 1e-12
@@ -367,7 +376,7 @@ def test_report_fields(clifford_profile):
 
 
 def test_too_few_samples_rejected(clifford_conn):
-    with pytest.raises(MonodromyError, match="64"):
+    with pytest.raises(InputError, match="64"):
         scan_profile(clifford_conn[1], n_theta=32)
 
 
@@ -377,7 +386,7 @@ def test_no_periodic_axis_rejected(clifford_conn):
     open_patch = GridPatch(p.nu, p.nv, p.u_range, p.v_range,
                            periodic_u=False, periodic_v=False)
     open_conn = ConnectionData(open_patch, conn.frames, conn.C0, conn.C1, conn.C2)
-    with pytest.raises(MonodromyError, match="periodic"):
+    with pytest.raises(InputError, match="periodic"):
         scan_profile(open_conn)
 
 

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from s4min.catalog import clifford_torus, geodesic_sphere, perturb_immersion, veronese_sphere
-from s4min.grid import GridError, GridPatch, diff, integrate
+from s4min.grid import GridPatch, InputError, diff, integrate
 from s4min.surface import (
     ImmersionField,
-    SurfaceError,
     fd_jets,
     flip_normal_orientation,
     frame_orthonormality_residual,
@@ -189,8 +188,8 @@ def test_invariants_are_gauge_independent(veronese):
     imm, e1, e2, metric, nf, _ = veronese
     U, V = imm.patch.mesh()
     field_angle = 0.3 * np.sin(U) * np.cos(V) + 0.37
-    rep_a = second_fundamental_form(imm, e1, e2, metric, nf)
-    rep_b = second_fundamental_form(imm, e1, e2, metric,
+    rep_a = second_fundamental_form(imm, metric, nf)
+    rep_b = second_fundamental_form(imm, metric,
                                     rotate_normal_frame(nf, field_angle))
     for name in ("norm_B2", "K", "K_N", "kappa", "mu", "a_plus", "a_minus"):
         d = np.abs(getattr(rep_a, name) - getattr(rep_b, name)).max()
@@ -200,7 +199,7 @@ def test_invariants_are_gauge_independent(veronese):
 def test_h_components_rotate_covariantly(clifford):
     imm, e1, e2, metric, nf, rep = clifford
     psi = 0.41
-    rep2 = second_fundamental_form(imm, e1, e2, metric, rotate_normal_frame(nf, psi))
+    rep2 = second_fundamental_form(imm, metric, rotate_normal_frame(nf, psi))
     H3_want = math.cos(psi) * rep.H3 + math.sin(psi) * rep.H4
     H4_want = -math.sin(psi) * rep.H3 + math.cos(psi) * rep.H4
     assert np.abs(rep2.H3 - H3_want).max() < 1e-12
@@ -209,7 +208,7 @@ def test_h_components_rotate_covariantly(clifford):
 
 def test_orientation_flip_negates_normal_curvature(veronese):
     imm, e1, e2, metric, nf, rep = veronese
-    rep2 = second_fundamental_form(imm, e1, e2, metric, flip_normal_orientation(nf))
+    rep2 = second_fundamental_form(imm, metric, flip_normal_orientation(nf))
     assert np.abs(rep2.K_N + rep.K_N).max() < 1e-12
     assert np.abs(rep2.K - rep.K).max() < 1e-14
     assert np.abs(rep2.kappa - rep.kappa).max() < 1e-12
@@ -248,7 +247,7 @@ def test_off_sphere_position_rejected():
     patch = GridPatch(8, 8, (0.0, 1.0), (0.0, 1.0), True, True)
     pos = np.zeros((8, 8, 5))
     pos[..., 0] = 1.0 + 1e-6
-    with pytest.raises(SurfaceError, match="unit sphere"):
+    with pytest.raises(InputError, match="unit sphere"):
         ImmersionField(patch, pos)
 
 
@@ -257,7 +256,7 @@ def test_degenerate_immersion_names_location():
     pos = np.zeros((8, 8, 5))
     pos[..., 0] = 1.0
     imm = ImmersionField(patch, pos, np.zeros((8, 8, 2, 5)), np.zeros((8, 8, 3, 5)))
-    with pytest.raises(GridError, match=r"\(0, 0\)"):
+    with pytest.raises(InputError, match=r"\(0, 0\)"):
         tangent_frame(imm)
 
 
@@ -267,5 +266,5 @@ def test_with_jets_marks_source():
     filled = bare.with_jets()
     assert filled.jet_source == "fd"
     assert ent.immersion.jet_source == "analytic"
-    with pytest.raises(SurfaceError, match="jets"):
+    with pytest.raises(InputError, match="jets"):
         tangent_frame(bare)

@@ -18,11 +18,10 @@ import pytest
 
 from s4min.adapted import find_zero_candidates, zero_orders
 from s4min.catalog import clifford_torus, geodesic_sphere, veronese_sphere
-from s4min.grid import GridPatch, MetricField, integrate
+from s4min.grid import GridPatch, InputError, MetricField, integrate
 from s4min.surface import shape_report
 from s4min.topology import (
     IntegerVerdict,
-    TopologyError,
     balance_residuals,
     euler_numbers,
     laplace_identity_residual,
@@ -109,7 +108,7 @@ def test_euler_numbers_need_closed_chart(clifford):
         rep.patch.nu, rep.patch.nv, rep.patch.u_range, rep.patch.v_range, False, False
     )
     open_rep = dataclasses.replace(rep, patch=open_patch)
-    with pytest.raises(TopologyError, match="closed chart"):
+    with pytest.raises(InputError, match="closed chart"):
         euler_numbers(open_rep, metric)
 
 
@@ -192,7 +191,7 @@ def test_flux_count_matches_excised_integral(flat_chart):
 def test_overlapping_rectangles_rejected(flat_chart):
     patch, metric = flat_chart
     a, _ = synthetic_zero_field(patch, [(3.0, 3.0, 1)])
-    with pytest.raises(TopologyError, match="overlap"):
+    with pytest.raises(InputError, match="overlap"):
         zero_count_excised(patch, a, metric, [(61, 61), (64, 64)])
 
 
@@ -201,7 +200,7 @@ def test_rectangle_must_clear_open_boundary():
     patch = GridPatch(n, n, (0.0, 2 * math.pi), (0.0, 2 * math.pi), False, True)
     metric = MetricField(patch, np.ones((n, n)), np.zeros((n, n)), np.ones((n, n)))
     a, _ = synthetic_zero_field(patch, [(patch.u_coords()[2], 3.0, 1)])
-    with pytest.raises(TopologyError, match="crosses the open"):
+    with pytest.raises(InputError, match="crosses the open"):
         zero_count_excised(patch, a, metric, [(2, 31)])
 
 
@@ -212,7 +211,7 @@ def test_rectangle_cannot_span_periodic_axis():
     metric = MetricField(patch, np.ones(patch.shape), np.zeros(patch.shape),
                          np.ones(patch.shape))
     a, _ = synthetic_zero_field(patch, [(patch.u_coords()[31], patch.v_coords()[4], 1)])
-    with pytest.raises(TopologyError, match="spans the whole periodic u-axis"):
+    with pytest.raises(InputError, match="spans the whole periodic u-axis"):
         zero_count_excised(patch, a, metric, [(31, 4)])
 
 
@@ -221,16 +220,20 @@ def test_incomplete_zero_list_detected(flat_chart):
     u1, v1 = patch.u_coords()[30], patch.v_coords()[30]
     u2, v2 = patch.u_coords()[90], patch.v_coords()[90]
     a, _ = synthetic_zero_field(patch, [(u1, v1, 1), (u2, v2, 1)])
-    with pytest.raises(TopologyError, match="incomplete"):
+    with pytest.raises(InputError, match="incomplete"):
         zero_count_excised(patch, a, metric, [(30, 30)])
 
 
 def test_zero_count_input_validation(flat_chart):
     patch, metric = flat_chart
-    with pytest.raises(TopologyError, match="nonnegative"):
+    with pytest.raises(InputError, match="nonnegative"):
         zero_count_excised(patch, -np.ones(patch.shape), metric, [])
-    with pytest.raises(TopologyError, match="off the grid"):
+    with pytest.raises(InputError, match="off the grid"):
         zero_count_excised(patch, np.ones(patch.shape), metric, [(500, 3)])
+    holed = np.ones(patch.shape)
+    holed[3, 4] = np.nan
+    with pytest.raises(InputError, match=r"non-finite entry at grid index \(3, 4\)"):
+        zero_count_excised(patch, holed, metric, [])
 
 
 def test_catalog_surfaces_have_no_radius_zeros(clifford_topo, veronese_topo):
@@ -246,16 +249,16 @@ def test_catalog_surfaces_have_no_radius_zeros(clifford_topo, veronese_topo):
 
 def test_balance_holds_on_clifford(clifford_topo):
     balance = clifford_topo.balance
-    assert not balance.skipped
+    assert balance.reason == ""
     assert balance.residual_plus < 1e-8
     assert balance.residual_minus < 1e-8
 
 
 def test_balance_skipped_on_superminimal(veronese_topo):
     assert veronese_topo.superminimality == "superminimal"
-    assert veronese_topo.balance.skipped
     assert "superminimal" in veronese_topo.balance.reason
     assert veronese_topo.balance.residual_plus is None
+    assert veronese_topo.balance.residual_minus is None
 
 
 def test_balance_residuals_flag_fabricated_violation():
@@ -295,7 +298,7 @@ def test_laplace_identity_wrong_normal_curvature_sign_fails(veronese):
 
 def test_laplace_identity_invalid_branch(clifford):
     _, _, _, metric, _, rep = clifford
-    with pytest.raises(TopologyError, match="branch"):
+    with pytest.raises(InputError, match="branch"):
         laplace_identity_residual(rep, metric, "x")
 
 
@@ -304,20 +307,16 @@ def test_laplace_identity_invalid_branch(clifford):
 
 
 def test_ricci_condition_clifford_in_sphere(clifford_topo):
-    assert not clifford_topo.ricci.skipped
-    assert clifford_topo.ricci.residual < 1e-6
+    assert clifford_topo.ricci < 1e-6
 
 
 def test_ricci_condition_veronese_not_in_sphere(veronese_topo):
-    assert not veronese_topo.ricci.skipped
-    assert abs(veronese_topo.ricci.residual - 4.0 / 3.0) < 1e-6
+    assert abs(veronese_topo.ricci - 4.0 / 3.0) < 1e-6
 
 
 def test_ricci_condition_geodesic_skipped(geodesic):
     _, _, _, metric, _, rep = geodesic
-    check = ricci_condition_residual(rep, metric)
-    assert check.skipped
-    assert "1 - K" in check.reason
+    assert ricci_condition_residual(rep, metric) is None
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +328,13 @@ def test_topology_report_geodesic_gates(geodesic):
     topo = topology_report(rep, metric)
     assert topo.superminimality == "superminimal"
     assert topo.count_plus is None and topo.count_minus is None
-    assert topo.balance.skipped
-    assert topo.ricci.skipped
+    assert topo.balance.residual_plus is None and topo.balance.residual_minus is None
+    assert topo.ricci is None
 
 
 def test_synthetic_smooth_factor_must_be_positive(flat_chart):
     patch, _ = flat_chart
-    with pytest.raises(TopologyError, match="positive"):
+    with pytest.raises(InputError, match="positive"):
         synthetic_zero_field(patch, [(1.0, 1.0, 1)], smooth=lambda u, v: np.cos(u))
 
 
