@@ -11,15 +11,11 @@ from types import ModuleType as _ModuleType
 from .grid import (
     GridPatch,
     InputError,
-    LoopPath,
     MetricField,
     diff,
     integrate,
     laplace_beltrami,
     quadrature_weights,
-    rectangle_loop,
-    u_generator,
-    v_generator,
 )
 from .surface import (
     ImmersionField,

@@ -336,23 +336,32 @@ def read_manifest(path) -> tuple[ImmersionField, float]:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read manifest {path}: {exc}") from exc
-    if doc.get("kind") != "sampled":
-        raise InputError(f"manifest kind must be 'sampled', got {doc.get('kind')!r}")
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind != "sampled":
+        raise InputError(f"manifest kind must be 'sampled', got {kind!r}")
     if doc.get("endianness", "little") != "little":
         raise InputError("only little-endian payloads are supported")
     try:
         g = doc["grid"]
-        patch = GridPatch(int(g["nu"]), int(g["nv"]),
-                          tuple(map(float, g["u_range"])),
-                          tuple(map(float, g["v_range"])),
+        u0, u1 = map(float, g["u_range"])
+        v0, v1 = map(float, g["v_range"])
+        patch = GridPatch(int(g["nu"]), int(g["nv"]), (u0, u1), (v0, v1),
                           bool(g["periodic_u"]), bool(g["periodic_v"]),
                           bool(g.get("cap_u", False)), bool(g.get("cap_v", False)))
-        position_rel = doc["position"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed manifest {path}: {exc}") from exc
+    jets = doc.get("jets")
+    files = {"position": doc.get("position")}
+    if jets is not None:
+        if not isinstance(jets, dict):
+            raise InputError(f"malformed manifest {path}: jets must be an object, got {jets!r}")
+        files.update({"first jet": jets.get("first"), "second jet": jets.get("second")})
+    for what, rel in files.items():
+        if not isinstance(rel, str):
+            raise InputError(f"malformed manifest {path}: {what} must name a file, got {rel!r}")
 
     base = path.parent
-    pos = _read_array(base, position_rel, (patch.nu, patch.nv, 5), "position")
+    pos = _read_array(base, files["position"], (patch.nu, patch.nv, 5), "position")
     norms = np.linalg.norm(pos, axis=2)
     if np.any(norms < 0.5):
         raise InputError("position contains near-zero vectors; not a sphere map")
@@ -365,10 +374,9 @@ def read_manifest(path) -> tuple[ImmersionField, float]:
     if drift > UNIT_NORM_TOL:  # leave already-valid payloads bit-identical
         pos = pos / norms[:, :, None]
 
-    jets = doc.get("jets")
     if jets is not None:
-        jet1 = _read_array(base, jets["first"], (patch.nu, patch.nv, 2, 5), "first jet")
-        jet2 = _read_array(base, jets["second"], (patch.nu, patch.nv, 3, 5), "second jet")
+        jet1 = _read_array(base, files["first jet"], (patch.nu, patch.nv, 2, 5), "first jet")
+        jet2 = _read_array(base, files["second jet"], (patch.nu, patch.nv, 3, 5), "second jet")
         imm = ImmersionField(patch, pos, jet1, jet2, jet_source="analytic")
     else:
         imm = ImmersionField(patch, pos).with_jets()

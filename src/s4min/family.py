@@ -273,20 +273,14 @@ def _step_midpoint(line: np.ndarray, k: int, periodic: bool) -> np.ndarray:
     """Cubic-order value midway between samples k and k + 1 of a line
     (axis 0), from the four samples around that step.
 
-    Periodic lines interpolate across the wrap; open lines use one-sided
-    cubics at the two end steps, and open lines of 2 or 3 samples the
-    linear or quadratic interpolant.
+    Periodic lines interpolate across the wrap; open lines, which have
+    at least the 8 samples of a GridPatch axis, use one-sided cubics at
+    the two end steps.
     """
     n = line.shape[0]
     if periodic or 0 < k < n - 2:
         return (-line[k - 1] + 9.0 * line[k] + 9.0 * line[(k + 1) % n]
                 - line[(k + 2) % n]) / 16.0
-    if n == 2:
-        return 0.5 * (line[0] + line[1])
-    if n == 3:
-        if k == 0:
-            return (3.0 * line[0] + 6.0 * line[1] - line[2]) / 8.0
-        return (-line[0] + 6.0 * line[1] + 3.0 * line[2]) / 8.0
     if k == 0:
         return (5.0 * line[0] + 15.0 * line[1] - 5.0 * line[2] + line[3]) / 16.0
     return (line[-4] - 5.0 * line[-3] + 15.0 * line[-2] + 5.0 * line[-1]) / 16.0

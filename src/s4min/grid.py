@@ -26,7 +26,7 @@ import numpy as np
 
 class InputError(ValueError):
     """Raised for any input the package cannot process: an unknown catalog
-    name, a malformed manifest, a grid, field, immersion, loop or chart
+    name, a malformed manifest, a grid, field, immersion, axis or chart
     that the requested computation does not accept."""
 
 
@@ -300,77 +300,3 @@ def integrate(patch: GridPatch, values: np.ndarray, metric: MetricField) -> floa
     wu, wv = quadrature_weights(patch)
     return float(np.sum(values * metric.dA * wu[:, None] * wv[None, :]))
 
-
-# ---------------------------------------------------------------------------
-# grid paths
-
-
-@dataclass(frozen=True)
-class LoopPath:
-    """Closed axis-aligned path through grid nodes.
-
-    ``points`` holds integer node indices (k, 2), consecutive entries
-    differing by one step along exactly one axis (in index space; steps
-    may run off the stored index range on periodic axes, i.e. indices are
-    taken modulo nu/nv when sampling fields).  ``winding`` is the net
-    number of periods traversed per axis.
-    """
-
-    patch: GridPatch
-    points: np.ndarray
-    winding: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=int)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-            raise InputError("path needs an (k, 2) index array with k >= 2")
-        steps = np.diff(pts, axis=0)
-        if not np.all(np.abs(steps).sum(axis=1) == 1):
-            raise InputError("path steps must move one node along one axis")
-        du = pts[-1, 0] - pts[0, 0]
-        dv = pts[-1, 1] - pts[0, 1]
-        wu, wv = self.winding
-        if (wu and not self.patch.periodic_u) or (wv and not self.patch.periodic_v):
-            raise InputError("nonzero winding requires a periodic axis")
-        if du != wu * self.patch.nu or dv != wv * self.patch.nv:
-            raise InputError("path endpoints do not close up modulo the stated winding")
-        object.__setattr__(self, "points", pts)
-
-
-def u_generator(patch: GridPatch, j0: int = 0, i0: int = 0) -> LoopPath:
-    """Deck-generator loop once around the u period, along row v = v_j0."""
-    if not patch.periodic_u:
-        raise InputError("u axis is not periodic")
-    idx = i0 + np.arange(patch.nu + 1)
-    pts = np.stack([idx, np.full(patch.nu + 1, j0)], axis=1)
-    return LoopPath(patch, pts, (1, 0))
-
-
-def v_generator(patch: GridPatch, i0: int = 0, j0: int = 0) -> LoopPath:
-    """Deck-generator loop once around the v period, along column u = u_i0."""
-    if not patch.periodic_v:
-        raise InputError("v axis is not periodic")
-    idx = j0 + np.arange(patch.nv + 1)
-    pts = np.stack([np.full(patch.nv + 1, i0), idx], axis=1)
-    return LoopPath(patch, pts, (0, 1))
-
-
-def rectangle_loop(patch: GridPatch, i0: int, j0: int, di: int, dj: int) -> LoopPath:
-    """Contractible counter-clockwise rectangle; corners in index space."""
-    right = np.stack([i0 + np.arange(di + 1), np.full(di + 1, j0)], axis=1)
-    up = np.stack([np.full(dj, i0 + di), j0 + 1 + np.arange(dj)], axis=1)
-    left = np.stack([i0 + di - 1 - np.arange(di), np.full(di, j0 + dj)], axis=1)
-    down = np.stack([np.full(dj, i0), j0 + dj - 1 - np.arange(dj)], axis=1)
-    pts = np.concatenate([right, up, left, down], axis=0)
-    return LoopPath(patch, pts, (0, 0))
-
-
-def concatenate_loops(a: LoopPath, b: LoopPath) -> LoopPath:
-    """Compose two loops based at the same node (a first, then b)."""
-    ea = a.points[-1] % [a.patch.nu, a.patch.nv]
-    sb = b.points[0] % [b.patch.nu, b.patch.nv]
-    if a.patch is not b.patch or not np.array_equal(ea, sb):
-        raise InputError("loops must share the basepoint (modulo periods)")
-    shift = a.points[-1] - b.points[0]
-    pts = np.concatenate([a.points, b.points[1:] + shift], axis=0)
-    return LoopPath(a.patch, pts, (a.winding[0] + b.winding[0], a.winding[1] + b.winding[1]))

@@ -8,15 +8,14 @@ angles or the whole circle.  The identity distance used throughout is
 the Frobenius norm of M - I, which is invariant under orthogonal
 conjugation, so it does not depend on the basepoint of the loops.
 
-Every monodromy comes from one loop transport, generator_monodromy: it
-packs Omega_theta at the loop's nodes only and marches each straight
-leg once, batched over the angles, with the periodic stencil on legs
-once around a periodic axis.  scan_profile calls it on the deck-generator
-loops through the grid origin, at a few dozen angles of the quarter
-circle only: members a quarter turn apart are congruent, and M(theta) is
-analytic in exp(2i theta), so a trigonometric interpolant of those
-samples gives the profile, the closing classes and the CIRCLE
-certificate to roundoff.
+The deck generators are the periodic grid lines through the grid origin,
+one per periodic axis, and every monodromy comes from one transport,
+generator_monodromy: it packs Omega_theta on that line only and marches
+it once with the periodic stencil, batched over the angles.
+scan_profile calls it at a few dozen angles of the quarter circle only:
+members a quarter turn apart are congruent, and M(theta) is analytic in
+exp(2i theta), so a trigonometric interpolant of those samples gives the
+profile, the closing classes and the CIRCLE certificate to roundoff.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .family import (
     march_frames,
     sweep_frames,
 )
-from .grid import InputError, LoopPath, u_generator, v_generator
+from .grid import InputError
 
 FLATNESS_CEILING = 1e-3
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -45,65 +44,38 @@ CONGRUENCE_SAMPLES = 4
 
 
 # ---------------------------------------------------------------------------
-# loop transport
+# generator transport
 
 
-def _legs(path: LoopPath):
-    """Straight pieces of a node path as (axis, sign, nodes, periodic).
-
-    A straight run of a whole number of periods along a periodic axis
-    yields one piece per period holding that period's first nodes, to be
-    marched with the wrap stencil; any other run is one open piece
-    holding all of its nodes.
-    """
-    patch = path.patch
-    steps = np.diff(path.points, axis=0)
-    axes = (steps[:, 1] != 0).astype(int)
-    signs = steps[np.arange(len(steps)), axes]
-    cuts = np.flatnonzero((np.diff(axes) != 0) | (np.diff(signs) != 0)) + 1
-    for a, b in zip([0, *cuts], [*cuts, len(steps)]):
-        axis, sign = int(axes[a]), int(signs[a])
-        period = (patch.nu, patch.nv)[axis]
-        if (patch.periodic_u, patch.periodic_v)[axis] and (b - a) % period == 0:
-            for k in range(a, b, period):
-                yield axis, sign, path.points[k:k + period], True
-        else:
-            yield axis, sign, path.points[a:b + 1], False
-
-
-def generator_monodromy(conn: ConnectionData, path: LoopPath,
+def generator_monodromy(conn: ConnectionData, axis: int,
                         theta: float | np.ndarray) -> np.ndarray:
-    """Ambient isometries picked up by the frame around one closed loop.
+    """Ambient isometries picked up by the frame once around a deck generator.
 
-    theta is a scalar or a 1-D array of angles; the result is one 5x5
-    orthogonal matrix per angle, shaped theta.shape + (5, 5).  The frame
-    is integrated along the loop from the stored frame at the loop's
-    start node, and M carries the start configuration to the end one
-    (identity exactly when the deformed surface closes around this loop).
-    Composition follows transport order: M(a then b) = M(a) @ M(b).
+    The generator is the grid line along the periodic ``axis`` (0 = u,
+    1 = v) through node (0, 0).  theta is a scalar or a 1-D array of
+    angles; the result is one 5x5 orthogonal matrix per angle, shaped
+    theta.shape + (5, 5).  The frame is integrated once around the line
+    from the stored frame at the origin, and M carries the start
+    configuration to the end one (identity exactly when the deformed
+    surface closes around this generator).
 
-    Omega_theta = C0 + cos(2 theta) C1 + sin(2 theta) C2 is packed at
-    the path's nodes only.  Each straight leg is one march batched over
-    the angles; a leg once around a periodic axis is marched with the
-    periodic (wrap) stencil, and a straight leg of several whole periods
-    is marched one period at a time.
+    Omega_theta = C0 + cos(2 theta) C1 + sin(2 theta) C2 is packed on
+    that line only (read as family._spine reads a sweep's spine) and
+    marched once with the periodic (wrap) stencil, batched over the angles.
     """
     patch = conn.patch
+    h, periodic = ((patch.hu, patch.periodic_u), (patch.hv, patch.periodic_v))[axis]
+    if not periodic:
+        raise InputError(f"{'uv'[axis]} axis is not periodic")
     theta = np.asarray(theta, dtype=float)
     c = np.cos(2.0 * theta)[..., None]
     s = np.sin(2.0 * theta)[..., None]
-    i0, j0 = path.points[0] % (patch.nu, patch.nv)
-    F0 = conn.frames[i0, j0]
-    F = np.broadcast_to(F0, theta.shape + (5, 5))
     per_node = (-1,) + (1,) * theta.ndim + (4,)
-    for axis, sign, nodes, periodic in _legs(path):
-        uu, vv = (nodes % (patch.nu, patch.nv)).T
-        at = lambda C: C[uu, vv, axis].reshape(per_node)  # noqa: E731
-        rotating = c * at(conn.C1) + s * at(conn.C2)
-        fixed = np.broadcast_to(at(conn.C0), rotating.shape)
-        line = np.concatenate([fixed, rotating], axis=-1)
-        h = patch.hu if axis == 0 else patch.hv
-        F = march_frames(sign * line, h, F, periodic)[-1]
+    at = lambda C: np.moveaxis(C, axis, 0)[:, 0, axis].reshape(per_node)  # noqa: E731
+    rotating = c * at(conn.C1) + s * at(conn.C2)
+    line = np.concatenate([np.broadcast_to(at(conn.C0), rotating.shape), rotating], axis=-1)
+    F0 = conn.frames[0, 0]
+    F = march_frames(line, h, np.broadcast_to(F0, theta.shape + (5, 5)), True)[-1]
     return np.swapaxes(F, -1, -2) @ F0
 
 
@@ -207,7 +179,6 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256,
             f"{FLATNESS_CEILING:.1e}); refusing to classify the monodromy "
             "of a non-minimal input")
 
-    loops = [u_generator(patch) if axis == 0 else v_generator(patch) for axis in gens]
     F0 = conn.frames[0, 0]
     P = F0.T @ np.diag([1.0, 1.0, 1.0, -1.0, -1.0]) @ F0
 
@@ -215,7 +186,7 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256,
         return np.max([np.linalg.norm(M - np.eye(5), axis=(-2, -1)) for M in Ms], axis=0)
 
     n = 16
-    samples = [generator_monodromy(conn, loop, QUARTER * np.arange(n) / n) for loop in loops]
+    samples = [generator_monodromy(conn, axis, QUARTER * np.arange(n) / n) for axis in gens]
     floor = max(1e-3 * float(distance([S[0] for S in samples])), 1e-14)
     while True:
         coefs = [np.fft.fft(np.concatenate([S, P @ S @ P]), axis=0) / (2 * n) for S in samples]
@@ -225,8 +196,8 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256,
         if tail <= floor or 4 * n > n_theta:
             break
         odd = QUARTER * (np.arange(n) + 0.5) / n
-        samples = [np.stack([S, generator_monodromy(conn, loop, odd)], axis=1).reshape(-1, 5, 5)
-                   for S, loop in zip(samples, loops)]
+        samples = [np.stack([S, generator_monodromy(conn, axis, odd)], axis=1).reshape(-1, 5, 5)
+                   for S, axis in zip(samples, gens)]
         n *= 2
 
     thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)

@@ -17,6 +17,7 @@ from s4min.adapted import hopf_coefficient, superminimality_test, winding_number
 from s4min.catalog import load_catalog
 from s4min.cli import main as cli_main
 from s4min.family import (
+    ConnectionData,
     assemble_maurer_cartan,
     connection_data,
     deformation_invariant_deviation,
@@ -24,7 +25,7 @@ from s4min.family import (
     flatness_residual,
     integrate_frame,
 )
-from s4min.grid import GridPatch, MetricField, u_generator, v_generator
+from s4min.grid import GridPatch, MetricField
 from s4min.monodromy import generator_monodromy, scan_profile
 from s4min.surface import ImmersionField, shape_report
 from s4min.topology import (
@@ -175,11 +176,14 @@ def test_closing_set_dichotomy(clifford_conn, veronese_conn):
     assert math.isclose(profile.thetas[quarter], math.pi / 4)
     assert profile.d[quarter] > 0.1
     assert profile.commutator_defect.max() < 1e-7
-    # the profile's loops run through the grid origin; loops through
-    # another node give the same distance to the identity
-    patch = clifford_conn.patch
-    Mu = generator_monodromy(clifford_conn, u_generator(patch, 61, 37), profile.thetas)
-    Mv = generator_monodromy(clifford_conn, v_generator(patch, 37, 61), profile.thetas)
+    # the profile's generators run through the grid origin; those through
+    # node (37, 61), rolled to the origin, give the same distance to the
+    # identity
+    roll = lambda a: np.roll(a, (-37, -61), axis=(0, 1))  # noqa: E731
+    moved = ConnectionData(clifford_conn.patch, roll(clifford_conn.frames),
+                           roll(clifford_conn.C0), roll(clifford_conn.C1), roll(clifford_conn.C2))
+    Mu = generator_monodromy(moved, 0, profile.thetas)
+    Mv = generator_monodromy(moved, 1, profile.thetas)
     shifted = np.maximum(np.linalg.norm(Mu - np.eye(5), axis=(-2, -1)),
                          np.linalg.norm(Mv - np.eye(5), axis=(-2, -1)))
     assert np.abs(profile.d - shifted).max() < 1e-8

@@ -5,12 +5,20 @@ The command line is the program; library code that only tests call is kept
 only when it is an oracle that tests compare the program against.  This
 test writes that list down and fails on any top-level name of the package
 that neither ``cli.py`` nor a stated oracle reaches by name reference.
+It also checks that every name the benchmark's tracer (``bench/tracer.py``)
+hooks or reads still exists.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
+import numpy as np
+
 import s4min
+from s4min.catalog import load_catalog
+from s4min.family import connection_data
+from s4min.surface import shape_report
 
 SRC = Path(s4min.__file__).parent
 
@@ -19,8 +27,6 @@ STATED_ORACLES = {
     "synthetic_zero_field": "zero-count oracle: radius fields with prescribed zeros",
     "zero_orders": "zero-count oracle: winding orders against the flux counts",
     "winding_number": "zero-count oracle: winding around one zero (acceptance test 6)",
-    "rectangle_loop": "homotopy oracle of generator_monodromy: contractible loops",
-    "concatenate_loops": "composition oracle of generator_monodromy: M(a.b) = M(a) M(b)",
     "deformation_invariant_deviation": "isometry oracle of acceptance test 4",
     "rotate_normal_frame": "gauge oracle: invariants under normal-gauge rotation",
     "flip_normal_orientation": "gauge oracle: invariants under normal orientation flip",
@@ -166,3 +172,38 @@ def unused_imports():
 
 def test_no_unused_imports():
     assert unused_imports() == []
+
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def _tracer_assignment(name):
+    """The value node of a top-level assignment in bench/tracer.py, which
+    is read, not imported."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return node.value
+    raise AssertionError(f"{TRACER} assigns no {name}")
+
+
+def test_traced_functions_exist():
+    # the benchmark's tracer rebinds these by name; a rename or removal
+    # would silently drop their spans from the per-layer metrics
+    layers = ast.literal_eval(_tracer_assignment("LAYERS"))
+    missing = [f"{mod}.{name}" for mod, names in layers.items() for name in names
+               if not callable(getattr(importlib.import_module(f"s4min.{mod}"), name, None))]
+    assert missing == []
+
+
+def test_connection_data_has_the_traced_forms():
+    # the tracer's EXTRA records the bytes of connection_data's C0, C1 and C2
+    extra = _tracer_assignment("EXTRA")
+    lam = next(v for k, v in zip(extra.keys, extra.values)
+               if ast.literal_eval(k) == "family.connection_data")
+    read = {node.attr for node in ast.walk(lam) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "out"}
+    assert read  # C0, C1 and C2
+    imm, e1, e2, _, nf, rep = shape_report(load_catalog("clifford", 16).immersion)
+    conn = connection_data(imm, e1, e2, nf, rep)
+    assert all(isinstance(getattr(conn, name, None), np.ndarray) for name in read)

@@ -268,7 +268,43 @@ def _open_chart(manifest):
     return ("monodromy", "--scan", 64), "domain has no periodic axis, hence no deck generators to scan"
 
 
-@pytest.mark.parametrize("spoil", [_malformed_json, _short_payload, _off_sphere, _open_chart],
+def _edit_manifest(manifest, key, value):
+    doc = json.loads(manifest.read_text())
+    doc[key] = value
+    manifest.write_text(json.dumps(doc))
+
+
+def _jets_without_first(manifest):
+    _edit_manifest(manifest, "jets", {"second": "x.f64"})
+    return ("analyze",), f"malformed manifest {manifest}: first jet must name a file, got None"
+
+
+def _jets_not_an_object(manifest):
+    _edit_manifest(manifest, "jets", "oops")
+    return ("analyze",), f"malformed manifest {manifest}: jets must be an object, got 'oops'"
+
+
+def _position_not_a_file_name(manifest):
+    _edit_manifest(manifest, "position", 5)
+    return ("analyze",), f"malformed manifest {manifest}: position must name a file, got 5"
+
+
+def _not_an_object(manifest):
+    manifest.write_text("[1]")
+    return ("analyze",), "manifest kind must be 'sampled', got None"
+
+
+def _one_ended_range(manifest):
+    doc = json.loads(manifest.read_text())
+    doc["grid"]["u_range"] = [0.0]
+    manifest.write_text(json.dumps(doc))
+    return ("analyze",), (f"malformed manifest {manifest}: not enough values to unpack "
+                          "(expected 2, got 1)")
+
+
+@pytest.mark.parametrize("spoil", [_malformed_json, _short_payload, _off_sphere, _open_chart,
+                                   _jets_without_first, _jets_not_an_object,
+                                   _position_not_a_file_name, _not_an_object, _one_ended_range],
                          ids=lambda spoil: spoil.__name__.strip("_"))
 def test_unusable_manifest_is_one_source_error_line(cli, tmp_path, spoil):
     imm = load_catalog("clifford", 32).immersion

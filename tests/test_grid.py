@@ -1,4 +1,4 @@
-"""Grid calculus: stencils, Laplace-Beltrami, quadrature, paths."""
+"""Grid calculus: stencils, Laplace-Beltrami, quadrature."""
 
 import math
 import tracemalloc
@@ -9,15 +9,10 @@ import pytest
 from s4min.grid import (
     GridPatch,
     InputError,
-    LoopPath,
     MetricField,
-    concatenate_loops,
     diff,
     integrate,
     laplace_beltrami,
-    rectangle_loop,
-    u_generator,
-    v_generator,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -294,37 +289,6 @@ def test_metric_rejects_degenerate_with_location():
 def test_grid_rejects_tiny_axes():
     with pytest.raises(InputError, match="at least 8 points"):
         GridPatch(4, 64, (0.0, 1.0), (0.0, 1.0), False, False)
-
-
-def test_loop_generators_close_with_winding():
-    patch = periodic_patch(16)
-    lu = u_generator(patch, j0=3)
-    lv = v_generator(patch, i0=5)
-    assert lu.winding == (1, 0) and len(lu.points) == patch.nu + 1
-    assert lv.winding == (0, 1)
-
-
-def test_loop_rejects_open_winding_and_jumps():
-    patch = open_patch(16)
-    with pytest.raises(InputError, match="u axis is not periodic"):
-        u_generator(patch)
-    pp = periodic_patch(16)
-    pts = np.array([[0, 0], [2, 0], [2, 1]])  # step of length 2
-    with pytest.raises(InputError, match="one node along one axis"):
-        LoopPath(pp, pts, (0, 0))
-
-
-def test_rectangle_loop_closes():
-    patch = periodic_patch(16)
-    loop = rectangle_loop(patch, 2, 3, 4, 5)
-    assert loop.winding == (0, 0)
-    assert np.array_equal(loop.points[0], loop.points[-1])
-
-
-def test_concatenate_loops_adds_winding():
-    patch = periodic_patch(16)
-    ab = concatenate_loops(u_generator(patch), v_generator(patch))
-    assert ab.winding == (1, 1)
 
 
 def test_capped_axis_midpoint_quadrature():

@@ -25,8 +25,7 @@ from s4min.family import (
     integrate_frame,
     march_frames,
 )
-from s4min.grid import (GridPatch, InputError, concatenate_loops, rectangle_loop, u_generator,
-                        v_generator)
+from s4min.grid import GridPatch, InputError
 from s4min.monodromy import (
     GOLDEN,
     _congruence_residual,
@@ -90,9 +89,9 @@ def test_torus_open_at_eighth_turn(clifford_profile):
 
 
 def test_monodromies_orthogonal(clifford_conn, clifford_profile):
-    imm, conn = clifford_conn
-    for loop in (u_generator(imm.patch), v_generator(imm.patch)):
-        M = generator_monodromy(conn, loop, clifford_profile.thetas)
+    _, conn = clifford_conn
+    for axis in (0, 1):
+        M = generator_monodromy(conn, axis, clifford_profile.thetas)
         gram = np.swapaxes(M, -1, -2) @ M - np.eye(5)
         assert np.abs(gram).max() < 1e-8
 
@@ -147,9 +146,9 @@ def test_solve_marches_at_most_half_the_scan_angles(clifford_conn, monkeypatch):
     marched = []
     transport = s4min.monodromy.generator_monodromy
 
-    def counted(conn, path, theta):
+    def counted(conn, axis, theta):
         marched.append(np.size(theta))
-        return transport(conn, path, theta)
+        return transport(conn, axis, theta)
 
     monkeypatch.setattr(s4min.monodromy, "generator_monodromy", counted)
     profile = scan_profile(clifford_conn[1], n_theta=64)
@@ -209,11 +208,20 @@ def test_congruence_residual_matches_integrated_patch():
     assert _congruence_residual(conn, theta) == fit.residual
 
 
+def moved_basepoint(conn, i0, j0):
+    """conn with node (i0, j0) moved to the grid origin: its generators
+    are the grid lines of conn through (i0, j0)."""
+    roll = lambda a: np.roll(a, (-i0, -j0), axis=(0, 1))  # noqa: E731
+    return ConnectionData(conn.patch, roll(conn.frames), roll(conn.C0), roll(conn.C1),
+                          roll(conn.C2))
+
+
 def generator_loops(conn, i0, j0, thetas):
     """The two deck-generator monodromies based at node (i0, j0), and
     their distance to the identity (the larger of the two)."""
-    Mu = generator_monodromy(conn, u_generator(conn.patch, j0, i0), thetas)
-    Mv = generator_monodromy(conn, v_generator(conn.patch, i0, j0), thetas)
+    moved = moved_basepoint(conn, i0, j0)
+    Mu = generator_monodromy(moved, 0, thetas)
+    Mv = generator_monodromy(moved, 1, thetas)
     d = np.maximum(np.linalg.norm(Mu - np.eye(5), axis=(-2, -1)),
                    np.linalg.norm(Mv - np.eye(5), axis=(-2, -1)))
     return Mu, Mv, d
@@ -229,41 +237,33 @@ def test_basepoint_invariance(clifford_conn):
 
 
 def test_contractible_loop_is_trivial(clifford_conn):
-    imm, conn = clifford_conn
-    loop = rectangle_loop(imm.patch, 3, 5, 20, 14)
-    M = generator_monodromy(conn, loop, 0.77)
-    assert np.linalg.norm(M - np.eye(5)) < 1e-7
-
-
-def test_homomorphism_property(clifford_conn):
-    imm, conn = clifford_conn
-    a = u_generator(imm.patch)
-    b = v_generator(imm.patch)
-    Ma = generator_monodromy(conn, a, 0.9)
-    Mb = generator_monodromy(conn, b, 0.9)
-    Mab = generator_monodromy(conn, concatenate_loops(a, b), 0.9)
-    assert np.linalg.norm(Mab - Ma @ Mb) < 1e-10
+    # the path dependence of the two sweeps is the holonomy around every
+    # rectangle of the unwrapped domain with a corner at the origin
+    _, conn = clifford_conn
+    for theta in (0.0, 0.4, 0.77, 1.1, 2.5):
+        dp = integrate_frame(assemble_maurer_cartan(conn, theta), conn.frames[0, 0])
+        assert dp.path_dependence < 1e-7
 
 
 def test_s3_surface_monodromy_fixes_fifth_axis(clifford_conn):
     # the torus lies in a totally geodesic 3-sphere; its deck isometries
     # must fix the orthogonal ambient direction
-    imm, conn = clifford_conn
+    _, conn = clifford_conn
     n5 = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
     for theta in (0.3, 0.9, 2.0):
-        for path in (u_generator(imm.patch), v_generator(imm.patch)):
-            M = generator_monodromy(conn, path, theta)
+        for axis in (0, 1):
+            M = generator_monodromy(conn, axis, theta)
             assert np.linalg.norm(M @ n5 - n5) < 1e-10
 
 
 def test_batched_angles_match_single_angles(clifford_conn):
-    imm, conn = clifford_conn
+    _, conn = clifford_conn
     thetas = np.array([0.0, 0.3, 0.9, 2.0, 4.1])
-    for path in (u_generator(imm.patch), rectangle_loop(imm.patch, 3, 5, 20, 14)):
-        Ms = generator_monodromy(conn, path, thetas)
+    for axis in (0, 1):
+        Ms = generator_monodromy(conn, axis, thetas)
         assert Ms.shape == (len(thetas), 5, 5)
         for M, theta in zip(Ms, thetas):
-            assert np.abs(M - generator_monodromy(conn, path, theta)).max() <= 1e-14
+            assert np.abs(M - generator_monodromy(conn, axis, theta)).max() <= 1e-14
 
 
 def test_scan_monodromies_are_the_generator_loops(clifford_conn):
@@ -278,39 +278,21 @@ def test_scan_monodromies_are_the_generator_loops(clifford_conn):
     assert np.abs(profile.commutator_defect - defect).max() <= 1e-12
 
 
-def test_winding_two_loop_is_the_square(clifford_conn):
-    # one straight leg of two u periods is marched one period at a time
-    imm, conn = clifford_conn
-    a = u_generator(imm.patch)
-    Ma = generator_monodromy(conn, a, 0.9)
-    Maa = generator_monodromy(conn, concatenate_loops(a, a), 0.9)
-    assert np.linalg.norm(Maa - Ma @ Ma) < 1e-10
-
-
-@pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("fix", ["clifford", "veronese"])
-def test_short_loop_legs_are_transported(fix, d, request):
-    # legs of one or two steps get the linear or quadratic midpoint rule
-    imm, conn = request.getfixturevalue(fix + "_conn")
-    thetas = np.array([0.0, 0.4, 1.1, 2.5])
-    M = generator_monodromy(conn, rectangle_loop(imm.patch, 3, 5, d, d), thetas)
-    assert np.linalg.norm(M - np.eye(5), axis=(-2, -1)).max() < 1e-6
-
-
 def test_loop_transport_matches_whole_grid_assembly(clifford_conn):
-    # assembling Omega at the loop's nodes gives the whole-grid march
+    # assembling Omega on the generator line only gives the whole-grid
+    # march along the u line through (0, j0)
     imm, conn = clifford_conn
     j0, theta = 17, 0.9
     omega = assemble_maurer_cartan(conn, theta).forms[:, j0, 0]
     F0 = conn.frames[0, j0]
     F = march_frames(omega, imm.patch.hu, F0, periodic=True)[-1]
-    M = generator_monodromy(conn, u_generator(imm.patch, j0), theta)
+    M = generator_monodromy(moved_basepoint(conn, 0, j0), 0, theta)
     assert np.abs(M - F.T @ F0).max() <= 1e-13
 
 
 def test_theta_zero_monodromy_identity(clifford_conn):
-    imm, conn = clifford_conn
-    M = generator_monodromy(conn, u_generator(imm.patch), 0.0)
+    _, conn = clifford_conn
+    M = generator_monodromy(conn, 0, 0.0)
     assert np.linalg.norm(M - np.eye(5)) < 1e-6
 
 
@@ -388,6 +370,18 @@ def test_no_periodic_axis_rejected(clifford_conn):
     open_conn = ConnectionData(open_patch, conn.frames, conn.C0, conn.C1, conn.C2)
     with pytest.raises(InputError, match="periodic"):
         scan_profile(open_conn)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_open_axis_has_no_generator(clifford_conn, axis):
+    imm, conn = clifford_conn
+    p = imm.patch
+    half_open = GridPatch(p.nu, p.nv, p.u_range, p.v_range,
+                          periodic_u=axis != 0, periodic_v=axis != 1)
+    half_conn = ConnectionData(half_open, conn.frames, conn.C0, conn.C1, conn.C2)
+    with pytest.raises(InputError, match=f"{'uv'[axis]} axis is not periodic"):
+        generator_monodromy(half_conn, axis, 0.3)
+    generator_monodromy(half_conn, 1 - axis, 0.3)
 
 
 def test_non_minimal_input_refused():
