@@ -168,6 +168,13 @@ def _load_surface(args) -> tuple[ImmersionField, dict]:
     return imm, meta
 
 
+def _connection_inputs(imm, e1, e2, nf, rep) -> tuple:
+    """The arguments of connection_data, which are all it reads: a caller
+    that holds only these lets the second jets, the metric and the other
+    shape fields go before the connection is built."""
+    return (imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4, rep.H3, rep.H4)
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     try:
@@ -238,8 +245,10 @@ def cmd_deform(args) -> int:
     imm, meta = _load_surface(args)
     out = _out_dir(args)
     imm, e1, e2, metric, nf, rep = shape_report(imm)
-    conn = connection_data(imm, e1, e2, nf, rep)
-    del imm, e1, e2, metric, nf, rep  # conn.frames[..., 0, :] is the position
+    inputs = _connection_inputs(imm, e1, e2, nf, rep)
+    del imm, e1, e2, metric, nf, rep
+    conn = connection_data(*inputs)
+    del inputs  # conn.frames[..., 0, :] is the position
     mc = assemble_maurer_cartan(conn, args.theta)
     # the flatness temporaries and the integrated frames are never held together
     flatness = float(flatness_residual(mc).max())
@@ -299,12 +308,14 @@ def cmd_monodromy(args) -> int:
     imm, meta = _load_surface(args)
     out = _out_dir(args)
     imm, e1, e2, metric, nf, rep = shape_report(imm)
-    conn = connection_data(imm, e1, e2, nf, rep)
-    del imm, e1, e2, nf  # conn.frames holds their only further use
+    chi_n = euler_numbers(rep, metric)[1] if rep.patch.closed else None
+    inputs = _connection_inputs(imm, e1, e2, nf, rep)
+    del imm, e1, e2, metric, nf, rep
+    conn = connection_data(*inputs)
+    del inputs  # conn.frames holds their only further use
     profile = scan_profile(conn, n_theta=args.scan, tol_close=args.tol_close)
     # a compact surface with nontrivial normal bundle has only finitely
     # many noncongruent members, so a CIRCLE verdict needs congruent ones
-    chi_n = euler_numbers(rep, metric)[1] if rep.patch.closed else None
     if profile.verdict == "CIRCLE" and chi_n is not None and abs(chi_n.rounded) >= 1:
         cmax = float(profile.congruence_residuals.max())
         if cmax >= CONGRUENCE_TOL:
@@ -379,20 +390,29 @@ def cmd_verify(args) -> int:
         items.append(_item(tag, residual, tol_h2,
                            "radius field vanishes identically" if residual is None else ""))
 
-    conn = connection_data(imm, e1, e2, nf, rep)
-    del imm, e1, e2, nf  # conn.frames holds their only further use
+    # the global invariants are computed now, so that the shape fields
+    # can go before the connection is built; their items follow its checks
+    try:
+        topo, topo_error = topology_report(rep, metric), None
+    except InputError as exc:
+        topo, topo_error = None, str(exc)  # the traceback would hold the fields
+
+    inputs = _connection_inputs(imm, e1, e2, nf, rep)
+    del imm, e1, e2, metric, nf, rep, hopf_abs
+    conn = connection_data(*inputs)
+    del inputs  # conn.frames holds their only further use
     mc0 = assemble_maurer_cartan(conn, 0.0)
     flat0 = float(flatness_residual(mc0).max())
     items.append(_item("flatness_theta0", flat0, max(1e-9, tol_h2)))
     items.append(_item("reconstruction_theta0",
                        frame_reconstruction_residual(conn, mc0), max(1e-9, tol_h2)))
-    dp = integrate_frame(mc0, conn.frames[0, 0], tol_path=math.inf)
+    seed = conn.frames[0, 0].copy()
+    del conn  # the stored frames go before the sweeps build theirs
+    dp = integrate_frame(mc0, seed, tol_path=math.inf)
     items.append(_item("frame_path_dependence", dp.path_dependence, PATH_DEPENDENCE_TOL))
 
-    try:
-        topo = topology_report(rep, metric)
-    except InputError as exc:
-        reason = f"global invariants unavailable: {exc}"
+    if topo is None:
+        reason = f"global invariants unavailable: {topo_error}"
         for tag in ("euler_chi_surface", "euler_chi_normal",
                     "zero_balance_plus", "zero_balance_minus"):
             items.append(_item(tag, None, None, reason))

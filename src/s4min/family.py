@@ -12,16 +12,19 @@ averaged away.
 The connection is stored as packed 1-form entries, (nu, nv, 2, 4) per
 component, at fixed upper-triangle slots of the 5x5 block:
 
-    C0       (0, 1) w1   (0, 2) w2   (1, 2) omega12   (3, 4) omega34
-    C1, C2   (1, 3)      (2, 3)      (1, 4)           (2, 4)
+    C0   (0, 1) w1   (0, 2) w2   (1, 2) omega12   (3, 4) omega34
+    C1   (1, 3)      (2, 3)      (1, 4)           (2, 4)
 
-Omega_theta stays packed too: its (nu, nv, 2, 8) entries are C0's four
-slots followed by cos(2 theta) C1 + sin(2 theta) C2.  Only this module
-knows the slot table.  The structure equations are evaluated on the
-packed entries, one (nu, nv) plane per slot: flatness_residual takes
-the commutator from a product table derived from the slots, and
-frame_reconstruction_residual applies the Omega_0 its caller already
-assembled to one frame row at a time.
+C1 holds two (sym, alt) pairs, one per normal direction.  C2 is C1
+turned a quarter, each pair to (alt, -sym), so it is derived and never
+stored: rotating_forms builds cos(2 theta) C1 + sin(2 theta) C2 from C1
+with the same roundings.  Omega_theta stays packed too: its
+(nu, nv, 2, 8) entries are C0's four slots followed by that rotating
+part.  Only this module knows the slot table.  The structure equations
+are evaluated on the packed entries, one (nu, nv) plane per slot:
+flatness_residual takes the commutator from a product table derived
+from the slots, and frame_reconstruction_residual applies the Omega_0
+its caller already assembled to one frame row at a time.
 _so5 scatters packed entries into antisymmetric 5x5 blocks only for the
 matrix products of one march_frames step, so no whole-grid 5x5
 connection block is ever built.
@@ -29,8 +32,10 @@ connection block is ever built.
 Each whole-grid frame array is held once.  ConnectionData keeps the
 input frames component-major, as (5, 5, nu, nv) planes behind its
 (nu, nv, 5, 5) frames view; march_frames interpolates each step's
-midpoint from the four samples around it; and integrate_frame compares
-its second sweep with the stored first one row by row as it marches.
+midpoint from the four samples around it; integrate_frame compares
+its second sweep with the stored first one row by row as it marches;
+and the sweeps read their lines as views of the packed forms, a
+periodic seam repeating the first line through march_frames' lanes.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridPatch, InputError, diff
-from .surface import ImmersionField, NormalFrameField, ShapeReport, shape_report
+from .surface import ImmersionField, shape_report
 
 
 class IntegrabilityBroken(RuntimeError):
@@ -66,11 +71,13 @@ class ConnectionData:
     Components are packed upper-triangle entries of shape (nu, nv, 2, 4);
     index 0/1 of the third axis is the du/dv component.  C0[..., k] holds
     w1, w2, omega12, omega34 for k = 0..3 (slots (0, 1), (0, 2), (1, 2),
-    (3, 4)); C1 and C2 hold the second-fundamental-form entries at slots
-    (1, 3), (2, 3), (1, 4), (2, 4).  Every assembled Omega is exactly
-    so(5)-valued.  frames carries the rows (f, e1, e2, e3, e4) used to
-    build the data: it seeds the integration and anchors the theta = 0
-    reconstruction.  connection_data stores them component-major, so
+    (3, 4)); C1 holds the second-fundamental-form entries at slots
+    (1, 3), (2, 3), (1, 4), (2, 4), as the pairs (sym3, alt3, sym4, alt4).
+    C2 is C1 turned a quarter, (alt3, -sym3, alt4, -sym4): it is derived,
+    not stored, and the C2 property builds it on each read.  Every
+    assembled Omega is exactly so(5)-valued.  frames carries the rows
+    (f, e1, e2, e3, e4) used to build the data: it seeds the integration
+    and anchors the theta = 0 reconstruction.  connection_data stores them component-major, so
     frames is a (nu, nv, 5, 5) view of contiguous (5, 5, nu, nv) planes
     (np.moveaxis(frames, (2, 3), (0, 1)) gives the planes without a copy),
     and the fields they came from need not be kept.
@@ -80,7 +87,12 @@ class ConnectionData:
     frames: np.ndarray
     C0: np.ndarray
     C1: np.ndarray
-    C2: np.ndarray
+
+    @property
+    def C2(self) -> np.ndarray:
+        """C1 turned a quarter: each (sym, alt) pair becomes (alt, -sym).
+        Built on each read; rotating_forms applies it without building it."""
+        return self.C1[..., [1, 0, 3, 2]] * np.array([1.0, -1.0, 1.0, -1.0])
 
 
 @dataclass
@@ -147,45 +159,68 @@ def _so5(entries: np.ndarray) -> np.ndarray:
     return out
 
 
-def connection_data(imm: ImmersionField, e1: np.ndarray, e2: np.ndarray,
-                    nf: NormalFrameField, report: ShapeReport) -> ConnectionData:
+def connection_data(patch: GridPatch, position: np.ndarray, jet1: np.ndarray,
+                    e1: np.ndarray, e2: np.ndarray, e3: np.ndarray, e4: np.ndarray,
+                    H3: np.ndarray, H4: np.ndarray) -> ConnectionData:
     """Connection decomposition in the transported normal gauge.
 
-    Uses nf.e3, nf.e4 and report.H3, report.H4 exactly as given, so the
-    report must have been built with nf.  That gauge is defined
-    everywhere (circle points included), so the whole grid integrates
-    without masking; ellipse-aligned quantities are diagnostics only and
-    never enter here.
+    position, e1..e4 are the (nu, nv, 5) frame rows and jet1 the
+    (nu, nv, 2, 5) first jets; H3, H4 are the complex second-fundamental-
+    form entries h11 + i h12 in the normal gauge e3, e4, so they must come
+    from a ShapeReport built with that normal frame.  That gauge is
+    defined everywhere (circle points included), so the whole grid
+    integrates without masking; ellipse-aligned quantities are diagnostics
+    only and never enter here.  Only these arrays are read, so a caller
+    can release every other field before the call.
     """
-    patch = imm.patch
+    C0 = np.empty(patch.shape + (2, 4))
+    C1 = np.empty(patch.shape + (2, 4))
 
-    def form(pair):  # (nu, nv, 2): du and dv components of <a, b>
-        return np.stack([np.einsum("uvk,uvk->uv", *pair(axis)) for axis in (0, 1)],
-                        axis=-1)
+    def dot(k, axis, a, b):  # component axis of form k: <a, b>
+        np.einsum("uvk,uvk->uv", a, b, out=C0[:, :, axis, k])
 
-    w1 = form(lambda axis: (imm.jet1[:, :, axis], e1))
-    w2 = form(lambda axis: (imm.jet1[:, :, axis], e2))
-    om12 = form(lambda axis: (diff(patch, e1, axis), e2))
-    om34 = form(lambda axis: (diff(patch, nf.e3, axis), nf.e4))
-    h11_3, h12_3 = report.H3.real[..., None], report.H3.imag[..., None]
-    h11_4, h12_4 = report.H4.real[..., None], report.H4.imag[..., None]
-    sym3 = h11_3 * w1 + h12_3 * w2
-    alt3 = h12_3 * w1 - h11_3 * w2
-    sym4 = h11_4 * w1 + h12_4 * w2
-    alt4 = h12_4 * w1 - h11_4 * w2
+    for axis in (0, 1):
+        dot(0, axis, jet1[:, :, axis], e1)
+        dot(1, axis, jet1[:, :, axis], e2)
+        dot(2, axis, diff(patch, e1, axis), e2)
+        dot(3, axis, diff(patch, e3, axis), e4)
+    w1, w2 = C0[..., 0], C0[..., 1]
+    product = np.empty(w1.shape)
+    for k, H in ((0, H3), (2, H4)):  # (sym, alt) pairs: slots (1|2, 3) and (1|2, 4)
+        h11, h12 = H.real[..., None], H.imag[..., None]
+        sym, alt = C1[..., k], C1[..., k + 1]
+        np.multiply(h11, w1, out=sym)
+        sym += np.multiply(h12, w2, out=product)
+        np.multiply(h12, w1, out=alt)
+        alt -= np.multiply(h11, w2, out=product)
+    del product  # no temporary outlives its use: the planes come last
     planes = np.empty((5, 5) + patch.shape)  # planes[r, c]: component c of row r
-    for r, row in enumerate((imm.position, e1, e2, nf.e3, nf.e4)):
+    for r, row in enumerate((position, e1, e2, e3, e4)):
         planes[r] = np.moveaxis(row, -1, 0)
-    return ConnectionData(patch, np.moveaxis(planes, (0, 1), (2, 3)),
-                          np.stack([w1, w2, om12, om34], axis=-1),
-                          np.stack([sym3, alt3, sym4, alt4], axis=-1),
-                          np.stack([alt3, -sym3, alt4, -sym4], axis=-1))
+    return ConnectionData(patch, np.moveaxis(planes, (0, 1), (2, 3)), C0, C1)
+
+
+def rotating_forms(C1: np.ndarray, c, s, out: np.ndarray | None = None) -> np.ndarray:
+    """cos(2 theta) C1 + sin(2 theta) C2 from C1 alone, for c = cos(2 theta)
+    and s = sin(2 theta) broadcasting against C1 (..., 4).
+
+    C2 turns each (sym, alt) pair of C1 a quarter, to (alt, -sym), so the
+    pair becomes (c sym + s alt, c alt - s sym): the roundings of
+    c C1 + s C2 exactly, since x + (-y) is x - y.  Writes into out when
+    given.
+    """
+    out = np.multiply(c, C1, out=out)
+    out[..., 0::2] += s * C1[..., 1::2]
+    out[..., 1::2] -= s * C1[..., 0::2]
+    return out
 
 
 def assemble_maurer_cartan(conn: ConnectionData, theta: float) -> MaurerCartanField:
     """Packed Omega_theta = C0 + cos(2 theta) C1 + sin(2 theta) C2."""
-    rotating = math.cos(2.0 * theta) * conn.C1 + math.sin(2.0 * theta) * conn.C2
-    return MaurerCartanField(conn.patch, np.concatenate([conn.C0, rotating], axis=-1))
+    forms = np.empty(conn.C0.shape[:-1] + (8,))
+    forms[..., :4] = conn.C0
+    rotating_forms(conn.C1, math.cos(2.0 * theta), math.sin(2.0 * theta), out=forms[..., 4:])
+    return MaurerCartanField(conn.patch, forms)
 
 
 def flatness_residual(mc: MaurerCartanField) -> np.ndarray:
@@ -286,14 +321,15 @@ def _step_midpoint(line: np.ndarray, k: int, periodic: bool) -> np.ndarray:
     return (line[-4] - 5.0 * line[-3] + 15.0 * line[-2] + 5.0 * line[-1]) / 16.0
 
 
-def _march(omega_line: np.ndarray, h: float, seeds: np.ndarray, periodic: bool):
+def _march(omega_line: np.ndarray, h: float, seeds: np.ndarray, periodic: bool,
+           lanes=slice(None)):
     """The steps of march_frames: yields the frames after each step."""
     n = omega_line.shape[0]
     F = seeds
-    A1 = _so5(omega_line[0])
+    A1 = _so5(omega_line[0][lanes])
     for k in range(n if periodic else n - 1):
-        A0, Am = A1, _so5(_step_midpoint(omega_line, k, periodic))
-        A1 = _so5(omega_line[(k + 1) % n])
+        A0, Am = A1, _so5(_step_midpoint(omega_line, k, periodic)[lanes])
+        A1 = _so5(omega_line[(k + 1) % n][lanes])
         k1 = A0 @ F
         k2 = Am @ (F + (0.5 * h) * k1)
         k3 = Am @ (F + (0.5 * h) * k2)
@@ -304,7 +340,7 @@ def _march(omega_line: np.ndarray, h: float, seeds: np.ndarray, periodic: bool):
 
 
 def march_frames(omega_line: np.ndarray, h: float, seeds: np.ndarray,
-                 periodic: bool) -> np.ndarray:
+                 periodic: bool, lanes=slice(None)) -> np.ndarray:
     """Path-ordered integration of F' = Omega(t) F along one grid line.
 
     omega_line: (n, ..., 8) packed connection entries (the layout of
@@ -313,6 +349,9 @@ def march_frames(omega_line: np.ndarray, h: float, seeds: np.ndarray,
     cubic-interpolated midpoints, orthogonality restored every step;
     each step interpolates its midpoint on the packed entries of the
     four samples around it and assembles only its own three 5x5 blocks.
+    lanes indexes the axis after the line's: each step's entries and
+    midpoint are gathered through it, so seeds may repeat a lane (a
+    periodic seam) without a whole copy of the lines.
     Returns (steps + 1, ..., 5, 5) frames at the sample points; when
     periodic the final entry is the transport over the full period
     (seam mismatch = holonomy, kept explicit).
@@ -320,7 +359,7 @@ def march_frames(omega_line: np.ndarray, h: float, seeds: np.ndarray,
     steps = omega_line.shape[0] - (0 if periodic else 1)
     out = np.empty((steps + 1,) + seeds.shape)
     out[0] = seeds
-    for k, F in enumerate(_march(omega_line, h, seeds, periodic), 1):
+    for k, F in enumerate(_march(omega_line, h, seeds, periodic, lanes), 1):
         out[k] = F
     return out
 
@@ -356,14 +395,18 @@ def _spine(mc: MaurerCartanField, seed: np.ndarray, axis: int):
     the other axis through them.
 
     Returns the (N, 5, 5) start frames, N the unwrapped length of the
-    spine, and the (n_other, N, 8) lines in march_frames' layout.
+    spine; the (n_other, n, 8) lines in march_frames' layout, a view of
+    mc.forms; and the lanes of march_frames that pick the N start
+    frames' entries from each step's n, repeating lane 0 at a periodic
+    seam.
     """
     patch = mc.patch
     h, periodic = ((patch.hu, patch.periodic_u), (patch.hv, patch.periodic_v))[axis]
     forms = np.moveaxis(mc.forms, axis, 0)  # spine axis first
     spine = march_frames(forms[:, 0, axis][:, None], h, seed[None], periodic)
-    src = np.arange(spine.shape[0]) % forms.shape[0]
-    return spine[:, 0], np.moveaxis(forms[src, :, 1 - axis], 1, 0)
+    n = forms.shape[0]
+    lanes = np.arange(n + 1) % n if periodic else slice(None)
+    return spine[:, 0], np.moveaxis(forms[:, :, 1 - axis], 1, 0), lanes
 
 
 def sweep_frames(mc: MaurerCartanField, seed: np.ndarray) -> np.ndarray:
@@ -371,8 +414,8 @@ def sweep_frames(mc: MaurerCartanField, seed: np.ndarray) -> np.ndarray:
     the u spine from the seed at the grid origin, then every v column
     from it.  Returns the (nu + pu, nv + pv, 5, 5) frame array.
     """
-    starts, lines = _spine(mc, seed, 0)
-    sheet = march_frames(lines, mc.patch.hv, starts, mc.patch.periodic_v)
+    starts, lines, lanes = _spine(mc, seed, 0)
+    sheet = march_frames(lines, mc.patch.hv, starts, mc.patch.periodic_v, lanes)
     return np.moveaxis(sheet, 1, 0)  # (NU, NV, 5, 5)
 
 
@@ -393,9 +436,9 @@ def integrate_frame(mc: MaurerCartanField, seed_frame: np.ndarray,
     if seed.shape != (5, 5):
         raise InputError(f"seed frame must be 5x5, got {seed.shape}")
     F_rc = sweep_frames(mc, seed)
-    starts, lines = _spine(mc, seed, 1)
+    starts, lines, lanes = _spine(mc, seed, 1)
     path_dep = 0.0
-    rows = _march(lines, mc.patch.hu, starts, mc.patch.periodic_u)
+    rows = _march(lines, mc.patch.hu, starts, mc.patch.periodic_u, lanes)
     for stored, row in zip(F_rc, itertools.chain([starts], rows)):
         D = row - stored  # becomes the squared discrepancy in place
         D *= D

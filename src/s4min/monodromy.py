@@ -32,6 +32,7 @@ from .family import (
     congruence_test,
     flatness_residual,
     march_frames,
+    rotating_forms,
     sweep_frames,
 )
 from .grid import InputError
@@ -60,8 +61,9 @@ def generator_monodromy(conn: ConnectionData, axis: int,
     surface closes around this generator).
 
     Omega_theta = C0 + cos(2 theta) C1 + sin(2 theta) C2 is packed on
-    that line only (read as family._spine reads a sweep's spine) and
-    marched once with the periodic (wrap) stencil, batched over the angles.
+    that line only (read as family._spine reads a sweep's spine, the
+    rotating part formed from C1 by rotating_forms) and marched once
+    with the periodic (wrap) stencil, batched over the angles.
     """
     patch = conn.patch
     h, periodic = ((patch.hu, patch.periodic_u), (patch.hv, patch.periodic_v))[axis]
@@ -72,7 +74,7 @@ def generator_monodromy(conn: ConnectionData, axis: int,
     s = np.sin(2.0 * theta)[..., None]
     per_node = (-1,) + (1,) * theta.ndim + (4,)
     at = lambda C: np.moveaxis(C, axis, 0)[:, 0, axis].reshape(per_node)  # noqa: E731
-    rotating = c * at(conn.C1) + s * at(conn.C2)
+    rotating = rotating_forms(at(conn.C1), c, s)
     line = np.concatenate([np.broadcast_to(at(conn.C0), rotating.shape), rotating], axis=-1)
     F0 = conn.frames[0, 0]
     F = march_frames(line, h, np.broadcast_to(F0, theta.shape + (5, 5)), True)[-1]

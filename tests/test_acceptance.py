@@ -51,13 +51,15 @@ def veronese():
 @pytest.fixture(scope="module")
 def clifford_conn(clifford):
     imm, e1, e2, metric, nf, rep = clifford
-    return connection_data(imm, e1, e2, nf, rep)
+    return connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
+                           rep.H3, rep.H4)
 
 
 @pytest.fixture(scope="module")
 def veronese_conn(veronese):
     imm, e1, e2, metric, nf, rep = veronese
-    return connection_data(imm, e1, e2, nf, rep)
+    return connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
+                           rep.H3, rep.H4)
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +183,7 @@ def test_closing_set_dichotomy(clifford_conn, veronese_conn):
     # identity
     roll = lambda a: np.roll(a, (-37, -61), axis=(0, 1))  # noqa: E731
     moved = ConnectionData(clifford_conn.patch, roll(clifford_conn.frames),
-                           roll(clifford_conn.C0), roll(clifford_conn.C1), roll(clifford_conn.C2))
+                           roll(clifford_conn.C0), roll(clifford_conn.C1))
     Mu = generator_monodromy(moved, 0, profile.thetas)
     Mv = generator_monodromy(moved, 1, profile.thetas)
     shifted = np.maximum(np.linalg.norm(Mu - np.eye(5), axis=(-2, -1)),

@@ -205,5 +205,6 @@ def test_connection_data_has_the_traced_forms():
             and isinstance(node.value, ast.Name) and node.value.id == "out"}
     assert read  # C0, C1 and C2
     imm, e1, e2, _, nf, rep = shape_report(load_catalog("clifford", 16).immersion)
-    conn = connection_data(imm, e1, e2, nf, rep)
+    conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
+                           rep.H3, rep.H4)
     assert all(isinstance(getattr(conn, name, None), np.ndarray) for name in read)

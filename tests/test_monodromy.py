@@ -40,7 +40,8 @@ from s4min.surface import shape_report
 @pytest.fixture(scope="module")
 def clifford_conn():
     imm, e1, e2, metric, nf, rep = shape_report(clifford_torus(128).immersion)
-    return imm, connection_data(imm, e1, e2, nf, rep)
+    return imm, connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
+                                rep.H3, rep.H4)
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +52,8 @@ def clifford_profile(clifford_conn):
 @pytest.fixture(scope="module")
 def veronese_conn():
     imm, e1, e2, metric, nf, rep = shape_report(veronese_sphere(128).immersion)
-    return imm, connection_data(imm, e1, e2, nf, rep)
+    return imm, connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
+                                rep.H3, rep.H4)
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +123,9 @@ def test_roots_between_samples_are_found(clifford_conn, n_theta):
 def test_default_tolerance_closes_theta_zero_at_coarse_grid():
     # at n=64 d(0) is ~7e-6, above 1e-6; the default tolerance follows it
     imm, e1, e2, metric, nf, rep = shape_report(clifford_torus(64).immersion)
-    profile = scan_profile(connection_data(imm, e1, e2, nf, rep), n_theta=256)
+    conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
+                           rep.H3, rep.H4)
+    profile = scan_profile(conn, n_theta=256)
     assert profile.tol_close >= 10.0 * profile.d[0]
     assert len(profile.roots) == 4
     assert profile.roots[0] == 0.0
@@ -160,7 +164,8 @@ def test_constant_profile_has_no_candidates():
     # the totally geodesic sphere has theta-independent monodromy; with a
     # tolerance below its d(0) the profile is FINITE with no minimum
     imm, e1, e2, metric, nf, rep = shape_report(geodesic_sphere(32).immersion)
-    conn = connection_data(imm, e1, e2, nf, rep)
+    conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
+                           rep.H3, rep.H4)
     profile = scan_profile(conn, n_theta=64, tol_close=1e-30)
     assert profile.verdict == "FINITE"
     assert profile.roots == []
@@ -196,7 +201,8 @@ def test_batched_golden_matches_scalar_search():
 def test_congruence_residual_matches_integrated_patch():
     # one sweep gives the same congruence as the full integrate_frame route
     imm, e1, e2, metric, nf, rep = shape_report(veronese_sphere(64).immersion)
-    conn = connection_data(imm, e1, e2, nf, rep)
+    conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
+                           rep.H3, rep.H4)
     theta = 0.7
     dp = integrate_frame(assemble_maurer_cartan(conn, theta), conn.frames[0, 0],
                          tol_path=math.inf)
@@ -212,8 +218,7 @@ def moved_basepoint(conn, i0, j0):
     """conn with node (i0, j0) moved to the grid origin: its generators
     are the grid lines of conn through (i0, j0)."""
     roll = lambda a: np.roll(a, (-i0, -j0), axis=(0, 1))  # noqa: E731
-    return ConnectionData(conn.patch, roll(conn.frames), roll(conn.C0), roll(conn.C1),
-                          roll(conn.C2))
+    return ConnectionData(conn.patch, roll(conn.frames), roll(conn.C0), roll(conn.C1))
 
 
 def generator_loops(conn, i0, j0, thetas):
@@ -254,6 +259,35 @@ def test_s3_surface_monodromy_fixes_fifth_axis(clifford_conn):
         for axis in (0, 1):
             M = generator_monodromy(conn, axis, theta)
             assert np.linalg.norm(M @ n5 - n5) < 1e-10
+
+
+@pytest.mark.parametrize("fix", ["clifford_conn", "veronese_conn"])
+def test_generator_line_gives_the_stored_bits(fix, request, monkeypatch):
+    # the packed line is C0 then c C1 + s C2 on the generator, with C2 as
+    # connection_data stored it, (alt3, -sym3, alt4, -sym4): every bit kept
+    imm, conn = request.getfixturevalue(fix)
+    lines = []
+    march = s4min.monodromy.march_frames
+
+    def recorded(line, *args):
+        lines.append(line)
+        return march(line, *args)
+
+    monkeypatch.setattr(s4min.monodromy, "march_frames", recorded)
+    C1 = conn.C1
+    C2 = np.stack([C1[..., 1], -C1[..., 0], C1[..., 3], -C1[..., 2]], axis=-1)
+    thetas = np.array([0.0, 0.3, math.pi / 4, math.pi / 2, 1.1])
+    c, s = np.cos(2.0 * thetas)[:, None], np.sin(2.0 * thetas)[:, None]
+    for axis in (0, 1):
+        if not (imm.patch.periodic_u, imm.patch.periodic_v)[axis]:
+            continue
+        generator_monodromy(conn, axis, thetas)
+        at = lambda C: np.moveaxis(C, axis, 0)[:, 0, axis][:, None]  # noqa: E731
+        rotating = c * at(C1) + s * at(C2)
+        expected = np.concatenate([np.broadcast_to(at(conn.C0), rotating.shape), rotating],
+                                  axis=-1)
+        assert np.array_equal(lines.pop(), expected)
+    assert lines == []
 
 
 def test_batched_angles_match_single_angles(clifford_conn):
@@ -324,7 +358,9 @@ def test_circle_certificate(surface, n):
     # CIRCLE: every non-constant Fourier coefficient of M - I is below
     # the closing tolerance, and the samples resolve M to roundoff
     imm, e1, e2, metric, nf, rep = shape_report(surface(n).immersion)
-    profile = scan_profile(connection_data(imm, e1, e2, nf, rep), n_theta=64)
+    conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
+                           rep.H3, rep.H4)
+    profile = scan_profile(conn, n_theta=64)
     assert profile.verdict == "CIRCLE"
     assert profile.circle_coefficient_max < profile.tol_close
     assert profile.spectral_tail < 1e-14
@@ -367,7 +403,7 @@ def test_no_periodic_axis_rejected(clifford_conn):
     p = imm.patch
     open_patch = GridPatch(p.nu, p.nv, p.u_range, p.v_range,
                            periodic_u=False, periodic_v=False)
-    open_conn = ConnectionData(open_patch, conn.frames, conn.C0, conn.C1, conn.C2)
+    open_conn = ConnectionData(open_patch, conn.frames, conn.C0, conn.C1)
     with pytest.raises(InputError, match="periodic"):
         scan_profile(open_conn)
 
@@ -378,7 +414,7 @@ def test_open_axis_has_no_generator(clifford_conn, axis):
     p = imm.patch
     half_open = GridPatch(p.nu, p.nv, p.u_range, p.v_range,
                           periodic_u=axis != 0, periodic_v=axis != 1)
-    half_conn = ConnectionData(half_open, conn.frames, conn.C0, conn.C1, conn.C2)
+    half_conn = ConnectionData(half_open, conn.frames, conn.C0, conn.C1)
     with pytest.raises(InputError, match=f"{'uv'[axis]} axis is not periodic"):
         generator_monodromy(half_conn, axis, 0.3)
     generator_monodromy(half_conn, 1 - axis, 0.3)
@@ -387,7 +423,8 @@ def test_open_axis_has_no_generator(clifford_conn, axis):
 def test_non_minimal_input_refused():
     imm, e1, e2, metric, nf, rep = shape_report(
         perturb_immersion(clifford_torus(64).immersion, 1e-3, seed=7))
-    conn = connection_data(imm, e1, e2, nf, rep)
+    conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
+                           rep.H3, rep.H4)
     with pytest.raises(IntegrabilityBroken, match="not flat"):
         scan_profile(conn, n_theta=64)
 
