@@ -529,3 +529,21 @@ def congruence_test(pos_a: np.ndarray, pos_b: np.ndarray,
     misfit = a @ A.T - b
     residual = math.sqrt(float((w * (misfit**2).sum(axis=1)).sum() / w.sum()))
     return CongruenceFit(A, residual, float(np.linalg.det(A)), rank, rank < 5)
+
+
+def _congruence_residual(conn: ConnectionData, theta: float) -> float:
+    """Congruence of the integrated deformed surface with the input.
+
+    One row-then-column sweep suffices: integrate_frame's second sweep
+    only serves its path-dependence check.
+    """
+    patch = conn.patch
+    frame = sweep_frames(assemble_maurer_cartan(conn, theta), conn.frames[0, 0])
+    pos = frame[:patch.nu, :patch.nv, 0, :]
+    core = (pos / np.linalg.norm(pos, axis=-1, keepdims=True)).reshape(-1, 5)
+    ref = conn.frames[..., 0, :].reshape(-1, 5)
+    w1u, w1v = conn.C0[..., 0, 0], conn.C0[..., 1, 0]
+    w2u, w2v = conn.C0[..., 0, 1], conn.C0[..., 1, 1]
+    dA = np.abs(w1u * w2v - w1v * w2u).reshape(-1)
+    fit = congruence_test(ref, core, dA)
+    return fit.residual

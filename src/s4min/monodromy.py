@@ -28,12 +28,11 @@ import numpy as np
 from .family import (
     ConnectionData,
     IntegrabilityBroken,
+    _congruence_residual,
     assemble_maurer_cartan,
-    congruence_test,
     flatness_residual,
     march_frames,
     rotating_forms,
-    sweep_frames,
 )
 from .grid import InputError
 
@@ -238,24 +237,6 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256,
         cr = np.array([_congruence_residual(conn, float(t)) for t in ct])
     return MonodromyProfile(thetas, dq[fold], defect, roots, classes, verdict,
                             tol_close, flat0, circle_max, tail, ct, cr, tuple(gens))
-
-
-def _congruence_residual(conn: ConnectionData, theta: float) -> float:
-    """Congruence of the integrated deformed surface with the input.
-
-    One row-then-column sweep suffices: integrate_frame's second sweep
-    only serves its path-dependence check.
-    """
-    patch = conn.patch
-    frame = sweep_frames(assemble_maurer_cartan(conn, theta), conn.frames[0, 0])
-    pos = frame[:patch.nu, :patch.nv, 0, :]
-    core = (pos / np.linalg.norm(pos, axis=-1, keepdims=True)).reshape(-1, 5)
-    ref = conn.frames[..., 0, :].reshape(-1, 5)
-    w1u, w1v = conn.C0[..., 0, 0], conn.C0[..., 1, 0]
-    w2u, w2v = conn.C0[..., 0, 1], conn.C0[..., 1, 1]
-    dA = np.abs(w1u * w2v - w1v * w2u).reshape(-1)
-    fit = congruence_test(ref, core, dA)
-    return fit.residual
 
 
 def dichotomy_report(profile: MonodromyProfile) -> dict:

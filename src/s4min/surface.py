@@ -111,21 +111,12 @@ def tangent_frame(imm: ImmersionField) -> tuple[np.ndarray, np.ndarray, MetricFi
 
 @dataclass
 class NormalFrameField:
-    """Smooth oriented orthonormal frame (e3, e4) of the normal bundle.
-
-    The frame is discrete normal-bundle parallel transport from grid index
-    (0, 0), made periodic by spreading each closure angle evenly over its
-    cycle (see normal_frame).  seam_u / seam_v record the largest
-    closure angle on each periodic axis before it was spread; a large
-    value on a non-torus chart signals genuine normal holonomy around that
-    cycle (expected whenever the normal Euler number is nonzero).
-    """
+    """Smooth oriented orthonormal frame (e3, e4) of the normal bundle,
+    built by normal_frame."""
 
     patch: GridPatch
     e3: np.ndarray
     e4: np.ndarray
-    seam_u: float = 0.0
-    seam_v: float = 0.0
 
 
 def _normal_projector_apply(f, e1, e2, vec):
@@ -154,7 +145,6 @@ def _transport_pair(f, e1, e2, p3, p4):
 
 def _seed_normal_basis(f, e1, e2):
     """Deterministic normal basis at one point from projected ambient axes."""
-    best = []
     taken = []
     # preferred axes first (the last two coordinate directions), then the rest
     for k in (3, 4, 2, 1, 0):
@@ -165,20 +155,51 @@ def _seed_normal_basis(f, e1, e2):
             q = q - np.dot(q, t) * t
         n = np.linalg.norm(q)
         if n > 0.3:
-            t = q / n
-            taken.append(t)
-            best.append(t)
-            if len(best) == 2:
-                return best[0], best[1]
+            taken.append(q / n)
+            if len(taken) == 2:
+                return taken[0], taken[1]
     raise InputError("could not seed a normal frame from ambient axes")
 
 
-def _closure_angle(f, e1, e2, last3, e3, e4):
-    """Angle of the frame vector last3, transported one step across a seam,
-    against the stored (e3, e4) basis on the far side."""
-    t3 = _normal_projector_apply(f, e1, e2, last3)
-    return np.arctan2(np.einsum("...k,...k->...", t3, e4),
-                      np.einsum("...k,...k->...", t3, e3))
+def _seam_turn(angle: np.ndarray, n: int, cyclic_lanes: bool) -> np.ndarray:
+    """The closing turn of n-step periodic lines from their closure angles.
+
+    angle holds one closure angle per lane, the normal holonomy around
+    its cycle.  The angles are unwrapped across the lanes and the whole
+    turns they share are dropped (a full turn closes by itself), so the
+    gauge winds no more than the holonomy forces.  The rest is spread as
+    the (lanes, n) turn -angle * k / n of entry k, which makes every step,
+    the seam step included, turn by the same share.  When the lanes
+    themselves form a cycle (cyclic_lanes), an angle that winds around it
+    admits no periodic gauge of this form and raises InputError.
+    """
+    angle = np.unwrap(angle)
+    if cyclic_lanes and abs(angle[-1] - angle[0]) > np.pi:
+        raise InputError(
+            "seam mismatch angle winds around the transverse cycle; "
+            "no periodic normal gauge of this form exists"
+        )
+    turns = 2.0 * np.pi * np.round(np.median(angle) / (2.0 * np.pi))
+    return -(angle - turns)[:, None] * (np.arange(n) / n)[None, :]
+
+
+def _transport_lines(f, e1, e2, e3, e4, periodic, cyclic_lanes):
+    """March the normal pair in place along the first axis of (n, lanes, 5)
+    line views from its first entry, batched over the lanes.
+
+    Returns the closing turn of _seam_turn on a periodic axis, from each
+    lane's closure angle: the last pair carried one step across the seam,
+    read against the first.  None on an open axis.
+    """
+    n = f.shape[0]
+    for k in range(1, n):
+        e3[k], e4[k] = _transport_pair(f[k], e1[k], e2[k], e3[k - 1], e4[k - 1])
+    if not periodic:
+        return None
+    t3 = _normal_projector_apply(f[0], e1[0], e2[0], e3[-1])
+    angle = np.arctan2(np.einsum("...k,...k->...", t3, e4[0]),
+                       np.einsum("...k,...k->...", t3, e3[0]))
+    return _seam_turn(angle, n, cyclic_lanes)
 
 
 def _rotate_pair(e3, e4, angle):
@@ -191,26 +212,17 @@ def normal_frame(imm: ImmersionField, e1: np.ndarray, e2: np.ndarray) -> NormalF
     """Smooth oriented completion of the tangent frame by normal transport.
 
     Seeded at grid index (0, 0) by projecting fixed ambient axes, oriented
-    so that det[e1 e2 e3 e4 f] > 0, then transported along the u-spine at
-    v = 0 and up every column along v (vectorized over u).  Each step
-    projects the previous pair onto the new normal space and applies
-    Gram-Schmidt, which approximates parallel transport in the normal
-    bundle, so the gauge rotates no faster than the normal curvature
-    forces it to.
-
-    On a periodic axis the transport does not close: the closure angle is
-    the normal holonomy around that cycle.  It is removed by rotating the
-    pair at index k of n by -angle * k / n, so every step, the seam step
-    included, turns by the same share.  Along u this is the spine's single
-    closure angle.  Along v the per-column angles are unwrapped over u and
-    the whole turns they share are dropped (a full turn closes by itself),
-    so the gauge winds no more than the holonomy forces.  A closure angle
-    that winds around the periodic u-cycle admits no periodic gauge of
-    this form and raises InputError.
+    so that det[e1 e2 e3 e4 f] > 0, then carried by _transport_lines along
+    the u spine at v = 0 (one lane) and up every column along v (one lane
+    per u).  Each step projects the previous pair onto the new normal
+    space and applies Gram-Schmidt, which approximates parallel transport
+    in the normal bundle, so the gauge rotates no faster than the normal
+    curvature forces it to.  Both periodic seams close by the one rule of
+    _seam_turn; on a torus whose normal bundle is nontrivial the column
+    closure winds around the u cycle and InputError is raised.
     """
     patch = imm.patch
     f = imm.position
-    nu, nv = patch.shape
     e3 = np.empty_like(f)
     e4 = np.empty_like(f)
 
@@ -221,45 +233,27 @@ def normal_frame(imm: ImmersionField, e1: np.ndarray, e2: np.ndarray) -> NormalF
         s4 = -s4
     e3[0, 0], e4[0, 0] = s3, s4
 
-    for i in range(1, nu):  # spine, sequential in u
-        e3[i, 0], e4[i, 0] = _transport_pair(f[i, 0], e1[i, 0], e2[i, 0],
-                                             e3[i - 1, 0], e4[i - 1, 0])
-    seam_u = 0.0
-    if patch.periodic_u:
-        delta = float(_closure_angle(f[0, 0], e1[0, 0], e2[0, 0],
-                                     e3[-1, 0], e3[0, 0], e4[0, 0]))
-        seam_u = abs(delta)
-        e3[:, 0], e4[:, 0] = _rotate_pair(e3[:, 0], e4[:, 0],
-                                          -delta * (np.arange(nu) / nu))
+    spine = [a[:, :1] for a in (f, e1, e2, e3, e4)]
+    turn = _transport_lines(*spine, patch.periodic_u, False)
+    if turn is not None:
+        e3[:, :1], e4[:, :1] = _rotate_pair(e3[:, :1], e4[:, :1], turn.T)
 
-    for j in range(1, nv):  # columns, vectorized across u
-        e3[:, j], e4[:, j] = _transport_pair(f[:, j], e1[:, j], e2[:, j],
-                                             e3[:, j - 1], e4[:, j - 1])
-    seam_v = 0.0
-    if patch.periodic_v:
-        delta = np.unwrap(_closure_angle(f[:, 0], e1[:, 0], e2[:, 0],
-                                         e3[:, -1], e3[:, 0], e4[:, 0]))
-        if patch.periodic_u and abs(delta[-1] - delta[0]) > np.pi:
-            raise InputError(
-                "seam mismatch angle winds around the transverse cycle; "
-                "no periodic normal gauge of this form exists"
-            )
-        seam_v = float(np.abs(delta).max())
-        turns = 2.0 * np.pi * np.round(np.median(delta) / (2.0 * np.pi))
-        e3, e4 = _rotate_pair(e3, e4, -(delta - turns)[:, None] * (np.arange(nv) / nv)[None, :])
-
-    return NormalFrameField(patch, e3, e4, seam_u, seam_v)
+    columns = [np.swapaxes(a, 0, 1) for a in (f, e1, e2, e3, e4)]
+    turn = _transport_lines(*columns, patch.periodic_v, patch.periodic_u)
+    if turn is not None:  # (nu, nv), so the rotation runs in the frames' C order
+        e3, e4 = _rotate_pair(e3, e4, turn)
+    return NormalFrameField(patch, e3, e4)
 
 
 def rotate_normal_frame(nf: NormalFrameField, angle) -> NormalFrameField:
     """Rotate (e3, e4) by a constant or per-point angle; orientation kept."""
     ang = np.broadcast_to(np.asarray(angle, dtype=float), nf.patch.shape)
     e3, e4 = _rotate_pair(nf.e3, nf.e4, ang)
-    return NormalFrameField(nf.patch, e3, e4, nf.seam_u, nf.seam_v)
+    return NormalFrameField(nf.patch, e3, e4)
 
 
 def flip_normal_orientation(nf: NormalFrameField) -> NormalFrameField:
-    return NormalFrameField(nf.patch, nf.e3.copy(), -nf.e4, nf.seam_u, nf.seam_v)
+    return NormalFrameField(nf.patch, nf.e3.copy(), -nf.e4)
 
 
 def frame_orthonormality_residual(imm: ImmersionField, e1, e2, nf: NormalFrameField) -> float:
@@ -299,6 +293,11 @@ class ShapeReport:
 RADICAND_TOL = -1e-8
 
 
+def _normal_components(vec: np.ndarray, nf: NormalFrameField) -> tuple[np.ndarray, np.ndarray]:
+    """The (e3, e4) components of a field of ambient vectors."""
+    return np.einsum("uvk,uvk->uv", vec, nf.e3), np.einsum("uvk,uvk->uv", vec, nf.e4)
+
+
 def second_fundamental_form(imm: ImmersionField, metric: MetricField,
                             nf: NormalFrameField) -> ShapeReport:
     """Second fundamental form in the orthonormal frames and its invariants.
@@ -313,22 +312,17 @@ def second_fundamental_form(imm: ImmersionField, metric: MetricField,
     fvv = imm.jet2[:, :, 2, :]
     a, b, c = frame_coefficients(metric)
 
-    # B(e1,e1), B(e1,e2), B(e2,e2) as ambient vectors before projection;
-    # taking components against e3/e4 kills the f- and tangent parts.
-    b11 = (a * a)[:, :, None] * fuu
-    b12 = (a * b)[:, :, None] * fuu + (a * c)[:, :, None] * fuv
-    b22 = (b * b)[:, :, None] * fuu + (2.0 * b * c)[:, :, None] * fuv + (c * c)[:, :, None] * fvv
+    # B(e1,e1), B(e1,e2), B(e2,e2) as ambient vectors before projection,
+    # one at a time; taking components against e3/e4 kills the f- and
+    # tangent parts.
+    h11_3, h11_4 = _normal_components((a * a)[:, :, None] * fuu, nf)
+    h12_3, h12_4 = _normal_components((a * b)[:, :, None] * fuu + (a * c)[:, :, None] * fuv, nf)
+    h22_3, h22_4 = _normal_components(
+        (b * b)[:, :, None] * fuu + (2.0 * b * c)[:, :, None] * fuv + (c * c)[:, :, None] * fvv, nf)
 
-    h = {}
-    for name, ea in (("3", nf.e3), ("4", nf.e4)):
-        h[("11", name)] = np.einsum("uvk,uvk->uv", b11, ea)
-        h[("12", name)] = np.einsum("uvk,uvk->uv", b12, ea)
-        h[("22", name)] = np.einsum("uvk,uvk->uv", b22, ea)
-
-    H3 = h[("11", "3")] + 1j * h[("12", "3")]
-    H4 = h[("11", "4")] + 1j * h[("12", "4")]
-    minimality = np.maximum(np.abs(h[("11", "3")] + h[("22", "3")]),
-                            np.abs(h[("11", "4")] + h[("22", "4")]))
+    H3 = h11_3 + 1j * h12_3
+    H4 = h11_4 + 1j * h12_4
+    minimality = np.maximum(np.abs(h11_3 + h22_3), np.abs(h11_4 + h22_4))
 
     norm_B2 = 2.0 * (np.abs(H3) ** 2 + np.abs(H4) ** 2)
     K = 1.0 - norm_B2 / 2.0

@@ -435,6 +435,7 @@ def test_monodromy_veronese_circle_with_nontrivial_normal_bundle(cli, tmp_path):
 def test_monodromy_circle_without_congruence_is_contradiction(cli, tmp_path, monkeypatch):
     # the paper's compact-surface theorem: chi_N != 0 allows only finitely
     # many noncongruent members, so CIRCLE with noncongruent members is refused
+    # family defines the residual; scan_profile looks it up in monodromy
     monkeypatch.setattr("s4min.monodromy._congruence_residual", lambda conn, theta: 1e-2)
     code, out = cli("monodromy", "--catalog", "veronese", "--n", 64,
                     "--scan", 64, "--out", tmp_path)

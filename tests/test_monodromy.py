@@ -18,6 +18,7 @@ from s4min.catalog import clifford_torus, geodesic_sphere, perturb_immersion, ve
 from s4min.family import (
     ConnectionData,
     IntegrabilityBroken,
+    _congruence_residual,
     assemble_maurer_cartan,
     congruence_test,
     connection_data,
@@ -28,7 +29,6 @@ from s4min.family import (
 from s4min.grid import GridPatch, InputError
 from s4min.monodromy import (
     GOLDEN,
-    _congruence_residual,
     _golden_min,
     dichotomy_report,
     generator_monodromy,
