@@ -113,8 +113,9 @@ def hopf_coefficient(report: ShapeReport) -> np.ndarray:
     return 0.25 * (np.conj(report.H3) ** 2 + np.conj(report.H4) ** 2)
 
 
-def hopf_differential(report: ShapeReport, metric: MetricField) -> np.ndarray:
-    """Holomorphy residual of the quartic differential's coefficient.
+def hopf_differential(report: ShapeReport, metric: MetricField, phi: np.ndarray) -> np.ndarray:
+    """Holomorphy residual of the quartic differential's coefficient,
+    phi = hopf_coefficient(report).
 
     On an isothermal chart this is the Cauchy-Riemann residual
     |d(coefficient)/d z-bar| of the chart coefficient; an identically-zero
@@ -122,7 +123,6 @@ def hopf_differential(report: ShapeReport, metric: MetricField) -> np.ndarray:
     instead, in any chart.
     """
     patch = report.patch
-    phi = hopf_coefficient(report)
 
     if _is_isothermal(metric):
         lam4 = metric.E**2  # conformal factor^2 squared: |dz|^2 coefficient

@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import GridPatch, InputError
-from .surface import UNIT_NORM_TOL, ImmersionField, fd_jets, normal_frame, tangent_frame
+from .surface import UNIT_NORM_TOL, ImmersionField, normal_frame, tangent_frame
 
 
 @dataclass
@@ -248,9 +248,9 @@ def perturb_immersion(imm: ImmersionField, amplitude: float, seed: int) -> Immer
     finite differences.  The result is a valid immersion into S^4 that is
     (deliberately) no longer minimal.
     """
-    imm = imm.with_jets()
-    e1, e2, _ = tangent_frame(imm)
-    nf = normal_frame(imm, e1, e2)
+    src = imm.with_jets()
+    nf = normal_frame(src, *tangent_frame(src)[:2])
+    del src  # only e3, e4 feed the bump
     patch = imm.patch
     rng = np.random.default_rng(seed)
     U, V = patch.mesh()
@@ -268,9 +268,9 @@ def perturb_immersion(imm: ImmersionField, amplitude: float, seed: int) -> Immer
 
     g = imm.position + amplitude * (bump()[:, :, None] * nf.e3 +
                                     bump()[:, :, None] * nf.e4)
+    del nf
     g = g / np.linalg.norm(g, axis=2)[:, :, None]
-    jet1, jet2 = fd_jets(patch, g)
-    return ImmersionField(patch, g, jet1, jet2, jet_source="fd")
+    return ImmersionField(patch, g).with_jets()
 
 
 # ---------------------------------------------------------------------------

@@ -194,11 +194,13 @@ def cmd_analyze(args) -> int:
     out = _out_dir(args)
     imm, e1, e2, metric, nf, rep = shape_report(imm)
     sup = superminimality_test(rep)
-    hopf_abs = np.abs(hopf_coefficient(rep))
+    hopf = hopf_coefficient(rep)
+    hopf_abs = np.abs(hopf)
     try:
-        holo_max = float(hopf_differential(rep, metric).max())
+        holo_max = float(hopf_differential(rep, metric, hopf).max())
     except InputError:
         holo_max = None
+    del hopf
 
     fields = {
         "K": rep.K,
@@ -248,14 +250,14 @@ def cmd_deform(args) -> int:
     inputs = _connection_inputs(imm, e1, e2, nf, rep)
     del imm, e1, e2, metric, nf, rep
     conn = connection_data(*inputs)
-    del inputs  # conn.frames[..., 0, :] is the position
+    del inputs  # conn.position is the position
     mc = assemble_maurer_cartan(conn, args.theta)
     # the flatness temporaries and the integrated frames are never held together
     flatness = float(flatness_residual(mc).max())
-    dp = integrate_frame(mc, conn.frames[0, 0])
+    dp = integrate_frame(mc, conn.origin)
     ext = dp.extended_patch
-    replay = conn.frames[..., 0, :][np.ix_(np.arange(ext.nu) % conn.patch.nu,
-                                          np.arange(ext.nv) % conn.patch.nv)]
+    replay = conn.position[np.ix_(np.arange(ext.nu) % conn.patch.nu,
+                                  np.arange(ext.nv) % conn.patch.nv)]
     del conn, mc
     deformed = deformed_immersion(dp)
     write_manifest(deformed, out / "deformed")
@@ -312,7 +314,7 @@ def cmd_monodromy(args) -> int:
     inputs = _connection_inputs(imm, e1, e2, nf, rep)
     del imm, e1, e2, metric, nf, rep
     conn = connection_data(*inputs)
-    del inputs  # conn.frames holds their only further use
+    del inputs  # conn holds the position, their only further use
     profile = scan_profile(conn, n_theta=args.scan, tol_close=args.tol_close)
     # a compact surface with nontrivial normal bundle has only finitely
     # many noncongruent members, so a CIRCLE verdict needs congruent ones
@@ -375,15 +377,16 @@ def cmd_verify(args) -> int:
     items.append(_item("unit_norm_drift", drift, 1e-9))
     items.append(_item("minimality_max", float(rep.minimality.max()), 1e-5))
 
-    hopf_abs = np.abs(hopf_coefficient(rep))
-    product_gap = float(np.abs(4.0 * hopf_abs - rep.a_plus * rep.a_minus).max())
+    hopf = hopf_coefficient(rep)
+    product_gap = float(np.abs(4.0 * np.abs(hopf) - rep.a_plus * rep.a_minus).max())
     items.append(_item("ellipse_radius_product", product_gap, 1e-9))
 
     try:
-        holo, reason = float(hopf_differential(rep, metric).max()), ""
+        holo, reason = float(hopf_differential(rep, metric, hopf).max()), ""
     except InputError as exc:
         holo, reason = None, str(exc)
     items.append(_item("hopf_holomorphy", holo, tol_h2, reason))
+    del hopf
 
     for branch, tag in (("+", "laplace_log_plus"), ("-", "laplace_log_minus")):
         residual = laplace_identity_residual(rep, metric, branch)
@@ -398,16 +401,19 @@ def cmd_verify(args) -> int:
         topo, topo_error = None, str(exc)  # the traceback would hold the fields
 
     inputs = _connection_inputs(imm, e1, e2, nf, rep)
-    del imm, e1, e2, metric, nf, rep, hopf_abs
+    rows = (imm.position, e1, e2, nf.e3, nf.e4)
+    del imm, e1, e2, metric, nf, rep
     conn = connection_data(*inputs)
-    del inputs  # conn.frames holds their only further use
+    del inputs
     mc0 = assemble_maurer_cartan(conn, 0.0)
+    seed = conn.origin
+    del conn
+    # the frame fields go before the flatness check and the sweeps
+    reconstruction = frame_reconstruction_residual(rows, mc0)
+    del rows
     flat0 = float(flatness_residual(mc0).max())
     items.append(_item("flatness_theta0", flat0, max(1e-9, tol_h2)))
-    items.append(_item("reconstruction_theta0",
-                       frame_reconstruction_residual(conn, mc0), max(1e-9, tol_h2)))
-    seed = conn.frames[0, 0].copy()
-    del conn  # the stored frames go before the sweeps build theirs
+    items.append(_item("reconstruction_theta0", reconstruction, max(1e-9, tol_h2)))
     dp = integrate_frame(mc0, seed, tol_path=math.inf)
     items.append(_item("frame_path_dependence", dp.path_dependence, PATH_DEPENDENCE_TOL))
 

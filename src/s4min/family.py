@@ -29,13 +29,12 @@ _so5 scatters packed entries into antisymmetric 5x5 blocks only for the
 matrix products of one march_frames step, so no whole-grid 5x5
 connection block is ever built.
 
-Each whole-grid frame array is held once.  ConnectionData keeps the
-input frames component-major, as (5, 5, nu, nv) planes behind its
-(nu, nv, 5, 5) frames view; march_frames interpolates each step's
-midpoint from the four samples around it; integrate_frame compares
-its second sweep with the stored first one row by row as it marches;
-and the sweeps read their lines as views of the packed forms, a
-periodic seam repeating the first line through march_frames' lanes.
+Each whole-grid frame array is held once.  Only the caller holds the
+frame fields; march_frames interpolates each step's midpoint from the
+four samples around it; integrate_frame compares its second sweep with
+the stored first one row by row as it marches; and the sweeps read their
+lines as views of the packed forms, a periodic seam repeating the first
+line through march_frames' lanes.
 """
 
 from __future__ import annotations
@@ -75,16 +74,14 @@ class ConnectionData:
     (1, 3), (2, 3), (1, 4), (2, 4), as the pairs (sym3, alt3, sym4, alt4).
     C2 is C1 turned a quarter, (alt3, -sym3, alt4, -sym4): it is derived,
     not stored, and the C2 property builds it on each read.  Every
-    assembled Omega is exactly so(5)-valued.  frames carries the rows
-    (f, e1, e2, e3, e4) used to build the data: it seeds the integration
-    and anchors the theta = 0 reconstruction.  connection_data stores them component-major, so
-    frames is a (nu, nv, 5, 5) view of contiguous (5, 5, nu, nv) planes
-    (np.moveaxis(frames, (2, 3), (0, 1)) gives the planes without a copy),
-    and the fields they came from need not be kept.
+    assembled Omega is exactly so(5)-valued.  origin is the (5, 5) frame
+    (f, e1, e2, e3, e4) at node (0, 0), the seed of every integration, and
+    position the caller's (nu, nv, 5) position field, held, not copied.
     """
 
     patch: GridPatch
-    frames: np.ndarray
+    origin: np.ndarray
+    position: np.ndarray
     C0: np.ndarray
     C1: np.ndarray
 
@@ -174,7 +171,6 @@ def connection_data(patch: GridPatch, position: np.ndarray, jet1: np.ndarray,
     can release every other field before the call.
     """
     C0 = np.empty(patch.shape + (2, 4))
-    C1 = np.empty(patch.shape + (2, 4))
 
     def dot(k, axis, a, b):  # component axis of form k: <a, b>
         np.einsum("uvk,uvk->uv", a, b, out=C0[:, :, axis, k])
@@ -184,6 +180,7 @@ def connection_data(patch: GridPatch, position: np.ndarray, jet1: np.ndarray,
         dot(1, axis, jet1[:, :, axis], e2)
         dot(2, axis, diff(patch, e1, axis), e2)
         dot(3, axis, diff(patch, e3, axis), e4)
+    C1 = np.empty(patch.shape + (2, 4))  # after the difference fields are freed
     w1, w2 = C0[..., 0], C0[..., 1]
     product = np.empty(w1.shape)
     for k, H in ((0, H3), (2, H4)):  # (sym, alt) pairs: slots (1|2, 3) and (1|2, 4)
@@ -193,11 +190,8 @@ def connection_data(patch: GridPatch, position: np.ndarray, jet1: np.ndarray,
         sym += np.multiply(h12, w2, out=product)
         np.multiply(h12, w1, out=alt)
         alt -= np.multiply(h11, w2, out=product)
-    del product  # no temporary outlives its use: the planes come last
-    planes = np.empty((5, 5) + patch.shape)  # planes[r, c]: component c of row r
-    for r, row in enumerate((position, e1, e2, e3, e4)):
-        planes[r] = np.moveaxis(row, -1, 0)
-    return ConnectionData(patch, np.moveaxis(planes, (0, 1), (2, 3)), C0, C1)
+    origin = np.stack([row[0, 0] for row in (position, e1, e2, e3, e4)])
+    return ConnectionData(patch, origin, position, C0, C1)
 
 
 def rotating_forms(C1: np.ndarray, c, s, out: np.ndarray | None = None) -> np.ndarray:
@@ -244,28 +238,28 @@ def flatness_residual(mc: MaurerCartanField) -> np.ndarray:
     return np.sqrt(total)
 
 
-def frame_reconstruction_residual(conn: ConnectionData, mc0: MaurerCartanField) -> float:
-    """max |d_X F - Omega_0(X) F| over the grid: mc0, Omega at theta = 0
-    as assembled from conn, must reproduce the finite-difference
-    derivatives of the original frame.
+def frame_reconstruction_residual(rows: tuple, mc0: MaurerCartanField) -> float:
+    """max |d_X F - Omega_0(X) F| over the grid: mc0, Omega at theta = 0,
+    must reproduce the finite-difference derivatives of the frame F whose
+    rows are the (nu, nv, 5) fields f, e1, e2, e3, e4 of rows.
 
-    Works one axis and one frame row at a time, on contiguous (nu, nv)
-    planes: row r of Omega F gains omega F_j for each slot (r, j) and
-    loses omega F_i for each slot (i, r).
+    Works one axis and one frame row at a time: row r of Omega F gains
+    omega F_j for each slot (r, j) and loses omega F_i for each slot (i, r).
     """
-    rows = np.moveaxis(conn.frames, (2, 3), (0, 1))  # rows[r, c]: one plane
     worst = 0.0
     for axis in (0, 1):
-        omega = np.moveaxis(mc0.forms[:, :, axis], -1, 0).copy()  # (8, nu, nv)
-        total = np.zeros(conn.frames.shape[:2])
+        omega = np.moveaxis(mc0.forms[:, :, axis], -1, 0).copy()[..., None]  # (8, nu, nv, 1)
+        total = np.zeros(mc0.patch.shape)
         for r, row in enumerate(rows):
-            d = np.stack([diff(conn.patch, plane, axis) for plane in row])
+            d = diff(mc0.patch, row, axis)
+            product = np.empty_like(d)
             for (i, j), k in _SLOT.items():
                 if i == r:
-                    d -= omega[k] * rows[j]
+                    d -= np.multiply(omega[k], rows[j], out=product)
                 elif j == r:
-                    d += omega[k] * rows[i]
-            total += np.einsum("cuv,cuv->uv", d, d)
+                    d += np.multiply(omega[k], rows[i], out=product)
+            total += np.multiply(d, d, out=product).sum(axis=-1)  # 5 terms, added in order
+            del d, product  # the next row's difference is taken without them
         worst = max(worst, float(np.sqrt(total.max())))
     return worst
 
@@ -538,10 +532,10 @@ def _congruence_residual(conn: ConnectionData, theta: float) -> float:
     only serves its path-dependence check.
     """
     patch = conn.patch
-    frame = sweep_frames(assemble_maurer_cartan(conn, theta), conn.frames[0, 0])
+    frame = sweep_frames(assemble_maurer_cartan(conn, theta), conn.origin)
     pos = frame[:patch.nu, :patch.nv, 0, :]
     core = (pos / np.linalg.norm(pos, axis=-1, keepdims=True)).reshape(-1, 5)
-    ref = conn.frames[..., 0, :].reshape(-1, 5)
+    ref = conn.position.reshape(-1, 5)
     w1u, w1v = conn.C0[..., 0, 0], conn.C0[..., 1, 0]
     w2u, w2v = conn.C0[..., 0, 1], conn.C0[..., 1, 1]
     dA = np.abs(w1u * w2v - w1v * w2u).reshape(-1)

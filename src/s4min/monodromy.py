@@ -75,9 +75,8 @@ def generator_monodromy(conn: ConnectionData, axis: int,
     at = lambda C: np.moveaxis(C, axis, 0)[:, 0, axis].reshape(per_node)  # noqa: E731
     rotating = rotating_forms(at(conn.C1), c, s)
     line = np.concatenate([np.broadcast_to(at(conn.C0), rotating.shape), rotating], axis=-1)
-    F0 = conn.frames[0, 0]
-    F = march_frames(line, h, np.broadcast_to(F0, theta.shape + (5, 5)), True)[-1]
-    return np.swapaxes(F, -1, -2) @ F0
+    F = march_frames(line, h, np.broadcast_to(conn.origin, theta.shape + (5, 5)), True)[-1]
+    return np.swapaxes(F, -1, -2) @ conn.origin
 
 
 @dataclass
@@ -180,8 +179,7 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256,
             f"{FLATNESS_CEILING:.1e}); refusing to classify the monodromy "
             "of a non-minimal input")
 
-    F0 = conn.frames[0, 0]
-    P = F0.T @ np.diag([1.0, 1.0, 1.0, -1.0, -1.0]) @ F0
+    P = conn.origin.T @ np.diag([1.0, 1.0, 1.0, -1.0, -1.0]) @ conn.origin
 
     def distance(Ms: list[np.ndarray]) -> np.ndarray:
         return np.max([np.linalg.norm(M - np.eye(5), axis=(-2, -1)) for M in Ms], axis=0)

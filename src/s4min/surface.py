@@ -78,14 +78,15 @@ class ImmersionField:
 
 
 def fd_jets(patch: GridPatch, position: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and second parameter jets of the position field by stencils."""
-    fu = diff(patch, position, 0)
-    fv = diff(patch, position, 1)
-    fuu = diff(patch, position, 0, order=2)
-    fvv = diff(patch, position, 1, order=2)
-    fuv = diff(patch, fu, 1)
-    jet1 = np.stack([fu, fv], axis=2)
-    jet2 = np.stack([fuu, fuv, fvv], axis=2)
+    """First and second parameter jets by stencils, each derivative written
+    into its slot of the jets as it is taken."""
+    jet1 = np.empty(patch.shape + (2, 5))
+    jet2 = np.empty(patch.shape + (3, 5))
+    jet1[:, :, 0] = diff(patch, position, 0)
+    jet1[:, :, 1] = diff(patch, position, 1)
+    jet2[:, :, 0] = diff(patch, position, 0, order=2)
+    jet2[:, :, 1] = diff(patch, jet1[:, :, 0], 1)
+    jet2[:, :, 2] = diff(patch, position, 1, order=2)
     return jet1, jet2
 
 

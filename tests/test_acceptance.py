@@ -152,7 +152,7 @@ def test_family_flatness_reconstruction_isometry(clifford, clifford_conn):
     for theta in (0.0, 0.3, math.pi / 4, 1.2, math.pi):
         mc = assemble_maurer_cartan(clifford_conn, theta)
         assert float(flatness_residual(mc).max()) < tol
-        dp = integrate_frame(mc, clifford_conn.frames[0, 0])
+        dp = integrate_frame(mc, clifford_conn.origin)
         dev = deformation_invariant_deviation(imm, dp)
         assert dev["metric"] < 1e-4
         assert dev["K"] < 1e-4
@@ -168,7 +168,7 @@ def test_family_flatness_reconstruction_isometry(clifford, clifford_conn):
 # 5. closing-set dichotomy: four quarter-turn angles vs the full circle
 
 
-def test_closing_set_dichotomy(clifford_conn, veronese_conn):
+def test_closing_set_dichotomy(clifford, clifford_conn, veronese_conn):
     profile = scan_profile(clifford_conn, n_theta=720, tol_close=1e-6)
     assert profile.verdict == "FINITE"
     expected = [0.0, math.pi / 2, math.pi, 3.0 * math.pi / 2]
@@ -181,8 +181,10 @@ def test_closing_set_dichotomy(clifford_conn, veronese_conn):
     # the profile's generators run through the grid origin; those through
     # node (37, 61), rolled to the origin, give the same distance to the
     # identity
+    imm, e1, e2, metric, nf, rep = clifford
     roll = lambda a: np.roll(a, (-37, -61), axis=(0, 1))  # noqa: E731
-    moved = ConnectionData(clifford_conn.patch, roll(clifford_conn.frames),
+    origin = np.stack([row[37, 61] for row in (imm.position, e1, e2, nf.e3, nf.e4)])
+    moved = ConnectionData(clifford_conn.patch, origin, roll(imm.position),
                            roll(clifford_conn.C0), roll(clifford_conn.C1))
     Mu = generator_monodromy(moved, 0, profile.thetas)
     Mv = generator_monodromy(moved, 1, profile.thetas)

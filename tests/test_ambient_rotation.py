@@ -52,7 +52,7 @@ def evaluate(imm: ImmersionField) -> dict:
     for theta in THETAS:
         mc = assemble_maurer_cartan(conn, theta)
         out[f"flatness {theta}"] = flatness_residual(mc)
-        out[f"path {theta}"] = integrate_frame(mc, conn.frames[0, 0]).path_dependence
+        out[f"path {theta}"] = integrate_frame(mc, conn.origin).path_dependence
     out["profile"] = scan_profile(conn, n_theta=64)
     return out
 

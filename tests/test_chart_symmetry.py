@@ -49,7 +49,7 @@ def evaluate(imm: ImmersionField) -> dict:
     for theta in THETAS:
         mc = assemble_maurer_cartan(conn, theta)
         out[f"flatness {theta}"] = float(flatness_residual(mc).max())
-        out[f"path {theta}"] = integrate_frame(mc, conn.frames[0, 0]).path_dependence
+        out[f"path {theta}"] = integrate_frame(mc, conn.origin).path_dependence
     return out
 
 

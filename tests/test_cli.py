@@ -565,18 +565,20 @@ def test_verify_items_keep_their_order(cli, tmp_path):
 
 
 @pytest.mark.parametrize("argv, bound", [
-    (("verify", "--catalog", "veronese"), 4.5),
-    (("verify", "--catalog", "clifford"), 4.1),
-    (("deform", "--catalog", "clifford", "--theta", 0.3), 4.1),
-    (("monodromy", "--catalog", "veronese"), 4.1),
+    (("verify", "--catalog", "veronese"), 3.9),
+    (("verify", "--catalog", "clifford"), 3.55),
+    (("deform", "--catalog", "clifford", "--theta", 0.3), 3.45),
+    (("monodromy", "--catalog", "veronese"), 3.6),
 ], ids=["verify-veronese", "verify-clifford", "deform-clifford", "monodromy-veronese"])
 def test_commands_hold_each_frame_array_once(cli, tmp_path, argv, bound):
     # tracemalloc peak of a whole command at n = 128, in blocks of one
-    # (n, n, 5, 5) float64 array.  Measured 4.11, 3.74, 3.74 and 3.73;
-    # building the connection while the second jets, the metric and the
-    # other shape fields were alive took 5.87, 5.50, 5.46 and 5.45, and
-    # holding the input fields next to the stored frames, a second sweep
-    # or a copy of the frame planes took 8.60, 8.42, 9.17 and 7.40.
+    # (n, n, 5, 5) float64 array.  Measured 3.54, 3.25, 3.13 and 3.29;
+    # a connection that kept its own copy of the five frame fields took
+    # 3.63, 3.30, 3.55 and 3.47, building the connection while the second
+    # jets, the metric and the other shape fields were alive 5.87, 5.50,
+    # 5.46 and 5.45, and holding the input fields next to the stored
+    # frames, a second sweep or a copy of the frame planes 8.60, 8.42,
+    # 9.17 and 7.40.
     block = 128 * 128 * 25 * 8
     tracemalloc.start()
     try:

@@ -51,8 +51,13 @@ def clifford_conn(clifford):
 
 
 @pytest.fixture(scope="module")
-def clifford128_conn():
-    imm, e1, e2, metric, nf, rep = shape_report(clifford_torus(128).immersion)
+def clifford128():
+    return shape_report(clifford_torus(128).immersion)
+
+
+@pytest.fixture(scope="module")
+def clifford128_conn(clifford128):
+    imm, e1, e2, metric, nf, rep = clifford128
     return connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
                            rep.H3, rep.H4)
 
@@ -78,6 +83,13 @@ def veronese_conn(veronese):
                            rep.H3, rep.H4)
 
 
+def frame_rows(pack):
+    """The five (nu, nv, 5) frame fields (f, e1, e2, e3, e4) of a
+    shape_report result."""
+    imm, e1, e2, metric, nf, rep = pack
+    return imm.position, e1, e2, nf.e3, nf.e4
+
+
 def area_weights(imm, metric):
     wu, wv = quadrature_weights(imm.patch)
     return ((wu[:, None] * wv[None, :]) * metric.dA).ravel()
@@ -88,11 +100,25 @@ def area_weights(imm, metric):
 
 
 @pytest.mark.parametrize("fix", ["clifford", "veronese"])
-def test_connection_frames_use_the_normal_frame(fix, request):
-    nf = request.getfixturevalue(fix)[4]
+def test_connection_keeps_the_origin_frame_and_the_callers_position(fix, request):
+    # the connection holds the frame at node (0, 0) and the caller's
+    # position field itself; it copies no frame row.  Measured peaks 0.95
+    # (n = 64) and 0.78 blocks (n = 128); a (nu, nv, 5, 5) copy of the
+    # five frame fields took 1.64.
+    pack = request.getfixturevalue(fix)
+    imm, e1, e2, metric, nf, rep = pack
     conn = request.getfixturevalue(fix + "_conn")
-    assert np.array_equal(conn.frames[..., 3, :], nf.e3)
-    assert np.array_equal(conn.frames[..., 4, :], nf.e4)
+    assert np.shares_memory(conn.position, imm.position)
+    assert np.array_equal(conn.origin, np.stack([row[0, 0] for row in frame_rows(pack)]))
+    block = imm.position.size * 5 * 8  # bytes of one (nu, nv, 5, 5) float64 array
+    tracemalloc.start()
+    try:
+        connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
+                        rep.H3, rep.H4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.0 * block, f"connection_data peaked at {peak / block:.2f} blocks"
 
 
 def test_components_are_packed_forms(clifford_conn):
@@ -183,9 +209,9 @@ def test_flatness_matches_dense_oracle(fix, request):
         np.testing.assert_allclose(flatness_residual(mc), dense, rtol=0, atol=1e-14)
 
 
-def test_clifford_frame_reconstruction(clifford_conn):
+def test_clifford_frame_reconstruction(clifford, clifford_conn):
     mc0 = assemble_maurer_cartan(clifford_conn, 0.0)
-    assert frame_reconstruction_residual(clifford_conn, mc0) < 2e-5
+    assert frame_reconstruction_residual(frame_rows(clifford), mc0) < 2e-5
 
 
 def test_veronese_flatness(veronese_conn):
@@ -195,20 +221,22 @@ def test_veronese_flatness(veronese_conn):
         assert flatness_residual(mc).max() < 5.0 * h * h
 
 
-def test_veronese_frame_reconstruction(veronese_conn):
+def test_veronese_frame_reconstruction(veronese, veronese_conn):
     mc0 = assemble_maurer_cartan(veronese_conn, 0.0)
-    assert frame_reconstruction_residual(veronese_conn, mc0) < 5e-5
+    assert frame_reconstruction_residual(frame_rows(veronese), mc0) < 5e-5
 
 
 @pytest.mark.parametrize("fix", ["clifford128_conn", "veronese_conn"])
 def test_family_checks_hold_no_whole_grid_blocks(fix, request):
     # flatness, reconstruction and frame transport work on packed forms
     # and (nu, nv) planes, and hold one whole-grid frame array at most:
-    # measured peaks 1.01, 0.96 and 1.14 blocks.  Whole-grid 5x5 products
+    # measured peaks 1.01, 0.86 and 1.14 blocks.  Whole-grid 5x5 products
     # took 4.3 to 4.7 blocks; a frame copy for the reconstruction planes
-    # took 1.96, a second sweep held whole 2.96, and copying each sheet's
-    # lines with their seam repeated 1.46.
+    # took 1.96, a stack of each row's derivatives with one product
+    # buffer for all rows 0.96, a second sweep held whole 2.96, and
+    # copying each sheet's lines with their seam repeated 1.46.
     conn = request.getfixturevalue(fix)
+    rows = frame_rows(request.getfixturevalue(fix.removesuffix("_conn")))
     nu, nv = conn.patch.shape
     block = nu * nv * 25 * 8  # bytes of one (nu, nv, 5, 5) float64 array
     mc = assemble_maurer_cartan(conn, 0.3)
@@ -216,8 +244,8 @@ def test_family_checks_hold_no_whole_grid_blocks(fix, request):
     checks = {
         "flatness_residual": (lambda: flatness_residual(mc), 1.45),
         "frame_reconstruction_residual":
-            (lambda: frame_reconstruction_residual(conn, mc0), 1.05),
-        "integrate_frame": (lambda: integrate_frame(mc, conn.frames[0, 0]), 1.25),
+            (lambda: frame_reconstruction_residual(rows, mc0), 0.95),
+        "integrate_frame": (lambda: integrate_frame(mc, conn.origin), 1.25),
     }
     for name, (check, bound) in checks.items():
         tracemalloc.start()
@@ -229,20 +257,14 @@ def test_family_checks_hold_no_whole_grid_blocks(fix, request):
         assert peak < bound * block, f"{name} peaked at {peak / block:.2f} blocks"
 
 
-def test_connection_frames_are_component_major(clifford_conn):
-    # frame_reconstruction_residual differentiates contiguous (nu, nv)
-    # planes of the stored frames without copying them
-    planes = np.moveaxis(clifford_conn.frames, (2, 3), (0, 1))
-    assert planes.flags.c_contiguous
-
-
 def test_veronese_reconstruction_fourth_order():
     res = []
     for n in (64, 128):
-        imm, e1, e2, metric, nf, rep = shape_report(veronese_sphere(n).immersion)
+        pack = shape_report(veronese_sphere(n).immersion)
+        imm, e1, e2, metric, nf, rep = pack
         conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
                                rep.H3, rep.H4)
-        res.append(frame_reconstruction_residual(conn, assemble_maurer_cartan(conn, 0.0)))
+        res.append(frame_reconstruction_residual(frame_rows(pack), assemble_maurer_cartan(conn, 0.0)))
     assert res[0] / res[1] > 8.0
 
 
@@ -295,7 +317,7 @@ def deformed_manifest_conn():
     imm, e1, e2, metric, nf, rep = shape_report(clifford_torus(256).immersion)
     conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
                            rep.H3, rep.H4)
-    dp = integrate_frame(assemble_maurer_cartan(conn, 0.5 * math.pi), conn.frames[0, 0])
+    dp = integrate_frame(assemble_maurer_cartan(conn, 0.5 * math.pi), conn.origin)
     imm, e1, e2, metric, nf, rep = shape_report(deformed_immersion(dp))
     return connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
                            rep.H3, rep.H4)
@@ -306,7 +328,7 @@ def deformed_manifest_conn():
 def test_streamed_path_dependence_equals_two_sweeps(fix, request):
     conn = request.getfixturevalue(fix)
     mc = assemble_maurer_cartan(conn, 0.3)
-    seed = conn.frames[0, 0]
+    seed = conn.origin
     dp = integrate_frame(mc, seed, tol_path=math.inf)
     assert dp.path_dependence == two_sweep_path_dependence(mc, seed)
     assert np.array_equal(dp.frame, sweep_frames(mc, seed))
@@ -314,13 +336,13 @@ def test_streamed_path_dependence_equals_two_sweeps(fix, request):
 
 def test_clifford_path_independence(clifford_conn):
     mc = assemble_maurer_cartan(clifford_conn, 0.3)
-    dp = integrate_frame(mc, clifford_conn.frames[0, 0])
+    dp = integrate_frame(mc, clifford_conn.origin)
     assert dp.path_dependence < 1e-12
 
 
 def test_marched_frames_stay_orthonormal(clifford_conn):
     mc = assemble_maurer_cartan(clifford_conn, 0.77)
-    dp = integrate_frame(mc, clifford_conn.frames[0, 0])
+    dp = integrate_frame(mc, clifford_conn.origin)
     gram = np.einsum("uvik,uvjk->uvij", dp.frame, dp.frame) - np.eye(5)
     assert np.abs(gram).max() < 1e-12
 
@@ -328,7 +350,7 @@ def test_marched_frames_stay_orthonormal(clifford_conn):
 def test_clifford_theta_zero_roundtrip(clifford_conn, clifford):
     imm = clifford[0]
     mc = assemble_maurer_cartan(clifford_conn, 0.0)
-    dp = integrate_frame(mc, clifford_conn.frames[0, 0])
+    dp = integrate_frame(mc, clifford_conn.origin)
     dimm = deformed_immersion(dp)
     n = imm.patch.nu
     replay = imm.position[np.ix_(np.arange(dimm.patch.nu) % n,
@@ -340,7 +362,7 @@ def test_clifford_theta_zero_roundtrip(clifford_conn, clifford):
 def test_veronese_theta_zero_roundtrip(veronese_conn, veronese):
     imm = veronese[0]
     mc = assemble_maurer_cartan(veronese_conn, 0.0)
-    dp = integrate_frame(mc, veronese_conn.frames[0, 0])
+    dp = integrate_frame(mc, veronese_conn.origin)
     dimm = deformed_immersion(dp)
     n = imm.patch.nu
     replay = imm.position[np.ix_(np.arange(dimm.patch.nu) % n,
@@ -351,7 +373,7 @@ def test_veronese_theta_zero_roundtrip(veronese_conn, veronese):
 
 def test_deformed_positions_on_sphere(veronese_conn):
     mc = assemble_maurer_cartan(veronese_conn, 1.0)
-    dp = integrate_frame(mc, veronese_conn.frames[0, 0])
+    dp = integrate_frame(mc, veronese_conn.origin)
     norms = np.linalg.norm(deformed_immersion(dp).position, axis=-1)
     assert np.abs(norms - 1.0).max() < 1e-12
 
@@ -382,7 +404,7 @@ def test_veronese_invariants_preserved(veronese_conn, veronese):
     imm = veronese[0]
     for theta in (0.3, 1.2):
         mc = assemble_maurer_cartan(veronese_conn, theta)
-        dp = integrate_frame(mc, veronese_conn.frames[0, 0])
+        dp = integrate_frame(mc, veronese_conn.origin)
         dev = deformation_invariant_deviation(imm, dp)
         assert dev["metric"] < 1e-4
         assert dev["K"] < 1e-4
@@ -392,7 +414,7 @@ def test_veronese_invariants_preserved(veronese_conn, veronese):
 def test_clifford_invariants_preserved(clifford_conn, clifford):
     imm = clifford[0]
     mc = assemble_maurer_cartan(clifford_conn, 1.2)
-    dp = integrate_frame(mc, clifford_conn.frames[0, 0])
+    dp = integrate_frame(mc, clifford_conn.origin)
     dev = deformation_invariant_deviation(imm, dp)
     assert dev["metric"] < 1e-4
     assert dev["K"] < 1e-4
@@ -409,7 +431,7 @@ def test_clifford_congruent_at_half_turn(clifford_conn, clifford):
     n = imm.patch.nu
     w = area_weights(imm, metric)
     mc = assemble_maurer_cartan(clifford_conn, math.pi / 2)
-    dp = integrate_frame(mc, clifford_conn.frames[0, 0])
+    dp = integrate_frame(mc, clifford_conn.origin)
     core = deformed_immersion(dp).position[:n, :n]
     fit = congruence_test(imm.position.reshape(-1, 5), core.reshape(-1, 5), w)
     assert fit.residual < 1e-5
@@ -424,7 +446,7 @@ def test_clifford_not_congruent_inside_fundamental_domain(clifford_conn, cliffor
     n = imm.patch.nu
     w = area_weights(imm, metric)
     mc = assemble_maurer_cartan(clifford_conn, math.pi / 4)
-    dp = integrate_frame(mc, clifford_conn.frames[0, 0])
+    dp = integrate_frame(mc, clifford_conn.origin)
     core = deformed_immersion(dp).position[:n, :n]
     fit = congruence_test(imm.position.reshape(-1, 5), core.reshape(-1, 5), w)
     assert fit.residual > 0.05
@@ -437,7 +459,7 @@ def test_veronese_congruent_at_every_theta(veronese_conn, veronese):
     w = area_weights(imm, metric)
     for theta in (0.3, 1.0, 2.0):
         mc = assemble_maurer_cartan(veronese_conn, theta)
-        dp = integrate_frame(mc, veronese_conn.frames[0, 0])
+        dp = integrate_frame(mc, veronese_conn.origin)
         core = deformed_immersion(dp).position[:, :n]
         fit = congruence_test(imm.position.reshape(-1, 5), core.reshape(-1, 5), w)
         assert fit.residual < 1e-4
@@ -471,14 +493,14 @@ def test_adapted_gauge_gives_congruent_deformation(clifford, clifford_conn):
     s = 2.0 * math.pi * np.arange(imm.patch.nu) / imm.patch.nu
     wave = np.sin(s)[:, None] * np.cos(s)[None, :]
     dp = integrate_frame(assemble_maurer_cartan(clifford_conn, 0.3),
-                         clifford_conn.frames[0, 0])
+                         clifford_conn.origin)
     ref = deformed_immersion(dp).position.reshape(-1, 5)
     for amplitude, tol in ((1e-6, 1e-10), (0.3, 1e-5)):
         nf_rot = rotate_normal_frame(nf, 0.37 + amplitude * wave)
         rep_rot = second_fundamental_form(imm, metric, nf_rot)
         conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf_rot.e3, nf_rot.e4,
                                rep_rot.H3, rep_rot.H4)
-        dp_rot = integrate_frame(assemble_maurer_cartan(conn, 0.3), conn.frames[0, 0])
+        dp_rot = integrate_frame(assemble_maurer_cartan(conn, 0.3), conn.origin)
         pos = deformed_immersion(dp_rot).position.reshape(-1, 5)
         assert congruence_test(ref, pos).residual < tol
 
@@ -495,7 +517,7 @@ def test_perturbed_surface_breaks_integrability():
     base = flatness_residual(assemble_maurer_cartan(conn, 0.3)).max()
     assert base > 1e-3  # flatness residual itself reports the breakage
     with pytest.raises(IntegrabilityBroken):
-        integrate_frame(assemble_maurer_cartan(conn, 0.3), conn.frames[0, 0])
+        integrate_frame(assemble_maurer_cartan(conn, 0.3), conn.origin)
 
 
 def test_doubled_rotation_component_breaks_flatness(clifford_conn):
@@ -513,5 +535,6 @@ def test_doubled_rotation_component_breaks_flatness(clifford_conn):
 def test_shifted_normal_connection_breaks_flatness(clifford_conn):
     C0 = clifford_conn.C0.copy()
     C0[..., 3] += 0.05  # omega34
-    bad = ConnectionData(clifford_conn.patch, clifford_conn.frames, C0, clifford_conn.C1)
+    bad = ConnectionData(clifford_conn.patch, clifford_conn.origin, clifford_conn.position,
+                         C0, clifford_conn.C1)
     assert flatness_residual(assemble_maurer_cartan(bad, 0.0)).max() > 1e-2

@@ -38,8 +38,13 @@ from s4min.surface import shape_report
 
 
 @pytest.fixture(scope="module")
-def clifford_conn():
-    imm, e1, e2, metric, nf, rep = shape_report(clifford_torus(128).immersion)
+def clifford():
+    return shape_report(clifford_torus(128).immersion)
+
+
+@pytest.fixture(scope="module")
+def clifford_conn(clifford):
+    imm, e1, e2, metric, nf, rep = clifford
     return imm, connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
                                 rep.H3, rep.H4)
 
@@ -204,27 +209,30 @@ def test_congruence_residual_matches_integrated_patch():
     conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
                            rep.H3, rep.H4)
     theta = 0.7
-    dp = integrate_frame(assemble_maurer_cartan(conn, theta), conn.frames[0, 0],
+    dp = integrate_frame(assemble_maurer_cartan(conn, theta), conn.origin,
                          tol_path=math.inf)
     core = deformed_immersion(dp).position[:imm.patch.nu, :imm.patch.nv]
     w1u, w1v = conn.C0[..., 0, 0], conn.C0[..., 1, 0]
     w2u, w2v = conn.C0[..., 0, 1], conn.C0[..., 1, 1]
     dA = np.abs(w1u * w2v - w1v * w2u)
-    fit = congruence_test(conn.frames[..., 0, :], core, dA)
+    fit = congruence_test(conn.position, core, dA)
     assert _congruence_residual(conn, theta) == fit.residual
 
 
-def moved_basepoint(conn, i0, j0):
-    """conn with node (i0, j0) moved to the grid origin: its generators
+def moved_basepoint(shape, conn, i0, j0):
+    """conn with node (i0, j0) moved to the grid origin, its frame there
+    taken from the shape_report fields it was built from: its generators
     are the grid lines of conn through (i0, j0)."""
+    imm, e1, e2, metric, nf, rep = shape
     roll = lambda a: np.roll(a, (-i0, -j0), axis=(0, 1))  # noqa: E731
-    return ConnectionData(conn.patch, roll(conn.frames), roll(conn.C0), roll(conn.C1))
+    origin = np.stack([row[i0, j0] for row in (imm.position, e1, e2, nf.e3, nf.e4)])
+    return ConnectionData(conn.patch, origin, roll(imm.position), roll(conn.C0), roll(conn.C1))
 
 
-def generator_loops(conn, i0, j0, thetas):
+def generator_loops(shape, conn, i0, j0, thetas):
     """The two deck-generator monodromies based at node (i0, j0), and
     their distance to the identity (the larger of the two)."""
-    moved = moved_basepoint(conn, i0, j0)
+    moved = moved_basepoint(shape, conn, i0, j0)
     Mu = generator_monodromy(moved, 0, thetas)
     Mv = generator_monodromy(moved, 1, thetas)
     d = np.maximum(np.linalg.norm(Mu - np.eye(5), axis=(-2, -1)),
@@ -232,12 +240,12 @@ def generator_loops(conn, i0, j0, thetas):
     return Mu, Mv, d
 
 
-def test_basepoint_invariance(clifford_conn):
+def test_basepoint_invariance(clifford, clifford_conn):
     # the profile's loops run through the grid origin; loops through
     # another node see conjugate monodromies at the same distance
     _, conn = clifford_conn
     profile = scan_profile(conn, n_theta=64)
-    _, _, d = generator_loops(conn, 37, 19, profile.thetas)
+    _, _, d = generator_loops(clifford, conn, 37, 19, profile.thetas)
     assert np.abs(profile.d - d).max() < 1e-8
 
 
@@ -246,7 +254,7 @@ def test_contractible_loop_is_trivial(clifford_conn):
     # rectangle of the unwrapped domain with a corner at the origin
     _, conn = clifford_conn
     for theta in (0.0, 0.4, 0.77, 1.1, 2.5):
-        dp = integrate_frame(assemble_maurer_cartan(conn, theta), conn.frames[0, 0])
+        dp = integrate_frame(assemble_maurer_cartan(conn, theta), conn.origin)
         assert dp.path_dependence < 1e-7
 
 
@@ -300,27 +308,28 @@ def test_batched_angles_match_single_angles(clifford_conn):
             assert np.abs(M - generator_monodromy(conn, axis, theta)).max() <= 1e-14
 
 
-def test_scan_monodromies_are_the_generator_loops(clifford_conn):
+def test_scan_monodromies_are_the_generator_loops(clifford, clifford_conn):
     # oracle: the one loop transport marched at every profile angle; with
     # 90 angles all but theta = 0 and pi fall between the solve's samples,
     # and half of them lie in the quarters reached through M -> P M P
     _, conn = clifford_conn
     profile = scan_profile(conn, n_theta=90)
-    Mu, Mv, d = generator_loops(conn, 0, 0, profile.thetas)
+    Mu, Mv, d = generator_loops(clifford, conn, 0, 0, profile.thetas)
     assert np.abs(profile.d - d).max() <= 1e-12
     defect = np.linalg.norm(Mu @ Mv - Mv @ Mu, axis=(-2, -1))
     assert np.abs(profile.commutator_defect - defect).max() <= 1e-12
 
 
-def test_loop_transport_matches_whole_grid_assembly(clifford_conn):
+def test_loop_transport_matches_whole_grid_assembly(clifford, clifford_conn):
     # assembling Omega on the generator line only gives the whole-grid
     # march along the u line through (0, j0)
     imm, conn = clifford_conn
     j0, theta = 17, 0.9
     omega = assemble_maurer_cartan(conn, theta).forms[:, j0, 0]
-    F0 = conn.frames[0, j0]
+    moved = moved_basepoint(clifford, conn, 0, j0)
+    F0 = moved.origin  # the frame at node (0, j0)
     F = march_frames(omega, imm.patch.hu, F0, periodic=True)[-1]
-    M = generator_monodromy(moved_basepoint(conn, 0, j0), 0, theta)
+    M = generator_monodromy(moved, 0, theta)
     assert np.abs(M - F.T @ F0).max() <= 1e-13
 
 
@@ -403,7 +412,7 @@ def test_no_periodic_axis_rejected(clifford_conn):
     p = imm.patch
     open_patch = GridPatch(p.nu, p.nv, p.u_range, p.v_range,
                            periodic_u=False, periodic_v=False)
-    open_conn = ConnectionData(open_patch, conn.frames, conn.C0, conn.C1)
+    open_conn = ConnectionData(open_patch, conn.origin, conn.position, conn.C0, conn.C1)
     with pytest.raises(InputError, match="periodic"):
         scan_profile(open_conn)
 
@@ -414,7 +423,7 @@ def test_open_axis_has_no_generator(clifford_conn, axis):
     p = imm.patch
     half_open = GridPatch(p.nu, p.nv, p.u_range, p.v_range,
                           periodic_u=axis != 0, periodic_v=axis != 1)
-    half_conn = ConnectionData(half_open, conn.frames, conn.C0, conn.C1)
+    half_conn = ConnectionData(half_open, conn.origin, conn.position, conn.C0, conn.C1)
     with pytest.raises(InputError, match=f"{'uv'[axis]} axis is not periodic"):
         generator_monodromy(half_conn, axis, 0.3)
     generator_monodromy(half_conn, 1 - axis, 0.3)

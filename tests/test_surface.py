@@ -6,6 +6,7 @@ by hand and frozen here; they do not come from the code under test.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,24 @@ def test_fd_jets_consistent_with_analytic():
         jet1, jet2 = fd_jets(imm.patch, imm.position)
         assert np.abs(jet1 - imm.jet1).max() < bound
         assert np.abs(jet2 - imm.jet2).max() < bound
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+def test_fd_jets_write_each_derivative_into_the_jets(periodic):
+    # the jets, one derivative and its stencil scratch: measured 1.41 jet
+    # copies at n = 256.  Stacking five whole derivative fields into the
+    # jets took 2.00.
+    n = 256
+    f = np.random.default_rng(5).standard_normal((n, n, 5))
+    patch = GridPatch(n, n, (0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi), periodic, periodic)
+    tracemalloc.start()
+    try:
+        jet1, jet2 = fd_jets(patch, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    jets = jet1.nbytes + jet2.nbytes
+    assert peak < 1.6 * jets, f"fd_jets peaked at {peak / jets:.2f} jet copies"
 
 
 def test_area_from_metric(clifford, veronese, geodesic):
