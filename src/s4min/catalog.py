@@ -45,6 +45,11 @@ class CatalogEntry:
     truth: dict
 
 
+def _jet_arrays(n: int) -> tuple:
+    """Zeroed position (n, n, 5), jet1 (n, n, 2, 5) and jet2 (n, n, 3, 5)."""
+    return np.zeros((n, n, 5)), np.zeros((n, n, 2, 5)), np.zeros((n, n, 3, 5))
+
+
 # ---------------------------------------------------------------------------
 # flat minimal torus
 
@@ -60,22 +65,21 @@ def clifford_torus(n: int = 256) -> CatalogEntry:
     patch = GridPatch(n, n, (0.0, L), (0.0, L), True, True)
     U, V = patch.mesh()
     r2 = math.sqrt(2.0)
-    a = r2 * U
-    b = r2 * V
-    z = np.zeros_like(U)
+    ca, sa = np.cos(r2 * U), np.sin(r2 * U)
+    cb, sb = np.cos(r2 * V), np.sin(r2 * V)
+    del U, V
     inv = 1.0 / r2
 
-    f = np.stack([inv * np.cos(a), inv * np.sin(a),
-                  inv * np.cos(b), inv * np.sin(b), z], axis=-1)
-    fu = np.stack([-np.sin(a), np.cos(a), z, z, z], axis=-1)
-    fv = np.stack([z, z, -np.sin(b), np.cos(b), z], axis=-1)
-    fuu = np.stack([-r2 * np.cos(a), -r2 * np.sin(a), z, z, z], axis=-1)
-    fuv = np.zeros_like(f)
-    fvv = np.stack([z, z, -r2 * np.cos(b), -r2 * np.sin(b), z], axis=-1)
+    # each component is written into its place; the rest stays zero
+    f, jet1, jet2 = _jet_arrays(n)
+    f[..., 0], f[..., 1], f[..., 2], f[..., 3] = inv * ca, inv * sa, inv * cb, inv * sb
+    jet1[..., 0, 0], jet1[..., 0, 1] = -sa, ca
+    jet1[..., 1, 2], jet1[..., 1, 3] = -sb, cb
+    jet2[..., 0, 0], jet2[..., 0, 1] = -r2 * ca, -r2 * sa
+    jet2[..., 2, 2], jet2[..., 2, 3] = -r2 * cb, -r2 * sb
+    del ca, sa, cb, sb  # before the unit-norm check of ImmersionField
 
-    imm = ImmersionField(patch, f,
-                         np.stack([fu, fv], axis=2),
-                         np.stack([fuu, fuv, fvv], axis=2))
+    imm = ImmersionField(patch, f, jet1, jet2)
     truth = {
         "name": "clifford",
         "topology": "torus",
@@ -123,17 +127,22 @@ def _sphere_chart(n: int) -> GridPatch:
 
 
 def _unit_sphere_jets(U, V):
-    """w(t, phi) on S^2 and its jets; t = U, phi = V."""
+    """w(t, phi) on S^2 and its jets as (3, nu, nv) component planes; t = U, phi = V."""
     st, ct = np.sin(U), np.cos(U)
     sp, cp = np.sin(V), np.cos(V)
     z = np.zeros_like(U)
-    w = np.stack([st * cp, st * sp, ct], axis=-1)
-    wt = np.stack([ct * cp, ct * sp, -st], axis=-1)
-    wp = np.stack([-st * sp, st * cp, z], axis=-1)
+    w = np.stack([st * cp, st * sp, ct])
+    wt = np.stack([ct * cp, ct * sp, -st])
+    wp = np.stack([-st * sp, st * cp, z])
     wtt = -w
-    wtp = np.stack([-ct * sp, ct * cp, z], axis=-1)
-    wpp = np.stack([-st * cp, -st * sp, z], axis=-1)
+    wtp = np.stack([-ct * sp, ct * cp, z])
+    wpp = np.stack([-st * cp, -st * sp, z])
     return w, wt, wp, wtt, wtp, wpp
+
+
+def _planes(a: np.ndarray) -> np.ndarray:
+    """View of a (..., 5) array with the component axis first."""
+    return np.moveaxis(a, -1, 0)
 
 
 def veronese_sphere(n: int = 128) -> CatalogEntry:
@@ -149,24 +158,25 @@ def veronese_sphere(n: int = 128) -> CatalogEntry:
     A = _veronese_maps()
     terms = np.argwhere(A)  # (k, p, q) of the nonzero entries, p then q per k
 
-    # x . A_k y for every k, summed over the nonzero entries: bit for bit
-    # the 3-operand einsum "uvp,kpq,uvq->uvk", at a third of its time
+    # x . A_k y for every k on contiguous planes, summed over the nonzero
+    # entries: bit for bit the 3-operand einsum "puv,kpq,quv->uvk"
     def quad(x, y):
-        out = np.zeros(x.shape[:-1] + (5,))
+        out = np.zeros((5,) + x.shape[1:])
         for k, p, q in terms:
-            out[..., k] += (x[..., p] * A[k, p, q]) * y[..., q]
+            out[k] += (x[p] * A[k, p, q]) * y[q]
         return out
 
-    f = quad(w, w)
-    ft = 2.0 * quad(wt, w)
-    fp = 2.0 * quad(wp, w)
-    ftt = 2.0 * (quad(wt, wt) + quad(wtt, w))
-    ftp = 2.0 * (quad(wt, wp) + quad(wtp, w))
-    fpp = 2.0 * (quad(wp, wp) + quad(wpp, w))
+    f, jet1, jet2 = _jet_arrays(n)
+    _planes(f)[...] = quad(w, w)
+    for i, x in enumerate((wt, wp)):
+        np.multiply(2.0, quad(x, w), out=_planes(jet1[:, :, i]))
+    for i, (x, y, xy) in enumerate(((wt, wt, wtt), (wt, wp, wtp), (wp, wp, wpp))):
+        s = quad(x, y)
+        s += quad(xy, w)
+        np.multiply(2.0, s, out=_planes(jet2[:, :, i]))
+    del w, wt, wp, wtt, wtp, wpp, s
 
-    imm = ImmersionField(patch, f,
-                         np.stack([ft, fp], axis=2),
-                         np.stack([ftt, ftp, fpp], axis=2))
+    imm = ImmersionField(patch, f, jet1, jet2)
     truth = {
         "name": "veronese",
         "topology": "sphere",
@@ -190,16 +200,12 @@ def veronese_sphere(n: int = 128) -> CatalogEntry:
 def geodesic_sphere(n: int = 128) -> CatalogEntry:
     """The equatorial 2-sphere, totally geodesic (B = 0) in S^4."""
     patch = _sphere_chart(n)
-    U, V = patch.mesh()
-    w, wt, wp, wtt, wtp, wpp = _unit_sphere_jets(U, V)
-    z2 = np.zeros(U.shape + (2,))
+    f, jet1, jet2 = _jet_arrays(n)
+    targets = (f, jet1[:, :, 0], jet1[:, :, 1], jet2[:, :, 0], jet2[:, :, 1], jet2[:, :, 2])
+    for target, w in zip(targets, _unit_sphere_jets(*patch.mesh())):
+        _planes(target)[:3] = w
 
-    def pad(x):
-        return np.concatenate([x, z2], axis=-1)
-
-    imm = ImmersionField(patch, pad(w),
-                         np.stack([pad(wt), pad(wp)], axis=2),
-                         np.stack([pad(wtt), pad(wtp), pad(wpp)], axis=2))
+    imm = ImmersionField(patch, f, jet1, jet2)
     truth = {
         "name": "geodesic-sphere",
         "topology": "sphere",

@@ -13,6 +13,7 @@ paper's compact-surface theorem demands).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -65,48 +66,214 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-# CSV output: a header line, then comma-separated %.17g cells, one row per
-# line.  Rows are formatted by one ``%`` over a multi-row template: one
-# formatting call per row cost more than the whole geometry of ``analyze``.
-_NUM = "%.17g"
-# u-rows formatted per block: the whole-grid template of an n=512 chart
-# would raise the peak RSS of ``analyze`` by about 30 MB
+# CSV output: a header line, then comma-separated cells, one row per line.
+# Every cell holds the bytes of Python's ``'%.17g' % x``, which round-trip
+# every float64.  Formatting a million cells one at a time took longer than
+# the whole geometry of ``analyze``, so ``_format_cells`` formats a whole
+# array in numpy and certifies each cell, falling back to ``%.17g`` for the
+# few it cannot certify.  Cells are NUL-padded rows of bytes; the writers
+# lay cells, commas and newlines out in one array and drop the NULs.
+#
+# The 17 significant digits are those of the correctly rounded decimal
+# (Gay 1990): D = round_half_even(|x| 10^(16-X)) in [10^16, 10^17), where X
+# is the decimal exponent.  The product is taken as a double-double: Dekker's
+# exact split product of |x| with the high part of 10^(16-X), plus |x| times
+# its low part, which leaves an error below 1e-14 in the fraction of
+# |x| 10^(16-X).  Cells whose fraction lies within _TIE_MARGIN of 1/2 (exact
+# ties among them), non-finite cells and |x| outside the table's range go to
+# ``%.17g``.  %g then writes 10^(-4) <= |x| < 10^17 in fixed notation and
+# the rest as d.ddde+XX, without trailing zeros.
+
+# "-d.dddddddddddddddde-ddd", the longest cell
+_CELL_WIDTH = 24
+# the double-double powers of ten cover |x| in [1e-270, 1e270), where
+# neither the split nor the table entries overflow or underflow
+_CERTIFIED_EXP = 270
+_TIE_MARGIN = 1e-7
+# u-rows formatted per block: the cells, masks and the padded rows of a
+# whole n=512 chart would raise the peak RSS of ``analyze``
 _FIELD_BLOCK_ROWS = 32
 
 
-def _csv_template(prefixes, ncols: int) -> str:
-    """One CSV row per prefix, each ending in ``ncols`` ``%.17g`` cells."""
-    cells = ",".join([_NUM] * ncols) + "\n"
-    return "".join(prefix + cells for prefix in prefixes)
+@functools.cache
+def _cell_tables():
+    """Built on first use: 10^(16-X) as (hi, hi split in two, lo) for every
+    certified exponent X, and the four ASCII digits of 0..9999 as one
+    little-endian uint32, first with and then without trailing zeros."""
+    exps = range(-_CERTIFIED_EXP - 1, _CERTIFIED_EXP + 2)
+    hi = np.empty(len(exps))
+    lo = np.empty(len(exps))
+    for i, e in enumerate(exps):
+        # 10^(16-e) = num/den; int / int is correctly rounded
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        hi[i] = num / den
+        h_num, h_den = hi[i].as_integer_ratio()
+        lo[i] = (num * h_den - h_num * den) / (den * h_den)
+    hi_head, hi_tail = _split(hi)
+    g = np.arange(10000)
+    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
+    trailing = np.cumprod(digits[:, ::-1] == 0, axis=1)[:, ::-1].astype(bool)
+    quads = np.concatenate([digits + 48, np.where(trailing, 0, digits + 48)])
+    return exps[0], hi, hi_head, hi_tail, lo, quads.astype(np.uint8).view("<u4").ravel()
+
+
+def _split(a: np.ndarray) -> tuple:
+    """Dekker's split of doubles into two halves of 26 significant bits."""
+    c = a * 134217729.0  # 2^27 + 1
+    head = c - (c - a)
+    return head, a - head
+
+
+def _significand(a: np.ndarray, exp: np.ndarray) -> tuple:
+    """y = |x| 10^(16-exp) rounded half up to an integer, the fraction of y
+    and y - 10^16."""
+    e0, hi, hi_head, hi_tail, lo, _ = _cell_tables()
+    i = exp - e0
+    h, hh, ht = hi.take(i), hi_head.take(i), hi_tail.take(i)
+    ah, at = _split(a)
+    p = a * h  # p + err is a * h exactly
+    err = ((ah * hh - p) + ah * ht + at * hh) + at * ht
+    t = err + a * lo.take(i)
+    whole = np.floor(t)
+    frac = t - whole
+    # p >= 2^53 is an integer whenever exp is right
+    return p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5), frac, (p - 1e16) + t
+
+
+def _format_cells(values) -> np.ndarray:
+    """``'%.17g' % x`` for every x of ``values``, flattened: one row of
+    _CELL_WIDTH ASCII bytes per cell, NUL-padded (NULs may sit anywhere)."""
+    x = np.asarray(values, dtype=float).ravel()
+    out = np.zeros((x.size, _CELL_WIDTH), np.uint8)
+    out[:, 0] = np.signbit(x) * np.uint8(ord("-"))
+    a = np.abs(x)
+    fast = (a >= 10.0 ** -_CERTIFIED_EXP) & (a < 10.0 ** _CERTIFIED_EXP)
+    if fast.all():
+        idx = None
+    else:
+        out[a == 0, 1] = ord("0")
+        idx = np.flatnonzero(fast)
+        a = a[idx]
+    quads = _cell_tables()[-1]
+
+    # floor(log10) can miss the exponent by one next to a power of ten, and
+    # then y = |x| 10^(16-exp) falls below 10^16 or rounds above 10^17: those
+    # cells are redone.  y less than _TIE_MARGIN below 10^16 rounds to 10^16
+    # in either exponent, and y rounded to 10^17 carries to the next one.
+    exp = np.floor(np.log10(a)).astype(np.int64)
+    D, frac, above = _significand(a, exp)
+    redo = np.flatnonzero((above < -_TIE_MARGIN) | (D > 10 ** 17))
+    while redo.size:
+        exp[redo] += np.where(D[redo] > 10 ** 17, 1, -1)
+        D[redo], frac[redo], above[redo] = _significand(a[redo], exp[redo])
+        redo = redo[(above[redo] < -_TIE_MARGIN) | (D[redo] > 10 ** 17)]
+    carry = D == 10 ** 17
+    D[carry] = 10 ** 16
+    exp += carry
+    unsure = np.abs(frac - 0.5) < _TIE_MARGIN
+
+    # the 17 digits as 20 bytes: 3 pad bytes, d0, then four groups of four;
+    # a group takes the table without trailing zeros when all later groups
+    # are zero, so the digits end at the last nonzero one
+    high = D // 10 ** 8
+    low = D - high * 10 ** 8
+    head = high // 10 ** 4
+    d0 = head // 10 ** 4
+    words = np.empty((a.size, 5), "<u4")
+    words[:, 0] = (d0 + ord("0")) << 24
+    groups = (head - d0 * 10 ** 4, high - head * 10 ** 4, low // 10 ** 4, low % 10 ** 4)
+    tail = np.ones(a.size, bool)
+    for j in (3, 2, 1, 0):
+        words[:, 1 + j] = quads.take(groups[j] + tail * 10 ** 4)
+        tail &= groups[j] == 0
+    digits = words.view(np.uint8)[:, 3:]
+
+    # lay out each group of cells of one format: exponent form, or fixed
+    # with exponent -4..16
+    form = np.where((exp >= -4) & (exp < 17), exp + 5, 0)
+    res = out[:, 1:] if idx is None else np.zeros((a.size, _CELL_WIDTH - 1), np.uint8)
+    for f, count in enumerate(np.bincount(form, minlength=22)):
+        if count == 0:
+            continue
+        sel = slice(None) if count == a.size else np.flatnonzero(form == f)
+        blk = res if count == a.size else np.empty((count, _CELL_WIDTH - 1), np.uint8)
+        d = digits[sel]
+        e = exp[sel] if f == 0 else f - 5
+        if f == 0:
+            blk[:, 0] = d[:, 0]
+            blk[:, 1] = (d[:, 1] != 0) * np.uint8(ord("."))
+            blk[:, 2:18] = d[:, 1:]
+            blk[:, 18] = ord("e")
+            blk[:, 19] = np.where(e < 0, ord("-"), ord("+"))
+            blk[:, 20:] = quads.take(np.abs(e)).view(np.uint8).reshape(-1, 4)[:, 1:]
+            blk[:, 20] *= np.abs(e) >= 100
+        elif e >= 0:
+            blk[:, :e + 1] = d[:, :e + 1] | ord("0")  # integer digits keep their zeros
+            blk[:, e + 1] = (d[:, e + 1] != 0) * np.uint8(ord(".")) if e < 16 else 0
+            blk[:, e + 2:18] = d[:, e + 1:]
+            blk[:, 18:] = 0
+        else:
+            blk[:, :1 - e] = ord("0")
+            blk[:, 1] = ord(".")
+            blk[:, 1 - e:18 - e] = d
+            blk[:, 18 - e:] = 0
+        if count < a.size:
+            res[sel] = blk
+
+    if idx is None:
+        back = np.flatnonzero(unsure)
+    else:
+        out[idx, 1:] = res
+        back = np.concatenate([np.flatnonzero(~fast & (x != 0)), idx[unsure]])
+    if back.size:
+        cells = ["%.17g" % v for v in x[back].tolist()]
+        out[back] = np.array(cells, dtype=f"S{_CELL_WIDTH}").view(np.uint8).reshape(back.size, -1)
+    return out
 
 
 def _csv_open(path: Path, header: str):
-    f = open(path, "w", encoding="ascii", newline="")
-    f.write(header + "\n")
+    f = open(path, "wb")
+    f.write(header.encode("ascii") + b"\n")
     return f
+
+
+def _write_rows(f, rows: np.ndarray) -> None:
+    """Write NUL-padded rows of bytes without their NULs."""
+    f.write(rows[rows != 0].tobytes())
 
 
 def _write_field_csvs(out: Path, patch, fields: dict) -> None:
     """Write ``<name>.csv`` per field: ``u,v,value`` rows, u-major, v fastest."""
-    us = [_NUM % u + "," for u in patch.u_coords().tolist()]
-    vs = [_NUM % v + "," for v in patch.v_coords().tolist()]
+    us, vs = (cells[:, cells.any(axis=0)]  # columns that are NUL in every row go
+              for cells in (_format_cells(patch.u_coords()), _format_cells(patch.v_coords())))
+    wu, wv = us.shape[1], vs.shape[1]
     with ExitStack() as stack:
         files = [(stack.enter_context(_csv_open(out / f"{name}.csv", "u,v,value")),
                   np.asarray(values, dtype=float).reshape(patch.nu, patch.nv))
                  for name, values in fields.items()]
         for start in range(0, patch.nu, _FIELD_BLOCK_ROWS):
-            stop = start + _FIELD_BLOCK_ROWS
-            template = _csv_template((u + v for u in us[start:stop] for v in vs), 1)
+            block = us[start:start + _FIELD_BLOCK_ROWS]
+            rows = np.empty((len(block), patch.nv, wu + wv + 3 + _CELL_WIDTH), np.uint8)
+            rows[:, :, :wu] = block[:, None]
+            rows[:, :, wu] = ord(",")
+            rows[:, :, wu + 1:wu + 1 + wv] = vs
+            rows[:, :, wu + 1 + wv] = ord(",")
+            rows[:, :, -1] = ord("\n")
             for f, values in files:
-                f.write(template % tuple(values[start:stop].ravel().tolist()))
+                cells = _format_cells(values[start:start + len(block)])
+                rows[:, :, wu + wv + 2:-1] = cells.reshape(len(block), patch.nv, -1)
+                _write_rows(f, rows)
 
 
 def _write_table_csv(path: Path, header: str, columns) -> None:
     """Write equal-length columns as one CSV row per index."""
     table = np.column_stack(columns)
+    rows = np.empty(table.shape + (_CELL_WIDTH + 1,), np.uint8)
+    rows[..., :-1] = _format_cells(table).reshape(rows.shape[0], rows.shape[1], -1)
+    rows[..., -1] = ord(",")
+    rows[:, -1, -1] = ord("\n")
     with _csv_open(path, header) as f:
-        f.write(_csv_template([""] * table.shape[0], table.shape[1])
-                % tuple(table.ravel().tolist()))
+        _write_rows(f, rows)
 
 
 def _span(values: np.ndarray) -> dict:
@@ -127,6 +294,8 @@ def _check_resolution(n: int) -> int:
 
 
 def _load_surface(args) -> tuple[ImmersionField, dict]:
+    # every check that needs no surface runs before one is built: a catalog
+    # at n=1024 takes about a second and 360 MB
     if args.catalog is not None:
         if args.catalog not in catalog_names():
             raise CliError(
@@ -135,12 +304,23 @@ def _load_surface(args) -> tuple[ImmersionField, dict]:
                 f"available: {', '.join(catalog_names())}",
             )
         n = _check_resolution(args.n)
-        imm = load_catalog(args.catalog, n).immersion
-        meta = {"source": f"catalog:{args.catalog}", "n": n}
     else:
         path = Path(args.manifest)
         if not path.is_file():
             raise CliError(EXIT_CONFIG, "E_SOURCE", f"manifest not found: {path}")
+    if args.perturb is not None:
+        if not (math.isfinite(args.perturb) and args.perturb > 0):
+            raise CliError(EXIT_CONFIG, "E_CONFIG",
+                           f"perturbation amplitude must be positive and finite, "
+                           f"got {args.perturb}")
+        if args.seed < 0:
+            raise CliError(EXIT_CONFIG, "E_CONFIG",
+                           f"perturbation seed must be non-negative, got {args.seed}")
+
+    if args.catalog is not None:
+        imm = load_catalog(args.catalog, n).immersion
+        meta = {"source": f"catalog:{args.catalog}", "n": n}
+    else:
         imm, drift = read_manifest(path)
         meta = {
             "source": f"manifest:{path.name}",
@@ -155,13 +335,6 @@ def _load_surface(args) -> tuple[ImmersionField, dict]:
             "analytic jets requested but the source provides none",
         )
     if args.perturb is not None:
-        if not (math.isfinite(args.perturb) and args.perturb > 0):
-            raise CliError(EXIT_CONFIG, "E_CONFIG",
-                           f"perturbation amplitude must be positive and finite, "
-                           f"got {args.perturb}")
-        if args.seed < 0:
-            raise CliError(EXIT_CONFIG, "E_CONFIG",
-                           f"perturbation seed must be non-negative, got {args.seed}")
         imm = perturb_immersion(imm, args.perturb, args.seed)
         meta["perturbation"] = {"amplitude": args.perturb, "seed": args.seed}
     meta["jet_source"] = imm.jet_source

@@ -57,7 +57,7 @@ def test_veronese_jets_match_einsum_oracle(n):
     A = _veronese_maps()
 
     def quad(x, y):
-        return np.einsum("uvp,kpq,uvq->uvk", x, A, y)
+        return np.einsum("puv,kpq,quv->uvk", x, A, y)
 
     imm = veronese_sphere(n).immersion
     assert np.array_equal(imm.position, quad(w, w))
