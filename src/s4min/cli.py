@@ -45,7 +45,8 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_INTEGRITY = 3
 
-# residual below which a Procrustes fit counts as a congruence
+# residual below which a member counts as congruent: it bounds the Procrustes
+# fit of ``deform`` and the r(theta) of family.congruence_residual
 CONGRUENCE_TOL = 1e-3
 
 
@@ -423,15 +424,16 @@ def cmd_deform(args) -> int:
     inputs = _connection_inputs(imm, e1, e2, nf, rep)
     del imm, e1, e2, metric, nf, rep
     conn = connection_data(*inputs)
-    del inputs  # conn.position is the position
+    position = inputs[1]  # the replay reads it; the other inputs go now
+    del inputs
     mc = assemble_maurer_cartan(conn, args.theta)
     # the flatness temporaries and the integrated frames are never held together
     flatness = float(flatness_residual(mc).max())
     dp = integrate_frame(mc, conn.origin)
     ext = dp.extended_patch
-    replay = conn.position[np.ix_(np.arange(ext.nu) % conn.patch.nu,
-                                  np.arange(ext.nv) % conn.patch.nv)]
-    del conn, mc
+    replay = position[np.ix_(np.arange(ext.nu) % conn.patch.nu,
+                             np.arange(ext.nv) % conn.patch.nv)]
+    del conn, mc, position
     deformed = deformed_immersion(dp)
     write_manifest(deformed, out / "deformed")
 
@@ -487,7 +489,7 @@ def cmd_monodromy(args) -> int:
     inputs = _connection_inputs(imm, e1, e2, nf, rep)
     del imm, e1, e2, metric, nf, rep
     conn = connection_data(*inputs)
-    del inputs  # conn holds the position, their only further use
+    del inputs  # the scan reads only the connection
     profile = scan_profile(conn, n_theta=args.scan, tol_close=args.tol_close)
     # a compact surface with nontrivial normal bundle has only finitely
     # many noncongruent members, so a CIRCLE verdict needs congruent ones

@@ -27,7 +27,8 @@ from the slots, and frame_reconstruction_residual applies the Omega_0
 its caller already assembled to one frame row at a time.
 _so5 scatters packed entries into antisymmetric 5x5 blocks only for the
 matrix products of one march_frames step, so no whole-grid 5x5
-connection block is ever built.
+connection block is ever built.  congruence_residual reads whether a
+member is congruent to the source off C1, without integrating it.
 
 Each whole-grid frame array is held once.  Only the caller holds the
 frame fields; march_frames interpolates each step's midpoint from the
@@ -67,28 +68,21 @@ PATH_DEPENDENCE_TOL = 1e-4
 class ConnectionData:
     """theta-independent decomposition Omega_theta = C0 + cos(2 theta) C1 + sin(2 theta) C2.
 
-    Components are packed upper-triangle entries of shape (nu, nv, 2, 4);
-    index 0/1 of the third axis is the du/dv component.  C0[..., k] holds
-    w1, w2, omega12, omega34 for k = 0..3 (slots (0, 1), (0, 2), (1, 2),
-    (3, 4)); C1 holds the second-fundamental-form entries at slots
-    (1, 3), (2, 3), (1, 4), (2, 4), as the pairs (sym3, alt3, sym4, alt4).
-    C2 is C1 turned a quarter, (alt3, -sym3, alt4, -sym4): it is derived,
-    not stored, and the C2 property builds it on each read.  Every
-    assembled Omega is exactly so(5)-valued.  origin is the (5, 5) frame
-    (f, e1, e2, e3, e4) at node (0, 0), the seed of every integration, and
-    position the caller's (nu, nv, 5) position field, held, not copied.
+    C0 and C1 are (nu, nv, 2, 4) packed entries at the slots of the module
+    table, index 0/1 of the third axis the du/dv component; C1 holds the
+    pairs (sym3, alt3, sym4, alt4).  C2 is derived, not stored.  origin is
+    the (5, 5) frame (f, e1, e2, e3, e4) at node (0, 0), the seed of every
+    integration.
     """
 
     patch: GridPatch
     origin: np.ndarray
-    position: np.ndarray
     C0: np.ndarray
     C1: np.ndarray
 
     @property
     def C2(self) -> np.ndarray:
-        """C1 turned a quarter: each (sym, alt) pair becomes (alt, -sym).
-        Built on each read; rotating_forms applies it without building it."""
+        """C1 turned a quarter, each (sym, alt) pair to (alt, -sym); built on each read."""
         return self.C1[..., [1, 0, 3, 2]] * np.array([1.0, -1.0, 1.0, -1.0])
 
 
@@ -191,7 +185,7 @@ def connection_data(patch: GridPatch, position: np.ndarray, jet1: np.ndarray,
         np.multiply(h12, w1, out=alt)
         alt -= np.multiply(h11, w2, out=product)
     origin = np.stack([row[0, 0] for row in (position, e1, e2, e3, e4)])
-    return ConnectionData(patch, origin, position, C0, C1)
+    return ConnectionData(patch, origin, C0, C1)
 
 
 def rotating_forms(C1: np.ndarray, c, s, out: np.ndarray | None = None) -> np.ndarray:
@@ -207,6 +201,29 @@ def rotating_forms(C1: np.ndarray, c, s, out: np.ndarray | None = None) -> np.nd
     out[..., 0::2] += s * C1[..., 1::2]
     out[..., 1::2] -= s * C1[..., 0::2]
     return out
+
+
+def congruence_residual(conn: ConnectionData, theta) -> np.ndarray:
+    """r(theta), 0 exactly when f_theta is congruent to f; theta is a
+    scalar or an array, and r is shaped like it.
+
+    r^2 is the least-squares misfit of rotating_forms(C1, c, s), c, s =
+    cos, sin 2 theta, from C1 turned by one constant rotation of (e3, e4),
+    over S = sum dA |C1|^2.  With P3, P4 = C1[..., 0:2], C1[..., 2:4],
+    J (sym, alt) = (alt, -sym), beta = sum dA <J P3, P4> and
+    g = 1 - 2 |beta| / S, r^2 = 2 - 2 sqrt(c^2 + (1 - g)^2 s^2), taken as
+    2 q / (1 + sqrt(1 - q)), q = s^2 g (2 - g), free of cancellation.
+    """
+    C0, C1 = conn.C0, conn.C1
+    dA = np.abs(C0[..., 0, 0] * C0[..., 1, 1] - C0[..., 1, 0] * C0[..., 0, 1])
+    S = float(np.einsum("uv,uvai,uvai->", dA, C1, C1))
+    beta = float(np.einsum("uv,uva->", dA, C1[..., 1] * C1[..., 2] - C1[..., 0] * C1[..., 3]))
+    # g lies in [0, 1], clipped against roundoff; C1 = 0 is congruent at every theta
+    g = max(0.0, 1.0 - 2.0 * abs(beta) / S) if S > 0.0 else 0.0
+    # r has period pi/2; reduced first, theta = k pi/2 gives s = 0 exactly
+    s = np.sin(2.0 * np.mod(theta, 0.5 * math.pi))
+    q = s * s * (g * (2.0 - g))
+    return np.sqrt(2.0 * q / (1.0 + np.sqrt(1.0 - q)))
 
 
 def assemble_maurer_cartan(conn: ConnectionData, theta: float) -> MaurerCartanField:
@@ -523,21 +540,3 @@ def congruence_test(pos_a: np.ndarray, pos_b: np.ndarray,
     misfit = a @ A.T - b
     residual = math.sqrt(float((w * (misfit**2).sum(axis=1)).sum() / w.sum()))
     return CongruenceFit(A, residual, float(np.linalg.det(A)), rank, rank < 5)
-
-
-def _congruence_residual(conn: ConnectionData, theta: float) -> float:
-    """Congruence of the integrated deformed surface with the input.
-
-    One row-then-column sweep suffices: integrate_frame's second sweep
-    only serves its path-dependence check.
-    """
-    patch = conn.patch
-    frame = sweep_frames(assemble_maurer_cartan(conn, theta), conn.origin)
-    pos = frame[:patch.nu, :patch.nv, 0, :]
-    core = (pos / np.linalg.norm(pos, axis=-1, keepdims=True)).reshape(-1, 5)
-    ref = conn.position.reshape(-1, 5)
-    w1u, w1v = conn.C0[..., 0, 0], conn.C0[..., 1, 0]
-    w2u, w2v = conn.C0[..., 0, 1], conn.C0[..., 1, 1]
-    dA = np.abs(w1u * w2v - w1v * w2u).reshape(-1)
-    fit = congruence_test(ref, core, dA)
-    return fit.residual

@@ -16,6 +16,7 @@ scan_profile calls it at a few dozen angles of the quarter circle only:
 members a quarter turn apart are congruent, and M(theta) is analytic in
 exp(2i theta), so a trigonometric interpolant of those samples gives the
 profile, the closing classes and the CIRCLE certificate to roundoff.
+No member is integrated: congruence is read off the connection too.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ import numpy as np
 from .family import (
     ConnectionData,
     IntegrabilityBroken,
-    _congruence_residual,
     assemble_maurer_cartan,
+    congruence_residual,
     flatness_residual,
     march_frames,
     rotating_forms,
@@ -57,12 +58,9 @@ def generator_monodromy(conn: ConnectionData, axis: int,
     theta.shape + (5, 5).  The frame is integrated once around the line
     from the stored frame at the origin, and M carries the start
     configuration to the end one (identity exactly when the deformed
-    surface closes around this generator).
-
-    Omega_theta = C0 + cos(2 theta) C1 + sin(2 theta) C2 is packed on
-    that line only (read as family._spine reads a sweep's spine, the
-    rotating part formed from C1 by rotating_forms) and marched once
-    with the periodic (wrap) stencil, batched over the angles.
+    surface closes around this generator).  Omega_theta is packed on that
+    line only, its rotating part formed by rotating_forms, and marched
+    once with the periodic (wrap) stencil, batched over the angles.
     """
     patch = conn.patch
     h, periodic = ((patch.hu, patch.periodic_u), (patch.hv, patch.periodic_v))[axis]
@@ -157,7 +155,7 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256,
     golden-section search on the interpolant to width 1e-8.  A refined
     d < tol_close is a closing class in [0, pi/2) (within 1e-7 of 0 or
     pi/2 it is exactly 0); ``roots`` holds the classes and their three
-    quarter-turn images.  CIRCLE gets congruence residuals at
+    quarter-turn images.  CIRCLE gets family.congruence_residual at
     CONGRUENCE_SAMPLES angles of [0, pi/2).
 
     tol_close defaults to max(1e-6, 10 * flatness, 10 * d(0)): theta = 0
@@ -232,7 +230,7 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256,
     ct = cr = None
     if verdict == "CIRCLE":
         ct = np.linspace(0.0, QUARTER, CONGRUENCE_SAMPLES, endpoint=False)
-        cr = np.array([_congruence_residual(conn, float(t)) for t in ct])
+        cr = congruence_residual(conn, ct)
     return MonodromyProfile(thetas, dq[fold], defect, roots, classes, verdict,
                             tol_close, flat0, circle_max, tail, ct, cr, tuple(gens))
 

@@ -184,8 +184,8 @@ def test_closing_set_dichotomy(clifford, clifford_conn, veronese_conn):
     imm, e1, e2, metric, nf, rep = clifford
     roll = lambda a: np.roll(a, (-37, -61), axis=(0, 1))  # noqa: E731
     origin = np.stack([row[37, 61] for row in (imm.position, e1, e2, nf.e3, nf.e4)])
-    moved = ConnectionData(clifford_conn.patch, origin, roll(imm.position),
-                           roll(clifford_conn.C0), roll(clifford_conn.C1))
+    moved = ConnectionData(clifford_conn.patch, origin, roll(clifford_conn.C0),
+                           roll(clifford_conn.C1))
     Mu = generator_monodromy(moved, 0, profile.thetas)
     Mv = generator_monodromy(moved, 1, profile.thetas)
     shifted = np.maximum(np.linalg.norm(Mu - np.eye(5), axis=(-2, -1)),

@@ -473,6 +473,9 @@ def test_monodromy_geodesic_sphere_circle(cli, tmp_path):
     expected = savetxt_bytes(tmp_path / "oracle.csv", table, "theta,d,comm_defect")
     assert profile.read_bytes() == expected
     assert abs(doc["chi_normal"]) < 1e-9
+    # C1 vanishes on the totally geodesic sphere, so the normalized
+    # congruence misfit is 0/0: it is defined as 0, without a warning
+    assert doc["congruence_max"] == 0.0
 
 
 def test_monodromy_veronese_circle_with_nontrivial_normal_bundle(cli, tmp_path):
@@ -491,7 +494,8 @@ def test_monodromy_circle_without_congruence_is_contradiction(cli, tmp_path, mon
     # the paper's compact-surface theorem: chi_N != 0 allows only finitely
     # many noncongruent members, so CIRCLE with noncongruent members is refused
     # family defines the residual; scan_profile looks it up in monodromy
-    monkeypatch.setattr("s4min.monodromy._congruence_residual", lambda conn, theta: 1e-2)
+    monkeypatch.setattr("s4min.monodromy.congruence_residual",
+                        lambda conn, theta: np.full(np.shape(theta), 1e-2))
     code, out = cli("monodromy", "--catalog", "veronese", "--n", 64,
                     "--scan", 64, "--out", tmp_path)
     assert code == 3

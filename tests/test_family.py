@@ -8,6 +8,7 @@ against the catalog surfaces; structural corruptions of the connection
 must blow the flatness residual up by many orders of magnitude.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -100,15 +101,17 @@ def area_weights(imm, metric):
 
 
 @pytest.mark.parametrize("fix", ["clifford", "veronese"])
-def test_connection_keeps_the_origin_frame_and_the_callers_position(fix, request):
-    # the connection holds the frame at node (0, 0) and the caller's
-    # position field itself; it copies no frame row.  Measured peaks 0.95
-    # (n = 64) and 0.78 blocks (n = 128); a (nu, nv, 5, 5) copy of the
-    # five frame fields took 1.64.
+def test_connection_keeps_the_origin_frame_and_no_position(fix, request):
+    # the connection holds the frame at node (0, 0) and no position field
+    # (congruence is read off C1), neither a copy of it nor a reference to
+    # the caller's; it copies no frame row.  Measured peaks 0.95 (n = 64)
+    # and 0.78 blocks (n = 128); a (nu, nv, 5, 5) copy of the five frame
+    # fields took 1.64.
     pack = request.getfixturevalue(fix)
     imm, e1, e2, metric, nf, rep = pack
     conn = request.getfixturevalue(fix + "_conn")
-    assert np.shares_memory(conn.position, imm.position)
+    assert [f.name for f in dataclasses.fields(conn)] == ["patch", "origin", "C0", "C1"]
+    assert not any(np.shares_memory(a, imm.position) for a in (conn.origin, conn.C0, conn.C1))
     assert np.array_equal(conn.origin, np.stack([row[0, 0] for row in frame_rows(pack)]))
     block = imm.position.size * 5 * 8  # bytes of one (nu, nv, 5, 5) float64 array
     tracemalloc.start()
@@ -535,6 +538,5 @@ def test_doubled_rotation_component_breaks_flatness(clifford_conn):
 def test_shifted_normal_connection_breaks_flatness(clifford_conn):
     C0 = clifford_conn.C0.copy()
     C0[..., 3] += 0.05  # omega34
-    bad = ConnectionData(clifford_conn.patch, clifford_conn.origin, clifford_conn.position,
-                         C0, clifford_conn.C1)
+    bad = ConnectionData(clifford_conn.patch, clifford_conn.origin, C0, clifford_conn.C1)
     assert flatness_residual(assemble_maurer_cartan(bad, 0.0)).max() > 1e-2

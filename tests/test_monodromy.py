@@ -13,28 +13,31 @@ import math
 import numpy as np
 import pytest
 
+import s4min.family
 import s4min.monodromy
 from s4min.catalog import clifford_torus, geodesic_sphere, perturb_immersion, veronese_sphere
+from s4min.cli import CONGRUENCE_TOL
 from s4min.family import (
     ConnectionData,
     IntegrabilityBroken,
-    _congruence_residual,
     assemble_maurer_cartan,
+    congruence_residual,
     congruence_test,
     connection_data,
-    deformed_immersion,
     integrate_frame,
     march_frames,
+    sweep_frames,
 )
 from s4min.grid import GridPatch, InputError
 from s4min.monodromy import (
     GOLDEN,
+    QUARTER,
     _golden_min,
     dichotomy_report,
     generator_monodromy,
     scan_profile,
 )
-from s4min.surface import shape_report
+from s4min.surface import ImmersionField, shape_report
 
 
 @pytest.fixture(scope="module")
@@ -203,20 +206,82 @@ def test_batched_golden_matches_scalar_search():
         assert x[k] == xs and f[k] == fs
 
 
-def test_congruence_residual_matches_integrated_patch():
-    # one sweep gives the same congruence as the full integrate_frame route
-    imm, e1, e2, metric, nf, rep = shape_report(veronese_sphere(64).immersion)
+def _rotated(imm):
+    """imm turned by the SO(5) rotation of test_ambient_rotation (seed 7)."""
+    rng = np.random.default_rng(7)
+    Q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+    if np.linalg.det(Q) < 0:
+        Q[:, 0] = -Q[:, 0]
+    return ImmersionField(imm.patch, imm.position @ Q.T, imm.jet1 @ Q.T, imm.jet2 @ Q.T,
+                          imm.jet_source)
+
+
+AGREEMENT_CASES = {
+    "clifford": lambda: clifford_torus(64).immersion,
+    "rotated_clifford": lambda: _rotated(clifford_torus(64).immersion),
+    "veronese": lambda: veronese_sphere(64).immersion,
+    "geodesic_sphere": lambda: geodesic_sphere(64).immersion,
+}
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT_CASES))
+def test_congruence_residual_agrees_with_procrustes(name):
+    # r(theta), read off the connection, against the integrated member:
+    # one sweep from the origin frame, fitted to the source by Procrustes
+    # with the same area weights, gives the same verdict at 16 angles
+    imm, e1, e2, metric, nf, rep = shape_report(AGREEMENT_CASES[name]())
     conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
                            rep.H3, rep.H4)
-    theta = 0.7
-    dp = integrate_frame(assemble_maurer_cartan(conn, theta), conn.origin,
-                         tol_path=math.inf)
-    core = deformed_immersion(dp).position[:imm.patch.nu, :imm.patch.nv]
-    w1u, w1v = conn.C0[..., 0, 0], conn.C0[..., 1, 0]
-    w2u, w2v = conn.C0[..., 0, 1], conn.C0[..., 1, 1]
-    dA = np.abs(w1u * w2v - w1v * w2u)
-    fit = congruence_test(conn.position, core, dA)
-    assert _congruence_residual(conn, theta) == fit.residual
+    thetas = QUARTER * np.arange(16) / 16
+    r = congruence_residual(conn, thetas)
+    assert r.shape == thetas.shape
+    C0 = conn.C0
+    dA = np.abs(C0[..., 0, 0] * C0[..., 1, 1] - C0[..., 1, 0] * C0[..., 0, 1])
+    nu, nv = imm.patch.shape
+    for theta, r_theta in zip(thetas, r):
+        pos = sweep_frames(assemble_maurer_cartan(conn, theta), conn.origin)[:nu, :nv, 0]
+        fit = congruence_test(imm.position, pos / np.linalg.norm(pos, axis=-1, keepdims=True), dA)
+        assert (r_theta < CONGRUENCE_TOL) == (fit.residual < CONGRUENCE_TOL), theta
+    if name.endswith("clifford"):
+        # the congruence group is {k pi/2}: exact there, far off between
+        assert np.all(congruence_residual(conn, QUARTER * np.arange(4)) == 0.0)
+        assert congruence_residual(conn, math.pi / 4) > 1.0
+        assert r[0] == 0.0 and r[1:].min() > 0.1
+    else:
+        # superminimal or totally geodesic: the whole circle
+        assert r.max() <= 1e-12
+
+
+def test_congruence_residual_clips_the_gap():
+    # superminimal by construction, P4 = J P3 at every node, so
+    # 2 |beta| = S and g = 0 up to roundoff, which falls on either side of
+    # 0.  r grows as sqrt(g), so g of 1e-16 reads as r of 1e-8; below 0 the
+    # clip makes r exactly 0, where an unclipped g would take the square
+    # root of a negative (a RuntimeWarning, an error under this suite)
+    patch = GridPatch(8, 8, (0.0, 1.0), (0.0, 1.0), True, True)
+    exact = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        C0 = rng.standard_normal((8, 8, 2, 4))
+        P3 = rng.standard_normal((8, 8, 2, 2))
+        C1 = np.concatenate([P3, P3[..., ::-1] * [1.0, -1.0]], axis=-1)
+        r = congruence_residual(ConnectionData(patch, np.eye(5), C0, C1),
+                                QUARTER * np.arange(16) / 16)
+        assert np.isfinite(r).all() and r.max() < 1e-7, seed
+        exact += bool(np.all(r == 0.0))
+    assert exact > 0
+
+
+def test_circle_congruence_integrates_no_member(veronese_conn, monkeypatch):
+    # a CIRCLE verdict takes its congruence from the connection alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("a member was integrated or fitted")
+
+    for name in ("integrate_frame", "sweep_frames", "congruence_test"):
+        monkeypatch.setattr(s4min.family, name, refuse)
+    profile = scan_profile(veronese_conn[1], n_theta=64)
+    assert profile.verdict == "CIRCLE"
+    assert profile.congruence_residuals.max() == 0.0
 
 
 def moved_basepoint(shape, conn, i0, j0):
@@ -226,7 +291,7 @@ def moved_basepoint(shape, conn, i0, j0):
     imm, e1, e2, metric, nf, rep = shape
     roll = lambda a: np.roll(a, (-i0, -j0), axis=(0, 1))  # noqa: E731
     origin = np.stack([row[i0, j0] for row in (imm.position, e1, e2, nf.e3, nf.e4)])
-    return ConnectionData(conn.patch, origin, roll(imm.position), roll(conn.C0), roll(conn.C1))
+    return ConnectionData(conn.patch, origin, roll(conn.C0), roll(conn.C1))
 
 
 def generator_loops(shape, conn, i0, j0, thetas):
@@ -412,7 +477,7 @@ def test_no_periodic_axis_rejected(clifford_conn):
     p = imm.patch
     open_patch = GridPatch(p.nu, p.nv, p.u_range, p.v_range,
                            periodic_u=False, periodic_v=False)
-    open_conn = ConnectionData(open_patch, conn.origin, conn.position, conn.C0, conn.C1)
+    open_conn = ConnectionData(open_patch, conn.origin, conn.C0, conn.C1)
     with pytest.raises(InputError, match="periodic"):
         scan_profile(open_conn)
 
@@ -423,7 +488,7 @@ def test_open_axis_has_no_generator(clifford_conn, axis):
     p = imm.patch
     half_open = GridPatch(p.nu, p.nv, p.u_range, p.v_range,
                           periodic_u=axis != 0, periodic_v=axis != 1)
-    half_conn = ConnectionData(half_open, conn.origin, conn.position, conn.C0, conn.C1)
+    half_conn = ConnectionData(half_open, conn.origin, conn.C0, conn.C1)
     with pytest.raises(InputError, match=f"{'uv'[axis]} axis is not periodic"):
         generator_monodromy(half_conn, axis, 0.3)
     generator_monodromy(half_conn, 1 - axis, 0.3)
