@@ -33,9 +33,10 @@ member is congruent to the source off C1, without integrating it.
 Each whole-grid frame array is held once.  Only the caller holds the
 frame fields; march_frames interpolates each step's midpoint from the
 four samples around it; integrate_frame compares its second sweep with
-the stored first one row by row as it marches; and the sweeps read their
-lines as views of the packed forms, a periodic seam repeating the first
-line through march_frames' lanes.
+the stored first one row by row as it marches, and frame_source_deviation
+its one sweep with the source frame; and the sweeps read their lines as
+views of the packed forms, a periodic seam repeating the first line
+through march_frames' lanes.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ class IntegrabilityBroken(RuntimeError):
 # means the connection is not flat to working accuracy.  Measured sweep
 # discrepancies are O(h^4): ~1e-8 on exact inputs at n = 64, versus
 # ~1e-2 for a 1e-3 normal perturbation (genuine curvature ~ amplitude).
+# The distance of the theta = 0 sweep from the source frame is held to it
+# too: also O(h^4), 1e-5 to 7e-5 on the catalog surfaces at the verify
+# floors, versus 6e-2 for that perturbation.
 PATH_DEPENDENCE_TOL = 1e-4
 
 @dataclass
@@ -430,8 +434,31 @@ def sweep_frames(mc: MaurerCartanField, seed: np.ndarray) -> np.ndarray:
     return np.moveaxis(sheet, 1, 0)  # (NU, NV, 5, 5)
 
 
-def integrate_frame(mc: MaurerCartanField, seed_frame: np.ndarray,
-                    tol_path: float = PATH_DEPENDENCE_TOL) -> DeformedPatch:
+def frame_source_deviation(mc0: MaurerCartanField, seed: np.ndarray, rows: tuple) -> float:
+    """Max Frobenius distance between the "uv" sweep of Omega_0 from the
+    seed at the grid origin and the source frame whose rows are the
+    (nu, nv, 5) fields f, e1, e2, e3, e4 of rows.
+
+    At theta = 0 the member is the source itself, so the sweep must give
+    back its frame: the distance measures the truncation of Omega and the
+    error of the march together, which two sweeps of the same Omega do
+    not see when they share it.  Each v step's frames are compared with
+    the source column as they are marched, a duplicated seam line with
+    the source's first line, so no whole-grid frame array is held.
+    """
+    patch = mc0.patch
+    starts, lines, lanes = _spine(mc0, seed, 0)
+    u = np.arange(starts.shape[0]) % patch.nu
+    worst = 0.0
+    columns = _march(lines, patch.hv, starts, patch.periodic_v, lanes)
+    for k, column in enumerate(itertools.chain([starts], columns)):
+        D = column - np.stack([row[u, k % patch.nv] for row in rows], axis=-2)
+        D *= D  # the squared distance, in place
+        worst = max(worst, float(np.sqrt(np.add.reduce(D, axis=(-2, -1))).max()))
+    return worst
+
+
+def integrate_frame(mc: MaurerCartanField, seed_frame: np.ndarray) -> DeformedPatch:
     """Integrate the frame system over the unwrapped fundamental domain.
 
     Marches row-then-column ("uv", kept as the result) and column-then-
@@ -441,7 +468,7 @@ def integrate_frame(mc: MaurerCartanField, seed_frame: np.ndarray,
     unwrapped domain).  The "vu" sweep is compared with the stored
     frames one u row at a time as it marches, so only one whole-grid
     frame array is ever held.  Raises IntegrabilityBroken when the
-    discrepancy exceeds tol_path.
+    discrepancy exceeds PATH_DEPENDENCE_TOL.
     """
     seed = np.asarray(seed_frame, dtype=float)
     if seed.shape != (5, 5):
@@ -454,11 +481,11 @@ def integrate_frame(mc: MaurerCartanField, seed_frame: np.ndarray,
         D = row - stored  # becomes the squared discrepancy in place
         D *= D
         path_dep = max(path_dep, float(np.sqrt(np.add.reduce(D, axis=(-2, -1))).max()))
-    if path_dep > tol_path:
+    if path_dep > PATH_DEPENDENCE_TOL:
         flat = float(flatness_residual(mc).max())
         raise IntegrabilityBroken(
             f"frame transport is path dependent (discrepancy {path_dep:.3e} "
-            f"> {tol_path:.1e}, flatness residual {flat:.3e}): "
+            f"> {PATH_DEPENDENCE_TOL:.1e}, flatness residual {flat:.3e}): "
             "the input is not minimal to working accuracy or the grid is "
             "too coarse")
     return DeformedPatch(mc.patch, F_rc, path_dep)

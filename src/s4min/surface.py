@@ -22,7 +22,7 @@ tangent or the normal frame; all other invariants are gauge independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -40,6 +40,7 @@ class ImmersionField:
     jet1: (nu, nv, 2, 5) holding (f_u, f_v), or None.
     jet2: (nu, nv, 3, 5) holding (f_uu, f_uv, f_vv), or None.
     jet_source: "analytic" or "fd".
+    norm_drift: max | |f| - 1 | over the grid, set on construction.
     """
 
     patch: GridPatch
@@ -47,16 +48,17 @@ class ImmersionField:
     jet1: Optional[np.ndarray] = None
     jet2: Optional[np.ndarray] = None
     jet_source: str = "analytic"
+    norm_drift: float = field(init=False)
 
     def __post_init__(self) -> None:
         self.position = np.asarray(self.position, dtype=float)
         check_field(self.patch, self.position, "position")
         if self.position.shape[2:] != (5,):
             raise InputError(f"position must be (nu, nv, 5), got {self.position.shape}")
-        drift = np.abs(np.linalg.norm(self.position, axis=2) - 1.0).max()
-        if drift > UNIT_NORM_TOL:
+        self.norm_drift = float(np.abs(np.linalg.norm(self.position, axis=2) - 1.0).max())
+        if self.norm_drift > UNIT_NORM_TOL:
             raise InputError(
-                f"position not on the unit sphere: max | |f|-1 | = {drift:.3e} "
+                f"position not on the unit sphere: max | |f|-1 | = {self.norm_drift:.3e} "
                 f"(renormalize before constructing the field)"
             )
         if (self.jet1 is None) != (self.jet2 is None):
@@ -180,7 +182,10 @@ def _seam_turn(angle: np.ndarray, n: int, cyclic_lanes: bool) -> np.ndarray:
             "seam mismatch angle winds around the transverse cycle; "
             "no periodic normal gauge of this form exists"
         )
-    turns = 2.0 * np.pi * np.round(np.median(angle) / (2.0 * np.pi))
+    # the median as np.median takes it, without the numpy.ma import it costs
+    ranked, mid = np.sort(angle), len(angle) // 2
+    median = ranked[mid] if len(angle) % 2 else (ranked[mid - 1] + ranked[mid]) / 2
+    turns = 2.0 * np.pi * np.round(median / (2.0 * np.pi))
     return -(angle - turns)[:, None] * (np.arange(n) / n)[None, :]
 
 

@@ -31,6 +31,7 @@ STATED_ORACLES = {
     "rotate_normal_frame": "gauge oracle: invariants under normal-gauge rotation",
     "flip_normal_orientation": "gauge oracle: invariants under normal orientation flip",
     "frame_orthonormality_residual": "frame oracle: orthonormality of the built frames",
+    "frame_reconstruction_residual": "pointwise reference for the source check",
 }
 
 

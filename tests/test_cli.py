@@ -8,11 +8,16 @@ reports (identical configuration, identical bytes).
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import s4min
 from s4min import cli as cli_module
 from s4min import family as family_module
 from s4min import topology as topology_module
@@ -265,7 +270,8 @@ def test_unwritable_out_is_config_error(cli, tmp_path, command, target):
     (tmp_path / "afile").write_text("")
     out = tmp_path / target
     extra = ("--theta", 0.5) if command == "deform" else ()
-    code, text = cli(command, "--catalog", "clifford", "--n", 32, *extra, "--out", out)
+    n = 64 if command == "verify" else 32  # verify's Clifford floor
+    code, text = cli(command, "--catalog", "clifford", "--n", n, *extra, "--out", out)
     assert code == 2
     assert len(text.strip().splitlines()) == 1
     assert error_code(text) == "E_CONFIG"
@@ -278,13 +284,32 @@ def test_unwritable_out_is_config_error(cli, tmp_path, command, target):
     ("verify", "--catalog", "nosuch"),
     ("analyze", "--catalog", "clifford", "--n", 48),
     ("deform", "--catalog", "clifford", "--n", 32, "--theta", "nan"),
-    ("verify", "--catalog", "clifford", "--n", 32, "--perturb", 1e-3, "--seed", -1),
+    ("verify", "--catalog", "clifford", "--n", 64, "--perturb", 1e-3, "--seed", -1),
 ], ids=lambda argv: " ".join(map(str, argv)))
 def test_refused_run_leaves_no_output_directory(cli, tmp_path, argv):
     out = tmp_path / "ok"
     code, text = cli(*argv, "--out", out)
     assert code == 2
     assert len(text.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", sorted(cli_module.VERIFY_FLOOR))
+def test_verify_below_the_floor_is_refused_before_the_surface_is_built(
+        cli, tmp_path, monkeypatch, name):
+    # below its floor an exact catalog surface fails frame_source_deviation
+    # (tests/test_family.py pins the floors), so verify refuses the run
+    def refuse(*args):
+        raise AssertionError("the catalog surface was built")
+
+    monkeypatch.setattr(cli_module, "load_catalog", refuse)
+    floor = cli_module.VERIFY_FLOOR[name]
+    out = tmp_path / "ok"
+    code, text = cli("verify", "--catalog", name, "--n", floor // 2, "--out", out)
+    assert code == 2
+    assert len(text.strip().splitlines()) == 1
+    assert error_code(text) == "E_CONFIG"
+    assert f"n >= {floor}" in text
     assert not out.exists()
 
 
@@ -520,7 +545,7 @@ def test_verify_clifford_all_pass(cli, tmp_path):
     assert tags == [
         "unit_norm_drift", "minimality_max", "ellipse_radius_product",
         "hopf_holomorphy", "laplace_log_plus", "laplace_log_minus",
-        "flatness_theta0", "reconstruction_theta0", "frame_path_dependence",
+        "flatness_theta0", "frame_source_deviation",
         "euler_chi_surface", "euler_chi_normal",
         "zero_balance_plus", "zero_balance_minus", "ricci_3sphere_residual",
     ]
@@ -570,6 +595,7 @@ def test_verify_perturbed_surface_fails(cli, tmp_path):
     assert report["passed"] is False
     assert "minimality_max" in report["failures"]
     assert "flatness_theta0" in report["failures"]
+    assert "frame_source_deviation" in report["failures"]
     items = {it["tag"]: it for it in report["items"]}
     assert items["minimality_max"]["value"] > 1e-4
     # the perturbed chart is no longer isothermal, so the quadratic
@@ -579,7 +605,7 @@ def test_verify_perturbed_surface_fails(cli, tmp_path):
 
 def test_verify_computes_each_quantity_once(cli, tmp_path, monkeypatch):
     # verify's own Laplace checks are its only ones, one per branch, and
-    # the reconstruction check reuses the Omega_0 of the flatness check
+    # the source check reuses the Omega_0 of the flatness check
     calls = {"laplace_identity_residual": 0, "assemble_maurer_cartan": 0}
 
     def counted(name, fn):
@@ -599,7 +625,7 @@ def test_verify_computes_each_quantity_once(cli, tmp_path, monkeypatch):
 
 VERIFY_TAGS = ["unit_norm_drift", "minimality_max", "ellipse_radius_product",
                "hopf_holomorphy", "laplace_log_plus", "laplace_log_minus",
-               "flatness_theta0", "reconstruction_theta0", "frame_path_dependence",
+               "flatness_theta0", "frame_source_deviation",
                "euler_chi_surface", "euler_chi_normal", "zero_balance_plus",
                "zero_balance_minus", "ricci_3sphere_residual"]
 
@@ -611,7 +637,7 @@ def test_verify_items_keep_their_order(cli, tmp_path):
     code, _ = cli("deform", "--catalog", "clifford", "--n", 64, "--theta", 0.7,
                   "--out", tmp_path / "d")
     assert code == 0
-    for sub, source in (("closed", ("--catalog", "clifford", "--n", 32)),
+    for sub, source in (("closed", ("--catalog", "clifford", "--n", 64)),
                         ("open", ("--manifest", tmp_path / "d" / "deformed" / "manifest.json"))):
         code, out = cli("verify", *source, "--out", tmp_path / sub)
         assert code == 0
@@ -651,7 +677,7 @@ def test_commands_hold_each_frame_array_once(cli, tmp_path, argv, bound):
 
 def test_verify_reports_are_byte_identical(cli, tmp_path):
     for sub in ("one", "two"):
-        code, _ = cli("verify", "--catalog", "clifford", "--n", 32,
+        code, _ = cli("verify", "--catalog", "clifford", "--n", 64,
                       "--out", tmp_path / sub)
         assert code == 0
     first = (tmp_path / "one" / "report.json").read_bytes()
@@ -666,3 +692,20 @@ def test_analyze_field_files_are_byte_identical(cli, tmp_path):
         assert code == 0
     for name in ("report.json", "K.csv", "a_plus.csv"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # numpy.ma takes about 14 ms to import, and only np.median pulled it in
+    script = "\n".join([
+        "import sys",
+        "from s4min.cli import main",
+        f"out = {str(tmp_path)!r}",
+        "for argv in (['analyze', '--n', '32'], ['deform', '--n', '32', '--theta', '0.3'],",
+        "             ['monodromy', '--n', '32', '--scan', '64'], ['verify', '--n', '64']):",
+        "    assert main([*argv, '--catalog', 'clifford', '--out', out + '/' + argv[0]]) == 0",
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(s4min.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -9,14 +9,17 @@ must blow the flatness residual up by many orders of magnitude.
 """
 
 import dataclasses
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from s4min.catalog import clifford_torus, perturb_immersion, veronese_sphere
+from s4min.catalog import clifford_torus, load_catalog, perturb_immersion, veronese_sphere
+from s4min.cli import VERIFY_FLOOR
 from s4min.family import (
+    PATH_DEPENDENCE_TOL,
     ConnectionData,
     IntegrabilityBroken,
     MaurerCartanField,
@@ -31,12 +34,18 @@ from s4min.family import (
     deformed_immersion,
     flatness_residual,
     frame_reconstruction_residual,
+    frame_source_deviation,
     integrate_frame,
     polar_reorthonormalize,
     sweep_frames,
 )
 from s4min.grid import GridPatch, InputError, diff, quadrature_weights
-from s4min.surface import rotate_normal_frame, second_fundamental_form, shape_report
+from s4min.surface import (
+    ImmersionField,
+    rotate_normal_frame,
+    second_fundamental_form,
+    shape_report,
+)
 
 
 @pytest.fixture(scope="module")
@@ -233,7 +242,8 @@ def test_veronese_frame_reconstruction(veronese, veronese_conn):
 def test_family_checks_hold_no_whole_grid_blocks(fix, request):
     # flatness, reconstruction and frame transport work on packed forms
     # and (nu, nv) planes, and hold one whole-grid frame array at most:
-    # measured peaks 1.01, 0.86 and 1.14 blocks.  Whole-grid 5x5 products
+    # measured peaks 1.01, 0.86 and 1.14 blocks, and 0.12 for the source
+    # comparison, which holds none.  Whole-grid 5x5 products
     # took 4.3 to 4.7 blocks; a frame copy for the reconstruction planes
     # took 1.96, a stack of each row's derivatives with one product
     # buffer for all rows 0.96, a second sweep held whole 2.96, and
@@ -249,6 +259,8 @@ def test_family_checks_hold_no_whole_grid_blocks(fix, request):
         "frame_reconstruction_residual":
             (lambda: frame_reconstruction_residual(rows, mc0), 0.95),
         "integrate_frame": (lambda: integrate_frame(mc, conn.origin), 1.25),
+        "frame_source_deviation":
+            (lambda: frame_source_deviation(mc0, conn.origin, rows), 0.2),
     }
     for name, (check, bound) in checks.items():
         tracemalloc.start()
@@ -269,6 +281,75 @@ def test_veronese_reconstruction_fourth_order():
                                rep.H3, rep.H4)
         res.append(frame_reconstruction_residual(frame_rows(pack), assemble_maurer_cartan(conn, 0.0)))
     assert res[0] / res[1] > 8.0
+
+
+@functools.cache
+def source_deviation(name, n, jets="analytic", perturb=None):
+    """frame_source_deviation of a catalog surface built as verify builds
+    it: finite-difference jets on request, then a seed-0 perturbation."""
+    imm = load_catalog(name, n).immersion
+    if jets == "fd":
+        imm = ImmersionField(imm.patch, imm.position).with_jets()
+    if perturb is not None:
+        imm = perturb_immersion(imm, perturb, 0)
+    pack = shape_report(imm)
+    imm, e1, e2, metric, nf, rep = pack
+    conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
+                           rep.H3, rep.H4)
+    return frame_source_deviation(assemble_maurer_cartan(conn, 0.0), conn.origin,
+                                  frame_rows(pack))
+
+
+@pytest.mark.parametrize("fix", ["clifford", "veronese"])
+def test_source_deviation_equals_whole_sweep_oracle(fix, request):
+    # the streamed comparison against the "uv" sweep held whole, its
+    # duplicated seam lines read against the source's first lines
+    pack = request.getfixturevalue(fix)
+    conn = request.getfixturevalue(fix + "_conn")
+    mc0 = assemble_maurer_cartan(conn, 0.0)
+    sweep = sweep_frames(mc0, conn.origin)
+    NU, NV = sweep.shape[:2]
+    source = np.stack(frame_rows(pack), axis=-2)
+    D = sweep - source[np.ix_(np.arange(NU) % conn.patch.nu, np.arange(NV) % conn.patch.nv)]
+    D *= D
+    oracle = float(np.sqrt(np.add.reduce(D, axis=(-2, -1))).max())
+    assert frame_source_deviation(mc0, conn.origin, frame_rows(pack)) == oracle
+
+
+def test_source_deviation_sees_the_march_error(clifford_conn, clifford):
+    # Clifford's Omega is exact and its two sweeps agree to roundoff, but
+    # the march itself is off at 4th order: only the source comparison
+    # sees it (measured 9.7e-6 at n = 64, path dependence 3.1e-15)
+    mc0 = assemble_maurer_cartan(clifford_conn, 0.0)
+    assert integrate_frame(mc0, clifford_conn.origin).path_dependence < 1e-12
+    assert frame_source_deviation(mc0, clifford_conn.origin, frame_rows(clifford)) > 1e-6
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_FLOOR))
+def test_source_deviation_floor_is_the_least_passing_n(name):
+    # measured at the floor: clifford 9.7e-6 / 1.7e-5, geodesic-sphere
+    # 3.4e-5 / 3.4e-5, veronese 6.9e-5 / 6.9e-5 (analytic / fd jets); at
+    # half of it 1.5e-4, 5.5e-4 and 1.1e-3 with analytic jets
+    floor = VERIFY_FLOOR[name]
+    for jets in ("analytic", "fd"):
+        assert source_deviation(name, floor, jets) <= PATH_DEPENDENCE_TOL
+    assert source_deviation(name, floor // 2) > PATH_DEPENDENCE_TOL
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_FLOOR))
+def test_source_deviation_converges_at_fourth_order(name):
+    # measured ratios 15.96 (clifford), 15.95 (geodesic-sphere), 15.87 (veronese)
+    order = math.log2(source_deviation(name, 64) / source_deviation(name, 128))
+    assert order >= 3.8
+
+
+@pytest.mark.parametrize("name, n, amplitude", [
+    ("clifford", 128, 1e-3), ("veronese", 256, 1e-3), ("clifford", 128, 1e-5)])
+def test_source_deviation_fails_every_perturbation(name, n, amplitude):
+    # the seed-0 runs where the two-sweep path dependence or the pointwise
+    # reconstruction failed: measured 6.5e-2, 3.1 and 6.5e-4.  At 1e-5 the
+    # reconstruction passed (8.2e-4 against its 6.0e-3)
+    assert source_deviation(name, n, perturb=amplitude) > PATH_DEPENDENCE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +413,7 @@ def test_streamed_path_dependence_equals_two_sweeps(fix, request):
     conn = request.getfixturevalue(fix)
     mc = assemble_maurer_cartan(conn, 0.3)
     seed = conn.origin
-    dp = integrate_frame(mc, seed, tol_path=math.inf)
+    dp = integrate_frame(mc, seed)
     assert dp.path_dependence == two_sweep_path_dependence(mc, seed)
     assert np.array_equal(dp.frame, sweep_frames(mc, seed))
 
