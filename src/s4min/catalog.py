@@ -250,9 +250,10 @@ def perturb_immersion(imm: ImmersionField, amplitude: float, seed: int) -> Immer
     """Push the surface off minimality by a smooth random normal bump.
 
     Adds amplitude * (b3 e3 + b4 e4) with low-frequency trigonometric random
-    fields b3, b4, renormalizes onto the sphere, and recomputes jets by
-    finite differences.  The result is a valid immersion into S^4 that is
-    (deliberately) no longer minimal.
+    fields b3, b4 and renormalizes onto the sphere.  The result is a valid
+    immersion into S^4 that is (deliberately) no longer minimal.  It has
+    no jets yet, and jet_source "fd": with_jets takes them by finite
+    differences once the caller has let the source's jets go.
     """
     src = imm.with_jets()
     nf = normal_frame(src, *tangent_frame(src)[:2])
@@ -276,7 +277,7 @@ def perturb_immersion(imm: ImmersionField, amplitude: float, seed: int) -> Immer
                                     bump()[:, :, None] * nf.e4)
     del nf
     g = g / np.linalg.norm(g, axis=2)[:, :, None]
-    return ImmersionField(patch, g).with_jets()
+    return ImmersionField(patch, g, jet_source="fd")
 
 
 # ---------------------------------------------------------------------------

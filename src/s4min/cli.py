@@ -337,13 +337,15 @@ def _load_surface(args, floors: dict | None = None) -> tuple[ImmersionField, dic
             "norm_drift": drift,
         }
     if args.jets == "fd" and imm.jet_source != "fd":
-        imm = ImmersionField(imm.patch, imm.position).with_jets()
+        imm = imm.with_fd_jets()
     elif args.jets == "analytic" and imm.jet_source != "analytic":
         raise CliError(
             EXIT_CONFIG, "E_CONFIG",
             "analytic jets requested but the source provides none",
         )
     if args.perturb is not None:
+        # the perturbed field comes without jets, so the source's go before
+        # shape_report differences the new position
         imm = perturb_immersion(imm, args.perturb, args.seed)
         meta["perturbation"] = {"amplitude": args.perturb, "seed": args.seed}
     meta["jet_source"] = imm.jet_source

@@ -228,10 +228,11 @@ class MetricField:
         self.dA = np.sqrt(det)
 
 
-def frame_coefficients(metric: MetricField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gram-Schmidt coefficients (a, b, c) with e1 = a*d_u, e2 = b*d_u + c*d_v."""
-    E, F = metric.E, metric.F
-    det = metric.dA**2
+def frame_coefficients(E: np.ndarray, F: np.ndarray,
+                       dA: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gram-Schmidt coefficients (a, b, c) with e1 = a*d_u, e2 = b*d_u + c*d_v,
+    from the metric's E, F and dA on the whole grid or on a block of it."""
+    det = dA**2
     a = 1.0 / np.sqrt(E)
     c = np.sqrt(E / det)
     b = -F / np.sqrt(E * det)

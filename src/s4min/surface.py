@@ -22,6 +22,7 @@ tangent or the normal frame; all other invariants are gauge independent.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,6 +31,13 @@ import numpy as np
 from .grid import GridPatch, InputError, MetricField, check_field, diff, frame_coefficients
 
 UNIT_NORM_TOL = 1e-12
+# u rows of the grid that the shape stage forms at a time: whole-grid
+# outputs are written block by block, so no whole-grid temporary is made
+_SHAPE_BLOCK_ROWS = 32
+
+
+def _row_blocks(nu: int):
+    return (slice(start, start + _SHAPE_BLOCK_ROWS) for start in range(0, nu, _SHAPE_BLOCK_ROWS))
 
 
 @dataclass
@@ -40,7 +48,8 @@ class ImmersionField:
     jet1: (nu, nv, 2, 5) holding (f_u, f_v), or None.
     jet2: (nu, nv, 3, 5) holding (f_uu, f_uv, f_vv), or None.
     jet_source: "analytic" or "fd".
-    norm_drift: max | |f| - 1 | over the grid, set on construction.
+    norm_drift: max | |f| - 1 | over the grid, set on construction and
+        carried over by with_jets and with_fd_jets, which keep the position.
     """
 
     patch: GridPatch
@@ -73,17 +82,27 @@ class ImmersionField:
 
     def with_jets(self) -> "ImmersionField":
         """Return self if jets are present, else fill them by finite differences."""
-        if self.jet1 is not None:
-            return self
-        jet1, jet2 = fd_jets(self.patch, self.position)
-        return ImmersionField(self.patch, self.position, jet1, jet2, jet_source="fd")
+        return self if self.jet1 is not None else self.with_fd_jets()
+
+    def with_fd_jets(self) -> "ImmersionField":
+        """The same position with jets taken by finite differences.  The
+        position and its checked norm_drift are carried over, not checked
+        again."""
+        return self._carrying(*fd_jets(self.patch, self.position), "fd")
+
+    def _carrying(self, jet1, jet2, jet_source) -> "ImmersionField":
+        out = copy.copy(self)
+        out.jet1, out.jet2, out.jet_source = jet1, jet2, jet_source
+        return out
 
 
 def fd_jets(patch: GridPatch, position: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and second parameter jets by stencils, each derivative written
     into its slot of the jets as it is taken."""
-    jet1 = np.empty(patch.shape + (2, 5))
+    # jet2 is taken below jet1: shape_report lets it go first, and freed
+    # there it joins the free memory beneath it, which later fields reuse
     jet2 = np.empty(patch.shape + (3, 5))
+    jet1 = np.empty(patch.shape + (2, 5))
     jet1[:, :, 0] = diff(patch, position, 0)
     jet1[:, :, 1] = diff(patch, position, 1)
     jet2[:, :, 0] = diff(patch, position, 0, order=2)
@@ -225,7 +244,8 @@ def normal_frame(imm: ImmersionField, e1: np.ndarray, e2: np.ndarray) -> NormalF
     in the normal bundle, so the gauge rotates no faster than the normal
     curvature forces it to.  Both periodic seams close by the one rule of
     _seam_turn; on a torus whose normal bundle is nontrivial the column
-    closure winds around the u cycle and InputError is raised.
+    closure winds around the u cycle and InputError is raised.  The
+    column seam's turn is applied to (e3, e4) in place, block by block.
     """
     patch = imm.patch
     f = imm.position
@@ -246,8 +266,9 @@ def normal_frame(imm: ImmersionField, e1: np.ndarray, e2: np.ndarray) -> NormalF
 
     columns = [np.swapaxes(a, 0, 1) for a in (f, e1, e2, e3, e4)]
     turn = _transport_lines(*columns, patch.periodic_v, patch.periodic_u)
-    if turn is not None:  # (nu, nv), so the rotation runs in the frames' C order
-        e3, e4 = _rotate_pair(e3, e4, turn)
+    if turn is not None:  # (nu, nv): turned in place, one block of u rows at a time
+        for rows in _row_blocks(patch.nu):
+            e3[rows], e4[rows] = _rotate_pair(e3[rows], e4[rows], turn[rows])
     return NormalFrameField(patch, e3, e4)
 
 
@@ -299,9 +320,10 @@ class ShapeReport:
 RADICAND_TOL = -1e-8
 
 
-def _normal_components(vec: np.ndarray, nf: NormalFrameField) -> tuple[np.ndarray, np.ndarray]:
+def _normal_components(vec: np.ndarray, e3: np.ndarray,
+                       e4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (e3, e4) components of a field of ambient vectors."""
-    return np.einsum("uvk,uvk->uv", vec, nf.e3), np.einsum("uvk,uvk->uv", vec, nf.e4)
+    return np.einsum("uvk,uvk->uv", vec, e3), np.einsum("uvk,uvk->uv", vec, e4)
 
 
 def second_fundamental_form(imm: ImmersionField, metric: MetricField,
@@ -310,53 +332,83 @@ def second_fundamental_form(imm: ImmersionField, metric: MetricField,
 
     The tangent frame enters only through the metric's Gram-Schmidt
     coefficients (grid.frame_coefficients), so it is not an argument.
+    Every field but K_N is formed one block of _SHAPE_BLOCK_ROWS u rows at
+    a time into its preallocated output, elementwise as on the whole grid,
+    so no whole-grid ambient vector or product temporary is made.
     """
     if imm.jet2 is None:
-        raise InputError("immersion has no jets; call with_jets() first")
-    fuu = imm.jet2[:, :, 0, :]
-    fuv = imm.jet2[:, :, 1, :]
-    fvv = imm.jet2[:, :, 2, :]
-    a, b, c = frame_coefficients(metric)
+        raise InputError("immersion has no second jets; call with_jets() first")
+    patch = imm.patch
+    H3 = np.empty(patch.shape, dtype=complex)
+    H4 = np.empty(patch.shape, dtype=complex)
+    minimality = np.empty(patch.shape)
+    for rows in _row_blocks(patch.nu):
+        fuu, fuv, fvv = (imm.jet2[rows, :, k, :] for k in range(3))
+        a, b, c = frame_coefficients(metric.E[rows], metric.F[rows], metric.dA[rows])
+        e3, e4 = nf.e3[rows], nf.e4[rows]
+        # B(e1,e1), B(e1,e2), B(e2,e2) as ambient vectors before projection,
+        # one at a time; taking components against e3/e4 kills the f- and
+        # tangent parts.
+        h11_3, h11_4 = _normal_components((a * a)[:, :, None] * fuu, e3, e4)
+        h12_3, h12_4 = _normal_components(
+            (a * b)[:, :, None] * fuu + (a * c)[:, :, None] * fuv, e3, e4)
+        h22_3, h22_4 = _normal_components(
+            (b * b)[:, :, None] * fuu + (2.0 * b * c)[:, :, None] * fuv
+            + (c * c)[:, :, None] * fvv, e3, e4)
+        H3[rows] = h11_3 + 1j * h12_3
+        H4[rows] = h11_4 + 1j * h12_4
+        minimality[rows] = np.maximum(np.abs(h11_3 + h22_3), np.abs(h11_4 + h22_4))
 
-    # B(e1,e1), B(e1,e2), B(e2,e2) as ambient vectors before projection,
-    # one at a time; taking components against e3/e4 kills the f- and
-    # tangent parts.
-    h11_3, h11_4 = _normal_components((a * a)[:, :, None] * fuu, nf)
-    h12_3, h12_4 = _normal_components((a * b)[:, :, None] * fuu + (a * c)[:, :, None] * fuv, nf)
-    h22_3, h22_4 = _normal_components(
-        (b * b)[:, :, None] * fuu + (2.0 * b * c)[:, :, None] * fuv + (c * c)[:, :, None] * fvv, nf)
+    # K_N stays a whole-grid expression: numpy elides the temporary of
+    # H3 * conj(H4) only above about 256 KB, and the elided product runs as
+    # conj(H4) * H3, whose fused complex multiply rounds differently
+    K_N = (1j * (H3 * np.conj(H4) - np.conj(H3) * H4)).real.copy()
 
-    H3 = h11_3 + 1j * h12_3
-    H4 = h11_4 + 1j * h12_4
-    minimality = np.maximum(np.abs(h11_3 + h22_3), np.abs(h11_4 + h22_4))
+    norm_B2, K, a_plus, a_minus, kappa, mu = (np.empty(patch.shape) for _ in range(6))
+    radicands = {"a_plus": lambda rows: 1.0 - K[rows] + K_N[rows],
+                 "a_minus": lambda rows: 1.0 - K[rows] - K_N[rows]}
+    lowest = {name: [] for name in radicands}
+    for rows in _row_blocks(patch.nu):
+        h3, h4 = H3[rows], H4[rows]
+        norm_B2[rows] = 2.0 * (np.abs(h3) ** 2 + np.abs(h4) ** 2)
+        K[rows] = 1.0 - norm_B2[rows] / 2.0
+        for name, radicand in radicands.items():
+            lowest[name].append(radicand(rows).min())
+        # |H3 -+ i H4| equals sqrt(1 - K +- K_N) exactly but avoids the
+        # catastrophic cancellation of the radicand form near a_pm = 0
+        a_plus[rows] = np.abs(h3 - 1j * h4)
+        a_minus[rows] = np.abs(h3 + 1j * h4)
+        kappa[rows] = 0.5 * (a_plus[rows] + a_minus[rows])
+        mu[rows] = 0.5 * np.abs(a_plus[rows] - a_minus[rows])
 
-    norm_B2 = 2.0 * (np.abs(H3) ** 2 + np.abs(H4) ** 2)
-    K = 1.0 - norm_B2 / 2.0
-    K_N = (1j * (H3 * np.conj(H4) - np.conj(H3) * H4)).real
-
-    for name, rad in (("a_plus", 1.0 - K + K_N), ("a_minus", 1.0 - K - K_N)):
-        worst = rad.min()
+    for name, radicand in radicands.items():
+        worst = np.min(lowest[name])  # a NaN anywhere skips the check, as on the whole grid
         if worst < RADICAND_TOL:
+            # the first block that holds the minimum names the first grid
+            # index that does, as argmin over the whole grid would
+            block = lowest[name].index(worst)
+            rows = slice(block * _SHAPE_BLOCK_ROWS, (block + 1) * _SHAPE_BLOCK_ROWS)
+            rad = radicand(rows)
             iu, iv = np.unravel_index(np.argmin(rad), rad.shape)
             raise InputError(
-                f"{name}^2 = {worst:.3e} < 0 at grid index ({iu}, {iv}); "
+                f"{name}^2 = {worst:.3e} < 0 at grid index ({rows.start + iu}, {iv}); "
                 "input is not consistent with a minimal isometric immersion"
             )
-    # |H3 -+ i H4| equals sqrt(1 - K +- K_N) exactly but avoids the
-    # catastrophic cancellation of the radicand form near a_pm = 0
-    a_plus = np.abs(H3 - 1j * H4)
-    a_minus = np.abs(H3 + 1j * H4)
-    kappa = 0.5 * (a_plus + a_minus)
-    mu = 0.5 * np.abs(a_plus - a_minus)
 
-    return ShapeReport(imm.patch, H3, H4, norm_B2, K, K_N, kappa, mu,
+    return ShapeReport(patch, H3, H4, norm_B2, K, K_N, kappa, mu,
                        a_plus, a_minus, minimality)
 
 
 def shape_report(imm: ImmersionField):
-    """Convenience: frames, metric, normal frame and report in one call."""
+    """Frames, metric, normal frame and report in one call.
+
+    The returned field is imm with its position, norm_drift and first jets
+    but without its second jets, which nothing past this stage reads: a
+    caller that rebinds its field to it lets them go.  imm itself is not
+    changed.
+    """
     imm = imm.with_jets()
     e1, e2, metric = tangent_frame(imm)
     nf = normal_frame(imm, e1, e2)
     rep = second_fundamental_form(imm, metric, nf)
-    return imm, e1, e2, metric, nf, rep
+    return imm._carrying(imm.jet1, None, imm.jet_source), e1, e2, metric, nf, rep

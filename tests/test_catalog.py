@@ -20,7 +20,7 @@ from s4min.catalog import (
     write_manifest,
 )
 from s4min.grid import InputError, integrate
-from s4min.surface import ImmersionField, tangent_frame
+from s4min.surface import ImmersionField, fd_jets, normal_frame, tangent_frame
 
 
 def test_registry_names_and_lookup():
@@ -110,6 +110,48 @@ def test_perturbation_reproducible_and_seed_sensitive():
     drift = np.abs(np.linalg.norm(a.position, axis=2) - 1.0).max()
     assert drift < 1e-15
     assert np.abs(a.position - ent.immersion.position).max() < 2e-2
+
+
+def _perturbed_position_oracle(imm, amplitude, seed):
+    """The perturbed position as perturb_immersion built it when it still
+    took the perturbed field's jets itself, with the source alive."""
+    src = imm.with_jets()
+    nf = normal_frame(src, *tangent_frame(src)[:2])
+    patch = imm.patch
+    rng = np.random.default_rng(seed)
+    U, V = patch.mesh()
+    su = 2.0 * math.pi / (patch.u_range[1] - patch.u_range[0])
+    sv = 2.0 * math.pi / (patch.v_range[1] - patch.v_range[0])
+
+    def bump():
+        out = np.zeros(patch.shape)
+        for ku in (1, 2):
+            for kv in (1, 2):
+                c = rng.normal(size=4)
+                out += (c[0] * np.cos(ku * su * U) + c[1] * np.sin(ku * su * U)) * \
+                       (c[2] * np.cos(kv * sv * V) + c[3] * np.sin(kv * sv * V))
+        return out
+
+    g = imm.position + amplitude * (bump()[:, :, None] * nf.e3 +
+                                    bump()[:, :, None] * nf.e4)
+    return g / np.linalg.norm(g, axis=2)[:, :, None]
+
+
+@pytest.mark.parametrize("name, n, jets, seed", [
+    ("clifford", 32, "analytic", 11), ("veronese", 64, "analytic", 3),
+    ("geodesic-sphere", 32, "none", 0)])
+def test_perturbed_position_equals_the_oracle(name, n, jets, seed):
+    # the perturbed field comes without jets, so a caller can let the
+    # source's go before they are taken; the position is unchanged
+    imm = load_catalog(name, n).immersion
+    if jets == "none":
+        imm = ImmersionField(imm.patch, imm.position)
+    bent = perturb_immersion(imm, 1e-3, seed)
+    assert np.array_equal(bent.position, _perturbed_position_oracle(imm, 1e-3, seed))
+    assert bent.jet1 is None and bent.jet2 is None and bent.jet_source == "fd"
+    filled = bent.with_jets()
+    want = fd_jets(imm.patch, bent.position)
+    assert np.array_equal(filled.jet1, want[0]) and np.array_equal(filled.jet2, want[1])
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -650,20 +651,25 @@ def test_verify_items_keep_their_order(cli, tmp_path):
 
 
 @pytest.mark.parametrize("argv, bound", [
-    (("verify", "--catalog", "veronese"), 3.9),
-    (("verify", "--catalog", "clifford"), 3.55),
-    (("deform", "--catalog", "clifford", "--theta", 0.3), 3.45),
-    (("monodromy", "--catalog", "veronese"), 3.6),
-], ids=["verify-veronese", "verify-clifford", "deform-clifford", "monodromy-veronese"])
+    (("verify", "--catalog", "veronese"), 3.0),
+    (("verify", "--catalog", "clifford"), 2.95),
+    (("deform", "--catalog", "clifford", "--theta", 0.3), 2.95),
+    (("monodromy", "--catalog", "veronese"), 2.95),
+    (("analyze", "--catalog", "veronese"), 2.95),
+    (("analyze", "--catalog", "clifford"), 2.95),
+], ids=["verify-veronese", "verify-clifford", "deform-clifford", "monodromy-veronese",
+        "analyze-veronese", "analyze-clifford"])
 def test_commands_hold_each_frame_array_once(cli, tmp_path, argv, bound):
     # tracemalloc peak of a whole command at n = 128, in blocks of one
-    # (n, n, 5, 5) float64 array.  Measured 3.54, 3.25, 3.13 and 3.29;
-    # a connection that kept its own copy of the five frame fields took
-    # 3.63, 3.30, 3.55 and 3.47, building the connection while the second
-    # jets, the metric and the other shape fields were alive 5.87, 5.50,
-    # 5.46 and 5.45, and holding the input fields next to the stored
-    # frames, a second sweep or a copy of the frame planes 8.60, 8.42,
-    # 9.17 and 7.40.
+    # (n, n, 5, 5) float64 array.  Measured 2.84, 2.78, 2.79, 2.78, 2.79
+    # and 2.78; with the shape stage's whole-grid temporaries and the
+    # second jets held past it 3.27, 3.25, 3.13, 3.13, 3.13 and 3.29, a
+    # connection that kept its own copy of the five frame fields 3.63,
+    # 3.30, 3.55 and 3.47 (the first four), building the connection while
+    # the second jets, the metric and the other shape fields were alive
+    # 5.87, 5.50, 5.46 and 5.45, and holding the input fields next to the
+    # stored frames, a second sweep or a copy of the frame planes 8.60,
+    # 8.42, 9.17 and 7.40.
     block = 128 * 128 * 25 * 8
     tracemalloc.start()
     try:
@@ -673,6 +679,60 @@ def test_commands_hold_each_frame_array_once(cli, tmp_path, argv, bound):
         tracemalloc.stop()
     assert code == 0
     assert peak < bound * block, f"peaked at {peak / block:.2f} blocks"
+
+
+@pytest.mark.parametrize("argv, after", [
+    (("analyze",), "superminimality_test"),
+    (("deform", "--theta", 0.3), "connection_data"),
+    (("monodromy",), "euler_numbers"),
+    (("verify",), "hopf_coefficient"),
+], ids=["analyze", "deform", "monodromy", "verify"])
+def test_commands_let_the_second_jets_go(cli, tmp_path, monkeypatch, argv, after):
+    # the first stage after shape_report finds the catalog's second jets freed
+    refs, freed = [], []
+    shape_report = cli_module.shape_report
+    stage = getattr(cli_module, after)
+
+    def watched_shape_report(imm):
+        refs.append(weakref.ref(imm.jet2))
+        return shape_report(imm)
+
+    def watched_stage(*args, **kwargs):
+        freed.append(refs[0]() is None)
+        return stage(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "shape_report", watched_shape_report)
+    monkeypatch.setattr(cli_module, after, watched_stage)
+    code, _ = cli(argv[0], "--catalog", "clifford", "--n", 64, *argv[1:], "--out", tmp_path)
+    assert code == 0
+    assert freed == [True]
+
+
+@pytest.mark.parametrize("source", ["catalog-fd", "manifest"])
+def test_each_position_is_norm_checked_once(cli, tmp_path, monkeypatch, source):
+    # whole-grid (nu, nv, 5) norms: the field's unit-norm check once per
+    # position, tangent_frame's, and for a manifest read_manifest's own
+    # drift check.  With --jets fd and with_jets each checking their field
+    # again there were 4 and 4.
+    code, _ = cli("deform", "--catalog", "clifford", "--n", 64, "--theta", 0.7,
+                  "--out", tmp_path / "d")
+    assert code == 0
+    argv, want = {
+        "catalog-fd": (("--catalog", "clifford", "--n", 64, "--jets", "fd"), 2),
+        "manifest": (("--manifest", tmp_path / "d" / "deformed" / "manifest.json"), 3),
+    }[source]
+    norms = []
+    norm = np.linalg.norm
+
+    def counted(x, *args, **kwargs):
+        if np.ndim(x) == 3 and np.shape(x)[2] == 5 and np.shape(x)[0] > 1:
+            norms.append(np.shape(x))
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    code, _ = cli("verify", *argv, "--out", tmp_path / "v")
+    assert code == 0
+    assert len(norms) == want, norms
 
 
 def test_verify_reports_are_byte_identical(cli, tmp_path):

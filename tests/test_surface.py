@@ -5,6 +5,7 @@ Expected values are the classical closed forms of the model surfaces
 by hand and frozen here; they do not come from the code under test.
 """
 
+import functools
 import math
 import tracemalloc
 
@@ -13,9 +14,15 @@ import pytest
 
 from s4min.catalog import clifford_torus, geodesic_sphere, perturb_immersion, veronese_sphere
 from s4min.grid import GridPatch, InputError, diff, integrate
+from s4min import surface as surface_module
+from s4min.family import assemble_maurer_cartan, connection_data, deformed_immersion, integrate_frame
 from s4min.surface import (
+    RADICAND_TOL,
     ImmersionField,
+    _rotate_pair,
     _seam_turn,
+    _seed_normal_basis,
+    _transport_lines,
     fd_jets,
     flip_normal_orientation,
     frame_orthonormality_residual,
@@ -220,8 +227,9 @@ def test_invariants_are_gauge_independent(veronese):
     imm, e1, e2, metric, nf, _ = veronese
     U, V = imm.patch.mesh()
     field_angle = 0.3 * np.sin(U) * np.cos(V) + 0.37
-    rep_a = second_fundamental_form(imm, metric, nf)
-    rep_b = second_fundamental_form(imm, metric,
+    src = veronese_sphere(64).immersion  # shape_report's field has no second jets
+    rep_a = second_fundamental_form(src, metric, nf)
+    rep_b = second_fundamental_form(src, metric,
                                     rotate_normal_frame(nf, field_angle))
     for name in ("norm_B2", "K", "K_N", "kappa", "mu", "a_plus", "a_minus"):
         d = np.abs(getattr(rep_a, name) - getattr(rep_b, name)).max()
@@ -231,7 +239,8 @@ def test_invariants_are_gauge_independent(veronese):
 def test_h_components_rotate_covariantly(clifford):
     imm, e1, e2, metric, nf, rep = clifford
     psi = 0.41
-    rep2 = second_fundamental_form(imm, metric, rotate_normal_frame(nf, psi))
+    src = clifford_torus(64).immersion  # shape_report's field has no second jets
+    rep2 = second_fundamental_form(src, metric, rotate_normal_frame(nf, psi))
     H3_want = math.cos(psi) * rep.H3 + math.sin(psi) * rep.H4
     H4_want = -math.sin(psi) * rep.H3 + math.cos(psi) * rep.H4
     assert np.abs(rep2.H3 - H3_want).max() < 1e-12
@@ -240,7 +249,8 @@ def test_h_components_rotate_covariantly(clifford):
 
 def test_orientation_flip_negates_normal_curvature(veronese):
     imm, e1, e2, metric, nf, rep = veronese
-    rep2 = second_fundamental_form(imm, metric, flip_normal_orientation(nf))
+    src = veronese_sphere(64).immersion  # shape_report's field has no second jets
+    rep2 = second_fundamental_form(src, metric, flip_normal_orientation(nf))
     assert np.abs(rep2.K_N + rep.K_N).max() < 1e-12
     assert np.abs(rep2.K - rep.K).max() < 1e-14
     assert np.abs(rep2.kappa - rep.kappa).max() < 1e-12
@@ -318,3 +328,164 @@ def test_with_jets_marks_source():
     assert ent.immersion.jet_source == "analytic"
     with pytest.raises(InputError, match="jets"):
         tangent_frame(bare)
+
+
+# ---------------------------------------------------------------------------
+# the blocked shape stage against the whole-grid expressions
+
+
+def _whole_grid_normal_frame(imm, e1, e2):
+    """normal_frame with the column seam's turn applied to the whole grid
+    at once: the oracle of the in-place, blocked turn."""
+    patch, f = imm.patch, imm.position
+    e3, e4 = np.empty_like(f), np.empty_like(f)
+    s3, s4 = _seed_normal_basis(f[0, 0], e1[0, 0], e2[0, 0])
+    if np.linalg.det(np.stack([e1[0, 0], e2[0, 0], s3, s4, f[0, 0]], axis=1)) < 0:
+        s4 = -s4
+    e3[0, 0], e4[0, 0] = s3, s4
+    spine = [a[:, :1] for a in (f, e1, e2, e3, e4)]
+    turn = _transport_lines(*spine, patch.periodic_u, False)
+    if turn is not None:
+        e3[:, :1], e4[:, :1] = _rotate_pair(e3[:, :1], e4[:, :1], turn.T)
+    columns = [np.swapaxes(a, 0, 1) for a in (f, e1, e2, e3, e4)]
+    turn = _transport_lines(*columns, patch.periodic_v, patch.periodic_u)
+    if turn is not None:
+        e3, e4 = _rotate_pair(e3, e4, turn)
+    return e3, e4
+
+
+def _whole_grid_form(imm, metric, e3, e4, radicand_tol=RADICAND_TOL):
+    """second_fundamental_form with every field formed on the whole grid
+    at once: the oracle the blocked form must equal bit for bit."""
+    fuu, fuv, fvv = (imm.jet2[:, :, k, :] for k in range(3))
+    det = metric.dA**2
+    a = 1.0 / np.sqrt(metric.E)
+    c = np.sqrt(metric.E / det)
+    b = -metric.F / np.sqrt(metric.E * det)
+
+    def components(vec):
+        return np.einsum("uvk,uvk->uv", vec, e3), np.einsum("uvk,uvk->uv", vec, e4)
+
+    h11_3, h11_4 = components((a * a)[:, :, None] * fuu)
+    h12_3, h12_4 = components((a * b)[:, :, None] * fuu + (a * c)[:, :, None] * fuv)
+    h22_3, h22_4 = components(
+        (b * b)[:, :, None] * fuu + (2.0 * b * c)[:, :, None] * fuv + (c * c)[:, :, None] * fvv)
+    H3 = h11_3 + 1j * h12_3
+    H4 = h11_4 + 1j * h12_4
+    minimality = np.maximum(np.abs(h11_3 + h22_3), np.abs(h11_4 + h22_4))
+    norm_B2 = 2.0 * (np.abs(H3) ** 2 + np.abs(H4) ** 2)
+    K = 1.0 - norm_B2 / 2.0
+    K_N = (1j * (H3 * np.conj(H4) - np.conj(H3) * H4)).real
+    for name, rad in (("a_plus", 1.0 - K + K_N), ("a_minus", 1.0 - K - K_N)):
+        worst = rad.min()
+        if worst < radicand_tol:
+            iu, iv = np.unravel_index(np.argmin(rad), rad.shape)
+            raise InputError(
+                f"{name}^2 = {worst:.3e} < 0 at grid index ({iu}, {iv}); "
+                "input is not consistent with a minimal isometric immersion"
+            )
+    a_plus = np.abs(H3 - 1j * H4)
+    a_minus = np.abs(H3 + 1j * H4)
+    return {"H3": H3, "H4": H4, "norm_B2": norm_B2, "K": K, "K_N": K_N,
+            "kappa": 0.5 * (a_plus + a_minus), "mu": 0.5 * np.abs(a_plus - a_minus),
+            "a_plus": a_plus, "a_minus": a_minus, "minimality": minimality}
+
+
+def _rotated_clifford_field():
+    # the SO(5) rotation of tests/test_ambient_rotation.py
+    Q = np.linalg.qr(np.random.default_rng(7).standard_normal((5, 5)))[0]
+    if np.linalg.det(Q) < 0:
+        Q[:, 0] = -Q[:, 0]
+    imm = clifford_torus(64).immersion
+    return ImmersionField(imm.patch, imm.position @ Q.T, imm.jet1 @ Q.T, imm.jet2 @ Q.T)
+
+
+def _deformed_field():
+    # the open 257 x 257 chart a deformed manifest of the Clifford torus
+    # carries: 257 rows are no multiple of the block
+    imm, e1, e2, _, nf, rep = shape_report(clifford_torus(256).immersion)
+    conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
+                           rep.H3, rep.H4)
+    return deformed_immersion(integrate_frame(assemble_maurer_cartan(conn, 0.5 * math.pi),
+                                              conn.origin)).with_jets()
+
+
+BLOCK_CASES = {
+    **{f"{make.__name__}-{n}": functools.partial(lambda make, n: make(n).immersion, make, n)
+       for make in (clifford_torus, veronese_sphere, geodesic_sphere) for n in (64, 256)},
+    "rotated-clifford-64": _rotated_clifford_field,
+    "deformed-257": _deformed_field,
+}
+
+
+@functools.cache
+def _block_case(name):
+    imm = BLOCK_CASES[name]()
+    e1, e2, metric = tangent_frame(imm)
+    return imm, e1, e2, metric
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_blocked_shape_stage_equals_whole_grid_oracle(name):
+    # at n = 64 a complex field (64 KB) is below numpy's temporary elision
+    # size, at n = 256 (1 MB) above it; the deformed chart is open
+    imm, e1, e2, metric = _block_case(name)
+    nf = normal_frame(imm, e1, e2)
+    e3, e4 = _whole_grid_normal_frame(imm, e1, e2)
+    assert np.array_equal(nf.e3, e3) and np.array_equal(nf.e4, e4)
+    rep = second_fundamental_form(imm, metric, nf)
+    for field_name, want in _whole_grid_form(imm, metric, e3, e4).items():
+        assert np.array_equal(getattr(rep, field_name), want), field_name
+
+
+@pytest.mark.parametrize("name", ["veronese_sphere-64", "clifford_torus-256", "deformed-257"])
+def test_radicand_failure_names_the_whole_grid_index(name, monkeypatch):
+    # a_pm^2 >= 0 holds up to roundoff, so the check is driven by a raised
+    # tolerance: once past every radicand (a_plus fails), and where the
+    # a_minus minimum lies lower, between the two minima (a_minus fails)
+    imm, e1, e2, metric = _block_case(name)
+    nf = normal_frame(imm, e1, e2)
+    ref = _whole_grid_form(imm, metric, nf.e3, nf.e4)
+    lowest = {sign: (1.0 - ref["K"] + sign * ref["K_N"]).min() for sign in (1.0, -1.0)}
+    tolerances = [1e9]
+    if lowest[-1.0] < lowest[1.0]:
+        tolerances.append(0.5 * (lowest[-1.0] + lowest[1.0]))
+    for tol in tolerances:
+        with pytest.raises(InputError) as want:
+            _whole_grid_form(imm, metric, nf.e3, nf.e4, radicand_tol=tol)
+        monkeypatch.setattr(surface_module, "RADICAND_TOL", tol)
+        with pytest.raises(InputError) as got:
+            second_fundamental_form(imm, metric, nf)
+        assert str(got.value) == str(want.value)
+    assert "a_minus" in str(got.value) or len(tolerances) == 1
+
+
+def test_shape_report_holds_no_whole_grid_temporary():
+    # tracemalloc peak of shape_report above its input, in (n, n) float64
+    # planes.  It returns 36 planes (frames, metric, report).  Measured 39.3;
+    # with the whole-grid ambient vectors, rotation products and radicands
+    # 48.1
+    imm = veronese_sphere(128).immersion
+    plane = imm.patch.nu * imm.patch.nv * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        shape_report(imm)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 42 * plane, f"shape_report peaked at {peak / plane:.2f} planes"
+
+
+@pytest.mark.parametrize("jets", ["analytic", "fd"])
+def test_shape_report_field_has_no_second_jets(jets):
+    # the returned field keeps the position, its checked drift and the
+    # first jets; the field passed in is not changed
+    imm = clifford_torus(32).immersion
+    if jets == "fd":
+        imm = ImmersionField(imm.patch, imm.position)
+    out = shape_report(imm)[0]
+    assert out.jet2 is None and out.jet1 is not None
+    assert out.position is imm.position and out.norm_drift == imm.norm_drift
+    assert out.jet_source == jets
+    assert (imm.jet2 is None) == (jets == "fd")
