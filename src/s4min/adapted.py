@@ -170,27 +170,15 @@ def find_zero_candidates(patch: GridPatch, values: np.ndarray) -> list[tuple[int
 def _sample_bilinear(patch: GridPatch, values: np.ndarray,
                      u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Bilinear interpolation at parameter points, wrapping periodic axes."""
-    su = (u - patch.u_range[0]) / patch.hu
-    sv = (v - patch.v_range[0]) / patch.hv
-    nu, nv = patch.shape
-    i0 = np.floor(su).astype(int)
-    j0 = np.floor(sv).astype(int)
-    fu = su - i0
-    fv = sv - j0
-    if patch.periodic_u:
-        i0 %= nu
-        i1 = (i0 + 1) % nu
-    else:
-        if (i0 < 0).any() or (i0 > nu - 2).any():
-            raise InputError("sample circle leaves the open u-axis")
-        i1 = i0 + 1
-    if patch.periodic_v:
-        j0 %= nv
-        j1 = (j0 + 1) % nv
-    else:
-        if (j0 < 0).any() or (j0 > nv - 2).any():
-            raise InputError("sample circle leaves the open v-axis")
-        j1 = j0 + 1
+    nodes = []
+    for axis, (x, start) in enumerate(((u, patch.u_range[0]), (v, patch.v_range[0]))):
+        (h, periodic), n = patch.axis(axis), patch.shape[axis]
+        s = (x - start) / h
+        i0 = np.floor(s).astype(int)
+        if not periodic and ((i0 < 0).any() or (i0 > n - 2).any()):
+            raise InputError(f"sample circle leaves the open {'uv'[axis]}-axis")
+        nodes.append((i0 % n, (i0 + 1) % n, s - i0))
+    (i0, i1, fu), (j0, j1, fv) = nodes
     return (values[i0, j0] * (1 - fu) * (1 - fv) + values[i1, j0] * fu * (1 - fv)
             + values[i0, j1] * (1 - fu) * fv + values[i1, j1] * fu * fv)
 

@@ -376,7 +376,9 @@ def _out_dir(args) -> Path:
 def cmd_analyze(args) -> int:
     imm, meta = _load_surface(args)
     out = _out_dir(args)
-    imm, e1, e2, metric, nf, rep = shape_report(imm)
+    # only the metric and the report are read past this stage
+    metric, rep = shape_report(imm)[3::2]
+    del imm
     sup = superminimality_test(rep)
     hopf = hopf_coefficient(rep)
     hopf_abs = np.abs(hopf)
@@ -440,9 +442,7 @@ def cmd_deform(args) -> int:
     # the flatness temporaries and the integrated frames are never held together
     flatness = float(flatness_residual(mc).max())
     dp = integrate_frame(mc, conn.origin)
-    ext = dp.extended_patch
-    replay = position[np.ix_(np.arange(ext.nu) % conn.patch.nu,
-                             np.arange(ext.nv) % conn.patch.nv)]
+    replay = position[np.ix_(dp.patch.unwrap_index(0), dp.patch.unwrap_index(1))]
     del conn, mc, position
     deformed = deformed_immersion(dp)
     write_manifest(deformed, out / "deformed")

@@ -381,27 +381,17 @@ def march_frames(omega_line: np.ndarray, h: float, seeds: np.ndarray,
 
 @dataclass
 class DeformedPatch:
-    """Integrated frame field of one family member over the unwrapped domain.
+    """Integrated frame field of one family member on patch.unwrapped().
 
-    The grid extends each periodic axis by one duplicated seam line, so
-    frame[-1] vs frame[0] along that axis exhibits the monodromy rather
-    than hiding it.  The deformed position f_theta is the first frame row,
-    frame[..., 0, :].
+    That chart repeats each periodic axis's first line as a duplicated
+    seam line, so frame[-1] vs frame[0] along the axis exhibits the
+    monodromy rather than hiding it; a capped axis stays capped.  The
+    deformed position f_theta is the first frame row, frame[..., 0, :].
     """
 
     patch: GridPatch  # source patch (periodicity flags refer to this)
     frame: np.ndarray  # (nu + pu, nv + pv, 5, 5)
     path_dependence: float
-
-    @property
-    def extended_patch(self) -> GridPatch:
-        """Open patch covering the unwrapped fundamental domain."""
-        p = self.patch
-        NU, NV = self.frame.shape[:2]
-        return GridPatch(NU, NV,
-                         (p.u_range[0], p.u_range[0] + (NU - 1) * p.hu),
-                         (p.v_range[0], p.v_range[0] + (NV - 1) * p.hv),
-                         periodic_u=False, periodic_v=False)
 
 
 def _spine(mc: MaurerCartanField, seed: np.ndarray, axis: int):
@@ -412,16 +402,12 @@ def _spine(mc: MaurerCartanField, seed: np.ndarray, axis: int):
     Returns the (N, 5, 5) start frames, N the unwrapped length of the
     spine; the (n_other, n, 8) lines in march_frames' layout, a view of
     mc.forms; and the lanes of march_frames that pick the N start
-    frames' entries from each step's n, repeating lane 0 at a periodic
-    seam.
+    frames' entries from each step's n, the spine axis's unwrap_index.
     """
-    patch = mc.patch
-    h, periodic = ((patch.hu, patch.periodic_u), (patch.hv, patch.periodic_v))[axis]
+    h, periodic = mc.patch.axis(axis)
     forms = np.moveaxis(mc.forms, axis, 0)  # spine axis first
     spine = march_frames(forms[:, 0, axis][:, None], h, seed[None], periodic)
-    n = forms.shape[0]
-    lanes = np.arange(n + 1) % n if periodic else slice(None)
-    return spine[:, 0], np.moveaxis(forms[:, :, 1 - axis], 1, 0), lanes
+    return spine[:, 0], np.moveaxis(forms[:, :, 1 - axis], 1, 0), mc.patch.unwrap_index(axis)
 
 
 def sweep_frames(mc: MaurerCartanField, seed: np.ndarray) -> np.ndarray:
@@ -448,11 +434,10 @@ def frame_source_deviation(mc0: MaurerCartanField, seed: np.ndarray, rows: tuple
     """
     patch = mc0.patch
     starts, lines, lanes = _spine(mc0, seed, 0)
-    u = np.arange(starts.shape[0]) % patch.nu
     worst = 0.0
     columns = _march(lines, patch.hv, starts, patch.periodic_v, lanes)
-    for k, column in enumerate(itertools.chain([starts], columns)):
-        D = column - np.stack([row[u, k % patch.nv] for row in rows], axis=-2)
+    for k, column in zip(patch.unwrap_index(1), itertools.chain([starts], columns)):
+        D = column - np.stack([row[lanes, k] for row in rows], axis=-2)
         D *= D  # the squared distance, in place
         worst = max(worst, float(np.sqrt(np.add.reduce(D, axis=(-2, -1))).max()))
     return worst
@@ -495,7 +480,7 @@ def deformed_immersion(dp: DeformedPatch) -> ImmersionField:
     """Deformed position as an immersion over the open unwrapped domain,
     without jets: ``with_jets`` fills them by finite differences."""
     pos = dp.frame[..., 0, :]
-    return ImmersionField(dp.extended_patch, pos / np.linalg.norm(pos, axis=-1, keepdims=True),
+    return ImmersionField(dp.patch.unwrapped(), pos / np.linalg.norm(pos, axis=-1, keepdims=True),
                           jet_source="fd")
 
 
@@ -511,11 +496,9 @@ def deformation_invariant_deviation(imm: ImmersionField,
     onto it), so the comparison measures what the deformation changed,
     not how finite differences compare with exact jets.
     """
-    ext = dp.extended_patch
-    src_u = np.arange(ext.nu) % imm.patch.nu
-    src_v = np.arange(ext.nv) % imm.patch.nv
-    replay = imm.position[np.ix_(src_u, src_v)]
-    _, _, _, g0, _, rep0 = shape_report(ImmersionField(ext, replay))
+    p = dp.patch
+    replay = imm.position[np.ix_(p.unwrap_index(0), p.unwrap_index(1))]
+    _, _, _, g0, _, rep0 = shape_report(ImmersionField(p.unwrapped(), replay))
     _, _, _, g1, _, rep1 = shape_report(deformed_immersion(dp))
     return {
         "metric": float(max(np.abs(g1.E - g0.E).max(),

@@ -44,6 +44,10 @@ class GridPatch:
     Derivative stencils are unaffected; quadrature covers the extended
     interval with midpoint weights so that integrals over such a chart
     are integrals over the closed surface.
+
+    The chart's topology is decided here only: ``closed``, ``deck_axes``
+    and the simply connected ``unwrapped`` chart (``unwrap_index`` maps
+    it back).
     """
 
     nu: int
@@ -63,15 +67,14 @@ class GridPatch:
         if (self.cap_u and self.periodic_u) or (self.cap_v and self.periodic_v):
             raise InputError("a capped axis must be open, not periodic")
 
-    @property
-    def hu(self) -> float:
-        span = self.u_range[1] - self.u_range[0]
-        return span / self.nu if self.periodic_u else span / (self.nu - 1)
+    def axis(self, axis: int) -> tuple[float, bool]:
+        """(step, periodic) of axis 0 (u) or 1 (v)."""
+        n, (lo, hi), periodic = ((self.nu, self.u_range, self.periodic_u),
+                                 (self.nv, self.v_range, self.periodic_v))[axis]
+        return (hi - lo) / (n if periodic else n - 1), periodic
 
-    @property
-    def hv(self) -> float:
-        span = self.v_range[1] - self.v_range[0]
-        return span / self.nv if self.periodic_v else span / (self.nv - 1)
+    hu = property(lambda self: self.axis(0)[0])
+    hv = property(lambda self: self.axis(1)[0])
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -91,6 +94,29 @@ class GridPatch:
     def closed(self) -> bool:
         """True when the samples cover a closed surface without boundary."""
         return (self.periodic_u or self.cap_u) and (self.periodic_v or self.cap_v)
+
+    @property
+    def deck_axes(self) -> tuple[int, ...]:
+        """The periodic axes whose transverse axis is not capped: their lines
+        through the origin generate the deck group.  A periodic line across
+        a capped axis shrinks to a pole, so a capped sphere chart has none."""
+        transverse_cap = (self.cap_v, self.cap_u)
+        return tuple(axis for axis in (0, 1) if self.axis(axis)[1] and not transverse_cap[axis])
+
+    def unwrap_index(self, axis: int) -> np.ndarray:
+        """Index along ``axis`` of this chart of each line of the unwrapped
+        chart: a periodic axis repeats line 0 as its duplicated seam line."""
+        n = self.shape[axis]
+        return np.arange(n + 1) % n if self.axis(axis)[1] else np.arange(n)
+
+    def unwrapped(self) -> GridPatch:
+        """The open chart of the fundamental domain: one duplicated seam line
+        per periodic axis, which shows a seam mismatch rather than hiding it.
+        Caps are kept."""
+        nu, nv = self.nu + self.periodic_u, self.nv + self.periodic_v
+        return GridPatch(nu, nv, (self.u_range[0], self.u_range[0] + (nu - 1) * self.hu),
+                         (self.v_range[0], self.v_range[0] + (nv - 1) * self.hv),
+                         False, False, self.cap_u, self.cap_v)
 
 
 def check_field(patch: GridPatch, values: np.ndarray, name: str = "field") -> np.ndarray:
@@ -184,8 +210,7 @@ def diff(patch: GridPatch, values: np.ndarray, axis: int, order: int = 1) -> np.
     """Partial derivative along a grid axis (0 = u, 1 = v)."""
     if axis not in (0, 1):
         raise InputError(f"axis must be 0 or 1, got {axis}")
-    h = patch.hu if axis == 0 else patch.hv
-    periodic = patch.periodic_u if axis == 0 else patch.periodic_v
+    h, periodic = patch.axis(axis)
     values = np.asarray(values)
     if not np.issubdtype(values.dtype, np.inexact):
         values = values.astype(float)
@@ -278,19 +303,15 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def _axis_weights(n: int, h: float, periodic: bool, cap: bool) -> np.ndarray:
+def quadrature_weights(patch: GridPatch) -> tuple[np.ndarray, np.ndarray]:
     # periodic: rectangle rule (spectrally accurate below Nyquist);
     # capped: midpoint rule over the extended closed interval;
     # open: composite Simpson
-    if periodic or cap:
-        return np.full(n, h)
-    return _simpson_weights(n, h)
-
-
-def quadrature_weights(patch: GridPatch) -> tuple[np.ndarray, np.ndarray]:
-    wu = _axis_weights(patch.nu, patch.hu, patch.periodic_u, patch.cap_u)
-    wv = _axis_weights(patch.nv, patch.hv, patch.periodic_v, patch.cap_v)
-    return wu, wv
+    weights = []
+    for axis, cap in enumerate((patch.cap_u, patch.cap_v)):
+        (h, periodic), n = patch.axis(axis), patch.shape[axis]
+        weights.append(np.full(n, h) if periodic or cap else _simpson_weights(n, h))
+    return tuple(weights)
 
 
 def integrate(patch: GridPatch, values: np.ndarray, metric: MetricField) -> float:

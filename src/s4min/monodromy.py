@@ -8,8 +8,10 @@ angles or the whole circle.  The identity distance used throughout is
 the Frobenius norm of M - I, which is invariant under orthogonal
 conjugation, so it does not depend on the basepoint of the loops.
 
-The deck generators are the periodic grid lines through the grid origin,
-one per periodic axis, and every monodromy comes from one transport,
+The deck generators are the grid lines through the grid origin along
+GridPatch.deck_axes.  A chart with none (a capped sphere chart, an open
+rectangle) is simply connected, so every member closes by topology and
+nothing is marched.  Otherwise every monodromy comes from one transport,
 generator_monodromy: it packs Omega_theta on that line only and marches
 it once with the periodic stencil, batched over the angles.
 scan_profile calls it at a few dozen angles of the quarter circle only:
@@ -62,8 +64,7 @@ def generator_monodromy(conn: ConnectionData, axis: int,
     line only, its rotating part formed by rotating_forms, and marched
     once with the periodic (wrap) stencil, batched over the angles.
     """
-    patch = conn.patch
-    h, periodic = ((patch.hu, patch.periodic_u), (patch.hv, patch.periodic_v))[axis]
+    h, periodic = conn.patch.axis(axis)
     if not periodic:
         raise InputError(f"{'uv'[axis]} axis is not periodic")
     theta = np.asarray(theta, dtype=float)
@@ -162,20 +163,26 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256,
     closes by construction, so d(0) is the error floor of the identity
     test.  A flatness residual above FLATNESS_CEILING means the input is
     not minimal to working accuracy, and the scan refuses to classify it.
+
+    The generators are the chart's deck axes.  With none, the profile
+    after the flatness check is CIRCLE by topology: d = 0, both
+    coefficient norms 0, no generator marched.
     """
     if n_theta < 64:
         raise InputError(f"need at least 64 angle samples, got {n_theta}")
-    patch = conn.patch
-    gens = [axis for axis in (0, 1) if (patch.periodic_u, patch.periodic_v)[axis]]
-    if not gens:
-        raise InputError("domain has no periodic axis, hence no deck "
-                             "generators to scan")
+    gens = conn.patch.deck_axes
     flat0 = float(flatness_residual(assemble_maurer_cartan(conn, 0.0)).max())
     if flat0 > FLATNESS_CEILING:
         raise IntegrabilityBroken(
             f"connection is not flat (residual {flat0:.3e} > "
             f"{FLATNESS_CEILING:.1e}); refusing to classify the monodromy "
             "of a non-minimal input")
+    thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    ct = np.linspace(0.0, QUARTER, CONGRUENCE_SAMPLES, endpoint=False)
+    if not gens:  # simply connected: every loop contracts, so every member closes
+        tol_close = max(1e-6, 10.0 * flat0) if tol_close is None else tol_close
+        return MonodromyProfile(thetas, np.zeros(n_theta), None, [], [], "CIRCLE", tol_close,
+                                flat0, 0.0, 0.0, ct, congruence_residual(conn, ct))
 
     P = conn.origin.T @ np.diag([1.0, 1.0, 1.0, -1.0, -1.0]) @ conn.origin
 
@@ -197,7 +204,6 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256,
                    for S, axis in zip(samples, gens)]
         n *= 2
 
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     # theta_j mod pi/2 = (pi/2) ((4 j) mod n_theta) / n_theta, taken on
     # integers so that angles a quarter turn apart share one float
     steps, fold = np.unique(4 * np.arange(n_theta) % n_theta, return_inverse=True)
@@ -227,12 +233,10 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256,
                          for t in np.mod(theta_star[d_star < tol_close], QUARTER))
     roots = sorted(t + q * QUARTER for t in classes for q in range(4))
 
-    ct = cr = None
-    if verdict == "CIRCLE":
-        ct = np.linspace(0.0, QUARTER, CONGRUENCE_SAMPLES, endpoint=False)
-        cr = congruence_residual(conn, ct)
-    return MonodromyProfile(thetas, dq[fold], defect, roots, classes, verdict,
-                            tol_close, flat0, circle_max, tail, ct, cr, tuple(gens))
+    circle = verdict == "CIRCLE"
+    return MonodromyProfile(thetas, dq[fold], defect, roots, classes, verdict, tol_close,
+                            flat0, circle_max, tail, ct if circle else None,
+                            congruence_residual(conn, ct) if circle else None, gens)
 
 
 def dichotomy_report(profile: MonodromyProfile) -> dict:

@@ -265,7 +265,7 @@ def normal_frame(imm: ImmersionField, e1: np.ndarray, e2: np.ndarray) -> NormalF
         e3[:, :1], e4[:, :1] = _rotate_pair(e3[:, :1], e4[:, :1], turn.T)
 
     columns = [np.swapaxes(a, 0, 1) for a in (f, e1, e2, e3, e4)]
-    turn = _transport_lines(*columns, patch.periodic_v, patch.periodic_u)
+    turn = _transport_lines(*columns, patch.periodic_v, 0 in patch.deck_axes)
     if turn is not None:  # (nu, nv): turned in place, one block of u rows at a time
         for rows in _row_blocks(patch.nu):
             e3[rows], e4[rows] = _rotate_pair(e3[rows], e4[rows], turn[rows])

@@ -158,7 +158,7 @@ def test_family_flatness_reconstruction_isometry(clifford, clifford_conn):
         assert dev["K"] < 1e-4
         assert dev["K_N"] < 1e-4
         if theta == 0.0:
-            ext = dp.extended_patch
+            ext = dp.patch.unwrapped()
             replay = imm.position[np.ix_(np.arange(ext.nu) % patch.nu,
                                          np.arange(ext.nv) % patch.nv)]
             gap = deformed_immersion(dp).position - replay

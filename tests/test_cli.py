@@ -341,14 +341,6 @@ def _off_sphere(manifest):
                       "refusing to renormalize")
 
 
-def _open_chart(manifest):
-    imm, _ = read_manifest(manifest)
-    p = imm.patch
-    write_manifest(ImmersionField(GridPatch(p.nu, p.nv, p.u_range, p.v_range, False, False),
-                                  imm.position), manifest.parent)
-    return ("monodromy", "--scan", 64), "domain has no periodic axis, hence no deck generators to scan"
-
-
 def _edit_manifest(manifest, key, value):
     doc = json.loads(manifest.read_text())
     doc[key] = value
@@ -383,7 +375,7 @@ def _one_ended_range(manifest):
                           "(expected 2, got 1)")
 
 
-@pytest.mark.parametrize("spoil", [_malformed_json, _short_payload, _off_sphere, _open_chart,
+@pytest.mark.parametrize("spoil", [_malformed_json, _short_payload, _off_sphere,
                                    _jets_without_first, _jets_not_an_object,
                                    _position_not_a_file_name, _not_an_object, _one_ended_range],
                          ids=lambda spoil: spoil.__name__.strip("_"))
@@ -514,6 +506,37 @@ def test_monodromy_veronese_circle_with_nontrivial_normal_bundle(cli, tmp_path):
     assert abs(doc["chi_normal"] - 4.0) < 0.02
     assert doc["congruence_max"] < cli_module.CONGRUENCE_TOL
     assert doc["classes"] == [] and doc["circle_coefficient_max"] < doc["tol_close"]
+
+
+def test_open_chart_monodromy_is_circle_by_topology(cli, tmp_path, monkeypatch):
+    # an open rectangle is simply connected: every member closes, so the
+    # answer is CIRCLE with no deck generator and nothing marched
+    def refuse(*args):
+        raise AssertionError("a generator was marched")
+
+    monkeypatch.setattr("s4min.monodromy.generator_monodromy", refuse)
+    imm = load_catalog("clifford", 64).immersion
+    p = imm.patch
+    chart = GridPatch(p.nu, p.nv, (p.u_range[0], p.u_coords()[-1]),
+                      (p.v_range[0], p.v_coords()[-1]), False, False)
+    manifest = write_manifest(ImmersionField(chart, imm.position, imm.jet1, imm.jet2),
+                              tmp_path / "src")
+    code, out = cli("monodromy", "--manifest", manifest, "--scan", 64, "--out", tmp_path / "out")
+    assert code == 0
+    assert "verdict CIRCLE" in out
+    doc = json.loads((tmp_path / "out" / "roots.json").read_text())
+    assert (doc["verdict"], doc["generators"], doc["roots"]) == ("CIRCLE", [], [])
+    assert doc["d_max"] == doc["circle_coefficient_max"] == doc["spectral_tail"] == 0.0
+    assert doc["chi_normal"] is None
+
+
+def test_monodromy_veronese_below_resolution_is_not_flat(cli, tmp_path):
+    # the flatness check runs before the chart's topology answers CIRCLE
+    code, out = cli("monodromy", "--catalog", "veronese", "--n", 32, "--out", tmp_path)
+    assert code == 3
+    assert error_code(out) == "E_INTEGRABILITY"
+    assert "residual 3.025e-03 > 1.0e-03" in out
+    assert not (tmp_path / "roots.json").exists()
 
 
 def test_monodromy_circle_without_congruence_is_contradiction(cli, tmp_path, monkeypatch):
@@ -706,6 +729,31 @@ def test_commands_let_the_second_jets_go(cli, tmp_path, monkeypatch, argv, after
     code, _ = cli(argv[0], "--catalog", "clifford", "--n", 64, *argv[1:], "--out", tmp_path)
     assert code == 0
     assert freed == [True]
+
+
+def test_analyze_lets_the_position_go(cli, tmp_path, monkeypatch):
+    # analyze reads only the metric and the shape report past shape_report:
+    # the position, its first jets and the frames are freed before the
+    # field files are written
+    refs, freed = [], []
+    shape_report = cli_module.shape_report
+    write = cli_module._write_field_csvs
+
+    def watched_shape_report(imm):
+        out = shape_report(imm)
+        fields, e1, e2, _, nf, _ = out
+        refs.extend(weakref.ref(a) for a in (fields.position, fields.jet1, e1, e2, nf.e3))
+        return out
+
+    def watched_write(*args, **kwargs):
+        freed.append([ref() is None for ref in refs])
+        return write(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "shape_report", watched_shape_report)
+    monkeypatch.setattr(cli_module, "_write_field_csvs", watched_write)
+    code, _ = cli("analyze", "--catalog", "clifford", "--n", 64, "--out", tmp_path)
+    assert code == 0
+    assert freed == [[True] * 5]
 
 
 @pytest.mark.parametrize("source", ["catalog-fd", "manifest"])

@@ -309,3 +309,28 @@ def test_capped_axis_midpoint_quadrature():
 def test_capped_axis_must_be_open():
     with pytest.raises(InputError, match="capped"):
         GridPatch(8, 8, (0.0, 1.0), (0.0, 1.0), True, False, cap_u=True)
+
+
+# ---------------------------------------------------------------------------
+# chart topology
+
+
+@pytest.mark.parametrize("patch, deck_axes, closed", [
+    (periodic_patch(16), (0, 1), True),
+    (GridPatch(16, 16, (0.1, 3.0), (0.0, TWO_PI), False, True, cap_u=True), (), True),
+    (GridPatch(16, 16, (0.1, 3.0), (0.0, TWO_PI), False, True), (1,), False),
+    (open_patch(16), (), False),
+], ids=["torus", "capped-sphere", "annulus", "open-rectangle"])
+def test_chart_topology(patch, deck_axes, closed):
+    assert patch.deck_axes == deck_axes
+    assert patch.closed is closed
+    ext = patch.unwrapped()
+    # one duplicated seam line per periodic axis, on an open chart with the caps kept
+    for axis, n, ext_n in ((0, patch.nu, ext.nu), (1, patch.nv, ext.nv)):
+        h, periodic = patch.axis(axis)
+        assert ext_n == n + periodic
+        assert ext.axis(axis) == pytest.approx((h, False))
+        assert np.array_equal(patch.unwrap_index(axis), np.arange(ext_n) % n)
+    assert (ext.cap_u, ext.cap_v) == (patch.cap_u, patch.cap_v)
+    assert (ext.u_coords()[0], ext.v_coords()[0]) == (patch.u_range[0], patch.v_range[0])
+    assert ext.deck_axes == () and ext.unwrapped() == ext

@@ -169,14 +169,79 @@ def test_solve_marches_at_most_half_the_scan_angles(clifford_conn, monkeypatch):
 
 
 def test_constant_profile_has_no_candidates():
-    # the totally geodesic sphere has theta-independent monodromy; with a
-    # tolerance below its d(0) the profile is FINITE with no minimum
-    imm, e1, e2, metric, nf, rep = shape_report(geodesic_sphere(32).immersion)
-    conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
-                           rep.H3, rep.H4)
+    # the totally geodesic sphere has theta-independent monodromy; on a band
+    # its azimuth loop is a deck generator, and with a tolerance below its
+    # d(0) the profile is FINITE with no minimum
+    conn = _conn(_band(geodesic_sphere(64).immersion, slice(8, 56)))
     profile = scan_profile(conn, n_theta=64, tol_close=1e-30)
     assert profile.verdict == "FINITE"
     assert profile.roots == []
+
+
+# ---------------------------------------------------------------------------
+# chart topology: deck generators only where a loop is noncontractible
+
+
+def _band(imm, rows):
+    """The u rows ``rows`` of a catalog chart as an annulus: u open and
+    uncapped, v as before, with the catalog's analytic jets."""
+    p = imm.patch
+    u = p.u_coords()[rows]
+    patch = GridPatch(len(u), p.nv, (u[0], u[-1]), p.v_range, False, p.periodic_v)
+    return ImmersionField(patch, imm.position[rows], imm.jet1[rows], imm.jet2[rows])
+
+
+def _conn(imm):
+    imm, e1, e2, metric, nf, rep = shape_report(imm)
+    return connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
+                           rep.H3, rep.H4)
+
+
+def _no_march(*args):
+    raise AssertionError("a generator was marched")
+
+
+@pytest.mark.parametrize("make, rows, verdict", [
+    (clifford_torus, slice(0, 33), "FINITE"),
+    (veronese_sphere, slice(8, 56), "CIRCLE"),
+    (geodesic_sphere, slice(8, 56), "CIRCLE"),
+], ids=["clifford", "veronese", "geodesic-sphere"])
+def test_annulus_band_closes_where_its_surface_does(make, rows, verdict):
+    # with the caps or half the torus cut away the azimuth loop v is the
+    # band's one deck generator; with fewer loops no fewer angles close
+    imm = make(64).immersion
+    whole = scan_profile(_conn(imm))
+    profile = scan_profile(_conn(_band(imm, rows)))
+    assert profile.generators == (1,)
+    assert profile.verdict == verdict
+    if verdict == "FINITE":
+        assert len(profile.roots) == 4
+        for expected in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2):
+            assert min(circular_distance(r, expected) for r in profile.roots) < 1e-6
+    else:
+        assert profile.circle_coefficient_max > 0.0  # the loop was marched
+    if whole.verdict == "CIRCLE":
+        assert profile.verdict == "CIRCLE"
+    else:
+        assert all(min(circular_distance(r, w) for r in profile.roots) < 1e-6
+                   for w in whole.roots)
+
+
+@pytest.mark.parametrize("make", [veronese_sphere, geodesic_sphere],
+                         ids=["veronese", "geodesic-sphere"])
+def test_sphere_chart_is_circle_without_a_march(make, monkeypatch):
+    # the azimuth loop of a capped chart shrinks to a pole: the chart is
+    # simply connected, so every member closes and no generator is marched
+    monkeypatch.setattr(s4min.monodromy, "generator_monodromy", _no_march)
+    conn = _conn(make(64).immersion)
+    profile = scan_profile(conn, n_theta=64)
+    assert conn.patch.deck_axes == ()
+    assert (profile.verdict, profile.generators, profile.roots) == ("CIRCLE", (), [])
+    assert not profile.d.any() and profile.commutator_defect is None
+    assert profile.circle_coefficient_max == profile.spectral_tail == 0.0
+    assert profile.tol_close == max(1e-6, 10.0 * profile.flatness)
+    assert np.array_equal(profile.congruence_residuals,
+                          congruence_residual(conn, profile.congruence_thetas))
 
 
 def _scalar_golden_min(fn, a, b, width):
@@ -472,14 +537,19 @@ def test_too_few_samples_rejected(clifford_conn):
         scan_profile(clifford_conn[1], n_theta=32)
 
 
-def test_no_periodic_axis_rejected(clifford_conn):
+def test_open_chart_is_circle_by_topology(clifford_conn, monkeypatch):
+    # an open rectangle has no deck generator: every member closes, even
+    # though the members of the flat torus's patch are not congruent
     imm, conn = clifford_conn
     p = imm.patch
     open_patch = GridPatch(p.nu, p.nv, p.u_range, p.v_range,
                            periodic_u=False, periodic_v=False)
     open_conn = ConnectionData(open_patch, conn.origin, conn.C0, conn.C1)
-    with pytest.raises(InputError, match="periodic"):
-        scan_profile(open_conn)
+    monkeypatch.setattr(s4min.monodromy, "march_frames", _no_march)
+    profile = scan_profile(open_conn)
+    assert (profile.verdict, profile.generators, profile.classes) == ("CIRCLE", (), [])
+    assert not profile.d.any()
+    assert profile.congruence_residuals.max() > 1.0
 
 
 @pytest.mark.parametrize("axis", [0, 1])
