@@ -352,9 +352,16 @@ def read_manifest(path) -> tuple[ImmersionField, float]:
         g = doc["grid"]
         u0, u1 = map(float, g["u_range"])
         v0, v1 = map(float, g["v_range"])
-        patch = GridPatch(int(g["nu"]), int(g["nv"]), (u0, u1), (v0, v1),
-                          bool(g["periodic_u"]), bool(g["periodic_v"]),
-                          bool(g.get("cap_u", False)), bool(g.get("cap_v", False)))
+        fields = {key: g[key] for key in ("nu", "nv", "periodic_u", "periodic_v")}
+        fields.update((key, g.get(key, False)) for key in ("cap_u", "cap_v"))
+        for key, value in fields.items():
+            kind = int if key in ("nu", "nv") else bool
+            if type(value) is not kind:  # bool is a subclass of int
+                raise TypeError(f"grid {key} must be a JSON "
+                                f"{'integer' if kind is int else 'boolean'}, got {value!r}")
+        patch = GridPatch(fields["nu"], fields["nv"], (u0, u1), (v0, v1),
+                          fields["periodic_u"], fields["periodic_v"],
+                          fields["cap_u"], fields["cap_v"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed manifest {path}: {exc}") from exc
     jets = doc.get("jets")

@@ -486,12 +486,6 @@ def cmd_monodromy(args) -> int:
             EXIT_CONFIG, "E_CONFIG",
             f"scan takes at most 65536 angle samples, got {args.scan}",
         )
-    if args.tol_close is not None and not (math.isfinite(args.tol_close)
-                                           and args.tol_close > 0):
-        raise CliError(
-            EXIT_CONFIG, "E_CONFIG",
-            f"closing tolerance must be positive and finite, got {args.tol_close}",
-        )
     imm, meta = _load_surface(args)
     out = _out_dir(args)
     imm, e1, e2, metric, nf, rep = shape_report(imm)
@@ -500,7 +494,7 @@ def cmd_monodromy(args) -> int:
     del imm, e1, e2, metric, nf, rep
     conn = connection_data(*inputs)
     del inputs  # the scan reads only the connection
-    profile = scan_profile(conn, n_theta=args.scan, tol_close=args.tol_close)
+    profile = scan_profile(conn, n_theta=args.scan)
     # a compact surface with nontrivial normal bundle has only finitely
     # many noncongruent members, so a CIRCLE verdict needs congruent ones
     if profile.verdict == "CIRCLE" and chi_n is not None and abs(chi_n.rounded) >= 1:
@@ -692,8 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("monodromy", help="closing-set scan over the family angle")
     _add_common(sp)
     sp.add_argument("--scan", type=int, default=256, help="number of angle samples")
-    sp.add_argument("--tol-close", type=float, default=None,
-                    help="identity-distance closing tolerance")
     sp.set_defaults(func=cmd_monodromy)
 
     sp = sub.add_parser("verify", help="run the full identity suite with tolerances")

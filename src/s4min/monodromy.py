@@ -54,19 +54,20 @@ def generator_monodromy(conn: ConnectionData, axis: int,
                         theta: float | np.ndarray) -> np.ndarray:
     """Ambient isometries picked up by the frame once around a deck generator.
 
-    The generator is the grid line along the periodic ``axis`` (0 = u,
-    1 = v) through node (0, 0).  theta is a scalar or a 1-D array of
-    angles; the result is one 5x5 orthogonal matrix per angle, shaped
-    theta.shape + (5, 5).  The frame is integrated once around the line
+    The generator is the grid line along ``axis`` (0 = u, 1 = v) through
+    node (0, 0); the axis must be one of the chart's deck axes, since a
+    loop along any other axis contracts or is not closed.  theta is a
+    scalar or a 1-D array of angles; the result is one 5x5 orthogonal
+    matrix per angle, shaped theta.shape + (5, 5).  The frame is integrated once around the line
     from the stored frame at the origin, and M carries the start
     configuration to the end one (identity exactly when the deformed
     surface closes around this generator).  Omega_theta is packed on that
     line only, its rotating part formed by rotating_forms, and marched
     once with the periodic (wrap) stencil, batched over the angles.
     """
-    h, periodic = conn.patch.axis(axis)
-    if not periodic:
-        raise InputError(f"{'uv'[axis]} axis is not periodic")
+    if axis not in conn.patch.deck_axes:
+        raise InputError(f"{'uv'[axis]} axis is not a deck generator")
+    h = conn.patch.axis(axis)[0]
     theta = np.asarray(theta, dtype=float)
     c = np.cos(2.0 * theta)[..., None]
     s = np.sin(2.0 * theta)[..., None]
@@ -133,8 +134,7 @@ def _interpolate(coef: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return (wave @ coef.reshape(len(coef), -1)).real.reshape(theta.shape + (5, 5))
 
 
-def scan_profile(conn: ConnectionData, n_theta: int = 256,
-                 tol_close: float | None = None) -> MonodromyProfile:
+def scan_profile(conn: ConnectionData, n_theta: int = 256) -> MonodromyProfile:
     """Monodromy profile d(theta) from a spectral solve on the quarter circle.
 
     Omega_(theta + pi/2) = D Omega_theta D with D = diag(1, 1, 1, -1, -1),
@@ -159,14 +159,15 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256,
     quarter-turn images.  CIRCLE gets family.congruence_residual at
     CONGRUENCE_SAMPLES angles of [0, pi/2).
 
-    tol_close defaults to max(1e-6, 10 * flatness, 10 * d(0)): theta = 0
-    closes by construction, so d(0) is the error floor of the identity
-    test.  A flatness residual above FLATNESS_CEILING means the input is
-    not minimal to working accuracy, and the scan refuses to classify it.
+    tol_close is max(1e-6, 10 * flatness, 10 * d(0)): theta = 0 closes
+    by construction, so d(0) is the error floor of the identity test.
+    A flatness residual above FLATNESS_CEILING means the input is not
+    minimal to working accuracy, and the scan refuses to classify it.
 
     The generators are the chart's deck axes.  With none, the profile
     after the flatness check is CIRCLE by topology: d = 0, both
-    coefficient norms 0, no generator marched.
+    coefficient norms 0, no generator marched, and tol_close is
+    max(1e-6, 10 * flatness).
     """
     if n_theta < 64:
         raise InputError(f"need at least 64 angle samples, got {n_theta}")
@@ -180,9 +181,9 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256,
     thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     ct = np.linspace(0.0, QUARTER, CONGRUENCE_SAMPLES, endpoint=False)
     if not gens:  # simply connected: every loop contracts, so every member closes
-        tol_close = max(1e-6, 10.0 * flat0) if tol_close is None else tol_close
-        return MonodromyProfile(thetas, np.zeros(n_theta), None, [], [], "CIRCLE", tol_close,
-                                flat0, 0.0, 0.0, ct, congruence_residual(conn, ct))
+        return MonodromyProfile(thetas, np.zeros(n_theta), None, [], [], "CIRCLE",
+                                max(1e-6, 10.0 * flat0), flat0, 0.0, 0.0, ct,
+                                congruence_residual(conn, ct))
 
     P = conn.origin.T @ np.diag([1.0, 1.0, 1.0, -1.0, -1.0]) @ conn.origin
 
@@ -214,8 +215,7 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256,
     if len(Mq) == 2:
         A, B = Mq
         defect = np.linalg.norm(A @ B - B @ A, axis=(-2, -1))[fold]
-    if tol_close is None:
-        tol_close = max(1e-6, 10.0 * flat0, 10.0 * float(dq[0]))
+    tol_close = max(1e-6, 10.0 * flat0, 10.0 * float(dq[0]))
 
     circle_max = float(sizes[k > 0].max())
     verdict = "CIRCLE" if circle_max < tol_close else "FINITE"

@@ -169,7 +169,8 @@ def test_family_flatness_reconstruction_isometry(clifford, clifford_conn):
 
 
 def test_closing_set_dichotomy(clifford, clifford_conn, veronese_conn):
-    profile = scan_profile(clifford_conn, n_theta=720, tol_close=1e-6)
+    profile = scan_profile(clifford_conn, n_theta=720)
+    assert profile.tol_close == 1e-6  # above 10 d(0) and 10 flatness
     assert profile.verdict == "FINITE"
     expected = [0.0, math.pi / 2, math.pi, 3.0 * math.pi / 2]
     assert len(profile.roots) == 4

@@ -5,8 +5,10 @@ The command line is the program; library code that only tests call is kept
 only when it is an oracle that tests compare the program against.  This
 test writes that list down and fails on any top-level name of the package
 that neither ``cli.py`` nor a stated oracle reaches by name reference.
-It also checks that every name the benchmark's tracer (``bench/tracer.py``)
-hooks or reads still exists.
+The public API, ``s4min.__all__``, is exactly the classes and functions
+``cli.py`` imports plus the stated oracles.  The test also checks that
+every name the benchmark's tracer (``bench/tracer.py``) hooks or reads
+still exists.
 """
 
 import ast
@@ -95,6 +97,16 @@ def unreachable_names():
 
 def test_no_test_only_library_code():
     assert unreachable_names() == []
+
+
+def test_public_api_is_what_cli_imports_and_the_oracles():
+    defs, imports = _module_index()
+    cli_api = set()
+    for name in imports["cli"]:
+        mod, defined = _resolve(defs, imports, "cli", name)
+        if isinstance(defs[mod][defined], (ast.FunctionDef, ast.ClassDef)):
+            cli_api.add(defined)
+    assert set(s4min.__all__) == cli_api | set(STATED_ORACLES)
 
 
 # dataclass fields that no library code reads, kept on purpose, with the reason

@@ -1,4 +1,4 @@
-"""Invariance under a shift or a flip of the chart.
+"""Invariance under a shift, a flip or an axis swap of the chart.
 
 The same surface sampled on a moved chart must give the same pointwise
 invariants at the moved samples, and the same structure-equation
@@ -19,6 +19,10 @@ there, so a moved chart gets a different gauge.  On the Clifford torus
 the connection stays constant in either gauge and the residuals stay at
 roundoff; on the Veronese sphere they are 4th-order truncation and must
 not move beyond roundoff of their own size.
+
+The axis swap exchanges u and v with their flags, caps, ranges and jet
+components.  It must keep the topology and closing answers, and each
+structure-equation and frame-check residual within 2x.
 """
 
 import dataclasses
@@ -26,10 +30,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from s4min.catalog import clifford_torus, veronese_sphere
-from s4min.family import (assemble_maurer_cartan, connection_data, flatness_residual,
-                          integrate_frame)
+from s4min.catalog import clifford_torus, geodesic_sphere, veronese_sphere
+from s4min.family import (IntegrabilityBroken, assemble_maurer_cartan, connection_data,
+                          flatness_residual, frame_source_deviation, integrate_frame)
+from s4min.grid import GridPatch
+from s4min.monodromy import scan_profile
 from s4min.surface import ImmersionField, shape_report
+from s4min.topology import euler_numbers
 
 INVARIANTS = ("K", "K_N", "kappa", "mu", "a_plus", "a_minus", "minimality")
 THETAS = (0.0, 0.3)
@@ -97,3 +104,60 @@ def test_chart_shift_and_flip_leave_invariants_unchanged(name):
                 assert got[key] < 1e-12, key
             else:  # 1.20e-5 and 5.50e-5; measured relative change at most 1.5e-10
                 assert abs(got[key] - base[key]) <= 1e-9 * base[key], key
+
+
+# ---------------------------------------------------------------------------
+# axis swap: the same surface with u and v exchanged
+
+
+def transposed(imm: ImmersionField) -> ImmersionField:
+    """The surface on the chart (v, u): flags, caps, ranges and jets swapped."""
+    p = imm.patch
+    patch = GridPatch(p.nv, p.nu, p.v_range, p.u_range, p.periodic_v, p.periodic_u,
+                      p.cap_v, p.cap_u)
+
+    def swap(x):
+        return np.ascontiguousarray(np.swapaxes(x, 0, 1))
+
+    # (f_u, f_v) -> (f_v, f_u) and (f_uu, f_uv, f_vv) -> (f_vv, f_uv, f_uu)
+    return ImmersionField(patch, swap(imm.position), swap(imm.jet1[:, :, ::-1]),
+                          swap(imm.jet2[:, :, ::-1]), imm.jet_source)
+
+
+def answers_and_residuals(imm: ImmersionField) -> tuple[dict, dict]:
+    imm, e1, e2, metric, nf, rep = shape_report(imm)
+    chi_m, chi_n = euler_numbers(rep, metric)
+    conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
+                           rep.H3, rep.H4)
+    mc0 = assemble_maurer_cartan(conn, 0.0)
+    profile = scan_profile(conn, n_theta=64)
+    answers = {"chi_M": chi_m.rounded, "chi_N": chi_n.rounded,
+               "verdict": profile.verdict, "classes": profile.classes}
+    residuals = {
+        "flatness": float(flatness_residual(mc0).max()),
+        "source": frame_source_deviation(mc0, conn.origin,
+                                         (imm.position, e1, e2, nf.e3, nf.e4)),
+        "path 0.5": integrate_frame(assemble_maurer_cartan(conn, 0.5),
+                                    conn.origin).path_dependence,
+    }
+    return answers, residuals
+
+
+@pytest.mark.parametrize("make", [
+    lambda: clifford_torus(64),
+    lambda: geodesic_sphere(64),
+    pytest.param(lambda: veronese_sphere(128), marks=pytest.mark.xfail(
+        strict=True, raises=(AssertionError, IntegrabilityBroken),
+        reason="the normal gauge of a winding normal bundle depends on which "
+               "axis carries the cap: flatness 1.2e-5 -> 3.8e-4, and the "
+               "two sweeps at theta = 0.5 disagree beyond PATH_DEPENDENCE_TOL "
+               "(ROADMAP item 14)")),
+], ids=["clifford", "geodesic-sphere", "veronese"])
+def test_axis_swap_keeps_answers_and_residuals(make):
+    imm = make().immersion
+    base_answers, base = answers_and_residuals(imm)
+    answers, got = answers_and_residuals(transposed(imm))
+    assert answers == base_answers
+    for key, value in got.items():  # measured: within 1.2x, or both at roundoff
+        if max(value, base[key]) >= 1e-12:
+            assert 0.5 * base[key] <= value <= 2.0 * base[key], key

@@ -250,10 +250,6 @@ def test_degenerate_manifest_is_source_error(cli, tmp_path, command):
     ("deform", "--theta", 0.5, "--perturb", "inf"),
     ("analyze", "--perturb", "nan"),
     ("analyze", "--perturb", 1e-3, "--seed", -1),
-    ("monodromy", "--scan", 64, "--tol-close", -1),
-    ("monodromy", "--scan", 64, "--tol-close", 0),
-    ("monodromy", "--scan", 64, "--tol-close", "nan"),
-    ("monodromy", "--scan", 64, "--tol-close", "inf"),
     ("monodromy", "--scan", 65537),
 ], ids=lambda argv: " ".join(map(str, argv)))
 def test_nonfinite_or_nonpositive_value_is_config_error(cli, tmp_path, argv):
@@ -262,6 +258,15 @@ def test_nonfinite_or_nonpositive_value_is_config_error(cli, tmp_path, argv):
     assert code == 2
     assert len(out.strip().splitlines()) == 1
     assert error_code(out) == "E_CONFIG"
+
+
+def test_closing_tolerance_is_not_an_option(tmp_path, capsys):
+    # the scan derives its tolerance from its own error floor
+    with pytest.raises(SystemExit) as exit_info:
+        main(["monodromy", "--catalog", "clifford", "--n", "32", "--tol-close", "1e-6",
+              "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "--tol-close" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("target", ["afile", "afile/sub"])
@@ -375,9 +380,28 @@ def _one_ended_range(manifest):
                           "(expected 2, got 1)")
 
 
+def _grid_entry(key, value, kind):
+    def spoil(manifest):
+        doc = json.loads(manifest.read_text())
+        doc["grid"][key] = value
+        manifest.write_text(json.dumps(doc))
+        return ("analyze",), (f"malformed manifest {manifest}: grid {key} must be a JSON "
+                              f"{kind}, got {value!r}")
+
+    spoil.__name__ = f"{key}_{value!r}"
+    return spoil
+
+
 @pytest.mark.parametrize("spoil", [_malformed_json, _short_payload, _off_sphere,
                                    _jets_without_first, _jets_not_an_object,
-                                   _position_not_a_file_name, _not_an_object, _one_ended_range],
+                                   _position_not_a_file_name, _not_an_object, _one_ended_range,
+                                   _grid_entry("periodic_u", "false", "boolean"),
+                                   _grid_entry("periodic_v", 1, "boolean"),
+                                   _grid_entry("cap_u", None, "boolean"),
+                                   _grid_entry("cap_v", "true", "boolean"),
+                                   _grid_entry("nu", 32.0, "integer"),
+                                   _grid_entry("nv", "32", "integer"),
+                                   _grid_entry("nu", True, "integer")],
                          ids=lambda spoil: spoil.__name__.strip("_"))
 def test_unusable_manifest_is_one_source_error_line(cli, tmp_path, spoil):
     imm = load_catalog("clifford", 32).immersion

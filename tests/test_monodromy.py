@@ -9,6 +9,7 @@ classify as a circle with congruence evidence.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -166,16 +167,6 @@ def test_solve_marches_at_most_half_the_scan_angles(clifford_conn, monkeypatch):
     profile = scan_profile(clifford_conn[1], n_theta=64)
     assert sum(marched) <= 2 * 32
     assert profile.spectral_tail < 1e-14
-
-
-def test_constant_profile_has_no_candidates():
-    # the totally geodesic sphere has theta-independent monodromy; on a band
-    # its azimuth loop is a deck generator, and with a tolerance below its
-    # d(0) the profile is FINITE with no minimum
-    conn = _conn(_band(geodesic_sphere(64).immersion, slice(8, 56)))
-    profile = scan_profile(conn, n_theta=64, tol_close=1e-30)
-    assert profile.verdict == "FINITE"
-    assert profile.roots == []
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +394,10 @@ def test_s3_surface_monodromy_fixes_fifth_axis(clifford_conn):
 def test_generator_line_gives_the_stored_bits(fix, request, monkeypatch):
     # the packed line is C0 then c C1 + s C2 on the generator, with C2 as
     # connection_data stored it, (alt3, -sym3, alt4, -sym4): every bit kept
-    imm, conn = request.getfixturevalue(fix)
+    _, conn = request.getfixturevalue(fix)
+    # the same forms on the uncapped chart, where the sphere's azimuth is a
+    # deck generator; on the capped chart that loop contracts
+    conn = ConnectionData(replace(conn.patch, cap_u=False), conn.origin, conn.C0, conn.C1)
     lines = []
     march = s4min.monodromy.march_frames
 
@@ -416,9 +410,7 @@ def test_generator_line_gives_the_stored_bits(fix, request, monkeypatch):
     C2 = np.stack([C1[..., 1], -C1[..., 0], C1[..., 3], -C1[..., 2]], axis=-1)
     thetas = np.array([0.0, 0.3, math.pi / 4, math.pi / 2, 1.1])
     c, s = np.cos(2.0 * thetas)[:, None], np.sin(2.0 * thetas)[:, None]
-    for axis in (0, 1):
-        if not (imm.patch.periodic_u, imm.patch.periodic_v)[axis]:
-            continue
+    for axis in conn.patch.deck_axes:
         generator_monodromy(conn, axis, thetas)
         at = lambda C: np.moveaxis(C, axis, 0)[:, 0, axis][:, None]  # noqa: E731
         rotating = c * at(C1) + s * at(C2)
@@ -552,16 +544,25 @@ def test_open_chart_is_circle_by_topology(clifford_conn, monkeypatch):
     assert profile.congruence_residuals.max() > 1.0
 
 
-@pytest.mark.parametrize("axis", [0, 1])
-def test_open_axis_has_no_generator(clifford_conn, axis):
-    imm, conn = clifford_conn
-    p = imm.patch
-    half_open = GridPatch(p.nu, p.nv, p.u_range, p.v_range,
-                          periodic_u=axis != 0, periodic_v=axis != 1)
-    half_conn = ConnectionData(half_open, conn.origin, conn.C0, conn.C1)
-    with pytest.raises(InputError, match=f"{'uv'[axis]} axis is not periodic"):
-        generator_monodromy(half_conn, axis, 0.3)
-    generator_monodromy(half_conn, 1 - axis, 0.3)
+@pytest.mark.parametrize("chart, axis", [("half-open", 0), ("half-open", 1),
+                                         ("veronese", 1), ("geodesic-sphere", 1)],
+                         ids=["0", "1", "veronese", "geodesic-sphere"])
+def test_open_axis_has_no_generator(clifford_conn, chart, axis):
+    # an open axis has no loop; across a capped axis the periodic azimuth's
+    # loop contracts to a pole, and marching it would read truncation as
+    # monodromy
+    if chart == "half-open":
+        imm, conn = clifford_conn
+        p = imm.patch
+        half_open = GridPatch(p.nu, p.nv, p.u_range, p.v_range,
+                              periodic_u=axis != 0, periodic_v=axis != 1)
+        conn = ConnectionData(half_open, conn.origin, conn.C0, conn.C1)
+        generator_monodromy(conn, 1 - axis, 0.3)
+    else:
+        make = {"veronese": veronese_sphere, "geodesic-sphere": geodesic_sphere}[chart]
+        conn = _conn(make(64).immersion)
+    with pytest.raises(InputError, match=f"{'uv'[axis]} axis is not a deck generator"):
+        generator_monodromy(conn, axis, 0.3)
 
 
 def test_non_minimal_input_refused():
