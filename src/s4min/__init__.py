@@ -35,8 +35,10 @@ from .adapted import (
     zero_orders,
 )
 from .family import (
+    CongruenceFit,
     IntegrabilityBroken,
     assemble_maurer_cartan,
+    congruence_residual,
     congruence_test,
     connection_data,
     deformation_invariant_deviation,

@@ -350,8 +350,8 @@ def read_manifest(path) -> tuple[ImmersionField, float]:
         raise InputError("only little-endian payloads are supported")
     try:
         g = doc["grid"]
-        u0, u1 = map(float, g["u_range"])
-        v0, v1 = map(float, g["v_range"])
+        u0, u1 = g["u_range"]
+        v0, v1 = g["v_range"]
         fields = {key: g[key] for key in ("nu", "nv", "periodic_u", "periodic_v")}
         fields.update((key, g.get(key, False)) for key in ("cap_u", "cap_v"))
         for key, value in fields.items():
@@ -359,8 +359,11 @@ def read_manifest(path) -> tuple[ImmersionField, float]:
             if type(value) is not kind:  # bool is a subclass of int
                 raise TypeError(f"grid {key} must be a JSON "
                                 f"{'integer' if kind is int else 'boolean'}, got {value!r}")
-        patch = GridPatch(fields["nu"], fields["nv"], (u0, u1), (v0, v1),
-                          fields["periodic_u"], fields["periodic_v"],
+        for key, end in (("u_range", u0), ("u_range", u1), ("v_range", v0), ("v_range", v1)):
+            if type(end) not in (int, float):
+                raise TypeError(f"grid {key} ends must be JSON numbers, got {end!r}")
+        patch = GridPatch(fields["nu"], fields["nv"], (float(u0), float(u1)),
+                          (float(v0), float(v1)), fields["periodic_u"], fields["periodic_v"],
                           fields["cap_u"], fields["cap_v"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed manifest {path}: {exc}") from exc

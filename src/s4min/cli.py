@@ -6,9 +6,9 @@ an output directory.  Reports are deterministic: identical configurations
 produce byte-identical files, so runs can be diffed.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input or
-configuration, 3 numerical integrity failure (non-flat connection,
-path-dependent transport, a CIRCLE verdict without the congruence the
-paper's compact-surface theorem demands).
+configuration, 3 numerical integrity failure (non-flat connection, a
+member whose metric is not the source's, a CIRCLE verdict without the
+congruence the paper's compact-surface theorem demands).
 """
 from __future__ import annotations
 
@@ -28,8 +28,9 @@ from .family import (
     PATH_DEPENDENCE_TOL,
     IntegrabilityBroken,
     assemble_maurer_cartan,
-    congruence_test,
+    congruence_residual,
     connection_data,
+    deformation_invariant_deviation,
     deformed_immersion,
     flatness_residual,
     frame_source_deviation,
@@ -45,8 +46,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_INTEGRITY = 3
 
-# residual below which a member counts as congruent: it bounds the Procrustes
-# fit of ``deform`` and the r(theta) of family.congruence_residual
+# r(theta) of family.congruence_residual below which a member counts as congruent
 CONGRUENCE_TOL = 1e-3
 
 
@@ -436,36 +436,39 @@ def cmd_deform(args) -> int:
     inputs = _connection_inputs(imm, e1, e2, nf, rep)
     del imm, e1, e2, metric, nf, rep
     conn = connection_data(*inputs)
-    position = inputs[1]  # the replay reads it; the other inputs go now
+    patch, position = inputs[:2]  # the member is checked against them; the rest go now
     del inputs
+    residual = float(congruence_residual(conn, args.theta))
     mc = assemble_maurer_cartan(conn, args.theta)
-    # the flatness temporaries and the integrated frames are never held together
+    seed = conn.origin
+    del conn
+    # the flatness temporaries and the member are never held together
     flatness = float(flatness_residual(mc).max())
-    dp = integrate_frame(mc, conn.origin)
-    replay = position[np.ix_(dp.patch.unwrap_index(0), dp.patch.unwrap_index(1))]
-    del conn, mc, position
-    deformed = deformed_immersion(dp)
+    deformed = deformed_immersion(integrate_frame(mc, seed))
+    del mc
+    deviation = deformation_invariant_deviation(patch, position, deformed)
+    del position
+    if deviation > PATH_DEPENDENCE_TOL:
+        raise CliError(
+            EXIT_INTEGRITY, "E_INTEGRABILITY",
+            f"the member's metric deviates from the source's by {deviation:.3e} "
+            f"> {PATH_DEPENDENCE_TOL:.1e} (flatness residual {flatness:.3e}): the "
+            "input is not minimal to working accuracy or the grid is too coarse")
     write_manifest(deformed, out / "deformed")
 
-    fit = congruence_test(replay, deformed.position)
+    congruent = residual < CONGRUENCE_TOL
     report = {
         "command": "deform",
         "source": meta,
         "theta": args.theta,
         "flatness_residual": flatness,
-        "path_dependence": dp.path_dependence,
+        "invariant_deviation": deviation,
         "deformed_manifest": "deformed/manifest.json",
-        "congruence": {
-            "residual": fit.residual,
-            "congruent": bool(fit.residual < CONGRUENCE_TOL),
-            "determinant": fit.determinant,
-            "rank": fit.rank,
-            "restricted": fit.restricted,
-        },
+        "congruence": {"residual": residual, "congruent": congruent},
     }
     _write_json(out / "report.json", report)
-    verdict = "congruent" if fit.residual < CONGRUENCE_TOL else "noncongruent"
-    print(f"deform: theta={args.theta:.10g} -> {verdict} (residual {fit.residual:.3e})")
+    verdict = "congruent" if congruent else "noncongruent"
+    print(f"deform: theta={args.theta:.10g} -> {verdict} (residual {residual:.3e})")
     return EXIT_OK
 
 

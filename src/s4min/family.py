@@ -30,13 +30,16 @@ matrix products of one march_frames step, so no whole-grid 5x5
 connection block is ever built.  congruence_residual reads whether a
 member is congruent to the source off C1, without integrating it.
 
-Each whole-grid frame array is held once.  Only the caller holds the
-frame fields; march_frames interpolates each step's midpoint from the
-four samples around it; integrate_frame compares its second sweep with
-the stored first one row by row as it marches, and frame_source_deviation
-its one sweep with the source frame; and the sweeps read their lines as
-views of the packed forms, a periodic seam repeating the first line
-through march_frames' lanes.
+No whole-grid frame array is held.  Only the caller holds the frame
+fields; march_frames interpolates each step's midpoint from the four
+samples around it; integrate_frame keeps only the first row of each
+column of its one "uv" sweep, the member's position, and
+frame_source_deviation compares its one sweep with the source frame as
+it marches; and the sweeps read their lines as views of the packed
+forms, a periodic seam repeating the first line through march_frames'
+lanes.  A member is checked by what the theorem says of it, not by a
+second sweep of the same Omega: deformation_invariant_deviation compares
+its induced metric with the source's.
 """
 
 from __future__ import annotations
@@ -48,24 +51,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridPatch, InputError, diff
-from .surface import ImmersionField, shape_report
+from .surface import ImmersionField
 
 
 class IntegrabilityBroken(RuntimeError):
-    """Frame integration is path dependent beyond tolerance.
+    """The structure equations do not hold to working accuracy.
 
     Either the input surface is not minimal (the assembled connection is
     genuinely curved) or the resolution is too coarse to integrate it.
     """
 
 
-# Row-then-column vs column-then-row integration discrepancy above this
-# means the connection is not flat to working accuracy.  Measured sweep
-# discrepancies are O(h^4): ~1e-8 on exact inputs at n = 64, versus
-# ~1e-2 for a 1e-3 normal perturbation (genuine curvature ~ amplitude).
-# The distance of the theta = 0 sweep from the source frame is held to it
-# too: also O(h^4), 1e-5 to 7e-5 on the catalog surfaces at the verify
-# floors, versus 6e-2 for that perturbation.
+# Bound of the two frame checks, both O(h^4) on exact input.  The distance
+# of the theta = 0 sweep from the source frame: 1e-5 to 7e-5 on the catalog
+# surfaces at the verify floors, versus 6e-2 for a 1e-3 normal
+# perturbation.  The metric deviation of a member from the source: 2.7e-5
+# (Clifford n = 64, theta = pi/4) and 3.7e-5 (Veronese n = 128, theta =
+# 0.5), versus 2.1e-4 and 2.1e-2 for perturbations of 1e-5 and 1e-3
+# (Clifford n = 128).
 PATH_DEPENDENCE_TOL = 1e-4
 
 @dataclass
@@ -381,43 +384,32 @@ def march_frames(omega_line: np.ndarray, h: float, seeds: np.ndarray,
 
 @dataclass
 class DeformedPatch:
-    """Integrated frame field of one family member on patch.unwrapped().
+    """One family member on patch.unwrapped(): its position f_theta, the
+    first frame row of the "uv" sweep.
 
     That chart repeats each periodic axis's first line as a duplicated
-    seam line, so frame[-1] vs frame[0] along the axis exhibits the
-    monodromy rather than hiding it; a capped axis stays capped.  The
-    deformed position f_theta is the first frame row, frame[..., 0, :].
+    seam line, so position[-1] vs position[0] along the axis exhibits the
+    monodromy rather than hiding it; a capped axis stays capped.
     """
 
     patch: GridPatch  # source patch (periodicity flags refer to this)
-    frame: np.ndarray  # (nu + pu, nv + pv, 5, 5)
-    path_dependence: float
+    position: np.ndarray  # (nu + pu, nv + pv, 5)
 
 
-def _spine(mc: MaurerCartanField, seed: np.ndarray, axis: int):
-    """Frames on the unwrapped spine along ``axis`` through the grid
-    origin, marched from the seed, and the packed forms of the lines of
-    the other axis through them.
+def _sweep(mc: MaurerCartanField, seed: np.ndarray):
+    """The "uv" sweep from the seed at the grid origin: the u spine, then
+    every v column from it, over the unwrapped fundamental domain.
 
-    Returns the (N, 5, 5) start frames, N the unwrapped length of the
-    spine; the (n_other, n, 8) lines in march_frames' layout, a view of
-    mc.forms; and the lanes of march_frames that pick the N start
-    frames' entries from each step's n, the spine axis's unwrap_index.
+    Returns the lanes, the u axis's unwrap_index, through which march_frames
+    picks the N unwrapped spine frames' entries from each step's nu; and
+    an iterator over the (N, 5, 5) frames of each unwrapped v column,
+    marched as it is read, a periodic v's duplicated seam column last.
     """
-    h, periodic = mc.patch.axis(axis)
-    forms = np.moveaxis(mc.forms, axis, 0)  # spine axis first
-    spine = march_frames(forms[:, 0, axis][:, None], h, seed[None], periodic)
-    return spine[:, 0], np.moveaxis(forms[:, :, 1 - axis], 1, 0), mc.patch.unwrap_index(axis)
-
-
-def sweep_frames(mc: MaurerCartanField, seed: np.ndarray) -> np.ndarray:
-    """Frames over the unwrapped fundamental domain from the "uv" sweep:
-    the u spine from the seed at the grid origin, then every v column
-    from it.  Returns the (nu + pu, nv + pv, 5, 5) frame array.
-    """
-    starts, lines, lanes = _spine(mc, seed, 0)
-    sheet = march_frames(lines, mc.patch.hv, starts, mc.patch.periodic_v, lanes)
-    return np.moveaxis(sheet, 1, 0)  # (NU, NV, 5, 5)
+    patch = mc.patch
+    spine = march_frames(mc.forms[:, 0, 0][:, None], patch.hu, seed[None], patch.periodic_u)[:, 0]
+    lines = np.moveaxis(mc.forms[:, :, 1], 1, 0)  # (nv, nu, 8), a view
+    lanes = patch.unwrap_index(0)
+    return lanes, itertools.chain([spine], _march(lines, patch.hv, spine, patch.periodic_v, lanes))
 
 
 def frame_source_deviation(mc0: MaurerCartanField, seed: np.ndarray, rows: tuple) -> float:
@@ -432,11 +424,9 @@ def frame_source_deviation(mc0: MaurerCartanField, seed: np.ndarray, rows: tuple
     the source column as they are marched, a duplicated seam line with
     the source's first line, so no whole-grid frame array is held.
     """
-    patch = mc0.patch
-    starts, lines, lanes = _spine(mc0, seed, 0)
+    lanes, columns = _sweep(mc0, seed)
     worst = 0.0
-    columns = _march(lines, patch.hv, starts, patch.periodic_v, lanes)
-    for k, column in zip(patch.unwrap_index(1), itertools.chain([starts], columns)):
+    for k, column in zip(mc0.patch.unwrap_index(1), columns):
         D = column - np.stack([row[lanes, k] for row in rows], axis=-2)
         D *= D  # the squared distance, in place
         worst = max(worst, float(np.sqrt(np.add.reduce(D, axis=(-2, -1))).max()))
@@ -444,69 +434,53 @@ def frame_source_deviation(mc0: MaurerCartanField, seed: np.ndarray, rows: tuple
 
 
 def integrate_frame(mc: MaurerCartanField, seed_frame: np.ndarray) -> DeformedPatch:
-    """Integrate the frame system over the unwrapped fundamental domain.
+    """The member's position over the unwrapped fundamental domain, from
+    the "uv" sweep of the frame system from the seed at the grid origin.
 
-    Marches row-then-column ("uv", kept as the result) and column-then-
-    row ("vu") from the seed at the grid origin; the worst discrepancy
-    between the two sweeps is the path-dependence diagnostic (zero-
-    curvature transport is path independent on the simply connected
-    unwrapped domain).  The "vu" sweep is compared with the stored
-    frames one u row at a time as it marches, so only one whole-grid
-    frame array is ever held.  Raises IntegrabilityBroken when the
-    discrepancy exceeds PATH_DEPENDENCE_TOL.
+    Only the first row of each v column's frames is kept as the column is
+    marched, so no whole-grid frame array is held.  Nothing is checked
+    here: a member is checked against the source by
+    deformation_invariant_deviation, which sees the march error too.
     """
     seed = np.asarray(seed_frame, dtype=float)
     if seed.shape != (5, 5):
         raise InputError(f"seed frame must be 5x5, got {seed.shape}")
-    F_rc = sweep_frames(mc, seed)
-    starts, lines, lanes = _spine(mc, seed, 1)
-    path_dep = 0.0
-    rows = _march(lines, mc.patch.hu, starts, mc.patch.periodic_u, lanes)
-    for stored, row in zip(F_rc, itertools.chain([starts], rows)):
-        D = row - stored  # becomes the squared discrepancy in place
-        D *= D
-        path_dep = max(path_dep, float(np.sqrt(np.add.reduce(D, axis=(-2, -1))).max()))
-    if path_dep > PATH_DEPENDENCE_TOL:
-        flat = float(flatness_residual(mc).max())
-        raise IntegrabilityBroken(
-            f"frame transport is path dependent (discrepancy {path_dep:.3e} "
-            f"> {PATH_DEPENDENCE_TOL:.1e}, flatness residual {flat:.3e}): "
-            "the input is not minimal to working accuracy or the grid is "
-            "too coarse")
-    return DeformedPatch(mc.patch, F_rc, path_dep)
+    lanes, columns = _sweep(mc, seed)
+    position = np.empty((len(lanes), len(mc.patch.unwrap_index(1)), 5))
+    for k, column in enumerate(columns):
+        position[:, k] = column[:, 0]
+    return DeformedPatch(mc.patch, position)
 
 
 def deformed_immersion(dp: DeformedPatch) -> ImmersionField:
     """Deformed position as an immersion over the open unwrapped domain,
     without jets: ``with_jets`` fills them by finite differences."""
-    pos = dp.frame[..., 0, :]
+    pos = dp.position
     return ImmersionField(dp.patch.unwrapped(), pos / np.linalg.norm(pos, axis=-1, keepdims=True),
                           jet_source="fd")
 
 
-def deformation_invariant_deviation(imm: ImmersionField,
-                                    dp: DeformedPatch) -> dict:
-    """Max deviation of the induced metric and curvatures of f_theta
-    from the input surface's.
+def deformation_invariant_deviation(patch: GridPatch, position: np.ndarray,
+                                    member: ImmersionField) -> float:
+    """Max deviation of the induced metric (E, F and G) of the member
+    f_theta from the source's.
 
-    The deformation is isometric and preserves curvature up to the sign
-    of the normal curvature, so every entry should vanish to truncation
-    accuracy.  Both surfaces go through the identical jet pipeline on
-    the unwrapped open domain (the input position replayed periodically
-    onto it), so the comparison measures what the deformation changed,
-    not how finite differences compare with exact jets.
+    The deformation is isometric, so the deviation should vanish to
+    truncation accuracy; it measures the truncation of Omega and the
+    error of the march, and a curved Omega, together.  member lies on
+    patch.unwrapped(), and the source position, on patch, is replayed
+    onto that chart.  Both metrics come from the same first-jet finite
+    differences there, so the comparison measures what the deformation
+    changed, not how finite differences compare with exact jets.
     """
-    p = dp.patch
-    replay = imm.position[np.ix_(p.unwrap_index(0), p.unwrap_index(1))]
-    _, _, _, g0, _, rep0 = shape_report(ImmersionField(p.unwrapped(), replay))
-    _, _, _, g1, _, rep1 = shape_report(deformed_immersion(dp))
-    return {
-        "metric": float(max(np.abs(g1.E - g0.E).max(),
-                            np.abs(g1.F - g0.F).max(),
-                            np.abs(g1.G - g0.G).max())),
-        "K": float(np.abs(rep1.K - rep0.K).max()),
-        "K_N": float(np.abs(np.abs(rep1.K_N) - np.abs(rep0.K_N)).max()),
-    }
+    chart = member.patch
+    replay = position[np.ix_(patch.unwrap_index(0), patch.unwrap_index(1))]
+    metrics = []
+    for f in (replay, member.position):
+        fu, fv = diff(chart, f, 0), diff(chart, f, 1)
+        metrics.append([np.einsum("uvk,uvk->uv", a, b) for a, b in ((fu, fu), (fu, fv), (fv, fv))])
+        del fu, fv  # before the next surface's differences are taken
+    return float(max(np.abs(a - b).max() for a, b in zip(*metrics)))
 
 
 # ---------------------------------------------------------------------------
@@ -515,18 +489,11 @@ def deformation_invariant_deviation(imm: ImmersionField,
 
 @dataclass
 class CongruenceFit:
-    """Best ambient isometry A minimizing sum |A a - b|^2 over O(5).
-
-    residual is the RMS misfit; rank is the rank of the cross-covariance
-    (below 5 the fit is unique only on the spanned subspace and
-    `restricted` is set, e.g. for surfaces inside a great 3-sphere).
-    """
+    """Best ambient isometry A minimizing sum |A a - b|^2 over O(5);
+    residual is the RMS misfit."""
 
     isometry: np.ndarray
     residual: float
-    determinant: float
-    rank: int
-    restricted: bool
 
 
 def congruence_test(pos_a: np.ndarray, pos_b: np.ndarray,
@@ -542,11 +509,7 @@ def congruence_test(pos_a: np.ndarray, pos_b: np.ndarray,
         w = np.asarray(weights, dtype=float).reshape(-1)
         if w.shape[0] != a.shape[0]:
             raise InputError("weights do not match the number of samples")
-    M = np.einsum("n,ni,nj->ij", w, b, a)
-    U, S, Vt = np.linalg.svd(M)
+    U, _, Vt = np.linalg.svd(np.einsum("n,ni,nj->ij", w, b, a))
     A = U @ Vt
-    smax = float(S[0]) if S.size else 0.0
-    rank = int((S > 1e-12 * smax).sum()) if smax > 0 else 0
     misfit = a @ A.T - b
-    residual = math.sqrt(float((w * (misfit**2).sum(axis=1)).sum() / w.sum()))
-    return CongruenceFit(A, residual, float(np.linalg.det(A)), rank, rank < 5)
+    return CongruenceFit(A, math.sqrt(float((w * (misfit**2).sum(axis=1)).sum() / w.sum())))

@@ -35,6 +35,8 @@ from s4min.topology import (
     zero_count_excised,
 )
 
+from oracles import curvature_deviation
+
 N = 256
 
 
@@ -152,16 +154,16 @@ def test_family_flatness_reconstruction_isometry(clifford, clifford_conn):
     for theta in (0.0, 0.3, math.pi / 4, 1.2, math.pi):
         mc = assemble_maurer_cartan(clifford_conn, theta)
         assert float(flatness_residual(mc).max()) < tol
-        dp = integrate_frame(mc, clifford_conn.origin)
-        dev = deformation_invariant_deviation(imm, dp)
-        assert dev["metric"] < 1e-4
+        deformed = deformed_immersion(integrate_frame(mc, clifford_conn.origin))
+        assert deformation_invariant_deviation(patch, imm.position, deformed) < 1e-4
+        dev = curvature_deviation(imm, deformed)
         assert dev["K"] < 1e-4
         assert dev["K_N"] < 1e-4
         if theta == 0.0:
-            ext = dp.patch.unwrapped()
+            ext = patch.unwrapped()
             replay = imm.position[np.ix_(np.arange(ext.nu) % patch.nu,
                                          np.arange(ext.nv) % patch.nv)]
-            gap = deformed_immersion(dp).position - replay
+            gap = deformed.position - replay
             assert math.sqrt(np.mean(gap**2)) < 1e-6
 
 

@@ -21,10 +21,11 @@ import numpy as np
 import pytest
 
 from s4min.catalog import clifford_torus, veronese_sphere
-from s4min.family import (assemble_maurer_cartan, connection_data, flatness_residual,
-                          integrate_frame)
+from s4min.family import assemble_maurer_cartan, connection_data, flatness_residual
 from s4min.monodromy import scan_profile
 from s4min.surface import ImmersionField, shape_report
+
+from oracles import two_sweep_path_dependence
 
 INVARIANTS = ("K", "K_N", "kappa", "mu", "minimality")
 THETAS = (0.0, 0.3)
@@ -52,7 +53,7 @@ def evaluate(imm: ImmersionField) -> dict:
     for theta in THETAS:
         mc = assemble_maurer_cartan(conn, theta)
         out[f"flatness {theta}"] = flatness_residual(mc)
-        out[f"path {theta}"] = integrate_frame(mc, conn.origin).path_dependence
+        out[f"path {theta}"] = two_sweep_path_dependence(mc, conn.origin)
     out["profile"] = scan_profile(conn, n_theta=64)
     return out
 

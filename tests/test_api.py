@@ -29,7 +29,8 @@ STATED_ORACLES = {
     "synthetic_zero_field": "zero-count oracle: radius fields with prescribed zeros",
     "zero_orders": "zero-count oracle: winding orders against the flux counts",
     "winding_number": "zero-count oracle: winding around one zero (acceptance test 6)",
-    "deformation_invariant_deviation": "isometry oracle of acceptance test 4",
+    "congruence_test": "Procrustes oracle: r(theta) against the fitted member",
+    "CongruenceFit": "result of the congruence_test oracle",
     "rotate_normal_frame": "gauge oracle: invariants under normal-gauge rotation",
     "flip_normal_orientation": "gauge oracle: invariants under normal orientation flip",
     "frame_orthonormality_residual": "frame oracle: orthonormality of the built frames",
@@ -120,7 +121,8 @@ STATED_FIELDS = {
     "ZeroOrder.order": "output of the zero_orders oracle",
     "ZeroOrder.flagged": "output of the zero_orders oracle",
     "CatalogEntry.truth": "ground truth of the catalog surfaces",
-    "CongruenceFit.isometry": "the fitted isometry that test_family compares",
+    "CongruenceFit.isometry": "output of the congruence_test oracle",
+    "CongruenceFit.residual": "output of the congruence_test oracle",
 }
 
 

@@ -26,17 +26,21 @@ structure-equation and frame-check residual within 2x.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from s4min.catalog import clifford_torus, geodesic_sphere, veronese_sphere
+from s4min.catalog import clifford_torus, geodesic_sphere, veronese_sphere, write_manifest
+from s4min.cli import main
 from s4min.family import (IntegrabilityBroken, assemble_maurer_cartan, connection_data,
-                          flatness_residual, frame_source_deviation, integrate_frame)
+                          flatness_residual, frame_source_deviation)
 from s4min.grid import GridPatch
 from s4min.monodromy import scan_profile
 from s4min.surface import ImmersionField, shape_report
 from s4min.topology import euler_numbers
+
+from oracles import two_sweep_path_dependence
 
 INVARIANTS = ("K", "K_N", "kappa", "mu", "a_plus", "a_minus", "minimality")
 THETAS = (0.0, 0.3)
@@ -56,7 +60,7 @@ def evaluate(imm: ImmersionField) -> dict:
     for theta in THETAS:
         mc = assemble_maurer_cartan(conn, theta)
         out[f"flatness {theta}"] = float(flatness_residual(mc).max())
-        out[f"path {theta}"] = integrate_frame(mc, conn.origin).path_dependence
+        out[f"path {theta}"] = two_sweep_path_dependence(mc, conn.origin)
     return out
 
 
@@ -137,8 +141,7 @@ def answers_and_residuals(imm: ImmersionField) -> tuple[dict, dict]:
         "flatness": float(flatness_residual(mc0).max()),
         "source": frame_source_deviation(mc0, conn.origin,
                                          (imm.position, e1, e2, nf.e3, nf.e4)),
-        "path 0.5": integrate_frame(assemble_maurer_cartan(conn, 0.5),
-                                    conn.origin).path_dependence,
+        "path 0.5": two_sweep_path_dependence(assemble_maurer_cartan(conn, 0.5), conn.origin),
     }
     return answers, residuals
 
@@ -161,3 +164,16 @@ def test_axis_swap_keeps_answers_and_residuals(make):
     for key, value in got.items():  # measured: within 1.2x, or both at roundoff
         if max(value, base[key]) >= 1e-12:
             assert 0.5 * base[key] <= value <= 2.0 * base[key], key
+
+
+def test_deform_writes_the_transposed_veronese_member(tmp_path, capsys):
+    # the member's metric deviates by 5.3e-7 on the transposed chart, 3.7e-5
+    # on the catalog chart; two sweeps of its Omega disagree by 2.2e-3
+    manifest = write_manifest(transposed(veronese_sphere(128).immersion), tmp_path / "src")
+    code = main(["deform", "--manifest", str(manifest), "--theta", "0.5",
+                 "--out", str(tmp_path / "d")])
+    assert code == 0, capsys.readouterr().out
+    report = json.loads((tmp_path / "d" / "report.json").read_text())
+    assert report["invariant_deviation"] < 1e-6
+    assert report["congruence"]["congruent"] is True
+    assert (tmp_path / "d" / "deformed" / "manifest.json").is_file()

@@ -27,7 +27,6 @@ from s4min.family import (
     connection_data,
     integrate_frame,
     march_frames,
-    sweep_frames,
 )
 from s4min.grid import GridPatch, InputError
 from s4min.monodromy import (
@@ -39,6 +38,8 @@ from s4min.monodromy import (
     scan_profile,
 )
 from s4min.surface import ImmersionField, shape_report
+
+from oracles import two_sweep_path_dependence
 
 
 @pytest.fixture(scope="module")
@@ -295,7 +296,7 @@ def test_congruence_residual_agrees_with_procrustes(name):
     dA = np.abs(C0[..., 0, 0] * C0[..., 1, 1] - C0[..., 1, 0] * C0[..., 0, 1])
     nu, nv = imm.patch.shape
     for theta, r_theta in zip(thetas, r):
-        pos = sweep_frames(assemble_maurer_cartan(conn, theta), conn.origin)[:nu, :nv, 0]
+        pos = integrate_frame(assemble_maurer_cartan(conn, theta), conn.origin).position[:nu, :nv]
         fit = congruence_test(imm.position, pos / np.linalg.norm(pos, axis=-1, keepdims=True), dA)
         assert (r_theta < CONGRUENCE_TOL) == (fit.residual < CONGRUENCE_TOL), theta
     if name.endswith("clifford"):
@@ -333,7 +334,7 @@ def test_circle_congruence_integrates_no_member(veronese_conn, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a member was integrated or fitted")
 
-    for name in ("integrate_frame", "sweep_frames", "congruence_test"):
+    for name in ("integrate_frame", "congruence_test"):
         monkeypatch.setattr(s4min.family, name, refuse)
     profile = scan_profile(veronese_conn[1], n_theta=64)
     assert profile.verdict == "CIRCLE"
@@ -375,8 +376,7 @@ def test_contractible_loop_is_trivial(clifford_conn):
     # rectangle of the unwrapped domain with a corner at the origin
     _, conn = clifford_conn
     for theta in (0.0, 0.4, 0.77, 1.1, 2.5):
-        dp = integrate_frame(assemble_maurer_cartan(conn, theta), conn.origin)
-        assert dp.path_dependence < 1e-7
+        assert two_sweep_path_dependence(assemble_maurer_cartan(conn, theta), conn.origin) < 1e-7
 
 
 def test_s3_surface_monodromy_fixes_fifth_axis(clifford_conn):
