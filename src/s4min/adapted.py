@@ -70,10 +70,21 @@ class SuperminimalityReport:
     verdict: str  # "superminimal" | "isolated-circle-points" | "generic"
     circle_point_count: int
     reason: str
+    # radius branches ("+" for a_plus, "-" for a_minus) that vanish
+    # identically; empty unless the verdict is "superminimal"
+    vanishing: tuple[str, ...] = ()
 
 
 def superminimality_test(report: ShapeReport) -> SuperminimalityReport:
-    """Classify the patch: circle everywhere, isolated circle points, or neither."""
+    """Classify the patch: circle everywhere, isolated circle points, or neither.
+
+    This is the one place that decides what vanishes identically.  Both
+    radii do when |B|^2 stays below 1e-12; when the ellipse is a circle at
+    every point (a_plus * a_minus / 4 below EPS_SUPERMINIMAL of |B|^2), the
+    smaller of a_plus and a_minus does; otherwise neither.  The Hopf
+    residual, the Laplace identities and the zero counts take the verdict
+    and these branches from the report instead of deciding again.
+    """
     quarter = 0.25 * report.a_plus * report.a_minus
     max_q = float(quarter.max())
     max_b = float(report.norm_B2.max())
@@ -81,9 +92,12 @@ def superminimality_test(report: ShapeReport) -> SuperminimalityReport:
     mask = (report.kappa - report.mu) < 1e-4 * float(report.kappa.max()) + CIRCLE_FLOOR
     n_pts = int(mask.sum())
     if max_b < 1e-12:
-        return SuperminimalityReport("superminimal", n_pts, "second fundamental form vanishes")
+        return SuperminimalityReport("superminimal", n_pts, "second fundamental form vanishes",
+                                     ("+", "-"))
     if max_q < EPS_SUPERMINIMAL * max_b:
-        return SuperminimalityReport("superminimal", n_pts, "ellipse is a circle at every point")
+        smaller = "+" if report.a_plus.max() < report.a_minus.max() else "-"
+        return SuperminimalityReport("superminimal", n_pts, "ellipse is a circle at every point",
+                                     (smaller,))
     if n_pts:
         if n_pts / mask.size < 0.05:
             clusters = len(_clusters(mask, report.patch.periodic_u, report.patch.periodic_v))
@@ -113,14 +127,17 @@ def hopf_coefficient(report: ShapeReport) -> np.ndarray:
     return 0.25 * (np.conj(report.H3) ** 2 + np.conj(report.H4) ** 2)
 
 
-def hopf_differential(report: ShapeReport, metric: MetricField, phi: np.ndarray) -> np.ndarray:
+def hopf_differential(report: ShapeReport, metric: MetricField, phi: np.ndarray,
+                      sup: SuperminimalityReport) -> np.ndarray:
     """Holomorphy residual of the quartic differential's coefficient,
-    phi = hopf_coefficient(report).
+    phi = hopf_coefficient(report), given sup = superminimality_test(report).
 
     On an isothermal chart this is the Cauchy-Riemann residual
-    |d(coefficient)/d z-bar| of the chart coefficient; an identically-zero
-    coefficient (circle everywhere) is certified by a gradient bound
-    instead, in any chart.
+    |d(coefficient)/d z-bar| of the chart coefficient.  On any other chart
+    the coefficient is certified by a gradient bound of phi exactly when
+    the verdict is superminimal (it vanishes identically, so it is
+    holomorphic in any chart); otherwise the residual is undefined and
+    InputError is raised.
     """
     patch = report.patch
 
@@ -131,10 +148,8 @@ def hopf_differential(report: ShapeReport, metric: MetricField, phi: np.ndarray)
         cv = diff(patch, c, 1)
         return 0.5 * np.abs(cu + 1j * cv)
 
-    scale = float(np.abs(phi).max())
-    if scale < 1e-10 * max(float(report.norm_B2.max()), 1e-30) or scale < 1e-14:
-        # coefficient vanishes identically: holomorphic in any chart; certify
-        # flatness of the zero field directly
+    if sup.verdict == "superminimal":
+        # certify flatness of the zero field directly
         return np.abs(diff(patch, phi, 0)) + np.abs(diff(patch, phi, 1))
 
     raise InputError(

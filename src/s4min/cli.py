@@ -360,6 +360,8 @@ def _connection_inputs(imm, e1, e2, nf, rep) -> tuple:
 
 
 def _out_dir(args) -> Path:
+    """The output directory, made just before a command's first write: a
+    run refused before then leaves none behind."""
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -375,7 +377,6 @@ def _out_dir(args) -> Path:
 
 def cmd_analyze(args) -> int:
     imm, meta = _load_surface(args)
-    out = _out_dir(args)
     # only the metric and the report are read past this stage
     metric, rep = shape_report(imm)[3::2]
     del imm
@@ -383,7 +384,7 @@ def cmd_analyze(args) -> int:
     hopf = hopf_coefficient(rep)
     hopf_abs = np.abs(hopf)
     try:
-        holo_max = float(hopf_differential(rep, metric, hopf).max())
+        holo_max = float(hopf_differential(rep, metric, hopf, sup).max())
     except InputError:
         holo_max = None
     del hopf
@@ -397,6 +398,7 @@ def cmd_analyze(args) -> int:
         "a_minus": rep.a_minus,
         "hopf_abs": hopf_abs,
     }
+    out = _out_dir(args)
     _write_field_csvs(out, rep.patch, fields)
 
     report = {
@@ -431,7 +433,6 @@ def cmd_deform(args) -> int:
         raise CliError(EXIT_CONFIG, "E_CONFIG",
                        f"deformation angle must be finite, got {args.theta}")
     imm, meta = _load_surface(args)
-    out = _out_dir(args)
     imm, e1, e2, metric, nf, rep = shape_report(imm)
     inputs = _connection_inputs(imm, e1, e2, nf, rep)
     del imm, e1, e2, metric, nf, rep
@@ -454,6 +455,7 @@ def cmd_deform(args) -> int:
             f"the member's metric deviates from the source's by {deviation:.3e} "
             f"> {PATH_DEPENDENCE_TOL:.1e} (flatness residual {flatness:.3e}): the "
             "input is not minimal to working accuracy or the grid is too coarse")
+    out = _out_dir(args)
     write_manifest(deformed, out / "deformed")
 
     congruent = residual < CONGRUENCE_TOL
@@ -490,7 +492,6 @@ def cmd_monodromy(args) -> int:
             f"scan takes at most 65536 angle samples, got {args.scan}",
         )
     imm, meta = _load_surface(args)
-    out = _out_dir(args)
     imm, e1, e2, metric, nf, rep = shape_report(imm)
     chi_n = euler_numbers(rep, metric)[1] if rep.patch.closed else None
     inputs = _connection_inputs(imm, e1, e2, nf, rep)
@@ -513,6 +514,7 @@ def cmd_monodromy(args) -> int:
     comm = profile.commutator_defect
     if comm is None:
         comm = np.full(profile.thetas.shape, np.nan)
+    out = _out_dir(args)
     _write_table_csv(out / "profile.csv", "theta,d,comm_defect",
                      [profile.thetas, profile.d, comm])
 
@@ -556,7 +558,6 @@ VERIFY_FLOOR = {"clifford": 64, "geodesic-sphere": 64, "veronese": 128}
 
 def cmd_verify(args) -> int:
     imm, meta = _load_surface(args, VERIFY_FLOOR)
-    out = _out_dir(args)
     imm, e1, e2, metric, nf, rep = shape_report(imm)
     patch = rep.patch
     h = max(patch.hu, patch.hv)
@@ -566,26 +567,27 @@ def cmd_verify(args) -> int:
     items.append(_item("unit_norm_drift", imm.norm_drift, 1e-9))
     items.append(_item("minimality_max", float(rep.minimality.max()), 1e-5))
 
+    sup = superminimality_test(rep)  # what vanishes, decided once for every check below
     hopf = hopf_coefficient(rep)
     product_gap = float(np.abs(4.0 * np.abs(hopf) - rep.a_plus * rep.a_minus).max())
     items.append(_item("ellipse_radius_product", product_gap, 1e-9))
 
     try:
-        holo, reason = float(hopf_differential(rep, metric, hopf).max()), ""
+        holo, reason = float(hopf_differential(rep, metric, hopf, sup).max()), ""
     except InputError as exc:
         holo, reason = None, str(exc)
     items.append(_item("hopf_holomorphy", holo, tol_h2, reason))
     del hopf
 
     for branch, tag in (("+", "laplace_log_plus"), ("-", "laplace_log_minus")):
-        residual = laplace_identity_residual(rep, metric, branch)
+        residual = laplace_identity_residual(rep, metric, branch, sup)
         items.append(_item(tag, residual, tol_h2,
                            "radius field vanishes identically" if residual is None else ""))
 
     # the global invariants are computed now, so that the shape fields
     # can go before the connection is built; their items follow its checks
     try:
-        topo, topo_error = topology_report(rep, metric), None
+        topo, topo_error = topology_report(rep, metric, sup), None
     except InputError as exc:
         topo, topo_error = None, str(exc)  # the traceback would hold the fields
 
@@ -633,6 +635,7 @@ def cmd_verify(args) -> int:
         "failures": failures,
         "passed": not failures,
     }
+    out = _out_dir(args)
     _write_json(out / "report.json", report)
 
     for it in items:

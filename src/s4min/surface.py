@@ -317,9 +317,6 @@ class ShapeReport:
     minimality: np.ndarray
 
 
-RADICAND_TOL = -1e-8
-
-
 def _normal_components(vec: np.ndarray, e3: np.ndarray,
                        e4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (e3, e4) components of a field of ambient vectors."""
@@ -365,35 +362,16 @@ def second_fundamental_form(imm: ImmersionField, metric: MetricField,
     K_N = (1j * (H3 * np.conj(H4) - np.conj(H3) * H4)).real.copy()
 
     norm_B2, K, a_plus, a_minus, kappa, mu = (np.empty(patch.shape) for _ in range(6))
-    radicands = {"a_plus": lambda rows: 1.0 - K[rows] + K_N[rows],
-                 "a_minus": lambda rows: 1.0 - K[rows] - K_N[rows]}
-    lowest = {name: [] for name in radicands}
     for rows in _row_blocks(patch.nu):
         h3, h4 = H3[rows], H4[rows]
         norm_B2[rows] = 2.0 * (np.abs(h3) ** 2 + np.abs(h4) ** 2)
         K[rows] = 1.0 - norm_B2[rows] / 2.0
-        for name, radicand in radicands.items():
-            lowest[name].append(radicand(rows).min())
-        # |H3 -+ i H4| equals sqrt(1 - K +- K_N) exactly but avoids the
-        # catastrophic cancellation of the radicand form near a_pm = 0
+        # |H3 -+ i H4| equals sqrt(1 - K +- K_N) exactly, so the radicand
+        # needs no sign check, and avoids its cancellation near a_pm = 0
         a_plus[rows] = np.abs(h3 - 1j * h4)
         a_minus[rows] = np.abs(h3 + 1j * h4)
         kappa[rows] = 0.5 * (a_plus[rows] + a_minus[rows])
         mu[rows] = 0.5 * np.abs(a_plus[rows] - a_minus[rows])
-
-    for name, radicand in radicands.items():
-        worst = np.min(lowest[name])  # a NaN anywhere skips the check, as on the whole grid
-        if worst < RADICAND_TOL:
-            # the first block that holds the minimum names the first grid
-            # index that does, as argmin over the whole grid would
-            block = lowest[name].index(worst)
-            rows = slice(block * _SHAPE_BLOCK_ROWS, (block + 1) * _SHAPE_BLOCK_ROWS)
-            rad = radicand(rows)
-            iu, iv = np.unravel_index(np.argmin(rad), rad.shape)
-            raise InputError(
-                f"{name}^2 = {worst:.3e} < 0 at grid index ({rows.start + iu}, {iv}); "
-                "input is not consistent with a minimal isometric immersion"
-            )
 
     return ShapeReport(patch, H3, H4, norm_B2, K, K_N, kappa, mu,
                        a_plus, a_minus, minimality)

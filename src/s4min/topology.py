@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapted import find_zero_candidates, superminimality_test
+from .adapted import SuperminimalityReport, find_zero_candidates
 from .grid import (GridPatch, InputError, MetricField, check_field, diff, gradient_flux,
                    integrate, laplace_beltrami)
 from .surface import ShapeReport
@@ -33,9 +33,6 @@ from .surface import ShapeReport
 # The integrand is log-singular at a zero; the flux contour must clear the
 # derivative stencil reach (5 nodes) around the singular node.
 EXCISION_FACTOR = 6.0
-# A radius field whose maximum falls below this is treated as identically
-# zero: its zero set is not isolated points and no count is defined.
-IDENTICALLY_ZERO_FLOOR = 1e-10
 # The 3-sphere curvature test is evaluated where 1 - K exceeds this floor.
 RICCI_FLOOR = 1e-6
 
@@ -85,9 +82,9 @@ class BalanceCheck:
 
     ``residual_plus`` is ``|2 chi_M - chi_Nf + N(a+)|`` and
     ``residual_minus`` is ``|2 chi_M + chi_Nf + N(a-)|``.  The balance
-    assumes the curvature ellipse is not a circle everywhere and needs
-    both zero counts; otherwise it does not run, both residuals are None
-    and ``reason`` says why.
+    assumes the curvature ellipse is not a circle everywhere; on a
+    superminimal surface it does not run, both residuals are None and
+    ``reason`` says why.
     """
 
     reason: str
@@ -101,7 +98,7 @@ class TopologyReport:
 
     chi_M: IntegerVerdict
     chi_Nf: IntegerVerdict
-    count_plus: ZeroCount | None  # None when a+ is identically zero
+    count_plus: ZeroCount | None  # None when superminimality_test names a+ as vanishing
     count_minus: ZeroCount | None
     superminimality: str  # verdict string from the ellipse classification
     balance: BalanceCheck
@@ -275,23 +272,6 @@ def balance_residuals(
     )
 
 
-def _balance(
-    chi_m: IntegerVerdict,
-    chi_n: IntegerVerdict,
-    count_plus: ZeroCount | None,
-    count_minus: ZeroCount | None,
-    superminimal: bool,
-    reason: str,
-) -> BalanceCheck:
-    if superminimal:
-        return BalanceCheck(f"superminimal surface: {reason}", None, None)
-    if count_plus is None or count_minus is None:
-        return BalanceCheck(
-            "a zero count is unavailable (a radius field vanishes identically)", None, None)
-    rp, rm = balance_residuals(chi_m.value, chi_n.value, count_plus.value, count_minus.value)
-    return BalanceCheck("", rp, rm)
-
-
 # ---------------------------------------------------------------------------
 # pointwise identities
 
@@ -306,19 +286,21 @@ def _log_laplace_residual(patch: GridPatch, w: np.ndarray, metric: MetricField,
 def laplace_identity_residual(
     report: ShapeReport,
     metric: MetricField,
-    branch: str = "+",
+    branch: str,
+    sup: SuperminimalityReport,
 ) -> float | None:
     """Max residual of ``laplace(log a+) = 2K - K_N`` or ``laplace(log a-) = 2K + K_N``.
 
     Evaluated only where the chosen radius exceeds one tenth of its maximum;
     the identity holds off the zero set and the log is singular on it.
-    None when the radius vanishes identically.
+    None exactly when ``sup = superminimality_test(report)`` names the
+    branch as vanishing identically: the identity then has no domain.
     """
     if branch not in ("+", "-"):
         raise InputError(f"branch must be '+' or '-', got {branch!r}")
+    if branch in sup.vanishing:
+        return None
     a = report.a_plus if branch == "+" else report.a_minus
-    if float(a.max()) < IDENTICALLY_ZERO_FLOOR:
-        return None  # identically zero branch: the identity has no domain
     valid = a > 0.1 * float(a.max())  # holds at the maximum, so never empty
     target = 2.0 * report.K - report.K_N if branch == "+" else 2.0 * report.K + report.K_N
     return _log_laplace_residual(report.patch, a, metric, target, valid)
@@ -378,29 +360,33 @@ def synthetic_zero_field(patch: GridPatch, zeros, smooth=None):
 # assembled report
 
 
-def topology_report(report: ShapeReport, metric: MetricField) -> TopologyReport:
+def topology_report(report: ShapeReport, metric: MetricField,
+                    sup: SuperminimalityReport) -> TopologyReport:
     """Assemble Euler numbers, zero counts, and the 3-sphere test.
 
-    Zeros are located by grid search with ``find_zero_candidates``.  A
-    radius field whose maximum is below ``IDENTICALLY_ZERO_FLOOR`` has no
-    isolated-zero count and its count is None; a superminimal surface
-    skips the Euler/zero balance.  The Laplace identities of the radii
-    are not part of the report: ``laplace_identity_residual`` evaluates
-    them on any chart, closed or not.
+    ``sup = superminimality_test(report)`` decides what vanishes: a radius
+    it names as vanishing identically has no isolated-zero count and its
+    count is None, and a superminimal surface skips the Euler/zero
+    balance.  Zeros of the other radii are located by grid search with
+    ``find_zero_candidates``.  The Laplace identities of the radii are not
+    part of the report: ``laplace_identity_residual`` evaluates them on
+    any chart, closed or not.
     """
     patch = report.patch
     chi_m, chi_n = euler_numbers(report, metric)
-    sup = superminimality_test(report)
 
     counts: list[ZeroCount | None] = []
-    for a in (report.a_plus, report.a_minus):
-        if float(a.max()) < IDENTICALLY_ZERO_FLOOR:
+    for branch, a in (("+", report.a_plus), ("-", report.a_minus)):
+        if branch in sup.vanishing:
             counts.append(None)
         else:
             counts.append(zero_count_excised(patch, a, metric, find_zero_candidates(patch, a)))
 
-    balance = _balance(chi_m, chi_n, counts[0], counts[1],
-                       sup.verdict == "superminimal", sup.reason)
+    if sup.verdict == "superminimal":
+        balance = BalanceCheck(f"superminimal surface: {sup.reason}", None, None)
+    else:  # only a superminimal surface has a vanishing radius, so both counts exist
+        balance = BalanceCheck("", *balance_residuals(chi_m.value, chi_n.value,
+                                                      counts[0].value, counts[1].value))
     return TopologyReport(
         chi_M=chi_m,
         chi_Nf=chi_n,

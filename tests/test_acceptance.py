@@ -123,7 +123,8 @@ def test_superminimal_sphere_invariants(veronese):
 
 def test_radius_laplace_identity_and_falsification(clifford):
     for branch in ("+", "-"):
-        residual = laplace_identity_residual(clifford[5], clifford[3], branch)
+        residual = laplace_identity_residual(clifford[5], clifford[3], branch,
+                                             superminimality_test(clifford[5]))
         assert residual is not None
         assert residual < 1e-8
     # The sphere chart keeps its first and last rows half a step from the
@@ -134,14 +135,16 @@ def test_radius_laplace_identity_and_falsification(clifford):
     # floor is well below the bound.
     imm, e1, e2, metric_v, nf, rep_v = shape_report(
         load_catalog("veronese", 128).immersion)
-    residual = laplace_identity_residual(rep_v, metric_v, "+")
+    sup_v = superminimality_test(rep_v)
+    residual = laplace_identity_residual(rep_v, metric_v, "+", sup_v)
     assert residual is not None
     assert residual < 1e-8
     # the minus radius vanishes identically: nothing to test on that branch
-    assert laplace_identity_residual(rep_v, metric_v, "-") is None
+    assert sup_v.vanishing == ("-",)
+    assert laplace_identity_residual(rep_v, metric_v, "-", sup_v) is None
     # flipping the sign of the normal curvature must blow the identity up
     flipped = dataclasses.replace(rep_v, K_N=-rep_v.K_N)
-    assert laplace_identity_residual(flipped, metric_v, "+") > 1.0
+    assert laplace_identity_residual(flipped, metric_v, "+", sup_v) > 1.0
 
 
 # 4. deformation family: flat connection, faithful reconstruction, isometry
@@ -204,14 +207,14 @@ def test_closing_set_dichotomy(clifford, clifford_conn, veronese_conn):
 
 
 def test_global_invariants_and_zero_counts(clifford, veronese):
-    topo = topology_report(clifford[5], clifford[3])
+    topo = topology_report(clifford[5], clifford[3], superminimality_test(clifford[5]))
     assert topo.chi_M.rounded == 0 and topo.chi_M.gap < 1e-6
     assert topo.chi_Nf.rounded == 0 and topo.chi_Nf.gap < 1e-6
     assert topo.balance.reason == ""
     assert topo.balance.residual_plus < 0.05
     assert topo.balance.residual_minus < 0.05
 
-    topo_v = topology_report(veronese[5], veronese[3])
+    topo_v = topology_report(veronese[5], veronese[3], superminimality_test(veronese[5]))
     assert topo_v.chi_M.rounded == 2
     assert abs(topo_v.chi_M.value - 2.0) < 0.02
     # circle ellipse: the balance does not apply

@@ -42,7 +42,8 @@ def test_superminimality_verdicts():
 def test_hopf_clifford_constant_and_holomorphic(clifford):
     rep, metric = clifford[5], clifford[3]
     assert np.abs(np.abs(hopf_coefficient(rep)) - 0.25).max() < 1e-12
-    assert hopf_differential(rep, metric, hopf_coefficient(rep)).max() < 1e-8
+    holo = hopf_differential(rep, metric, hopf_coefficient(rep), superminimality_test(rep))
+    assert holo.max() < 1e-8
 
 
 def test_hopf_modulus_is_gauge_invariant(clifford):
@@ -55,7 +56,9 @@ def test_hopf_vanishes_superminimal():
     for gen in (veronese_sphere, geodesic_sphere):
         pack = shape_report(gen(32).immersion)
         assert np.abs(hopf_coefficient(pack[5])).max() < 1e-10
-        assert hopf_differential(pack[5], pack[3], hopf_coefficient(pack[5])).max() < 1e-10
+        holo = hopf_differential(pack[5], pack[3], hopf_coefficient(pack[5]),
+                                 superminimality_test(pack[5]))
+        assert holo.max() < 1e-10
 
 
 def test_hopf_detects_broken_holomorphy(clifford):
@@ -69,8 +72,8 @@ def test_hopf_detects_broken_holomorphy(clifford):
     bad = type(rep)(rep.patch, rep.H3, rep.H4 + 0.01 * wave, rep.norm_B2,
                     rep.K, rep.K_N, rep.kappa, rep.mu, rep.a_plus, rep.a_minus,
                     rep.minimality)
-    holo = hopf_differential(bad, metric, hopf_coefficient(bad)).max()
-    base = hopf_differential(rep, metric, hopf_coefficient(rep)).max()
+    holo = hopf_differential(bad, metric, hopf_coefficient(bad), superminimality_test(bad)).max()
+    base = hopf_differential(rep, metric, hopf_coefficient(rep), superminimality_test(rep)).max()
     assert holo > 1e-3
     assert holo > 1e3 * max(base, 1e-15)
 
@@ -85,7 +88,7 @@ def test_hopf_rejects_non_isothermal_nonzero():
                     rep.kappa, rep.mu, rep.a_plus, rep.a_minus,
                     rep.minimality)
     with pytest.raises(InputError, match="isothermal"):
-        hopf_differential(rep, metric, hopf_coefficient(rep))
+        hopf_differential(rep, metric, hopf_coefficient(rep), superminimality_test(rep))
 
 
 # ---------------------------------------------------------------------------

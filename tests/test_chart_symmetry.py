@@ -33,8 +33,8 @@ import pytest
 
 from s4min.catalog import clifford_torus, geodesic_sphere, veronese_sphere, write_manifest
 from s4min.cli import main
-from s4min.family import (IntegrabilityBroken, assemble_maurer_cartan, connection_data,
-                          flatness_residual, frame_source_deviation)
+from s4min.family import (assemble_maurer_cartan, connection_data, flatness_residual,
+                          frame_source_deviation)
 from s4min.grid import GridPatch
 from s4min.monodromy import scan_profile
 from s4min.surface import ImmersionField, shape_report
@@ -150,7 +150,7 @@ def answers_and_residuals(imm: ImmersionField) -> tuple[dict, dict]:
     lambda: clifford_torus(64),
     lambda: geodesic_sphere(64),
     pytest.param(lambda: veronese_sphere(128), marks=pytest.mark.xfail(
-        strict=True, raises=(AssertionError, IntegrabilityBroken),
+        strict=True, raises=AssertionError,
         reason="the normal gauge of a winding normal bundle depends on which "
                "axis carries the cap: flatness 1.2e-5 -> 3.8e-4, and the "
                "two sweeps at theta = 0.5 disagree beyond PATH_DEPENDENCE_TOL "

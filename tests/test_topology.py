@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from s4min.adapted import find_zero_candidates, zero_orders
+from s4min.adapted import find_zero_candidates, superminimality_test, zero_orders
 from s4min.catalog import clifford_torus, geodesic_sphere, veronese_sphere
 from s4min.grid import GridPatch, InputError, MetricField, integrate
 from s4min.surface import shape_report
@@ -50,13 +50,13 @@ def geodesic():
 @pytest.fixture(scope="module")
 def clifford_topo(clifford):
     _, _, _, metric, _, rep = clifford
-    return topology_report(rep, metric)
+    return topology_report(rep, metric, superminimality_test(rep))
 
 
 @pytest.fixture(scope="module")
 def veronese_topo(veronese):
     _, _, _, metric, _, rep = veronese
-    return topology_report(rep, metric)
+    return topology_report(rep, metric, superminimality_test(rep))
 
 
 @pytest.fixture(scope="module")
@@ -275,17 +275,28 @@ def test_balance_residuals_flag_fabricated_violation():
 def test_laplace_identity_clifford_both_branches(clifford):
     _, _, _, metric, _, rep = clifford
     for branch in ("+", "-"):
-        assert laplace_identity_residual(rep, metric, branch) < 1e-8
+        assert laplace_identity_residual(rep, metric, branch, superminimality_test(rep)) < 1e-8
 
 
 def test_laplace_identity_veronese_plus_branch(veronese):
     _, _, _, metric, _, rep = veronese
-    assert laplace_identity_residual(rep, metric, "+") < 1e-8
+    assert laplace_identity_residual(rep, metric, "+", superminimality_test(rep)) < 1e-8
 
 
 def test_laplace_identity_veronese_minus_branch_empty(veronese):
     _, _, _, metric, _, rep = veronese
-    assert laplace_identity_residual(rep, metric, "-") is None
+    assert laplace_identity_residual(rep, metric, "-", superminimality_test(rep)) is None
+
+
+def test_laplace_identity_skips_exactly_the_named_branches(clifford):
+    # the branch superminimality_test names is skipped whatever its size
+    # (a+ = a- = 1 on the Clifford torus), and no other
+    _, _, _, metric, _, rep = clifford
+    sup = superminimality_test(rep)
+    assert sup.vanishing == ()
+    named = dataclasses.replace(sup, vanishing=("-",))
+    assert laplace_identity_residual(rep, metric, "-", named) is None
+    assert laplace_identity_residual(rep, metric, "+", named) < 1e-8
 
 
 def test_laplace_identity_wrong_normal_curvature_sign_fails(veronese):
@@ -293,13 +304,13 @@ def test_laplace_identity_wrong_normal_curvature_sign_fails(veronese):
     # residual of the + branch then jumps to 2|K_N| = 4/3
     _, _, _, metric, _, rep = veronese
     broken = dataclasses.replace(rep, K_N=-rep.K_N)
-    assert laplace_identity_residual(broken, metric, "+") > 1.0
+    assert laplace_identity_residual(broken, metric, "+", superminimality_test(broken)) > 1.0
 
 
 def test_laplace_identity_invalid_branch(clifford):
     _, _, _, metric, _, rep = clifford
     with pytest.raises(InputError, match="branch"):
-        laplace_identity_residual(rep, metric, "x")
+        laplace_identity_residual(rep, metric, "x", superminimality_test(rep))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +336,9 @@ def test_ricci_condition_geodesic_skipped(geodesic):
 
 def test_topology_report_geodesic_gates(geodesic):
     _, _, _, metric, _, rep = geodesic
-    topo = topology_report(rep, metric)
+    sup = superminimality_test(rep)
+    assert sup.vanishing == ("+", "-")
+    topo = topology_report(rep, metric, sup)
     assert topo.superminimality == "superminimal"
     assert topo.count_plus is None and topo.count_minus is None
     assert topo.balance.residual_plus is None and topo.balance.residual_minus is None
