@@ -39,7 +39,7 @@ from .family import (
 from .grid import InputError
 from .monodromy import dichotomy_report, scan_profile
 from .surface import ImmersionField, shape_report
-from .topology import euler_numbers, laplace_identity_residual, topology_report
+from .topology import euler_numbers, topology_report
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -375,6 +375,14 @@ def _out_dir(args) -> Path:
 # analyze
 
 
+def _holomorphy_max(rep, metric, hopf, sup) -> tuple[float | None, str]:
+    """Max of hopf_differential, or None and why it is undefined on this chart."""
+    try:
+        return float(hopf_differential(rep, metric, hopf, sup).max()), ""
+    except InputError as exc:
+        return None, str(exc)
+
+
 def cmd_analyze(args) -> int:
     imm, meta = _load_surface(args)
     # only the metric and the report are read past this stage
@@ -383,10 +391,7 @@ def cmd_analyze(args) -> int:
     sup = superminimality_test(rep)
     hopf = hopf_coefficient(rep)
     hopf_abs = np.abs(hopf)
-    try:
-        holo_max = float(hopf_differential(rep, metric, hopf, sup).max())
-    except InputError:
-        holo_max = None
+    holo_max = _holomorphy_max(rep, metric, hopf, sup)[0]
     del hopf
 
     fields = {
@@ -572,24 +577,17 @@ def cmd_verify(args) -> int:
     product_gap = float(np.abs(4.0 * np.abs(hopf) - rep.a_plus * rep.a_minus).max())
     items.append(_item("ellipse_radius_product", product_gap, 1e-9))
 
-    try:
-        holo, reason = float(hopf_differential(rep, metric, hopf, sup).max()), ""
-    except InputError as exc:
-        holo, reason = None, str(exc)
+    holo, reason = _holomorphy_max(rep, metric, hopf, sup)
     items.append(_item("hopf_holomorphy", holo, tol_h2, reason))
     del hopf
 
-    for branch, tag in (("+", "laplace_log_plus"), ("-", "laplace_log_minus")):
-        residual = laplace_identity_residual(rep, metric, branch, sup)
+    # every identity of the shape fields is taken now, so that they can go
+    # before the connection is built; the global items follow its checks
+    topo = topology_report(rep, metric, sup)
+    for tag, residual in (("laplace_log_plus", topo.laplace_plus),
+                          ("laplace_log_minus", topo.laplace_minus)):
         items.append(_item(tag, residual, tol_h2,
                            "radius field vanishes identically" if residual is None else ""))
-
-    # the global invariants are computed now, so that the shape fields
-    # can go before the connection is built; their items follow its checks
-    try:
-        topo, topo_error = topology_report(rep, metric, sup), None
-    except InputError as exc:
-        topo, topo_error = None, str(exc)  # the traceback would hold the fields
 
     inputs = _connection_inputs(imm, e1, e2, nf, rep)
     rows = (imm.position, e1, e2, nf.e3, nf.e4)
@@ -607,12 +605,11 @@ def cmd_verify(args) -> int:
     items.append(_item("flatness_theta0", flat0, max(1e-9, tol_h2)))
     items.append(_item("frame_source_deviation", deviation, PATH_DEPENDENCE_TOL))
 
-    if topo is None:
-        reason = f"global invariants unavailable: {topo_error}"
+    if topo.unavailable is not None:
+        reason = f"global invariants unavailable: {topo.unavailable}"
         for tag in ("euler_chi_surface", "euler_chi_normal",
                     "zero_balance_plus", "zero_balance_minus"):
             items.append(_item(tag, None, None, reason))
-        ricci, superminimality = None, None
     else:
         items.append(_item("euler_chi_surface", topo.chi_M.gap, 0.02))
         items.append(_item("euler_chi_normal", topo.chi_Nf.gap, 0.02))
@@ -620,17 +617,16 @@ def cmd_verify(args) -> int:
         reason = "" if balance.residual_plus is not None else f"skipped: {balance.reason}"
         items.append(_item("zero_balance_plus", balance.residual_plus, 0.05, reason))
         items.append(_item("zero_balance_minus", balance.residual_minus, 0.05, reason))
-        ricci, superminimality = topo.ricci, topo.superminimality
         reason = ("diagnostic: vanishes only for surfaces of a great 3-sphere"
-                  if ricci is not None else "1 - K vanishes on the whole chart")
-    items.append(_item("ricci_3sphere_residual", ricci, None, reason, diagnostic=True))
+                  if topo.ricci is not None else "1 - K vanishes on the whole chart")
+    items.append(_item("ricci_3sphere_residual", topo.ricci, None, reason, diagnostic=True))
 
     failures = [it["tag"] for it in items if not it["passed"]]
     report = {
         "command": "verify",
         "source": meta,
         "grid": {"nu": patch.nu, "nv": patch.nv},
-        "superminimality": superminimality,
+        "superminimality": sup.verdict if topo.unavailable is None else None,
         "items": items,
         "failures": failures,
         "passed": not failures,

@@ -230,7 +230,7 @@ class MetricField:
     """First fundamental form in coordinates and its area element.
 
     E = <f_u, f_u>, F = <f_u, f_v>, G = <f_v, f_v>; dA = sqrt(EG - F^2).
-    gradient_flux forms the inverse metric where it needs it.
+    laplace_beltrami forms the inverse metric where it needs it.
     """
 
     patch: GridPatch
@@ -264,22 +264,20 @@ def frame_coefficients(E: np.ndarray, F: np.ndarray,
     return a, b, c
 
 
-def gradient_flux(patch: GridPatch, values: np.ndarray,
-                  metric: MetricField) -> tuple[np.ndarray, np.ndarray]:
-    """Flux densities sqrt g g^{ij} d_j f of the metric gradient, (u, v)."""
+def laplace_beltrami(patch: GridPatch, values: np.ndarray, metric: MetricField):
+    """Laplace-Beltrami in divergence form, (1/sqrt g) d_i(sqrt g g^{ij} d_j f),
+    as ``(flux_u, flux_v, laplacian)`` with the flux densities sqrt g g^{ij} d_j f
+    it takes the divergence of: grad f leaves a counterclockwise contour
+    through the integral of ``flux_u dv - flux_v du``."""
+    check_field(patch, values, "laplace operand")
     fu = diff(patch, values, 0)
     fv = diff(patch, values, 1)
     det = metric.E * metric.G - metric.F**2
     inv_uu, inv_uv, inv_vv = metric.G / det, -metric.F / det, metric.E / det
-    return (metric.dA * (inv_uu * fu + inv_uv * fv),
-            metric.dA * (inv_uv * fu + inv_vv * fv))
-
-
-def laplace_beltrami(patch: GridPatch, values: np.ndarray, metric: MetricField) -> np.ndarray:
-    """Laplace-Beltrami in divergence form, (1/sqrt g) d_i(sqrt g g^{ij} d_j f)."""
-    check_field(patch, values, "laplace operand")
-    flux_u, flux_v = gradient_flux(patch, values, metric)
-    return (diff(patch, flux_u, 0) + diff(patch, flux_v, 1)) / metric.dA
+    flux_u = metric.dA * (inv_uu * fu + inv_uv * fv)
+    flux_v = metric.dA * (inv_uv * fu + inv_vv * fv)
+    del fu, fv, det, inv_uu, inv_uv, inv_vv  # the divergence needs only the fluxes
+    return flux_u, flux_v, (diff(patch, flux_u, 0) + diff(patch, flux_v, 1)) / metric.dA
 
 
 def _simpson_weights(n: int, h: float) -> np.ndarray:

@@ -1,7 +1,7 @@
-"""Global integral identities for closed immersed surfaces in the 4-sphere.
+"""Identities of the curvature-ellipse radii and the global invariants they balance.
 
-Everything here reduces pointwise curvature data to integers and checks the
-balances that tie them together:
+``topology_report`` checks all of them, differentiating each of log a+,
+log a- and log(1 - K) once and reading every identity from that result:
 
 * Euler characteristics by quadrature: ``chi_M`` from the Gauss curvature and
   ``chi_Nf`` from the normal curvature, each as ``(1/2pi) * integral``.
@@ -9,9 +9,9 @@ balances that tie them together:
   excised integrals of ``laplace(log a)`` in boundary-flux form.
 * The balance ``2*chi_M + chi_Nf = -N(a-)`` and ``2*chi_M - chi_Nf = -N(a+)``
   relating the two, valid when the ellipse is not a circle everywhere.
-* The pointwise identities ``laplace(log a+-) = 2K -+ K_N`` off the zero set
-  and the curvature test ``laplace(log(1-K)) = 4K`` that detects surfaces
-  lying in a totally geodesic 3-sphere.
+* The pointwise identities ``laplace(log a+-) = 2K -+ K_N`` off the zero set,
+  on any chart, and the curvature test ``laplace(log(1-K)) = 4K`` that
+  detects surfaces lying in a totally geodesic 3-sphere.
 
 Integer-valued quantities are always reported as the raw quadrature value
 together with the nearest integer and the rounding gap; nothing is rounded
@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapted import SuperminimalityReport, find_zero_candidates
-from .grid import (GridPatch, InputError, MetricField, check_field, diff, gradient_flux,
-                   integrate, laplace_beltrami)
+from .grid import GridPatch, InputError, MetricField, check_field, integrate, laplace_beltrami
 from .surface import ShapeReport
 
 # Excision radius for zero counting, in units of the larger grid spacing.
@@ -94,28 +93,22 @@ class BalanceCheck:
 
 @dataclass(frozen=True)
 class TopologyReport:
-    """Global invariants and identity residuals of one closed surface."""
+    """Laplace residuals of the radii, on any chart, and the global part,
+    whose fields are all None where ``unavailable`` says why it cannot run."""
 
-    chi_M: IntegerVerdict
-    chi_Nf: IntegerVerdict
-    count_plus: ZeroCount | None  # None when superminimality_test names a+ as vanishing
-    count_minus: ZeroCount | None
-    superminimality: str  # verdict string from the ellipse classification
-    balance: BalanceCheck
-    ricci: float | None  # ricci_condition_residual; None when 1 - K vanishes
+    laplace_plus: float | None  # None when superminimality_test names a+ as vanishing
+    laplace_minus: float | None
+    unavailable: str | None = None  # InputError text: open chart, refused zero count
+    chi_M: IntegerVerdict | None = None
+    chi_Nf: IntegerVerdict | None = None
+    count_plus: ZeroCount | None = None  # also None when a+ vanishes identically
+    count_minus: ZeroCount | None = None
+    balance: BalanceCheck | None = None
+    ricci: float | None = None  # ricci_condition_residual; also None when 1 - K vanishes
 
 
 # ---------------------------------------------------------------------------
 # Euler numbers
-
-
-def _require_closed(patch: GridPatch, what: str) -> None:
-    if not patch.closed:
-        raise InputError(
-            f"{what} needs a closed chart (each axis periodic or capped); "
-            f"got periodic=({patch.periodic_u}, {patch.periodic_v}), "
-            f"cap=({patch.cap_u}, {patch.cap_v})"
-        )
 
 
 def euler_numbers(report: ShapeReport, metric: MetricField) -> tuple[IntegerVerdict, IntegerVerdict]:
@@ -127,7 +120,12 @@ def euler_numbers(report: ShapeReport, metric: MetricField) -> tuple[IntegerVerd
     decides whether the gap is acceptable.
     """
     patch = report.patch
-    _require_closed(patch, "Euler-number quadrature")
+    if not patch.closed:
+        raise InputError(
+            "Euler-number quadrature needs a closed chart (each axis periodic or capped); "
+            f"got periodic=({patch.periodic_u}, {patch.periodic_v}), "
+            f"cap=({patch.cap_u}, {patch.cap_v})"
+        )
     chi_m = integrate(patch, report.K, metric) / (2.0 * math.pi)
     chi_n = integrate(patch, report.K_N, metric) / (2.0 * math.pi)
     return IntegerVerdict.of(chi_m), IntegerVerdict.of(chi_n)
@@ -168,12 +166,8 @@ def _edge_sum(values: np.ndarray, h: float) -> float:
     return float(np.sum(values * w))
 
 
-def zero_count_excised(
-    patch: GridPatch,
-    a_field: np.ndarray,
-    metric: MetricField,
-    zeros,
-) -> ZeroCount:
+def zero_count_excised(patch: GridPatch, a_field: np.ndarray, metric: MetricField,
+                       zeros, log_fields=None) -> ZeroCount:
     """Count zeros of a nonnegative field, with orders, by boundary fluxes.
 
     Each entry of ``zeros`` is a grid index pair ``(i, j)``.  Around each
@@ -185,6 +179,7 @@ def zero_count_excised(
     zeros, so this flux form replaces naive quadrature across them.
 
     Rectangles must not overlap and must clear open chart boundaries.
+    ``log_fields``, when given, is ``_log_laplacian`` of ``a_field``.
     """
     a = np.asarray(a_field, dtype=float)
     if a.shape != patch.shape:
@@ -208,13 +203,10 @@ def zero_count_excised(
                     f"overlapping excision rectangles around ({ia}, {ja}) and ({ib}, {jb})"
                 )
 
-    # Clamp before taking logs: the log is -inf at the zeros themselves, but
     # every node within stencil reach of a zero lies inside its excision
-    # rectangle, so the clamped values never touch the reported fluxes.
-    log_a = np.log(np.maximum(a, 1e-300))
-    # flux densities of the metric gradient, in divergence-theorem form:
+    # rectangle, so the clamped logs never touch the reported fluxes;
     # outward flux of a counterclockwise contour is sum(Fu dv - Fv du)
-    flux_u, flux_v = gradient_flux(patch, log_a, metric)
+    flux_u, flux_v, lap = log_fields or _log_laplacian(patch, a, metric)
 
     per_zero = []
     for ia, ja in locations:
@@ -244,7 +236,6 @@ def zero_count_excised(
             "the field vanishes outside the excision rectangles; "
             "the zero list is incomplete"
         )
-    lap = (diff(patch, flux_u, 0) + diff(patch, flux_v, 1)) / metric.dA
     excised = -integrate(patch, np.where(outside, lap, 0.0), metric) / (2.0 * math.pi)
 
     total = IntegerVerdict.of(float(sum(v.value for v in per_zero)))
@@ -276,34 +267,36 @@ def balance_residuals(
 # pointwise identities
 
 
-def _log_laplace_residual(patch: GridPatch, w: np.ndarray, metric: MetricField,
-                          target: np.ndarray, valid: np.ndarray) -> float:
-    """Max of |laplace(log w) - target| over the valid points."""
-    lap = laplace_beltrami(patch, np.log(np.maximum(w, 1e-300)), metric)
+def _log_laplacian(patch: GridPatch, w: np.ndarray, metric: MetricField):
+    """``laplace_beltrami`` of the log of a nonnegative field, clamped at 1e-300:
+    the one place a log field is differentiated."""
+    return laplace_beltrami(patch, np.log(np.maximum(w, 1e-300)), metric)
+
+
+def _radius_residual(report: ShapeReport, branch: str, lap: np.ndarray) -> float:
+    """Max of ``|laplace(log a) - (2K -+ K_N)|`` where the radius a of
+    ``branch`` exceeds a tenth of its maximum, away from its zeros."""
+    a = report.a_plus if branch == "+" else report.a_minus
+    valid = a > 0.1 * float(a.max())  # holds at the maximum, so never empty
+    target = 2.0 * report.K - report.K_N if branch == "+" else 2.0 * report.K + report.K_N
     return float(np.abs(lap - target)[valid].max())
 
 
-def laplace_identity_residual(
-    report: ShapeReport,
-    metric: MetricField,
-    branch: str,
-    sup: SuperminimalityReport,
-) -> float | None:
+def laplace_identity_residual(report: ShapeReport, metric: MetricField, branch: str,
+                              sup: SuperminimalityReport) -> float | None:
     """Max residual of ``laplace(log a+) = 2K - K_N`` or ``laplace(log a-) = 2K + K_N``.
 
-    Evaluated only where the chosen radius exceeds one tenth of its maximum;
-    the identity holds off the zero set and the log is singular on it.
-    None exactly when ``sup = superminimality_test(report)`` names the
-    branch as vanishing identically: the identity then has no domain.
+    The one-radius reference for ``topology_report``'s ``laplace_plus`` and
+    ``laplace_minus``, on any chart.  None exactly when
+    ``sup = superminimality_test(report)`` names the branch as vanishing
+    identically: the identity then has no domain.
     """
     if branch not in ("+", "-"):
         raise InputError(f"branch must be '+' or '-', got {branch!r}")
     if branch in sup.vanishing:
         return None
     a = report.a_plus if branch == "+" else report.a_minus
-    valid = a > 0.1 * float(a.max())  # holds at the maximum, so never empty
-    target = 2.0 * report.K - report.K_N if branch == "+" else 2.0 * report.K + report.K_N
-    return _log_laplace_residual(report.patch, a, metric, target, valid)
+    return _radius_residual(report, branch, _log_laplacian(report.patch, a, metric)[2])
 
 
 def ricci_condition_residual(report: ShapeReport, metric: MetricField) -> float | None:
@@ -318,7 +311,8 @@ def ricci_condition_residual(report: ShapeReport, metric: MetricField) -> float 
     valid = w > RICCI_FLOOR
     if not valid.any():
         return None
-    return _log_laplace_residual(report.patch, w, metric, 4.0 * report.K, valid)
+    lap = _log_laplacian(report.patch, w, metric)[2]
+    return float(np.abs(lap - 4.0 * report.K)[valid].max())
 
 
 # ---------------------------------------------------------------------------
@@ -362,37 +356,42 @@ def synthetic_zero_field(patch: GridPatch, zeros, smooth=None):
 
 def topology_report(report: ShapeReport, metric: MetricField,
                     sup: SuperminimalityReport) -> TopologyReport:
-    """Assemble Euler numbers, zero counts, and the 3-sphere test.
+    """Laplace identities of the radii, Euler numbers, zero counts, their
+    balance and the 3-sphere test.
 
     ``sup = superminimality_test(report)`` decides what vanishes: a radius
-    it names as vanishing identically has no isolated-zero count and its
-    count is None, and a superminimal surface skips the Euler/zero
-    balance.  Zeros of the other radii are located by grid search with
-    ``find_zero_candidates``.  The Laplace identities of the radii are not
-    part of the report: ``laplace_identity_residual`` evaluates them on
-    any chart, closed or not.
+    it names as vanishing identically has no Laplace residual and no zero
+    count, and a superminimal surface skips the Euler/zero balance.  Zeros
+    of the other radii are located by ``find_zero_candidates``.  Each radius
+    is differentiated once; its residual and its zero count read that.
+    The residuals are taken on any chart, the global part where it can run.
     """
     patch = report.patch
-    chi_m, chi_n = euler_numbers(report, metric)
-
-    counts: list[ZeroCount | None] = []
-    for branch, a in (("+", report.a_plus), ("-", report.a_minus)):
+    laplace, counts, unavailable = [None, None], [None, None], None
+    try:
+        chi_m, chi_n = euler_numbers(report, metric)
+    except InputError as exc:  # an open chart
+        unavailable = str(exc)
+    for k, (branch, a) in enumerate((("+", report.a_plus), ("-", report.a_minus))):
         if branch in sup.vanishing:
-            counts.append(None)
-        else:
-            counts.append(zero_count_excised(patch, a, metric, find_zero_candidates(patch, a)))
+            continue
+        log_fields = _log_laplacian(patch, a, metric)
+        laplace[k] = _radius_residual(report, branch, log_fields[2])
+        if unavailable is None:
+            try:
+                counts[k] = zero_count_excised(patch, a, metric,
+                                               find_zero_candidates(patch, a), log_fields)
+            except InputError as exc:
+                unavailable = str(exc)
+        del log_fields  # the next radius's fields are made without these
+    if unavailable is not None:
+        return TopologyReport(*laplace, unavailable=unavailable)
 
     if sup.verdict == "superminimal":
         balance = BalanceCheck(f"superminimal surface: {sup.reason}", None, None)
     else:  # only a superminimal surface has a vanishing radius, so both counts exist
         balance = BalanceCheck("", *balance_residuals(chi_m.value, chi_n.value,
                                                       counts[0].value, counts[1].value))
-    return TopologyReport(
-        chi_M=chi_m,
-        chi_Nf=chi_n,
-        count_plus=counts[0],
-        count_minus=counts[1],
-        superminimality=sup.verdict,
-        balance=balance,
-        ricci=ricci_condition_residual(report, metric),
-    )
+    return TopologyReport(*laplace, chi_M=chi_m, chi_Nf=chi_n, count_plus=counts[0],
+                          count_minus=counts[1], balance=balance,
+                          ricci=ricci_condition_residual(report, metric))

@@ -35,6 +35,7 @@ STATED_ORACLES = {
     "flip_normal_orientation": "gauge oracle: invariants under normal orientation flip",
     "frame_orthonormality_residual": "frame oracle: orthonormality of the built frames",
     "frame_reconstruction_residual": "pointwise reference for the source check",
+    "laplace_identity_residual": "one-radius reference for topology_report's Laplace residuals",
 }
 
 

@@ -22,11 +22,15 @@ import s4min
 from s4min import adapted as adapted_module
 from s4min import cli as cli_module
 from s4min import family as family_module
+from s4min import grid as grid_module
+from s4min import surface as surface_module
 from s4min import topology as topology_module
+from s4min.adapted import superminimality_test
 from s4min.catalog import load_catalog, read_manifest, write_manifest
 from s4min.cli import main
 from s4min.grid import GridPatch
-from s4min.surface import ImmersionField
+from s4min.surface import ImmersionField, shape_report
+from s4min.topology import laplace_identity_residual
 
 
 @pytest.fixture
@@ -781,11 +785,10 @@ def test_verify_perturbed_surface_fails(cli, tmp_path):
     assert items["hopf_holomorphy"]["skipped"] is True
 
 
-def test_verify_computes_each_quantity_once(cli, tmp_path, monkeypatch):
-    # what vanishes is decided once per command, by one superminimality
-    # test; verify's own Laplace checks are its only ones, one per branch,
-    # and the source check reuses the Omega_0 of the flatness check
-    calls = {}
+def _count_calls(monkeypatch, names, modules) -> dict:
+    """Count the calls of the named functions, rebound in every module of
+    ``modules`` that looks them up; the counts start at zero."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -793,16 +796,46 @@ def test_verify_computes_each_quantity_once(cli, tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    names = ("superminimality_test", "laplace_identity_residual", "assemble_maurer_cartan")
-    for module in (cli_module, adapted_module, topology_module, family_module):
+    for module in modules:
         for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    for command, want in (("verify", (1, 2, 1)), ("analyze", (1, 0, 0))):
+    return calls
+
+
+def test_verify_computes_each_quantity_once(cli, tmp_path, monkeypatch):
+    # what vanishes is decided once per command, by one superminimality
+    # test; each log field verify's identities read (a+, a-, 1 - K, less
+    # what vanishes) is differentiated once, and the source check reuses
+    # the Omega_0 of the flatness check
+    names = ("superminimality_test", "laplace_beltrami", "assemble_maurer_cartan")
+    calls = _count_calls(monkeypatch, names, (cli_module, adapted_module, grid_module,
+                                               topology_module, family_module))
+    for command, source, want in (("verify", ("clifford", 64), (1, 3, 1)),
+                                  ("verify", ("veronese", 128), (1, 2, 1)),
+                                  ("analyze", ("clifford", 64), (1, 0, 0))):
         calls.update(dict.fromkeys(names, 0))
-        code, _ = cli(command, "--catalog", "clifford", "--n", 64, "--out", tmp_path / command)
+        code, _ = cli(command, "--catalog", source[0], "--n", source[1],
+                      "--out", tmp_path / command / source[0])
         assert code == 0
-        assert calls == dict(zip(names, want)), command
+        assert calls == dict(zip(names, want)), (command, source)
+
+
+@pytest.mark.parametrize("name, n, jets, want", [
+    ("clifford", 64, "analytic", 20),
+    ("veronese", 128, "analytic", 16),
+    ("geodesic-sphere", 64, "analytic", 8),
+    ("clifford", 64, "fd", 25),
+])
+def test_verify_derivative_count(cli, tmp_path, monkeypatch, name, n, jets, want):
+    # four grid derivatives per differentiated log field (a+ and a- unless
+    # they vanish, 1 - K unless it does) plus the eight of the Hopf
+    # differential, the connection and its flatness; fd jets add five
+    calls = _count_calls(monkeypatch, ("diff",), (grid_module, surface_module, adapted_module,
+                                                  topology_module, family_module))
+    code, out = cli("verify", "--catalog", name, "--n", n, "--jets", jets, "--out", tmp_path)
+    assert code == 0, out
+    assert calls["diff"] == want
 
 
 VERIFY_TAGS = ["unit_norm_drift", "minimality_max", "ellipse_radius_product",
@@ -829,6 +862,50 @@ def test_verify_items_keep_their_order(cli, tmp_path):
         assert printed == VERIFY_TAGS
         skipped = [it["tag"] for it in items if it["skipped"]]
         assert (sub == "open") == ("euler_chi_surface" in skipped)
+
+
+GLOBAL_TAGS = VERIFY_TAGS[8:]
+
+
+def test_verify_open_chart_keeps_the_laplace_identities(cli, tmp_path):
+    # a deformed member is sampled on an open chart: the Laplace identities
+    # of the radii are still evaluated, and are the one-radius reference's
+    # numbers; the global items are skipped with the chart's refusal
+    code, _ = cli("deform", "--catalog", "clifford", "--n", 64, "--theta", 0.7,
+                  "--out", tmp_path / "d")
+    assert code == 0
+    manifest = tmp_path / "d" / "deformed" / "manifest.json"
+    code, _ = cli("verify", "--manifest", manifest, "--out", tmp_path / "v")
+    assert code == 0
+    report = json.loads((tmp_path / "v" / "report.json").read_text())
+    items = {it["tag"]: it for it in report["items"]}
+    _, _, _, metric, _, rep = shape_report(read_manifest(manifest)[0])
+    sup = superminimality_test(rep)
+    for branch, tag in (("+", "laplace_log_plus"), ("-", "laplace_log_minus")):
+        assert items[tag]["skipped"] is False and items[tag]["passed"] is True
+        assert items[tag]["value"] == laplace_identity_residual(rep, metric, branch, sup)
+        assert 1e-4 < items[tag]["value"] < 3e-4  # 2.105e-4
+    for tag in GLOBAL_TAGS:
+        assert items[tag]["skipped"] is True and items[tag]["value"] is None
+        assert items[tag]["reason"].startswith(
+            "global invariants unavailable: Euler-number quadrature needs a closed chart")
+    assert report["superminimality"] is None
+
+
+def test_verify_refused_zero_count_skips_only_the_global_items(cli, tmp_path, monkeypatch):
+    # a zero list the count refuses stops the global part on a closed chart,
+    # but not the Laplace identities, which need no zero count
+    monkeypatch.setattr(topology_module, "find_zero_candidates",
+                        lambda patch, values: [(10, 10), (11, 11)])
+    code, out = cli("verify", "--catalog", "clifford", "--n", 64, "--out", tmp_path)
+    assert code == 0, out
+    items = {it["tag"]: it for it in json.loads((tmp_path / "report.json").read_text())["items"]}
+    for tag in ("laplace_log_plus", "laplace_log_minus"):
+        assert items[tag]["skipped"] is False and items[tag]["value"] < 1e-8
+    for tag in GLOBAL_TAGS:
+        assert items[tag]["skipped"] is True
+        assert items[tag]["reason"] == ("global invariants unavailable: overlapping "
+                                        "excision rectangles around (10, 10) and (11, 11)")
 
 
 @pytest.mark.parametrize("argv, bound", [

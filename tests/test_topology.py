@@ -22,6 +22,7 @@ from s4min.grid import GridPatch, InputError, MetricField, integrate
 from s4min.surface import shape_report
 from s4min.topology import (
     IntegerVerdict,
+    _log_laplacian,
     balance_residuals,
     euler_numbers,
     laplace_identity_residual,
@@ -129,6 +130,17 @@ def test_zero_count_order_two_with_smooth_factor(flat_chart):
     windings = zero_orders(patch, w, cands)
     assert [z.order for z in windings] == [2]
     assert count.rounded == sum(z.order for z in windings)
+
+
+def test_zero_count_reads_the_given_log_fields(flat_chart):
+    # topology_report hands the count the fields its Laplace identity
+    # differentiated; the count from them is the count from the field
+    patch, metric = flat_chart
+    a, _ = synthetic_zero_field(patch, [(math.pi, math.pi, 1)])
+    cands = find_zero_candidates(patch, a)
+    given = zero_count_excised(patch, a, metric, cands, _log_laplacian(patch, a, metric))
+    assert given == zero_count_excised(patch, a, metric, cands)
+    assert given.rounded == 1
 
 
 def test_zero_count_two_simple_zeros(flat_chart):
@@ -255,7 +267,7 @@ def test_balance_holds_on_clifford(clifford_topo):
 
 
 def test_balance_skipped_on_superminimal(veronese_topo):
-    assert veronese_topo.superminimality == "superminimal"
+    assert veronese_topo.laplace_minus is None  # a- vanishes identically
     assert "superminimal" in veronese_topo.balance.reason
     assert veronese_topo.balance.residual_plus is None
     assert veronese_topo.balance.residual_minus is None
@@ -313,6 +325,32 @@ def test_laplace_identity_invalid_branch(clifford):
         laplace_identity_residual(rep, metric, "x", superminimality_test(rep))
 
 
+def test_report_laplace_residuals_are_the_reference(clifford, veronese,
+                                                    clifford_topo, veronese_topo):
+    # the report differentiates each radius once and reads its residual
+    # from that result: the numbers of the one-radius reference, bit for bit
+    for (_, _, _, metric, _, rep), topo in ((clifford, clifford_topo),
+                                            (veronese, veronese_topo)):
+        sup = superminimality_test(rep)
+        assert topo.laplace_plus == laplace_identity_residual(rep, metric, "+", sup)
+        assert topo.laplace_minus == laplace_identity_residual(rep, metric, "-", sup)
+
+
+def test_report_on_open_chart_keeps_the_laplace_residuals(clifford):
+    _, _, _, metric, _, rep = clifford
+    open_patch = GridPatch(
+        rep.patch.nu, rep.patch.nv, rep.patch.u_range, rep.patch.v_range, False, False
+    )
+    open_rep = dataclasses.replace(rep, patch=open_patch)
+    sup = superminimality_test(open_rep)
+    topo = topology_report(open_rep, metric, sup)
+    assert topo.unavailable.startswith("Euler-number quadrature needs a closed chart")
+    for branch, residual in (("+", topo.laplace_plus), ("-", topo.laplace_minus)):
+        assert residual == laplace_identity_residual(open_rep, metric, branch, sup) < 1e-8
+    assert [getattr(topo, name) for name in ("chi_M", "chi_Nf", "count_plus", "count_minus",
+                                             "balance", "ricci")] == [None] * 6
+
+
 # ---------------------------------------------------------------------------
 # 3-sphere curvature test
 
@@ -339,7 +377,7 @@ def test_topology_report_geodesic_gates(geodesic):
     sup = superminimality_test(rep)
     assert sup.vanishing == ("+", "-")
     topo = topology_report(rep, metric, sup)
-    assert topo.superminimality == "superminimal"
+    assert topo.laplace_plus is None and topo.laplace_minus is None
     assert topo.count_plus is None and topo.count_minus is None
     assert topo.balance.residual_plus is None and topo.balance.residual_minus is None
     assert topo.ricci is None
