@@ -17,8 +17,11 @@ from .surface import (
     ImmersionField,
     flip_normal_orientation,
     frame_orthonormality_residual,
+    normal_frame,
     rotate_normal_frame,
+    second_fundamental_form,
     shape_report,
+    tangent_frame,
 )
 from .catalog import (
     catalog_names,

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import GridPatch, InputError
+from .grid import GridPatch, InputError, row_blocks
 from .surface import UNIT_NORM_TOL, ImmersionField, normal_frame, tangent_frame
 
 
@@ -140,6 +140,15 @@ def _unit_sphere_jets(U, V):
     return w, wt, wp, wtt, wtp, wpp
 
 
+def _sphere_jet_blocks(patch: GridPatch):
+    """(rows, _unit_sphere_jets) for one block of u rows of the chart at a
+    time: the jets' planes exist for one block only.  The block mesh holds
+    the values of patch.mesh()[rows]."""
+    u, v = patch.u_coords(), patch.v_coords()
+    for rows in row_blocks(patch.nu):
+        yield rows, _unit_sphere_jets(*np.meshgrid(u[rows], v, indexing="ij"))
+
+
 def _planes(a: np.ndarray) -> np.ndarray:
     """View of a (..., 5) array with the component axis first."""
     return np.moveaxis(a, -1, 0)
@@ -153,8 +162,6 @@ def veronese_sphere(n: int = 128) -> CatalogEntry:
     sqrt(3): I = 3(dt^2 + sin^2 t dphi^2), area 12 pi.
     """
     patch = _sphere_chart(n)
-    U, V = patch.mesh()
-    w, wt, wp, wtt, wtp, wpp = _unit_sphere_jets(U, V)
     A = _veronese_maps()
     terms = np.argwhere(A)  # (k, p, q) of the nonzero entries, p then q per k
 
@@ -167,14 +174,15 @@ def veronese_sphere(n: int = 128) -> CatalogEntry:
         return out
 
     f, jet1, jet2 = _jet_arrays(n)
-    _planes(f)[...] = quad(w, w)
-    for i, x in enumerate((wt, wp)):
-        np.multiply(2.0, quad(x, w), out=_planes(jet1[:, :, i]))
-    for i, (x, y, xy) in enumerate(((wt, wt, wtt), (wt, wp, wtp), (wp, wp, wpp))):
-        s = quad(x, y)
-        s += quad(xy, w)
-        np.multiply(2.0, s, out=_planes(jet2[:, :, i]))
-    del w, wt, wp, wtt, wtp, wpp, s
+    for rows, (w, wt, wp, wtt, wtp, wpp) in _sphere_jet_blocks(patch):
+        _planes(f[rows])[...] = quad(w, w)
+        for i, x in enumerate((wt, wp)):
+            np.multiply(2.0, quad(x, w), out=_planes(jet1[rows, :, i]))
+        for i, (x, y, xy) in enumerate(((wt, wt, wtt), (wt, wp, wtp), (wp, wp, wpp))):
+            s = quad(x, y)
+            s += quad(xy, w)
+            np.multiply(2.0, s, out=_planes(jet2[rows, :, i]))
+        del w, wt, wp, wtt, wtp, wpp, s  # before the next block's are made
 
     imm = ImmersionField(patch, f, jet1, jet2)
     truth = {
@@ -202,8 +210,10 @@ def geodesic_sphere(n: int = 128) -> CatalogEntry:
     patch = _sphere_chart(n)
     f, jet1, jet2 = _jet_arrays(n)
     targets = (f, jet1[:, :, 0], jet1[:, :, 1], jet2[:, :, 0], jet2[:, :, 1], jet2[:, :, 2])
-    for target, w in zip(targets, _unit_sphere_jets(*patch.mesh())):
-        _planes(target)[:3] = w
+    for rows, jets in _sphere_jet_blocks(patch):
+        for target, w in zip(targets, jets):
+            _planes(target[rows])[:3] = w
+        del jets, w  # before the next block's are made
 
     imm = ImmersionField(patch, f, jet1, jet2)
     truth = {
@@ -256,7 +266,7 @@ def perturb_immersion(imm: ImmersionField, amplitude: float, seed: int) -> Immer
     differences once the caller has let the source's jets go.
     """
     src = imm.with_jets()
-    nf = normal_frame(src, *tangent_frame(src)[:2])
+    nf = normal_frame(src.patch, src.position, *tangent_frame(src)[:2])
     del src  # only e3, e4 feed the bump
     patch = imm.patch
     rng = np.random.default_rng(seed)

@@ -38,7 +38,13 @@ from .family import (
 )
 from .grid import InputError
 from .monodromy import dichotomy_report, scan_profile
-from .surface import ImmersionField, shape_report
+from .surface import (
+    ImmersionField,
+    normal_frame,
+    second_fundamental_form,
+    shape_report,
+    tangent_frame,
+)
 from .topology import euler_numbers, topology_report
 
 EXIT_OK = 0
@@ -385,9 +391,16 @@ def _holomorphy_max(rep, metric, hopf, sup) -> tuple[float | None, str]:
 
 def cmd_analyze(args) -> int:
     imm, meta = _load_surface(args)
-    # only the metric and the report are read past this stage
-    metric, rep = shape_report(imm)[3::2]
-    del imm
+    # the shape stage step by step, each field dropped after its last
+    # reader: past it only the metric and the report are read
+    imm = imm.with_jets()
+    e1, e2, metric = tangent_frame(imm)
+    patch, position, jet2 = imm.patch, imm.position, imm.jet2
+    del imm  # the first jets
+    nf = normal_frame(patch, position, e1, e2)
+    del position, e1, e2
+    rep = second_fundamental_form(jet2, metric, nf)
+    del jet2, nf
     sup = superminimality_test(rep)
     hopf = hopf_coefficient(rep)
     hopf_abs = np.abs(hopf)
@@ -434,9 +447,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_deform(args) -> int:
-    if not math.isfinite(args.theta):
+    # the family turns by 2 theta, so an angle whose double overflows is
+    # refused with the non-finite ones
+    if not math.isfinite(2.0 * args.theta):
         raise CliError(EXIT_CONFIG, "E_CONFIG",
-                       f"deformation angle must be finite, got {args.theta}")
+                       f"deformation angle must be finite and so must twice it, "
+                       f"got {args.theta}")
     imm, meta = _load_surface(args)
     imm, e1, e2, metric, nf, rep = shape_report(imm)
     inputs = _connection_inputs(imm, e1, e2, nf, rep)

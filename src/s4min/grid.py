@@ -119,6 +119,16 @@ class GridPatch:
                          False, False, self.cap_u, self.cap_v)
 
 
+# u rows of the grid that the blocked stages form at a time: whole-grid
+# outputs are written block by block, so no whole-grid temporary is made
+BLOCK_ROWS = 32
+
+
+def row_blocks(nu: int):
+    """Slices of BLOCK_ROWS u rows that cover a grid of nu rows in order."""
+    return (slice(start, start + BLOCK_ROWS) for start in range(0, nu, BLOCK_ROWS))
+
+
 def check_field(patch: GridPatch, values: np.ndarray, name: str = "field") -> np.ndarray:
     """Validate leading shape and finiteness; returns the array unchanged."""
     values = np.asarray(values)

@@ -28,16 +28,17 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import GridPatch, InputError, MetricField, check_field, diff, frame_coefficients
+from .grid import (
+    GridPatch,
+    InputError,
+    MetricField,
+    check_field,
+    diff,
+    frame_coefficients,
+    row_blocks,
+)
 
 UNIT_NORM_TOL = 1e-12
-# u rows of the grid that the shape stage forms at a time: whole-grid
-# outputs are written block by block, so no whole-grid temporary is made
-_SHAPE_BLOCK_ROWS = 32
-
-
-def _row_blocks(nu: int):
-    return (slice(start, start + _SHAPE_BLOCK_ROWS) for start in range(0, nu, _SHAPE_BLOCK_ROWS))
 
 
 @dataclass
@@ -116,7 +117,11 @@ def fd_jets(patch: GridPatch, position: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def tangent_frame(imm: ImmersionField) -> tuple[np.ndarray, np.ndarray, MetricField]:
-    """Oriented orthonormal tangent frame by Gram-Schmidt on (f_u, f_v)."""
+    """Oriented orthonormal tangent frame by Gram-Schmidt on (f_u, f_v).
+
+    e1 and e2 are formed one block of grid.BLOCK_ROWS u rows at a time
+    into their preallocated outputs, elementwise as on the whole grid.
+    """
     if imm.jet1 is None:
         raise InputError("immersion has no jets; call with_jets() first")
     fu = imm.jet1[:, :, 0, :]
@@ -125,9 +130,12 @@ def tangent_frame(imm: ImmersionField) -> tuple[np.ndarray, np.ndarray, MetricFi
     F = np.einsum("uvk,uvk->uv", fu, fv)
     G = np.einsum("uvk,uvk->uv", fv, fv)
     metric = MetricField(imm.patch, E, F, G)  # raises on degenerate rank
-    e1 = fu / np.sqrt(E)[:, :, None]
-    w = fv - (F / E)[:, :, None] * fu
-    e2 = w / np.linalg.norm(w, axis=2)[:, :, None]
+    e1 = np.empty(fu.shape)
+    e2 = np.empty(fu.shape)
+    for rows in row_blocks(imm.patch.nu):
+        e1[rows] = fu[rows] / np.sqrt(E[rows])[:, :, None]
+        w = fv[rows] - (F[rows] / E[rows])[:, :, None] * fu[rows]
+        e2[rows] = w / np.linalg.norm(w, axis=2)[:, :, None]
     return e1, e2, metric
 
 
@@ -233,7 +241,8 @@ def _rotate_pair(e3, e4, angle):
     return c * e3 + s * e4, -s * e3 + c * e4
 
 
-def normal_frame(imm: ImmersionField, e1: np.ndarray, e2: np.ndarray) -> NormalFrameField:
+def normal_frame(patch: GridPatch, position: np.ndarray, e1: np.ndarray,
+                 e2: np.ndarray) -> NormalFrameField:
     """Smooth oriented completion of the tangent frame by normal transport.
 
     Seeded at grid index (0, 0) by projecting fixed ambient axes, oriented
@@ -246,9 +255,10 @@ def normal_frame(imm: ImmersionField, e1: np.ndarray, e2: np.ndarray) -> NormalF
     _seam_turn; on a torus whose normal bundle is nontrivial the column
     closure winds around the u cycle and InputError is raised.  The
     column seam's turn is applied to (e3, e4) in place, block by block.
+    It reads only the position and the tangent frame, so a caller that
+    holds no other reference lets them go once it returns.
     """
-    patch = imm.patch
-    f = imm.position
+    f = position
     e3 = np.empty_like(f)
     e4 = np.empty_like(f)
 
@@ -267,7 +277,7 @@ def normal_frame(imm: ImmersionField, e1: np.ndarray, e2: np.ndarray) -> NormalF
     columns = [np.swapaxes(a, 0, 1) for a in (f, e1, e2, e3, e4)]
     turn = _transport_lines(*columns, patch.periodic_v, 0 in patch.deck_axes)
     if turn is not None:  # (nu, nv): turned in place, one block of u rows at a time
-        for rows in _row_blocks(patch.nu):
+        for rows in row_blocks(patch.nu):
             e3[rows], e4[rows] = _rotate_pair(e3[rows], e4[rows], turn[rows])
     return NormalFrameField(patch, e3, e4)
 
@@ -323,24 +333,24 @@ def _normal_components(vec: np.ndarray, e3: np.ndarray,
     return np.einsum("uvk,uvk->uv", vec, e3), np.einsum("uvk,uvk->uv", vec, e4)
 
 
-def second_fundamental_form(imm: ImmersionField, metric: MetricField,
+def second_fundamental_form(jet2: np.ndarray, metric: MetricField,
                             nf: NormalFrameField) -> ShapeReport:
     """Second fundamental form in the orthonormal frames and its invariants.
 
-    The tangent frame enters only through the metric's Gram-Schmidt
-    coefficients (grid.frame_coefficients), so it is not an argument.
-    Every field but K_N is formed one block of _SHAPE_BLOCK_ROWS u rows at
-    a time into its preallocated output, elementwise as on the whole grid,
-    so no whole-grid ambient vector or product temporary is made.
+    jet2 holds the (nu, nv, 3, 5) second jets (f_uu, f_uv, f_vv) on the
+    metric's chart.  The tangent frame enters only through the metric's
+    Gram-Schmidt coefficients (grid.frame_coefficients), and the position
+    not at all, so neither is an argument.  Every field but K_N is formed
+    one block of grid.BLOCK_ROWS u rows at a time into its preallocated
+    output, elementwise as on the whole grid, so no whole-grid ambient
+    vector or product temporary is made.
     """
-    if imm.jet2 is None:
-        raise InputError("immersion has no second jets; call with_jets() first")
-    patch = imm.patch
+    patch = metric.patch
     H3 = np.empty(patch.shape, dtype=complex)
     H4 = np.empty(patch.shape, dtype=complex)
     minimality = np.empty(patch.shape)
-    for rows in _row_blocks(patch.nu):
-        fuu, fuv, fvv = (imm.jet2[rows, :, k, :] for k in range(3))
+    for rows in row_blocks(patch.nu):
+        fuu, fuv, fvv = (jet2[rows, :, k, :] for k in range(3))
         a, b, c = frame_coefficients(metric.E[rows], metric.F[rows], metric.dA[rows])
         e3, e4 = nf.e3[rows], nf.e4[rows]
         # B(e1,e1), B(e1,e2), B(e2,e2) as ambient vectors before projection,
@@ -362,7 +372,7 @@ def second_fundamental_form(imm: ImmersionField, metric: MetricField,
     K_N = (1j * (H3 * np.conj(H4) - np.conj(H3) * H4)).real.copy()
 
     norm_B2, K, a_plus, a_minus, kappa, mu = (np.empty(patch.shape) for _ in range(6))
-    for rows in _row_blocks(patch.nu):
+    for rows in row_blocks(patch.nu):
         h3, h4 = H3[rows], H4[rows]
         norm_B2[rows] = 2.0 * (np.abs(h3) ** 2 + np.abs(h4) ** 2)
         K[rows] = 1.0 - norm_B2[rows] / 2.0
@@ -383,10 +393,11 @@ def shape_report(imm: ImmersionField):
     The returned field is imm with its position, norm_drift and first jets
     but without its second jets, which nothing past this stage reads: a
     caller that rebinds its field to it lets them go.  imm itself is not
-    changed.
+    changed.  A caller that needs fewer of the fields runs the three steps
+    itself, and drops each field after its last reader.
     """
     imm = imm.with_jets()
     e1, e2, metric = tangent_frame(imm)
-    nf = normal_frame(imm, e1, e2)
-    rep = second_fundamental_form(imm, metric, nf)
+    nf = normal_frame(imm.patch, imm.position, e1, e2)
+    rep = second_fundamental_form(imm.jet2, metric, nf)
     return imm._carrying(imm.jet1, None, imm.jet_source), e1, e2, metric, nf, rep

@@ -99,6 +99,19 @@ def test_geodesic_sphere_spans_three_dims():
     assert np.abs(ent.immersion.position[..., 3:]).max() == 0.0
 
 
+@pytest.mark.parametrize("n", [16, 256])
+def test_geodesic_sphere_jets_are_the_whole_grid_unit_sphere_jets(n):
+    # built one block of u rows at a time (n = 16 is one partial block),
+    # the jets equal the unit-sphere jets taken on the whole chart at once
+    jets = _unit_sphere_jets(*_sphere_chart(n).mesh())
+    imm = geodesic_sphere(n).immersion
+    fields = (imm.position, imm.jet1[:, :, 0], imm.jet1[:, :, 1],
+              imm.jet2[:, :, 0], imm.jet2[:, :, 1], imm.jet2[:, :, 2])
+    for field, w in zip(fields, jets):
+        assert np.array_equal(field[..., :3], np.moveaxis(w, 0, -1))
+        assert not field[..., 3:].any()
+
+
 def test_perturbation_reproducible_and_seed_sensitive():
     ent = clifford_torus(32)
     a = perturb_immersion(ent.immersion, 1e-3, seed=11)
@@ -116,7 +129,7 @@ def _perturbed_position_oracle(imm, amplitude, seed):
     """The perturbed position as perturb_immersion built it when it still
     took the perturbed field's jets itself, with the source alive."""
     src = imm.with_jets()
-    nf = normal_frame(src, *tangent_frame(src)[:2])
+    nf = normal_frame(src.patch, src.position, *tangent_frame(src)[:2])
     patch = imm.patch
     rng = np.random.default_rng(seed)
     U, V = patch.mesh()

@@ -251,6 +251,8 @@ def test_degenerate_manifest_is_source_error(cli, tmp_path, command):
     ("deform", "--theta", "inf"),
     ("deform", "--theta=-inf"),
     ("deform", "--theta", "nan"),
+    ("deform", "--theta", 1e308),
+    ("deform", "--theta=-1e308"),
     ("deform", "--theta", 0.5, "--perturb", "nan"),
     ("deform", "--theta", 0.5, "--perturb", "inf"),
     ("analyze", "--perturb", "nan"),
@@ -967,52 +969,94 @@ def test_deform_march_holds_no_frame_array(cli, tmp_path, monkeypatch):
     assert peak < 1.8 * block, f"peaked at {peak / block:.2f} blocks"
 
 
-@pytest.mark.parametrize("argv, after", [
-    (("analyze",), "superminimality_test"),
-    (("deform", "--theta", 0.3), "connection_data"),
-    (("monodromy",), "euler_numbers"),
-    (("verify",), "hopf_coefficient"),
+@pytest.mark.parametrize("argv, hook, after", [
+    (("analyze",), "tangent_frame", "superminimality_test"),
+    (("deform", "--theta", 0.3), "shape_report", "connection_data"),
+    (("monodromy",), "shape_report", "euler_numbers"),
+    (("verify",), "shape_report", "hopf_coefficient"),
 ], ids=["analyze", "deform", "monodromy", "verify"])
-def test_commands_let_the_second_jets_go(cli, tmp_path, monkeypatch, argv, after):
-    # the first stage after shape_report finds the catalog's second jets freed
+def test_commands_let_the_second_jets_go(cli, tmp_path, monkeypatch, argv, hook, after):
+    # the first stage after the shape stage finds the catalog's second jets
+    # freed.  analyze runs the shape steps itself; its first, tangent_frame,
+    # is handed the field that holds them, as shape_report is elsewhere.
     refs, freed = [], []
-    shape_report = cli_module.shape_report
+    first = getattr(cli_module, hook)
     stage = getattr(cli_module, after)
 
-    def watched_shape_report(imm):
+    def watched_first(imm, *args):
         refs.append(weakref.ref(imm.jet2))
-        return shape_report(imm)
+        return first(imm, *args)
 
     def watched_stage(*args, **kwargs):
         freed.append(refs[0]() is None)
         return stage(*args, **kwargs)
 
-    monkeypatch.setattr(cli_module, "shape_report", watched_shape_report)
+    monkeypatch.setattr(cli_module, hook, watched_first)
     monkeypatch.setattr(cli_module, after, watched_stage)
     code, _ = cli(argv[0], "--catalog", "clifford", "--n", 64, *argv[1:], "--out", tmp_path)
     assert code == 0
     assert freed == [True]
 
 
-def test_analyze_lets_the_position_go(cli, tmp_path, monkeypatch):
-    # analyze reads only the metric and the shape report past shape_report:
-    # the position, its first jets and the frames are freed before the
-    # field files are written
-    refs, freed = [], []
-    shape_report = cli_module.shape_report
-    write = cli_module._write_field_csvs
+def _watch_analyze_shape_steps(monkeypatch, refs):
+    """Hook analyze's three shape steps.  refs gets weak references to the
+    first jets, the position, e1, e2 and e3 as the steps see or make them;
+    the returned list gets, on entry to normal_frame and to
+    second_fundamental_form, which of those are freed."""
+    freed = []
+    tangent_frame = cli_module.tangent_frame
+    normal_frame = cli_module.normal_frame
+    second_fundamental_form = cli_module.second_fundamental_form
 
-    def watched_shape_report(imm):
-        out = shape_report(imm)
-        fields, e1, e2, _, nf, _ = out
-        refs.extend(weakref.ref(a) for a in (fields.position, fields.jet1, e1, e2, nf.e3))
+    def watched_tangent_frame(imm):
+        out = tangent_frame(imm)
+        refs.update(jet1=weakref.ref(imm.jet1), position=weakref.ref(imm.position),
+                    e1=weakref.ref(out[0]), e2=weakref.ref(out[1]))
         return out
 
+    def watched_normal_frame(*args):
+        freed.append(("normal_frame", {k: r() is None for k, r in refs.items()}))
+        nf = normal_frame(*args)
+        refs["e3"] = weakref.ref(nf.e3)
+        return nf
+
+    def watched_second_fundamental_form(*args):
+        freed.append(("second_fundamental_form", {k: r() is None for k, r in refs.items()}))
+        return second_fundamental_form(*args)
+
+    monkeypatch.setattr(cli_module, "tangent_frame", watched_tangent_frame)
+    monkeypatch.setattr(cli_module, "normal_frame", watched_normal_frame)
+    monkeypatch.setattr(cli_module, "second_fundamental_form",
+                        watched_second_fundamental_form)
+    return freed
+
+
+def test_analyze_drops_each_field_after_its_last_reader(cli, tmp_path, monkeypatch):
+    # the first jets go after the tangent frame, the position, e1 and e2
+    # after the normal frame, which is their last reader
+    refs = {}
+    freed = _watch_analyze_shape_steps(monkeypatch, refs)
+    code, _ = cli("analyze", "--catalog", "veronese", "--n", 64, "--out", tmp_path)
+    assert code == 0
+    assert freed == [
+        ("normal_frame", {"jet1": True, "position": False, "e1": False, "e2": False}),
+        ("second_fundamental_form",
+         {"jet1": True, "position": True, "e1": True, "e2": True, "e3": False}),
+    ]
+
+
+def test_analyze_lets_the_position_go(cli, tmp_path, monkeypatch):
+    # analyze reads only the metric and the shape report past the shape
+    # steps: the position, its first jets and the frames are freed before
+    # the field files are written
+    refs, freed = {}, []
+    _watch_analyze_shape_steps(monkeypatch, refs)
+    write = cli_module._write_field_csvs
+
     def watched_write(*args, **kwargs):
-        freed.append([ref() is None for ref in refs])
+        freed.append([refs[k]() is None for k in ("position", "jet1", "e1", "e2", "e3")])
         return write(*args, **kwargs)
 
-    monkeypatch.setattr(cli_module, "shape_report", watched_shape_report)
     monkeypatch.setattr(cli_module, "_write_field_csvs", watched_write)
     code, _ = cli("analyze", "--catalog", "clifford", "--n", 64, "--out", tmp_path)
     assert code == 0
@@ -1022,21 +1066,24 @@ def test_analyze_lets_the_position_go(cli, tmp_path, monkeypatch):
 @pytest.mark.parametrize("source", ["catalog-fd", "manifest"])
 def test_each_position_is_norm_checked_once(cli, tmp_path, monkeypatch, source):
     # whole-grid (nu, nv, 5) norms: the field's unit-norm check once per
-    # position, tangent_frame's, and for a manifest read_manifest's own
-    # drift check.  With --jets fd and with_jets each checking their field
-    # again there were 4 and 4.
+    # position, and for a manifest read_manifest's own drift check.
+    # tangent_frame takes its norms one block of rows at a time, so none of
+    # them spans the grid.  When it took one whole-grid norm there were 2
+    # and 3, and 4 and 4 while --jets fd and with_jets each checked their
+    # field again.
     code, _ = cli("deform", "--catalog", "clifford", "--n", 64, "--theta", 0.7,
                   "--out", tmp_path / "d")
     assert code == 0
-    argv, want = {
-        "catalog-fd": (("--catalog", "clifford", "--n", 64, "--jets", "fd"), 2),
-        "manifest": (("--manifest", tmp_path / "d" / "deformed" / "manifest.json"), 3),
+    argv, grid, want = {
+        "catalog-fd": (("--catalog", "clifford", "--n", 64, "--jets", "fd"), (64, 64), 1),
+        "manifest": (("--manifest", tmp_path / "d" / "deformed" / "manifest.json"),
+                     (65, 65), 2),
     }[source]
     norms = []
     norm = np.linalg.norm
 
     def counted(x, *args, **kwargs):
-        if np.ndim(x) == 3 and np.shape(x)[2] == 5 and np.shape(x)[0] > 1:
+        if np.shape(x) == grid + (5,):
             norms.append(np.shape(x))
         return norm(x, *args, **kwargs)
 

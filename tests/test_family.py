@@ -577,7 +577,7 @@ def test_adapted_gauge_gives_congruent_deformation(clifford, clifford_conn):
     src = clifford_torus(64).immersion  # shape_report's field has no second jets
     for amplitude, tol in ((1e-6, 1e-10), (0.3, 1e-5)):
         nf_rot = rotate_normal_frame(nf, 0.37 + amplitude * wave)
-        rep_rot = second_fundamental_form(src, metric, nf_rot)
+        rep_rot = second_fundamental_form(src.jet2, metric, nf_rot)
         conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf_rot.e3, nf_rot.e4,
                                rep_rot.H3, rep_rot.H4)
         dp_rot = integrate_frame(assemble_maurer_cartan(conn, 0.3), conn.origin)

@@ -12,7 +12,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from s4min.catalog import clifford_torus, geodesic_sphere, perturb_immersion, veronese_sphere
+from s4min.catalog import (
+    clifford_torus,
+    geodesic_sphere,
+    load_catalog,
+    perturb_immersion,
+    veronese_sphere,
+)
 from s4min.grid import GridPatch, InputError, diff, integrate
 from s4min.family import assemble_maurer_cartan, connection_data, deformed_immersion, integrate_frame
 from s4min.surface import (
@@ -226,8 +232,8 @@ def test_invariants_are_gauge_independent(veronese):
     U, V = imm.patch.mesh()
     field_angle = 0.3 * np.sin(U) * np.cos(V) + 0.37
     src = veronese_sphere(64).immersion  # shape_report's field has no second jets
-    rep_a = second_fundamental_form(src, metric, nf)
-    rep_b = second_fundamental_form(src, metric,
+    rep_a = second_fundamental_form(src.jet2, metric, nf)
+    rep_b = second_fundamental_form(src.jet2, metric,
                                     rotate_normal_frame(nf, field_angle))
     for name in ("norm_B2", "K", "K_N", "kappa", "mu", "a_plus", "a_minus"):
         d = np.abs(getattr(rep_a, name) - getattr(rep_b, name)).max()
@@ -238,7 +244,7 @@ def test_h_components_rotate_covariantly(clifford):
     imm, e1, e2, metric, nf, rep = clifford
     psi = 0.41
     src = clifford_torus(64).immersion  # shape_report's field has no second jets
-    rep2 = second_fundamental_form(src, metric, rotate_normal_frame(nf, psi))
+    rep2 = second_fundamental_form(src.jet2, metric, rotate_normal_frame(nf, psi))
     H3_want = math.cos(psi) * rep.H3 + math.sin(psi) * rep.H4
     H4_want = -math.sin(psi) * rep.H3 + math.cos(psi) * rep.H4
     assert np.abs(rep2.H3 - H3_want).max() < 1e-12
@@ -248,7 +254,7 @@ def test_h_components_rotate_covariantly(clifford):
 def test_orientation_flip_negates_normal_curvature(veronese):
     imm, e1, e2, metric, nf, rep = veronese
     src = veronese_sphere(64).immersion  # shape_report's field has no second jets
-    rep2 = second_fundamental_form(src, metric, flip_normal_orientation(nf))
+    rep2 = second_fundamental_form(src.jet2, metric, flip_normal_orientation(nf))
     assert np.abs(rep2.K_N + rep.K_N).max() < 1e-12
     assert np.abs(rep2.K - rep.K).max() < 1e-14
     assert np.abs(rep2.kappa - rep.kappa).max() < 1e-12
@@ -330,6 +336,16 @@ def test_with_jets_marks_source():
 
 # ---------------------------------------------------------------------------
 # the blocked shape stage against the whole-grid expressions
+
+
+def _whole_grid_tangent_frame(imm):
+    """tangent_frame's e1 and e2 formed on the whole grid at once: the
+    oracle of the blocked Gram-Schmidt."""
+    fu, fv = imm.jet1[:, :, 0, :], imm.jet1[:, :, 1, :]
+    E = np.einsum("uvk,uvk->uv", fu, fu)
+    F = np.einsum("uvk,uvk->uv", fu, fv)
+    w = fv - (F / E)[:, :, None] * fu
+    return fu / np.sqrt(E)[:, :, None], w / np.linalg.norm(w, axis=2)[:, :, None]
 
 
 def _whole_grid_normal_frame(imm, e1, e2):
@@ -420,10 +436,12 @@ def test_blocked_shape_stage_equals_whole_grid_oracle(name):
     # at n = 64 a complex field (64 KB) is below numpy's temporary elision
     # size, at n = 256 (1 MB) above it; the deformed chart is open
     imm, e1, e2, metric = _block_case(name)
-    nf = normal_frame(imm, e1, e2)
+    want_e1, want_e2 = _whole_grid_tangent_frame(imm)
+    assert np.array_equal(e1, want_e1) and np.array_equal(e2, want_e2)
+    nf = normal_frame(imm.patch, imm.position, e1, e2)
     e3, e4 = _whole_grid_normal_frame(imm, e1, e2)
     assert np.array_equal(nf.e3, e3) and np.array_equal(nf.e4, e4)
-    rep = second_fundamental_form(imm, metric, nf)
+    rep = second_fundamental_form(imm.jet2, metric, nf)
     for field_name, want in _whole_grid_form(imm, metric, e3, e4).items():
         assert np.array_equal(getattr(rep, field_name), want), field_name
     # 1 - K +- K_N is |H3 -+ i H4|^2 = a_pm^2 by the stage's own formulas:
@@ -449,6 +467,47 @@ def test_shape_report_holds_no_whole_grid_temporary():
     finally:
         tracemalloc.stop()
     assert peak < 42 * plane, f"shape_report peaked at {peak / plane:.2f} planes"
+
+
+def test_load_and_tangent_frame_hold_no_whole_grid_temporary():
+    # tracemalloc peak above the outputs, in (n, n) float64 planes at
+    # n = 128, where one block of 32 u rows is a quarter plane per scalar
+    # field.  The sphere charts' loads return 30 planes (position and
+    # jets); measured 8.55 (veronese) and 7.04 (geodesic-sphere) above
+    # them: the unit-norm check's product of the position with itself and
+    # one block's sphere jets and quadric terms.  With the whole-grid
+    # unit-sphere planes 32.04 and 27.03.  tangent_frame returns 14
+    # planes (e1, e2, E, F, G, dA); measured 4.28 above them: the metric's
+    # determinant and one block of the Gram-Schmidt.  With whole-grid e1
+    # and e2 products 7.01.
+    n = 128
+    plane = n * n * 8
+    imm = load_catalog("veronese", n).immersion
+
+    def jets_bytes(entry):
+        imm = entry.immersion
+        return imm.position.nbytes + imm.jet1.nbytes + imm.jet2.nbytes
+
+    def frame_bytes(out):
+        e1, e2, metric = out
+        return e1.nbytes + e2.nbytes + sum(a.nbytes for a in
+                                           (metric.E, metric.F, metric.G, metric.dA))
+
+    checks = {
+        "load veronese": (lambda: load_catalog("veronese", n), jets_bytes, 10.0),
+        "load geodesic-sphere": (lambda: load_catalog("geodesic-sphere", n), jets_bytes, 10.0),
+        "tangent_frame": (lambda: tangent_frame(imm), frame_bytes, 5.5),
+    }
+    for name, (step, outputs, bound) in checks.items():
+        tracemalloc.start()
+        try:
+            out = step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        above = (peak - outputs(out)) / plane
+        del out
+        assert above < bound, f"{name} peaked {above:.2f} planes above its outputs"
 
 
 @pytest.mark.parametrize("jets", ["analytic", "fd"])
