@@ -19,7 +19,8 @@ from .surface import (
     frame_orthonormality_residual,
     normal_frame,
     rotate_normal_frame,
-    second_fundamental_form,
+    second_fundamental_entries,
+    shape_invariants,
     shape_report,
     tangent_frame,
 )
@@ -40,7 +41,9 @@ from .adapted import (
 from .family import (
     CongruenceFit,
     IntegrabilityBroken,
+    MaurerCartanField,
     assemble_maurer_cartan,
+    coframe,
     congruence_residual,
     congruence_test,
     connection_data,

@@ -27,7 +27,9 @@ from .catalog import catalog_names, load_catalog, perturb_immersion, read_manife
 from .family import (
     PATH_DEPENDENCE_TOL,
     IntegrabilityBroken,
+    MaurerCartanField,
     assemble_maurer_cartan,
+    coframe,
     congruence_residual,
     connection_data,
     deformation_invariant_deviation,
@@ -41,8 +43,8 @@ from .monodromy import dichotomy_report, scan_profile
 from .surface import (
     ImmersionField,
     normal_frame,
-    second_fundamental_form,
-    shape_report,
+    second_fundamental_entries,
+    shape_invariants,
     tangent_frame,
 )
 from .topology import euler_numbers, topology_report
@@ -293,32 +295,20 @@ def _span(values: np.ndarray) -> dict:
 
 def _check_resolution(n: int) -> int:
     if n < 32 or n > 1024 or (n & (n - 1)) != 0:
-        raise CliError(
-            EXIT_CONFIG, "E_CONFIG",
-            f"resolution must be a power of two between 32 and 1024, got {n}",
-        )
+        raise CliError(EXIT_CONFIG, "E_CONFIG",
+                       f"resolution must be a power of two between 32 and 1024, got {n}")
     return n
 
 
-def _load_surface(args, floors: dict | None = None) -> tuple[ImmersionField, dict]:
+def _load_surface(args) -> tuple[ImmersionField, dict]:
     # every check that needs no surface runs before one is built: a catalog
-    # at n=1024 takes about a second and 360 MB.  floors maps a catalog name
-    # to the least n the command accepts for it.
+    # at n=1024 takes about a second and 360 MB.  A command's own checks
+    # run before this, as its first stage.
     if args.catalog is not None:
         if args.catalog not in catalog_names():
-            raise CliError(
-                EXIT_CONFIG, "E_SOURCE",
-                f"unknown catalog surface {args.catalog!r}; "
-                f"available: {', '.join(catalog_names())}",
-            )
+            raise CliError(EXIT_CONFIG, "E_SOURCE", f"unknown catalog surface {args.catalog!r}; "
+                           f"available: {', '.join(catalog_names())}")
         n = _check_resolution(args.n)
-        floor = (floors or {}).get(args.catalog, 0)
-        if n < floor:
-            raise CliError(
-                EXIT_CONFIG, "E_CONFIG",
-                f"{args.command} of catalog:{args.catalog} needs n >= {floor}, "
-                f"got {n}: below it the exact surface fails its checks",
-            )
     else:
         path = Path(args.manifest)
         if not path.is_file():
@@ -345,24 +335,15 @@ def _load_surface(args, floors: dict | None = None) -> tuple[ImmersionField, dic
     if args.jets == "fd" and imm.jet_source != "fd":
         imm = imm.with_fd_jets()
     elif args.jets == "analytic" and imm.jet_source != "analytic":
-        raise CliError(
-            EXIT_CONFIG, "E_CONFIG",
-            "analytic jets requested but the source provides none",
-        )
+        raise CliError(EXIT_CONFIG, "E_CONFIG",
+                       "analytic jets requested but the source provides none")
     if args.perturb is not None:
-        # the perturbed field comes without jets, so the source's go before
-        # shape_report differences the new position
+        # the perturbed field comes without jets: the source's go, and the
+        # new position is differenced
         imm = perturb_immersion(imm, args.perturb, args.seed)
         meta["perturbation"] = {"amplitude": args.perturb, "seed": args.seed}
     meta["jet_source"] = imm.jet_source
-    return imm, meta
-
-
-def _connection_inputs(imm, e1, e2, nf, rep) -> tuple:
-    """The arguments of connection_data, which are all it reads: a caller
-    that holds only these lets the second jets, the metric and the other
-    shape fields go before the connection is built."""
-    return (imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4, rep.H3, rep.H4)
+    return imm.with_jets(), meta
 
 
 def _out_dir(args) -> Path:
@@ -377,8 +358,50 @@ def _out_dir(args) -> Path:
     return out
 
 
+# each command's own argument checks, its first stage
+
+
+def _check_theta(args):
+    # the family turns by 2 theta, so an angle whose double overflows is
+    # refused with the non-finite ones
+    if not math.isfinite(2.0 * args.theta):
+        raise CliError(EXIT_CONFIG, "E_CONFIG",
+                       f"deformation angle must be finite and so must twice it, "
+                       f"got {args.theta}")
+    return args
+
+
+def _check_scan(args):
+    if args.scan < 64:
+        raise CliError(EXIT_CONFIG, "E_SCAN_TOO_COARSE",
+                       f"scan needs at least 64 angle samples, got {args.scan}")
+    # peak RSS grows by about 1 KB per angle (Clifford n=32 peaks at 122 MB
+    # with 65,536 angles), so an unbounded scan can exhaust memory
+    if args.scan > 65536:
+        raise CliError(EXIT_CONFIG, "E_CONFIG",
+                       f"scan takes at most 65536 angle samples, got {args.scan}")
+    return args
+
+
+# least n at which verify of each catalog surface passes, with analytic and
+# with finite-difference jets: frame_source_deviation converges at order 4
+# and first falls below PATH_DEPENDENCE_TOL there (clifford 9.7e-6 and
+# 1.7e-5, geodesic-sphere 3.4e-5 and 3.4e-5, veronese 6.9e-5 and 6.9e-5;
+# at half the floor 1.5e-4, 5.5e-4 and 1.1e-3 with analytic jets)
+VERIFY_FLOOR = {"clifford": 64, "geodesic-sphere": 64, "veronese": 128}
+
+
+def _check_floor(args):
+    # an unknown name is left to the load; a bad resolution is refused as the load would
+    floor = VERIFY_FLOOR.get(args.catalog, 0)
+    if floor and _check_resolution(args.n) < floor:
+        raise CliError(EXIT_CONFIG, "E_CONFIG", f"verify of catalog:{args.catalog} needs "
+                       f"n >= {floor}, got {args.n}: below it the exact surface fails its checks")
+    return args
+
+
 # ---------------------------------------------------------------------------
-# analyze
+# the commands' outputs
 
 
 def _holomorphy_max(rep, metric, hopf, sup) -> tuple[float | None, str]:
@@ -389,33 +412,16 @@ def _holomorphy_max(rep, metric, hopf, sup) -> tuple[float | None, str]:
         return None, str(exc)
 
 
-def cmd_analyze(args) -> int:
-    imm, meta = _load_surface(args)
-    # the shape stage step by step, each field dropped after its last
-    # reader: past it only the metric and the report are read
-    imm = imm.with_jets()
-    e1, e2, metric = tangent_frame(imm)
-    patch, position, jet2 = imm.patch, imm.position, imm.jet2
-    del imm  # the first jets
-    nf = normal_frame(patch, position, e1, e2)
-    del position, e1, e2
-    rep = second_fundamental_form(jet2, metric, nf)
-    del jet2, nf
+def _analyze_output(args, meta, metric, rep) -> int:
     sup = superminimality_test(rep)
     hopf = hopf_coefficient(rep)
     hopf_abs = np.abs(hopf)
     holo_max = _holomorphy_max(rep, metric, hopf, sup)[0]
     del hopf
 
-    fields = {
-        "K": rep.K,
-        "K_N": rep.K_N,
-        "kappa": rep.kappa,
-        "mu": rep.mu,
-        "a_plus": rep.a_plus,
-        "a_minus": rep.a_minus,
-        "hopf_abs": hopf_abs,
-    }
+    fields = {name: getattr(rep, name)
+              for name in ("K", "K_N", "kappa", "mu", "a_plus", "a_minus")}
+    fields["hopf_abs"] = hopf_abs
     out = _out_dir(args)
     _write_field_csvs(out, rep.patch, fields)
 
@@ -442,34 +448,7 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# deform
-
-
-def cmd_deform(args) -> int:
-    # the family turns by 2 theta, so an angle whose double overflows is
-    # refused with the non-finite ones
-    if not math.isfinite(2.0 * args.theta):
-        raise CliError(EXIT_CONFIG, "E_CONFIG",
-                       f"deformation angle must be finite and so must twice it, "
-                       f"got {args.theta}")
-    imm, meta = _load_surface(args)
-    imm, e1, e2, metric, nf, rep = shape_report(imm)
-    inputs = _connection_inputs(imm, e1, e2, nf, rep)
-    del imm, e1, e2, metric, nf, rep
-    conn = connection_data(*inputs)
-    patch, position = inputs[:2]  # the member is checked against them; the rest go now
-    del inputs
-    residual = float(congruence_residual(conn, args.theta))
-    mc = assemble_maurer_cartan(conn, args.theta)
-    seed = conn.origin
-    del conn
-    # the flatness temporaries and the member are never held together
-    flatness = float(flatness_residual(mc).max())
-    deformed = deformed_immersion(integrate_frame(mc, seed))
-    del mc
-    deviation = deformation_invariant_deviation(patch, position, deformed)
-    del position
+def _deform_output(args, meta, residual, flatness, deviation, member) -> int:
     if deviation > PATH_DEPENDENCE_TOL:
         raise CliError(
             EXIT_INTEGRITY, "E_INTEGRABILITY",
@@ -477,7 +456,7 @@ def cmd_deform(args) -> int:
             f"> {PATH_DEPENDENCE_TOL:.1e} (flatness residual {flatness:.3e}): the "
             "input is not minimal to working accuracy or the grid is too coarse")
     out = _out_dir(args)
-    write_manifest(deformed, out / "deformed")
+    write_manifest(member, out / "deformed")
 
     congruent = residual < CONGRUENCE_TOL
     report = {
@@ -495,31 +474,7 @@ def cmd_deform(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# monodromy
-
-
-def cmd_monodromy(args) -> int:
-    if args.scan < 64:
-        raise CliError(
-            EXIT_CONFIG, "E_SCAN_TOO_COARSE",
-            f"scan needs at least 64 angle samples, got {args.scan}",
-        )
-    # peak RSS grows by about 1 KB per angle (Clifford n=32 peaks at 122 MB
-    # with 65,536 angles), so an unbounded scan can exhaust memory
-    if args.scan > 65536:
-        raise CliError(
-            EXIT_CONFIG, "E_CONFIG",
-            f"scan takes at most 65536 angle samples, got {args.scan}",
-        )
-    imm, meta = _load_surface(args)
-    imm, e1, e2, metric, nf, rep = shape_report(imm)
-    chi_n = euler_numbers(rep, metric)[1] if rep.patch.closed else None
-    inputs = _connection_inputs(imm, e1, e2, nf, rep)
-    del imm, e1, e2, metric, nf, rep
-    conn = connection_data(*inputs)
-    del inputs  # the scan reads only the connection
-    profile = scan_profile(conn, n_theta=args.scan)
+def _monodromy_output(args, meta, chi_n, profile) -> int:
     # a compact surface with nontrivial normal bundle has only finitely
     # many noncongruent members, so a CIRCLE verdict needs congruent ones
     if profile.verdict == "CIRCLE" and chi_n is not None and abs(chi_n.rounded) >= 1:
@@ -550,10 +505,6 @@ def cmd_monodromy(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# verify
-
-
 def _item(tag, value, tolerance, reason="", diagnostic=False):
     """One verify check.  A check that did not run has value None: it is
     skipped, carries no tolerance and does not fail."""
@@ -569,58 +520,33 @@ def _item(tag, value, tolerance, reason="", diagnostic=False):
     }
 
 
-# least n at which verify of each catalog surface passes, with analytic and
-# with finite-difference jets: frame_source_deviation converges at order 4
-# and first falls below PATH_DEPENDENCE_TOL there (clifford 9.7e-6 and
-# 1.7e-5, geodesic-sphere 3.4e-5 and 3.4e-5, veronese 6.9e-5 and 6.9e-5;
-# at half the floor 1.5e-4, 5.5e-4 and 1.1e-3 with analytic jets)
-VERIFY_FLOOR = {"clifford": 64, "geodesic-sphere": 64, "veronese": 128}
-
-
-def cmd_verify(args) -> int:
-    imm, meta = _load_surface(args, VERIFY_FLOOR)
-    imm, e1, e2, metric, nf, rep = shape_report(imm)
-    patch = rep.patch
+def _shape_identities(patch, norm_drift, metric, rep) -> tuple:
+    """verify's items on the shape fields, taken before the connection is
+    built so that those fields can go, with what vanishes (decided once
+    for every check), the topology report of the global items and the
+    O(h^2) tolerance."""
     h = max(patch.hu, patch.hv)
     tol_h2 = 5.0 * h * h
-    items = []
-
-    items.append(_item("unit_norm_drift", imm.norm_drift, 1e-9))
-    items.append(_item("minimality_max", float(rep.minimality.max()), 1e-5))
-
-    sup = superminimality_test(rep)  # what vanishes, decided once for every check below
+    items = [_item("unit_norm_drift", norm_drift, 1e-9),
+             _item("minimality_max", float(rep.minimality.max()), 1e-5)]
+    sup = superminimality_test(rep)
     hopf = hopf_coefficient(rep)
     product_gap = float(np.abs(4.0 * np.abs(hopf) - rep.a_plus * rep.a_minus).max())
     items.append(_item("ellipse_radius_product", product_gap, 1e-9))
-
     holo, reason = _holomorphy_max(rep, metric, hopf, sup)
     items.append(_item("hopf_holomorphy", holo, tol_h2, reason))
     del hopf
-
-    # every identity of the shape fields is taken now, so that they can go
-    # before the connection is built; the global items follow its checks
     topo = topology_report(rep, metric, sup)
     for tag, residual in (("laplace_log_plus", topo.laplace_plus),
                           ("laplace_log_minus", topo.laplace_minus)):
         items.append(_item(tag, residual, tol_h2,
                            "radius field vanishes identically" if residual is None else ""))
+    return items, sup, topo, tol_h2
 
-    inputs = _connection_inputs(imm, e1, e2, nf, rep)
-    rows = (imm.position, e1, e2, nf.e3, nf.e4)
-    del imm, e1, e2, metric, nf, rep
-    conn = connection_data(*inputs)
-    del inputs
-    mc0 = assemble_maurer_cartan(conn, 0.0)
-    seed = conn.origin
-    del conn
-    # at theta = 0 the sweep must give back the source frame; the frame
-    # fields go before the flatness temporaries are made
-    deviation = frame_source_deviation(mc0, seed, rows)
-    del rows
-    flat0 = float(flatness_residual(mc0).max())
-    items.append(_item("flatness_theta0", flat0, max(1e-9, tol_h2)))
+
+def _verify_output(args, meta, patch, items, sup, topo, tol_h2, flatness, deviation) -> int:
+    items.append(_item("flatness_theta0", flatness, max(1e-9, tol_h2)))
     items.append(_item("frame_source_deviation", deviation, PATH_DEPENDENCE_TOL))
-
     if topo.unavailable is not None:
         reason = f"global invariants unavailable: {topo.unavailable}"
         for tag in ("euler_chi_surface", "euler_chi_normal",
@@ -638,31 +564,119 @@ def cmd_verify(args) -> int:
     items.append(_item("ricci_3sphere_residual", topo.ricci, None, reason, diagnostic=True))
 
     failures = [it["tag"] for it in items if not it["passed"]]
+    # the verdict is reported on every chart, the open ones included
     report = {
         "command": "verify",
         "source": meta,
         "grid": {"nu": patch.nu, "nv": patch.nv},
-        "superminimality": sup.verdict if topo.unavailable is None else None,
+        "superminimality": sup.verdict,
         "items": items,
         "failures": failures,
         "passed": not failures,
     }
     out = _out_dir(args)
     _write_json(out / "report.json", report)
-
     for it in items:
-        if it["skipped"]:
-            status = "SKIP"
-        elif it["diagnostic"]:
-            status = "INFO"
-        else:
-            status = "PASS" if it["passed"] else "FAIL"
+        status = ("SKIP" if it["skipped"] else "INFO" if it["diagnostic"]
+                  else "PASS" if it["passed"] else "FAIL")
         val = "-" if it["value"] is None else f"{it['value']:.3e}"
         tol = "-" if it["tolerance"] is None else f"{it['tolerance']:.3e}"
         note = f"  ({it['reason']})" if it["reason"] else ""
         print(f"{status} {it['tag']}: value={val} tolerance={tol}{note}")
     print(f"verify: {'all checks passed' if not failures else 'FAILED: ' + ', '.join(failures)}")
     return EXIT_OK if not failures else EXIT_VERIFY_FAILED
+
+
+# ---------------------------------------------------------------------------
+# the stage runner
+
+# stage -> ("the fields it reads -> the fields it writes", what it runs), called
+# with the fields it reads and returning the one it writes, or a tuple of
+# several.  This module's own functions are named directly.  A library
+# function is called from a lambda, which looks its name up here as the
+# stage runs: rebinding cli.<name> is how the tests and the benchmark's
+# tracer watch it.
+STAGES = {
+    "check_theta": ("args -> args", _check_theta),
+    "check_scan": ("args -> args", _check_scan),
+    "check_floor": ("args -> args", _check_floor),
+    "load": ("args -> imm meta", _load_surface),
+    # the immersion goes; its position and jets live on, each to its last reader
+    "tangent": ("imm -> patch position jet1 jet2 norm_drift e1 e2 metric", lambda imm: (
+        imm.patch, imm.position, imm.jet1, imm.jet2, imm.norm_drift, *tangent_frame(imm))),
+    # the connection's one reading of the first jets: they go before the normal frame
+    "coframe": ("jet1 e1 e2 -> w", lambda *a: coframe(*a)),
+    "normal": ("patch position e1 e2 -> nf", lambda *a: normal_frame(*a)),
+    # the second jets go before the invariants are made
+    "shape": ("jet2 metric nf -> H3 H4 minimality", lambda *a: second_fundamental_entries(*a)),
+    "invariants": ("patch H3 H4 minimality -> rep", lambda *a: shape_invariants(*a)),
+    "identities": ("patch norm_drift metric rep -> items sup topo tol_h2", _shape_identities),
+    "euler": ("patch metric rep -> chi_n",
+              lambda patch, metric, rep: euler_numbers(rep, metric)[1] if patch.closed else None),
+    "connection": ("patch position w e1 e2 nf H3 H4 -> conn", lambda p, f, w, e1, e2, nf, H3, H4:
+                   connection_data(p, f, w, e1, e2, nf.e3, nf.e4, H3, H4)),
+    "congruence": ("args conn -> residual",
+                   lambda args, conn: float(congruence_residual(conn, args.theta))),
+    "omega": ("args conn -> mc origin", lambda args, conn: (
+        assemble_maurer_cartan(conn, args.theta), conn.origin)),
+    # the connection's buffer is laid out as Omega_0: no copy is made
+    "omega_0": ("conn -> mc origin", lambda conn: (
+        MaurerCartanField(conn.patch, conn.forms), conn.origin)),
+    # at theta = 0 the sweep must give back the source frame
+    "source": ("mc origin position e1 e2 nf -> deviation", lambda mc, origin, f, e1, e2, nf:
+               frame_source_deviation(mc, origin, (f, e1, e2, nf.e3, nf.e4))),
+    "flatness": ("mc -> flatness", lambda mc: float(flatness_residual(mc).max())),
+    "member": ("mc origin -> member", lambda mc, o: deformed_immersion(integrate_frame(mc, o))),
+    "member_metric": ("patch position member -> deviation",
+                      lambda *a: deformation_invariant_deviation(*a)),
+    "scan": ("args conn -> profile", lambda args, conn: scan_profile(conn, n_theta=args.scan)),
+    "analyze_output": ("args meta metric rep ->", _analyze_output),
+    "deform_output": ("args meta residual flatness deviation member ->", _deform_output),
+    "monodromy_output": ("args meta chi_n profile ->", _monodromy_output),
+    "verify_output": ("args meta patch items sup topo tol_h2 flatness deviation ->",
+                      _verify_output),
+}
+
+_SHAPE = ("load", "tangent", "coframe", "normal", "shape")
+COMMANDS = {
+    "analyze": ("load", "tangent", "normal", "shape", "invariants", "analyze_output"),
+    # the flatness temporaries and the member are never held together
+    "deform": ("check_theta",) + _SHAPE + ("connection", "congruence", "omega", "flatness",
+                                           "member", "member_metric", "deform_output"),
+    "monodromy": ("check_scan",) + _SHAPE + ("invariants", "euler", "connection", "scan",
+                                             "monodromy_output"),
+    # the frame fields go before the flatness temporaries are made
+    "verify": ("check_floor",) + _SHAPE + ("invariants", "identities", "connection", "omega_0",
+                                           "source", "flatness", "verify_output"),
+}
+
+
+def stage_fields(name: str) -> tuple[list, list]:
+    """The fields a stage reads and the fields it writes."""
+    reads, writes = STAGES[name][0].split("->")
+    return reads.split(), writes.split()
+
+
+def last_readers(command: str) -> dict:
+    """Field -> the index of the last of the command's stages that reads it."""
+    return {k: i for i, name in enumerate(COMMANDS[command]) for k in stage_fields(name)[0]}
+
+
+def _run(args) -> int:
+    """Run the command's stages in order and drop each field after the
+    last stage that reads it; a field that no later stage reads goes as
+    soon as it is written."""
+    last = last_readers(args.command)
+    fields = {"args": args}
+    for i, name in enumerate(COMMANDS[args.command]):
+        reads, writes = stage_fields(name)
+        out = STAGES[name][1](*[fields[k] for k in reads])
+        if not writes:
+            return out
+        fields.update(zip(writes, out if len(writes) > 1 else (out,)))
+        del out
+        for k in [k for k in fields if last.get(k, i) <= i]:
+            del fields[k]
 
 
 # ---------------------------------------------------------------------------
@@ -691,44 +705,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "monodromy on parameter grids over the 4-sphere.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("analyze", help="pointwise invariant fields and verdicts")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_analyze)
-
+    _add_common(sub.add_parser("analyze", help="pointwise invariant fields and verdicts"))
     sp = sub.add_parser("deform", help="integrate one member of the deformation family")
     _add_common(sp)
     sp.add_argument("--theta", type=float, required=True, help="deformation angle")
-    sp.set_defaults(func=cmd_deform)
-
     sp = sub.add_parser("monodromy", help="closing-set scan over the family angle")
     _add_common(sp)
     sp.add_argument("--scan", type=int, default=256, help="number of angle samples")
-    sp.set_defaults(func=cmd_monodromy)
-
-    sp = sub.add_parser("verify", help="run the full identity suite with tolerances")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_verify)
-
+    _add_common(sub.add_parser("verify", help="run the full identity suite with tolerances"))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except CliError as exc:
-        print(json.dumps({"error": {"code": exc.code, "message": str(exc)}},
-                         sort_keys=True))
-        return exc.exit_code
+        error, status = {"code": exc.code, "message": str(exc)}, exc.exit_code
     except InputError as exc:
-        print(json.dumps({"error": {"code": "E_SOURCE", "message": str(exc)}},
-                         sort_keys=True))
-        return EXIT_CONFIG
+        error, status = {"code": "E_SOURCE", "message": str(exc)}, EXIT_CONFIG
     except IntegrabilityBroken as exc:
-        print(json.dumps({"error": {"code": "E_INTEGRABILITY", "message": str(exc)}},
-                         sort_keys=True))
-        return EXIT_INTEGRITY
+        error, status = {"code": "E_INTEGRABILITY", "message": str(exc)}, EXIT_INTEGRITY
+    print(json.dumps({"error": error}, sort_keys=True))
+    return status
 
 
 if __name__ == "__main__":

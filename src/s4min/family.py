@@ -9,18 +9,25 @@ domain produces the deformed immersion f_theta as the first frame row;
 the seam mismatch of the result is exactly the monodromy and is never
 averaged away.
 
-The connection is stored as packed 1-form entries, (nu, nv, 2, 4) per
-component, at fixed upper-triangle slots of the 5x5 block:
+The connection is stored as packed 1-form entries in one (nu, nv, 2, 8)
+buffer, at fixed upper-triangle slots of the 5x5 block; C0 and C1 are
+views of its first and last four:
 
     C0   (0, 1) w1   (0, 2) w2   (1, 2) omega12   (3, 4) omega34
     C1   (1, 3)      (2, 3)      (1, 4)           (2, 4)
 
-C1 holds two (sym, alt) pairs, one per normal direction.  C2 is C1
-turned a quarter, each pair to (alt, -sym), so it is derived and never
-stored: rotating_forms builds cos(2 theta) C1 + sin(2 theta) C2 from C1
-with the same roundings.  Omega_theta stays packed too: its
-(nu, nv, 2, 8) entries are C0's four slots followed by that rotating
-part.  Only this module knows the slot table.  The structure equations
+w1 and w2, the coframe, are taken by ``coframe`` from the first jets
+right after the tangent frame, so that the jets can go before the
+normal frame is built.  C1 holds two (sym, alt) pairs, one per normal
+direction.  C2 is C1 turned a quarter, each pair to (alt, -sym), so it
+is derived and never stored: rotating_forms builds
+cos(2 theta) C1 + sin(2 theta) C2 from C1 with the same roundings.
+Omega_theta stays packed too, in the same layout: C0's four slots
+followed by that rotating part.  assemble_maurer_cartan builds it in a
+new buffer.  The connection's own buffer is laid out as Omega_0: the
+assembled Omega_0 differs from it at most in the sign of a zero, so a
+caller that needs only Omega_0 reads that buffer and makes no second
+copy.  Only this module knows the slot table.  The structure equations
 are evaluated on the packed entries, one (nu, nv) plane per slot:
 flatness_residual takes the commutator from a product table derived
 from the slots, and frame_reconstruction_residual applies the Omega_0
@@ -75,17 +82,26 @@ PATH_DEPENDENCE_TOL = 1e-4
 class ConnectionData:
     """theta-independent decomposition Omega_theta = C0 + cos(2 theta) C1 + sin(2 theta) C2.
 
-    C0 and C1 are (nu, nv, 2, 4) packed entries at the slots of the module
-    table, index 0/1 of the third axis the du/dv component; C1 holds the
-    pairs (sym3, alt3, sym4, alt4).  C2 is derived, not stored.  origin is
-    the (5, 5) frame (f, e1, e2, e3, e4) at node (0, 0), the seed of every
-    integration.
+    forms is the one (nu, nv, 2, 8) buffer of packed entries at the slots
+    of the module table, index 0/1 of the third axis the du/dv component:
+    C0 is the view of its first four slots and C1 of its last four, the
+    pairs (sym3, alt3, sym4, alt4).  The buffer is laid out as Omega_0, so
+    MaurerCartanField(patch, forms) is Omega_0 without a copy.  C2 is
+    derived, not stored.  origin is the (5, 5) frame (f, e1, e2, e3, e4)
+    at node (0, 0), the seed of every integration.
     """
 
     patch: GridPatch
     origin: np.ndarray
-    C0: np.ndarray
-    C1: np.ndarray
+    forms: np.ndarray
+
+    @property
+    def C0(self) -> np.ndarray:
+        return self.forms[..., :4]
+
+    @property
+    def C1(self) -> np.ndarray:
+        return self.forms[..., 4:]
 
     @property
     def C2(self) -> np.ndarray:
@@ -157,31 +173,40 @@ def _so5(entries: np.ndarray) -> np.ndarray:
     return out
 
 
-def connection_data(patch: GridPatch, position: np.ndarray, jet1: np.ndarray,
+def coframe(jet1: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """The coframe w1 = <df, e1>, w2 = <df, e2> as (nu, nv, 2, 2) entries,
+    index 0/1 of the third axis the du/dv component: connection_data's C0
+    slots (0, 1) and (0, 2), its only reading of the first jets."""
+    w = np.empty(jet1.shape[:3] + (2,))
+    for axis in (0, 1):
+        for k, e in enumerate((e1, e2)):
+            np.einsum("uvk,uvk->uv", jet1[:, :, axis], e, out=w[:, :, axis, k])
+    return w
+
+
+def connection_data(patch: GridPatch, position: np.ndarray, w: np.ndarray,
                     e1: np.ndarray, e2: np.ndarray, e3: np.ndarray, e4: np.ndarray,
                     H3: np.ndarray, H4: np.ndarray) -> ConnectionData:
     """Connection decomposition in the transported normal gauge.
 
-    position, e1..e4 are the (nu, nv, 5) frame rows and jet1 the
-    (nu, nv, 2, 5) first jets; H3, H4 are the complex second-fundamental-
-    form entries h11 + i h12 in the normal gauge e3, e4, so they must come
-    from a ShapeReport built with that normal frame.  That gauge is
-    defined everywhere (circle points included), so the whole grid
-    integrates without masking; ellipse-aligned quantities are diagnostics
-    only and never enter here.  Only these arrays are read, so a caller
-    can release every other field before the call.
+    position, e1..e4 are the (nu, nv, 5) frame rows and w the coframe of
+    ``coframe``; H3, H4 are the complex second-fundamental-form entries
+    h11 + i h12 in the normal gauge e3, e4, so they must come from a
+    ShapeReport built with that normal frame.  That gauge is defined
+    everywhere (circle points included), so the whole grid integrates
+    without masking; ellipse-aligned quantities are diagnostics only and
+    never enter here.  Only these arrays are read, so a caller can release
+    every other field before the call.
     """
-    C0 = np.empty(patch.shape + (2, 4))
-
-    def dot(k, axis, a, b):  # component axis of form k: <a, b>
-        np.einsum("uvk,uvk->uv", a, b, out=C0[:, :, axis, k])
-
+    rotation = np.empty(w.shape)  # omega12 and omega34
     for axis in (0, 1):
-        dot(0, axis, jet1[:, :, axis], e1)
-        dot(1, axis, jet1[:, :, axis], e2)
-        dot(2, axis, diff(patch, e1, axis), e2)
-        dot(3, axis, diff(patch, e3, axis), e4)
-    C1 = np.empty(patch.shape + (2, 4))  # after the difference fields are freed
+        np.einsum("uvk,uvk->uv", diff(patch, e1, axis), e2, out=rotation[:, :, axis, 0])
+        np.einsum("uvk,uvk->uv", diff(patch, e3, axis), e4, out=rotation[:, :, axis, 1])
+    forms = np.empty(patch.shape + (2, 8))  # after the difference fields are freed
+    C0, C1 = forms[..., :4], forms[..., 4:]
+    C0[..., :2] = w
+    C0[..., 2:] = rotation
+    del rotation
     w1, w2 = C0[..., 0], C0[..., 1]
     product = np.empty(w1.shape)
     for k, H in ((0, H3), (2, H4)):  # (sym, alt) pairs: slots (1|2, 3) and (1|2, 4)
@@ -192,7 +217,7 @@ def connection_data(patch: GridPatch, position: np.ndarray, jet1: np.ndarray,
         np.multiply(h12, w1, out=alt)
         alt -= np.multiply(h11, w2, out=product)
     origin = np.stack([row[0, 0] for row in (position, e1, e2, e3, e4)])
-    return ConnectionData(patch, origin, C0, C1)
+    return ConnectionData(patch, origin, forms)
 
 
 def rotating_forms(C1: np.ndarray, c, s, out: np.ndarray | None = None) -> np.ndarray:
@@ -235,7 +260,7 @@ def congruence_residual(conn: ConnectionData, theta) -> np.ndarray:
 
 def assemble_maurer_cartan(conn: ConnectionData, theta: float) -> MaurerCartanField:
     """Packed Omega_theta = C0 + cos(2 theta) C1 + sin(2 theta) C2."""
-    forms = np.empty(conn.C0.shape[:-1] + (8,))
+    forms = np.empty(conn.forms.shape)
     forms[..., :4] = conn.C0
     rotating_forms(conn.C1, math.cos(2.0 * theta), math.sin(2.0 * theta), out=forms[..., 4:])
     return MaurerCartanField(conn.patch, forms)

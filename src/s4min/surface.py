@@ -65,7 +65,11 @@ class ImmersionField:
         check_field(self.patch, self.position, "position")
         if self.position.shape[2:] != (5,):
             raise InputError(f"position must be (nu, nv, 5), got {self.position.shape}")
-        self.norm_drift = float(np.abs(np.linalg.norm(self.position, axis=2) - 1.0).max())
+        # one block of u rows at a time: a whole-grid norm and its
+        # temporaries would set the load's high-water mark
+        self.norm_drift = float(np.max([
+            np.abs(np.linalg.norm(self.position[rows], axis=2) - 1.0).max()
+            for rows in row_blocks(self.patch.nu)]))
         if self.norm_drift > UNIT_NORM_TOL:
             raise InputError(
                 f"position not on the unit sphere: max | |f|-1 | = {self.norm_drift:.3e} "
@@ -100,10 +104,12 @@ class ImmersionField:
 def fd_jets(patch: GridPatch, position: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and second parameter jets by stencils, each derivative written
     into its slot of the jets as it is taken."""
-    # jet2 is taken below jet1: shape_report lets it go first, and freed
-    # there it joins the free memory beneath it, which later fields reuse
-    jet2 = np.empty(patch.shape + (3, 5))
+    # jet1 is taken below jet2: the command line lets it go first, and the
+    # normal frame reuses its memory; jet2, freed after, joins the free
+    # memory above it, where the tangent frame's metric was, into a hole
+    # that the connection's packed forms fit
     jet1 = np.empty(patch.shape + (2, 5))
+    jet2 = np.empty(patch.shape + (3, 5))
     jet1[:, :, 0] = diff(patch, position, 0)
     jet1[:, :, 1] = diff(patch, position, 1)
     jet2[:, :, 0] = diff(patch, position, 0, order=2)
@@ -191,17 +197,20 @@ def _seed_normal_basis(f, e1, e2):
     raise InputError("could not seed a normal frame from ambient axes")
 
 
-def _seam_turn(angle: np.ndarray, n: int, cyclic_lanes: bool) -> np.ndarray:
+def _seam_turn(angle: np.ndarray, n: int, cyclic_lanes: bool) -> tuple:
     """The closing turn of n-step periodic lines from their closure angles.
 
     angle holds one closure angle per lane, the normal holonomy around
     its cycle.  The angles are unwrapped across the lanes and the whole
     turns they share are dropped (a full turn closes by itself), so the
     gauge winds no more than the holonomy forces.  The rest is spread as
-    the (lanes, n) turn -angle * k / n of entry k, which makes every step,
-    the seam step included, turn by the same share.  When the lanes
-    themselves form a cycle (cyclic_lanes), an angle that winds around it
-    admits no periodic gauge of this form and raises InputError.
+    the turn -angle * k / n of entry k, which makes every step, the seam
+    step included, turn by the same share.  Returned as its two factors,
+    -angle per lane and k / n per entry, whose np.multiply.outer is the
+    (lanes, n) turn: a caller forms it one block of lanes at a time.
+    When the lanes themselves form a cycle (cyclic_lanes), an angle that
+    winds around it admits no periodic gauge of this form and raises
+    InputError.
     """
     angle = np.unwrap(angle)
     if cyclic_lanes and abs(angle[-1] - angle[0]) > np.pi:
@@ -213,16 +222,16 @@ def _seam_turn(angle: np.ndarray, n: int, cyclic_lanes: bool) -> np.ndarray:
     ranked, mid = np.sort(angle), len(angle) // 2
     median = ranked[mid] if len(angle) % 2 else (ranked[mid - 1] + ranked[mid]) / 2
     turns = 2.0 * np.pi * np.round(median / (2.0 * np.pi))
-    return -(angle - turns)[:, None] * (np.arange(n) / n)[None, :]
+    return -(angle - turns), np.arange(n) / n
 
 
 def _transport_lines(f, e1, e2, e3, e4, periodic, cyclic_lanes):
     """March the normal pair in place along the first axis of (n, lanes, 5)
     line views from its first entry, batched over the lanes.
 
-    Returns the closing turn of _seam_turn on a periodic axis, from each
-    lane's closure angle: the last pair carried one step across the seam,
-    read against the first.  None on an open axis.
+    Returns the factors of _seam_turn's closing turn on a periodic axis,
+    from each lane's closure angle: the last pair carried one step across
+    the seam, read against the first.  None on an open axis.
     """
     n = f.shape[0]
     for k in range(1, n):
@@ -254,7 +263,8 @@ def normal_frame(patch: GridPatch, position: np.ndarray, e1: np.ndarray,
     curvature forces it to.  Both periodic seams close by the one rule of
     _seam_turn; on a torus whose normal bundle is nontrivial the column
     closure winds around the u cycle and InputError is raised.  The
-    column seam's turn is applied to (e3, e4) in place, block by block.
+    column seam's turn is formed and applied to (e3, e4) in place, block
+    by block, so no whole-grid turn is held.
     It reads only the position and the tangent frame, so a caller that
     holds no other reference lets them go once it returns.
     """
@@ -272,13 +282,15 @@ def normal_frame(patch: GridPatch, position: np.ndarray, e1: np.ndarray,
     spine = [a[:, :1] for a in (f, e1, e2, e3, e4)]
     turn = _transport_lines(*spine, patch.periodic_u, False)
     if turn is not None:
-        e3[:, :1], e4[:, :1] = _rotate_pair(e3[:, :1], e4[:, :1], turn.T)
+        e3[:, :1], e4[:, :1] = _rotate_pair(e3[:, :1], e4[:, :1], np.multiply.outer(*turn).T)
 
     columns = [np.swapaxes(a, 0, 1) for a in (f, e1, e2, e3, e4)]
     turn = _transport_lines(*columns, patch.periodic_v, 0 in patch.deck_axes)
-    if turn is not None:  # (nu, nv): turned in place, one block of u rows at a time
+    if turn is not None:  # turned in place, one block of u rows at a time
+        lane_turn, steps = turn
         for rows in row_blocks(patch.nu):
-            e3[rows], e4[rows] = _rotate_pair(e3[rows], e4[rows], turn[rows])
+            e3[rows], e4[rows] = _rotate_pair(e3[rows], e4[rows],
+                                              np.multiply.outer(lane_turn[rows], steps))
     return NormalFrameField(patch, e3, e4)
 
 
@@ -333,17 +345,19 @@ def _normal_components(vec: np.ndarray, e3: np.ndarray,
     return np.einsum("uvk,uvk->uv", vec, e3), np.einsum("uvk,uvk->uv", vec, e4)
 
 
-def second_fundamental_form(jet2: np.ndarray, metric: MetricField,
-                            nf: NormalFrameField) -> ShapeReport:
-    """Second fundamental form in the orthonormal frames and its invariants.
+def second_fundamental_entries(jet2: np.ndarray, metric: MetricField,
+                               nf: NormalFrameField) -> tuple:
+    """The second fundamental form in the orthonormal frames: H3, H4 and
+    the per-point |trace B| of ShapeReport.
 
     jet2 holds the (nu, nv, 3, 5) second jets (f_uu, f_uv, f_vv) on the
-    metric's chart.  The tangent frame enters only through the metric's
-    Gram-Schmidt coefficients (grid.frame_coefficients), and the position
-    not at all, so neither is an argument.  Every field but K_N is formed
-    one block of grid.BLOCK_ROWS u rows at a time into its preallocated
-    output, elementwise as on the whole grid, so no whole-grid ambient
-    vector or product temporary is made.
+    metric's chart, and is read nowhere else, so a caller that holds it no
+    longer can let it go before shape_invariants allocates its fields.
+    The tangent frame enters only through the metric's Gram-Schmidt
+    coefficients (grid.frame_coefficients), and the position not at all.
+    Each field is formed one block of grid.BLOCK_ROWS u rows at a time into
+    its preallocated output, so no whole-grid ambient vector or product
+    temporary is made.
     """
     patch = metric.patch
     H3 = np.empty(patch.shape, dtype=complex)
@@ -365,7 +379,14 @@ def second_fundamental_form(jet2: np.ndarray, metric: MetricField,
         H3[rows] = h11_3 + 1j * h12_3
         H4[rows] = h11_4 + 1j * h12_4
         minimality[rows] = np.maximum(np.abs(h11_3 + h22_3), np.abs(h11_4 + h22_4))
+    return H3, H4, minimality
 
+
+def shape_invariants(patch: GridPatch, H3: np.ndarray, H4: np.ndarray,
+                     minimality: np.ndarray) -> ShapeReport:
+    """The ShapeReport of second_fundamental_entries' fields: every
+    invariant but K_N is formed one block of u rows at a time into its
+    preallocated output, elementwise as on the whole grid."""
     # K_N stays a whole-grid expression: numpy elides the temporary of
     # H3 * conj(H4) only above about 256 KB, and the elided product runs as
     # conj(H4) * H3, whose fused complex multiply rounds differently
@@ -387,14 +408,21 @@ def second_fundamental_form(jet2: np.ndarray, metric: MetricField,
                        a_plus, a_minus, minimality)
 
 
+def second_fundamental_form(jet2: np.ndarray, metric: MetricField,
+                            nf: NormalFrameField) -> ShapeReport:
+    """Second fundamental form in the orthonormal frames and its
+    invariants: second_fundamental_entries, then shape_invariants."""
+    return shape_invariants(metric.patch, *second_fundamental_entries(jet2, metric, nf))
+
+
 def shape_report(imm: ImmersionField):
     """Frames, metric, normal frame and report in one call.
 
     The returned field is imm with its position, norm_drift and first jets
     but without its second jets, which nothing past this stage reads: a
     caller that rebinds its field to it lets them go.  imm itself is not
-    changed.  A caller that needs fewer of the fields runs the three steps
-    itself, and drops each field after its last reader.
+    changed.  The command line runs these steps as stages instead, and
+    drops each field after its last reader.
     """
     imm = imm.with_jets()
     e1, e2, metric = tangent_frame(imm)

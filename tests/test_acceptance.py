@@ -19,6 +19,7 @@ from s4min.cli import main as cli_main
 from s4min.family import (
     ConnectionData,
     assemble_maurer_cartan,
+    coframe,
     connection_data,
     deformation_invariant_deviation,
     deformed_immersion,
@@ -53,15 +54,15 @@ def veronese():
 @pytest.fixture(scope="module")
 def clifford_conn(clifford):
     imm, e1, e2, metric, nf, rep = clifford
-    return connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
-                           rep.H3, rep.H4)
+    return connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
+                           nf.e3, nf.e4, rep.H3, rep.H4)
 
 
 @pytest.fixture(scope="module")
 def veronese_conn(veronese):
     imm, e1, e2, metric, nf, rep = veronese
-    return connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
-                           rep.H3, rep.H4)
+    return connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
+                           nf.e3, nf.e4, rep.H3, rep.H4)
 
 
 @pytest.fixture(scope="module")
@@ -190,8 +191,7 @@ def test_closing_set_dichotomy(clifford, clifford_conn, veronese_conn):
     imm, e1, e2, metric, nf, rep = clifford
     roll = lambda a: np.roll(a, (-37, -61), axis=(0, 1))  # noqa: E731
     origin = np.stack([row[37, 61] for row in (imm.position, e1, e2, nf.e3, nf.e4)])
-    moved = ConnectionData(clifford_conn.patch, origin, roll(clifford_conn.C0),
-                           roll(clifford_conn.C1))
+    moved = ConnectionData(clifford_conn.patch, origin, roll(clifford_conn.forms))
     Mu = generator_monodromy(moved, 0, profile.thetas)
     Mv = generator_monodromy(moved, 1, profile.thetas)
     shifted = np.maximum(np.linalg.norm(Mu - np.eye(5), axis=(-2, -1)),

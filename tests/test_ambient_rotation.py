@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from s4min.catalog import clifford_torus, veronese_sphere
-from s4min.family import assemble_maurer_cartan, connection_data, flatness_residual
+from s4min.family import assemble_maurer_cartan, coframe, connection_data, flatness_residual
 from s4min.monodromy import scan_profile
 from s4min.surface import ImmersionField, shape_report
 
@@ -47,8 +47,8 @@ def rotation() -> np.ndarray:
 
 def evaluate(imm: ImmersionField) -> dict:
     imm, e1, e2, metric, nf, rep = shape_report(imm)
-    conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
-                           rep.H3, rep.H4)
+    conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
+                           nf.e3, nf.e4, rep.H3, rep.H4)
     out = {name: getattr(rep, name) for name in INVARIANTS}
     for theta in THETAS:
         mc = assemble_maurer_cartan(conn, theta)

@@ -19,7 +19,7 @@ import numpy as np
 
 import s4min
 from s4min.catalog import load_catalog
-from s4min.family import connection_data
+from s4min.family import coframe, connection_data
 from s4min.surface import shape_report
 
 SRC = Path(s4min.__file__).parent
@@ -36,6 +36,7 @@ STATED_ORACLES = {
     "frame_orthonormality_residual": "frame oracle: orthonormality of the built frames",
     "frame_reconstruction_residual": "pointwise reference for the source check",
     "laplace_identity_residual": "one-radius reference for topology_report's Laplace residuals",
+    "shape_report": "the shape stage in one call, the command line's stages unsplit",
 }
 
 
@@ -224,6 +225,6 @@ def test_connection_data_has_the_traced_forms():
             and isinstance(node.value, ast.Name) and node.value.id == "out"}
     assert read  # C0, C1 and C2
     imm, e1, e2, _, nf, rep = shape_report(load_catalog("clifford", 16).immersion)
-    conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
-                           rep.H3, rep.H4)
+    conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
+                           nf.e3, nf.e4, rep.H3, rep.H4)
     assert all(isinstance(getattr(conn, name, None), np.ndarray) for name in read)

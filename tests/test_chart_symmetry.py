@@ -33,7 +33,7 @@ import pytest
 
 from s4min.catalog import clifford_torus, geodesic_sphere, veronese_sphere, write_manifest
 from s4min.cli import main
-from s4min.family import (assemble_maurer_cartan, connection_data, flatness_residual,
+from s4min.family import (assemble_maurer_cartan, coframe, connection_data, flatness_residual,
                           frame_source_deviation)
 from s4min.grid import GridPatch
 from s4min.monodromy import scan_profile
@@ -54,8 +54,8 @@ CASES = {
 
 def evaluate(imm: ImmersionField) -> dict:
     imm, e1, e2, metric, nf, rep = shape_report(imm)
-    conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
-                           rep.H3, rep.H4)
+    conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
+                           nf.e3, nf.e4, rep.H3, rep.H4)
     out = {name: getattr(rep, name) for name in INVARIANTS}
     for theta in THETAS:
         mc = assemble_maurer_cartan(conn, theta)
@@ -131,8 +131,8 @@ def transposed(imm: ImmersionField) -> ImmersionField:
 def answers_and_residuals(imm: ImmersionField) -> tuple[dict, dict]:
     imm, e1, e2, metric, nf, rep = shape_report(imm)
     chi_m, chi_n = euler_numbers(rep, metric)
-    conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
-                           rep.H3, rep.H4)
+    conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
+                           nf.e3, nf.e4, rep.H3, rep.H4)
     mc0 = assemble_maurer_cartan(conn, 0.0)
     profile = scan_profile(conn, n_theta=64)
     answers = {"chi_M": chi_m.rounded, "chi_N": chi_n.rounded,

@@ -809,12 +809,13 @@ def test_verify_computes_each_quantity_once(cli, tmp_path, monkeypatch):
     # what vanishes is decided once per command, by one superminimality
     # test; each log field verify's identities read (a+, a-, 1 - K, less
     # what vanishes) is differentiated once, and the source check reuses
-    # the Omega_0 of the flatness check
+    # the Omega_0 of the flatness check: the connection's own buffer, so no
+    # Omega is assembled at all
     names = ("superminimality_test", "laplace_beltrami", "assemble_maurer_cartan")
     calls = _count_calls(monkeypatch, names, (cli_module, adapted_module, grid_module,
                                                topology_module, family_module))
-    for command, source, want in (("verify", ("clifford", 64), (1, 3, 1)),
-                                  ("verify", ("veronese", 128), (1, 2, 1)),
+    for command, source, want in (("verify", ("clifford", 64), (1, 3, 0)),
+                                  ("verify", ("veronese", 128), (1, 2, 0)),
                                   ("analyze", ("clifford", 64), (1, 0, 0))):
         calls.update(dict.fromkeys(names, 0))
         code, _ = cli(command, "--catalog", source[0], "--n", source[1],
@@ -891,7 +892,9 @@ def test_verify_open_chart_keeps_the_laplace_identities(cli, tmp_path):
         assert items[tag]["skipped"] is True and items[tag]["value"] is None
         assert items[tag]["reason"].startswith(
             "global invariants unavailable: Euler-number quadrature needs a closed chart")
-    assert report["superminimality"] is None
+    # the verdict is reported on an open chart too, where the global part
+    # cannot run: the member of the Clifford torus is generic
+    assert report["superminimality"] == sup.verdict == "generic"
 
 
 def test_verify_refused_zero_count_skips_only_the_global_items(cli, tmp_path, monkeypatch):
@@ -969,18 +972,17 @@ def test_deform_march_holds_no_frame_array(cli, tmp_path, monkeypatch):
     assert peak < 1.8 * block, f"peaked at {peak / block:.2f} blocks"
 
 
-@pytest.mark.parametrize("argv, hook, after", [
-    (("analyze",), "tangent_frame", "superminimality_test"),
-    (("deform", "--theta", 0.3), "shape_report", "connection_data"),
-    (("monodromy",), "shape_report", "euler_numbers"),
-    (("verify",), "shape_report", "hopf_coefficient"),
+@pytest.mark.parametrize("argv, after", [
+    (("analyze",), "shape_invariants"),
+    (("deform", "--theta", 0.3), "connection_data"),
+    (("monodromy",), "shape_invariants"),
+    (("verify",), "shape_invariants"),
 ], ids=["analyze", "deform", "monodromy", "verify"])
-def test_commands_let_the_second_jets_go(cli, tmp_path, monkeypatch, argv, hook, after):
+def test_commands_let_the_second_jets_go(cli, tmp_path, monkeypatch, argv, after):
     # the first stage after the shape stage finds the catalog's second jets
-    # freed.  analyze runs the shape steps itself; its first, tangent_frame,
-    # is handed the field that holds them, as shape_report is elsewhere.
+    # freed.  tangent_frame is handed the field that holds them.
     refs, freed = [], []
-    first = getattr(cli_module, hook)
+    first = cli_module.tangent_frame
     stage = getattr(cli_module, after)
 
     def watched_first(imm, *args):
@@ -991,7 +993,7 @@ def test_commands_let_the_second_jets_go(cli, tmp_path, monkeypatch, argv, hook,
         freed.append(refs[0]() is None)
         return stage(*args, **kwargs)
 
-    monkeypatch.setattr(cli_module, hook, watched_first)
+    monkeypatch.setattr(cli_module, "tangent_frame", watched_first)
     monkeypatch.setattr(cli_module, after, watched_stage)
     code, _ = cli(argv[0], "--catalog", "clifford", "--n", 64, *argv[1:], "--out", tmp_path)
     assert code == 0
@@ -1002,11 +1004,11 @@ def _watch_analyze_shape_steps(monkeypatch, refs):
     """Hook analyze's three shape steps.  refs gets weak references to the
     first jets, the position, e1, e2 and e3 as the steps see or make them;
     the returned list gets, on entry to normal_frame and to
-    second_fundamental_form, which of those are freed."""
+    second_fundamental_entries, which of those are freed."""
     freed = []
     tangent_frame = cli_module.tangent_frame
     normal_frame = cli_module.normal_frame
-    second_fundamental_form = cli_module.second_fundamental_form
+    second_fundamental_entries = cli_module.second_fundamental_entries
 
     def watched_tangent_frame(imm):
         out = tangent_frame(imm)
@@ -1020,27 +1022,28 @@ def _watch_analyze_shape_steps(monkeypatch, refs):
         refs["e3"] = weakref.ref(nf.e3)
         return nf
 
-    def watched_second_fundamental_form(*args):
-        freed.append(("second_fundamental_form", {k: r() is None for k, r in refs.items()}))
-        return second_fundamental_form(*args)
+    def watched_second_fundamental_entries(*args):
+        freed.append(("second_fundamental_entries", {k: r() is None for k, r in refs.items()}))
+        return second_fundamental_entries(*args)
 
     monkeypatch.setattr(cli_module, "tangent_frame", watched_tangent_frame)
     monkeypatch.setattr(cli_module, "normal_frame", watched_normal_frame)
-    monkeypatch.setattr(cli_module, "second_fundamental_form",
-                        watched_second_fundamental_form)
+    monkeypatch.setattr(cli_module, "second_fundamental_entries",
+                        watched_second_fundamental_entries)
     return freed
 
 
 def test_analyze_drops_each_field_after_its_last_reader(cli, tmp_path, monkeypatch):
-    # the first jets go after the tangent frame, the position, e1 and e2
-    # after the normal frame, which is their last reader
+    # analyze reads the first jets only in the tangent frame, so they go
+    # with it; the position, e1 and e2 go after the normal frame, which is
+    # their last reader
     refs = {}
     freed = _watch_analyze_shape_steps(monkeypatch, refs)
     code, _ = cli("analyze", "--catalog", "veronese", "--n", 64, "--out", tmp_path)
     assert code == 0
     assert freed == [
         ("normal_frame", {"jet1": True, "position": False, "e1": False, "e2": False}),
-        ("second_fundamental_form",
+        ("second_fundamental_entries",
          {"jet1": True, "position": True, "e1": True, "e2": True, "e3": False}),
     ]
 
@@ -1063,34 +1066,102 @@ def test_analyze_lets_the_position_go(cli, tmp_path, monkeypatch):
     assert freed == [[True] * 5]
 
 
+def _watch_stages(monkeypatch, command):
+    """Wrap each stage of the command in cli.STAGES.  Returns a list that
+    gets, on entry to each stage, its name and the fields that should be
+    freed by then but are not; and the weak references to the fields.
+
+    A field should be freed once the last stage that reads it
+    (cli.last_readers) has run, or once it is written if no later stage
+    reads it, unless a field that is still read holds it (the shape report
+    holds H3, H4 and minimality).  Every array and dataclass field is
+    watched but the patch, which every field shares.
+    """
+    last = cli_module.last_readers(command)
+    refs, ends, ids, holds, seen = {}, {}, {}, {}, []
+
+    def unfreed(i):
+        due = {k: max([ends[k]] + [ends[j] for j in holds if ids[k] in holds[j]]) for k in refs}
+        return sorted(k for k, ref in refs.items() if due[k] < i and ref() is not None)
+
+    def watch(i, name):
+        spec, run = cli_module.STAGES[name]
+        writes = cli_module.stage_fields(name)[1]
+
+        def stage(*values):
+            seen.append((name, unfreed(i)))
+            out = run(*values)
+            for k, v in zip(writes, out if len(writes) > 1 else (out,)):
+                if k == "patch" or v is None or isinstance(v, (float, dict, list)):
+                    continue
+                refs[k], ends[k], ids[k] = weakref.ref(v), last.get(k, i), id(v)
+                holds[k] = {id(a) for a in getattr(v, "__dict__", {}).values()}
+            return out
+
+        return spec, stage
+
+    for i, name in enumerate(cli_module.COMMANDS[command]):
+        monkeypatch.setitem(cli_module.STAGES, name, watch(i, name))
+    return seen, refs
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--catalog", "veronese", "--n", 64),
+    ("deform", "--catalog", "clifford", "--n", 64, "--theta", 0.3),
+    ("monodromy", "--catalog", "veronese", "--n", 64),
+    ("verify", "--catalog", "veronese", "--n", 128),
+    ("verify", "--catalog", "clifford", "--n", 64, "--jets", "fd"),
+], ids=["analyze", "deform", "monodromy", "verify", "verify-fd"])
+def test_each_field_is_freed_after_its_last_reader(cli, tmp_path, monkeypatch, argv):
+    # one rule for every command, from the runner's one table of readers:
+    # on entry to each stage, every field whose last reader has run is
+    # freed.  The first jets go before the normal frame, and the second
+    # jets before the shape invariants are made.
+    command = argv[0]
+    stages = cli_module.COMMANDS[command]
+    seen, refs = _watch_stages(monkeypatch, command)
+    code, _ = cli(*argv, "--out", tmp_path)
+    assert code == 0
+    assert seen == [(name, []) for name in stages]
+    assert {"imm", "position", "jet1", "jet2", "e1", "e2", "nf", "metric", "H3"} <= set(refs)
+    last = cli_module.last_readers(command)
+    assert last["jet2"] == stages.index("shape")
+    if command != "analyze":
+        assert {"w", "conn"} <= set(refs)
+        assert last["jet1"] < stages.index("normal")
+
+
 @pytest.mark.parametrize("source", ["catalog-fd", "manifest"])
 def test_each_position_is_norm_checked_once(cli, tmp_path, monkeypatch, source):
-    # whole-grid (nu, nv, 5) norms: the field's unit-norm check once per
-    # position, and for a manifest read_manifest's own drift check.
-    # tangent_frame takes its norms one block of rows at a time, so none of
-    # them spans the grid.  When it took one whole-grid norm there were 2
-    # and 3, and 4 and 4 while --jets fd and with_jets each checked their
-    # field again.
+    # the rows of each (rows, nv, 5) norm taken of a position: the field's
+    # unit-norm check covers each position once, one block of
+    # grid.BLOCK_ROWS rows at a time, and read_manifest's own drift check
+    # covers a manifest's once more, whole.  tangent_frame's block norms
+    # are of new arrays, not of views of a position.  A whole-grid check
+    # read [64] and [65, 65] here, and its temporaries, 7 planes, set the
+    # sphere loads' high-water mark.
     code, _ = cli("deform", "--catalog", "clifford", "--n", 64, "--theta", 0.7,
                   "--out", tmp_path / "d")
     assert code == 0
     argv, grid, want = {
-        "catalog-fd": (("--catalog", "clifford", "--n", 64, "--jets", "fd"), (64, 64), 1),
+        "catalog-fd": (("--catalog", "clifford", "--n", 64, "--jets", "fd"), (64, 64),
+                       [32, 32]),
         "manifest": (("--manifest", tmp_path / "d" / "deformed" / "manifest.json"),
-                     (65, 65), 2),
+                     (65, 65), [65, 32, 32, 1]),
     }[source]
-    norms = []
+    rows = []
     norm = np.linalg.norm
 
     def counted(x, *args, **kwargs):
-        if np.shape(x) == grid + (5,):
-            norms.append(np.shape(x))
+        of = x if getattr(x, "base", None) is None else x.base
+        if np.shape(of) == grid + (5,) and np.shape(x)[1:] == grid[1:] + (5,):
+            rows.append(len(x))
         return norm(x, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", counted)
     code, _ = cli("verify", *argv, "--out", tmp_path / "v")
     assert code == 0
-    assert len(norms) == want, norms
+    assert rows == want
 
 
 def test_verify_reports_are_byte_identical(cli, tmp_path):

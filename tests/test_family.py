@@ -28,7 +28,9 @@ from s4min.family import (
     _so5,
     _step_midpoint,
     assemble_maurer_cartan,
+    congruence_residual,
     congruence_test,
+    coframe,
     connection_data,
     deformation_invariant_deviation,
     deformed_immersion,
@@ -57,8 +59,8 @@ def clifford():
 @pytest.fixture(scope="module")
 def clifford_conn(clifford):
     imm, e1, e2, metric, nf, rep = clifford
-    return connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
-                           rep.H3, rep.H4)
+    return connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
+                           nf.e3, nf.e4, rep.H3, rep.H4)
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +71,8 @@ def clifford128():
 @pytest.fixture(scope="module")
 def clifford128_conn(clifford128):
     imm, e1, e2, metric, nf, rep = clifford128
-    return connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
-                           rep.H3, rep.H4)
+    return connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
+                           nf.e3, nf.e4, rep.H3, rep.H4)
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +80,8 @@ def perturbed_clifford_conn():
     # not flat, and its (0, 1) bracket products do not vanish
     imm, e1, e2, metric, nf, rep = shape_report(
         perturb_immersion(clifford_torus(64).immersion, 1e-3, 0))
-    return connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
-                           rep.H3, rep.H4)
+    return connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
+                           nf.e3, nf.e4, rep.H3, rep.H4)
 
 
 @pytest.fixture(scope="module")
@@ -90,8 +92,8 @@ def veronese():
 @pytest.fixture(scope="module")
 def veronese_conn(veronese):
     imm, e1, e2, metric, nf, rep = veronese
-    return connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
-                           rep.H3, rep.H4)
+    return connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
+                           nf.e3, nf.e4, rep.H3, rep.H4)
 
 
 def frame_rows(pack):
@@ -114,20 +116,23 @@ def area_weights(imm, metric):
 def test_connection_keeps_the_origin_frame_and_no_position(fix, request):
     # the connection holds the frame at node (0, 0) and no position field
     # (congruence is read off C1), neither a copy of it nor a reference to
-    # the caller's; it copies no frame row.  Measured peaks 0.95 (n = 64)
-    # and 0.78 blocks (n = 128); a (nu, nv, 5, 5) copy of the five frame
-    # fields took 1.64.
+    # the caller's; it copies no frame row.  C0 and C1 are views of its one
+    # packed buffer.  Measured peaks 0.81 (n = 64) and 0.80 blocks
+    # (n = 128), the buffer allocated after the difference fields are
+    # freed; allocated before them 1.27 and 1.09, and a (nu, nv, 5, 5) copy
+    # of the five frame fields took 1.64.
     pack = request.getfixturevalue(fix)
     imm, e1, e2, metric, nf, rep = pack
     conn = request.getfixturevalue(fix + "_conn")
-    assert [f.name for f in dataclasses.fields(conn)] == ["patch", "origin", "C0", "C1"]
-    assert not any(np.shares_memory(a, imm.position) for a in (conn.origin, conn.C0, conn.C1))
+    assert [f.name for f in dataclasses.fields(conn)] == ["patch", "origin", "forms"]
+    assert not any(np.shares_memory(a, imm.position) for a in (conn.origin, conn.forms))
+    assert np.shares_memory(conn.C0, conn.forms) and np.shares_memory(conn.C1, conn.forms)
     assert np.array_equal(conn.origin, np.stack([row[0, 0] for row in frame_rows(pack)]))
     block = imm.position.size * 5 * 8  # bytes of one (nu, nv, 5, 5) float64 array
+    w = coframe(imm.jet1, e1, e2)
     tracemalloc.start()
     try:
-        connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
-                        rep.H3, rep.H4)
+        connection_data(imm.patch, imm.position, w, e1, e2, nf.e3, nf.e4, rep.H3, rep.H4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -152,6 +157,28 @@ def test_derived_C2_gives_the_stored_bits(fix, request):
         rotating = math.cos(2.0 * theta) * conn.C1 + math.sin(2.0 * theta) * C2
         expected = np.concatenate([conn.C0, rotating], axis=-1)
         assert np.array_equal(assemble_maurer_cartan(conn, theta).forms, expected)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 4])
+def test_one_buffer_assembly_keeps_the_two_array_bits(veronese, theta):
+    # C0 and C1 are views of the connection's one buffer.  Omega_theta
+    # assembled from it is the two-array formula
+    # C0 || cos(2 theta) C1 + sin(2 theta) C2 to the bit, in a new buffer:
+    # congruence_residual reads the same before and after.  The buffer
+    # itself is Omega_0 but for the sign of a zero, as verify and
+    # scan_profile read it.
+    imm, e1, e2, metric, nf, rep = veronese
+    conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
+                           nf.e3, nf.e4, rep.H3, rep.H4)
+    C0, C1 = conn.forms[..., :4].copy(), conn.forms[..., 4:].copy()
+    C2 = np.stack([C1[..., 1], -C1[..., 0], C1[..., 3], -C1[..., 2]], axis=-1)
+    c, s = math.cos(2.0 * theta), math.sin(2.0 * theta)
+    residual = congruence_residual(conn, theta)
+    mc = assemble_maurer_cartan(conn, theta)
+    assert not np.shares_memory(mc.forms, conn.forms)
+    assert np.array_equal(mc.forms, np.concatenate([C0, c * C1 + s * C2], axis=-1))
+    assert np.array_equal(congruence_residual(conn, theta), residual)
+    assert np.array_equal(conn.forms, assemble_maurer_cartan(conn, 0.0).forms)
 
 
 def test_components_antisymmetric(clifford_conn):
@@ -280,8 +307,8 @@ def test_veronese_reconstruction_fourth_order():
     for n in (64, 128):
         pack = shape_report(veronese_sphere(n).immersion)
         imm, e1, e2, metric, nf, rep = pack
-        conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
-                               rep.H3, rep.H4)
+        conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
+                               nf.e3, nf.e4, rep.H3, rep.H4)
         res.append(frame_reconstruction_residual(frame_rows(pack), assemble_maurer_cartan(conn, 0.0)))
     assert res[0] / res[1] > 8.0
 
@@ -297,8 +324,8 @@ def source_deviation(name, n, jets="analytic", perturb=None):
         imm = perturb_immersion(imm, perturb, 0)
     pack = shape_report(imm)
     imm, e1, e2, metric, nf, rep = pack
-    conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
-                           rep.H3, rep.H4)
+    conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
+                           nf.e3, nf.e4, rep.H3, rep.H4)
     return frame_source_deviation(assemble_maurer_cartan(conn, 0.0), conn.origin,
                                   frame_rows(pack))
 
@@ -388,12 +415,12 @@ def test_step_midpoints_match_whole_line_rule(n, periodic):
 def deformed_manifest_conn():
     # the open 257 x 257 chart that deform writes for the Clifford torus
     imm, e1, e2, metric, nf, rep = shape_report(clifford_torus(256).immersion)
-    conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
-                           rep.H3, rep.H4)
+    conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
+                           nf.e3, nf.e4, rep.H3, rep.H4)
     dp = integrate_frame(assemble_maurer_cartan(conn, 0.5 * math.pi), conn.origin)
     imm, e1, e2, metric, nf, rep = shape_report(deformed_immersion(dp))
-    return connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
-                           rep.H3, rep.H4)
+    return connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
+                           nf.e3, nf.e4, rep.H3, rep.H4)
 
 
 @pytest.mark.parametrize("fix", ["clifford_conn", "veronese_conn",
@@ -578,8 +605,8 @@ def test_adapted_gauge_gives_congruent_deformation(clifford, clifford_conn):
     for amplitude, tol in ((1e-6, 1e-10), (0.3, 1e-5)):
         nf_rot = rotate_normal_frame(nf, 0.37 + amplitude * wave)
         rep_rot = second_fundamental_form(src.jet2, metric, nf_rot)
-        conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf_rot.e3, nf_rot.e4,
-                               rep_rot.H3, rep_rot.H4)
+        conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
+                               nf_rot.e3, nf_rot.e4, rep_rot.H3, rep_rot.H4)
         dp_rot = integrate_frame(assemble_maurer_cartan(conn, 0.3), conn.origin)
         pos = deformed_immersion(dp_rot).position.reshape(-1, 5)
         assert congruence_test(ref, pos).residual < tol
@@ -592,8 +619,8 @@ def test_adapted_gauge_gives_congruent_deformation(clifford, clifford_conn):
 def test_perturbed_surface_breaks_integrability():
     entry = clifford_torus(64)
     imm, e1, e2, metric, nf, rep = shape_report(perturb_immersion(entry.immersion, 1e-3, seed=7))
-    conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
-                           rep.H3, rep.H4)
+    conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
+                           nf.e3, nf.e4, rep.H3, rep.H4)
     base = flatness_residual(assemble_maurer_cartan(conn, 0.3)).max()
     assert base > 1e-3  # flatness residual itself reports the breakage
     # and the member's metric is not the source's
@@ -614,7 +641,7 @@ def test_doubled_rotation_component_breaks_flatness(clifford_conn):
 
 
 def test_shifted_normal_connection_breaks_flatness(clifford_conn):
-    C0 = clifford_conn.C0.copy()
-    C0[..., 3] += 0.05  # omega34
-    bad = ConnectionData(clifford_conn.patch, clifford_conn.origin, C0, clifford_conn.C1)
+    forms = clifford_conn.forms.copy()
+    forms[..., 3] += 0.05  # omega34
+    bad = ConnectionData(clifford_conn.patch, clifford_conn.origin, forms)
     assert flatness_residual(assemble_maurer_cartan(bad, 0.0)).max() > 1e-2

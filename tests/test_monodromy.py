@@ -24,6 +24,7 @@ from s4min.family import (
     assemble_maurer_cartan,
     congruence_residual,
     congruence_test,
+    coframe,
     connection_data,
     integrate_frame,
     march_frames,
@@ -50,8 +51,8 @@ def clifford():
 @pytest.fixture(scope="module")
 def clifford_conn(clifford):
     imm, e1, e2, metric, nf, rep = clifford
-    return imm, connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
-                                rep.H3, rep.H4)
+    return imm, connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
+                                nf.e3, nf.e4, rep.H3, rep.H4)
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +63,8 @@ def clifford_profile(clifford_conn):
 @pytest.fixture(scope="module")
 def veronese_conn():
     imm, e1, e2, metric, nf, rep = shape_report(veronese_sphere(128).immersion)
-    return imm, connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
-                                rep.H3, rep.H4)
+    return imm, connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
+                                nf.e3, nf.e4, rep.H3, rep.H4)
 
 
 @pytest.fixture(scope="module")
@@ -133,8 +134,8 @@ def test_roots_between_samples_are_found(clifford_conn, n_theta):
 def test_default_tolerance_closes_theta_zero_at_coarse_grid():
     # at n=64 d(0) is ~7e-6, above 1e-6; the default tolerance follows it
     imm, e1, e2, metric, nf, rep = shape_report(clifford_torus(64).immersion)
-    conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
-                           rep.H3, rep.H4)
+    conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
+                           nf.e3, nf.e4, rep.H3, rep.H4)
     profile = scan_profile(conn, n_theta=256)
     assert profile.tol_close >= 10.0 * profile.d[0]
     assert len(profile.roots) == 4
@@ -185,8 +186,8 @@ def _band(imm, rows):
 
 def _conn(imm):
     imm, e1, e2, metric, nf, rep = shape_report(imm)
-    return connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
-                           rep.H3, rep.H4)
+    return connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
+                           nf.e3, nf.e4, rep.H3, rep.H4)
 
 
 def _no_march(*args):
@@ -287,8 +288,8 @@ def test_congruence_residual_agrees_with_procrustes(name):
     # one sweep from the origin frame, fitted to the source by Procrustes
     # with the same area weights, gives the same verdict at 16 angles
     imm, e1, e2, metric, nf, rep = shape_report(AGREEMENT_CASES[name]())
-    conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
-                           rep.H3, rep.H4)
+    conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
+                           nf.e3, nf.e4, rep.H3, rep.H4)
     thetas = QUARTER * np.arange(16) / 16
     r = congruence_residual(conn, thetas)
     assert r.shape == thetas.shape
@@ -322,7 +323,7 @@ def test_congruence_residual_clips_the_gap():
         C0 = rng.standard_normal((8, 8, 2, 4))
         P3 = rng.standard_normal((8, 8, 2, 2))
         C1 = np.concatenate([P3, P3[..., ::-1] * [1.0, -1.0]], axis=-1)
-        r = congruence_residual(ConnectionData(patch, np.eye(5), C0, C1),
+        r = congruence_residual(ConnectionData(patch, np.eye(5), np.concatenate([C0, C1], axis=-1)),
                                 QUARTER * np.arange(16) / 16)
         assert np.isfinite(r).all() and r.max() < 1e-7, seed
         exact += bool(np.all(r == 0.0))
@@ -348,7 +349,7 @@ def moved_basepoint(shape, conn, i0, j0):
     imm, e1, e2, metric, nf, rep = shape
     roll = lambda a: np.roll(a, (-i0, -j0), axis=(0, 1))  # noqa: E731
     origin = np.stack([row[i0, j0] for row in (imm.position, e1, e2, nf.e3, nf.e4)])
-    return ConnectionData(conn.patch, origin, roll(conn.C0), roll(conn.C1))
+    return ConnectionData(conn.patch, origin, roll(conn.forms))
 
 
 def generator_loops(shape, conn, i0, j0, thetas):
@@ -397,7 +398,7 @@ def test_generator_line_gives_the_stored_bits(fix, request, monkeypatch):
     _, conn = request.getfixturevalue(fix)
     # the same forms on the uncapped chart, where the sphere's azimuth is a
     # deck generator; on the capped chart that loop contracts
-    conn = ConnectionData(replace(conn.patch, cap_u=False), conn.origin, conn.C0, conn.C1)
+    conn = ConnectionData(replace(conn.patch, cap_u=False), conn.origin, conn.forms)
     lines = []
     march = s4min.monodromy.march_frames
 
@@ -489,8 +490,8 @@ def test_circle_certificate(surface, n):
     # CIRCLE: every non-constant Fourier coefficient of M - I is below
     # the closing tolerance, and the samples resolve M to roundoff
     imm, e1, e2, metric, nf, rep = shape_report(surface(n).immersion)
-    conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
-                           rep.H3, rep.H4)
+    conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
+                           nf.e3, nf.e4, rep.H3, rep.H4)
     profile = scan_profile(conn, n_theta=64)
     assert profile.verdict == "CIRCLE"
     assert profile.circle_coefficient_max < profile.tol_close
@@ -536,7 +537,7 @@ def test_open_chart_is_circle_by_topology(clifford_conn, monkeypatch):
     p = imm.patch
     open_patch = GridPatch(p.nu, p.nv, p.u_range, p.v_range,
                            periodic_u=False, periodic_v=False)
-    open_conn = ConnectionData(open_patch, conn.origin, conn.C0, conn.C1)
+    open_conn = ConnectionData(open_patch, conn.origin, conn.forms)
     monkeypatch.setattr(s4min.monodromy, "march_frames", _no_march)
     profile = scan_profile(open_conn)
     assert (profile.verdict, profile.generators, profile.classes) == ("CIRCLE", (), [])
@@ -556,7 +557,7 @@ def test_open_axis_has_no_generator(clifford_conn, chart, axis):
         p = imm.patch
         half_open = GridPatch(p.nu, p.nv, p.u_range, p.v_range,
                               periodic_u=axis != 0, periodic_v=axis != 1)
-        conn = ConnectionData(half_open, conn.origin, conn.C0, conn.C1)
+        conn = ConnectionData(half_open, conn.origin, conn.forms)
         generator_monodromy(conn, 1 - axis, 0.3)
     else:
         make = {"veronese": veronese_sphere, "geodesic-sphere": geodesic_sphere}[chart]
@@ -568,8 +569,8 @@ def test_open_axis_has_no_generator(clifford_conn, chart, axis):
 def test_non_minimal_input_refused():
     imm, e1, e2, metric, nf, rep = shape_report(
         perturb_immersion(clifford_torus(64).immersion, 1e-3, seed=7))
-    conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
-                           rep.H3, rep.H4)
+    conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
+                           nf.e3, nf.e4, rep.H3, rep.H4)
     with pytest.raises(IntegrabilityBroken, match="not flat"):
         scan_profile(conn, n_theta=64)
 

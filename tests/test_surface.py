@@ -20,7 +20,8 @@ from s4min.catalog import (
     veronese_sphere,
 )
 from s4min.grid import GridPatch, InputError, diff, integrate
-from s4min.family import assemble_maurer_cartan, connection_data, deformed_immersion, integrate_frame
+from s4min.family import (assemble_maurer_cartan, coframe, connection_data, deformed_immersion,
+                          integrate_frame)
 from s4min.surface import (
     ImmersionField,
     _rotate_pair,
@@ -139,11 +140,12 @@ def test_seam_turn_spreads_the_closure_angle():
     # each entry k of n turns by -angle * k / n; a whole turn shared by
     # every lane closes by itself and is dropped
     angle = np.array([0.3, 0.5, -0.2, 0.1])
-    turn = _seam_turn(angle, 8, cyclic_lanes=True)
+    turn = np.multiply.outer(*_seam_turn(angle, 8, cyclic_lanes=True))
     assert turn.shape == (4, 8)
     assert np.array_equal(turn, -angle[:, None] * (np.arange(8) / 8))
     for whole in (-2, 1, 3):
-        shifted = _seam_turn(angle + 2.0 * math.pi * whole, 8, cyclic_lanes=True)
+        shifted = np.multiply.outer(*_seam_turn(angle + 2.0 * math.pi * whole, 8,
+                                                cyclic_lanes=True))
         assert np.abs(shifted - turn).max() < 1e-14
 
 
@@ -155,7 +157,7 @@ def test_seam_turn_refuses_a_winding_around_the_transverse_cycle():
     wrapped = np.angle(np.exp(1j * winding))
     with pytest.raises(InputError, match="winds around the transverse cycle"):
         _seam_turn(wrapped, 8, cyclic_lanes=True)
-    turn = _seam_turn(wrapped, 8, cyclic_lanes=False)
+    turn = np.multiply.outer(*_seam_turn(wrapped, 8, cyclic_lanes=False))
     assert np.abs(turn + winding[:, None] * (np.arange(8) / 8)).max() < 1e-14
 
 
@@ -360,11 +362,11 @@ def _whole_grid_normal_frame(imm, e1, e2):
     spine = [a[:, :1] for a in (f, e1, e2, e3, e4)]
     turn = _transport_lines(*spine, patch.periodic_u, False)
     if turn is not None:
-        e3[:, :1], e4[:, :1] = _rotate_pair(e3[:, :1], e4[:, :1], turn.T)
+        e3[:, :1], e4[:, :1] = _rotate_pair(e3[:, :1], e4[:, :1], np.multiply.outer(*turn).T)
     columns = [np.swapaxes(a, 0, 1) for a in (f, e1, e2, e3, e4)]
     turn = _transport_lines(*columns, patch.periodic_v, patch.periodic_u)
     if turn is not None:
-        e3, e4 = _rotate_pair(e3, e4, turn)
+        e3, e4 = _rotate_pair(e3, e4, np.multiply.outer(*turn))
     return e3, e4
 
 
@@ -410,8 +412,8 @@ def _deformed_field():
     # the open 257 x 257 chart a deformed manifest of the Clifford torus
     # carries: 257 rows are no multiple of the block
     imm, e1, e2, _, nf, rep = shape_report(clifford_torus(256).immersion)
-    conn = connection_data(imm.patch, imm.position, imm.jet1, e1, e2, nf.e3, nf.e4,
-                           rep.H3, rep.H4)
+    conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
+                           nf.e3, nf.e4, rep.H3, rep.H4)
     return deformed_immersion(integrate_frame(assemble_maurer_cartan(conn, 0.5 * math.pi),
                                               conn.origin)).with_jets()
 
