@@ -41,7 +41,6 @@ from .adapted import (
 from .family import (
     CongruenceFit,
     IntegrabilityBroken,
-    MaurerCartanField,
     assemble_maurer_cartan,
     coframe,
     congruence_residual,

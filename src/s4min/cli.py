@@ -27,7 +27,6 @@ from .catalog import catalog_names, load_catalog, perturb_immersion, read_manife
 from .family import (
     PATH_DEPENDENCE_TOL,
     IntegrabilityBroken,
-    MaurerCartanField,
     assemble_maurer_cartan,
     coframe,
     congruence_residual,
@@ -38,7 +37,7 @@ from .family import (
     frame_source_deviation,
     integrate_frame,
 )
-from .grid import InputError
+from .grid import BLOCK_ROWS, InputError
 from .monodromy import dichotomy_report, scan_profile
 from .surface import (
     ImmersionField,
@@ -99,9 +98,6 @@ _CELL_WIDTH = 24
 # neither the split nor the table entries overflow or underflow
 _CERTIFIED_EXP = 270
 _TIE_MARGIN = 1e-7
-# u-rows formatted per block: the cells, masks and the padded rows of a
-# whole n=512 chart would raise the peak RSS of ``analyze``
-_FIELD_BLOCK_ROWS = 32
 
 
 @functools.cache
@@ -252,7 +248,9 @@ def _write_rows(f, rows: np.ndarray) -> None:
 
 
 def _write_field_csvs(out: Path, patch, fields: dict) -> None:
-    """Write ``<name>.csv`` per field: ``u,v,value`` rows, u-major, v fastest."""
+    """Write ``<name>.csv`` per field: ``u,v,value`` rows, u-major, v fastest,
+    formatted BLOCK_ROWS u rows at a time (the cells, masks and padded rows
+    of a whole n=512 chart would raise the peak RSS of ``analyze``)."""
     us, vs = (cells[:, cells.any(axis=0)]  # columns that are NUL in every row go
               for cells in (_format_cells(patch.u_coords()), _format_cells(patch.v_coords())))
     wu, wv = us.shape[1], vs.shape[1]
@@ -260,8 +258,8 @@ def _write_field_csvs(out: Path, patch, fields: dict) -> None:
         files = [(stack.enter_context(_csv_open(out / f"{name}.csv", "u,v,value")),
                   np.asarray(values, dtype=float).reshape(patch.nu, patch.nv))
                  for name, values in fields.items()]
-        for start in range(0, patch.nu, _FIELD_BLOCK_ROWS):
-            block = us[start:start + _FIELD_BLOCK_ROWS]
+        for start in range(0, patch.nu, BLOCK_ROWS):
+            block = us[start:start + BLOCK_ROWS]
             rows = np.empty((len(block), patch.nv, wu + wv + 3 + _CELL_WIDTH), np.uint8)
             rows[:, :, :wu] = block[:, None]
             rows[:, :, wu] = ord(",")
@@ -617,16 +615,14 @@ STAGES = {
                    connection_data(p, f, w, e1, e2, nf.e3, nf.e4, H3, H4)),
     "congruence": ("args conn -> residual",
                    lambda args, conn: float(congruence_residual(conn, args.theta))),
-    "omega": ("args conn -> mc origin", lambda args, conn: (
-        assemble_maurer_cartan(conn, args.theta), conn.origin)),
-    # the connection's buffer is laid out as Omega_0: no copy is made
-    "omega_0": ("conn -> mc origin", lambda conn: (
-        MaurerCartanField(conn.patch, conn.forms), conn.origin)),
+    # the member's connection replaces the source's, which no later stage reads
+    "omega": ("args conn -> conn", lambda args, conn: assemble_maurer_cartan(conn, args.theta)),
     # at theta = 0 the sweep must give back the source frame
-    "source": ("mc origin position e1 e2 nf -> deviation", lambda mc, origin, f, e1, e2, nf:
-               frame_source_deviation(mc, origin, (f, e1, e2, nf.e3, nf.e4))),
-    "flatness": ("mc -> flatness", lambda mc: float(flatness_residual(mc).max())),
-    "member": ("mc origin -> member", lambda mc, o: deformed_immersion(integrate_frame(mc, o))),
+    "source": ("conn position e1 e2 nf -> deviation", lambda conn, f, e1, e2, nf:
+               frame_source_deviation(conn, (f, e1, e2, nf.e3, nf.e4))),
+    "flatness": ("conn -> flatness", lambda conn: float(flatness_residual(conn).max())),
+    "member": ("conn -> member",
+               lambda conn: deformed_immersion(conn.patch, integrate_frame(conn))),
     "member_metric": ("patch position member -> deviation",
                       lambda *a: deformation_invariant_deviation(*a)),
     "scan": ("args conn -> profile", lambda args, conn: scan_profile(conn, n_theta=args.scan)),
@@ -646,8 +642,8 @@ COMMANDS = {
     "monodromy": ("check_scan",) + _SHAPE + ("invariants", "euler", "connection", "scan",
                                              "monodromy_output"),
     # the frame fields go before the flatness temporaries are made
-    "verify": ("check_floor",) + _SHAPE + ("invariants", "identities", "connection", "omega_0",
-                                           "source", "flatness", "verify_output"),
+    "verify": ("check_floor",) + _SHAPE + ("invariants", "identities", "connection", "source",
+                                           "flatness", "verify_output"),
 }
 
 

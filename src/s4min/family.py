@@ -22,16 +22,17 @@ normal frame is built.  C1 holds two (sym, alt) pairs, one per normal
 direction.  C2 is C1 turned a quarter, each pair to (alt, -sym), so it
 is derived and never stored: rotating_forms builds
 cos(2 theta) C1 + sin(2 theta) C2 from C1 with the same roundings.
-Omega_theta stays packed too, in the same layout: C0's four slots
-followed by that rotating part.  assemble_maurer_cartan builds it in a
-new buffer.  The connection's own buffer is laid out as Omega_0: the
-assembled Omega_0 differs from it at most in the sign of a zero, so a
-caller that needs only Omega_0 reads that buffer and makes no second
-copy.  Only this module knows the slot table.  The structure equations
+Omega_theta is member theta's connection: the coframe and the tangent
+and normal connection forms stay and only C1 turns, so
+assemble_maurer_cartan returns it as a ConnectionData in the same
+layout, with the same origin, in a new buffer.  The source's own
+connection is Omega_0 (the assembled one differs from it at most in the
+sign of a zero), and every reader of Omega takes a ConnectionData.
+Only this module knows the slot table.  The structure equations
 are evaluated on the packed entries, one (nu, nv) plane per slot:
 flatness_residual takes the commutator from a product table derived
-from the slots, and frame_reconstruction_residual applies the Omega_0
-its caller already assembled to one frame row at a time.
+from the slots, and frame_reconstruction_residual applies Omega_0 to
+one frame row at a time.
 _so5 scatters packed entries into antisymmetric 5x5 blocks only for the
 matrix products of one march_frames step, so no whole-grid 5x5
 connection block is ever built.  congruence_residual reads whether a
@@ -85,10 +86,11 @@ class ConnectionData:
     forms is the one (nu, nv, 2, 8) buffer of packed entries at the slots
     of the module table, index 0/1 of the third axis the du/dv component:
     C0 is the view of its first four slots and C1 of its last four, the
-    pairs (sym3, alt3, sym4, alt4).  The buffer is laid out as Omega_0, so
-    MaurerCartanField(patch, forms) is Omega_0 without a copy.  C2 is
-    derived, not stored.  origin is the (5, 5) frame (f, e1, e2, e3, e4)
-    at node (0, 0), the seed of every integration.
+    pairs (sym3, alt3, sym4, alt4).  The buffer is laid out as Omega_0:
+    assemble_maurer_cartan(conn, theta) is member theta's connection, with
+    the same origin.  C2 is derived, not stored.  origin is the (5, 5)
+    frame (f, e1, e2, e3, e4) at node (0, 0), the seed of every
+    integration.
     """
 
     patch: GridPatch
@@ -107,19 +109,6 @@ class ConnectionData:
     def C2(self) -> np.ndarray:
         """C1 turned a quarter, each (sym, alt) pair to (alt, -sym); built on each read."""
         return self.C1[..., [1, 0, 3, 2]] * np.array([1.0, -1.0, 1.0, -1.0])
-
-
-@dataclass
-class MaurerCartanField:
-    """Connection 1-form Omega_theta of the deformed frame system, packed.
-
-    forms has shape (nu, nv, 2, 8); index 0/1 of the third axis is the
-    du/dv component.  forms[..., :4] is C0 and forms[..., 4:] is
-    cos(2 theta) C1 + sin(2 theta) C2, at the slots of _SLOTS.
-    """
-
-    patch: GridPatch
-    forms: np.ndarray
 
 
 # upper-triangle (row, column) of each packed entry: C0's slots, then C1/C2's
@@ -258,15 +247,16 @@ def congruence_residual(conn: ConnectionData, theta) -> np.ndarray:
     return np.sqrt(2.0 * q / (1.0 + np.sqrt(1.0 - q)))
 
 
-def assemble_maurer_cartan(conn: ConnectionData, theta: float) -> MaurerCartanField:
-    """Packed Omega_theta = C0 + cos(2 theta) C1 + sin(2 theta) C2."""
+def assemble_maurer_cartan(conn: ConnectionData, theta: float) -> ConnectionData:
+    """Member theta's connection, packed Omega_theta = C0 + cos(2 theta) C1
+    + sin(2 theta) C2: C0 and the origin are conn's, C1 is turned."""
     forms = np.empty(conn.forms.shape)
     forms[..., :4] = conn.C0
     rotating_forms(conn.C1, math.cos(2.0 * theta), math.sin(2.0 * theta), out=forms[..., 4:])
-    return MaurerCartanField(conn.patch, forms)
+    return ConnectionData(conn.patch, conn.origin, forms)
 
 
-def flatness_residual(mc: MaurerCartanField) -> np.ndarray:
+def flatness_residual(conn: ConnectionData) -> np.ndarray:
     """Per-point zero-curvature defect |dOmega - Omega ^ Omega|.
 
     Computes || d_u Omega_v - d_v Omega_u - [Omega_u, Omega_v] ||_F, which
@@ -277,9 +267,9 @@ def flatness_residual(mc: MaurerCartanField) -> np.ndarray:
     upper-triangle entry at a time, so the antisymmetric defect's norm is
     sqrt(2 sum of its ten upper entries squared).
     """
-    d_omega = diff(mc.patch, mc.forms[:, :, 1], 0) - diff(mc.patch, mc.forms[:, :, 0], 1)
+    d_omega = diff(conn.patch, conn.forms[:, :, 1], 0) - diff(conn.patch, conn.forms[:, :, 0], 1)
     total = np.zeros(d_omega.shape[:-1])
-    for (i, j), defect in zip(_UPPER, _bracket(mc.forms[:, :, 0], mc.forms[:, :, 1])):
+    for (i, j), defect in zip(_UPPER, _bracket(conn.forms[:, :, 0], conn.forms[:, :, 1])):
         if (i, j) in _SLOT:
             defect -= d_omega[..., _SLOT[i, j]]
         total += defect * defect
@@ -287,20 +277,20 @@ def flatness_residual(mc: MaurerCartanField) -> np.ndarray:
     return np.sqrt(total)
 
 
-def frame_reconstruction_residual(rows: tuple, mc0: MaurerCartanField) -> float:
-    """max |d_X F - Omega_0(X) F| over the grid: mc0, Omega at theta = 0,
-    must reproduce the finite-difference derivatives of the frame F whose
-    rows are the (nu, nv, 5) fields f, e1, e2, e3, e4 of rows.
+def frame_reconstruction_residual(rows: tuple, conn: ConnectionData) -> float:
+    """max |d_X F - Omega_0(X) F| over the grid: the source's connection
+    Omega_0 must reproduce the finite-difference derivatives of the frame
+    F whose rows are the (nu, nv, 5) fields f, e1, e2, e3, e4 of rows.
 
     Works one axis and one frame row at a time: row r of Omega F gains
     omega F_j for each slot (r, j) and loses omega F_i for each slot (i, r).
     """
     worst = 0.0
     for axis in (0, 1):
-        omega = np.moveaxis(mc0.forms[:, :, axis], -1, 0).copy()[..., None]  # (8, nu, nv, 1)
-        total = np.zeros(mc0.patch.shape)
+        omega = np.moveaxis(conn.forms[:, :, axis], -1, 0).copy()[..., None]  # (8, nu, nv, 1)
+        total = np.zeros(conn.patch.shape)
         for r, row in enumerate(rows):
-            d = diff(mc0.patch, row, axis)
+            d = diff(conn.patch, row, axis)
             product = np.empty_like(d)
             for (i, j), k in _SLOT.items():
                 if i == r:
@@ -387,7 +377,7 @@ def march_frames(omega_line: np.ndarray, h: float, seeds: np.ndarray,
     """Path-ordered integration of F' = Omega(t) F along one grid line.
 
     omega_line: (n, ..., 8) packed connection entries (the layout of
-    MaurerCartanField.forms) at the grid points of the line; seeds:
+    ConnectionData.forms) at the grid points of the line; seeds:
     (..., 5, 5) start frames (rows are frame vectors).  RK4 with
     cubic-interpolated midpoints, orthogonality restored every step;
     each step interpolates its midpoint on the packed entries of the
@@ -407,40 +397,27 @@ def march_frames(omega_line: np.ndarray, h: float, seeds: np.ndarray,
     return out
 
 
-@dataclass
-class DeformedPatch:
-    """One family member on patch.unwrapped(): its position f_theta, the
-    first frame row of the "uv" sweep.
-
-    That chart repeats each periodic axis's first line as a duplicated
-    seam line, so position[-1] vs position[0] along the axis exhibits the
-    monodromy rather than hiding it; a capped axis stays capped.
-    """
-
-    patch: GridPatch  # source patch (periodicity flags refer to this)
-    position: np.ndarray  # (nu + pu, nv + pv, 5)
-
-
-def _sweep(mc: MaurerCartanField, seed: np.ndarray):
-    """The "uv" sweep from the seed at the grid origin: the u spine, then
-    every v column from it, over the unwrapped fundamental domain.
+def _sweep(conn: ConnectionData):
+    """The "uv" sweep from the origin frame: the u spine, then every v
+    column from it, over the unwrapped fundamental domain.
 
     Returns the lanes, the u axis's unwrap_index, through which march_frames
     picks the N unwrapped spine frames' entries from each step's nu; and
     an iterator over the (N, 5, 5) frames of each unwrapped v column,
     marched as it is read, a periodic v's duplicated seam column last.
     """
-    patch = mc.patch
-    spine = march_frames(mc.forms[:, 0, 0][:, None], patch.hu, seed[None], patch.periodic_u)[:, 0]
-    lines = np.moveaxis(mc.forms[:, :, 1], 1, 0)  # (nv, nu, 8), a view
+    patch = conn.patch
+    spine = march_frames(conn.forms[:, 0, 0][:, None], patch.hu, conn.origin[None],
+                         patch.periodic_u)[:, 0]
+    lines = np.moveaxis(conn.forms[:, :, 1], 1, 0)  # (nv, nu, 8), a view
     lanes = patch.unwrap_index(0)
     return lanes, itertools.chain([spine], _march(lines, patch.hv, spine, patch.periodic_v, lanes))
 
 
-def frame_source_deviation(mc0: MaurerCartanField, seed: np.ndarray, rows: tuple) -> float:
-    """Max Frobenius distance between the "uv" sweep of Omega_0 from the
-    seed at the grid origin and the source frame whose rows are the
-    (nu, nv, 5) fields f, e1, e2, e3, e4 of rows.
+def frame_source_deviation(conn: ConnectionData, rows: tuple) -> float:
+    """Max Frobenius distance between the "uv" sweep of the source's
+    connection Omega_0 from its origin frame and the source frame whose
+    rows are the (nu, nv, 5) fields f, e1, e2, e3, e4 of rows.
 
     At theta = 0 the member is the source itself, so the sweep must give
     back its frame: the distance measures the truncation of Omega and the
@@ -449,39 +426,41 @@ def frame_source_deviation(mc0: MaurerCartanField, seed: np.ndarray, rows: tuple
     the source column as they are marched, a duplicated seam line with
     the source's first line, so no whole-grid frame array is held.
     """
-    lanes, columns = _sweep(mc0, seed)
+    lanes, columns = _sweep(conn)
     worst = 0.0
-    for k, column in zip(mc0.patch.unwrap_index(1), columns):
+    for k, column in zip(conn.patch.unwrap_index(1), columns):
         D = column - np.stack([row[lanes, k] for row in rows], axis=-2)
         D *= D  # the squared distance, in place
         worst = max(worst, float(np.sqrt(np.add.reduce(D, axis=(-2, -1))).max()))
     return worst
 
 
-def integrate_frame(mc: MaurerCartanField, seed_frame: np.ndarray) -> DeformedPatch:
-    """The member's position over the unwrapped fundamental domain, from
-    the "uv" sweep of the frame system from the seed at the grid origin.
+def integrate_frame(conn: ConnectionData) -> np.ndarray:
+    """The member's position f_theta, (nu + pu, nv + pv, 5) on
+    conn.patch.unwrapped(): the first frame row of the "uv" sweep of the
+    frame system from the origin frame.
 
-    Only the first row of each v column's frames is kept as the column is
-    marched, so no whole-grid frame array is held.  Nothing is checked
-    here: a member is checked against the source by
+    That chart repeats each periodic axis's first line as a duplicated
+    seam line, so position[-1] vs position[0] along the axis exhibits the
+    monodromy rather than hiding it; a capped axis stays capped.  Only the
+    first row of each v column's frames is kept as the column is marched,
+    so no whole-grid frame array is held.  Nothing is checked here: a
+    member is checked against the source by
     deformation_invariant_deviation, which sees the march error too.
     """
-    seed = np.asarray(seed_frame, dtype=float)
-    if seed.shape != (5, 5):
-        raise InputError(f"seed frame must be 5x5, got {seed.shape}")
-    lanes, columns = _sweep(mc, seed)
-    position = np.empty((len(lanes), len(mc.patch.unwrap_index(1)), 5))
+    lanes, columns = _sweep(conn)
+    position = np.empty((len(lanes), len(conn.patch.unwrap_index(1)), 5))
     for k, column in enumerate(columns):
         position[:, k] = column[:, 0]
-    return DeformedPatch(mc.patch, position)
+    return position
 
 
-def deformed_immersion(dp: DeformedPatch) -> ImmersionField:
-    """Deformed position as an immersion over the open unwrapped domain,
-    without jets: ``with_jets`` fills them by finite differences."""
-    pos = dp.position
-    return ImmersionField(dp.patch.unwrapped(), pos / np.linalg.norm(pos, axis=-1, keepdims=True),
+def deformed_immersion(patch: GridPatch, position: np.ndarray) -> ImmersionField:
+    """The member at integrate_frame's position, for a connection on
+    patch, as an immersion over patch.unwrapped(), without jets:
+    ``with_jets`` fills them by finite differences."""
+    return ImmersionField(patch.unwrapped(),
+                          position / np.linalg.norm(position, axis=-1, keepdims=True),
                           jet_source="fd")
 
 

@@ -19,6 +19,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +65,8 @@ class GridPatch:
             raise InputError(f"grid needs at least 8 points per axis, got {self.nu}x{self.nv}")
         if not (self.u_range[1] > self.u_range[0]) or not (self.v_range[1] > self.v_range[0]):
             raise InputError("parameter ranges must be increasing")
+        if not all(map(math.isfinite, (*self.u_range, *self.v_range, self.hu, self.hv))):
+            raise InputError("parameter ranges and their steps must be finite")
         if (self.cap_u and self.periodic_u) or (self.cap_v and self.periodic_v):
             raise InputError("a capped axis must be open, not periodic")
 

@@ -31,7 +31,6 @@ import numpy as np
 from .family import (
     ConnectionData,
     IntegrabilityBroken,
-    MaurerCartanField,
     congruence_residual,
     flatness_residual,
     march_frames,
@@ -172,10 +171,7 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256) -> MonodromyProfile:
     if n_theta < 64:
         raise InputError(f"need at least 64 angle samples, got {n_theta}")
     gens = conn.patch.deck_axes
-    # the connection's buffer is laid out as Omega_0: an assembled copy
-    # differs from it at most in the sign of a zero, which the residual's
-    # squares drop, so the buffer is read as it is
-    flat0 = float(flatness_residual(MaurerCartanField(conn.patch, conn.forms)).max())
+    flat0 = float(flatness_residual(conn).max())
     if flat0 > FLATNESS_CEILING:
         raise IntegrabilityBroken(
             f"connection is not flat (residual {flat0:.3e} > "

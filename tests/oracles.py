@@ -8,33 +8,34 @@ shape stages.
 
 import numpy as np
 
-from s4min.family import MaurerCartanField, march_frames
+from s4min.family import ConnectionData, march_frames
 from s4min.grid import GridPatch
 from s4min.surface import ImmersionField, shape_report
 
 
-def sweep_frames(mc, seed):
-    """The "uv" sweep held whole: the u spine from the seed at the grid
-    origin, then every v column from it.  Returns the (nu + pu, nv + pv,
-    5, 5) frames over the unwrapped fundamental domain."""
-    p = mc.patch
-    spine = march_frames(mc.forms[:, 0, 0][:, None], p.hu, seed[None], p.periodic_u)[:, 0]
-    sheet = march_frames(np.moveaxis(mc.forms[:, :, 1], 1, 0), p.hv, spine, p.periodic_v,
+def sweep_frames(conn):
+    """The "uv" sweep held whole: the u spine from the origin frame, then
+    every v column from it.  Returns the (nu + pu, nv + pv, 5, 5) frames
+    over the unwrapped fundamental domain."""
+    p = conn.patch
+    spine = march_frames(conn.forms[:, 0, 0][:, None], p.hu, conn.origin[None],
+                         p.periodic_u)[:, 0]
+    sheet = march_frames(np.moveaxis(conn.forms[:, :, 1], 1, 0), p.hv, spine, p.periodic_v,
                          p.unwrap_index(0))
     return np.moveaxis(sheet, 1, 0)
 
 
-def two_sweep_path_dependence(mc, seed):
+def two_sweep_path_dependence(conn):
     """Path dependence from both sweeps held whole: the largest Frobenius
     distance between the "uv" sweep and the "vu" sweep, which is the "uv"
     sweep of the transposed chart."""
-    p = mc.patch
-    transposed = MaurerCartanField(
+    p = conn.patch
+    transposed = ConnectionData(
         GridPatch(p.nv, p.nu, p.v_range, p.u_range, p.periodic_v, p.periodic_u,
                   p.cap_v, p.cap_u),
-        mc.forms.transpose(1, 0, 2, 3)[:, :, ::-1])
-    D = np.ascontiguousarray(np.swapaxes(sweep_frames(transposed, seed), 0, 1))
-    D -= sweep_frames(mc, seed)
+        conn.origin, conn.forms.transpose(1, 0, 2, 3)[:, :, ::-1])
+    D = np.ascontiguousarray(np.swapaxes(sweep_frames(transposed), 0, 1))
+    D -= sweep_frames(conn)
     D *= D
     return float(np.sqrt(np.add.reduce(D, axis=(-2, -1))).max())
 

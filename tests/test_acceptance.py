@@ -158,7 +158,7 @@ def test_family_flatness_reconstruction_isometry(clifford, clifford_conn):
     for theta in (0.0, 0.3, math.pi / 4, 1.2, math.pi):
         mc = assemble_maurer_cartan(clifford_conn, theta)
         assert float(flatness_residual(mc).max()) < tol
-        deformed = deformed_immersion(integrate_frame(mc, clifford_conn.origin))
+        deformed = deformed_immersion(patch, integrate_frame(mc))
         assert deformation_invariant_deviation(patch, imm.position, deformed) < 1e-4
         dev = curvature_deviation(imm, deformed)
         assert dev["K"] < 1e-4

@@ -53,7 +53,7 @@ def evaluate(imm: ImmersionField) -> dict:
     for theta in THETAS:
         mc = assemble_maurer_cartan(conn, theta)
         out[f"flatness {theta}"] = flatness_residual(mc)
-        out[f"path {theta}"] = two_sweep_path_dependence(mc, conn.origin)
+        out[f"path {theta}"] = two_sweep_path_dependence(mc)
     out["profile"] = scan_profile(conn, n_theta=64)
     return out
 

@@ -60,7 +60,7 @@ def evaluate(imm: ImmersionField) -> dict:
     for theta in THETAS:
         mc = assemble_maurer_cartan(conn, theta)
         out[f"flatness {theta}"] = float(flatness_residual(mc).max())
-        out[f"path {theta}"] = two_sweep_path_dependence(mc, conn.origin)
+        out[f"path {theta}"] = two_sweep_path_dependence(mc)
     return out
 
 
@@ -139,9 +139,8 @@ def answers_and_residuals(imm: ImmersionField) -> tuple[dict, dict]:
                "verdict": profile.verdict, "classes": profile.classes}
     residuals = {
         "flatness": float(flatness_residual(mc0).max()),
-        "source": frame_source_deviation(mc0, conn.origin,
-                                         (imm.position, e1, e2, nf.e3, nf.e4)),
-        "path 0.5": two_sweep_path_dependence(assemble_maurer_cartan(conn, 0.5), conn.origin),
+        "source": frame_source_deviation(mc0, (imm.position, e1, e2, nf.e3, nf.e4)),
+        "path 0.5": two_sweep_path_dependence(assemble_maurer_cartan(conn, 0.5)),
     }
     return answers, residuals
 

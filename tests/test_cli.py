@@ -449,6 +449,27 @@ def test_unusable_manifest_is_one_source_error_line(cli, tmp_path, spoil):
                              sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("ends", [[0.0, math.inf], [-1e308, 1e308]], ids=["inf", "span-overflow"])
+@pytest.mark.parametrize("command", [("analyze",), ("deform", "--theta", 0.3), ("monodromy",),
+                                     ("verify",)], ids=lambda argv: argv[0])
+def test_non_finite_range_is_one_source_error_line(cli, tmp_path, command, ends):
+    # JSON's Infinity reads as a float, and 1e308 - (-1e308) overflows: the
+    # grid refuses both before any coordinate is made
+    imm = load_catalog("clifford", 32).immersion
+    manifest = write_manifest(ImmersionField(imm.patch, imm.position), tmp_path / "src")
+    doc = json.loads(manifest.read_text())
+    doc["grid"]["u_range"] = ends
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code, text = cli(*command[:1], "--manifest", manifest, *command[1:], "--out", out)
+    assert code == 2
+    message = (f"malformed manifest {manifest}: "
+               "parameter ranges and their steps must be finite")
+    assert text == json.dumps({"error": {"code": "E_SOURCE", "message": message}},
+                              sort_keys=True) + "\n"
+    assert not out.exists()
+
+
 def test_integer_range_ends_are_json_numbers(tmp_path):
     imm = load_catalog("clifford", 32).immersion
     manifest = write_manifest(ImmersionField(imm.patch, imm.position), tmp_path)
@@ -1120,9 +1141,30 @@ def test_each_field_is_freed_after_its_last_reader(cli, tmp_path, monkeypatch, a
     command = argv[0]
     stages = cli_module.COMMANDS[command]
     seen, refs = _watch_stages(monkeypatch, command)
+    if command == "deform":
+        # omega rebinds conn to the member's connection, so the watch above
+        # sees only that one: the source's is checked on entry to flatness
+        source, alive = [], []
+        spec, build = cli_module.STAGES["connection"]
+
+        def connection(*values):
+            conn = build(*values)
+            source.append(weakref.ref(conn))
+            return conn
+
+        flatness_spec, flatness = cli_module.STAGES["flatness"]
+
+        def check(*values):
+            alive.append(source[0]() is not None)
+            return flatness(*values)
+
+        monkeypatch.setitem(cli_module.STAGES, "connection", (spec, connection))
+        monkeypatch.setitem(cli_module.STAGES, "flatness", (flatness_spec, check))
     code, _ = cli(*argv, "--out", tmp_path)
     assert code == 0
     assert seen == [(name, []) for name in stages]
+    if command == "deform":
+        assert alive == [False]
     assert {"imm", "position", "jet1", "jet2", "e1", "e2", "nf", "metric", "H3"} <= set(refs)
     last = cli_module.last_readers(command)
     assert last["jet2"] == stages.index("shape")

@@ -22,7 +22,6 @@ from s4min.cli import VERIFY_FLOOR
 from s4min.family import (
     PATH_DEPENDENCE_TOL,
     ConnectionData,
-    MaurerCartanField,
     _UPPER,
     _bracket,
     _so5,
@@ -40,7 +39,7 @@ from s4min.family import (
     integrate_frame,
     polar_reorthonormalize,
 )
-from s4min.grid import InputError, diff, quadrature_weights
+from s4min.grid import diff, quadrature_weights
 from s4min.surface import (
     ImmersionField,
     rotate_normal_frame,
@@ -181,6 +180,19 @@ def test_one_buffer_assembly_keeps_the_two_array_bits(veronese, theta):
     assert np.array_equal(conn.forms, assemble_maurer_cartan(conn, 0.0).forms)
 
 
+@pytest.mark.parametrize("a, b", [(0.3, 0.5), (0.7, -0.2), (math.pi / 4, math.pi / 4)])
+def test_assembly_composes_member_connections(veronese_conn, a, b):
+    # Omega_theta is member theta's connection: turning it by b is the
+    # source turned by a + b, with the source's C0 and origin frame
+    twice = assemble_maurer_cartan(assemble_maurer_cartan(veronese_conn, a), b)
+    once = assemble_maurer_cartan(veronese_conn, a + b)
+    assert twice.patch == veronese_conn.patch
+    assert np.array_equal(twice.origin, veronese_conn.origin)
+    assert np.array_equal(twice.C0, veronese_conn.C0)
+    np.testing.assert_allclose(twice.C1, once.C1, rtol=0,
+                               atol=1e-14 * np.abs(veronese_conn.C1).max())
+
+
 def test_components_antisymmetric(clifford_conn):
     for theta in (0.0, 0.3, 1.2):
         omega = _so5(assemble_maurer_cartan(clifford_conn, theta).forms)
@@ -288,9 +300,9 @@ def test_family_checks_hold_no_whole_grid_blocks(fix, request):
         "flatness_residual": (lambda: flatness_residual(mc), 1.45),
         "frame_reconstruction_residual":
             (lambda: frame_reconstruction_residual(rows, mc0), 0.95),
-        "integrate_frame": (lambda: integrate_frame(mc, conn.origin), 0.45),
+        "integrate_frame": (lambda: integrate_frame(mc), 0.45),
         "frame_source_deviation":
-            (lambda: frame_source_deviation(mc0, conn.origin, rows), 0.2),
+            (lambda: frame_source_deviation(mc0, rows), 0.2),
     }
     for name, (check, bound) in checks.items():
         tracemalloc.start()
@@ -326,8 +338,7 @@ def source_deviation(name, n, jets="analytic", perturb=None):
     imm, e1, e2, metric, nf, rep = pack
     conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
                            nf.e3, nf.e4, rep.H3, rep.H4)
-    return frame_source_deviation(assemble_maurer_cartan(conn, 0.0), conn.origin,
-                                  frame_rows(pack))
+    return frame_source_deviation(assemble_maurer_cartan(conn, 0.0), frame_rows(pack))
 
 
 @pytest.mark.parametrize("fix", ["clifford", "veronese"])
@@ -337,13 +348,13 @@ def test_source_deviation_equals_whole_sweep_oracle(fix, request):
     pack = request.getfixturevalue(fix)
     conn = request.getfixturevalue(fix + "_conn")
     mc0 = assemble_maurer_cartan(conn, 0.0)
-    sweep = sweep_frames(mc0, conn.origin)
+    sweep = sweep_frames(mc0)
     NU, NV = sweep.shape[:2]
     source = np.stack(frame_rows(pack), axis=-2)
     D = sweep - source[np.ix_(np.arange(NU) % conn.patch.nu, np.arange(NV) % conn.patch.nv)]
     D *= D
     oracle = float(np.sqrt(np.add.reduce(D, axis=(-2, -1))).max())
-    assert frame_source_deviation(mc0, conn.origin, frame_rows(pack)) == oracle
+    assert frame_source_deviation(mc0, frame_rows(pack)) == oracle
 
 
 def test_source_deviation_sees_the_march_error(clifford_conn, clifford):
@@ -351,8 +362,8 @@ def test_source_deviation_sees_the_march_error(clifford_conn, clifford):
     # the march itself is off at 4th order: only the source comparison
     # sees it (measured 9.7e-6 at n = 64, path dependence 3.1e-15)
     mc0 = assemble_maurer_cartan(clifford_conn, 0.0)
-    assert two_sweep_path_dependence(mc0, clifford_conn.origin) < 1e-12
-    assert frame_source_deviation(mc0, clifford_conn.origin, frame_rows(clifford)) > 1e-6
+    assert two_sweep_path_dependence(mc0) < 1e-12
+    assert frame_source_deviation(mc0, frame_rows(clifford)) > 1e-6
 
 
 @pytest.mark.parametrize("name", sorted(VERIFY_FLOOR))
@@ -417,8 +428,8 @@ def deformed_manifest_conn():
     imm, e1, e2, metric, nf, rep = shape_report(clifford_torus(256).immersion)
     conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
                            nf.e3, nf.e4, rep.H3, rep.H4)
-    dp = integrate_frame(assemble_maurer_cartan(conn, 0.5 * math.pi), conn.origin)
-    imm, e1, e2, metric, nf, rep = shape_report(deformed_immersion(dp))
+    position = integrate_frame(assemble_maurer_cartan(conn, 0.5 * math.pi))
+    imm, e1, e2, metric, nf, rep = shape_report(deformed_immersion(conn.patch, position))
     return connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
                            nf.e3, nf.e4, rep.H3, rep.H4)
 
@@ -429,26 +440,23 @@ def test_integrate_frame_keeps_row_zero_of_the_sweep(fix, request):
     # the streamed member is the first frame row of the sweep held whole
     conn = request.getfixturevalue(fix)
     mc = assemble_maurer_cartan(conn, 0.3)
-    seed = conn.origin
-    assert np.array_equal(integrate_frame(mc, seed).position, sweep_frames(mc, seed)[..., 0, :])
+    assert np.array_equal(integrate_frame(mc), sweep_frames(mc)[..., 0, :])
 
 
 def test_clifford_path_independence(clifford_conn):
     mc = assemble_maurer_cartan(clifford_conn, 0.3)
-    assert two_sweep_path_dependence(mc, clifford_conn.origin) < 1e-12
+    assert two_sweep_path_dependence(mc) < 1e-12
 
 
 def test_marched_frames_stay_orthonormal(clifford_conn):
-    frames = sweep_frames(assemble_maurer_cartan(clifford_conn, 0.77), clifford_conn.origin)
+    frames = sweep_frames(assemble_maurer_cartan(clifford_conn, 0.77))
     gram = np.einsum("uvik,uvjk->uvij", frames, frames) - np.eye(5)
     assert np.abs(gram).max() < 1e-12
 
 
 def test_clifford_theta_zero_roundtrip(clifford_conn, clifford):
     imm = clifford[0]
-    mc = assemble_maurer_cartan(clifford_conn, 0.0)
-    dp = integrate_frame(mc, clifford_conn.origin)
-    dimm = deformed_immersion(dp)
+    dimm = member(clifford_conn, 0.0)
     n = imm.patch.nu
     replay = imm.position[np.ix_(np.arange(dimm.patch.nu) % n,
                                  np.arange(dimm.patch.nv) % n)]
@@ -458,9 +466,7 @@ def test_clifford_theta_zero_roundtrip(clifford_conn, clifford):
 
 def test_veronese_theta_zero_roundtrip(veronese_conn, veronese):
     imm = veronese[0]
-    mc = assemble_maurer_cartan(veronese_conn, 0.0)
-    dp = integrate_frame(mc, veronese_conn.origin)
-    dimm = deformed_immersion(dp)
+    dimm = member(veronese_conn, 0.0)
     n = imm.patch.nu
     replay = imm.position[np.ix_(np.arange(dimm.patch.nu) % n,
                                  np.arange(dimm.patch.nv) % n)]
@@ -469,9 +475,7 @@ def test_veronese_theta_zero_roundtrip(veronese_conn, veronese):
 
 
 def test_deformed_positions_on_sphere(veronese_conn):
-    mc = assemble_maurer_cartan(veronese_conn, 1.0)
-    dp = integrate_frame(mc, veronese_conn.origin)
-    norms = np.linalg.norm(deformed_immersion(dp).position, axis=-1)
+    norms = np.linalg.norm(member(veronese_conn, 1.0).position, axis=-1)
     assert np.abs(norms - 1.0).max() < 1e-12
 
 
@@ -487,18 +491,12 @@ def test_reorthonormalization_does_not_depend_on_the_batch():
         assert np.abs(batch[1].T @ batch[1] - np.eye(5)).max() < 1e-14
 
 
-def test_bad_seed_shape_rejected(clifford_conn):
-    mc = assemble_maurer_cartan(clifford_conn, 0.0)
-    with pytest.raises(InputError, match=r"seed frame must be 5x5, got \(4, 4\)"):
-        integrate_frame(mc, np.eye(4))
-
-
 # ---------------------------------------------------------------------------
 # the deformation is isometric and curvature preserving
 
 
 def member(conn, theta):
-    return deformed_immersion(integrate_frame(assemble_maurer_cartan(conn, theta), conn.origin))
+    return deformed_immersion(conn.patch, integrate_frame(assemble_maurer_cartan(conn, theta)))
 
 
 def test_veronese_invariants_preserved(veronese_conn, veronese):
@@ -542,9 +540,7 @@ def test_clifford_congruent_at_half_turn(clifford_conn, clifford):
     imm, _, _, metric, _, _ = clifford
     n = imm.patch.nu
     w = area_weights(imm, metric)
-    mc = assemble_maurer_cartan(clifford_conn, math.pi / 2)
-    dp = integrate_frame(mc, clifford_conn.origin)
-    core = deformed_immersion(dp).position[:n, :n]
+    core = member(clifford_conn, math.pi / 2).position[:n, :n]
     fit = congruence_test(imm.position.reshape(-1, 5), core.reshape(-1, 5), w)
     assert fit.residual < 1e-5
 
@@ -553,9 +549,7 @@ def test_clifford_not_congruent_inside_fundamental_domain(clifford_conn, cliffor
     imm, _, _, metric, _, _ = clifford
     n = imm.patch.nu
     w = area_weights(imm, metric)
-    mc = assemble_maurer_cartan(clifford_conn, math.pi / 4)
-    dp = integrate_frame(mc, clifford_conn.origin)
-    core = deformed_immersion(dp).position[:n, :n]
+    core = member(clifford_conn, math.pi / 4).position[:n, :n]
     fit = congruence_test(imm.position.reshape(-1, 5), core.reshape(-1, 5), w)
     assert fit.residual > 0.05
 
@@ -566,9 +560,7 @@ def test_veronese_congruent_at_every_theta(veronese_conn, veronese):
     n = imm.patch.nu
     w = area_weights(imm, metric)
     for theta in (0.3, 1.0, 2.0):
-        mc = assemble_maurer_cartan(veronese_conn, theta)
-        dp = integrate_frame(mc, veronese_conn.origin)
-        core = deformed_immersion(dp).position[:, :n]
+        core = member(veronese_conn, theta).position[:, :n]
         fit = congruence_test(imm.position.reshape(-1, 5), core.reshape(-1, 5), w)
         assert fit.residual < 1e-4
         assert abs(abs(np.linalg.det(fit.isometry)) - 1.0) < 1e-6
@@ -598,17 +590,14 @@ def test_adapted_gauge_gives_congruent_deformation(clifford, clifford_conn):
     imm, e1, e2, metric, nf, rep = clifford
     s = 2.0 * math.pi * np.arange(imm.patch.nu) / imm.patch.nu
     wave = np.sin(s)[:, None] * np.cos(s)[None, :]
-    dp = integrate_frame(assemble_maurer_cartan(clifford_conn, 0.3),
-                         clifford_conn.origin)
-    ref = deformed_immersion(dp).position.reshape(-1, 5)
+    ref = member(clifford_conn, 0.3).position.reshape(-1, 5)
     src = clifford_torus(64).immersion  # shape_report's field has no second jets
     for amplitude, tol in ((1e-6, 1e-10), (0.3, 1e-5)):
         nf_rot = rotate_normal_frame(nf, 0.37 + amplitude * wave)
         rep_rot = second_fundamental_form(src.jet2, metric, nf_rot)
         conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
                                nf_rot.e3, nf_rot.e4, rep_rot.H3, rep_rot.H4)
-        dp_rot = integrate_frame(assemble_maurer_cartan(conn, 0.3), conn.origin)
-        pos = deformed_immersion(dp_rot).position.reshape(-1, 5)
+        pos = member(conn, 0.3).position.reshape(-1, 5)
         assert congruence_test(ref, pos).residual < tol
 
 
@@ -632,8 +621,8 @@ def test_doubled_rotation_component_breaks_flatness(clifford_conn):
     def doubled(theta):  # Omega_theta with its sin(2 theta) C2 term doubled
         rotating = (math.cos(2.0 * theta) * clifford_conn.C1
                     + 2.0 * math.sin(2.0 * theta) * clifford_conn.C2)
-        return MaurerCartanField(clifford_conn.patch,
-                                 np.concatenate([clifford_conn.C0, rotating], axis=-1))
+        return ConnectionData(clifford_conn.patch, clifford_conn.origin,
+                              np.concatenate([clifford_conn.C0, rotating], axis=-1))
     # theta = 0 never sees C2 ...
     assert flatness_residual(doubled(0.0)).max() < 1e-12
     # ... but any other angle does

@@ -291,6 +291,17 @@ def test_grid_rejects_tiny_axes():
         GridPatch(4, 64, (0.0, 1.0), (0.0, 1.0), False, False)
 
 
+@pytest.mark.parametrize("u_range, v_range", [((0.0, math.inf), (0.0, 1.0)),
+                                              ((0.0, 1.0), (-math.inf, 0.0)),
+                                              ((-1e308, 1e308), (0.0, 1.0)),
+                                              ((0.0, 1.0), (-1e308, 1e308))])
+def test_grid_rejects_non_finite_ranges_and_steps(u_range, v_range):
+    # the last two have finite ends but a span, and so a step, that overflows
+    for periodic in (False, True):
+        with pytest.raises(InputError, match="must be finite"):
+            GridPatch(8, 8, u_range, v_range, periodic, periodic)
+
+
 def test_capped_axis_midpoint_quadrature():
     # cell-centered samples of sin over (0, pi): midpoint weights cover the
     # closed interval including both half-cell caps; error is h^2/12 exactly

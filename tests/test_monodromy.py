@@ -297,7 +297,7 @@ def test_congruence_residual_agrees_with_procrustes(name):
     dA = np.abs(C0[..., 0, 0] * C0[..., 1, 1] - C0[..., 1, 0] * C0[..., 0, 1])
     nu, nv = imm.patch.shape
     for theta, r_theta in zip(thetas, r):
-        pos = integrate_frame(assemble_maurer_cartan(conn, theta), conn.origin).position[:nu, :nv]
+        pos = integrate_frame(assemble_maurer_cartan(conn, theta))[:nu, :nv]
         fit = congruence_test(imm.position, pos / np.linalg.norm(pos, axis=-1, keepdims=True), dA)
         assert (r_theta < CONGRUENCE_TOL) == (fit.residual < CONGRUENCE_TOL), theta
     if name.endswith("clifford"):
@@ -377,7 +377,7 @@ def test_contractible_loop_is_trivial(clifford_conn):
     # rectangle of the unwrapped domain with a corner at the origin
     _, conn = clifford_conn
     for theta in (0.0, 0.4, 0.77, 1.1, 2.5):
-        assert two_sweep_path_dependence(assemble_maurer_cartan(conn, theta), conn.origin) < 1e-7
+        assert two_sweep_path_dependence(assemble_maurer_cartan(conn, theta)) < 1e-7
 
 
 def test_s3_surface_monodromy_fixes_fifth_axis(clifford_conn):

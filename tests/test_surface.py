@@ -414,8 +414,8 @@ def _deformed_field():
     imm, e1, e2, _, nf, rep = shape_report(clifford_torus(256).immersion)
     conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
                            nf.e3, nf.e4, rep.H3, rep.H4)
-    return deformed_immersion(integrate_frame(assemble_maurer_cartan(conn, 0.5 * math.pi),
-                                              conn.origin)).with_jets()
+    position = integrate_frame(assemble_maurer_cartan(conn, 0.5 * math.pi))
+    return deformed_immersion(conn.patch, position).with_jets()
 
 
 BLOCK_CASES = {
