@@ -266,7 +266,7 @@ def perturb_immersion(imm: ImmersionField, amplitude: float, seed: int) -> Immer
     differences once the caller has let the source's jets go.
     """
     src = imm.with_jets()
-    nf = normal_frame(src.patch, src.position, *tangent_frame(src)[:2])
+    e3, e4 = normal_frame(src.patch, src.position, *tangent_frame(src)[:2])
     del src  # only e3, e4 feed the bump
     patch = imm.patch
     rng = np.random.default_rng(seed)
@@ -283,9 +283,9 @@ def perturb_immersion(imm: ImmersionField, amplitude: float, seed: int) -> Immer
                        (c[2] * np.cos(kv * sv * V) + c[3] * np.sin(kv * sv * V))
         return out
 
-    g = imm.position + amplitude * (bump()[:, :, None] * nf.e3 +
-                                    bump()[:, :, None] * nf.e4)
-    del nf
+    g = imm.position + amplitude * (bump()[:, :, None] * e3 +
+                                    bump()[:, :, None] * e4)
+    del e3, e4
     g = g / np.linalg.norm(g, axis=2)[:, :, None]
     return ImmersionField(patch, g, jet_source="fd")
 

@@ -8,7 +8,8 @@ produce byte-identical files, so runs can be diffed.
 Exit codes: 0 success, 1 verification failure, 2 bad input or
 configuration, 3 numerical integrity failure (non-flat connection, a
 member whose metric is not the source's, a CIRCLE verdict without the
-congruence the paper's compact-surface theorem demands).
+congruence the paper's compact-surface theorem demands, a CIRCLE verdict
+whose profile d reaches the closing tolerance).
 """
 from __future__ import annotations
 
@@ -604,22 +605,21 @@ STAGES = {
         imm.patch, imm.position, imm.jet1, imm.jet2, imm.norm_drift, *tangent_frame(imm))),
     # the connection's one reading of the first jets: they go before the normal frame
     "coframe": ("jet1 e1 e2 -> w", lambda *a: coframe(*a)),
-    "normal": ("patch position e1 e2 -> nf", lambda *a: normal_frame(*a)),
+    "normal": ("patch position e1 e2 -> e3 e4", lambda *a: normal_frame(*a)),
     # the second jets go before the invariants are made
-    "shape": ("jet2 metric nf -> H3 H4 minimality", lambda *a: second_fundamental_entries(*a)),
+    "shape": ("jet2 metric e3 e4 -> H3 H4 minimality", lambda *a: second_fundamental_entries(*a)),
     "invariants": ("patch H3 H4 minimality -> rep", lambda *a: shape_invariants(*a)),
     "identities": ("patch norm_drift metric rep -> items sup topo tol_h2", _shape_identities),
     "euler": ("patch metric rep -> chi_n",
               lambda patch, metric, rep: euler_numbers(rep, metric)[1] if patch.closed else None),
-    "connection": ("patch position w e1 e2 nf H3 H4 -> conn", lambda p, f, w, e1, e2, nf, H3, H4:
-                   connection_data(p, f, w, e1, e2, nf.e3, nf.e4, H3, H4)),
+    "connection": ("patch position w e1 e2 e3 e4 H3 H4 -> conn", lambda *a: connection_data(*a)),
     "congruence": ("args conn -> residual",
                    lambda args, conn: float(congruence_residual(conn, args.theta))),
     # the member's connection replaces the source's, which no later stage reads
     "omega": ("args conn -> conn", lambda args, conn: assemble_maurer_cartan(conn, args.theta)),
     # at theta = 0 the sweep must give back the source frame
-    "source": ("conn position e1 e2 nf -> deviation", lambda conn, f, e1, e2, nf:
-               frame_source_deviation(conn, (f, e1, e2, nf.e3, nf.e4))),
+    "source": ("conn position e1 e2 e3 e4 -> deviation",
+               lambda conn, *rows: frame_source_deviation(conn, rows)),
     "flatness": ("conn -> flatness", lambda conn: float(flatness_residual(conn).max())),
     "member": ("conn -> member",
                lambda conn: deformed_immersion(conn.patch, integrate_frame(conn))),

@@ -44,7 +44,7 @@ samples around it; integrate_frame keeps only the first row of each
 column of its one "uv" sweep, the member's position, and
 frame_source_deviation compares its one sweep with the source frame as
 it marches; and the sweeps read their lines as views of the packed
-forms, a periodic seam repeating the first line through march_frames'
+forms, a periodic seam repeating the first line through _march's
 lanes.  A member is checked by what the theorem says of it, not by a
 second sweep of the same Omega: deformation_invariant_deviation compares
 its induced metric with the source's.
@@ -356,7 +356,10 @@ def _step_midpoint(line: np.ndarray, k: int, periodic: bool) -> np.ndarray:
 
 def _march(omega_line: np.ndarray, h: float, seeds: np.ndarray, periodic: bool,
            lanes=slice(None)):
-    """The steps of march_frames: yields the frames after each step."""
+    """The steps of march_frames: yields the frames after each step.  Each
+    step's entries and midpoint are gathered through lanes, an index of
+    the axis after the line's, so seeds may repeat a lane (a periodic
+    seam) without a whole copy of the lines."""
     n = omega_line.shape[0]
     F = seeds
     A1 = _so5(omega_line[0][lanes])
@@ -373,7 +376,7 @@ def _march(omega_line: np.ndarray, h: float, seeds: np.ndarray, periodic: bool,
 
 
 def march_frames(omega_line: np.ndarray, h: float, seeds: np.ndarray,
-                 periodic: bool, lanes=slice(None)) -> np.ndarray:
+                 periodic: bool) -> np.ndarray:
     """Path-ordered integration of F' = Omega(t) F along one grid line.
 
     omega_line: (n, ..., 8) packed connection entries (the layout of
@@ -382,9 +385,6 @@ def march_frames(omega_line: np.ndarray, h: float, seeds: np.ndarray,
     cubic-interpolated midpoints, orthogonality restored every step;
     each step interpolates its midpoint on the packed entries of the
     four samples around it and assembles only its own three 5x5 blocks.
-    lanes indexes the axis after the line's: each step's entries and
-    midpoint are gathered through it, so seeds may repeat a lane (a
-    periodic seam) without a whole copy of the lines.
     Returns (steps + 1, ..., 5, 5) frames at the sample points; when
     periodic the final entry is the transport over the full period
     (seam mismatch = holonomy, kept explicit).
@@ -392,7 +392,7 @@ def march_frames(omega_line: np.ndarray, h: float, seeds: np.ndarray,
     steps = omega_line.shape[0] - (0 if periodic else 1)
     out = np.empty((steps + 1,) + seeds.shape)
     out[0] = seeds
-    for k, F in enumerate(_march(omega_line, h, seeds, periodic, lanes), 1):
+    for k, F in enumerate(_march(omega_line, h, seeds, periodic), 1):
         out[k] = F
     return out
 
@@ -401,7 +401,7 @@ def _sweep(conn: ConnectionData):
     """The "uv" sweep from the origin frame: the u spine, then every v
     column from it, over the unwrapped fundamental domain.
 
-    Returns the lanes, the u axis's unwrap_index, through which march_frames
+    Returns the lanes, the u axis's unwrap_index, through which _march
     picks the N unwrapped spine frames' entries from each step's nu; and
     an iterator over the (N, 5, 5) frames of each unwrapped v column,
     marched as it is read, a periodic v's duplicated seam column last.

@@ -10,9 +10,9 @@ Conventions used throughout the package:
 * derivatives: one 4th-order rule, the central stencil on periodic axes
   (indices wrapped) and in the interior of open axes, one-sided or offset
   stencils at the two rows on each end of an open axis,
-* quadrature: rectangle rule on periodic axes (exact below Nyquist),
-  midpoint rule over the closed interval on capped axes, composite
-  Simpson on other open axes (3/8 tail when the interval count is odd),
+* quadrature: over closed charts only, the rectangle rule on periodic
+  axes (exact below Nyquist) and the midpoint rule over the closed
+  interval on capped axes,
 * reductions are plain ``np.sum`` in fixed array order, so repeated runs
   are bit-identical.
 """
@@ -293,43 +293,13 @@ def laplace_beltrami(patch: GridPatch, values: np.ndarray, metric: MetricField):
     return flux_u, flux_v, (diff(patch, flux_u, 0) + diff(patch, flux_v, 1)) / metric.dA
 
 
-def _simpson_weights(n: int, h: float) -> np.ndarray:
-    """Composite Simpson weights for n >= 5 points spaced h (3/8 tail if needed).
-
-    GridPatch holds at least 8 points per axis, and the 3/8 split
-    recurses on n - 3 >= 5 points.
-    """
-    w = np.zeros(n)
-    intervals = n - 1
-    if intervals % 2 == 0:
-        w[0] = w[-1] = 1.0
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        w *= h / 3.0
-    else:
-        # Simpson on the first n-4 intervals (even count), 3/8 on the last 3
-        m = n - 3
-        w[:m] = _simpson_weights(m, h)
-        w[m - 1 :] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * h / 8.0)
-    return w
-
-
-def quadrature_weights(patch: GridPatch) -> tuple[np.ndarray, np.ndarray]:
-    # periodic: rectangle rule (spectrally accurate below Nyquist);
-    # capped: midpoint rule over the extended closed interval;
-    # open: composite Simpson
-    weights = []
-    for axis, cap in enumerate((patch.cap_u, patch.cap_v)):
-        (h, periodic), n = patch.axis(axis), patch.shape[axis]
-        weights.append(np.full(n, h) if periodic or cap else _simpson_weights(n, h))
-    return tuple(weights)
-
-
 def integrate(patch: GridPatch, values: np.ndarray, metric: MetricField) -> float:
-    """Integral of a scalar field against the metric area element."""
+    """Integral of a scalar field against the metric area element over a
+    closed chart, where every quadrature weight is the grid step."""
+    if not patch.closed:
+        raise InputError("integrate needs a closed chart (each axis periodic or capped)")
     values = check_field(patch, np.asarray(values, dtype=float), "integrand")
     if values.ndim != 2:
         raise InputError("integrate expects a scalar field")
-    wu, wv = quadrature_weights(patch)
-    return float(np.sum(values * metric.dA * wu[:, None] * wv[None, :]))
+    return float(np.sum(values * metric.dA * patch.hu * patch.hv))
 

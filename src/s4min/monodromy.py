@@ -161,7 +161,10 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256) -> MonodromyProfile:
     tol_close is max(1e-6, 10 * flatness, 10 * d(0)): theta = 0 closes
     by construction, so d(0) is the error floor of the identity test.
     A flatness residual above FLATNESS_CEILING means the input is not
-    minimal to working accuracy, and the scan refuses to classify it.
+    minimal to working accuracy, and the scan refuses to classify it.  So
+    it does when d reaches tol_close at some angle under a CIRCLE verdict,
+    which says that every member closes: an under-resolved chart's large
+    d(0) can lift tol_close above the coefficients it tests.
 
     The generators are the chart's deck axes.  With none, the profile
     after the flatness check is CIRCLE by topology: d = 0, both
@@ -218,6 +221,10 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256) -> MonodromyProfile:
 
     circle_max = float(sizes[k > 0].max())
     verdict = "CIRCLE" if circle_max < tol_close else "FINITE"
+    if verdict == "CIRCLE" and dq.max() >= tol_close:
+        raise IntegrabilityBroken(
+            f"CIRCLE verdict but d reaches {dq.max():.3e} >= tol_close {tol_close:.3e}: "
+            "the profile contradicts its verdict; the grid is too coarse to classify it")
     classes: list[float] = []
     # local minima of the pi/2-periodic profile; the strict right
     # comparison keeps one candidate of two equal neighbours

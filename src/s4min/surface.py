@@ -145,16 +145,6 @@ def tangent_frame(imm: ImmersionField) -> tuple[np.ndarray, np.ndarray, MetricFi
     return e1, e2, metric
 
 
-@dataclass
-class NormalFrameField:
-    """Smooth oriented orthonormal frame (e3, e4) of the normal bundle,
-    built by normal_frame."""
-
-    patch: GridPatch
-    e3: np.ndarray
-    e4: np.ndarray
-
-
 def _normal_projector_apply(f, e1, e2, vec):
     """Project ambient vectors onto the normal space at each point."""
     out = vec - np.einsum("...k,...k->...", vec, f)[..., None] * f
@@ -251,8 +241,9 @@ def _rotate_pair(e3, e4, angle):
 
 
 def normal_frame(patch: GridPatch, position: np.ndarray, e1: np.ndarray,
-                 e2: np.ndarray) -> NormalFrameField:
-    """Smooth oriented completion of the tangent frame by normal transport.
+                 e2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smooth oriented orthonormal frame (e3, e4) of the normal bundle:
+    the completion of the tangent frame by normal transport.
 
     Seeded at grid index (0, 0) by projecting fixed ambient axes, oriented
     so that det[e1 e2 e3 e4 f] > 0, then carried by _transport_lines along
@@ -291,23 +282,22 @@ def normal_frame(patch: GridPatch, position: np.ndarray, e1: np.ndarray,
         for rows in row_blocks(patch.nu):
             e3[rows], e4[rows] = _rotate_pair(e3[rows], e4[rows],
                                               np.multiply.outer(lane_turn[rows], steps))
-    return NormalFrameField(patch, e3, e4)
+    return e3, e4
 
 
-def rotate_normal_frame(nf: NormalFrameField, angle) -> NormalFrameField:
+def rotate_normal_frame(e3, e4, angle) -> tuple[np.ndarray, np.ndarray]:
     """Rotate (e3, e4) by a constant or per-point angle; orientation kept."""
-    ang = np.broadcast_to(np.asarray(angle, dtype=float), nf.patch.shape)
-    e3, e4 = _rotate_pair(nf.e3, nf.e4, ang)
-    return NormalFrameField(nf.patch, e3, e4)
+    angle = np.broadcast_to(np.asarray(angle, dtype=float), e3.shape[:2])
+    return _rotate_pair(e3, e4, angle)
 
 
-def flip_normal_orientation(nf: NormalFrameField) -> NormalFrameField:
-    return NormalFrameField(nf.patch, nf.e3.copy(), -nf.e4)
+def flip_normal_orientation(e3, e4) -> tuple[np.ndarray, np.ndarray]:
+    return e3.copy(), -e4
 
 
-def frame_orthonormality_residual(imm: ImmersionField, e1, e2, nf: NormalFrameField) -> float:
+def frame_orthonormality_residual(imm: ImmersionField, e1, e2, e3, e4) -> float:
     """Max deviation of (f, e1, e2, e3, e4) from an orthonormal 5-frame."""
-    cols = np.stack([imm.position, e1, e2, nf.e3, nf.e4], axis=2)  # (nu, nv, 5, 5)
+    cols = np.stack([imm.position, e1, e2, e3, e4], axis=2)  # (nu, nv, 5, 5)
     gram = np.einsum("uvik,uvjk->uvij", cols, cols)
     return float(np.abs(gram - np.eye(5)).max())
 
@@ -346,7 +336,7 @@ def _normal_components(vec: np.ndarray, e3: np.ndarray,
 
 
 def second_fundamental_entries(jet2: np.ndarray, metric: MetricField,
-                               nf: NormalFrameField) -> tuple:
+                               e3: np.ndarray, e4: np.ndarray) -> tuple:
     """The second fundamental form in the orthonormal frames: H3, H4 and
     the per-point |trace B| of ShapeReport.
 
@@ -366,16 +356,16 @@ def second_fundamental_entries(jet2: np.ndarray, metric: MetricField,
     for rows in row_blocks(patch.nu):
         fuu, fuv, fvv = (jet2[rows, :, k, :] for k in range(3))
         a, b, c = frame_coefficients(metric.E[rows], metric.F[rows], metric.dA[rows])
-        e3, e4 = nf.e3[rows], nf.e4[rows]
+        n3, n4 = e3[rows], e4[rows]
         # B(e1,e1), B(e1,e2), B(e2,e2) as ambient vectors before projection,
         # one at a time; taking components against e3/e4 kills the f- and
         # tangent parts.
-        h11_3, h11_4 = _normal_components((a * a)[:, :, None] * fuu, e3, e4)
+        h11_3, h11_4 = _normal_components((a * a)[:, :, None] * fuu, n3, n4)
         h12_3, h12_4 = _normal_components(
-            (a * b)[:, :, None] * fuu + (a * c)[:, :, None] * fuv, e3, e4)
+            (a * b)[:, :, None] * fuu + (a * c)[:, :, None] * fuv, n3, n4)
         h22_3, h22_4 = _normal_components(
             (b * b)[:, :, None] * fuu + (2.0 * b * c)[:, :, None] * fuv
-            + (c * c)[:, :, None] * fvv, e3, e4)
+            + (c * c)[:, :, None] * fvv, n3, n4)
         H3[rows] = h11_3 + 1j * h12_3
         H4[rows] = h11_4 + 1j * h12_4
         minimality[rows] = np.maximum(np.abs(h11_3 + h22_3), np.abs(h11_4 + h22_4))
@@ -409,14 +399,15 @@ def shape_invariants(patch: GridPatch, H3: np.ndarray, H4: np.ndarray,
 
 
 def second_fundamental_form(jet2: np.ndarray, metric: MetricField,
-                            nf: NormalFrameField) -> ShapeReport:
+                            e3: np.ndarray, e4: np.ndarray) -> ShapeReport:
     """Second fundamental form in the orthonormal frames and its
     invariants: second_fundamental_entries, then shape_invariants."""
-    return shape_invariants(metric.patch, *second_fundamental_entries(jet2, metric, nf))
+    return shape_invariants(metric.patch, *second_fundamental_entries(jet2, metric, e3, e4))
 
 
 def shape_report(imm: ImmersionField):
-    """Frames, metric, normal frame and report in one call.
+    """Frames, metric, normal frame and report in one call, as
+    (imm, e1, e2, metric, e3, e4, rep).
 
     The returned field is imm with its position, norm_drift and first jets
     but without its second jets, which nothing past this stage reads: a
@@ -426,6 +417,6 @@ def shape_report(imm: ImmersionField):
     """
     imm = imm.with_jets()
     e1, e2, metric = tangent_frame(imm)
-    nf = normal_frame(imm.patch, imm.position, e1, e2)
-    rep = second_fundamental_form(imm.jet2, metric, nf)
-    return imm._carrying(imm.jet1, None, imm.jet_source), e1, e2, metric, nf, rep
+    e3, e4 = normal_frame(imm.patch, imm.position, e1, e2)
+    rep = second_fundamental_form(imm.jet2, metric, e3, e4)
+    return imm._carrying(imm.jet1, None, imm.jet_source), e1, e2, metric, e3, e4, rep

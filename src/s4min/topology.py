@@ -178,7 +178,8 @@ def zero_count_excised(patch: GridPatch, a_field: np.ndarray, metric: MetricFiel
     is the count.  ``laplace(log a_field)`` is log-singular at the
     zeros, so this flux form replaces naive quadrature across them.
 
-    Rectangles must not overlap and must clear open chart boundaries.
+    Rectangles must not overlap and must clear open chart boundaries; the
+    chart must be closed, since the excised integral is a quadrature over it.
     ``log_fields``, when given, is ``_log_laplacian`` of ``a_field``.
     """
     a = np.asarray(a_field, dtype=float)

@@ -20,8 +20,8 @@ def sweep_frames(conn):
     p = conn.patch
     spine = march_frames(conn.forms[:, 0, 0][:, None], p.hu, conn.origin[None],
                          p.periodic_u)[:, 0]
-    sheet = march_frames(np.moveaxis(conn.forms[:, :, 1], 1, 0), p.hv, spine, p.periodic_v,
-                         p.unwrap_index(0))
+    lines = np.moveaxis(conn.forms[:, :, 1], 1, 0)[:, p.unwrap_index(0)]
+    sheet = march_frames(lines, p.hv, spine, p.periodic_v)
     return np.moveaxis(sheet, 1, 0)
 
 

@@ -53,16 +53,16 @@ def veronese():
 
 @pytest.fixture(scope="module")
 def clifford_conn(clifford):
-    imm, e1, e2, metric, nf, rep = clifford
+    imm, e1, e2, metric, e3, e4, rep = clifford
     return connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           nf.e3, nf.e4, rep.H3, rep.H4)
+                           e3, e4, rep.H3, rep.H4)
 
 
 @pytest.fixture(scope="module")
 def veronese_conn(veronese):
-    imm, e1, e2, metric, nf, rep = veronese
+    imm, e1, e2, metric, e3, e4, rep = veronese
     return connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           nf.e3, nf.e4, rep.H3, rep.H4)
+                           e3, e4, rep.H3, rep.H4)
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +88,7 @@ def _flat_chart(n):
 
 
 def test_flat_torus_invariants_pointwise(clifford):
-    imm, e1, e2, metric, nf, rep = clifford
+    imm, e1, e2, metric, e3, e4, rep = clifford
 
     def worst(r):
         return max(
@@ -103,7 +103,7 @@ def test_flat_torus_invariants_pointwise(clifford):
 
     assert worst(rep) < 1e-9
     fd = ImmersionField(imm.patch, imm.position).with_jets()
-    rep_fd = shape_report(fd)[5]
+    rep_fd = shape_report(fd)[-1]
     assert worst(rep_fd) < 1e-5
 
 
@@ -111,7 +111,7 @@ def test_flat_torus_invariants_pointwise(clifford):
 
 
 def test_superminimal_sphere_invariants(veronese):
-    imm, e1, e2, metric, nf, rep = veronese
+    imm, e1, e2, metric, e3, e4, rep = veronese
     assert np.abs(rep.K - 1.0 / 3.0).max() < 1e-9
     assert np.abs(np.abs(rep.K_N) - 2.0 / 3.0).max() < 1e-9
     assert superminimality_test(rep).verdict == "superminimal"
@@ -124,8 +124,8 @@ def test_superminimal_sphere_invariants(veronese):
 
 def test_radius_laplace_identity_and_falsification(clifford):
     for branch in ("+", "-"):
-        residual = laplace_identity_residual(clifford[5], clifford[3], branch,
-                                             superminimality_test(clifford[5]))
+        residual = laplace_identity_residual(clifford[-1], clifford[3], branch,
+                                             superminimality_test(clifford[-1]))
         assert residual is not None
         assert residual < 1e-8
     # The sphere chart keeps its first and last rows half a step from the
@@ -134,7 +134,7 @@ def test_radius_laplace_identity_and_falsification(clifford):
     # that factor, so the measurement floor on those rows crosses 1e-8
     # near n = 256.  Measure the identity at the resolution where the
     # floor is well below the bound.
-    imm, e1, e2, metric_v, nf, rep_v = shape_report(
+    imm, e1, e2, metric_v, e3, e4, rep_v = shape_report(
         load_catalog("veronese", 128).immersion)
     sup_v = superminimality_test(rep_v)
     residual = laplace_identity_residual(rep_v, metric_v, "+", sup_v)
@@ -188,9 +188,9 @@ def test_closing_set_dichotomy(clifford, clifford_conn, veronese_conn):
     # the profile's generators run through the grid origin; those through
     # node (37, 61), rolled to the origin, give the same distance to the
     # identity
-    imm, e1, e2, metric, nf, rep = clifford
+    imm, e1, e2, metric, e3, e4, rep = clifford
     roll = lambda a: np.roll(a, (-37, -61), axis=(0, 1))  # noqa: E731
-    origin = np.stack([row[37, 61] for row in (imm.position, e1, e2, nf.e3, nf.e4)])
+    origin = np.stack([row[37, 61] for row in (imm.position, e1, e2, e3, e4)])
     moved = ConnectionData(clifford_conn.patch, origin, roll(clifford_conn.forms))
     Mu = generator_monodromy(moved, 0, profile.thetas)
     Mv = generator_monodromy(moved, 1, profile.thetas)
@@ -207,14 +207,14 @@ def test_closing_set_dichotomy(clifford, clifford_conn, veronese_conn):
 
 
 def test_global_invariants_and_zero_counts(clifford, veronese):
-    topo = topology_report(clifford[5], clifford[3], superminimality_test(clifford[5]))
+    topo = topology_report(clifford[-1], clifford[3], superminimality_test(clifford[-1]))
     assert topo.chi_M.rounded == 0 and topo.chi_M.gap < 1e-6
     assert topo.chi_Nf.rounded == 0 and topo.chi_Nf.gap < 1e-6
     assert topo.balance.reason == ""
     assert topo.balance.residual_plus < 0.05
     assert topo.balance.residual_minus < 0.05
 
-    topo_v = topology_report(veronese[5], veronese[3], superminimality_test(veronese[5]))
+    topo_v = topology_report(veronese[-1], veronese[3], superminimality_test(veronese[-1]))
     assert topo_v.chi_M.rounded == 2
     assert abs(topo_v.chi_M.value - 2.0) < 0.02
     # circle ellipse: the balance does not apply

@@ -31,7 +31,7 @@ def test_superminimality_verdicts():
     for gen, want in [(clifford_torus, "generic"),
                       (veronese_sphere, "superminimal"),
                       (geodesic_sphere, "superminimal")]:
-        rep = shape_report(gen(32).immersion)[5]
+        rep = shape_report(gen(32).immersion)[-1]
         assert superminimality_test(rep).verdict == want
 
 
@@ -40,14 +40,14 @@ def test_superminimality_verdicts():
 
 
 def test_hopf_clifford_constant_and_holomorphic(clifford):
-    rep, metric = clifford[5], clifford[3]
+    rep, metric = clifford[-1], clifford[3]
     assert np.abs(np.abs(hopf_coefficient(rep)) - 0.25).max() < 1e-12
     holo = hopf_differential(rep, metric, hopf_coefficient(rep), superminimality_test(rep))
     assert holo.max() < 1e-8
 
 
 def test_hopf_modulus_is_gauge_invariant(clifford):
-    rep = clifford[5]
+    rep = clifford[-1]
     want = 0.25 * rep.a_plus * rep.a_minus
     assert np.abs(np.abs(hopf_coefficient(rep)) - want).max() < 1e-12
 
@@ -55,9 +55,9 @@ def test_hopf_modulus_is_gauge_invariant(clifford):
 def test_hopf_vanishes_superminimal():
     for gen in (veronese_sphere, geodesic_sphere):
         pack = shape_report(gen(32).immersion)
-        assert np.abs(hopf_coefficient(pack[5])).max() < 1e-10
-        holo = hopf_differential(pack[5], pack[3], hopf_coefficient(pack[5]),
-                                 superminimality_test(pack[5]))
+        assert np.abs(hopf_coefficient(pack[-1])).max() < 1e-10
+        holo = hopf_differential(pack[-1], pack[3], hopf_coefficient(pack[-1]),
+                                 superminimality_test(pack[-1]))
         assert holo.max() < 1e-10
 
 
@@ -66,7 +66,7 @@ def test_hopf_detects_broken_holomorphy(clifford):
     # identically zero on this torus with the default frame seed) by a
     # smooth grid-periodic real bump: the coefficient is then provably
     # not holomorphic and the Cauchy-Riemann residual must light up
-    imm, e1, e2, metric, nf, rep = clifford
+    imm, e1, e2, metric, e3, e4, rep = clifford
     U, _ = rep.patch.mesh()
     wave = np.cos(2 * np.pi * U / (rep.patch.u_range[1] - rep.patch.u_range[0]))
     bad = type(rep)(rep.patch, rep.H3, rep.H4 + 0.01 * wave, rep.norm_B2,
@@ -83,7 +83,7 @@ def test_hopf_rejects_non_isothermal_nonzero():
     patch = GridPatch(32, 32, (0.0, 2 * math.pi), (0.0, 2 * math.pi), True, True)
     metric = MetricField(patch, np.full(patch.shape, 2.0), np.zeros(patch.shape),
                          np.ones(patch.shape))
-    rep = shape_report(clifford_torus(32).immersion)[5]
+    rep = shape_report(clifford_torus(32).immersion)[-1]
     rep = type(rep)(patch, rep.H3, rep.H4, rep.norm_B2, rep.K, rep.K_N,
                     rep.kappa, rep.mu, rep.a_plus, rep.a_minus,
                     rep.minimality)
@@ -134,7 +134,7 @@ def test_no_zeros_empty_list():
 def test_winding_sum_rule_clifford(clifford):
     # nonvanishing coefficient on the torus: zero list empty and the
     # winding along both generating cycles is zero
-    phi = hopf_coefficient(clifford[5])
+    phi = hopf_coefficient(clifford[-1])
     for line in (phi[:, 0], phi[0, :]):  # once around u along row 0, v along column 0
         vals = np.append(line, line[0])
         inc = np.angle(vals[1:] * np.conj(vals[:-1]))

@@ -46,9 +46,9 @@ def rotation() -> np.ndarray:
 
 
 def evaluate(imm: ImmersionField) -> dict:
-    imm, e1, e2, metric, nf, rep = shape_report(imm)
+    imm, e1, e2, metric, e3, e4, rep = shape_report(imm)
     conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           nf.e3, nf.e4, rep.H3, rep.H4)
+                           e3, e4, rep.H3, rep.H4)
     out = {name: getattr(rep, name) for name in INVARIANTS}
     for theta in THETAS:
         mc = assemble_maurer_cartan(conn, theta)

@@ -224,7 +224,7 @@ def test_connection_data_has_the_traced_forms():
     read = {node.attr for node in ast.walk(lam) if isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name) and node.value.id == "out"}
     assert read  # C0, C1 and C2
-    imm, e1, e2, _, nf, rep = shape_report(load_catalog("clifford", 16).immersion)
+    imm, e1, e2, _, e3, e4, rep = shape_report(load_catalog("clifford", 16).immersion)
     conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           nf.e3, nf.e4, rep.H3, rep.H4)
+                           e3, e4, rep.H3, rep.H4)
     assert all(isinstance(getattr(conn, name, None), np.ndarray) for name in read)

@@ -129,7 +129,7 @@ def _perturbed_position_oracle(imm, amplitude, seed):
     """The perturbed position as perturb_immersion built it when it still
     took the perturbed field's jets itself, with the source alive."""
     src = imm.with_jets()
-    nf = normal_frame(src.patch, src.position, *tangent_frame(src)[:2])
+    e3, e4 = normal_frame(src.patch, src.position, *tangent_frame(src)[:2])
     patch = imm.patch
     rng = np.random.default_rng(seed)
     U, V = patch.mesh()
@@ -145,8 +145,8 @@ def _perturbed_position_oracle(imm, amplitude, seed):
                        (c[2] * np.cos(kv * sv * V) + c[3] * np.sin(kv * sv * V))
         return out
 
-    g = imm.position + amplitude * (bump()[:, :, None] * nf.e3 +
-                                    bump()[:, :, None] * nf.e4)
+    g = imm.position + amplitude * (bump()[:, :, None] * e3 +
+                                    bump()[:, :, None] * e4)
     return g / np.linalg.norm(g, axis=2)[:, :, None]
 
 

@@ -53,9 +53,9 @@ CASES = {
 
 
 def evaluate(imm: ImmersionField) -> dict:
-    imm, e1, e2, metric, nf, rep = shape_report(imm)
+    imm, e1, e2, metric, e3, e4, rep = shape_report(imm)
     conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           nf.e3, nf.e4, rep.H3, rep.H4)
+                           e3, e4, rep.H3, rep.H4)
     out = {name: getattr(rep, name) for name in INVARIANTS}
     for theta in THETAS:
         mc = assemble_maurer_cartan(conn, theta)
@@ -129,17 +129,17 @@ def transposed(imm: ImmersionField) -> ImmersionField:
 
 
 def answers_and_residuals(imm: ImmersionField) -> tuple[dict, dict]:
-    imm, e1, e2, metric, nf, rep = shape_report(imm)
+    imm, e1, e2, metric, e3, e4, rep = shape_report(imm)
     chi_m, chi_n = euler_numbers(rep, metric)
     conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           nf.e3, nf.e4, rep.H3, rep.H4)
+                           e3, e4, rep.H3, rep.H4)
     mc0 = assemble_maurer_cartan(conn, 0.0)
     profile = scan_profile(conn, n_theta=64)
     answers = {"chi_M": chi_m.rounded, "chi_N": chi_n.rounded,
                "verdict": profile.verdict, "classes": profile.classes}
     residuals = {
         "flatness": float(flatness_residual(mc0).max()),
-        "source": frame_source_deviation(mc0, (imm.position, e1, e2, nf.e3, nf.e4)),
+        "source": frame_source_deviation(mc0, (imm.position, e1, e2, e3, e4)),
         "path 0.5": two_sweep_path_dependence(assemble_maurer_cartan(conn, 0.5)),
     }
     return answers, residuals

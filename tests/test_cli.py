@@ -686,6 +686,38 @@ def test_monodromy_circle_without_congruence_is_contradiction(cli, tmp_path, mon
     assert not (tmp_path / "roots.json").exists()
 
 
+def _clifford_manifest(directory, nv):
+    """The Clifford torus (cos u, sin u, cos v, sin v, 0) / sqrt 2 on a
+    64 x nv chart periodic on both axes, as a manifest without jets."""
+    patch = GridPatch(64, nv, (0.0, 2 * math.pi), (0.0, 2 * math.pi), True, True)
+    u, v = patch.mesh()
+    f = np.stack([np.cos(u), np.sin(u), np.cos(v), np.sin(v), np.zeros_like(u)], axis=-1)
+    return write_manifest(ImmersionField(patch, f / math.sqrt(2.0), jet_source="fd"), directory)
+
+
+def test_monodromy_refuses_a_circle_its_profile_contradicts(cli, tmp_path):
+    # at 64 x 8 d(0) = 0.126 lifts tol_close to 1.26, above every
+    # non-constant coefficient (0.927 at most): the verdict came out
+    # CIRCLE, with no roots, while d reached 3.25.  It is refused.
+    manifest = _clifford_manifest(tmp_path / "src", 8)
+    code, out = cli("monodromy", "--manifest", manifest, "--out", tmp_path / "out")
+    assert code == 3
+    assert len(out.strip().splitlines()) == 1
+    assert error_code(out) == "E_INTEGRABILITY"
+    assert "CIRCLE verdict but d reaches 3.249e+00 >= tol_close 1.257e+00" in out
+    assert not (tmp_path / "out").exists()
+
+
+def test_monodromy_resolved_clifford_manifest_is_finite(cli, tmp_path):
+    # 16 samples along v resolve the torus: its quarter turns close
+    manifest = _clifford_manifest(tmp_path / "src", 16)
+    code, out = cli("monodromy", "--manifest", manifest, "--out", tmp_path / "out")
+    assert code == 0
+    doc = json.loads((tmp_path / "out" / "roots.json").read_text())
+    assert (doc["verdict"], doc["classes"]) == ("FINITE", [0.0])
+    assert doc["d_max"] >= doc["tol_close"]
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -903,7 +935,7 @@ def test_verify_open_chart_keeps_the_laplace_identities(cli, tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "v" / "report.json").read_text())
     items = {it["tag"]: it for it in report["items"]}
-    _, _, _, metric, _, rep = shape_report(read_manifest(manifest)[0])
+    _, _, _, metric, _, _, rep = shape_report(read_manifest(manifest)[0])
     sup = superminimality_test(rep)
     for branch, tag in (("+", "laplace_log_plus"), ("-", "laplace_log_minus")):
         assert items[tag]["skipped"] is False and items[tag]["passed"] is True
@@ -993,100 +1025,6 @@ def test_deform_march_holds_no_frame_array(cli, tmp_path, monkeypatch):
     assert peak < 1.8 * block, f"peaked at {peak / block:.2f} blocks"
 
 
-@pytest.mark.parametrize("argv, after", [
-    (("analyze",), "shape_invariants"),
-    (("deform", "--theta", 0.3), "connection_data"),
-    (("monodromy",), "shape_invariants"),
-    (("verify",), "shape_invariants"),
-], ids=["analyze", "deform", "monodromy", "verify"])
-def test_commands_let_the_second_jets_go(cli, tmp_path, monkeypatch, argv, after):
-    # the first stage after the shape stage finds the catalog's second jets
-    # freed.  tangent_frame is handed the field that holds them.
-    refs, freed = [], []
-    first = cli_module.tangent_frame
-    stage = getattr(cli_module, after)
-
-    def watched_first(imm, *args):
-        refs.append(weakref.ref(imm.jet2))
-        return first(imm, *args)
-
-    def watched_stage(*args, **kwargs):
-        freed.append(refs[0]() is None)
-        return stage(*args, **kwargs)
-
-    monkeypatch.setattr(cli_module, "tangent_frame", watched_first)
-    monkeypatch.setattr(cli_module, after, watched_stage)
-    code, _ = cli(argv[0], "--catalog", "clifford", "--n", 64, *argv[1:], "--out", tmp_path)
-    assert code == 0
-    assert freed == [True]
-
-
-def _watch_analyze_shape_steps(monkeypatch, refs):
-    """Hook analyze's three shape steps.  refs gets weak references to the
-    first jets, the position, e1, e2 and e3 as the steps see or make them;
-    the returned list gets, on entry to normal_frame and to
-    second_fundamental_entries, which of those are freed."""
-    freed = []
-    tangent_frame = cli_module.tangent_frame
-    normal_frame = cli_module.normal_frame
-    second_fundamental_entries = cli_module.second_fundamental_entries
-
-    def watched_tangent_frame(imm):
-        out = tangent_frame(imm)
-        refs.update(jet1=weakref.ref(imm.jet1), position=weakref.ref(imm.position),
-                    e1=weakref.ref(out[0]), e2=weakref.ref(out[1]))
-        return out
-
-    def watched_normal_frame(*args):
-        freed.append(("normal_frame", {k: r() is None for k, r in refs.items()}))
-        nf = normal_frame(*args)
-        refs["e3"] = weakref.ref(nf.e3)
-        return nf
-
-    def watched_second_fundamental_entries(*args):
-        freed.append(("second_fundamental_entries", {k: r() is None for k, r in refs.items()}))
-        return second_fundamental_entries(*args)
-
-    monkeypatch.setattr(cli_module, "tangent_frame", watched_tangent_frame)
-    monkeypatch.setattr(cli_module, "normal_frame", watched_normal_frame)
-    monkeypatch.setattr(cli_module, "second_fundamental_entries",
-                        watched_second_fundamental_entries)
-    return freed
-
-
-def test_analyze_drops_each_field_after_its_last_reader(cli, tmp_path, monkeypatch):
-    # analyze reads the first jets only in the tangent frame, so they go
-    # with it; the position, e1 and e2 go after the normal frame, which is
-    # their last reader
-    refs = {}
-    freed = _watch_analyze_shape_steps(monkeypatch, refs)
-    code, _ = cli("analyze", "--catalog", "veronese", "--n", 64, "--out", tmp_path)
-    assert code == 0
-    assert freed == [
-        ("normal_frame", {"jet1": True, "position": False, "e1": False, "e2": False}),
-        ("second_fundamental_entries",
-         {"jet1": True, "position": True, "e1": True, "e2": True, "e3": False}),
-    ]
-
-
-def test_analyze_lets_the_position_go(cli, tmp_path, monkeypatch):
-    # analyze reads only the metric and the shape report past the shape
-    # steps: the position, its first jets and the frames are freed before
-    # the field files are written
-    refs, freed = {}, []
-    _watch_analyze_shape_steps(monkeypatch, refs)
-    write = cli_module._write_field_csvs
-
-    def watched_write(*args, **kwargs):
-        freed.append([refs[k]() is None for k in ("position", "jet1", "e1", "e2", "e3")])
-        return write(*args, **kwargs)
-
-    monkeypatch.setattr(cli_module, "_write_field_csvs", watched_write)
-    code, _ = cli("analyze", "--catalog", "clifford", "--n", 64, "--out", tmp_path)
-    assert code == 0
-    assert freed == [[True] * 5]
-
-
 def _watch_stages(monkeypatch, command):
     """Wrap each stage of the command in cli.STAGES.  Returns a list that
     gets, on entry to each stage, its name and the fields that should be
@@ -1124,6 +1062,20 @@ def _watch_stages(monkeypatch, command):
     for i, name in enumerate(cli_module.COMMANDS[command]):
         monkeypatch.setitem(cli_module.STAGES, name, watch(i, name))
     return seen, refs
+
+
+def test_every_stage_runs_on_fields_written_before_it():
+    # a static check of the runner's table: every stage runs in some
+    # command, and every field a stage reads is the arguments or is
+    # written by an earlier stage of each command that runs it
+    assert {name for stages in cli_module.COMMANDS.values() for name in stages} \
+        == set(cli_module.STAGES)
+    for command, stages in cli_module.COMMANDS.items():
+        written = {"args"}
+        for name in stages:
+            reads, writes = cli_module.stage_fields(name)
+            assert set(reads) <= written, (command, name, sorted(set(reads) - written))
+            written.update(writes)
 
 
 @pytest.mark.parametrize("argv", [
@@ -1165,7 +1117,7 @@ def test_each_field_is_freed_after_its_last_reader(cli, tmp_path, monkeypatch, a
     assert seen == [(name, []) for name in stages]
     if command == "deform":
         assert alive == [False]
-    assert {"imm", "position", "jet1", "jet2", "e1", "e2", "nf", "metric", "H3"} <= set(refs)
+    assert {"imm", "position", "jet1", "jet2", "e1", "e2", "e3", "e4", "metric", "H3"} <= set(refs)
     last = cli_module.last_readers(command)
     assert last["jet2"] == stages.index("shape")
     if command != "analyze":

@@ -39,7 +39,7 @@ from s4min.family import (
     integrate_frame,
     polar_reorthonormalize,
 )
-from s4min.grid import diff, quadrature_weights
+from s4min.grid import diff
 from s4min.surface import (
     ImmersionField,
     rotate_normal_frame,
@@ -57,9 +57,9 @@ def clifford():
 
 @pytest.fixture(scope="module")
 def clifford_conn(clifford):
-    imm, e1, e2, metric, nf, rep = clifford
+    imm, e1, e2, metric, e3, e4, rep = clifford
     return connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           nf.e3, nf.e4, rep.H3, rep.H4)
+                           e3, e4, rep.H3, rep.H4)
 
 
 @pytest.fixture(scope="module")
@@ -69,18 +69,18 @@ def clifford128():
 
 @pytest.fixture(scope="module")
 def clifford128_conn(clifford128):
-    imm, e1, e2, metric, nf, rep = clifford128
+    imm, e1, e2, metric, e3, e4, rep = clifford128
     return connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           nf.e3, nf.e4, rep.H3, rep.H4)
+                           e3, e4, rep.H3, rep.H4)
 
 
 @pytest.fixture(scope="module")
 def perturbed_clifford_conn():
     # not flat, and its (0, 1) bracket products do not vanish
-    imm, e1, e2, metric, nf, rep = shape_report(
+    imm, e1, e2, metric, e3, e4, rep = shape_report(
         perturb_immersion(clifford_torus(64).immersion, 1e-3, 0))
     return connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           nf.e3, nf.e4, rep.H3, rep.H4)
+                           e3, e4, rep.H3, rep.H4)
 
 
 @pytest.fixture(scope="module")
@@ -90,21 +90,20 @@ def veronese():
 
 @pytest.fixture(scope="module")
 def veronese_conn(veronese):
-    imm, e1, e2, metric, nf, rep = veronese
+    imm, e1, e2, metric, e3, e4, rep = veronese
     return connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           nf.e3, nf.e4, rep.H3, rep.H4)
+                           e3, e4, rep.H3, rep.H4)
 
 
 def frame_rows(pack):
     """The five (nu, nv, 5) frame fields (f, e1, e2, e3, e4) of a
     shape_report result."""
-    imm, e1, e2, metric, nf, rep = pack
-    return imm.position, e1, e2, nf.e3, nf.e4
+    imm, e1, e2, metric, e3, e4, rep = pack
+    return imm.position, e1, e2, e3, e4
 
 
 def area_weights(imm, metric):
-    wu, wv = quadrature_weights(imm.patch)
-    return ((wu[:, None] * wv[None, :]) * metric.dA).ravel()
+    return (imm.patch.hu * imm.patch.hv * metric.dA).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +120,7 @@ def test_connection_keeps_the_origin_frame_and_no_position(fix, request):
     # freed; allocated before them 1.27 and 1.09, and a (nu, nv, 5, 5) copy
     # of the five frame fields took 1.64.
     pack = request.getfixturevalue(fix)
-    imm, e1, e2, metric, nf, rep = pack
+    imm, e1, e2, metric, e3, e4, rep = pack
     conn = request.getfixturevalue(fix + "_conn")
     assert [f.name for f in dataclasses.fields(conn)] == ["patch", "origin", "forms"]
     assert not any(np.shares_memory(a, imm.position) for a in (conn.origin, conn.forms))
@@ -131,7 +130,7 @@ def test_connection_keeps_the_origin_frame_and_no_position(fix, request):
     w = coframe(imm.jet1, e1, e2)
     tracemalloc.start()
     try:
-        connection_data(imm.patch, imm.position, w, e1, e2, nf.e3, nf.e4, rep.H3, rep.H4)
+        connection_data(imm.patch, imm.position, w, e1, e2, e3, e4, rep.H3, rep.H4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -166,9 +165,9 @@ def test_one_buffer_assembly_keeps_the_two_array_bits(veronese, theta):
     # congruence_residual reads the same before and after.  The buffer
     # itself is Omega_0 but for the sign of a zero, as verify and
     # scan_profile read it.
-    imm, e1, e2, metric, nf, rep = veronese
+    imm, e1, e2, metric, e3, e4, rep = veronese
     conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           nf.e3, nf.e4, rep.H3, rep.H4)
+                           e3, e4, rep.H3, rep.H4)
     C0, C1 = conn.forms[..., :4].copy(), conn.forms[..., 4:].copy()
     C2 = np.stack([C1[..., 1], -C1[..., 0], C1[..., 3], -C1[..., 2]], axis=-1)
     c, s = math.cos(2.0 * theta), math.sin(2.0 * theta)
@@ -318,9 +317,9 @@ def test_veronese_reconstruction_fourth_order():
     res = []
     for n in (64, 128):
         pack = shape_report(veronese_sphere(n).immersion)
-        imm, e1, e2, metric, nf, rep = pack
+        imm, e1, e2, metric, e3, e4, rep = pack
         conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                               nf.e3, nf.e4, rep.H3, rep.H4)
+                               e3, e4, rep.H3, rep.H4)
         res.append(frame_reconstruction_residual(frame_rows(pack), assemble_maurer_cartan(conn, 0.0)))
     assert res[0] / res[1] > 8.0
 
@@ -335,9 +334,9 @@ def source_deviation(name, n, jets="analytic", perturb=None):
     if perturb is not None:
         imm = perturb_immersion(imm, perturb, 0)
     pack = shape_report(imm)
-    imm, e1, e2, metric, nf, rep = pack
+    imm, e1, e2, metric, e3, e4, rep = pack
     conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           nf.e3, nf.e4, rep.H3, rep.H4)
+                           e3, e4, rep.H3, rep.H4)
     return frame_source_deviation(assemble_maurer_cartan(conn, 0.0), frame_rows(pack))
 
 
@@ -425,13 +424,13 @@ def test_step_midpoints_match_whole_line_rule(n, periodic):
 @pytest.fixture(scope="module")
 def deformed_manifest_conn():
     # the open 257 x 257 chart that deform writes for the Clifford torus
-    imm, e1, e2, metric, nf, rep = shape_report(clifford_torus(256).immersion)
+    imm, e1, e2, metric, e3, e4, rep = shape_report(clifford_torus(256).immersion)
     conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           nf.e3, nf.e4, rep.H3, rep.H4)
+                           e3, e4, rep.H3, rep.H4)
     position = integrate_frame(assemble_maurer_cartan(conn, 0.5 * math.pi))
-    imm, e1, e2, metric, nf, rep = shape_report(deformed_immersion(conn.patch, position))
+    imm, e1, e2, metric, e3, e4, rep = shape_report(deformed_immersion(conn.patch, position))
     return connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           nf.e3, nf.e4, rep.H3, rep.H4)
+                           e3, e4, rep.H3, rep.H4)
 
 
 @pytest.mark.parametrize("fix", ["clifford_conn", "veronese_conn",
@@ -537,7 +536,7 @@ def test_member_metric_is_what_the_shape_stage_measures(clifford_conn, clifford)
 
 def test_clifford_congruent_at_half_turn(clifford_conn, clifford):
     # theta = pi/2 closes the family up to an ambient isometry
-    imm, _, _, metric, _, _ = clifford
+    imm, _, _, metric, _, _, _ = clifford
     n = imm.patch.nu
     w = area_weights(imm, metric)
     core = member(clifford_conn, math.pi / 2).position[:n, :n]
@@ -546,7 +545,7 @@ def test_clifford_congruent_at_half_turn(clifford_conn, clifford):
 
 
 def test_clifford_not_congruent_inside_fundamental_domain(clifford_conn, clifford):
-    imm, _, _, metric, _, _ = clifford
+    imm, _, _, metric, _, _, _ = clifford
     n = imm.patch.nu
     w = area_weights(imm, metric)
     core = member(clifford_conn, math.pi / 4).position[:n, :n]
@@ -556,7 +555,7 @@ def test_clifford_not_congruent_inside_fundamental_domain(clifford_conn, cliffor
 
 def test_veronese_congruent_at_every_theta(veronese_conn, veronese):
     # superminimal: the whole family is congruent to the original
-    imm, _, _, metric, _, _ = veronese
+    imm, _, _, metric, _, _, _ = veronese
     n = imm.patch.nu
     w = area_weights(imm, metric)
     for theta in (0.3, 1.0, 2.0):
@@ -587,16 +586,16 @@ def test_adapted_gauge_gives_congruent_deformation(clifford, clifford_conn):
     # must deform to a congruent surface.  The discrete d(angle) carries
     # the 4th-order stencil truncation, about 1e-5 times the amplitude of
     # the varying part at n = 64 (3.0e-6 measured for 0.3).
-    imm, e1, e2, metric, nf, rep = clifford
+    imm, e1, e2, metric, e3, e4, rep = clifford
     s = 2.0 * math.pi * np.arange(imm.patch.nu) / imm.patch.nu
     wave = np.sin(s)[:, None] * np.cos(s)[None, :]
     ref = member(clifford_conn, 0.3).position.reshape(-1, 5)
     src = clifford_torus(64).immersion  # shape_report's field has no second jets
     for amplitude, tol in ((1e-6, 1e-10), (0.3, 1e-5)):
-        nf_rot = rotate_normal_frame(nf, 0.37 + amplitude * wave)
-        rep_rot = second_fundamental_form(src.jet2, metric, nf_rot)
+        e3_rot, e4_rot = rotate_normal_frame(e3, e4, 0.37 + amplitude * wave)
+        rep_rot = second_fundamental_form(src.jet2, metric, e3_rot, e4_rot)
         conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                               nf_rot.e3, nf_rot.e4, rep_rot.H3, rep_rot.H4)
+                               e3_rot, e4_rot, rep_rot.H3, rep_rot.H4)
         pos = member(conn, 0.3).position.reshape(-1, 5)
         assert congruence_test(ref, pos).residual < tol
 
@@ -607,9 +606,10 @@ def test_adapted_gauge_gives_congruent_deformation(clifford, clifford_conn):
 
 def test_perturbed_surface_breaks_integrability():
     entry = clifford_torus(64)
-    imm, e1, e2, metric, nf, rep = shape_report(perturb_immersion(entry.immersion, 1e-3, seed=7))
+    imm, e1, e2, metric, e3, e4, rep = shape_report(
+        perturb_immersion(entry.immersion, 1e-3, seed=7))
     conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           nf.e3, nf.e4, rep.H3, rep.H4)
+                           e3, e4, rep.H3, rep.H4)
     base = flatness_residual(assemble_maurer_cartan(conn, 0.3)).max()
     assert base > 1e-3  # flatness residual itself reports the breakage
     # and the member's metric is not the source's

@@ -254,12 +254,16 @@ def test_quadrature_trig_polynomial_exact_below_nyquist():
     assert abs(integrate(patch, f, flat_metric(patch)) - TWO_PI**2) < 1e-12 * TWO_PI**2
 
 
-def test_quadrature_simpson_open_axis():
-    patch = GridPatch(9, 10, (0.0, 1.0), (0.0, 1.0), False, False)
-    u, v = patch.mesh()
-    # Simpson (and the 3/8 tail on the odd-interval axis) is exact on cubics
-    f = u**3 + v**3
-    assert abs(integrate(patch, f, flat_metric(patch)) - 0.5) < 1e-14
+@pytest.mark.parametrize("patch", [
+    open_patch(9),
+    GridPatch(16, 16, (0.1, 3.0), (0.0, TWO_PI), False, True),
+    GridPatch(16, 16, (0.1, 3.0), (0.1, 3.0), False, False, cap_u=True),
+], ids=["open-rectangle", "annulus", "capped-strip"])
+def test_quadrature_refuses_an_open_chart(patch):
+    # every integral the commands take is over a closed surface, so an
+    # axis that is neither periodic nor capped has no quadrature rule
+    with pytest.raises(InputError, match="closed chart"):
+        integrate(patch, np.ones(patch.shape), flat_metric(patch))
 
 
 def test_metric_weighted_area():
@@ -304,11 +308,12 @@ def test_grid_rejects_non_finite_ranges_and_steps(u_range, v_range):
 
 def test_capped_axis_midpoint_quadrature():
     # cell-centered samples of sin over (0, pi): midpoint weights cover the
-    # closed interval including both half-cell caps; error is h^2/12 exactly
+    # closed interval including both half-cell caps; error is h^2/12 exactly.
+    # The v axis is periodic with period 1, so the chart is closed.
     n = 64
     h = math.pi / n
     patch = GridPatch(n, 8, (h / 2, math.pi - h / 2), (0.0, 1.0),
-                      periodic_u=False, periodic_v=False, cap_u=True)
+                      periodic_u=False, periodic_v=True, cap_u=True)
     vals = np.sin(patch.u_coords())[:, None] * np.ones((1, 8))
     got = integrate(patch, vals, flat_metric(patch))
     want = 2.0  # integral of sin over [0, pi]

@@ -50,9 +50,9 @@ def clifford():
 
 @pytest.fixture(scope="module")
 def clifford_conn(clifford):
-    imm, e1, e2, metric, nf, rep = clifford
+    imm, e1, e2, metric, e3, e4, rep = clifford
     return imm, connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                                nf.e3, nf.e4, rep.H3, rep.H4)
+                                e3, e4, rep.H3, rep.H4)
 
 
 @pytest.fixture(scope="module")
@@ -62,9 +62,9 @@ def clifford_profile(clifford_conn):
 
 @pytest.fixture(scope="module")
 def veronese_conn():
-    imm, e1, e2, metric, nf, rep = shape_report(veronese_sphere(128).immersion)
+    imm, e1, e2, metric, e3, e4, rep = shape_report(veronese_sphere(128).immersion)
     return imm, connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                                nf.e3, nf.e4, rep.H3, rep.H4)
+                                e3, e4, rep.H3, rep.H4)
 
 
 @pytest.fixture(scope="module")
@@ -133,9 +133,9 @@ def test_roots_between_samples_are_found(clifford_conn, n_theta):
 
 def test_default_tolerance_closes_theta_zero_at_coarse_grid():
     # at n=64 d(0) is ~7e-6, above 1e-6; the default tolerance follows it
-    imm, e1, e2, metric, nf, rep = shape_report(clifford_torus(64).immersion)
+    imm, e1, e2, metric, e3, e4, rep = shape_report(clifford_torus(64).immersion)
     conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           nf.e3, nf.e4, rep.H3, rep.H4)
+                           e3, e4, rep.H3, rep.H4)
     profile = scan_profile(conn, n_theta=256)
     assert profile.tol_close >= 10.0 * profile.d[0]
     assert len(profile.roots) == 4
@@ -185,9 +185,9 @@ def _band(imm, rows):
 
 
 def _conn(imm):
-    imm, e1, e2, metric, nf, rep = shape_report(imm)
+    imm, e1, e2, metric, e3, e4, rep = shape_report(imm)
     return connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           nf.e3, nf.e4, rep.H3, rep.H4)
+                           e3, e4, rep.H3, rep.H4)
 
 
 def _no_march(*args):
@@ -287,9 +287,9 @@ def test_congruence_residual_agrees_with_procrustes(name):
     # r(theta), read off the connection, against the integrated member:
     # one sweep from the origin frame, fitted to the source by Procrustes
     # with the same area weights, gives the same verdict at 16 angles
-    imm, e1, e2, metric, nf, rep = shape_report(AGREEMENT_CASES[name]())
+    imm, e1, e2, metric, e3, e4, rep = shape_report(AGREEMENT_CASES[name]())
     conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           nf.e3, nf.e4, rep.H3, rep.H4)
+                           e3, e4, rep.H3, rep.H4)
     thetas = QUARTER * np.arange(16) / 16
     r = congruence_residual(conn, thetas)
     assert r.shape == thetas.shape
@@ -346,9 +346,9 @@ def moved_basepoint(shape, conn, i0, j0):
     """conn with node (i0, j0) moved to the grid origin, its frame there
     taken from the shape_report fields it was built from: its generators
     are the grid lines of conn through (i0, j0)."""
-    imm, e1, e2, metric, nf, rep = shape
+    imm, e1, e2, metric, e3, e4, rep = shape
     roll = lambda a: np.roll(a, (-i0, -j0), axis=(0, 1))  # noqa: E731
-    origin = np.stack([row[i0, j0] for row in (imm.position, e1, e2, nf.e3, nf.e4)])
+    origin = np.stack([row[i0, j0] for row in (imm.position, e1, e2, e3, e4)])
     return ConnectionData(conn.patch, origin, roll(conn.forms))
 
 
@@ -489,9 +489,9 @@ def test_sphere_congruence_evidence(veronese_profile):
 def test_circle_certificate(surface, n):
     # CIRCLE: every non-constant Fourier coefficient of M - I is below
     # the closing tolerance, and the samples resolve M to roundoff
-    imm, e1, e2, metric, nf, rep = shape_report(surface(n).immersion)
+    imm, e1, e2, metric, e3, e4, rep = shape_report(surface(n).immersion)
     conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           nf.e3, nf.e4, rep.H3, rep.H4)
+                           e3, e4, rep.H3, rep.H4)
     profile = scan_profile(conn, n_theta=64)
     assert profile.verdict == "CIRCLE"
     assert profile.circle_coefficient_max < profile.tol_close
@@ -567,10 +567,10 @@ def test_open_axis_has_no_generator(clifford_conn, chart, axis):
 
 
 def test_non_minimal_input_refused():
-    imm, e1, e2, metric, nf, rep = shape_report(
+    imm, e1, e2, metric, e3, e4, rep = shape_report(
         perturb_immersion(clifford_torus(64).immersion, 1e-3, seed=7))
     conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           nf.e3, nf.e4, rep.H3, rep.H4)
+                           e3, e4, rep.H3, rep.H4)
     with pytest.raises(IntegrabilityBroken, match="not flat"):
         scan_profile(conn, n_theta=64)
 

@@ -43,20 +43,20 @@ SQ3 = math.sqrt(3.0)
 
 @pytest.fixture(scope="module")
 def clifford():
-    imm, e1, e2, metric, nf, rep = shape_report(clifford_torus(64).immersion)
-    return imm, e1, e2, metric, nf, rep
+    imm, e1, e2, metric, e3, e4, rep = shape_report(clifford_torus(64).immersion)
+    return imm, e1, e2, metric, e3, e4, rep
 
 
 @pytest.fixture(scope="module")
 def veronese():
-    imm, e1, e2, metric, nf, rep = shape_report(veronese_sphere(64).immersion)
-    return imm, e1, e2, metric, nf, rep
+    imm, e1, e2, metric, e3, e4, rep = shape_report(veronese_sphere(64).immersion)
+    return imm, e1, e2, metric, e3, e4, rep
 
 
 @pytest.fixture(scope="module")
 def geodesic():
-    imm, e1, e2, metric, nf, rep = shape_report(geodesic_sphere(64).immersion)
-    return imm, e1, e2, metric, nf, rep
+    imm, e1, e2, metric, e3, e4, rep = shape_report(geodesic_sphere(64).immersion)
+    return imm, e1, e2, metric, e3, e4, rep
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +64,7 @@ def geodesic():
 
 
 def test_tangent_frame_is_orthonormal_and_tangent(clifford):
-    imm, e1, e2, _, _, _ = clifford
+    imm, e1, e2, _, _, _, _ = clifford
     for a, b, want in [(e1, e1, 1.0), (e2, e2, 1.0), (e1, e2, 0.0)]:
         got = np.einsum("uvk,uvk->uv", a, b)
         assert np.abs(got - want).max() < 1e-13
@@ -73,7 +73,7 @@ def test_tangent_frame_is_orthonormal_and_tangent(clifford):
 
 
 def test_metric_closed_form_clifford(clifford):
-    _, _, _, metric, _, _ = clifford
+    _, _, _, metric, _, _, _ = clifford
     assert np.abs(metric.E - 1.0).max() < 1e-14
     assert np.abs(metric.F).max() < 1e-14
     assert np.abs(metric.G - 1.0).max() < 1e-14
@@ -81,7 +81,7 @@ def test_metric_closed_form_clifford(clifford):
 
 def test_metric_closed_form_veronese(veronese):
     # round metric of radius sqrt(3): I = 3 dt^2 + 3 sin^2(t) dphi^2
-    imm, _, _, metric, _, _ = veronese
+    imm, _, _, metric, _, _, _ = veronese
     t = imm.patch.u_coords()[:, None]
     assert np.abs(metric.E - 3.0).max() < 1e-12
     assert np.abs(metric.F).max() < 1e-12
@@ -90,20 +90,20 @@ def test_metric_closed_form_veronese(veronese):
 
 @pytest.mark.parametrize("fix", ["clifford", "veronese", "geodesic"])
 def test_full_frame_orthonormality(fix, request):
-    imm, e1, e2, _, nf, _ = request.getfixturevalue(fix)
-    assert frame_orthonormality_residual(imm, e1, e2, nf) < 1e-12
+    imm, e1, e2, _, e3, e4, _ = request.getfixturevalue(fix)
+    assert frame_orthonormality_residual(imm, e1, e2, e3, e4) < 1e-12
 
 
-def _step_angle(imm, e1, e2, nf, axis, k_from, k_to):
+def _step_angle(imm, e1, e2, e3, e4, axis, k_from, k_to):
     """Rotation of e3 over one step along axis: project e3 at index k_from
     onto the normal space at index k_to, read its angle in (e3, e4)."""
     at = lambda a, k: np.take(a, k, axis=axis)  # noqa: E731
     f, a, b = at(imm.position, k_to), at(e1, k_to), at(e2, k_to)
-    t = at(nf.e3, k_from)
+    t = at(e3, k_from)
     for normal in (f, a, b):
         t = t - np.einsum("...k,...k->...", t, normal)[..., None] * normal
-    return np.arctan2(np.einsum("...k,...k->...", t, at(nf.e4, k_to)),
-                      np.einsum("...k,...k->...", t, at(nf.e3, k_to)))
+    return np.arctan2(np.einsum("...k,...k->...", t, at(e4, k_to)),
+                      np.einsum("...k,...k->...", t, at(e3, k_to)))
 
 
 @pytest.fixture(scope="module")
@@ -123,17 +123,17 @@ def rotated_clifford():
 def test_normal_frame_periodic_after_correction(fix, axis, request):
     # the closure angle is spread over every step, the seam step included:
     # crossing the seam turns the gauge as much as the step before it
-    imm, e1, e2, _, nf, _ = request.getfixturevalue(fix)
-    seam = _step_angle(imm, e1, e2, nf, axis, -1, 0)
-    interior = _step_angle(imm, e1, e2, nf, axis, -2, -1)
+    imm, e1, e2, _, e3, e4, _ = request.getfixturevalue(fix)
+    seam = _step_angle(imm, e1, e2, e3, e4, axis, -1, 0)
+    interior = _step_angle(imm, e1, e2, e3, e4, axis, -2, -1)
     assert np.abs(seam - interior).max() < 1e-5  # measured 6.0e-7 and 1.1e-6
 
 
 @pytest.mark.parametrize("n", [64, 128])
 def test_normal_frame_has_no_seam_kink(n):
     # a kink at the v-seam would make the second difference grow like 1/h
-    imm, _, _, _, nf, _ = shape_report(veronese_sphere(n).immersion)
-    assert np.abs(diff(imm.patch, nf.e3, 1, order=2)).max() <= 5.0
+    imm, _, _, _, e3, e4, _ = shape_report(veronese_sphere(n).immersion)
+    assert np.abs(diff(imm.patch, e3, 1, order=2)).max() <= 5.0
 
 
 def test_seam_turn_spreads_the_closure_angle():
@@ -165,9 +165,9 @@ def test_normal_frame_is_smooth(veronese):
     # corrected gauge must not have hidden seam kinks: the discrete
     # derivative stays bounded by the true rotation rate, far below the
     # 1/h ~ 20 signature of a jump
-    imm, _, _, _, nf, _ = veronese
-    assert np.abs(diff(imm.patch, nf.e3, 1)).max() < 10.0
-    assert np.abs(diff(imm.patch, nf.e4, 1)).max() < 10.0
+    imm, _, _, _, e3, e4, _ = veronese
+    assert np.abs(diff(imm.patch, e3, 1)).max() < 10.0
+    assert np.abs(diff(imm.patch, e4, 1)).max() < 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +175,7 @@ def test_normal_frame_is_smooth(veronese):
 
 
 def test_invariants_clifford(clifford):
-    _, _, _, _, _, rep = clifford
+    _, _, _, _, _, _, rep = clifford
     assert np.abs(rep.norm_B2 - 2.0).max() < 1e-12
     assert np.abs(rep.K).max() < 1e-12
     assert np.abs(rep.K_N).max() < 1e-12
@@ -186,7 +186,7 @@ def test_invariants_clifford(clifford):
 
 
 def test_invariants_veronese(veronese):
-    _, _, _, _, _, rep = veronese
+    _, _, _, _, _, _, rep = veronese
     assert np.abs(rep.K - 1.0 / 3.0).max() < 1e-12
     assert np.abs(rep.K_N - 2.0 / 3.0).max() < 1e-12  # sign fixed by orientation
     assert np.abs(rep.kappa - 1.0 / SQ3).max() < 1e-8
@@ -196,7 +196,7 @@ def test_invariants_veronese(veronese):
 
 
 def test_invariants_geodesic_sphere(geodesic):
-    _, _, _, _, _, rep = geodesic
+    _, _, _, _, _, _, rep = geodesic
     assert rep.norm_B2.max() < 1e-25
     assert np.abs(rep.K - 1.0).max() < 1e-12
     assert rep.kappa.max() < 1e-12 and rep.mu.max() < 1e-12
@@ -205,7 +205,7 @@ def test_invariants_geodesic_sphere(geodesic):
 def test_ellipse_identities(veronese, clifford):
     # |K_N| = 2 kappa mu and a_pm^2 = 1 - K +- K_N on both surfaces
     for pack in (veronese, clifford):
-        rep = pack[5]
+        rep = pack[-1]
         assert np.abs(np.abs(rep.K_N) - 2.0 * rep.kappa * rep.mu).max() < 1e-12
         assert np.abs(rep.a_plus**2 - (1.0 - rep.K + rep.K_N)).max() < 1e-11
         assert np.abs(rep.a_minus**2 - (1.0 - rep.K - rep.K_N)).max() < 1e-11
@@ -213,14 +213,14 @@ def test_ellipse_identities(veronese, clifford):
 
 def test_minimality_residual_small_on_catalog(clifford, veronese, geodesic):
     for pack in (clifford, veronese, geodesic):
-        assert pack[5].minimality.max() < 1e-12
+        assert pack[-1].minimality.max() < 1e-12
 
 
 def test_minimality_detects_normal_perturbation():
     ent = clifford_torus(64)
-    base = shape_report(ent.immersion)[5].minimality.max()
+    base = shape_report(ent.immersion)[-1].minimality.max()
     bent = perturb_immersion(ent.immersion, 1e-3, seed=7)
-    res = shape_report(bent)[5].minimality.max()
+    res = shape_report(bent)[-1].minimality.max()
     assert res > 1e-4
     assert res > 100.0 * max(base, 1e-12)
 
@@ -230,23 +230,23 @@ def test_minimality_detects_normal_perturbation():
 
 
 def test_invariants_are_gauge_independent(veronese):
-    imm, e1, e2, metric, nf, _ = veronese
+    imm, e1, e2, metric, e3, e4, _ = veronese
     U, V = imm.patch.mesh()
     field_angle = 0.3 * np.sin(U) * np.cos(V) + 0.37
     src = veronese_sphere(64).immersion  # shape_report's field has no second jets
-    rep_a = second_fundamental_form(src.jet2, metric, nf)
+    rep_a = second_fundamental_form(src.jet2, metric, e3, e4)
     rep_b = second_fundamental_form(src.jet2, metric,
-                                    rotate_normal_frame(nf, field_angle))
+                                    *rotate_normal_frame(e3, e4, field_angle))
     for name in ("norm_B2", "K", "K_N", "kappa", "mu", "a_plus", "a_minus"):
         d = np.abs(getattr(rep_a, name) - getattr(rep_b, name)).max()
         assert d < 1e-10, f"{name} moved by {d} under a gauge rotation"
 
 
 def test_h_components_rotate_covariantly(clifford):
-    imm, e1, e2, metric, nf, rep = clifford
+    imm, e1, e2, metric, e3, e4, rep = clifford
     psi = 0.41
     src = clifford_torus(64).immersion  # shape_report's field has no second jets
-    rep2 = second_fundamental_form(src.jet2, metric, rotate_normal_frame(nf, psi))
+    rep2 = second_fundamental_form(src.jet2, metric, *rotate_normal_frame(e3, e4, psi))
     H3_want = math.cos(psi) * rep.H3 + math.sin(psi) * rep.H4
     H4_want = -math.sin(psi) * rep.H3 + math.cos(psi) * rep.H4
     assert np.abs(rep2.H3 - H3_want).max() < 1e-12
@@ -254,9 +254,9 @@ def test_h_components_rotate_covariantly(clifford):
 
 
 def test_orientation_flip_negates_normal_curvature(veronese):
-    imm, e1, e2, metric, nf, rep = veronese
+    imm, e1, e2, metric, e3, e4, rep = veronese
     src = veronese_sphere(64).immersion  # shape_report's field has no second jets
-    rep2 = second_fundamental_form(src.jet2, metric, flip_normal_orientation(nf))
+    rep2 = second_fundamental_form(src.jet2, metric, *flip_normal_orientation(e3, e4))
     assert np.abs(rep2.K_N + rep.K_N).max() < 1e-12
     assert np.abs(rep2.K - rep.K).max() < 1e-14
     assert np.abs(rep2.kappa - rep.kappa).max() < 1e-12
@@ -295,11 +295,11 @@ def test_fd_jets_write_each_derivative_into_the_jets(periodic):
 def test_area_from_metric(clifford, veronese, geodesic):
     # torus chart: rectangle rule is exact; sphere charts: midpoint rule
     # over the capped axis carries an O(h^2) constant ~ area * h^2 / 24
-    imm, _, _, metric, _, _ = clifford
+    imm, _, _, metric, _, _, _ = clifford
     area = integrate(imm.patch, np.ones(imm.patch.shape), metric)
     assert abs(area - 2.0 * math.pi**2) < 1e-10
     for pack, want in [(veronese, 12.0 * math.pi), (geodesic, 4.0 * math.pi)]:
-        imm, _, _, metric, _, _ = pack
+        imm, _, _, metric, _, _, _ = pack
         area = integrate(imm.patch, np.ones(imm.patch.shape), metric)
         h = imm.patch.hu
         assert abs(area - want) < 0.1 * want * h * h
@@ -411,9 +411,9 @@ def _rotated_clifford_field():
 def _deformed_field():
     # the open 257 x 257 chart a deformed manifest of the Clifford torus
     # carries: 257 rows are no multiple of the block
-    imm, e1, e2, _, nf, rep = shape_report(clifford_torus(256).immersion)
+    imm, e1, e2, _, e3, e4, rep = shape_report(clifford_torus(256).immersion)
     conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           nf.e3, nf.e4, rep.H3, rep.H4)
+                           e3, e4, rep.H3, rep.H4)
     position = integrate_frame(assemble_maurer_cartan(conn, 0.5 * math.pi))
     return deformed_immersion(conn.patch, position).with_jets()
 
@@ -440,10 +440,10 @@ def test_blocked_shape_stage_equals_whole_grid_oracle(name):
     imm, e1, e2, metric = _block_case(name)
     want_e1, want_e2 = _whole_grid_tangent_frame(imm)
     assert np.array_equal(e1, want_e1) and np.array_equal(e2, want_e2)
-    nf = normal_frame(imm.patch, imm.position, e1, e2)
-    e3, e4 = _whole_grid_normal_frame(imm, e1, e2)
-    assert np.array_equal(nf.e3, e3) and np.array_equal(nf.e4, e4)
-    rep = second_fundamental_form(imm.jet2, metric, nf)
+    e3, e4 = normal_frame(imm.patch, imm.position, e1, e2)
+    want_e3, want_e4 = _whole_grid_normal_frame(imm, e1, e2)
+    assert np.array_equal(e3, want_e3) and np.array_equal(e4, want_e4)
+    rep = second_fundamental_form(imm.jet2, metric, e3, e4)
     for field_name, want in _whole_grid_form(imm, metric, e3, e4).items():
         assert np.array_equal(getattr(rep, field_name), want), field_name
     # 1 - K +- K_N is |H3 -+ i H4|^2 = a_pm^2 by the stage's own formulas:

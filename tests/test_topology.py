@@ -50,13 +50,13 @@ def geodesic():
 
 @pytest.fixture(scope="module")
 def clifford_topo(clifford):
-    _, _, _, metric, _, rep = clifford
+    _, _, _, metric, _, _, rep = clifford
     return topology_report(rep, metric, superminimality_test(rep))
 
 
 @pytest.fixture(scope="module")
 def veronese_topo(veronese):
-    _, _, _, metric, _, rep = veronese
+    _, _, _, metric, _, _, rep = veronese
     return topology_report(rep, metric, superminimality_test(rep))
 
 
@@ -87,7 +87,7 @@ def test_veronese_euler_characteristic(veronese_topo):
 def test_veronese_normal_euler_consistency(veronese, veronese_topo):
     # K_N is constant, so the quadrature must equal K_N * Area / 2pi with
     # the area measured by the same quadrature: pure internal consistency.
-    _, _, _, metric, _, rep = veronese
+    _, _, _, metric, _, _, rep = veronese
     area = integrate(rep.patch, np.ones(rep.patch.shape), metric)
     k_n = float(rep.K_N[5, 5])
     assert np.ptp(rep.K_N) < 1e-10
@@ -97,14 +97,14 @@ def test_veronese_normal_euler_consistency(veronese, veronese_topo):
 
 
 def test_geodesic_sphere_euler_numbers(geodesic):
-    _, _, _, metric, _, rep = geodesic
+    _, _, _, metric, _, _, rep = geodesic
     chi_m, chi_n = euler_numbers(rep, metric)
     assert chi_m.rounded == 2 and chi_m.gap < 0.02
     assert chi_n.value == 0.0
 
 
 def test_euler_numbers_need_closed_chart(clifford):
-    _, _, _, metric, _, rep = clifford
+    _, _, _, metric, _, _, rep = clifford
     open_patch = GridPatch(
         rep.patch.nu, rep.patch.nv, rep.patch.u_range, rep.patch.v_range, False, False
     )
@@ -285,25 +285,25 @@ def test_balance_residuals_flag_fabricated_violation():
 
 
 def test_laplace_identity_clifford_both_branches(clifford):
-    _, _, _, metric, _, rep = clifford
+    _, _, _, metric, _, _, rep = clifford
     for branch in ("+", "-"):
         assert laplace_identity_residual(rep, metric, branch, superminimality_test(rep)) < 1e-8
 
 
 def test_laplace_identity_veronese_plus_branch(veronese):
-    _, _, _, metric, _, rep = veronese
+    _, _, _, metric, _, _, rep = veronese
     assert laplace_identity_residual(rep, metric, "+", superminimality_test(rep)) < 1e-8
 
 
 def test_laplace_identity_veronese_minus_branch_empty(veronese):
-    _, _, _, metric, _, rep = veronese
+    _, _, _, metric, _, _, rep = veronese
     assert laplace_identity_residual(rep, metric, "-", superminimality_test(rep)) is None
 
 
 def test_laplace_identity_skips_exactly_the_named_branches(clifford):
     # the branch superminimality_test names is skipped whatever its size
     # (a+ = a- = 1 on the Clifford torus), and no other
-    _, _, _, metric, _, rep = clifford
+    _, _, _, metric, _, _, rep = clifford
     sup = superminimality_test(rep)
     assert sup.vanishing == ()
     named = dataclasses.replace(sup, vanishing=("-",))
@@ -314,13 +314,13 @@ def test_laplace_identity_skips_exactly_the_named_branches(clifford):
 def test_laplace_identity_wrong_normal_curvature_sign_fails(veronese):
     # negating K_N swaps the branch targets; on the Veronese surface the
     # residual of the + branch then jumps to 2|K_N| = 4/3
-    _, _, _, metric, _, rep = veronese
+    _, _, _, metric, _, _, rep = veronese
     broken = dataclasses.replace(rep, K_N=-rep.K_N)
     assert laplace_identity_residual(broken, metric, "+", superminimality_test(broken)) > 1.0
 
 
 def test_laplace_identity_invalid_branch(clifford):
-    _, _, _, metric, _, rep = clifford
+    _, _, _, metric, _, _, rep = clifford
     with pytest.raises(InputError, match="branch"):
         laplace_identity_residual(rep, metric, "x", superminimality_test(rep))
 
@@ -329,15 +329,15 @@ def test_report_laplace_residuals_are_the_reference(clifford, veronese,
                                                     clifford_topo, veronese_topo):
     # the report differentiates each radius once and reads its residual
     # from that result: the numbers of the one-radius reference, bit for bit
-    for (_, _, _, metric, _, rep), topo in ((clifford, clifford_topo),
-                                            (veronese, veronese_topo)):
+    for (_, _, _, metric, _, _, rep), topo in ((clifford, clifford_topo),
+                                               (veronese, veronese_topo)):
         sup = superminimality_test(rep)
         assert topo.laplace_plus == laplace_identity_residual(rep, metric, "+", sup)
         assert topo.laplace_minus == laplace_identity_residual(rep, metric, "-", sup)
 
 
 def test_report_on_open_chart_keeps_the_laplace_residuals(clifford):
-    _, _, _, metric, _, rep = clifford
+    _, _, _, metric, _, _, rep = clifford
     open_patch = GridPatch(
         rep.patch.nu, rep.patch.nv, rep.patch.u_range, rep.patch.v_range, False, False
     )
@@ -364,7 +364,7 @@ def test_ricci_condition_veronese_not_in_sphere(veronese_topo):
 
 
 def test_ricci_condition_geodesic_skipped(geodesic):
-    _, _, _, metric, _, rep = geodesic
+    _, _, _, metric, _, _, rep = geodesic
     assert ricci_condition_residual(rep, metric) is None
 
 
@@ -373,7 +373,7 @@ def test_ricci_condition_geodesic_skipped(geodesic):
 
 
 def test_topology_report_geodesic_gates(geodesic):
-    _, _, _, metric, _, rep = geodesic
+    _, _, _, metric, _, _, rep = geodesic
     sup = superminimality_test(rep)
     assert sup.vanishing == ("+", "-")
     topo = topology_report(rep, metric, sup)
