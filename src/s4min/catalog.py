@@ -2,7 +2,10 @@
 
 Every generator returns an ImmersionField with analytic jets plus a dict of
 the surface's known exact values, so tests and the verification pipeline can
-compare against ground truth rather than against the code under test.
+compare against ground truth rather than against the code under test.  The
+position and first jets are whole-grid arrays; the second jets are their
+closed form as a row-block source, which makes each block of u rows as it
+is read and never fills a whole-grid array.
 
 Manifest format for externally sampled surfaces: a JSON file
 
@@ -46,8 +49,8 @@ class CatalogEntry:
 
 
 def _jet_arrays(n: int) -> tuple:
-    """Zeroed position (n, n, 5), jet1 (n, n, 2, 5) and jet2 (n, n, 3, 5)."""
-    return np.zeros((n, n, 5)), np.zeros((n, n, 2, 5)), np.zeros((n, n, 3, 5))
+    """Zeroed position (n, n, 5) and jet1 (n, n, 2, 5)."""
+    return np.zeros((n, n, 5)), np.zeros((n, n, 2, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -59,24 +62,34 @@ def clifford_torus(n: int = 256) -> CatalogEntry:
 
     f(u, v) = (cos a, sin a, cos b, sin b, 0)/sqrt(2) with a = sqrt(2) u,
     b = sqrt(2) v; the chart [0, sqrt(2) pi)^2 is isothermal with unit
-    conformal factor and covers the torus exactly once.
+    conformal factor and covers the torus exactly once.  The second jets
+    are formed from the angles of each block of u rows as it is read.
     """
     L = math.sqrt(2.0) * math.pi
     patch = GridPatch(n, n, (0.0, L), (0.0, L), True, True)
-    U, V = patch.mesh()
     r2 = math.sqrt(2.0)
-    ca, sa = np.cos(r2 * U), np.sin(r2 * U)
-    cb, sb = np.cos(r2 * V), np.sin(r2 * V)
-    del U, V
     inv = 1.0 / r2
 
+    def angles(rows):
+        """cos and sin of sqrt(2) u and of sqrt(2) v on the u rows' block
+        of patch.mesh()."""
+        U, V = np.meshgrid(patch.u_coords()[rows], patch.v_coords(), indexing="ij")
+        return np.cos(r2 * U), np.sin(r2 * U), np.cos(r2 * V), np.sin(r2 * V)
+
+    def jet2(rows):
+        """(f_uu, f_uv, f_vv) on the u rows' block; f_uv vanishes."""
+        ca, sa, cb, sb = angles(rows)
+        out = np.zeros(ca.shape + (3, 5))
+        out[..., 0, 0], out[..., 0, 1] = -r2 * ca, -r2 * sa
+        out[..., 2, 2], out[..., 2, 3] = -r2 * cb, -r2 * sb
+        return out
+
     # each component is written into its place; the rest stays zero
-    f, jet1, jet2 = _jet_arrays(n)
+    ca, sa, cb, sb = angles(slice(None))
+    f, jet1 = _jet_arrays(n)
     f[..., 0], f[..., 1], f[..., 2], f[..., 3] = inv * ca, inv * sa, inv * cb, inv * sb
     jet1[..., 0, 0], jet1[..., 0, 1] = -sa, ca
     jet1[..., 1, 2], jet1[..., 1, 3] = -sb, cb
-    jet2[..., 0, 0], jet2[..., 0, 1] = -r2 * ca, -r2 * sa
-    jet2[..., 2, 2], jet2[..., 2, 3] = -r2 * cb, -r2 * sb
     del ca, sa, cb, sb  # before the unit-norm check of ImmersionField
 
     imm = ImmersionField(patch, f, jet1, jet2)
@@ -140,13 +153,12 @@ def _unit_sphere_jets(U, V):
     return w, wt, wp, wtt, wtp, wpp
 
 
-def _sphere_jet_blocks(patch: GridPatch):
-    """(rows, _unit_sphere_jets) for one block of u rows of the chart at a
-    time: the jets' planes exist for one block only.  The block mesh holds
-    the values of patch.mesh()[rows]."""
-    u, v = patch.u_coords(), patch.v_coords()
-    for rows in row_blocks(patch.nu):
-        yield rows, _unit_sphere_jets(*np.meshgrid(u[rows], v, indexing="ij"))
+def _sphere_block(patch: GridPatch, rows: slice):
+    """_unit_sphere_jets on one block of u rows of the chart: the jets'
+    planes exist for that block only.  The block mesh holds the values of
+    patch.mesh()[rows]."""
+    return _unit_sphere_jets(*np.meshgrid(patch.u_coords()[rows], patch.v_coords(),
+                                          indexing="ij"))
 
 
 def _planes(a: np.ndarray) -> np.ndarray:
@@ -159,7 +171,10 @@ def veronese_sphere(n: int = 128) -> CatalogEntry:
 
     Constant curvature K = 1/3, superminimal with K_N = 2/3 in the
     orientation produced by the chart below, round metric of radius
-    sqrt(3): I = 3(dt^2 + sin^2 t dphi^2), area 12 pi.
+    sqrt(3): I = 3(dt^2 + sin^2 t dphi^2), area 12 pi.  The position and
+    first jets are formed one block of u rows at a time into whole-grid
+    arrays; the second jets, from the sphere jets of each block of u rows
+    as it is read.
     """
     patch = _sphere_chart(n)
     A = _veronese_maps()
@@ -173,16 +188,23 @@ def veronese_sphere(n: int = 128) -> CatalogEntry:
             out[k] += (x[p] * A[k, p, q]) * y[q]
         return out
 
-    f, jet1, jet2 = _jet_arrays(n)
-    for rows, (w, wt, wp, wtt, wtp, wpp) in _sphere_jet_blocks(patch):
-        _planes(f[rows])[...] = quad(w, w)
-        for i, x in enumerate((wt, wp)):
-            np.multiply(2.0, quad(x, w), out=_planes(jet1[rows, :, i]))
+    def jet2(rows):
+        """(f_uu, f_uv, f_vv) on the u rows' block."""
+        w, wt, wp, wtt, wtp, wpp = _sphere_block(patch, rows)
+        out = np.empty(w.shape[1:] + (3, 5))
         for i, (x, y, xy) in enumerate(((wt, wt, wtt), (wt, wp, wtp), (wp, wp, wpp))):
             s = quad(x, y)
             s += quad(xy, w)
-            np.multiply(2.0, s, out=_planes(jet2[rows, :, i]))
-        del w, wt, wp, wtt, wtp, wpp, s  # before the next block's are made
+            np.multiply(2.0, s, out=_planes(out[:, :, i]))
+        return out
+
+    f, jet1 = _jet_arrays(n)
+    for rows in row_blocks(n):
+        w, wt, wp = _sphere_block(patch, rows)[:3]
+        _planes(f[rows])[...] = quad(w, w)
+        for i, x in enumerate((wt, wp)):
+            np.multiply(2.0, quad(x, w), out=_planes(jet1[rows, :, i]))
+        del w, wt, wp  # before the next block's are made
 
     imm = ImmersionField(patch, f, jet1, jet2)
     truth = {
@@ -206,12 +228,23 @@ def veronese_sphere(n: int = 128) -> CatalogEntry:
 
 
 def geodesic_sphere(n: int = 128) -> CatalogEntry:
-    """The equatorial 2-sphere, totally geodesic (B = 0) in S^4."""
+    """The equatorial 2-sphere, totally geodesic (B = 0) in S^4: the unit
+    sphere's jets in the first three components, the second ones made
+    one block of u rows at a time as they are read."""
     patch = _sphere_chart(n)
-    f, jet1, jet2 = _jet_arrays(n)
-    targets = (f, jet1[:, :, 0], jet1[:, :, 1], jet2[:, :, 0], jet2[:, :, 1], jet2[:, :, 2])
-    for rows, jets in _sphere_jet_blocks(patch):
-        for target, w in zip(targets, jets):
+
+    def jet2(rows):
+        """(f_uu, f_uv, f_vv) on the u rows' block: w_tt, w_tp, w_pp."""
+        jets = _sphere_block(patch, rows)
+        out = np.zeros(jets[0].shape[1:] + (3, 5))
+        for i, w in enumerate(jets[3:]):
+            _planes(out[:, :, i])[:3] = w
+        return out
+
+    f, jet1 = _jet_arrays(n)
+    for rows in row_blocks(n):
+        jets = _sphere_block(patch, rows)
+        for target, w in zip((f, jet1[:, :, 0], jet1[:, :, 1]), jets):
             _planes(target[rows])[:3] = w
         del jets, w  # before the next block's are made
 
@@ -297,13 +330,18 @@ DRIFT_REJECT = 1e-6
 
 
 def write_manifest(imm: ImmersionField, directory) -> Path:
-    """Write an immersion as manifest.json + raw float64 arrays (jets if analytic)."""
+    """Write an immersion as manifest.json + raw float64 arrays (jets if
+    analytic).  The second jets are written from their row-block source
+    one block of u rows at a time, as the same bytes a whole-grid array
+    gives."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     patch = imm.patch
 
-    def dump(name, arr):
-        arr.astype("<f8").tofile(directory / name)
+    def dump(name, blocks):
+        with open(directory / name, "wb") as out:
+            for block in blocks:
+                block.astype("<f8").tofile(out)
         return name
 
     doc = {
@@ -314,14 +352,14 @@ def write_manifest(imm: ImmersionField, directory) -> Path:
             "periodic_u": patch.periodic_u, "periodic_v": patch.periodic_v,
             "cap_u": patch.cap_u, "cap_v": patch.cap_v,
         },
-        "position": dump("position.f64", imm.position),
+        "position": dump("position.f64", [imm.position]),
         "endianness": "little",
         "layout": "row-major, v fastest",
     }
     if imm.jet1 is not None and imm.jet_source == "analytic":
         doc["jets"] = {
-            "first": dump("jet1.f64", imm.jet1),
-            "second": dump("jet2.f64", imm.jet2),
+            "first": dump("jet1.f64", [imm.jet1]),
+            "second": dump("jet2.f64", map(imm.jet2, row_blocks(patch.nu))),
         }
     path = directory / "manifest.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -317,6 +317,13 @@ def _load_surface(args) -> tuple[ImmersionField, dict]:
             raise CliError(EXIT_CONFIG, "E_CONFIG",
                            f"perturbation amplitude must be positive and finite, "
                            f"got {args.perturb}")
+        # the bump moves unit vectors by up to several times the amplitude
+        # before they are put back on the sphere: far above its radius the
+        # squares of the renormalization overflow
+        if args.perturb > 1.0:
+            raise CliError(EXIT_CONFIG, "E_CONFIG",
+                           f"perturbation amplitude must be at most 1, the sphere's radius, "
+                           f"got {args.perturb}")
         if args.seed < 0:
             raise CliError(EXIT_CONFIG, "E_CONFIG",
                            f"perturbation seed must be non-negative, got {args.seed}")

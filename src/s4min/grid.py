@@ -132,15 +132,20 @@ def row_blocks(nu: int):
     return (slice(start, start + BLOCK_ROWS) for start in range(0, nu, BLOCK_ROWS))
 
 
-def check_field(patch: GridPatch, values: np.ndarray, name: str = "field") -> np.ndarray:
-    """Validate leading shape and finiteness; returns the array unchanged."""
+def check_field(patch: GridPatch, values: np.ndarray, name: str = "field",
+                rows: slice = slice(None)) -> np.ndarray:
+    """Validate leading shape and finiteness of a field on the grid, or of
+    the block of its u rows ``rows``; returns the array unchanged.  A
+    non-finite entry is reported by its index on the whole grid."""
     values = np.asarray(values)
-    if values.shape[:2] != patch.shape:
-        raise InputError(f"{name}: leading shape {values.shape[:2]} != grid {patch.shape}")
+    index = range(patch.nu)[rows]
+    shape = (len(index), patch.nv)
+    if values.shape[:2] != shape:
+        raise InputError(f"{name}: leading shape {values.shape[:2]} != grid {shape}")
     bad = ~np.isfinite(values)
     if bad.any():
-        iu, iv = np.argwhere(bad.reshape(patch.nu, patch.nv, -1).any(axis=2))[0]
-        raise InputError(f"{name}: non-finite entry at grid index ({iu}, {iv})")
+        iu, iv = np.argwhere(bad.reshape(*shape, -1).any(axis=2))[0]
+        raise InputError(f"{name}: non-finite entry at grid index ({index[iu]}, {iv})")
     return values
 
 

@@ -1,7 +1,11 @@
 """Surface kernel: frames along an immersed surface in the unit 4-sphere.
 
 An immersion is a grid of unit vectors f in R^5 together with first and
-second parameter jets.  The kernel builds the orthonormal tangent frame
+second parameter jets.  The second jets are read by blocks of u rows from
+a row-block source: the slices of a whole-grid array (finite differences,
+a manifest's stored jets), or a closed form that makes each block as it
+is read (the catalog surfaces), so that a catalog's second jets never
+exist on the whole grid.  The kernel builds the orthonormal tangent frame
 (e1, e2), a smooth oriented normal frame (e3, e4) of the normal bundle
 inside TS^4, and the second fundamental form taken with respect to the
 sphere: since e3, e4 are orthogonal to both f and the tangent plane, the
@@ -23,8 +27,10 @@ tangent or the normal frame; all other invariants are gauge independent.
 from __future__ import annotations
 
 import copy
+import functools
+import operator
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -39,6 +45,28 @@ from .grid import (
 )
 
 UNIT_NORM_TOL = 1e-12
+_JET_SHAPES = "jet shapes must be (nu, nv, 2, 5) and (nu, nv, 3, 5)"
+
+# a row-block source: a slice of u rows -> that block of a (nu, nv, ...) field
+RowSource = Callable[[slice], np.ndarray]
+
+
+def array_rows(values: np.ndarray) -> RowSource:
+    """The row-block source of a whole-grid array: rows -> values[rows], a
+    view; the array is the source's args[0]."""
+    return functools.partial(operator.getitem, values)
+
+
+def _checked_rows(patch: GridPatch, source: RowSource) -> RowSource:
+    """A closed-form source of second jets whose every block gets the
+    checks a whole-grid array gets on construction, with the same
+    InputError."""
+    def block(rows: slice) -> np.ndarray:
+        values = check_field(patch, source(rows), "jet2", rows)
+        if values.shape[2:] != (3, 5):
+            raise InputError(_JET_SHAPES)
+        return values
+    return block
 
 
 @dataclass
@@ -47,7 +75,11 @@ class ImmersionField:
 
     position: (nu, nv, 5) unit vectors.
     jet1: (nu, nv, 2, 5) holding (f_u, f_v), or None.
-    jet2: (nu, nv, 3, 5) holding (f_uu, f_uv, f_vv), or None.
+    jet2: the second jets (f_uu, f_uv, f_vv) as a row-block source,
+        rows -> (len(rows), nv, 3, 5) for a slice of u rows, or None.  A
+        (nu, nv, 3, 5) array passed in is checked whole and becomes the
+        source of its slices (array_rows); a source passed in is a closed
+        form, and each block it makes is checked as it is read.
     jet_source: "analytic" or "fd".
     norm_drift: max | |f| - 1 | over the grid, set on construction and
         carried over by with_jets and with_fd_jets, which keep the position.
@@ -56,7 +88,7 @@ class ImmersionField:
     patch: GridPatch
     position: np.ndarray
     jet1: Optional[np.ndarray] = None
-    jet2: Optional[np.ndarray] = None
+    jet2: Optional[RowSource] = None
     jet_source: str = "analytic"
     norm_drift: float = field(init=False)
 
@@ -79,9 +111,13 @@ class ImmersionField:
             raise InputError("provide both jet orders or neither")
         if self.jet1 is not None:
             check_field(self.patch, self.jet1, "jet1")
-            check_field(self.patch, self.jet2, "jet2")
-            if self.jet1.shape[2:] != (2, 5) or self.jet2.shape[2:] != (3, 5):
-                raise InputError("jet shapes must be (nu, nv, 2, 5) and (nu, nv, 3, 5)")
+            closed_form = callable(self.jet2)
+            if not closed_form:
+                check_field(self.patch, self.jet2, "jet2")
+            if self.jet1.shape[2:] != (2, 5) or (not closed_form and self.jet2.shape[2:] != (3, 5)):
+                raise InputError(_JET_SHAPES)
+            self.jet2 = (_checked_rows(self.patch, self.jet2) if closed_form
+                         else array_rows(self.jet2))
         if self.jet_source not in ("analytic", "fd"):
             raise InputError(f"unknown jet source {self.jet_source!r}")
 
@@ -93,7 +129,8 @@ class ImmersionField:
         """The same position with jets taken by finite differences.  The
         position and its checked norm_drift are carried over, not checked
         again."""
-        return self._carrying(*fd_jets(self.patch, self.position), "fd")
+        jet1, jet2 = fd_jets(self.patch, self.position)
+        return self._carrying(jet1, array_rows(jet2), "fd")
 
     def _carrying(self, jet1, jet2, jet_source) -> "ImmersionField":
         out = copy.copy(self)
@@ -335,41 +372,49 @@ def _normal_components(vec: np.ndarray, e3: np.ndarray,
     return np.einsum("uvk,uvk->uv", vec, e3), np.einsum("uvk,uvk->uv", vec, e4)
 
 
-def second_fundamental_entries(jet2: np.ndarray, metric: MetricField,
+def second_fundamental_entries(jet2: RowSource, metric: MetricField,
                                e3: np.ndarray, e4: np.ndarray) -> tuple:
     """The second fundamental form in the orthonormal frames: H3, H4 and
     the per-point |trace B| of ShapeReport.
 
-    jet2 holds the (nu, nv, 3, 5) second jets (f_uu, f_uv, f_vv) on the
-    metric's chart, and is read nowhere else, so a caller that holds it no
-    longer can let it go before shape_invariants allocates its fields.
+    jet2 is the row-block source of the second jets (f_uu, f_uv, f_vv) on
+    the metric's chart (ImmersionField.jet2), asked for one block of
+    grid.BLOCK_ROWS u rows at a time and read nowhere else: a catalog's
+    closed form makes each block here, and a caller that holds the source
+    no longer can let it go before shape_invariants allocates its fields.
     The tangent frame enters only through the metric's Gram-Schmidt
     coefficients (grid.frame_coefficients), and the position not at all.
-    Each field is formed one block of grid.BLOCK_ROWS u rows at a time into
-    its preallocated output, so no whole-grid ambient vector or product
-    temporary is made.
+    Each field is formed block by block into its preallocated output, so
+    no whole-grid ambient vector or product temporary is made.
     """
     patch = metric.patch
     H3 = np.empty(patch.shape, dtype=complex)
     H4 = np.empty(patch.shape, dtype=complex)
     minimality = np.empty(patch.shape)
     for rows in row_blocks(patch.nu):
-        fuu, fuv, fvv = (jet2[rows, :, k, :] for k in range(3))
-        a, b, c = frame_coefficients(metric.E[rows], metric.F[rows], metric.dA[rows])
-        n3, n4 = e3[rows], e4[rows]
-        # B(e1,e1), B(e1,e2), B(e2,e2) as ambient vectors before projection,
-        # one at a time; taking components against e3/e4 kills the f- and
-        # tangent parts.
-        h11_3, h11_4 = _normal_components((a * a)[:, :, None] * fuu, n3, n4)
-        h12_3, h12_4 = _normal_components(
-            (a * b)[:, :, None] * fuu + (a * c)[:, :, None] * fuv, n3, n4)
-        h22_3, h22_4 = _normal_components(
-            (b * b)[:, :, None] * fuu + (2.0 * b * c)[:, :, None] * fuv
-            + (c * c)[:, :, None] * fvv, n3, n4)
-        H3[rows] = h11_3 + 1j * h12_3
-        H4[rows] = h11_4 + 1j * h12_4
-        minimality[rows] = np.maximum(np.abs(h11_3 + h22_3), np.abs(h11_4 + h22_4))
+        H3[rows], H4[rows], minimality[rows] = _block_entries(
+            jet2(rows), frame_coefficients(metric.E[rows], metric.F[rows], metric.dA[rows]),
+            e3[rows], e4[rows])
     return H3, H4, minimality
+
+
+def _block_entries(jet2, coefficients, e3, e4) -> tuple:
+    """H3, H4 and |trace B| on one block of rows, from its second jets and
+    Gram-Schmidt coefficients; its temporaries go before the next block's
+    jets are made."""
+    fuu, fuv, fvv = (jet2[:, :, k, :] for k in range(3))
+    a, b, c = coefficients
+    # B(e1,e1), B(e1,e2), B(e2,e2) as ambient vectors before projection,
+    # one at a time; taking components against e3/e4 kills the f- and
+    # tangent parts.
+    h11_3, h11_4 = _normal_components((a * a)[:, :, None] * fuu, e3, e4)
+    h12_3, h12_4 = _normal_components(
+        (a * b)[:, :, None] * fuu + (a * c)[:, :, None] * fuv, e3, e4)
+    h22_3, h22_4 = _normal_components(
+        (b * b)[:, :, None] * fuu + (2.0 * b * c)[:, :, None] * fuv
+        + (c * c)[:, :, None] * fvv, e3, e4)
+    return (h11_3 + 1j * h12_3, h11_4 + 1j * h12_4,
+            np.maximum(np.abs(h11_3 + h22_3), np.abs(h11_4 + h22_4)))
 
 
 def shape_invariants(patch: GridPatch, H3: np.ndarray, H4: np.ndarray,
@@ -398,10 +443,11 @@ def shape_invariants(patch: GridPatch, H3: np.ndarray, H4: np.ndarray,
                        a_plus, a_minus, minimality)
 
 
-def second_fundamental_form(jet2: np.ndarray, metric: MetricField,
+def second_fundamental_form(jet2: RowSource, metric: MetricField,
                             e3: np.ndarray, e4: np.ndarray) -> ShapeReport:
     """Second fundamental form in the orthonormal frames and its
-    invariants: second_fundamental_entries, then shape_invariants."""
+    invariants from the row-block source jet2 of the second jets:
+    second_fundamental_entries, then shape_invariants."""
     return shape_invariants(metric.patch, *second_fundamental_entries(jet2, metric, e3, e4))
 
 
@@ -410,8 +456,8 @@ def shape_report(imm: ImmersionField):
     (imm, e1, e2, metric, e3, e4, rep).
 
     The returned field is imm with its position, norm_drift and first jets
-    but without its second jets, which nothing past this stage reads: a
-    caller that rebinds its field to it lets them go.  imm itself is not
+    but without its second-jet source, which nothing past this stage reads:
+    a caller that rebinds its field to it lets it go.  imm itself is not
     changed.  The command line runs these steps as stages instead, and
     drops each field after its last reader.
     """

@@ -66,7 +66,7 @@ def test_ambient_rotation_leaves_every_invariant_unchanged(name):
     assert abs(np.linalg.det(R) - 1.0) < 1e-14
     assert np.abs(R.T @ R - np.eye(5)).max() < 1e-15
     rotated = ImmersionField(imm.patch, imm.position @ R.T, imm.jet1 @ R.T,
-                             imm.jet2 @ R.T, imm.jet_source)
+                             imm.jet2(slice(None)) @ R.T, imm.jet_source)
     a, b = evaluate(imm), evaluate(rotated)
     for key in INVARIANTS:  # measured at most 1.5e-14
         assert np.abs(a[key] - b[key]).max() < 1e-13, key

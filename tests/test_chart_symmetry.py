@@ -74,8 +74,8 @@ def shifted(imm: ImmersionField, su: int, sv: int):
     patch = dataclasses.replace(
         p, u_range=(p.u_range[0] + su * p.hu, p.u_range[1] + su * p.hu),
         v_range=(p.v_range[0] + sv * p.hv, p.v_range[1] + sv * p.hv))
-    return ImmersionField(patch, move(imm.position), move(imm.jet1), move(imm.jet2),
-                          imm.jet_source), move
+    return ImmersionField(patch, move(imm.position), move(imm.jet1),
+                          move(imm.jet2(slice(None))), imm.jet_source), move
 
 
 def flipped(imm: ImmersionField):
@@ -85,7 +85,7 @@ def flipped(imm: ImmersionField):
     def move(x):
         return x[:, idx]
 
-    jet1, jet2 = move(imm.jet1), move(imm.jet2)
+    jet1, jet2 = move(imm.jet1), move(imm.jet2(slice(None)))
     jet1[..., 1, :] *= -1.0  # f_v
     jet2[..., 1, :] *= -1.0  # f_uv
     return ImmersionField(imm.patch, move(imm.position), jet1, jet2, imm.jet_source), move
@@ -125,7 +125,7 @@ def transposed(imm: ImmersionField) -> ImmersionField:
 
     # (f_u, f_v) -> (f_v, f_u) and (f_uu, f_uv, f_vv) -> (f_vv, f_uv, f_uu)
     return ImmersionField(patch, swap(imm.position), swap(imm.jet1[:, :, ::-1]),
-                          swap(imm.jet2[:, :, ::-1]), imm.jet_source)
+                          swap(imm.jet2(slice(None))[:, :, ::-1]), imm.jet_source)
 
 
 def answers_and_residuals(imm: ImmersionField) -> tuple[dict, dict]:

@@ -6,6 +6,7 @@ with a machine-readable code; success paths must write deterministic
 reports (identical configuration, identical bytes).
 """
 
+import functools
 import json
 import math
 import os
@@ -265,6 +266,29 @@ def test_nonfinite_or_nonpositive_value_is_config_error(cli, tmp_path, argv):
     assert code == 2
     assert len(out.strip().splitlines()) == 1
     assert error_code(out) == "E_CONFIG"
+
+
+@pytest.mark.parametrize("amplitude", [1e200, 1e308])
+@pytest.mark.parametrize("command", [("analyze",), ("deform", "--theta", 0.5), ("monodromy",),
+                                     ("verify",)], ids=lambda command: command[0])
+def test_perturbation_above_the_radius_is_refused_up_front(cli, tmp_path, monkeypatch,
+                                                           command, amplitude):
+    # the bump of such an amplitude overflows as the bent position is put
+    # back on the sphere: an overflow warning (an error under this suite's
+    # filter), or "position not on the unit sphere" blaming the input.
+    # Above the sphere's radius 1 it is refused before the surface is built.
+    def refuse(*args):
+        raise AssertionError("the catalog surface was built")
+
+    monkeypatch.setattr(cli_module, "load_catalog", refuse)
+    out = tmp_path / "out"
+    code, text = cli(command[0], "--catalog", "clifford", "--n", 64, *command[1:],
+                     "--perturb", amplitude, "--out", out)
+    assert code == 2
+    assert text == json.dumps({"error": {"code": "E_CONFIG", "message": (
+        f"perturbation amplitude must be at most 1, the sphere's radius, got {amplitude}")}},
+        sort_keys=True) + "\n"
+    assert not out.exists()
 
 
 def test_closing_tolerance_is_not_an_option(tmp_path, capsys):
@@ -541,6 +565,77 @@ def test_deform_superminimal_any_angle_congruent(cli, tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["congruence"]["congruent"] is True
+
+
+def test_stored_jets_manifest_analyzes_as_its_catalog_surface(cli, tmp_path):
+    # the catalog's second jets are written block by block, as the bytes of
+    # the whole-grid closed form; read back as stored analytic jets they
+    # give the catalog run's field files bit for bit
+    imm = load_catalog("veronese", 64).immersion
+    manifest = write_manifest(imm, tmp_path / "src")
+    assert (tmp_path / "src" / "jet2.f64").read_bytes() == \
+        imm.jet2(slice(None)).astype("<f8").tobytes()
+    code, _ = cli("analyze", "--manifest", manifest, "--out", tmp_path / "manifest")
+    assert code == 0
+    code, _ = cli("analyze", "--catalog", "veronese", "--n", 64, "--out", tmp_path / "catalog")
+    assert code == 0
+    report = json.loads((tmp_path / "manifest" / "report.json").read_text())
+    assert report["source"]["jet_source"] == "analytic"
+    assert len(report["field_files"]) == 7
+    for name in report["field_files"]:
+        assert (tmp_path / "manifest" / name).read_bytes() == \
+            (tmp_path / "catalog" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", [("analyze",), ("deform", "--theta", 0.5), ("monodromy",),
+                                     ("verify",)], ids=lambda command: command[0])
+def test_stored_second_jets_are_checked_whole(cli, tmp_path, command):
+    # a manifest's stored jets are read whole and checked on ingest: a NaN
+    # in the last block of rows is refused before any stage reads a block
+    imm = load_catalog("veronese", 64).immersion
+    manifest = write_manifest(imm, tmp_path / "src")
+    jets = np.fromfile(tmp_path / "src" / "jet2.f64", dtype="<f8").reshape(64, 64, 3, 5)
+    jets[63, 7, 2, 4] = np.nan
+    jets.tofile(tmp_path / "src" / "jet2.f64")
+    out = tmp_path / "out"
+    code, text = cli(command[0], "--manifest", manifest, *command[1:], "--out", out)
+    assert code == 2
+    assert text == json.dumps({"error": {"code": "E_SOURCE", "message": (
+        "jet2: non-finite entry at grid index (63, 7)")}}, sort_keys=True) + "\n"
+    assert not out.exists()
+
+
+def test_catalog_second_jets_never_exist_whole(cli, tmp_path, monkeypatch):
+    # tracemalloc peaks of the load and of the second fundamental form,
+    # each above what it started with.  The shape stage asks the closed
+    # form for one block of rows at a time and keeps H3, H4 and the
+    # minimality (5 planes): it never holds the nu * nv * 3 * 5 floats of
+    # whole second jets.  The load returns the position and first jets, 15
+    # planes, as many as whole second jets, and stays below twice that.
+    n = 256
+    whole = n * n * 3 * 5 * 8
+    peaks = {}
+
+    def traced(name):
+        spec, run = cli_module.STAGES[name]
+
+        def stage(*values):
+            tracemalloc.start()
+            try:
+                out = run(*values)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return out
+
+        return spec, stage
+
+    for name in ("load", "shape"):
+        monkeypatch.setitem(cli_module.STAGES, name, traced(name))
+    code, _ = cli("analyze", "--catalog", "veronese", "--n", n, "--out", tmp_path)
+    assert code == 0
+    assert peaks["shape"] < whole, f"shape peaked at {peaks['shape'] / whole:.2f} second jets"
+    assert peaks["load"] < 2 * whole, f"load peaked at {peaks['load'] / whole:.2f} second jets"
 
 
 def test_deform_output_feeds_back_into_analyze(cli, tmp_path):
@@ -1033,8 +1128,9 @@ def _watch_stages(monkeypatch, command):
     A field should be freed once the last stage that reads it
     (cli.last_readers) has run, or once it is written if no later stage
     reads it, unless a field that is still read holds it (the shape report
-    holds H3, H4 and minimality).  Every array and dataclass field is
-    watched but the patch, which every field shares.
+    holds H3, H4 and minimality).  Every array, dataclass and function
+    field is watched but the patch, which every field shares, and so is
+    the array under an array's row-block source ("<field> array").
     """
     last = cli_module.last_readers(command)
     refs, ends, ids, holds, seen = {}, {}, {}, {}, []
@@ -1055,6 +1151,11 @@ def _watch_stages(monkeypatch, command):
                     continue
                 refs[k], ends[k], ids[k] = weakref.ref(v), last.get(k, i), id(v)
                 holds[k] = {id(a) for a in getattr(v, "__dict__", {}).values()}
+                if isinstance(v, functools.partial):  # an array's row-block source
+                    array = v.args[0]
+                    key = f"{k} array"
+                    refs[key], ends[key], ids[key] = weakref.ref(array), ends[k], id(array)
+                    holds[key] = set()
             return out
 
         return spec, stage
@@ -1118,6 +1219,9 @@ def test_each_field_is_freed_after_its_last_reader(cli, tmp_path, monkeypatch, a
     if command == "deform":
         assert alive == [False]
     assert {"imm", "position", "jet1", "jet2", "e1", "e2", "e3", "e4", "metric", "H3"} <= set(refs)
+    # the second jets are a row-block source; with finite-difference jets
+    # the whole-grid array it slices is watched too
+    assert ("jet2 array" in refs) == ("fd" in argv)
     last = cli_module.last_readers(command)
     assert last["jet2"] == stages.index("shape")
     if command != "analyze":

@@ -181,7 +181,7 @@ def _band(imm, rows):
     p = imm.patch
     u = p.u_coords()[rows]
     patch = GridPatch(len(u), p.nv, (u[0], u[-1]), p.v_range, False, p.periodic_v)
-    return ImmersionField(patch, imm.position[rows], imm.jet1[rows], imm.jet2[rows])
+    return ImmersionField(patch, imm.position[rows], imm.jet1[rows], imm.jet2(rows))
 
 
 def _conn(imm):
@@ -270,8 +270,8 @@ def _rotated(imm):
     Q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
     if np.linalg.det(Q) < 0:
         Q[:, 0] = -Q[:, 0]
-    return ImmersionField(imm.patch, imm.position @ Q.T, imm.jet1 @ Q.T, imm.jet2 @ Q.T,
-                          imm.jet_source)
+    return ImmersionField(imm.patch, imm.position @ Q.T, imm.jet1 @ Q.T,
+                          imm.jet2(slice(None)) @ Q.T, imm.jet_source)
 
 
 AGREEMENT_CASES = {

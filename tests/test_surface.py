@@ -115,7 +115,7 @@ def rotated_clifford():
         Q[:, 0] = -Q[:, 0]
     imm = clifford_torus(64).immersion
     return shape_report(ImmersionField(imm.patch, imm.position @ Q.T, imm.jet1 @ Q.T,
-                                       imm.jet2 @ Q.T))
+                                       imm.jet2(slice(None)) @ Q.T))
 
 
 @pytest.mark.parametrize("fix, axis", [("veronese", 1), ("rotated_clifford", 0)],
@@ -271,7 +271,7 @@ def test_fd_jets_consistent_with_analytic():
         imm = entry.immersion
         jet1, jet2 = fd_jets(imm.patch, imm.position)
         assert np.abs(jet1 - imm.jet1).max() < bound
-        assert np.abs(jet2 - imm.jet2).max() < bound
+        assert np.abs(jet2 - imm.jet2(slice(None))).max() < bound
 
 
 @pytest.mark.parametrize("periodic", [True, False])
@@ -373,7 +373,7 @@ def _whole_grid_normal_frame(imm, e1, e2):
 def _whole_grid_form(imm, metric, e3, e4):
     """second_fundamental_form with every field formed on the whole grid
     at once: the oracle the blocked form must equal bit for bit."""
-    fuu, fuv, fvv = (imm.jet2[:, :, k, :] for k in range(3))
+    fuu, fuv, fvv = (imm.jet2(slice(None))[:, :, k, :] for k in range(3))
     det = metric.dA**2
     a = 1.0 / np.sqrt(metric.E)
     c = np.sqrt(metric.E / det)
@@ -405,7 +405,8 @@ def _rotated_clifford_field():
     if np.linalg.det(Q) < 0:
         Q[:, 0] = -Q[:, 0]
     imm = clifford_torus(64).immersion
-    return ImmersionField(imm.patch, imm.position @ Q.T, imm.jet1 @ Q.T, imm.jet2 @ Q.T)
+    return ImmersionField(imm.patch, imm.position @ Q.T, imm.jet1 @ Q.T,
+                          imm.jet2(slice(None)) @ Q.T)
 
 
 def _deformed_field():
@@ -456,9 +457,10 @@ def test_blocked_shape_stage_equals_whole_grid_oracle(name):
 
 def test_shape_report_holds_no_whole_grid_temporary():
     # tracemalloc peak of shape_report above its input, in (n, n) float64
-    # planes.  It returns 36 planes (frames, metric, report).  Measured 39.3;
-    # with the whole-grid ambient vectors, rotation products and radicands
-    # 48.1
+    # planes.  It returns 36 planes (frames, metric, report).  Measured 40.3,
+    # which includes the Veronese second jets made one block of 32 rows (a
+    # quarter of the grid here) at a time and their sphere-jet planes; with
+    # the whole-grid ambient vectors, rotation products and radicands 48.1
     imm = veronese_sphere(128).immersion
     plane = imm.patch.nu * imm.patch.nv * 8
     tracemalloc.start()
@@ -474,10 +476,11 @@ def test_shape_report_holds_no_whole_grid_temporary():
 def test_load_and_tangent_frame_hold_no_whole_grid_temporary():
     # tracemalloc peak above the outputs, in (n, n) float64 planes at
     # n = 128, where one block of 32 u rows is a quarter plane per scalar
-    # field.  The sphere charts' loads return 30 planes (position and
-    # jets); measured 8.55 (veronese) and 7.04 (geodesic-sphere) above
-    # them: the unit-norm check's product of the position with itself and
-    # one block's sphere jets and quadric terms.  With the whole-grid
+    # field.  The sphere charts' loads return 15 planes (position and
+    # first jets; the second jets are a closed form, made block by block
+    # when read); measured 7.56 (veronese) and 6.79 (geodesic-sphere)
+    # above them: the unit-norm check's product of the position with
+    # itself and one block's sphere jets and quadric terms.  With the whole-grid
     # unit-sphere planes 32.04 and 27.03.  tangent_frame returns 14
     # planes (e1, e2, E, F, G, dA); measured 4.28 above them: the metric's
     # determinant and one block of the Gram-Schmidt.  With whole-grid e1
@@ -488,7 +491,7 @@ def test_load_and_tangent_frame_hold_no_whole_grid_temporary():
 
     def jets_bytes(entry):
         imm = entry.immersion
-        return imm.position.nbytes + imm.jet1.nbytes + imm.jet2.nbytes
+        return imm.position.nbytes + imm.jet1.nbytes
 
     def frame_bytes(out):
         e1, e2, metric = out
