@@ -5,8 +5,8 @@ gauge of ``surface.normal_frame``; no ellipse-aligned frame is built.
 
 * The circle locus: points where the curvature ellipse degenerates to a
   circle (kappa = mu, so one of the radii a_+, a_- vanishes), and the
-  superminimality verdict that classifies a patch as circle everywhere,
-  circle at isolated points, or generic.
+  superminimality verdict (circle everywhere, circle at isolated points,
+  or generic), both read off the radii against one floor.
 * The Hopf field: the coefficient (conj(H3)^2 + conj(H4)^2)/4 of the quartic
   differential, whose modulus a_+ a_- / 4 is gauge invariant, with its
   Cauchy-Riemann residual on an isothermal chart.
@@ -24,8 +24,6 @@ import numpy as np
 from .grid import GridPatch, InputError, MetricField, diff
 from .surface import ShapeReport
 
-EPS_SUPERMINIMAL = 1e-6
-CIRCLE_FLOOR = 1e-14
 WINDING_SAMPLES = 64
 
 
@@ -78,26 +76,23 @@ class SuperminimalityReport:
 def superminimality_test(report: ShapeReport) -> SuperminimalityReport:
     """Classify the patch: circle everywhere, isolated circle points, or neither.
 
-    This is the one place that decides what vanishes identically.  Both
-    radii do when |B|^2 stays below 1e-12; when the ellipse is a circle at
-    every point (a_plus * a_minus / 4 below EPS_SUPERMINIMAL of |B|^2), the
-    smaller of a_plus and a_minus does; otherwise neither.  The Hopf
-    residual, the Laplace identities and the zero counts take the verdict
-    and these branches from the report instead of deciding again.
+    This is the one place that decides what vanishes identically, with the
+    radii against one floor, 1e-4 * max(1, kappa_max), where 1 is the
+    ambient curvature in a_pm^2 = 1 - K +- K_N.  A radius whose maximum lies
+    below it vanishes identically, and the verdict is superminimal exactly
+    when one does; circle points are where kappa - mu = min(a_plus, a_minus)
+    lies below it.  The Hopf residual, the Laplace identities and the zero
+    counts take the verdict and these branches from the report instead of
+    deciding again.
     """
-    quarter = 0.25 * report.a_plus * report.a_minus
-    max_q = float(quarter.max())
-    max_b = float(report.norm_B2.max())
-    # circle points: kappa - mu below 1e-4 of the largest semi-axis
-    mask = (report.kappa - report.mu) < 1e-4 * float(report.kappa.max()) + CIRCLE_FLOOR
+    floor = 1e-4 * max(1.0, float(report.kappa.max()))
+    mask = (report.kappa - report.mu) < floor
     n_pts = int(mask.sum())
-    if max_b < 1e-12:
-        return SuperminimalityReport("superminimal", n_pts, "second fundamental form vanishes",
-                                     ("+", "-"))
-    if max_q < EPS_SUPERMINIMAL * max_b:
-        smaller = "+" if report.a_plus.max() < report.a_minus.max() else "-"
-        return SuperminimalityReport("superminimal", n_pts, "ellipse is a circle at every point",
-                                     (smaller,))
+    vanishing = tuple(b for b, a in zip("+-", (report.a_plus, report.a_minus)) if a.max() < floor)
+    if vanishing:
+        reason = ("second fundamental form vanishes" if len(vanishing) == 2
+                  else "ellipse is a circle at every point")
+        return SuperminimalityReport("superminimal", n_pts, reason, vanishing)
     if n_pts:
         if n_pts / mask.size < 0.05:
             clusters = len(_clusters(mask, report.patch.periodic_u, report.patch.periodic_v))

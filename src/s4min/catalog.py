@@ -296,8 +296,13 @@ def perturb_immersion(imm: ImmersionField, amplitude: float, seed: int) -> Immer
     fields b3, b4 and renormalizes onto the sphere.  The result is a valid
     immersion into S^4 that is (deliberately) no longer minimal.  It has
     no jets yet, and jet_source "fd": with_jets takes them by finite
-    differences once the caller has let the source's jets go.
+    differences once the caller has let the source's jets go.  The
+    amplitude lies in (0, 1], 1 the sphere's radius; the seed is >= 0.
     """
+    if not 0.0 < amplitude <= 1.0:
+        raise InputError(f"perturbation amplitude must be in (0, 1], got {amplitude}")
+    if seed < 0:
+        raise InputError(f"perturbation seed must be non-negative, got {seed}")
     src = imm.with_jets()
     e3, e4 = normal_frame(src.patch, src.position, *tangent_frame(src)[:2])
     del src  # only e3, e4 feed the bump
@@ -341,7 +346,7 @@ def write_manifest(imm: ImmersionField, directory) -> Path:
     def dump(name, blocks):
         with open(directory / name, "wb") as out:
             for block in blocks:
-                block.astype("<f8").tofile(out)
+                np.asarray(block, dtype="<f8").tofile(out)
         return name
 
     doc = {

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,17 @@ def test_perturbation_reproducible_and_seed_sensitive():
     assert np.abs(a.position - ent.immersion.position).max() < 2e-2
 
 
+@pytest.mark.parametrize("amplitude, seed", [
+    (1e200, 0), (float("inf"), 0), (float("nan"), 0), (0.0, 0), (-1e-3, 0), (1.5, 0),
+    (1e-3, -1)])
+def test_perturbation_out_of_bounds_is_input_error(amplitude, seed):
+    # at 1e200 the bent position overflows as it is put back on the
+    # sphere: a RuntimeWarning, which this suite's filter makes an error
+    imm = clifford_torus(16).immersion
+    with pytest.raises(InputError, match="perturbation"):
+        perturb_immersion(imm, amplitude, seed)
+
+
 def _perturbed_position_oracle(imm, amplitude, seed):
     """The perturbed position as perturb_immersion built it when it still
     took the perturbed field's jets itself, with the source alive."""
@@ -186,6 +198,24 @@ def test_manifest_roundtrip_bitwise(tmp_path):
     assert np.array_equal(imm.jet1, ent.immersion.jet1)
     assert np.array_equal(blocked(imm), blocked(ent.immersion))
     assert imm.jet_source == "analytic"
+
+
+def test_position_only_manifest_write_makes_no_copy(tmp_path):
+    # a little-endian float64 position is written without a copy, so the
+    # peak stays far below one position (measured 0.004)
+    imm = clifford_torus(256).immersion
+    imm = ImmersionField(imm.patch, imm.position)
+    write_manifest(imm, tmp_path / "warm")
+    tracemalloc.start()
+    try:
+        write_manifest(imm, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = imm.position.nbytes
+    assert peak < 0.5 * size, f"peaked at {peak / size:.2f} positions"
+    assert np.array_equal(np.fromfile(tmp_path / "position.f64", dtype="<f8"),
+                          imm.position.ravel())
 
 
 def test_manifest_without_jets_uses_stencils(tmp_path):

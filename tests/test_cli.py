@@ -850,20 +850,14 @@ def test_verify_veronese_skips_minus_branch_and_balance(cli, tmp_path):
     assert abs(items["ricci_3sphere_residual"]["value"] - 4.0 / 3.0) < 1e-6
 
 
-@pytest.mark.parametrize("n", [
-    pytest.param(128, marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="ROADMAP item 2: at n = 128 the finite-difference a+ a- / 4 stays "
-               "above EPS_SUPERMINIMAL |B|^2, so the surface reads generic and fails "
-               "laplace_log_minus (1.59e3) and zero_balance_minus (8.79)")),
-    256,
-])
+@pytest.mark.parametrize("n", [128, 256])
 def test_verify_veronese_fd_jets_pass(cli, tmp_path, n):
-    # finite-difference jets leave a- far above roundoff but a+ a- / 4
-    # below EPS_SUPERMINIMAL |B|^2: the one superminimality test names a-
-    # as vanishing, so its Laplace identity is skipped rather than failed,
-    # and the vanishing Hopf coefficient is certified rather than refused
-    # (1.2e-5 against 3.0e-3 at n = 256)
+    # finite-difference jets leave a- far above roundoff but below the
+    # floor 1e-4 max(1, kappa_max) (4.9e-6 at n = 128): the one
+    # superminimality test names a- as vanishing, so its Laplace identity
+    # is skipped rather than failed, and the vanishing Hopf coefficient is
+    # certified rather than refused (9.7e-5 against 1.2e-2 at n = 128,
+    # 1.2e-5 against 3.0e-3 at n = 256)
     code, out = cli("verify", "--catalog", "veronese", "--n", n, "--jets", "fd",
                     "--out", tmp_path)
     assert code == 0, out
