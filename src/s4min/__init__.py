@@ -15,17 +15,13 @@ from types import ModuleType as _ModuleType
 from .grid import InputError
 from .surface import (
     ImmersionField,
-    flip_normal_orientation,
-    frame_orthonormality_residual,
     normal_frame,
-    rotate_normal_frame,
     second_fundamental_entries,
     shape_invariants,
     shape_report,
     tangent_frame,
 )
 from .catalog import (
-    catalog_names,
     load_catalog,
     perturb_immersion,
     read_manifest,
@@ -35,8 +31,6 @@ from .adapted import (
     hopf_coefficient,
     hopf_differential,
     superminimality_test,
-    winding_number,
-    zero_orders,
 )
 from .family import (
     CongruenceFit,
@@ -57,7 +51,6 @@ from .monodromy import dichotomy_report, scan_profile
 from .topology import (
     euler_numbers,
     laplace_identity_residual,
-    synthetic_zero_field,
     topology_report,
 )
 

@@ -1,4 +1,4 @@
-"""Curvature-ellipse invariants: circle locus, Hopf field, zero orders.
+"""Curvature-ellipse invariants: circle locus, Hopf field, zero candidates.
 
 Everything here is read off the shape report in the one transported normal
 gauge of ``surface.normal_frame``; no ellipse-aligned frame is built.
@@ -10,21 +10,18 @@ gauge of ``surface.normal_frame``; no ellipse-aligned frame is built.
 * The Hopf field: the coefficient (conj(H3)^2 + conj(H4)^2)/4 of the quartic
   differential, whose modulus a_+ a_- / 4 is gauge invariant, with its
   Cauchy-Riemann residual on an isothermal chart.
-* Zero candidates of a field (isolated small local minima of its modulus)
-  and the integer winding order of a complex field around each of them.
+* Zero candidates of a field: isolated small local minima of its modulus,
+  which the zero counts of ``topology`` excise.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import GridPatch, InputError, MetricField, diff
 from .surface import ShapeReport
-
-WINDING_SAMPLES = 64
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +151,7 @@ def hopf_differential(report: ShapeReport, metric: MetricField, phi: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# zeros and winding orders
-
-
-@dataclass
-class ZeroOrder:
-    location: tuple[int, int]  # grid index of the candidate cell
-    order: int
-    gap: float  # |winding - order| before rounding
-    flagged: bool  # True when the rounding gap is unreliable (> 0.2)
+# zero candidates
 
 
 def find_zero_candidates(patch: GridPatch, values: np.ndarray) -> list[tuple[int, int]]:
@@ -175,51 +164,3 @@ def find_zero_candidates(patch: GridPatch, values: np.ndarray) -> list[tuple[int
     # cluster small cells and keep each cluster's minimum
     clusters = _clusters(small, patch.periodic_u, patch.periodic_v)
     return sorted(min(members, key=lambda p: mag[p]) for members in clusters)
-
-
-def _sample_bilinear(patch: GridPatch, values: np.ndarray,
-                     u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation at parameter points, wrapping periodic axes."""
-    nodes = []
-    for axis, (x, start) in enumerate(((u, patch.u_range[0]), (v, patch.v_range[0]))):
-        (h, periodic), n = patch.axis(axis), patch.shape[axis]
-        s = (x - start) / h
-        i0 = np.floor(s).astype(int)
-        if not periodic and ((i0 < 0).any() or (i0 > n - 2).any()):
-            raise InputError(f"sample circle leaves the open {'uv'[axis]}-axis")
-        nodes.append((i0 % n, (i0 + 1) % n, s - i0))
-    (i0, i1, fu), (j0, j1, fv) = nodes
-    return (values[i0, j0] * (1 - fu) * (1 - fv) + values[i1, j0] * fu * (1 - fv)
-            + values[i0, j1] * (1 - fu) * fv + values[i1, j1] * fu * fv)
-
-
-def winding_number(patch: GridPatch, values: np.ndarray, center_uv,
-                   radius: float) -> float:
-    """(1/2pi) * total argument increment of a complex field around a circle."""
-    ang = 2.0 * math.pi * np.arange(WINDING_SAMPLES + 1) / WINDING_SAMPLES
-    u = center_uv[0] + radius * np.cos(ang)
-    v = center_uv[1] + radius * np.sin(ang)
-    c = _sample_bilinear(patch, values.astype(complex), u, v)
-    if np.any(np.abs(c) == 0.0):
-        raise InputError("winding circle passes through a zero")
-    inc = np.angle(c[1:] * np.conj(c[:-1]))
-    return float(np.sum(inc) / (2.0 * math.pi))
-
-
-def zero_orders(patch: GridPatch, values: np.ndarray,
-                candidates: list[tuple[int, int]]) -> list[ZeroOrder]:
-    """Integer winding order around each candidate zero, with rounding gap.
-
-    The winding circle has radius four grid spacings.
-    """
-    radius = 4.0 * max(patch.hu, patch.hv)
-    uc = patch.u_coords()
-    vc = patch.v_coords()
-    out = []
-    for (i, j) in candidates:
-        w = winding_number(patch, values, (uc[i], vc[j]), radius)
-        order = int(np.round(w))
-        gap = abs(w - order)
-        # flagged: ambiguous rounding, or not a positive-order zero at all
-        out.append(ZeroOrder((i, j), order, gap, gap > 0.2 or order < 1))
-    return out

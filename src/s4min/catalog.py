@@ -1,11 +1,11 @@
 """Built-in model surfaces, perturbations, and sampled-immersion manifests.
 
-Every generator returns an ImmersionField with analytic jets plus a dict of
-the surface's known exact values, so tests and the verification pipeline can
-compare against ground truth rather than against the code under test.  The
-position and first jets are whole-grid arrays; the second jets are their
-closed form as a row-block source, which makes each block of u rows as it
-is read and never fills a whole-grid array.
+Every generator returns an ImmersionField with analytic jets, the closed
+form of a surface whose invariants are known exactly, so the tests check
+the pipeline against them rather than against itself.  The position and
+first jets are whole-grid arrays; the second jets are their closed form
+as a row-block source, which makes each block of u rows as it is read
+and never fills a whole-grid array.
 
 Manifest format for externally sampled surfaces: a JSON file
 
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -40,12 +39,6 @@ import numpy as np
 
 from .grid import GridPatch, InputError, row_blocks
 from .surface import UNIT_NORM_TOL, ImmersionField, normal_frame, tangent_frame
-
-
-@dataclass
-class CatalogEntry:
-    immersion: ImmersionField
-    truth: dict
 
 
 def _jet_arrays(n: int) -> tuple:
@@ -57,7 +50,7 @@ def _jet_arrays(n: int) -> tuple:
 # flat minimal torus
 
 
-def clifford_torus(n: int = 256) -> CatalogEntry:
+def clifford_torus(n: int = 256) -> ImmersionField:
     """The square flat minimal torus in S^4 (inside an equatorial S^3).
 
     f(u, v) = (cos a, sin a, cos b, sin b, 0)/sqrt(2) with a = sqrt(2) u,
@@ -92,24 +85,7 @@ def clifford_torus(n: int = 256) -> CatalogEntry:
     jet1[..., 1, 2], jet1[..., 1, 3] = -sb, cb
     del ca, sa, cb, sb  # before the unit-norm check of ImmersionField
 
-    imm = ImmersionField(patch, f, jet1, jet2)
-    truth = {
-        "name": "clifford",
-        "topology": "torus",
-        "K": 0.0,
-        "K_N": 0.0,
-        "norm_B2": 2.0,
-        "kappa": 1.0,
-        "mu": 0.0,
-        "a_plus": 1.0,
-        "a_minus": 1.0,
-        "area": 2.0 * math.pi ** 2,
-        "euler_surface": 0,
-        "euler_normal": 0,
-        "superminimal": False,
-        "closing_angles": [0.0, math.pi / 2, math.pi, 3 * math.pi / 2],
-    }
-    return CatalogEntry(imm, truth)
+    return ImmersionField(patch, f, jet1, jet2)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +142,7 @@ def _planes(a: np.ndarray) -> np.ndarray:
     return np.moveaxis(a, -1, 0)
 
 
-def veronese_sphere(n: int = 128) -> CatalogEntry:
+def veronese_sphere(n: int = 128) -> ImmersionField:
     """The Veronese minimal 2-sphere in S^4 (quadric embedding of S^2).
 
     Constant curvature K = 1/3, superminimal with K_N = 2/3 in the
@@ -206,28 +182,14 @@ def veronese_sphere(n: int = 128) -> CatalogEntry:
             np.multiply(2.0, quad(x, w), out=_planes(jet1[rows, :, i]))
         del w, wt, wp  # before the next block's are made
 
-    imm = ImmersionField(patch, f, jet1, jet2)
-    truth = {
-        "name": "veronese",
-        "topology": "sphere",
-        "K": 1.0 / 3.0,
-        "abs_K_N": 2.0 / 3.0,
-        "norm_B2": 4.0 / 3.0,
-        "kappa": 1.0 / math.sqrt(3.0),
-        "mu": 1.0 / math.sqrt(3.0),
-        "area": 12.0 * math.pi,
-        "euler_surface": 2,
-        "euler_normal_abs": 4,
-        "superminimal": True,
-    }
-    return CatalogEntry(imm, truth)
+    return ImmersionField(patch, f, jet1, jet2)
 
 
 # ---------------------------------------------------------------------------
 # totally geodesic sphere
 
 
-def geodesic_sphere(n: int = 128) -> CatalogEntry:
+def geodesic_sphere(n: int = 128) -> ImmersionField:
     """The equatorial 2-sphere, totally geodesic (B = 0) in S^4: the unit
     sphere's jets in the first three components, the second ones made
     one block of u rows at a time as they are read."""
@@ -248,23 +210,10 @@ def geodesic_sphere(n: int = 128) -> CatalogEntry:
             _planes(target[rows])[:3] = w
         del jets, w  # before the next block's are made
 
-    imm = ImmersionField(patch, f, jet1, jet2)
-    truth = {
-        "name": "geodesic-sphere",
-        "topology": "sphere",
-        "K": 1.0,
-        "K_N": 0.0,
-        "norm_B2": 0.0,
-        "area": 4.0 * math.pi,
-        "euler_surface": 2,
-        "euler_normal_abs": 0,
-        "superminimal": True,
-        "totally_geodesic": True,
-    }
-    return CatalogEntry(imm, truth)
+    return ImmersionField(patch, f, jet1, jet2)
 
 
-_GENERATORS: dict[str, Callable[[int], CatalogEntry]] = {
+_GENERATORS: dict[str, Callable[[int], ImmersionField]] = {
     "clifford": clifford_torus,
     "veronese": veronese_sphere,
     "geodesic-sphere": geodesic_sphere,
@@ -275,7 +224,7 @@ def catalog_names() -> list[str]:
     return sorted(_GENERATORS)
 
 
-def load_catalog(name: str, n: int = 256) -> CatalogEntry:
+def load_catalog(name: str, n: int = 256) -> ImmersionField:
     try:
         gen = _GENERATORS[name]
     except KeyError:

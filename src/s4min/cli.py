@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapted import hopf_coefficient, hopf_differential, superminimality_test
-from .catalog import catalog_names, load_catalog, perturb_immersion, read_manifest, write_manifest
+from .catalog import load_catalog, perturb_immersion, read_manifest, write_manifest
 from .family import (
     PATH_DEPENDENCE_TOL,
     IntegrabilityBroken,
@@ -302,11 +302,9 @@ def _check_resolution(n: int) -> int:
 def _load_surface(args) -> tuple[ImmersionField, dict]:
     # every check that needs no surface runs before one is built: a catalog
     # at n=1024 takes about a second and 360 MB.  A command's own checks
-    # run before this, as its first stage.
+    # run before this, as its first stage; load_catalog refuses an unknown
+    # name before it builds anything.
     if args.catalog is not None:
-        if args.catalog not in catalog_names():
-            raise CliError(EXIT_CONFIG, "E_SOURCE", f"unknown catalog surface {args.catalog!r}; "
-                           f"available: {', '.join(catalog_names())}")
         n = _check_resolution(args.n)
     else:
         path = Path(args.manifest)
@@ -329,7 +327,7 @@ def _load_surface(args) -> tuple[ImmersionField, dict]:
                            f"perturbation seed must be non-negative, got {args.seed}")
 
     if args.catalog is not None:
-        imm = load_catalog(args.catalog, n).immersion
+        imm = load_catalog(args.catalog, n)
         meta = {"source": f"catalog:{args.catalog}", "n": n}
     else:
         imm, drift = read_manifest(path)

@@ -322,23 +322,6 @@ def normal_frame(patch: GridPatch, position: np.ndarray, e1: np.ndarray,
     return e3, e4
 
 
-def rotate_normal_frame(e3, e4, angle) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate (e3, e4) by a constant or per-point angle; orientation kept."""
-    angle = np.broadcast_to(np.asarray(angle, dtype=float), e3.shape[:2])
-    return _rotate_pair(e3, e4, angle)
-
-
-def flip_normal_orientation(e3, e4) -> tuple[np.ndarray, np.ndarray]:
-    return e3.copy(), -e4
-
-
-def frame_orthonormality_residual(imm: ImmersionField, e1, e2, e3, e4) -> float:
-    """Max deviation of (f, e1, e2, e3, e4) from an orthonormal 5-frame."""
-    cols = np.stack([imm.position, e1, e2, e3, e4], axis=2)  # (nu, nv, 5, 5)
-    gram = np.einsum("uvik,uvjk->uvij", cols, cols)
-    return float(np.abs(gram - np.eye(5)).max())
-
-
 # ---------------------------------------------------------------------------
 # second fundamental form
 

@@ -317,41 +317,6 @@ def ricci_condition_residual(report: ShapeReport, metric: MetricField) -> float 
 
 
 # ---------------------------------------------------------------------------
-# synthetic oracle fields
-
-
-def synthetic_zero_field(patch: GridPatch, zeros, smooth=None):
-    """Nonnegative field with prescribed isolated zeros, plus a complex witness.
-
-    ``zeros`` is a sequence of ``(u0, v0, order)``.  The field is the product
-    of ``rho**order`` factors, where ``rho`` is the chordal distance to
-    ``(u0, v0)`` (periodic axes use ``2 sin(delta/2)`` so the modulus is
-    periodic), optionally times a strictly positive ``smooth(u, v)`` factor.
-    The returned complex field has winding ``order`` around each zero for
-    cross-checking counts against winding numbers; it is faithful near the
-    zeros but not globally periodic, so windings should be measured on small
-    circles only.
-    """
-    uu = patch.u_coords()[:, None] + np.zeros((1, patch.nv))
-    vv = np.zeros((patch.nu, 1)) + patch.v_coords()[None, :]
-    a = np.ones(patch.shape)
-    w = np.ones(patch.shape, dtype=complex)
-    for u0, v0, order in zeros:
-        du = 2.0 * np.sin(0.5 * (uu - u0)) if patch.periodic_u else uu - u0
-        dv = 2.0 * np.sin(0.5 * (vv - v0)) if patch.periodic_v else vv - v0
-        z = du + 1j * dv
-        a *= np.abs(z) ** order
-        w *= z ** int(order)
-    if smooth is not None:
-        s = np.asarray(smooth(uu, vv), dtype=float)
-        if np.any(s <= 0):
-            raise InputError("smooth factor must be strictly positive")
-        a *= s
-        w *= s
-    return a, w
-
-
-# ---------------------------------------------------------------------------
 # assembled report
 
 

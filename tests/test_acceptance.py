@@ -13,14 +13,12 @@ import math
 import numpy as np
 import pytest
 
-from s4min.adapted import hopf_coefficient, superminimality_test, winding_number
+from s4min.adapted import hopf_coefficient, superminimality_test
 from s4min.catalog import load_catalog
 from s4min.cli import main as cli_main
 from s4min.family import (
     ConnectionData,
     assemble_maurer_cartan,
-    coframe,
-    connection_data,
     deformation_invariant_deviation,
     deformed_immersion,
     flatness_residual,
@@ -31,38 +29,33 @@ from s4min.monodromy import generator_monodromy, scan_profile
 from s4min.surface import ImmersionField, shape_report
 from s4min.topology import (
     laplace_identity_residual,
-    synthetic_zero_field,
     topology_report,
     zero_count_excised,
 )
 
-from oracles import curvature_deviation
+from oracles import connection, curvature_deviation, synthetic_zero_field, winding_number
 
 N = 256
 
 
 @pytest.fixture(scope="module")
 def clifford():
-    return shape_report(load_catalog("clifford", N).immersion)
+    return shape_report(load_catalog("clifford", N))
 
 
 @pytest.fixture(scope="module")
 def veronese():
-    return shape_report(load_catalog("veronese", N).immersion)
+    return shape_report(load_catalog("veronese", N))
 
 
 @pytest.fixture(scope="module")
 def clifford_conn(clifford):
-    imm, e1, e2, metric, e3, e4, rep = clifford
-    return connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           e3, e4, rep.H3, rep.H4)
+    return connection(clifford)
 
 
 @pytest.fixture(scope="module")
 def veronese_conn(veronese):
-    imm, e1, e2, metric, e3, e4, rep = veronese
-    return connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           e3, e4, rep.H3, rep.H4)
+    return connection(veronese)
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +128,7 @@ def test_radius_laplace_identity_and_falsification(clifford):
     # near n = 256.  Measure the identity at the resolution where the
     # floor is well below the bound.
     imm, e1, e2, metric_v, e3, e4, rep_v = shape_report(
-        load_catalog("veronese", 128).immersion)
+        load_catalog("veronese", 128))
     sup_v = superminimality_test(rep_v)
     residual = laplace_identity_residual(rep_v, metric_v, "+", sup_v)
     assert residual is not None

@@ -10,8 +10,6 @@ from s4min.adapted import (
     hopf_coefficient,
     hopf_differential,
     superminimality_test,
-    winding_number,
-    zero_orders,
 )
 from s4min.catalog import (
     catalog_names,
@@ -23,20 +21,19 @@ from s4min.catalog import (
 )
 from s4min.family import (
     assemble_maurer_cartan,
-    coframe,
-    connection_data,
     deformed_immersion,
     integrate_frame,
 )
 from s4min.grid import GridPatch, InputError, MetricField
 from s4min.surface import ImmersionField, shape_report
 
+from oracles import connection, winding_number, zero_orders
 from test_ambient_rotation import rotation
 
 
 @pytest.fixture(scope="module")
 def clifford():
-    return shape_report(clifford_torus(64).immersion)
+    return shape_report(clifford_torus(64))
 
 
 # ---------------------------------------------------------------------------
@@ -44,10 +41,10 @@ def clifford():
 
 
 def _surface(name, n, variant):
-    """The catalog entry with analytic jets, fd jets, rotated by
+    """The catalog surface with analytic jets, fd jets, rotated by
     test_ambient_rotation's R (jets by finite differences), perturbed, or
     as the member at angle theta."""
-    imm = load_catalog(name, n).immersion
+    imm = load_catalog(name, n)
     kind, _, arg = variant.partition(" ")
     if kind == "fd":
         return imm.with_fd_jets()
@@ -56,9 +53,7 @@ def _surface(name, n, variant):
     if kind == "perturb":
         return perturb_immersion(imm, float(arg), 0).with_jets()
     if kind == "member":
-        imm, e1, e2, metric, e3, e4, rep = shape_report(imm)
-        conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                               e3, e4, rep.H3, rep.H4)
+        conn = connection(shape_report(imm))
         mc = assemble_maurer_cartan(conn, float(arg))
         return deformed_immersion(imm.patch, integrate_frame(mc)).with_jets()
     return imm
@@ -119,7 +114,7 @@ def test_hopf_modulus_is_gauge_invariant(clifford):
 
 def test_hopf_vanishes_superminimal():
     for gen in (veronese_sphere, geodesic_sphere):
-        pack = shape_report(gen(32).immersion)
+        pack = shape_report(gen(32))
         assert np.abs(hopf_coefficient(pack[-1])).max() < 1e-10
         holo = hopf_differential(pack[-1], pack[3], hopf_coefficient(pack[-1]),
                                  superminimality_test(pack[-1]))
@@ -148,7 +143,7 @@ def test_hopf_rejects_non_isothermal_nonzero():
     patch = GridPatch(32, 32, (0.0, 2 * math.pi), (0.0, 2 * math.pi), True, True)
     metric = MetricField(patch, np.full(patch.shape, 2.0), np.zeros(patch.shape),
                          np.ones(patch.shape))
-    rep = shape_report(clifford_torus(32).immersion)[-1]
+    rep = shape_report(clifford_torus(32))[-1]
     rep = type(rep)(patch, rep.H3, rep.H4, rep.norm_B2, rep.K, rep.K_N,
                     rep.kappa, rep.mu, rep.a_plus, rep.a_minus,
                     rep.minimality)

@@ -21,16 +21,16 @@ import numpy as np
 import pytest
 
 from s4min.catalog import clifford_torus, veronese_sphere
-from s4min.family import assemble_maurer_cartan, coframe, connection_data, flatness_residual
+from s4min.family import assemble_maurer_cartan, flatness_residual
 from s4min.monodromy import scan_profile
 from s4min.surface import ImmersionField, shape_report
 
-from oracles import two_sweep_path_dependence
+from oracles import connection, two_sweep_path_dependence
 
 INVARIANTS = ("K", "K_N", "kappa", "mu", "minimality")
 THETAS = (0.0, 0.3)
 
-# surface -> (catalog entry, path dependence tolerance), with the measured change
+# surface -> (catalog surface, path dependence tolerance), with the measured change
 CASES = {
     "clifford": (lambda: clifford_torus(64), 5e-5),      # 3.0e-5
     "veronese": (lambda: veronese_sphere(128), 1e-12),   # 1.9e-15
@@ -46,9 +46,8 @@ def rotation() -> np.ndarray:
 
 
 def evaluate(imm: ImmersionField) -> dict:
-    imm, e1, e2, metric, e3, e4, rep = shape_report(imm)
-    conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           e3, e4, rep.H3, rep.H4)
+    pack = shape_report(imm)
+    conn, rep = connection(pack), pack[-1]
     out = {name: getattr(rep, name) for name in INVARIANTS}
     for theta in THETAS:
         mc = assemble_maurer_cartan(conn, theta)
@@ -61,7 +60,7 @@ def evaluate(imm: ImmersionField) -> dict:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_ambient_rotation_leaves_every_invariant_unchanged(name):
     make, path_tol = CASES[name]
-    imm = make().immersion
+    imm = make()
     R = rotation()
     assert abs(np.linalg.det(R) - 1.0) < 1e-14
     assert np.abs(R.T @ R - np.eye(5)).max() < 1e-15

@@ -2,9 +2,11 @@
 every import is used.
 
 The command line is the program; library code that only tests call is kept
-only when it is an oracle that tests compare the program against.  This
-test writes that list down and fails on any top-level name of the package
-that neither ``cli.py`` nor a stated oracle reaches by name reference.
+only when it is an oracle that tests compare the program against and the
+benchmark's tracer hooks; every other oracle lives in ``tests/oracles.py``.
+This test writes that list down and fails on any top-level name of the
+package that neither ``cli.py`` nor a stated oracle reaches by name
+reference.
 The public API, ``s4min.__all__``, is exactly the classes and functions
 ``cli.py`` imports plus the stated oracles.  The test also checks that
 every name the benchmark's tracer (``bench/tracer.py``) hooks or reads
@@ -13,27 +15,24 @@ still exists.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
 
 import s4min
 from s4min.catalog import load_catalog
-from s4min.family import coframe, connection_data
 from s4min.surface import shape_report
+
+from oracles import connection
 
 SRC = Path(s4min.__file__).parent
 
-# test-only library code that is kept on purpose, with the reason
+# test-only library code that is kept on purpose, with the reason: each
+# function is one the benchmark's tracer hooks
 STATED_ORACLES = {
-    "synthetic_zero_field": "zero-count oracle: radius fields with prescribed zeros",
-    "zero_orders": "zero-count oracle: winding orders against the flux counts",
-    "winding_number": "zero-count oracle: winding around one zero (acceptance test 6)",
     "congruence_test": "Procrustes oracle: r(theta) against the fitted member",
     "CongruenceFit": "result of the congruence_test oracle",
-    "rotate_normal_frame": "gauge oracle: invariants under normal-gauge rotation",
-    "flip_normal_orientation": "gauge oracle: invariants under normal orientation flip",
-    "frame_orthonormality_residual": "frame oracle: orthonormality of the built frames",
     "frame_reconstruction_residual": "pointwise reference for the source check",
     "laplace_identity_residual": "one-radius reference for topology_report's Laplace residuals",
     "shape_report": "the shape stage in one call, the command line's stages unsplit",
@@ -119,10 +118,6 @@ STATED_FIELDS = {
     "ZeroCount.excised_integral": "flux-count oracle: the excised Laplacian quadrature",
     "TopologyReport.count_plus": "answers block: N(a+) (ROADMAP item 3)",
     "TopologyReport.count_minus": "answers block: N(a-) (ROADMAP item 3)",
-    "ZeroOrder.location": "output of the zero_orders oracle",
-    "ZeroOrder.order": "output of the zero_orders oracle",
-    "ZeroOrder.flagged": "output of the zero_orders oracle",
-    "CatalogEntry.truth": "ground truth of the catalog surfaces",
     "CongruenceFit.isometry": "output of the congruence_test oracle",
     "CongruenceFit.residual": "output of the congruence_test oracle",
 }
@@ -216,6 +211,15 @@ def test_traced_functions_exist():
     assert missing == []
 
 
+def test_stated_oracles_are_traced():
+    # a function no command runs stays in the library only while the
+    # tracer hooks it; any other oracle belongs in tests/oracles.py
+    layers = ast.literal_eval(_tracer_assignment("LAYERS"))
+    traced = {name for names in layers.values() for name in names}
+    functions = {name for name in STATED_ORACLES if inspect.isfunction(getattr(s4min, name))}
+    assert sorted(functions - traced) == []
+
+
 def test_connection_data_has_the_traced_forms():
     # the tracer's EXTRA records the bytes of connection_data's C0, C1 and C2
     extra = _tracer_assignment("EXTRA")
@@ -224,7 +228,5 @@ def test_connection_data_has_the_traced_forms():
     read = {node.attr for node in ast.walk(lam) if isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name) and node.value.id == "out"}
     assert read  # C0, C1 and C2
-    imm, e1, e2, _, e3, e4, rep = shape_report(load_catalog("clifford", 16).immersion)
-    conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           e3, e4, rep.H3, rep.H4)
+    conn = connection(shape_report(load_catalog("clifford", 16)))
     assert all(isinstance(getattr(conn, name, None), np.ndarray) for name in read)

@@ -32,27 +32,27 @@ def blocked(imm: ImmersionField) -> np.ndarray:
 
 def test_registry_names_and_lookup():
     assert catalog_names() == ["clifford", "geodesic-sphere", "veronese"]
-    ent = load_catalog("clifford", 32)
-    assert ent.immersion.patch.nu == 32
+    imm = load_catalog("clifford", 32)
+    assert imm.patch.nu == 32
     with pytest.raises(InputError, match="veronese"):
         load_catalog("does-not-exist")
 
 
 def test_clifford_chart_is_isothermal_unit():
-    ent = clifford_torus(32)
-    _, _, metric = tangent_frame(ent.immersion)
+    imm = clifford_torus(32)
+    _, _, metric = tangent_frame(imm)
     assert np.abs(metric.E - 1.0).max() < 1e-14
     assert np.abs(metric.F).max() < 1e-14
     assert np.abs(metric.G - 1.0).max() < 1e-14
-    area = integrate(ent.immersion.patch, np.ones((32, 32)), metric)
+    area = integrate(imm.patch, np.ones((32, 32)), metric)
     assert abs(area - 2.0 * math.pi**2) < 1e-10
 
 
 def test_veronese_lies_on_unit_sphere_exactly():
     # |f|^2 = (w . A_k w)_k sums to |w|^4 = 1: an algebraic identity of the
     # five quadrics, so any drift here is a bug in the matrices
-    ent = veronese_sphere(64)
-    norms = np.linalg.norm(ent.immersion.position, axis=2)
+    imm = veronese_sphere(64)
+    norms = np.linalg.norm(imm.position, axis=2)
     assert np.abs(norms - 1.0).max() < 1e-14
 
 
@@ -66,7 +66,7 @@ def test_veronese_jets_match_einsum_oracle(n):
     def quad(x, y):
         return np.einsum("puv,kpq,quv->uvk", x, A, y)
 
-    imm = veronese_sphere(n).immersion
+    imm = veronese_sphere(n)
     assert np.array_equal(imm.position, quad(w, w))
     assert np.array_equal(imm.jet1, np.stack([2.0 * quad(wt, w), 2.0 * quad(wp, w)], axis=2))
     assert np.array_equal(blocked(imm), np.stack([2.0 * (quad(wt, wt) + quad(wtt, w)),
@@ -80,9 +80,9 @@ def test_veronese_area_converges_at_second_order():
     want = 12.0 * math.pi
 
     def area(n):
-        ent = veronese_sphere(n)
-        _, _, metric = tangent_frame(ent.immersion)
-        return integrate(ent.immersion.patch, np.ones(ent.immersion.patch.shape), metric)
+        imm = veronese_sphere(n)
+        _, _, metric = tangent_frame(imm)
+        return integrate(imm.patch, np.ones(imm.patch.shape), metric)
 
     a64, a128 = area(64), area(128)
     assert abs(a64 - want) < 5e-3
@@ -92,18 +92,18 @@ def test_veronese_area_converges_at_second_order():
 
 
 def test_sphere_chart_avoids_poles():
-    ent = veronese_sphere(16)
-    t = ent.immersion.patch.u_coords()
+    imm = veronese_sphere(16)
+    t = imm.patch.u_coords()
     h = math.pi / 16
     assert abs(t[0] - h / 2) < 1e-15
     assert abs(t[-1] - (math.pi - h / 2)) < 1e-15
-    assert not ent.immersion.patch.periodic_u
-    assert ent.immersion.patch.periodic_v
+    assert not imm.patch.periodic_u
+    assert imm.patch.periodic_v
 
 
 def test_geodesic_sphere_spans_three_dims():
-    ent = geodesic_sphere(16)
-    assert np.abs(ent.immersion.position[..., 3:]).max() == 0.0
+    imm = geodesic_sphere(16)
+    assert np.abs(imm.position[..., 3:]).max() == 0.0
 
 
 @pytest.mark.parametrize("n", [16, 256])
@@ -111,7 +111,7 @@ def test_geodesic_sphere_jets_are_the_whole_grid_unit_sphere_jets(n):
     # built one block of u rows at a time (n = 16 is one partial block),
     # the jets equal the unit-sphere jets taken on the whole chart at once
     jets = _unit_sphere_jets(*_sphere_chart(n).mesh())
-    imm = geodesic_sphere(n).immersion
+    imm = geodesic_sphere(n)
     fields = (imm.position, imm.jet1[:, :, 0], imm.jet1[:, :, 1],
               *np.moveaxis(blocked(imm), 2, 0))
     for field, w in zip(fields, jets):
@@ -120,16 +120,16 @@ def test_geodesic_sphere_jets_are_the_whole_grid_unit_sphere_jets(n):
 
 
 def test_perturbation_reproducible_and_seed_sensitive():
-    ent = clifford_torus(32)
-    a = perturb_immersion(ent.immersion, 1e-3, seed=11)
-    b = perturb_immersion(ent.immersion, 1e-3, seed=11)
-    c = perturb_immersion(ent.immersion, 1e-3, seed=12)
+    imm = clifford_torus(32)
+    a = perturb_immersion(imm, 1e-3, seed=11)
+    b = perturb_immersion(imm, 1e-3, seed=11)
+    c = perturb_immersion(imm, 1e-3, seed=12)
     assert np.array_equal(a.position, b.position)
     assert not np.array_equal(a.position, c.position)
     assert a.jet_source == "fd"
     drift = np.abs(np.linalg.norm(a.position, axis=2) - 1.0).max()
     assert drift < 1e-15
-    assert np.abs(a.position - ent.immersion.position).max() < 2e-2
+    assert np.abs(a.position - imm.position).max() < 2e-2
 
 
 @pytest.mark.parametrize("amplitude, seed", [
@@ -138,7 +138,7 @@ def test_perturbation_reproducible_and_seed_sensitive():
 def test_perturbation_out_of_bounds_is_input_error(amplitude, seed):
     # at 1e200 the bent position overflows as it is put back on the
     # sphere: a RuntimeWarning, which this suite's filter makes an error
-    imm = clifford_torus(16).immersion
+    imm = clifford_torus(16)
     with pytest.raises(InputError, match="perturbation"):
         perturb_immersion(imm, amplitude, seed)
 
@@ -174,7 +174,7 @@ def _perturbed_position_oracle(imm, amplitude, seed):
 def test_perturbed_position_equals_the_oracle(name, n, jets, seed):
     # the perturbed field comes without jets, so a caller can let the
     # source's go before they are taken; the position is unchanged
-    imm = load_catalog(name, n).immersion
+    imm = load_catalog(name, n)
     if jets == "none":
         imm = ImmersionField(imm.patch, imm.position)
     bent = perturb_immersion(imm, 1e-3, seed)
@@ -190,20 +190,20 @@ def test_perturbed_position_equals_the_oracle(name, n, jets, seed):
 
 
 def test_manifest_roundtrip_bitwise(tmp_path):
-    ent = clifford_torus(32)
-    path = write_manifest(ent.immersion, tmp_path)
+    src = clifford_torus(32)
+    path = write_manifest(src, tmp_path)
     imm, drift = read_manifest(path)
     assert drift < 1e-15
-    assert np.array_equal(imm.position, ent.immersion.position)
-    assert np.array_equal(imm.jet1, ent.immersion.jet1)
-    assert np.array_equal(blocked(imm), blocked(ent.immersion))
+    assert np.array_equal(imm.position, src.position)
+    assert np.array_equal(imm.jet1, src.jet1)
+    assert np.array_equal(blocked(imm), blocked(src))
     assert imm.jet_source == "analytic"
 
 
 def test_position_only_manifest_write_makes_no_copy(tmp_path):
     # a little-endian float64 position is written without a copy, so the
     # peak stays far below one position (measured 0.004)
-    imm = clifford_torus(256).immersion
+    imm = clifford_torus(256)
     imm = ImmersionField(imm.patch, imm.position)
     write_manifest(imm, tmp_path / "warm")
     tracemalloc.start()
@@ -219,24 +219,23 @@ def test_position_only_manifest_write_makes_no_copy(tmp_path):
 
 
 def test_manifest_without_jets_uses_stencils(tmp_path):
-    ent = clifford_torus(32)
-    fd = ImmersionField(ent.immersion.patch, ent.immersion.position).with_jets()
+    src = clifford_torus(32)
+    fd = ImmersionField(src.patch, src.position).with_jets()
     # finite-difference jets are not stored: stored jets read back as analytic
     path = write_manifest(fd, tmp_path)
     assert "jets" not in json.loads(path.read_text())
     imm, _ = read_manifest(path)
     assert imm.jet_source == "fd"
     assert np.array_equal(imm.jet1, fd.jet1) and np.array_equal(blocked(imm), blocked(fd))
-    assert np.abs(imm.jet1 - ent.immersion.jet1).max() < 1e-4
+    assert np.abs(imm.jet1 - src.jet1).max() < 1e-4
 
 
 def test_manifest_norm_tiers(tmp_path):
-    ent = clifford_torus(16)
+    src = clifford_torus(16)
 
     def with_scale(s, sub):
-        imm = ent.immersion
         d = tmp_path / sub
-        path = write_manifest(ImmersionField(imm.patch, imm.position), d)
+        path = write_manifest(ImmersionField(src.patch, src.position), d)
         raw = np.fromfile(d / "position.f64", dtype="<f8")
         (raw * s).astype("<f8").tofile(d / "position.f64")
         return path
@@ -251,8 +250,8 @@ def test_manifest_norm_tiers(tmp_path):
 
 
 def test_manifest_malformed_inputs(tmp_path):
-    ent = clifford_torus(16)
-    path = write_manifest(ent.immersion, tmp_path)
+    imm = clifford_torus(16)
+    path = write_manifest(imm, tmp_path)
 
     doc = json.loads(path.read_text())
     doc["kind"] = "other"

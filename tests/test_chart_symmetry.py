@@ -33,19 +33,18 @@ import pytest
 
 from s4min.catalog import clifford_torus, geodesic_sphere, veronese_sphere, write_manifest
 from s4min.cli import main
-from s4min.family import (assemble_maurer_cartan, coframe, connection_data, flatness_residual,
-                          frame_source_deviation)
+from s4min.family import assemble_maurer_cartan, flatness_residual, frame_source_deviation
 from s4min.grid import GridPatch
 from s4min.monodromy import scan_profile
 from s4min.surface import ImmersionField, shape_report
 from s4min.topology import euler_numbers
 
-from oracles import two_sweep_path_dependence
+from oracles import connection, two_sweep_path_dependence
 
 INVARIANTS = ("K", "K_N", "kappa", "mu", "a_plus", "a_minus", "minimality")
 THETAS = (0.0, 0.3)
 
-# surface -> (catalog entry, whether the u axis is periodic)
+# surface -> (catalog surface, whether the u axis is periodic)
 CASES = {
     "clifford": (lambda: clifford_torus(64), True),
     "veronese": (lambda: veronese_sphere(128), False),
@@ -53,9 +52,8 @@ CASES = {
 
 
 def evaluate(imm: ImmersionField) -> dict:
-    imm, e1, e2, metric, e3, e4, rep = shape_report(imm)
-    conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           e3, e4, rep.H3, rep.H4)
+    pack = shape_report(imm)
+    conn, rep = connection(pack), pack[-1]
     out = {name: getattr(rep, name) for name in INVARIANTS}
     for theta in THETAS:
         mc = assemble_maurer_cartan(conn, theta)
@@ -94,7 +92,7 @@ def flipped(imm: ImmersionField):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_chart_shift_and_flip_leave_invariants_unchanged(name):
     make, u_periodic = CASES[name]
-    imm = make().immersion
+    imm = make()
     rng = np.random.default_rng(7)
     su = int(rng.integers(1, imm.patch.nu)) if u_periodic else 0
     sv = int(rng.integers(1, imm.patch.nv))
@@ -129,10 +127,10 @@ def transposed(imm: ImmersionField) -> ImmersionField:
 
 
 def answers_and_residuals(imm: ImmersionField) -> tuple[dict, dict]:
-    imm, e1, e2, metric, e3, e4, rep = shape_report(imm)
+    pack = shape_report(imm)
+    imm, e1, e2, metric, e3, e4, rep = pack
     chi_m, chi_n = euler_numbers(rep, metric)
-    conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           e3, e4, rep.H3, rep.H4)
+    conn = connection(pack)
     mc0 = assemble_maurer_cartan(conn, 0.0)
     profile = scan_profile(conn, n_theta=64)
     answers = {"chi_M": chi_m.rounded, "chi_N": chi_n.rounded,
@@ -156,7 +154,7 @@ def answers_and_residuals(imm: ImmersionField) -> tuple[dict, dict]:
                "(ROADMAP item 14)")),
 ], ids=["clifford", "geodesic-sphere", "veronese"])
 def test_axis_swap_keeps_answers_and_residuals(make):
-    imm = make().immersion
+    imm = make()
     base_answers, base = answers_and_residuals(imm)
     answers, got = answers_and_residuals(transposed(imm))
     assert answers == base_answers
@@ -168,7 +166,7 @@ def test_axis_swap_keeps_answers_and_residuals(make):
 def test_deform_writes_the_transposed_veronese_member(tmp_path, capsys):
     # the member's metric deviates by 5.3e-7 on the transposed chart, 3.7e-5
     # on the catalog chart; two sweeps of its Omega disagree by 2.2e-3
-    manifest = write_manifest(transposed(veronese_sphere(128).immersion), tmp_path / "src")
+    manifest = write_manifest(transposed(veronese_sphere(128)), tmp_path / "src")
     code = main(["deform", "--manifest", str(manifest), "--theta", "0.5",
                  "--out", str(tmp_path / "d")])
     assert code == 0, capsys.readouterr().out

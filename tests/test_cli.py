@@ -224,7 +224,7 @@ def test_nonpositive_perturbation_is_config_error(cli, tmp_path):
 
 
 def test_analytic_jets_unavailable_is_config_error(cli, tmp_path):
-    imm = load_catalog("clifford", 32).immersion
+    imm = load_catalog("clifford", 32)
     manifest = write_manifest(ImmersionField(imm.patch, imm.position), tmp_path / "src")
     code, out = cli("analyze", "--manifest", manifest, "--jets", "analytic",
                     "--out", tmp_path / "out")
@@ -464,7 +464,7 @@ def _range_ends(key, ends, name):
                                    _range_ends("v_range", [None, 6.283185307179586], "null")],
                          ids=lambda spoil: spoil.__name__.strip("_"))
 def test_unusable_manifest_is_one_source_error_line(cli, tmp_path, spoil):
-    imm = load_catalog("clifford", 32).immersion
+    imm = load_catalog("clifford", 32)
     manifest = write_manifest(ImmersionField(imm.patch, imm.position), tmp_path / "src")
     (command, *extra), message = spoil(manifest)
     code, out = cli(command, "--manifest", manifest, *extra, "--out", tmp_path / "out")
@@ -479,7 +479,7 @@ def test_unusable_manifest_is_one_source_error_line(cli, tmp_path, spoil):
 def test_non_finite_range_is_one_source_error_line(cli, tmp_path, command, ends):
     # JSON's Infinity reads as a float, and 1e308 - (-1e308) overflows: the
     # grid refuses both before any coordinate is made
-    imm = load_catalog("clifford", 32).immersion
+    imm = load_catalog("clifford", 32)
     manifest = write_manifest(ImmersionField(imm.patch, imm.position), tmp_path / "src")
     doc = json.loads(manifest.read_text())
     doc["grid"]["u_range"] = ends
@@ -495,7 +495,7 @@ def test_non_finite_range_is_one_source_error_line(cli, tmp_path, command, ends)
 
 
 def test_integer_range_ends_are_json_numbers(tmp_path):
-    imm = load_catalog("clifford", 32).immersion
+    imm = load_catalog("clifford", 32)
     manifest = write_manifest(ImmersionField(imm.patch, imm.position), tmp_path)
     doc = json.loads(manifest.read_text())
     doc["grid"]["u_range"] = [0, 4]
@@ -571,7 +571,7 @@ def test_stored_jets_manifest_analyzes_as_its_catalog_surface(cli, tmp_path):
     # the catalog's second jets are written block by block, as the bytes of
     # the whole-grid closed form; read back as stored analytic jets they
     # give the catalog run's field files bit for bit
-    imm = load_catalog("veronese", 64).immersion
+    imm = load_catalog("veronese", 64)
     manifest = write_manifest(imm, tmp_path / "src")
     assert (tmp_path / "src" / "jet2.f64").read_bytes() == \
         imm.jet2(slice(None)).astype("<f8").tobytes()
@@ -592,7 +592,7 @@ def test_stored_jets_manifest_analyzes_as_its_catalog_surface(cli, tmp_path):
 def test_stored_second_jets_are_checked_whole(cli, tmp_path, command):
     # a manifest's stored jets are read whole and checked on ingest: a NaN
     # in the last block of rows is refused before any stage reads a block
-    imm = load_catalog("veronese", 64).immersion
+    imm = load_catalog("veronese", 64)
     manifest = write_manifest(imm, tmp_path / "src")
     jets = np.fromfile(tmp_path / "src" / "jet2.f64", dtype="<f8").reshape(64, 64, 3, 5)
     jets[63, 7, 2, 4] = np.nan
@@ -741,7 +741,7 @@ def test_open_chart_monodromy_is_circle_by_topology(cli, tmp_path, monkeypatch):
         raise AssertionError("a generator was marched")
 
     monkeypatch.setattr("s4min.monodromy.generator_monodromy", refuse)
-    imm = load_catalog("clifford", 64).immersion
+    imm = load_catalog("clifford", 64)
     p = imm.patch
     chart = GridPatch(p.nu, p.nv, (p.u_range[0], p.u_coords()[-1]),
                       (p.v_range[0], p.v_coords()[-1]), False, False)

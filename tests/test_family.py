@@ -42,57 +42,48 @@ from s4min.family import (
 from s4min.grid import diff
 from s4min.surface import (
     ImmersionField,
-    rotate_normal_frame,
     second_fundamental_form,
     shape_report,
 )
 
-from oracles import curvature_deviation, sweep_frames, two_sweep_path_dependence
+from oracles import (connection, curvature_deviation, rotate_normal_frame, sweep_frames,
+                     two_sweep_path_dependence)
 
 
 @pytest.fixture(scope="module")
 def clifford():
-    return shape_report(clifford_torus(64).immersion)
+    return shape_report(clifford_torus(64))
 
 
 @pytest.fixture(scope="module")
 def clifford_conn(clifford):
-    imm, e1, e2, metric, e3, e4, rep = clifford
-    return connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           e3, e4, rep.H3, rep.H4)
+    return connection(clifford)
 
 
 @pytest.fixture(scope="module")
 def clifford128():
-    return shape_report(clifford_torus(128).immersion)
+    return shape_report(clifford_torus(128))
 
 
 @pytest.fixture(scope="module")
 def clifford128_conn(clifford128):
-    imm, e1, e2, metric, e3, e4, rep = clifford128
-    return connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           e3, e4, rep.H3, rep.H4)
+    return connection(clifford128)
 
 
 @pytest.fixture(scope="module")
 def perturbed_clifford_conn():
     # not flat, and its (0, 1) bracket products do not vanish
-    imm, e1, e2, metric, e3, e4, rep = shape_report(
-        perturb_immersion(clifford_torus(64).immersion, 1e-3, 0))
-    return connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           e3, e4, rep.H3, rep.H4)
+    return connection(shape_report(perturb_immersion(clifford_torus(64), 1e-3, 0)))
 
 
 @pytest.fixture(scope="module")
 def veronese():
-    return shape_report(veronese_sphere(128).immersion)
+    return shape_report(veronese_sphere(128))
 
 
 @pytest.fixture(scope="module")
 def veronese_conn(veronese):
-    imm, e1, e2, metric, e3, e4, rep = veronese
-    return connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           e3, e4, rep.H3, rep.H4)
+    return connection(veronese)
 
 
 def frame_rows(pack):
@@ -165,9 +156,7 @@ def test_one_buffer_assembly_keeps_the_two_array_bits(veronese, theta):
     # congruence_residual reads the same before and after.  The buffer
     # itself is Omega_0 but for the sign of a zero, as verify and
     # scan_profile read it.
-    imm, e1, e2, metric, e3, e4, rep = veronese
-    conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           e3, e4, rep.H3, rep.H4)
+    conn = connection(veronese)
     C0, C1 = conn.forms[..., :4].copy(), conn.forms[..., 4:].copy()
     C2 = np.stack([C1[..., 1], -C1[..., 0], C1[..., 3], -C1[..., 2]], axis=-1)
     c, s = math.cos(2.0 * theta), math.sin(2.0 * theta)
@@ -316,10 +305,8 @@ def test_family_checks_hold_no_whole_grid_blocks(fix, request):
 def test_veronese_reconstruction_fourth_order():
     res = []
     for n in (64, 128):
-        pack = shape_report(veronese_sphere(n).immersion)
-        imm, e1, e2, metric, e3, e4, rep = pack
-        conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                               e3, e4, rep.H3, rep.H4)
+        pack = shape_report(veronese_sphere(n))
+        conn = connection(pack)
         res.append(frame_reconstruction_residual(frame_rows(pack), assemble_maurer_cartan(conn, 0.0)))
     assert res[0] / res[1] > 8.0
 
@@ -328,15 +315,13 @@ def test_veronese_reconstruction_fourth_order():
 def source_deviation(name, n, jets="analytic", perturb=None):
     """frame_source_deviation of a catalog surface built as verify builds
     it: finite-difference jets on request, then a seed-0 perturbation."""
-    imm = load_catalog(name, n).immersion
+    imm = load_catalog(name, n)
     if jets == "fd":
         imm = ImmersionField(imm.patch, imm.position).with_jets()
     if perturb is not None:
         imm = perturb_immersion(imm, perturb, 0)
     pack = shape_report(imm)
-    imm, e1, e2, metric, e3, e4, rep = pack
-    conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           e3, e4, rep.H3, rep.H4)
+    conn = connection(pack)
     return frame_source_deviation(assemble_maurer_cartan(conn, 0.0), frame_rows(pack))
 
 
@@ -424,13 +409,9 @@ def test_step_midpoints_match_whole_line_rule(n, periodic):
 @pytest.fixture(scope="module")
 def deformed_manifest_conn():
     # the open 257 x 257 chart that deform writes for the Clifford torus
-    imm, e1, e2, metric, e3, e4, rep = shape_report(clifford_torus(256).immersion)
-    conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           e3, e4, rep.H3, rep.H4)
+    conn = connection(shape_report(clifford_torus(256)))
     position = integrate_frame(assemble_maurer_cartan(conn, 0.5 * math.pi))
-    imm, e1, e2, metric, e3, e4, rep = shape_report(deformed_immersion(conn.patch, position))
-    return connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           e3, e4, rep.H3, rep.H4)
+    return connection(shape_report(deformed_immersion(conn.patch, position)))
 
 
 @pytest.mark.parametrize("fix", ["clifford_conn", "veronese_conn",
@@ -590,12 +571,11 @@ def test_adapted_gauge_gives_congruent_deformation(clifford, clifford_conn):
     s = 2.0 * math.pi * np.arange(imm.patch.nu) / imm.patch.nu
     wave = np.sin(s)[:, None] * np.cos(s)[None, :]
     ref = member(clifford_conn, 0.3).position.reshape(-1, 5)
-    src = clifford_torus(64).immersion  # shape_report's field has no second jets
+    src = clifford_torus(64)  # shape_report's field has no second jets
     for amplitude, tol in ((1e-6, 1e-10), (0.3, 1e-5)):
         e3_rot, e4_rot = rotate_normal_frame(e3, e4, 0.37 + amplitude * wave)
         rep_rot = second_fundamental_form(src.jet2, metric, e3_rot, e4_rot)
-        conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                               e3_rot, e4_rot, rep_rot.H3, rep_rot.H4)
+        conn = connection((imm, e1, e2, metric, e3_rot, e4_rot, rep_rot))
         pos = member(conn, 0.3).position.reshape(-1, 5)
         assert congruence_test(ref, pos).residual < tol
 
@@ -605,11 +585,8 @@ def test_adapted_gauge_gives_congruent_deformation(clifford, clifford_conn):
 
 
 def test_perturbed_surface_breaks_integrability():
-    entry = clifford_torus(64)
-    imm, e1, e2, metric, e3, e4, rep = shape_report(
-        perturb_immersion(entry.immersion, 1e-3, seed=7))
-    conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           e3, e4, rep.H3, rep.H4)
+    pack = shape_report(perturb_immersion(clifford_torus(64), 1e-3, seed=7))
+    imm, conn = pack[0], connection(pack)
     base = flatness_residual(assemble_maurer_cartan(conn, 0.3)).max()
     assert base > 1e-3  # flatness residual itself reports the breakage
     # and the member's metric is not the source's

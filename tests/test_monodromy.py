@@ -24,8 +24,6 @@ from s4min.family import (
     assemble_maurer_cartan,
     congruence_residual,
     congruence_test,
-    coframe,
-    connection_data,
     integrate_frame,
     march_frames,
 )
@@ -40,19 +38,17 @@ from s4min.monodromy import (
 )
 from s4min.surface import ImmersionField, shape_report
 
-from oracles import two_sweep_path_dependence
+from oracles import connection, two_sweep_path_dependence
 
 
 @pytest.fixture(scope="module")
 def clifford():
-    return shape_report(clifford_torus(128).immersion)
+    return shape_report(clifford_torus(128))
 
 
 @pytest.fixture(scope="module")
 def clifford_conn(clifford):
-    imm, e1, e2, metric, e3, e4, rep = clifford
-    return imm, connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                                e3, e4, rep.H3, rep.H4)
+    return clifford[0], connection(clifford)
 
 
 @pytest.fixture(scope="module")
@@ -62,9 +58,8 @@ def clifford_profile(clifford_conn):
 
 @pytest.fixture(scope="module")
 def veronese_conn():
-    imm, e1, e2, metric, e3, e4, rep = shape_report(veronese_sphere(128).immersion)
-    return imm, connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                                e3, e4, rep.H3, rep.H4)
+    pack = shape_report(veronese_sphere(128))
+    return pack[0], connection(pack)
 
 
 @pytest.fixture(scope="module")
@@ -133,9 +128,7 @@ def test_roots_between_samples_are_found(clifford_conn, n_theta):
 
 def test_default_tolerance_closes_theta_zero_at_coarse_grid():
     # at n=64 d(0) is ~7e-6, above 1e-6; the default tolerance follows it
-    imm, e1, e2, metric, e3, e4, rep = shape_report(clifford_torus(64).immersion)
-    conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           e3, e4, rep.H3, rep.H4)
+    conn = connection(shape_report(clifford_torus(64)))
     profile = scan_profile(conn, n_theta=256)
     assert profile.tol_close >= 10.0 * profile.d[0]
     assert len(profile.roots) == 4
@@ -185,9 +178,7 @@ def _band(imm, rows):
 
 
 def _conn(imm):
-    imm, e1, e2, metric, e3, e4, rep = shape_report(imm)
-    return connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           e3, e4, rep.H3, rep.H4)
+    return connection(shape_report(imm))
 
 
 def _no_march(*args):
@@ -202,7 +193,7 @@ def _no_march(*args):
 def test_annulus_band_closes_where_its_surface_does(make, rows, verdict):
     # with the caps or half the torus cut away the azimuth loop v is the
     # band's one deck generator; with fewer loops no fewer angles close
-    imm = make(64).immersion
+    imm = make(64)
     whole = scan_profile(_conn(imm))
     profile = scan_profile(_conn(_band(imm, rows)))
     assert profile.generators == (1,)
@@ -226,7 +217,7 @@ def test_sphere_chart_is_circle_without_a_march(make, monkeypatch):
     # the azimuth loop of a capped chart shrinks to a pole: the chart is
     # simply connected, so every member closes and no generator is marched
     monkeypatch.setattr(s4min.monodromy, "generator_monodromy", _no_march)
-    conn = _conn(make(64).immersion)
+    conn = _conn(make(64))
     profile = scan_profile(conn, n_theta=64)
     assert conn.patch.deck_axes == ()
     assert (profile.verdict, profile.generators, profile.roots) == ("CIRCLE", (), [])
@@ -275,10 +266,10 @@ def _rotated(imm):
 
 
 AGREEMENT_CASES = {
-    "clifford": lambda: clifford_torus(64).immersion,
-    "rotated_clifford": lambda: _rotated(clifford_torus(64).immersion),
-    "veronese": lambda: veronese_sphere(64).immersion,
-    "geodesic_sphere": lambda: geodesic_sphere(64).immersion,
+    "clifford": lambda: clifford_torus(64),
+    "rotated_clifford": lambda: _rotated(clifford_torus(64)),
+    "veronese": lambda: veronese_sphere(64),
+    "geodesic_sphere": lambda: geodesic_sphere(64),
 }
 
 
@@ -287,9 +278,8 @@ def test_congruence_residual_agrees_with_procrustes(name):
     # r(theta), read off the connection, against the integrated member:
     # one sweep from the origin frame, fitted to the source by Procrustes
     # with the same area weights, gives the same verdict at 16 angles
-    imm, e1, e2, metric, e3, e4, rep = shape_report(AGREEMENT_CASES[name]())
-    conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           e3, e4, rep.H3, rep.H4)
+    pack = shape_report(AGREEMENT_CASES[name]())
+    imm, conn = pack[0], connection(pack)
     thetas = QUARTER * np.arange(16) / 16
     r = congruence_residual(conn, thetas)
     assert r.shape == thetas.shape
@@ -489,9 +479,7 @@ def test_sphere_congruence_evidence(veronese_profile):
 def test_circle_certificate(surface, n):
     # CIRCLE: every non-constant Fourier coefficient of M - I is below
     # the closing tolerance, and the samples resolve M to roundoff
-    imm, e1, e2, metric, e3, e4, rep = shape_report(surface(n).immersion)
-    conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           e3, e4, rep.H3, rep.H4)
+    conn = connection(shape_report(surface(n)))
     profile = scan_profile(conn, n_theta=64)
     assert profile.verdict == "CIRCLE"
     assert profile.circle_coefficient_max < profile.tol_close
@@ -561,16 +549,13 @@ def test_open_axis_has_no_generator(clifford_conn, chart, axis):
         generator_monodromy(conn, 1 - axis, 0.3)
     else:
         make = {"veronese": veronese_sphere, "geodesic-sphere": geodesic_sphere}[chart]
-        conn = _conn(make(64).immersion)
+        conn = _conn(make(64))
     with pytest.raises(InputError, match=f"{'uv'[axis]} axis is not a deck generator"):
         generator_monodromy(conn, axis, 0.3)
 
 
 def test_non_minimal_input_refused():
-    imm, e1, e2, metric, e3, e4, rep = shape_report(
-        perturb_immersion(clifford_torus(64).immersion, 1e-3, seed=7))
-    conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           e3, e4, rep.H3, rep.H4)
+    conn = connection(shape_report(perturb_immersion(clifford_torus(64), 1e-3, seed=7)))
     with pytest.raises(IntegrabilityBroken, match="not flat"):
         scan_profile(conn, n_theta=64)
 

@@ -20,8 +20,7 @@ from s4min.catalog import (
     veronese_sphere,
 )
 from s4min.grid import GridPatch, InputError, diff, integrate
-from s4min.family import (assemble_maurer_cartan, coframe, connection_data, deformed_immersion,
-                          integrate_frame)
+from s4min.family import assemble_maurer_cartan, deformed_immersion, integrate_frame
 from s4min.surface import (
     ImmersionField,
     _rotate_pair,
@@ -29,33 +28,33 @@ from s4min.surface import (
     _seed_normal_basis,
     _transport_lines,
     fd_jets,
-    flip_normal_orientation,
-    frame_orthonormality_residual,
     normal_frame,
-    rotate_normal_frame,
     second_fundamental_form,
     shape_report,
     tangent_frame,
 )
+
+from oracles import (connection, flip_normal_orientation, frame_orthonormality_residual,
+                     rotate_normal_frame)
 
 SQ3 = math.sqrt(3.0)
 
 
 @pytest.fixture(scope="module")
 def clifford():
-    imm, e1, e2, metric, e3, e4, rep = shape_report(clifford_torus(64).immersion)
+    imm, e1, e2, metric, e3, e4, rep = shape_report(clifford_torus(64))
     return imm, e1, e2, metric, e3, e4, rep
 
 
 @pytest.fixture(scope="module")
 def veronese():
-    imm, e1, e2, metric, e3, e4, rep = shape_report(veronese_sphere(64).immersion)
+    imm, e1, e2, metric, e3, e4, rep = shape_report(veronese_sphere(64))
     return imm, e1, e2, metric, e3, e4, rep
 
 
 @pytest.fixture(scope="module")
 def geodesic():
-    imm, e1, e2, metric, e3, e4, rep = shape_report(geodesic_sphere(64).immersion)
+    imm, e1, e2, metric, e3, e4, rep = shape_report(geodesic_sphere(64))
     return imm, e1, e2, metric, e3, e4, rep
 
 
@@ -113,7 +112,7 @@ def rotated_clifford():
     Q = np.linalg.qr(np.random.default_rng(7).standard_normal((5, 5)))[0]
     if np.linalg.det(Q) < 0:
         Q[:, 0] = -Q[:, 0]
-    imm = clifford_torus(64).immersion
+    imm = clifford_torus(64)
     return shape_report(ImmersionField(imm.patch, imm.position @ Q.T, imm.jet1 @ Q.T,
                                        imm.jet2(slice(None)) @ Q.T))
 
@@ -132,7 +131,7 @@ def test_normal_frame_periodic_after_correction(fix, axis, request):
 @pytest.mark.parametrize("n", [64, 128])
 def test_normal_frame_has_no_seam_kink(n):
     # a kink at the v-seam would make the second difference grow like 1/h
-    imm, _, _, _, e3, e4, _ = shape_report(veronese_sphere(n).immersion)
+    imm, _, _, _, e3, e4, _ = shape_report(veronese_sphere(n))
     assert np.abs(diff(imm.patch, e3, 1, order=2)).max() <= 5.0
 
 
@@ -217,9 +216,9 @@ def test_minimality_residual_small_on_catalog(clifford, veronese, geodesic):
 
 
 def test_minimality_detects_normal_perturbation():
-    ent = clifford_torus(64)
-    base = shape_report(ent.immersion)[-1].minimality.max()
-    bent = perturb_immersion(ent.immersion, 1e-3, seed=7)
+    imm = clifford_torus(64)
+    base = shape_report(imm)[-1].minimality.max()
+    bent = perturb_immersion(imm, 1e-3, seed=7)
     res = shape_report(bent)[-1].minimality.max()
     assert res > 1e-4
     assert res > 100.0 * max(base, 1e-12)
@@ -233,7 +232,7 @@ def test_invariants_are_gauge_independent(veronese):
     imm, e1, e2, metric, e3, e4, _ = veronese
     U, V = imm.patch.mesh()
     field_angle = 0.3 * np.sin(U) * np.cos(V) + 0.37
-    src = veronese_sphere(64).immersion  # shape_report's field has no second jets
+    src = veronese_sphere(64)  # shape_report's field has no second jets
     rep_a = second_fundamental_form(src.jet2, metric, e3, e4)
     rep_b = second_fundamental_form(src.jet2, metric,
                                     *rotate_normal_frame(e3, e4, field_angle))
@@ -245,7 +244,7 @@ def test_invariants_are_gauge_independent(veronese):
 def test_h_components_rotate_covariantly(clifford):
     imm, e1, e2, metric, e3, e4, rep = clifford
     psi = 0.41
-    src = clifford_torus(64).immersion  # shape_report's field has no second jets
+    src = clifford_torus(64)  # shape_report's field has no second jets
     rep2 = second_fundamental_form(src.jet2, metric, *rotate_normal_frame(e3, e4, psi))
     H3_want = math.cos(psi) * rep.H3 + math.sin(psi) * rep.H4
     H4_want = -math.sin(psi) * rep.H3 + math.cos(psi) * rep.H4
@@ -255,7 +254,7 @@ def test_h_components_rotate_covariantly(clifford):
 
 def test_orientation_flip_negates_normal_curvature(veronese):
     imm, e1, e2, metric, e3, e4, rep = veronese
-    src = veronese_sphere(64).immersion  # shape_report's field has no second jets
+    src = veronese_sphere(64)  # shape_report's field has no second jets
     rep2 = second_fundamental_form(src.jet2, metric, *flip_normal_orientation(e3, e4))
     assert np.abs(rep2.K_N + rep.K_N).max() < 1e-12
     assert np.abs(rep2.K - rep.K).max() < 1e-14
@@ -267,8 +266,7 @@ def test_orientation_flip_negates_normal_curvature(veronese):
 
 
 def test_fd_jets_consistent_with_analytic():
-    for entry, bound in ((clifford_torus(64), 5e-6), (veronese_sphere(64), 0.05)):
-        imm = entry.immersion
+    for imm, bound in ((clifford_torus(64), 5e-6), (veronese_sphere(64), 0.05)):
         jet1, jet2 = fd_jets(imm.patch, imm.position)
         assert np.abs(jet1 - imm.jet1).max() < bound
         assert np.abs(jet2 - imm.jet2(slice(None))).max() < bound
@@ -327,11 +325,11 @@ def test_degenerate_immersion_names_location():
 
 
 def test_with_jets_marks_source():
-    ent = clifford_torus(32)
-    bare = ImmersionField(ent.immersion.patch, ent.immersion.position)
+    imm = clifford_torus(32)
+    bare = ImmersionField(imm.patch, imm.position)
     filled = bare.with_jets()
     assert filled.jet_source == "fd"
-    assert ent.immersion.jet_source == "analytic"
+    assert imm.jet_source == "analytic"
     with pytest.raises(InputError, match="jets"):
         tangent_frame(bare)
 
@@ -404,7 +402,7 @@ def _rotated_clifford_field():
     Q = np.linalg.qr(np.random.default_rng(7).standard_normal((5, 5)))[0]
     if np.linalg.det(Q) < 0:
         Q[:, 0] = -Q[:, 0]
-    imm = clifford_torus(64).immersion
+    imm = clifford_torus(64)
     return ImmersionField(imm.patch, imm.position @ Q.T, imm.jet1 @ Q.T,
                           imm.jet2(slice(None)) @ Q.T)
 
@@ -412,15 +410,13 @@ def _rotated_clifford_field():
 def _deformed_field():
     # the open 257 x 257 chart a deformed manifest of the Clifford torus
     # carries: 257 rows are no multiple of the block
-    imm, e1, e2, _, e3, e4, rep = shape_report(clifford_torus(256).immersion)
-    conn = connection_data(imm.patch, imm.position, coframe(imm.jet1, e1, e2), e1, e2,
-                           e3, e4, rep.H3, rep.H4)
+    conn = connection(shape_report(clifford_torus(256)))
     position = integrate_frame(assemble_maurer_cartan(conn, 0.5 * math.pi))
     return deformed_immersion(conn.patch, position).with_jets()
 
 
 BLOCK_CASES = {
-    **{f"{make.__name__}-{n}": functools.partial(lambda make, n: make(n).immersion, make, n)
+    **{f"{make.__name__}-{n}": functools.partial(lambda make, n: make(n), make, n)
        for make in (clifford_torus, veronese_sphere, geodesic_sphere) for n in (64, 256)},
     "rotated-clifford-64": _rotated_clifford_field,
     "deformed-257": _deformed_field,
@@ -461,7 +457,7 @@ def test_shape_report_holds_no_whole_grid_temporary():
     # which includes the Veronese second jets made one block of 32 rows (a
     # quarter of the grid here) at a time and their sphere-jet planes; with
     # the whole-grid ambient vectors, rotation products and radicands 48.1
-    imm = veronese_sphere(128).immersion
+    imm = veronese_sphere(128)
     plane = imm.patch.nu * imm.patch.nv * 8
     tracemalloc.start()
     try:
@@ -487,10 +483,9 @@ def test_load_and_tangent_frame_hold_no_whole_grid_temporary():
     # and e2 products 7.01.
     n = 128
     plane = n * n * 8
-    imm = load_catalog("veronese", n).immersion
+    imm = load_catalog("veronese", n)
 
-    def jets_bytes(entry):
-        imm = entry.immersion
+    def jets_bytes(imm):
         return imm.position.nbytes + imm.jet1.nbytes
 
     def frame_bytes(out):
@@ -519,7 +514,7 @@ def test_load_and_tangent_frame_hold_no_whole_grid_temporary():
 def test_shape_report_field_has_no_second_jets(jets):
     # the returned field keeps the position, its checked drift and the
     # first jets; the field passed in is not changed
-    imm = clifford_torus(32).immersion
+    imm = clifford_torus(32)
     if jets == "fd":
         imm = ImmersionField(imm.patch, imm.position)
     out = shape_report(imm)[0]
