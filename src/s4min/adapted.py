@@ -22,6 +22,7 @@ import numpy as np
 
 from .grid import GridPatch, InputError, MetricField, diff
 from .surface import ShapeReport
+from .thresholds import ISOLATED_FRACTION, ISOTHERMAL_RTOL, VANISHING_RTOL, ZERO_CANDIDATE_FRACTION
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +83,7 @@ def superminimality_test(report: ShapeReport) -> SuperminimalityReport:
     counts take the verdict and these branches from the report instead of
     deciding again.
     """
-    floor = 1e-4 * max(1.0, float(report.kappa.max()))
+    floor = VANISHING_RTOL * max(1.0, float(report.kappa.max()))
     mask = (report.kappa - report.mu) < floor
     n_pts = int(mask.sum())
     vanishing = tuple(b for b, a in zip("+-", (report.a_plus, report.a_minus)) if a.max() < floor)
@@ -91,7 +92,7 @@ def superminimality_test(report: ShapeReport) -> SuperminimalityReport:
                   else "ellipse is a circle at every point")
         return SuperminimalityReport("superminimal", n_pts, reason, vanishing)
     if n_pts:
-        if n_pts / mask.size < 0.05:
+        if n_pts / mask.size < ISOLATED_FRACTION:
             clusters = len(_clusters(mask, report.patch.periodic_u, report.patch.periodic_v))
             return SuperminimalityReport("isolated-circle-points", n_pts,
                                          f"{clusters} isolated circle cluster(s)")
@@ -101,9 +102,6 @@ def superminimality_test(report: ShapeReport) -> SuperminimalityReport:
 
 # ---------------------------------------------------------------------------
 # Hopf field
-
-
-ISOTHERMAL_RTOL = 1e-8
 
 
 def _is_isothermal(metric: MetricField) -> bool:
@@ -160,7 +158,7 @@ def find_zero_candidates(patch: GridPatch, values: np.ndarray) -> list[tuple[int
     scale = mag.max()
     if scale == 0.0:
         return []
-    small = mag < 0.02 * scale
+    small = mag < ZERO_CANDIDATE_FRACTION * scale
     # cluster small cells and keep each cluster's minimum
     clusters = _clusters(small, patch.periodic_u, patch.periodic_v)
     return sorted(min(members, key=lambda p: mag[p]) for members in clusters)

@@ -38,7 +38,8 @@ from typing import Callable
 import numpy as np
 
 from .grid import GridPatch, InputError, row_blocks
-from .surface import UNIT_NORM_TOL, ImmersionField, normal_frame, tangent_frame
+from .surface import ImmersionField, normal_frame, tangent_frame
+from .thresholds import DRIFT_REJECT, NEAR_ZERO_NORM, PERTURB_MAX, UNIT_NORM_TOL
 
 
 def _jet_arrays(n: int) -> tuple:
@@ -248,8 +249,8 @@ def perturb_immersion(imm: ImmersionField, amplitude: float, seed: int) -> Immer
     differences once the caller has let the source's jets go.  The
     amplitude lies in (0, 1], 1 the sphere's radius; the seed is >= 0.
     """
-    if not 0.0 < amplitude <= 1.0:
-        raise InputError(f"perturbation amplitude must be in (0, 1], got {amplitude}")
+    if not 0.0 < amplitude <= PERTURB_MAX:
+        raise InputError(f"perturbation amplitude must be in (0, {PERTURB_MAX:g}], got {amplitude}")
     if seed < 0:
         raise InputError(f"perturbation seed must be non-negative, got {seed}")
     src = imm.with_jets()
@@ -279,8 +280,6 @@ def perturb_immersion(imm: ImmersionField, amplitude: float, seed: int) -> Immer
 
 # ---------------------------------------------------------------------------
 # sampled-immersion manifests
-
-DRIFT_REJECT = 1e-6
 
 
 def write_manifest(imm: ImmersionField, directory) -> Path:
@@ -382,7 +381,7 @@ def read_manifest(path) -> tuple[ImmersionField, float]:
     base = path.parent
     pos = _read_array(base, files["position"], (patch.nu, patch.nv, 5), "position")
     norms = np.linalg.norm(pos, axis=2)
-    if np.any(norms < 0.5):
+    if np.any(norms < NEAR_ZERO_NORM):
         raise InputError("position contains near-zero vectors; not a sphere map")
     drift = float(np.abs(norms - 1.0).max())
     if drift > DRIFT_REJECT:

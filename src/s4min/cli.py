@@ -26,7 +26,6 @@ import numpy as np
 from .adapted import hopf_coefficient, hopf_differential, superminimality_test
 from .catalog import load_catalog, perturb_immersion, read_manifest, write_manifest
 from .family import (
-    PATH_DEPENDENCE_TOL,
     IntegrabilityBroken,
     assemble_maurer_cartan,
     coframe,
@@ -47,15 +46,16 @@ from .surface import (
     shape_invariants,
     tangent_frame,
 )
+from .thresholds import (BALANCE_TOL, CONGRUENCE_TOL, EULER_GAP_TOL, FLATNESS_TOL_FLOOR,
+                         H2_FACTOR, MINIMALITY_TOL, NORM_DRIFT_TOL, PATH_DEPENDENCE_TOL,
+                         PERTURB_MAX, RADIUS_PRODUCT_TOL, RESOLUTION_MAX, RESOLUTION_MIN,
+                         SCAN_MAX, SCAN_MIN, VERIFY_FLOOR)
 from .topology import euler_numbers, topology_report
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_INTEGRITY = 3
-
-# r(theta) of family.congruence_residual below which a member counts as congruent
-CONGRUENCE_TOL = 1e-3
 
 
 class CliError(Exception):
@@ -293,9 +293,9 @@ def _span(values: np.ndarray) -> dict:
 
 
 def _check_resolution(n: int) -> int:
-    if n < 32 or n > 1024 or (n & (n - 1)) != 0:
-        raise CliError(EXIT_CONFIG, "E_CONFIG",
-                       f"resolution must be a power of two between 32 and 1024, got {n}")
+    if n < RESOLUTION_MIN or n > RESOLUTION_MAX or (n & (n - 1)) != 0:
+        raise CliError(EXIT_CONFIG, "E_CONFIG", f"resolution must be a power of two between "
+                       f"{RESOLUTION_MIN} and {RESOLUTION_MAX}, got {n}")
     return n
 
 
@@ -315,13 +315,10 @@ def _load_surface(args) -> tuple[ImmersionField, dict]:
             raise CliError(EXIT_CONFIG, "E_CONFIG",
                            f"perturbation amplitude must be positive and finite, "
                            f"got {args.perturb}")
-        # the bump moves unit vectors by up to several times the amplitude
-        # before they are put back on the sphere: far above its radius the
-        # squares of the renormalization overflow
-        if args.perturb > 1.0:
+        if args.perturb > PERTURB_MAX:
             raise CliError(EXIT_CONFIG, "E_CONFIG",
-                           f"perturbation amplitude must be at most 1, the sphere's radius, "
-                           f"got {args.perturb}")
+                           f"perturbation amplitude must be at most {PERTURB_MAX:g}, the "
+                           f"sphere's radius, got {args.perturb}")
         if args.seed < 0:
             raise CliError(EXIT_CONFIG, "E_CONFIG",
                            f"perturbation seed must be non-negative, got {args.seed}")
@@ -376,23 +373,13 @@ def _check_theta(args):
 
 
 def _check_scan(args):
-    if args.scan < 64:
+    if args.scan < SCAN_MIN:
         raise CliError(EXIT_CONFIG, "E_SCAN_TOO_COARSE",
-                       f"scan needs at least 64 angle samples, got {args.scan}")
-    # peak RSS grows by about 1 KB per angle (Clifford n=32 peaks at 122 MB
-    # with 65,536 angles), so an unbounded scan can exhaust memory
-    if args.scan > 65536:
+                       f"scan needs at least {SCAN_MIN} angle samples, got {args.scan}")
+    if args.scan > SCAN_MAX:
         raise CliError(EXIT_CONFIG, "E_CONFIG",
-                       f"scan takes at most 65536 angle samples, got {args.scan}")
+                       f"scan takes at most {SCAN_MAX} angle samples, got {args.scan}")
     return args
-
-
-# least n at which verify of each catalog surface passes, with analytic and
-# with finite-difference jets: frame_source_deviation converges at order 4
-# and first falls below PATH_DEPENDENCE_TOL there (clifford 9.7e-6 and
-# 1.7e-5, geodesic-sphere 3.4e-5 and 3.4e-5, veronese 6.9e-5 and 6.9e-5;
-# at half the floor 1.5e-4, 5.5e-4 and 1.1e-3 with analytic jets)
-VERIFY_FLOOR = {"clifford": 64, "geodesic-sphere": 64, "veronese": 128}
 
 
 def _check_floor(args):
@@ -530,13 +517,13 @@ def _shape_identities(patch, norm_drift, metric, rep) -> tuple:
     for every check), the topology report of the global items and the
     O(h^2) tolerance."""
     h = max(patch.hu, patch.hv)
-    tol_h2 = 5.0 * h * h
-    items = [_item("unit_norm_drift", norm_drift, 1e-9),
-             _item("minimality_max", float(rep.minimality.max()), 1e-5)]
+    tol_h2 = H2_FACTOR * h * h
+    items = [_item("unit_norm_drift", norm_drift, NORM_DRIFT_TOL),
+             _item("minimality_max", float(rep.minimality.max()), MINIMALITY_TOL)]
     sup = superminimality_test(rep)
     hopf = hopf_coefficient(rep)
     product_gap = float(np.abs(4.0 * np.abs(hopf) - rep.a_plus * rep.a_minus).max())
-    items.append(_item("ellipse_radius_product", product_gap, 1e-9))
+    items.append(_item("ellipse_radius_product", product_gap, RADIUS_PRODUCT_TOL))
     holo, reason = _holomorphy_max(rep, metric, hopf, sup)
     items.append(_item("hopf_holomorphy", holo, tol_h2, reason))
     del hopf
@@ -549,7 +536,7 @@ def _shape_identities(patch, norm_drift, metric, rep) -> tuple:
 
 
 def _verify_output(args, meta, patch, items, sup, topo, tol_h2, flatness, deviation) -> int:
-    items.append(_item("flatness_theta0", flatness, max(1e-9, tol_h2)))
+    items.append(_item("flatness_theta0", flatness, max(FLATNESS_TOL_FLOOR, tol_h2)))
     items.append(_item("frame_source_deviation", deviation, PATH_DEPENDENCE_TOL))
     if topo.unavailable is not None:
         reason = f"global invariants unavailable: {topo.unavailable}"
@@ -557,12 +544,12 @@ def _verify_output(args, meta, patch, items, sup, topo, tol_h2, flatness, deviat
                     "zero_balance_plus", "zero_balance_minus"):
             items.append(_item(tag, None, None, reason))
     else:
-        items.append(_item("euler_chi_surface", topo.chi_M.gap, 0.02))
-        items.append(_item("euler_chi_normal", topo.chi_Nf.gap, 0.02))
+        items.append(_item("euler_chi_surface", topo.chi_M.gap, EULER_GAP_TOL))
+        items.append(_item("euler_chi_normal", topo.chi_Nf.gap, EULER_GAP_TOL))
         balance = topo.balance
         reason = "" if balance.residual_plus is not None else f"skipped: {balance.reason}"
-        items.append(_item("zero_balance_plus", balance.residual_plus, 0.05, reason))
-        items.append(_item("zero_balance_minus", balance.residual_minus, 0.05, reason))
+        items.append(_item("zero_balance_plus", balance.residual_plus, BALANCE_TOL, reason))
+        items.append(_item("zero_balance_minus", balance.residual_minus, BALANCE_TOL, reason))
         reason = ("diagnostic: vanishes only for surfaces of a great 3-sphere"
                   if topo.ricci is not None else "1 - K vanishes on the whole chart")
     items.append(_item("ricci_3sphere_residual", topo.ricci, None, reason, diagnostic=True))
@@ -689,7 +676,7 @@ def _add_common(sp) -> None:
     src.add_argument("--catalog", help="named catalog surface")
     src.add_argument("--manifest", help="path to a sampled-immersion manifest")
     sp.add_argument("--n", type=int, default=256,
-                    help="catalog resolution (power of two, 32..1024)")
+                    help=f"catalog resolution (power of two, {RESOLUTION_MIN}..{RESOLUTION_MAX})")
     sp.add_argument("--jets", choices=("analytic", "fd"),
                     help="jet source override")
     sp.add_argument("--perturb", type=float,
@@ -727,6 +714,8 @@ def main(argv=None) -> int:
         error, status = {"code": "E_SOURCE", "message": str(exc)}, EXIT_CONFIG
     except IntegrabilityBroken as exc:
         error, status = {"code": "E_INTEGRABILITY", "message": str(exc)}, EXIT_INTEGRITY
+    except OSError as exc:  # a file that cannot be written, as _out_dir refuses its directory
+        error, status = {"code": "E_CONFIG", "message": str(exc)}, EXIT_CONFIG
     print(json.dumps({"error": error}, sort_keys=True))
     return status
 

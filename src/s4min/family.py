@@ -70,15 +70,6 @@ class IntegrabilityBroken(RuntimeError):
     """
 
 
-# Bound of the two frame checks, both O(h^4) on exact input.  The distance
-# of the theta = 0 sweep from the source frame: 1e-5 to 7e-5 on the catalog
-# surfaces at the verify floors, versus 6e-2 for a 1e-3 normal
-# perturbation.  The metric deviation of a member from the source: 2.7e-5
-# (Clifford n = 64, theta = pi/4) and 3.7e-5 (Veronese n = 128, theta =
-# 0.5), versus 2.1e-4 and 2.1e-2 for perturbations of 1e-5 and 1e-3
-# (Clifford n = 128).
-PATH_DEPENDENCE_TOL = 1e-4
-
 @dataclass
 class ConnectionData:
     """theta-independent decomposition Omega_theta = C0 + cos(2 theta) C1 + sin(2 theta) C2.

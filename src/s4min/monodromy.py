@@ -37,8 +37,9 @@ from .family import (
     rotating_forms,
 )
 from .grid import InputError
+from .thresholds import (CLOSE_FACTOR, CLOSE_FLOOR, FLATNESS_CEILING, ROOT_SNAP, ROOT_WIDTH,
+                         SCAN_MIN, SPECTRAL_FLOOR, SPECTRAL_RTOL)
 
-FLATNESS_CEILING = 1e-3
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 QUARTER = 0.5 * math.pi
 # angles of [0, pi/2) at which a CIRCLE verdict is checked for congruence
@@ -168,11 +169,10 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256) -> MonodromyProfile:
 
     The generators are the chart's deck axes.  With none, the profile
     after the flatness check is CIRCLE by topology: d = 0, both
-    coefficient norms 0, no generator marched, and tol_close is
-    max(1e-6, 10 * flatness).
+    coefficient norms 0, no generator marched, and d(0) = 0 in tol_close.
     """
-    if n_theta < 64:
-        raise InputError(f"need at least 64 angle samples, got {n_theta}")
+    if n_theta < SCAN_MIN:
+        raise InputError(f"need at least {SCAN_MIN} angle samples, got {n_theta}")
     gens = conn.patch.deck_axes
     flat0 = float(flatness_residual(conn).max())
     if flat0 > FLATNESS_CEILING:
@@ -182,9 +182,12 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256) -> MonodromyProfile:
             "of a non-minimal input")
     thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     ct = np.linspace(0.0, QUARTER, CONGRUENCE_SAMPLES, endpoint=False)
+
+    def closing_tolerance(d0: float) -> float:
+        return max(CLOSE_FLOOR, CLOSE_FACTOR * flat0, CLOSE_FACTOR * d0)
     if not gens:  # simply connected: every loop contracts, so every member closes
         return MonodromyProfile(thetas, np.zeros(n_theta), None, [], [], "CIRCLE",
-                                max(1e-6, 10.0 * flat0), flat0, 0.0, 0.0, ct,
+                                closing_tolerance(0.0), flat0, 0.0, 0.0, ct,
                                 congruence_residual(conn, ct))
 
     P = conn.origin.T @ np.diag([1.0, 1.0, 1.0, -1.0, -1.0]) @ conn.origin
@@ -194,7 +197,7 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256) -> MonodromyProfile:
 
     n = 16
     samples = [generator_monodromy(conn, axis, QUARTER * np.arange(n) / n) for axis in gens]
-    floor = max(1e-3 * float(distance([S[0] for S in samples])), 1e-14)
+    floor = max(SPECTRAL_RTOL * float(distance([S[0] for S in samples])), SPECTRAL_FLOOR)
     while True:
         coefs = [np.fft.fft(np.concatenate([S, P @ S @ P]), axis=0) / (2 * n) for S in samples]
         k = np.abs(np.fft.fftfreq(2 * n, 1.0 / (2 * n)))
@@ -217,7 +220,7 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256) -> MonodromyProfile:
     if len(Mq) == 2:
         A, B = Mq
         defect = np.linalg.norm(A @ B - B @ A, axis=(-2, -1))[fold]
-    tol_close = max(1e-6, 10.0 * flat0, 10.0 * float(dq[0]))
+    tol_close = closing_tolerance(float(dq[0]))
 
     circle_max = float(sizes[k > 0].max())
     verdict = "CIRCLE" if circle_max < tol_close else "FINITE"
@@ -233,9 +236,9 @@ def scan_profile(conn: ConnectionData, n_theta: int = 256) -> MonodromyProfile:
         step = QUARTER / len(grid)
         theta_star, d_star = _golden_min(
             lambda t: distance([_interpolate(c, t) for c in coefs]),
-            grid[cand] - step, grid[cand] + step, 1e-8)
+            grid[cand] - step, grid[cand] + step, ROOT_WIDTH)
         # a root at 0 refined from below lands just under pi/2
-        classes = sorted(0.0 if min(t, QUARTER - t) < 1e-7 else float(t)
+        classes = sorted(0.0 if min(t, QUARTER - t) < ROOT_SNAP else float(t)
                          for t in np.mod(theta_star[d_star < tol_close], QUARTER))
     roots = sorted(t + q * QUARTER for t in classes for q in range(4))
 

@@ -43,8 +43,8 @@ from .grid import (
     frame_coefficients,
     row_blocks,
 )
+from .thresholds import UNIT_NORM_TOL
 
-UNIT_NORM_TOL = 1e-12
 _JET_SHAPES = "jet shapes must be (nu, nv, 2, 5) and (nu, nv, 3, 5)"
 
 # a row-block source: a slice of u rows -> that block of a (nu, nv, ...) field

@@ -27,13 +27,7 @@ import numpy as np
 from .adapted import SuperminimalityReport, find_zero_candidates
 from .grid import GridPatch, InputError, MetricField, check_field, integrate, laplace_beltrami
 from .surface import ShapeReport
-
-# Excision radius for zero counting, in units of the larger grid spacing.
-# The integrand is log-singular at a zero; the flux contour must clear the
-# derivative stencil reach (5 nodes) around the singular node.
-EXCISION_FACTOR = 6.0
-# The 3-sphere curvature test is evaluated where 1 - K exceeds this floor.
-RICCI_FLOOR = 1e-6
+from .thresholds import EXCISION_FACTOR, LAPLACE_DOMAIN_FRACTION, RICCI_FLOOR, ZERO_LIST_RTOL
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +226,7 @@ def zero_count_excised(patch: GridPatch, a_field: np.ndarray, metric: MetricFiel
         du = _index_gap(iu, ia, patch.nu, patch.periodic_u)
         dv = _index_gap(iv, ja, patch.nv, patch.periodic_v)
         outside &= (du[:, None] > ki) | (dv[None, :] > kj)
-    if bool(((a < 1e-13 * a.max()) & outside).any()):
+    if bool(((a < ZERO_LIST_RTOL * a.max()) & outside).any()):
         raise InputError(
             "the field vanishes outside the excision rectangles; "
             "the zero list is incomplete"
@@ -278,7 +272,7 @@ def _radius_residual(report: ShapeReport, branch: str, lap: np.ndarray) -> float
     """Max of ``|laplace(log a) - (2K -+ K_N)|`` where the radius a of
     ``branch`` exceeds a tenth of its maximum, away from its zeros."""
     a = report.a_plus if branch == "+" else report.a_minus
-    valid = a > 0.1 * float(a.max())  # holds at the maximum, so never empty
+    valid = a > LAPLACE_DOMAIN_FRACTION * float(a.max())  # holds at the maximum, so never empty
     target = 2.0 * report.K - report.K_N if branch == "+" else 2.0 * report.K + report.K_N
     return float(np.abs(lap - target)[valid].max())
 

@@ -1,5 +1,6 @@
 """Every top-level library name serves the command line or is a stated oracle;
-every import is used.
+every import is used; every threshold is one row of ``s4min.thresholds``,
+pinned by a named test or stated as unpinned.
 
 The command line is the program; library code that only tests call is kept
 only when it is an oracle that tests compare the program against and the
@@ -21,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 import s4min
+from s4min import thresholds
 from s4min.catalog import load_catalog
 from s4min.surface import shape_report
 
@@ -36,6 +38,51 @@ STATED_ORACLES = {
     "frame_reconstruction_residual": "pointwise reference for the source check",
     "laplace_identity_residual": "one-radius reference for topology_report's Laplace residuals",
     "shape_report": "the shape stage in one call, the command line's stages unsplit",
+}
+
+
+# each row of s4min/thresholds.py -> the test (file::function under tests/)
+# that fails when the row moves across the value it separates, or None
+# where no test can see it move
+PINNED_THRESHOLDS = {
+    "UNIT_NORM_TOL": "test_surface.py::test_off_sphere_position_rejected",
+    "DRIFT_REJECT": "test_catalog.py::test_manifest_norm_tiers",
+    # no test manifest has a near-zero position
+    "NEAR_ZERO_NORM": None,
+    "RESOLUTION_MIN": "test_cli.py::test_bad_resolution_is_config_error",
+    "RESOLUTION_MAX": "test_cli.py::test_bad_resolution_is_config_error",
+    "SCAN_MIN": "test_monodromy.py::test_too_few_samples_rejected",
+    "SCAN_MAX": "test_cli.py::test_nonfinite_or_nonpositive_value_is_config_error",
+    "PERTURB_MAX": "test_catalog.py::test_perturbation_out_of_bounds_is_input_error",
+    "VERIFY_FLOOR": "test_family.py::test_source_deviation_floor_is_the_least_passing_n",
+    "PATH_DEPENDENCE_TOL": "test_family.py::test_source_deviation_fails_every_perturbation",
+    "CONGRUENCE_TOL": "test_monodromy.py::test_congruence_residual_agrees_with_procrustes",
+    # ImmersionField refuses any drift above UNIT_NORM_TOL first
+    "NORM_DRIFT_TOL": None,
+    # the item compares two roundings of |H3^2 + H4^2|
+    "RADIUS_PRODUCT_TOL": None,
+    "MINIMALITY_TOL": "test_cli.py::test_verify_perturbed_surface_fails",
+    "H2_FACTOR": "test_cli.py::test_verify_veronese_fd_jets_pass",
+    "FLATNESS_TOL_FLOOR": "test_cli.py::test_verify_perturbed_surface_fails",
+    "EULER_GAP_TOL": "test_cli.py::test_verify_skipped_checks_carry_no_value",
+    "BALANCE_TOL": "test_cli.py::test_verify_derivative_count",
+    "FLATNESS_CEILING": "test_monodromy.py::test_non_minimal_input_refused",
+    "CLOSE_FLOOR": "test_acceptance.py::test_closing_set_dichotomy",
+    "CLOSE_FACTOR": "test_cli.py::test_monodromy_refuses_a_circle_its_profile_contradicts",
+    # at 1 or at 1e-12 no tested verdict, root or march count moves
+    "SPECTRAL_RTOL": None,
+    "SPECTRAL_FLOOR": "test_monodromy.py::test_solve_marches_at_most_half_the_scan_angles",
+    "ROOT_WIDTH": "test_monodromy.py::test_roots_between_samples_are_found",
+    "ROOT_SNAP": "test_monodromy.py::test_default_tolerance_closes_theta_zero_at_coarse_grid",
+    "VANISHING_RTOL": "test_adapted.py::test_superminimality_verdicts",
+    "ISOLATED_FRACTION": "test_adapted.py::test_superminimality_verdicts",
+    "ZERO_CANDIDATE_FRACTION": "test_topology.py::test_zero_count_single_simple_zero",
+    "ISOTHERMAL_RTOL": "test_adapted.py::test_hopf_clifford_constant_and_holomorphic",
+    "EXCISION_FACTOR": "test_topology.py::test_zero_count_mixed_orders",
+    "RICCI_FLOOR": "test_topology.py::test_ricci_condition_veronese_not_in_sphere",
+    "ZERO_LIST_RTOL": "test_topology.py::test_incomplete_zero_list_detected",
+    # at 0 no tested Laplace residual crosses its tolerance
+    "LAPLACE_DOMAIN_FRACTION": None,
 }
 
 
@@ -187,6 +234,25 @@ def unused_imports():
 
 def test_no_unused_imports():
     assert unused_imports() == []
+
+
+def test_every_threshold_is_one_pinned_row():
+    # the table imports nothing, and no other module defines one of its names
+    tree = ast.parse((SRC / "thresholds.py").read_text())
+    assert not [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    rows = {name for name in vars(thresholds) if not name.startswith("_")}
+    assert set(PINNED_THRESHOLDS) == rows
+    defs, _ = _module_index()
+    assert sorted(f"{mod}.{name}" for mod, names in defs.items() if mod != "thresholds"
+                  for name in names if name in rows) == []
+    tests = Path(__file__).resolve().parent
+    missing = []
+    for pin in filter(None, PINNED_THRESHOLDS.values()):
+        path, name = pin.split("::")
+        if name not in {node.name for node in ast.parse((tests / path).read_text()).body
+                        if isinstance(node, ast.FunctionDef)}:
+            missing.append(pin)
+    assert missing == []
 
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"

@@ -31,6 +31,7 @@ from s4min.catalog import load_catalog, read_manifest, write_manifest
 from s4min.cli import main
 from s4min.grid import GridPatch
 from s4min.surface import ImmersionField, shape_report
+from s4min.thresholds import CONGRUENCE_TOL, VERIFY_FLOOR
 from s4min.topology import laplace_identity_residual
 
 
@@ -300,11 +301,26 @@ def test_closing_tolerance_is_not_an_option(tmp_path, capsys):
     assert "--tol-close" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("target", ["afile", "afile/sub"])
-@pytest.mark.parametrize("command", ["analyze", "deform", "monodromy", "verify"])
-def test_unwritable_out_is_config_error(cli, tmp_path, command, target):
+@pytest.mark.parametrize("command, target, blocker", [
     # a plain file where the output directory (or one of its parents) goes
-    (tmp_path / "afile").write_text("")
+    *(pytest.param(command, target, "afile", id=f"{command}-{target}")
+      for command in ("analyze", "deform", "monodromy", "verify")
+      for target in ("afile", "afile/sub")),
+    # a directory where an output file goes, or a plain file where the
+    # member's manifest directory goes: refused at that write with exit 2,
+    # not verify's exit 1
+    *(pytest.param(command, "out", blocker, id=f"{command}-{blocker}")
+      for command, blocker in (("analyze", "out/report.json/"), ("deform", "out/deformed"),
+                               ("monodromy", "out/profile.csv/"),
+                               ("verify", "out/report.json/")))])
+def test_unwritable_out_is_config_error(cli, tmp_path, command, target, blocker):
+    # the blocker is made as a directory when its name ends in "/"
+    path = tmp_path / blocker
+    path.parent.mkdir(exist_ok=True)
+    if blocker.endswith("/"):
+        path.mkdir()
+    else:
+        path.write_text("")
     out = tmp_path / target
     extra = ("--theta", 0.5) if command == "deform" else ()
     # verify's Clifford floor; deform at n = 32 is refused before its first
@@ -314,7 +330,7 @@ def test_unwritable_out_is_config_error(cli, tmp_path, command, target):
     assert code == 2
     assert len(text.strip().splitlines()) == 1
     assert error_code(text) == "E_CONFIG"
-    assert str(out) in text
+    assert str(path if target == "out" else out) in text
 
 
 REFUSED_RUNS = [
@@ -341,7 +357,7 @@ def test_refused_run_leaves_no_output_directory(cli, tmp_path, argv, want):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("name", sorted(cli_module.VERIFY_FLOOR))
+@pytest.mark.parametrize("name", sorted(VERIFY_FLOOR))
 def test_verify_below_the_floor_is_refused_before_the_surface_is_built(
         cli, tmp_path, monkeypatch, name):
     # below its floor an exact catalog surface fails frame_source_deviation
@@ -350,7 +366,7 @@ def test_verify_below_the_floor_is_refused_before_the_surface_is_built(
         raise AssertionError("the catalog surface was built")
 
     monkeypatch.setattr(cli_module, "load_catalog", refuse)
-    floor = cli_module.VERIFY_FLOOR[name]
+    floor = VERIFY_FLOOR[name]
     out = tmp_path / "ok"
     code, text = cli("verify", "--catalog", name, "--n", floor // 2, "--out", out)
     assert code == 2
@@ -730,7 +746,7 @@ def test_monodromy_veronese_circle_with_nontrivial_normal_bundle(cli, tmp_path):
     assert "verdict CIRCLE" in out
     doc = json.loads((tmp_path / "roots.json").read_text())
     assert abs(doc["chi_normal"] - 4.0) < 0.02
-    assert doc["congruence_max"] < cli_module.CONGRUENCE_TOL
+    assert doc["congruence_max"] < CONGRUENCE_TOL
     assert doc["classes"] == [] and doc["circle_coefficient_max"] < doc["tol_close"]
 
 

@@ -18,9 +18,7 @@ import numpy as np
 import pytest
 
 from s4min.catalog import clifford_torus, load_catalog, perturb_immersion, veronese_sphere
-from s4min.cli import VERIFY_FLOOR
 from s4min.family import (
-    PATH_DEPENDENCE_TOL,
     ConnectionData,
     _UPPER,
     _bracket,
@@ -45,6 +43,7 @@ from s4min.surface import (
     second_fundamental_form,
     shape_report,
 )
+from s4min.thresholds import PATH_DEPENDENCE_TOL, VERIFY_FLOOR
 
 from oracles import (connection, curvature_deviation, rotate_normal_frame, sweep_frames,
                      two_sweep_path_dependence)

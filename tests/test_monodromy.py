@@ -17,7 +17,6 @@ import pytest
 import s4min.family
 import s4min.monodromy
 from s4min.catalog import clifford_torus, geodesic_sphere, perturb_immersion, veronese_sphere
-from s4min.cli import CONGRUENCE_TOL
 from s4min.family import (
     ConnectionData,
     IntegrabilityBroken,
@@ -37,6 +36,7 @@ from s4min.monodromy import (
     scan_profile,
 )
 from s4min.surface import ImmersionField, shape_report
+from s4min.thresholds import CONGRUENCE_TOL
 
 from oracles import connection, two_sweep_path_dependence
 
